@@ -21,7 +21,7 @@ use crate::instance::{property_value_for, Entity, InstanceKg};
 use pgso_graphstore::{GraphBackend, PropertyMap, PropertyValue, ShardedGraph, VertexId};
 use pgso_ontology::{ConceptId, Ontology, RelationshipKind};
 use pgso_pgschema::{PropertyGraphSchema, VertexSchema};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Summary of a load operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -216,8 +216,10 @@ impl<'a> Loader<'a> {
             members.entry(key).or_default().push(entity);
         }
 
-        // Fill LIST properties from relationship instances.
-        let mut lists: HashMap<(ConceptId, u32, String), Vec<PropertyValue>> = HashMap::new();
+        // Fill LIST properties from relationship instances. Ordered by key:
+        // entities merged into one vertex can hold the same list, the last
+        // one written wins, and which one is last must not vary run to run.
+        let mut lists: BTreeMap<(ConceptId, u32, String), Vec<PropertyValue>> = BTreeMap::new();
         for inst in self.instance.all_instances() {
             let rel = self.ontology.relationship(inst.relationship);
             for (holder, provider, provider_concept) in
@@ -488,6 +490,31 @@ mod tests {
         let v = g.vertex(merged[0]).unwrap();
         assert!(v.properties.contains_key("desc"), "Indication property present");
         assert!(v.properties.contains_key("name"), "Condition property present");
+    }
+
+    #[test]
+    fn optimized_load_is_identical_run_to_run() {
+        // MED and FIN both merge 1:1-paired entities whose LIST properties
+        // collide on the merged vertex; which value survives must not depend
+        // on hash-map iteration order.
+        for ontology in [catalog::medical(), catalog::financial()] {
+            let stats = DataStatistics::synthesize(&ontology, &StatisticsConfig::small(), 42);
+            let af = AccessFrequencies::uniform(&ontology, 1_000.0);
+            let instance = InstanceKg::generate(&ontology, &stats, 0.05, 42);
+            let optimized = optimize_nsc(
+                OptimizerInput::new(&ontology, &stats, &af),
+                &OptimizerConfig::default(),
+            )
+            .schema;
+            let load = || {
+                let mut g = MemoryGraph::new();
+                load_into(&mut g, &ontology, &optimized, &instance);
+                g
+            };
+            let (first, second) = (load(), load());
+            assert_eq!(first.payload_bytes(), second.payload_bytes(), "{}", ontology.name());
+            assert_eq!(first.export_updates(), second.export_updates(), "{}", ontology.name());
+        }
     }
 
     #[test]

@@ -8,7 +8,19 @@
 //! [`GraphBackend::property_of`] — goes through the backend and is therefore
 //! counted in its [`AccessStats`]; the executor itself adds no caching, so
 //! latency differences between schemas reflect the storage work, as in the
-//! paper's evaluation.
+//! paper's evaluation. That makes the counters a contract: what a statement
+//! costs may only change when the storage work it does changes.
+//!
+//! # Slots and steps
+//!
+//! Before matching, every pattern variable is resolved once to a *slot* —
+//! its name, the labels its node patterns declare and the `WHERE` predicates
+//! on it — and every mandatory or optional edge pattern to a *step*
+//! `(label, src slot, dst slot)`. A binding is a fixed-width row with one
+//! `Option<VertexId>` cell per slot: extending a match copies one small
+//! vector and writes one cell, and no variable name is hashed or cloned
+//! while matching. A cell still `None` after matching belongs to an
+//! unmatched `OPTIONAL` variable and surfaces as [`PropertyValue::Null`].
 //!
 //! [`execute_statement`] adds the statement-level clauses on top of the same
 //! core:
@@ -45,8 +57,8 @@
 //! — is bit-for-bit identical to the serial execution. DIR vs OPT row-set
 //! equivalence is unaffected.
 
-use crate::ast::{Aggregate, EdgePattern, NodePattern, Query, ReturnItem};
-use crate::stmt::{order_values, CountTerm, HavingPredicate, OrderKey, Predicate, Statement, Term};
+use crate::ast::{Aggregate, EdgePattern, Query, ReturnItem};
+use crate::stmt::{order_values, CountTerm, Predicate, Statement, Term};
 use pgso_graphstore::{AccessStats, GraphBackend, PropertyValue, VertexId};
 use pgso_telemetry::{FieldValue, StageTimings, TraceBuffer};
 use std::collections::{HashMap, HashSet};
@@ -55,6 +67,11 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for the executor's parallel fan-out.
+///
+/// Production code runs [`ExecConfig::default`] only: no caller outside the
+/// tests sets a field, so the two floors are first guesses, not tuned
+/// values. The tests use [`ExecConfig::serial`] and
+/// [`ExecConfig::always_parallel`] as their reference switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Master switch for the shard fan-out. Defaults to `true` only when the
@@ -130,7 +147,7 @@ impl QueryResult {
 
 /// Executes a bare pattern query against a backend.
 pub fn execute(query: &Query, backend: &dyn GraphBackend) -> QueryResult {
-    run(query, &Clauses::NONE, backend, &ExecConfig::default())
+    execute_statement(&Statement::from(query.clone()), backend)
 }
 
 /// Executes a full statement (predicates, optional edges, aggregation with
@@ -151,46 +168,65 @@ pub fn execute_statement_with(
     backend: &dyn GraphBackend,
     config: &ExecConfig,
 ) -> QueryResult {
-    let clauses = Clauses {
-        opt_nodes: &stmt.opt_nodes,
-        opt_edges: &stmt.opt_edges,
-        predicates: &stmt.predicates,
-        distinct: stmt.distinct,
-        group_by: &stmt.group_by,
-        having: &stmt.having,
-        order_by: &stmt.order_by,
-        skip: stmt.skip.as_ref().and_then(CountTerm::count),
-        limit: stmt.limit.as_ref().and_then(CountTerm::count),
+    let before = backend.stats();
+    let start = Instant::now();
+    let ctx = Ctx::new(stmt, backend);
+    let mut timings = StageTimings::default();
+
+    let mut bindings: Vec<Binding> = Vec::new();
+    // A statement that cannot match skips root selection and expansion.
+    if !ctx.unsatisfiable && !stmt.pattern.nodes.is_empty() {
+        let stage = Instant::now();
+        let roots = backend.vertices_with_label(ctx.slots[ROOT].label);
+        timings.root_selection = stage.elapsed();
+        let stage = Instant::now();
+        if should_fan_out(&ctx, &roots, config) {
+            timings.fanned_out_shards = fan_out_roots(&ctx, &roots, &mut bindings);
+        } else {
+            for vertex in roots {
+                expand_root(&ctx, vertex, &mut bindings);
+            }
+        }
+        timings.expansion = stage.elapsed();
+    }
+    let stage = Instant::now();
+    let bindings = apply_optional(&ctx, bindings);
+    timings.optional = stage.elapsed();
+
+    let stage = Instant::now();
+    let (rows, reps) = if stmt.pattern.is_aggregation() {
+        aggregate_rows(&ctx, &bindings)
+    } else {
+        let rows = bindings
+            .iter()
+            .map(|row| {
+                stmt.pattern.returns.iter().map(|item| project(&ctx, item, Some(row))).collect()
+            })
+            .collect();
+        (rows, (0..bindings.len()).collect())
     };
-    run(&stmt.pattern, &clauses, backend, config)
+    timings.aggregate = stage.elapsed();
+    let stage = Instant::now();
+    let rows = finalize_rows(&ctx, rows, &reps, &bindings);
+    timings.windowing = stage.elapsed();
+    let elapsed = start.elapsed();
+    let after = backend.stats();
+    QueryResult {
+        rows,
+        matches: bindings.len(),
+        elapsed,
+        stats: after.delta_since(&before),
+        predicate_checks: ctx.predicate_checks.load(Ordering::Relaxed),
+        stage_timings: timings,
+    }
 }
 
-/// [`execute_statement_with`] plus structured tracing: after execution, one
-/// trace event per non-zero stage (named `stage.<name>`) and a closing
-/// `query.exec` event carrying match/row counts and the fan-out width are
-/// emitted under a fresh span. Emission happens post-hoc from the recorded
-/// [`StageTimings`], so the execution hot path is identical to the untraced
-/// entry points.
-pub fn execute_statement_traced(
-    stmt: &Statement,
-    backend: &dyn GraphBackend,
-    config: &ExecConfig,
-    trace: &TraceBuffer,
-) -> QueryResult {
-    let result = execute_statement_with(stmt, backend, config);
-    // A wire-propagated trace context wins over a fresh local span, so the
-    // query-stage events land under the client's trace id.
-    let span = pgso_telemetry::current_trace_id();
-    let span = if span != 0 { span } else { trace.new_span() };
-    emit_exec_trace(&result, trace, span);
-    result
-}
-
-/// Emits the post-hoc execution trace of `result` under an explicit `span`:
-/// one `stage.<name>` event per non-zero stage and a closing `query.exec`
-/// event carrying match/row counts and the fan-out width. Factored out of
-/// [`execute_statement_traced`] so serving layers that already hold a span
-/// (a wire-supplied trace id) can reuse the exact same emission.
+/// Emits the post-hoc execution trace of `result` under `span`: one
+/// `stage.<name>` event per non-zero stage and a closing `query.exec` event
+/// carrying match/row counts and the fan-out width. Emission happens after
+/// execution from the recorded [`StageTimings`], so tracing never touches
+/// the execution hot path; serving layers call this with the span they
+/// already hold (a wire-supplied trace id, or [`TraceBuffer::new_span`]).
 pub fn emit_exec_trace(result: &QueryResult, trace: &TraceBuffer, span: u64) {
     for (name, duration) in result.stage_timings.stages() {
         if !duration.is_zero() {
@@ -217,63 +253,114 @@ pub fn emit_exec_trace(result: &QueryResult, trace: &TraceBuffer, span: u64) {
     );
 }
 
-/// Borrowed view of the statement-level clauses; empty for a bare query.
-/// Window counts are already resolved (an unbound `$parameter` resolves to
-/// `None`: no skip, no limit).
-struct Clauses<'a> {
-    opt_nodes: &'a [NodePattern],
-    opt_edges: &'a [EdgePattern],
-    predicates: &'a [Predicate],
-    distinct: bool,
-    group_by: &'a [String],
-    having: &'a [HavingPredicate],
-    order_by: &'a [OrderKey],
-    skip: Option<usize>,
-    limit: Option<usize>,
+/// One binding of the pattern: the vertex bound to each slot, `None` while
+/// the slot is unbound (after matching: an unmatched `OPTIONAL` variable).
+type Binding = Vec<Option<VertexId>>;
+
+/// Slot of the root variable: the first node pattern is resolved first.
+const ROOT: usize = 0;
+
+/// A pattern variable, resolved once per execution.
+#[derive(Default)]
+struct Slot<'a> {
+    name: &'a str,
+    /// Label of the variable's mandatory node pattern, the only label a
+    /// mandatory edge checks; empty (anything matches) without one.
+    label: &'a str,
+    /// Label of its mandatory — failing that, its `OPTIONAL` — node pattern:
+    /// what an optional edge checks.
+    any_label: &'a str,
+    /// Declared by a mandatory node pattern, so bound in every match.
+    mandatory: bool,
+    /// Declared by an `OPTIONAL` node pattern: pads with `Null` when unbound.
+    optional: bool,
+    /// The `WHERE` predicates on the variable, for bind-time filtering.
+    predicates: Vec<&'a Predicate>,
 }
 
-impl Clauses<'static> {
-    const NONE: Clauses<'static> = Clauses {
-        opt_nodes: &[],
-        opt_edges: &[],
-        predicates: &[],
-        distinct: false,
-        group_by: &[],
-        having: &[],
-        order_by: &[],
-        skip: None,
-        limit: None,
-    };
+/// An edge pattern with its endpoints resolved to slots.
+struct Step<'a> {
+    label: &'a str,
+    src: usize,
+    dst: usize,
 }
 
-/// Shared execution context threaded through the backtracking expansion.
-/// `Sync`, so shard workers can share one instance by reference.
+/// Shared execution context threaded through the backtracking expansion:
+/// the statement resolved to slots and steps, the backend every read goes
+/// through, and the predicate-evaluation counter. `Sync`, so shard workers
+/// can share one instance by reference.
 struct Ctx<'a> {
-    query: &'a Query,
-    clauses: &'a Clauses<'a>,
+    stmt: &'a Statement,
     backend: &'a dyn GraphBackend,
-    /// Predicates grouped by variable, for bind-time filtering.
-    preds_by_var: HashMap<&'a str, Vec<&'a Predicate>>,
+    slots: Vec<Slot<'a>>,
+    edges: Vec<Step<'a>>,
+    opt_edges: Vec<Step<'a>>,
+    /// A predicate on a variable no node pattern declares can never hold.
+    unsatisfiable: bool,
     predicate_checks: AtomicU64,
 }
 
+/// Index of `var`'s slot, appending an undeclared (label-less) one if the
+/// variable is new.
+fn slot_of<'a>(slots: &mut Vec<Slot<'a>>, var: &'a str) -> usize {
+    slots.iter().position(|slot| slot.name == var).unwrap_or_else(|| {
+        slots.push(Slot { name: var, ..Slot::default() });
+        slots.len() - 1
+    })
+}
+
 impl<'a> Ctx<'a> {
-    fn new(query: &'a Query, clauses: &'a Clauses<'a>, backend: &'a dyn GraphBackend) -> Self {
-        let mut preds_by_var: HashMap<&str, Vec<&Predicate>> = HashMap::new();
-        for predicate in clauses.predicates {
-            preds_by_var.entry(predicate.var.as_str()).or_default().push(predicate);
+    fn new(stmt: &'a Statement, backend: &'a dyn GraphBackend) -> Self {
+        let mut slots = Vec::new();
+        // The first pattern declaring a variable decides its label, and a
+        // mandatory declaration outranks an optional one.
+        for node in &stmt.pattern.nodes {
+            let slot = slot_of(&mut slots, &node.var);
+            if !slots[slot].mandatory {
+                slots[slot].label = &node.label;
+                slots[slot].any_label = &node.label;
+                slots[slot].mandatory = true;
+            }
         }
-        Self { query, clauses, backend, preds_by_var, predicate_checks: AtomicU64::new(0) }
+        for node in &stmt.opt_nodes {
+            let slot = slot_of(&mut slots, &node.var);
+            if !slots[slot].mandatory && !slots[slot].optional {
+                slots[slot].any_label = &node.label;
+            }
+            slots[slot].optional = true;
+        }
+        // Edge endpoints that no node pattern declares get label-less slots.
+        let mut step = |edge: &'a EdgePattern| Step {
+            label: &edge.label,
+            src: slot_of(&mut slots, &edge.src),
+            dst: slot_of(&mut slots, &edge.dst),
+        };
+        let edges = stmt.pattern.edges.iter().map(&mut step).collect();
+        let opt_edges = stmt.opt_edges.iter().map(&mut step).collect();
+        // Undeclared endpoints keep their predicates too: unanchored OPTIONAL
+        // pairs are enumerated, and counted, even when nothing can match.
+        let mut unsatisfiable = false;
+        for predicate in &stmt.predicates {
+            let slot = slots.iter_mut().find(|slot| slot.name == predicate.var);
+            unsatisfiable |= !slot.as_ref().is_some_and(|slot| slot.mandatory || slot.optional);
+            if let Some(slot) = slot {
+                slot.predicates.push(predicate);
+            }
+        }
+        let predicate_checks = AtomicU64::new(0);
+        Self { stmt, backend, slots, edges, opt_edges, unsatisfiable, predicate_checks }
     }
 
-    /// Evaluates every predicate on `var` against `vertex`. A missing
+    /// Slot of `var`, if any pattern part mentions it.
+    fn slot(&self, var: &str) -> Option<usize> {
+        self.slots.iter().position(|slot| slot.name == var)
+    }
+
+    /// Evaluates every predicate on `slot` against `vertex`. A missing
     /// property fails the predicate, as does an unbound `$parameter` (no
     /// property is fetched for one, so it is not counted as a check).
-    fn var_passes(&self, var: &str, vertex: VertexId) -> bool {
-        let Some(predicates) = self.preds_by_var.get(var) else {
-            return true;
-        };
-        for predicate in predicates {
+    fn passes(&self, slot: usize, vertex: VertexId) -> bool {
+        for predicate in &self.slots[slot].predicates {
             let Term::Literal(rhs) = &predicate.value else {
                 return false;
             };
@@ -288,81 +375,30 @@ impl<'a> Ctx<'a> {
         true
     }
 
-    /// Label of a (mandatory or optional) pattern variable, if declared.
-    fn label_of_var(&self, var: &str) -> &str {
-        self.query
-            .node(var)
-            .or_else(|| self.clauses.opt_nodes.iter().find(|n| n.var == var))
-            .map(|n| n.label.as_str())
-            .unwrap_or("")
-    }
-}
-
-fn run(
-    query: &Query,
-    clauses: &Clauses<'_>,
-    backend: &dyn GraphBackend,
-    config: &ExecConfig,
-) -> QueryResult {
-    let before = backend.stats();
-    let start = Instant::now();
-    let ctx = Ctx::new(query, clauses, backend);
-    let mut timings = StageTimings::default();
-
-    // A predicate on a variable bound by no pattern can never hold; detect
-    // that before paying for any matching work.
-    let unsatisfiable = clauses
-        .predicates
-        .iter()
-        .any(|p| query.node(&p.var).is_none() && !clauses.opt_nodes.iter().any(|n| n.var == p.var));
-
-    let mut bindings: Vec<HashMap<String, VertexId>> = Vec::new();
-    if !unsatisfiable {
-        if let Some(root) = query.nodes.first() {
-            let stage = Instant::now();
-            let roots = backend.vertices_with_label(&root.label);
-            timings.root_selection = stage.elapsed();
-            let stage = Instant::now();
-            if should_fan_out(&ctx, &roots, config) {
-                timings.fanned_out_shards = fan_out_roots(&ctx, root, &roots, &mut bindings);
-            } else {
-                for vertex in roots {
-                    // Predicate pushdown: root candidates that fail a WHERE
-                    // predicate never enter the expansion.
-                    if !ctx.var_passes(&root.var, vertex) {
-                        continue;
-                    }
-                    let mut binding = HashMap::new();
-                    binding.insert(root.var.clone(), vertex);
-                    expand(&ctx, 0, binding, &mut bindings);
-                }
-            }
-            timings.expansion = stage.elapsed();
-        }
-    }
-    let stage = Instant::now();
-    let bindings = apply_optional(&ctx, bindings);
-    timings.optional = stage.elapsed();
-
-    let stage = Instant::now();
-    let (rows, reps) = if query.is_aggregation() {
-        aggregate_rows(&ctx, &bindings)
-    } else {
-        (build_rows(&ctx, &bindings), (0..bindings.len()).collect())
-    };
-    timings.aggregate = stage.elapsed();
-    let stage = Instant::now();
-    let rows = finalize_rows(&ctx, rows, &reps, &bindings);
-    timings.windowing = stage.elapsed();
-    let elapsed = start.elapsed();
-    let after = backend.stats();
-    QueryResult {
-        rows,
-        matches: bindings.len(),
-        elapsed,
-        stats: after.delta_since(&before),
-        predicate_checks: ctx.predicate_checks.load(Ordering::Relaxed),
-        stage_timings: timings,
+    /// The one edge step. With exactly one endpoint of `edge` bound, walks
+    /// the edge from it (out-neighbours from `src`, in-neighbours from
+    /// `dst`) and yields the slot of the free endpoint with the neighbours
+    /// that may bind it: those carrying its label — the mandatory
+    /// declaration's for a mandatory edge, any declaration's for an
+    /// `optional` one — and passing its predicates, checked lazily in that
+    /// order. `None` when both endpoints or neither are bound.
+    fn across(
+        &self,
+        edge: &Step<'_>,
+        src: Option<VertexId>,
+        dst: Option<VertexId>,
+        optional: bool,
+    ) -> Option<(usize, impl Iterator<Item = VertexId> + '_)> {
+        let (free, neighbours) = match (src, dst) {
+            (Some(src), None) => (edge.dst, self.backend.out_neighbours(src, edge.label)),
+            (None, Some(dst)) => (edge.src, self.backend.in_neighbours(dst, edge.label)),
+            _ => return None,
+        };
+        let slot = &self.slots[free];
+        let label = if optional { slot.any_label } else { slot.label };
+        let labelled =
+            move |n| label.is_empty() || self.backend.label_of(n).is_some_and(|l| l == label);
+        Some((free, neighbours.into_iter().filter(move |&n| labelled(n) && self.passes(free, n))))
     }
 }
 
@@ -378,10 +414,10 @@ fn should_fan_out(ctx: &Ctx<'_>, roots: &[VertexId], config: &ExecConfig) -> boo
     if roots.len() < config.min_parallel_roots {
         return false;
     }
-    let estimated = match ctx.query.edges.first() {
+    let estimated = match ctx.edges.first() {
         Some(edge) => {
             let sample: usize =
-                roots.iter().take(4).map(|&v| ctx.backend.out_degree(v, &edge.label)).sum();
+                roots.iter().take(4).map(|&v| ctx.backend.out_degree(v, edge.label)).sum();
             let per_root = 1 + sample / roots.len().clamp(1, 4);
             roots.len() * per_root
         }
@@ -395,20 +431,14 @@ fn should_fan_out(ctx: &Ctx<'_>, roots: &[VertexId], config: &ExecConfig) -> boo
 /// reproducing the serial binding order exactly. Returns the number of
 /// shard workers actually spawned (shards owning no root candidate get
 /// none).
-fn fan_out_roots(
-    ctx: &Ctx<'_>,
-    root: &NodePattern,
-    roots: &[VertexId],
-    bindings: &mut Vec<HashMap<String, VertexId>>,
-) -> usize {
+fn fan_out_roots(ctx: &Ctx<'_>, roots: &[VertexId], bindings: &mut Vec<Binding>) -> usize {
     let shard_count = ctx.backend.shard_count();
     let mut groups: Vec<Vec<(usize, VertexId)>> = vec![Vec::new(); shard_count];
     for (pos, &vertex) in roots.iter().enumerate() {
         groups[ctx.backend.shard_of(vertex).min(shard_count - 1)].push((pos, vertex));
     }
     // Per-root binding lists, indexed by the root's serial position.
-    let mut per_root: Vec<(usize, Vec<HashMap<String, VertexId>>)> =
-        Vec::with_capacity(roots.len());
+    let mut per_root: Vec<(usize, Vec<Binding>)> = Vec::with_capacity(roots.len());
     let mut workers_spawned = 0;
     std::thread::scope(|scope| {
         let workers: Vec<_> = groups
@@ -418,13 +448,8 @@ fn fan_out_roots(
                 scope.spawn(move || {
                     let mut out = Vec::with_capacity(group.len());
                     for &(pos, vertex) in group {
-                        if !ctx.var_passes(&root.var, vertex) {
-                            continue;
-                        }
                         let mut local = Vec::new();
-                        let mut binding = HashMap::new();
-                        binding.insert(root.var.clone(), vertex);
-                        expand(ctx, 0, binding, &mut local);
+                        expand_root(ctx, vertex, &mut local);
                         out.push((pos, local));
                     }
                     out
@@ -443,90 +468,71 @@ fn fan_out_roots(
     workers_spawned
 }
 
+/// Matches the whole mandatory pattern from one root candidate — the body
+/// of the serial root loop and of every shard worker alike.
+fn expand_root(ctx: &Ctx<'_>, vertex: VertexId, out: &mut Vec<Binding>) {
+    // Predicate pushdown: root candidates that fail a WHERE predicate never
+    // enter the expansion.
+    if !ctx.passes(ROOT, vertex) {
+        return;
+    }
+    let mut row = vec![None; ctx.slots.len()];
+    row[ROOT] = Some(vertex);
+    expand(ctx, 0, row, out);
+}
+
 /// Recursively matches mandatory edge patterns in order.
-fn expand(
-    ctx: &Ctx<'_>,
-    edge_index: usize,
-    binding: HashMap<String, VertexId>,
-    out: &mut Vec<HashMap<String, VertexId>>,
-) {
-    let query = ctx.query;
+fn expand(ctx: &Ctx<'_>, edge_index: usize, row: Binding, out: &mut Vec<Binding>) {
     let backend = ctx.backend;
-    let Some(edge) = query.edges.get(edge_index) else {
+    let Some(edge) = ctx.edges.get(edge_index) else {
         // All edges matched; check that every node pattern variable is bound
         // and labelled correctly (unbound isolated patterns bind to any vertex
         // of their label that passes its predicates).
-        let mut bindings = vec![binding];
-        for node in &query.nodes {
-            if bindings.iter().all(|b| b.contains_key(&node.var)) {
+        let mut rows = vec![row];
+        for (slot, node) in ctx.slots.iter().enumerate().filter(|(_, slot)| slot.mandatory) {
+            if rows.iter().all(|row| row[slot].is_some()) {
                 continue;
             }
             let candidates: Vec<VertexId> = backend
-                .vertices_with_label(&node.label)
+                .vertices_with_label(node.label)
                 .into_iter()
-                .filter(|&candidate| ctx.var_passes(&node.var, candidate))
+                .filter(|&candidate| ctx.passes(slot, candidate))
                 .collect();
             let mut expanded = Vec::new();
-            for b in bindings {
+            for row in rows {
                 for &candidate in &candidates {
-                    let mut next = b.clone();
-                    next.insert(node.var.clone(), candidate);
+                    let mut next = row.clone();
+                    next[slot] = Some(candidate);
                     expanded.push(next);
                 }
             }
-            bindings = expanded;
+            rows = expanded;
         }
-        out.extend(bindings);
+        out.extend(rows);
         return;
     };
 
-    let src_bound = binding.get(&edge.src).copied();
-    let dst_bound = binding.get(&edge.dst).copied();
-    match (src_bound, dst_bound) {
-        (Some(src), Some(dst)) => {
-            if backend.out_neighbours(src, &edge.label).contains(&dst) {
-                expand(ctx, edge_index + 1, binding, out);
-            }
+    let (src, dst) = (row[edge.src], row[edge.dst]);
+    if let Some((free, neighbours)) = ctx.across(edge, src, dst, false) {
+        for neighbour in neighbours {
+            let mut next = row.clone();
+            next[free] = Some(neighbour);
+            expand(ctx, edge_index + 1, next, out);
         }
-        (Some(src), None) => {
-            let dst_label = query.node(&edge.dst).map(|n| n.label.as_str()).unwrap_or("");
-            for neighbour in backend.out_neighbours(src, &edge.label) {
-                if !label_matches(backend, neighbour, dst_label) {
-                    continue;
-                }
-                if !ctx.var_passes(&edge.dst, neighbour) {
-                    continue;
-                }
-                let mut next = binding.clone();
-                next.insert(edge.dst.clone(), neighbour);
-                expand(ctx, edge_index + 1, next, out);
-            }
+    } else if let (Some(src), Some(dst)) = (src, dst) {
+        if backend.out_neighbours(src, edge.label).contains(&dst) {
+            expand(ctx, edge_index + 1, row, out);
         }
-        (None, Some(dst)) => {
-            let src_label = query.node(&edge.src).map(|n| n.label.as_str()).unwrap_or("");
-            for neighbour in backend.in_neighbours(dst, &edge.label) {
-                if !label_matches(backend, neighbour, src_label) {
-                    continue;
-                }
-                if !ctx.var_passes(&edge.src, neighbour) {
-                    continue;
-                }
-                let mut next = binding.clone();
-                next.insert(edge.src.clone(), neighbour);
-                expand(ctx, edge_index + 1, next, out);
+    } else {
+        // Disconnected edge pattern: enumerate source candidates by label,
+        // then match the same edge again with its source bound.
+        for candidate in backend.vertices_with_label(ctx.slots[edge.src].label) {
+            if !ctx.passes(edge.src, candidate) {
+                continue;
             }
-        }
-        (None, None) => {
-            // Disconnected edge pattern: enumerate source candidates by label.
-            let src_label = query.node(&edge.src).map(|n| n.label.as_str()).unwrap_or("");
-            for candidate in backend.vertices_with_label(src_label) {
-                if !ctx.var_passes(&edge.src, candidate) {
-                    continue;
-                }
-                let mut next = binding.clone();
-                next.insert(edge.src.clone(), candidate);
-                expand(ctx, edge_index, next, out);
-            }
+            let mut next = row.clone();
+            next[edge.src] = Some(candidate);
+            expand(ctx, edge_index, next, out);
         }
     }
 }
@@ -534,153 +540,91 @@ fn expand(
 /// Applies the optional edges in order, left-outer style: every input row
 /// survives; rows whose optional edge matches are multiplied per match, rows
 /// without a match keep the optional variable unbound.
-fn apply_optional(
-    ctx: &Ctx<'_>,
-    bindings: Vec<HashMap<String, VertexId>>,
-) -> Vec<HashMap<String, VertexId>> {
-    if ctx.clauses.opt_edges.is_empty() {
-        return bindings;
-    }
-    let mut current = bindings;
-    // Variables an earlier pattern part may have bound: the mandatory nodes
-    // plus everything introduced by already-processed optional edges. An
-    // endpoint outside this set is *unanchored* — the optional part starts a
-    // fresh component and must enumerate its own candidates.
-    let mut introduced: HashSet<&str> = ctx.query.nodes.iter().map(|n| n.var.as_str()).collect();
-    for edge in ctx.clauses.opt_edges {
-        let unanchored =
-            !introduced.contains(edge.src.as_str()) && !introduced.contains(edge.dst.as_str());
+fn apply_optional(ctx: &Ctx<'_>, mut current: Vec<Binding>) -> Vec<Binding> {
+    // Slots an earlier pattern part may have bound: the mandatory nodes plus
+    // everything introduced by already-processed optional edges. An edge
+    // with both endpoints outside this set is *unanchored* — the optional
+    // part starts a fresh component and must enumerate its own candidates.
+    let mut introduced: Vec<bool> = ctx.slots.iter().map(|slot| slot.mandatory).collect();
+    for edge in &ctx.opt_edges {
         // Candidate (src, dst) pairs for an unanchored part depend only on
         // the edge, so compute them once, not per row.
-        let unanchored_pairs: Option<Vec<(VertexId, VertexId)>> = unanchored.then(|| {
-            let src_label = ctx.label_of_var(&edge.src);
-            let dst_label = ctx.label_of_var(&edge.dst);
-            let mut pairs = Vec::new();
-            for s in ctx.backend.vertices_with_label(src_label) {
-                if !ctx.var_passes(&edge.src, s) {
+        let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
+        if !introduced[edge.src] && !introduced[edge.dst] {
+            for s in ctx.backend.vertices_with_label(ctx.slots[edge.src].any_label) {
+                if !ctx.passes(edge.src, s) {
                     continue;
                 }
-                for n in ctx.backend.out_neighbours(s, &edge.label) {
-                    if label_matches(ctx.backend, n, dst_label) && ctx.var_passes(&edge.dst, n) {
-                        pairs.push((s, n));
-                    }
-                }
-            }
-            pairs
-        });
-        let mut next = Vec::with_capacity(current.len());
-        for binding in current {
-            let src = binding.get(&edge.src).copied();
-            let dst = binding.get(&edge.dst).copied();
-            match (src, dst) {
-                // Both endpoints already bound: the optional edge adds no
-                // binding; whether it exists or not, the row survives as-is.
-                (Some(_), Some(_)) => next.push(binding),
-                (None, None) => match &unanchored_pairs {
-                    // Unanchored part with matches: cross-join them in,
-                    // like a left outer join against a fresh component.
-                    Some(pairs) if !pairs.is_empty() => {
-                        for &(s, n) in pairs {
-                            let mut with_pair = binding.clone();
-                            with_pair.insert(edge.src.clone(), s);
-                            with_pair.insert(edge.dst.clone(), n);
-                            next.push(with_pair);
-                        }
-                    }
-                    // No matches, or an earlier optional part that should
-                    // have bound an endpoint already failed: keep the row.
-                    _ => next.push(binding),
-                },
-                (Some(src), None) => {
-                    let label = ctx.label_of_var(&edge.dst);
-                    let matches: Vec<VertexId> = ctx
-                        .backend
-                        .out_neighbours(src, &edge.label)
-                        .into_iter()
-                        .filter(|&n| label_matches(ctx.backend, n, label))
-                        .filter(|&n| ctx.var_passes(&edge.dst, n))
-                        .collect();
-                    extend_optional(&edge.dst, binding, matches, &mut next);
-                }
-                (None, Some(dst)) => {
-                    let label = ctx.label_of_var(&edge.src);
-                    let matches: Vec<VertexId> = ctx
-                        .backend
-                        .in_neighbours(dst, &edge.label)
-                        .into_iter()
-                        .filter(|&n| label_matches(ctx.backend, n, label))
-                        .filter(|&n| ctx.var_passes(&edge.src, n))
-                        .collect();
-                    extend_optional(&edge.src, binding, matches, &mut next);
+                if let Some((_, neighbours)) = ctx.across(edge, Some(s), None, true) {
+                    pairs.extend(neighbours.map(|n| (s, n)));
                 }
             }
         }
-        introduced.insert(edge.src.as_str());
-        introduced.insert(edge.dst.as_str());
+        let mut next = Vec::with_capacity(current.len());
+        for row in current {
+            if let Some((free, neighbours)) = ctx.across(edge, row[edge.src], row[edge.dst], true) {
+                let matches: Vec<VertexId> = neighbours.collect();
+                extend_optional(free, row, &matches, &mut next);
+            } else if row[edge.src].is_none() && !pairs.is_empty() {
+                // Unanchored part with matches: cross-join them in, like a
+                // left outer join against a fresh component.
+                for &(s, n) in &pairs {
+                    let mut with_pair = row.clone();
+                    with_pair[edge.src] = Some(s);
+                    with_pair[edge.dst] = Some(n);
+                    next.push(with_pair);
+                }
+            } else {
+                // Both endpoints already bound (the optional edge adds no
+                // binding, whether it exists or not), no unanchored match,
+                // or an earlier optional part that should have bound an
+                // endpoint already failed: the row survives as-is.
+                next.push(row);
+            }
+        }
+        introduced[edge.src] = true;
+        introduced[edge.dst] = true;
         current = next;
     }
     current
 }
 
-fn extend_optional(
-    var: &str,
-    binding: HashMap<String, VertexId>,
-    matches: Vec<VertexId>,
-    out: &mut Vec<HashMap<String, VertexId>>,
-) {
-    if matches.is_empty() {
-        out.push(binding);
-        return;
+/// Pushes one copy of `row` per match with `slot` bound to it — or `row`
+/// itself, `slot` left unbound, when nothing matched.
+fn extend_optional(slot: usize, mut row: Binding, matches: &[VertexId], out: &mut Vec<Binding>) {
+    if let Some((&last, rest)) = matches.split_last() {
+        for &vertex in rest {
+            let mut next = row.clone();
+            next[slot] = Some(vertex);
+            out.push(next);
+        }
+        row[slot] = Some(last);
     }
-    for &vertex in &matches[..matches.len() - 1] {
-        let mut next = binding.clone();
-        next.insert(var.to_string(), vertex);
-        out.push(next);
-    }
-    let mut last = binding;
-    last.insert(var.to_string(), matches[matches.len() - 1]);
-    out.push(last);
+    out.push(row);
 }
 
-fn label_matches(backend: &dyn GraphBackend, vertex: VertexId, label: &str) -> bool {
-    if label.is_empty() {
-        return true;
+/// Evaluates a non-aggregate RETURN item against `row` (`None` for the
+/// binding-less global group of an empty match).
+fn project(ctx: &Ctx<'_>, item: &ReturnItem, row: Option<&Binding>) -> PropertyValue {
+    let (var, property) = match item {
+        ReturnItem::Property { var, property } => (var, Some(property)),
+        ReturnItem::Vertex { var } => (var, None),
+        ReturnItem::Aggregate { .. } => unreachable!("aggregates are evaluated per group"),
+    };
+    let slot = ctx.slot(var);
+    match (row.and_then(|row| row[slot?]), property) {
+        (Some(vertex), Some(property)) => {
+            ctx.backend.property_of(vertex, property).unwrap_or(PropertyValue::Str(String::new()))
+        }
+        (Some(vertex), None) => PropertyValue::Int(vertex.0 as i64),
+        // Unmatched OPTIONAL variables pad with Null; anything else unbound
+        // is a malformed query.
+        (None, _) if row.is_some() && slot.is_some_and(|slot| ctx.slots[slot].optional) => {
+            PropertyValue::Null
+        }
+        (None, Some(_)) => PropertyValue::Str(String::new()),
+        (None, None) => PropertyValue::Int(-1),
     }
-    backend.label_of(vertex).map(|l| l == label).unwrap_or(false)
-}
-
-fn build_rows(ctx: &Ctx<'_>, bindings: &[HashMap<String, VertexId>]) -> Vec<Row> {
-    let query = ctx.query;
-    let backend = ctx.backend;
-    let optional_var = |var: &str| ctx.clauses.opt_nodes.iter().any(|n| n.var == var);
-    bindings
-        .iter()
-        .map(|binding| {
-            query
-                .returns
-                .iter()
-                .map(|item| match item {
-                    ReturnItem::Property { var, property } => match binding.get(var) {
-                        Some(&v) => backend
-                            .property_of(v, property)
-                            .unwrap_or(PropertyValue::Str(String::new())),
-                        // Unmatched OPTIONAL variables pad with Null;
-                        // anything else unbound is a malformed query.
-                        None if optional_var(var) => PropertyValue::Null,
-                        None => PropertyValue::Str(String::new()),
-                    },
-                    ReturnItem::Vertex { var } => match binding.get(var) {
-                        Some(&v) => PropertyValue::Int(v.0 as i64),
-                        None if optional_var(var) => PropertyValue::Null,
-                        None => PropertyValue::Int(-1),
-                    },
-                    ReturnItem::Aggregate { .. } => {
-                        unreachable!("aggregation statements go through aggregate_rows")
-                    }
-                })
-                .collect()
-        })
-        .collect()
 }
 
 /// Computes one row per aggregation group — a single global group without
@@ -690,198 +634,145 @@ fn build_rows(ctx: &Ctx<'_>, bindings: &[HashMap<String, VertexId>]) -> Vec<Row>
 /// (the group's first binding), which downstream `ORDER BY` keys are
 /// evaluated against; `usize::MAX` marks the binding-less global group of an
 /// empty match (its sort keys read as `Null`).
-fn aggregate_rows(ctx: &Ctx<'_>, bindings: &[HashMap<String, VertexId>]) -> (Vec<Row>, Vec<usize>) {
-    let group_by = ctx.clauses.group_by;
+fn aggregate_rows(ctx: &Ctx<'_>, bindings: &[Binding]) -> (Vec<Row>, Vec<usize>) {
+    let stmt = ctx.stmt;
     let mut groups: Vec<Vec<usize>> = Vec::new();
-    if group_by.is_empty() {
+    if stmt.group_by.is_empty() {
         // The global group exists even over an empty match: COUNT of an
         // empty set is 0, not no-answer.
         groups.push((0..bindings.len()).collect());
     } else {
-        let mut index: HashMap<Vec<Option<VertexId>>, usize> = HashMap::new();
+        let keys: Vec<Option<usize>> = stmt.group_by.iter().map(|var| ctx.slot(var)).collect();
+        let mut index: HashMap<Binding, usize> = HashMap::new();
         for (i, binding) in bindings.iter().enumerate() {
-            let key: Vec<Option<VertexId>> =
-                group_by.iter().map(|var| binding.get(var).copied()).collect();
-            let slot = *index.entry(key).or_insert_with(|| {
+            let key: Binding = keys.iter().map(|&slot| binding[slot?]).collect();
+            let group = *index.entry(key).or_insert_with(|| {
                 groups.push(Vec::new());
                 groups.len() - 1
             });
-            groups[slot].push(i);
+            groups[group].push(i);
         }
     }
 
-    let optional_var = |var: &str| ctx.clauses.opt_nodes.iter().any(|n| n.var == var);
     let mut rows = Vec::with_capacity(groups.len());
     let mut reps = Vec::with_capacity(groups.len());
     for members in &groups {
-        let rep = members.first().map(|&i| &bindings[i]);
         // Scalar property values shared across this group's aggregates:
         // `sum(r.dose), min(r.dose), max(r.dose)` reads each property once,
         // not once per aggregate (the reads go through the backend and are
         // charged to AccessStats, so sharing also keeps the experiment
         // counters proportional to the data touched).
-        let mut scalars: HashMap<(&str, &str), Vec<PropertyValue>> = HashMap::new();
+        let mut scalars = Scalars::new();
+        let mut aggregate = |agg, var, property| {
+            group_aggregate(ctx, bindings, members, &mut scalars, agg, var, property)
+        };
         // HAVING filters whole groups *before* their row is built (and long
         // before DISTINCT / ORDER BY / SKIP / LIMIT see it), sharing the
         // group's scalar cache with the RETURN aggregates below. An unbound
         // `$parameter` fails the group, mirroring WHERE semantics.
-        let passes = ctx.clauses.having.iter().all(|pred| {
+        let passes = stmt.having.iter().all(|pred| {
             let Term::Literal(rhs) = &pred.value else {
                 return false;
             };
-            let value = match (pred.agg, pred.property.as_deref()) {
-                // `count(v.p)` counts per-binding property *presence*,
-                // exactly as the RETURN call site does.
-                (Aggregate::Count, Some(p)) => {
-                    let n = members
-                        .iter()
-                        .filter_map(|&i| bindings[i].get(&pred.var))
-                        .filter(|&&v| ctx.backend.property_of(v, p).is_some())
-                        .count();
-                    PropertyValue::Int(n as i64)
-                }
-                (agg, property) => {
-                    let values = property.map(|p| {
-                        &*scalars
-                            .entry((pred.var.as_str(), p))
-                            .or_insert_with(|| scalar_values(ctx, bindings, members, &pred.var, p))
-                    });
-                    aggregate_value(bindings, members, agg, &pred.var, values)
-                }
-            };
-            pred.op.eval(&value, rhs)
+            pred.op.eval(&aggregate(pred.agg, &pred.var, pred.property.as_deref()), rhs)
         });
         if !passes {
             continue;
         }
-        let mut row = Row::with_capacity(ctx.query.returns.len());
-        for item in &ctx.query.returns {
-            row.push(match item {
-                // A non-aggregated item next to aggregates reads from the
-                // group's first binding — well-defined when the item's
-                // variable is a GROUP BY key, an implicit sample otherwise.
-                ReturnItem::Property { var, property } => match rep.and_then(|b| b.get(var)) {
-                    Some(&v) => ctx
-                        .backend
-                        .property_of(v, property)
-                        .unwrap_or(PropertyValue::Str(String::new())),
-                    None if optional_var(var) && rep.is_some() => PropertyValue::Null,
-                    None => PropertyValue::Str(String::new()),
-                },
-                ReturnItem::Vertex { var } => match rep.and_then(|b| b.get(var)) {
-                    Some(&v) => PropertyValue::Int(v.0 as i64),
-                    None if optional_var(var) && rep.is_some() => PropertyValue::Null,
-                    None => PropertyValue::Int(-1),
-                },
-                // `count(v.p)` counts per-binding property *presence* (a
-                // LIST is one value here), so it reads the property itself
-                // instead of the flattened scalar set.
-                ReturnItem::Aggregate { agg: Aggregate::Count, var, property: Some(p) } => {
-                    let n = members
-                        .iter()
-                        .filter_map(|&i| bindings[i].get(var))
-                        .filter(|&&v| ctx.backend.property_of(v, p).is_some())
-                        .count();
-                    PropertyValue::Int(n as i64)
-                }
-                ReturnItem::Aggregate { agg, var, property } => {
-                    let values = property.as_deref().map(|p| {
-                        &*scalars
-                            .entry((var.as_str(), p))
-                            .or_insert_with(|| scalar_values(ctx, bindings, members, var, p))
-                    });
-                    aggregate_value(bindings, members, *agg, var, values)
-                }
-            });
-        }
-        rows.push(row);
+        let rep = members.first().map(|&i| &bindings[i]);
+        let row = stmt.pattern.returns.iter().map(|item| match item {
+            ReturnItem::Aggregate { agg, var, property } => {
+                aggregate(*agg, var, property.as_deref())
+            }
+            // A non-aggregated item next to aggregates reads from the
+            // group's first binding — well-defined when the item's
+            // variable is a GROUP BY key, an implicit sample otherwise.
+            item => project(ctx, item, rep),
+        });
+        rows.push(row.collect());
         reps.push(members.first().copied().unwrap_or(usize::MAX));
     }
     (rows, reps)
 }
 
-/// Evaluates one aggregate over a group's bindings. `values` is the shared
-/// flattened scalar set of the aggregate's `var.property` (`None` for
-/// property-less aggregates).
-fn aggregate_value(
-    bindings: &[HashMap<String, VertexId>],
-    members: &[usize],
-    agg: Aggregate,
-    var: &str,
-    values: Option<&Vec<PropertyValue>>,
-) -> PropertyValue {
-    let bound = || members.iter().filter_map(|&i| bindings[i].get(var)).copied();
-    match (agg, values) {
-        (Aggregate::Count | Aggregate::CollectCount, None) => {
-            PropertyValue::Int(bound().count() as i64)
-        }
-        (Aggregate::CountDistinct, None) => {
-            let distinct: HashSet<VertexId> = bound().collect();
-            PropertyValue::Int(distinct.len() as i64)
-        }
-        (agg, Some(values)) => match agg {
-            Aggregate::CollectCount => PropertyValue::Int(values.len() as i64),
-            Aggregate::CountDistinct => {
-                let distinct: HashSet<String> = values.iter().map(|v| format!("{v:?}")).collect();
-                PropertyValue::Int(distinct.len() as i64)
-            }
-            Aggregate::Sum => {
-                if values.iter().all(|v| matches!(v, PropertyValue::Int(_))) {
-                    PropertyValue::Int(values.iter().filter_map(PropertyValue::as_int).sum())
-                } else {
-                    PropertyValue::Float(values.iter().filter_map(PropertyValue::as_float).sum())
-                }
-            }
-            Aggregate::Min => values
-                .iter()
-                .min_by(|a, b| order_values(a, b))
-                .cloned()
-                .unwrap_or(PropertyValue::Null),
-            Aggregate::Max => values
-                .iter()
-                .max_by(|a, b| order_values(a, b))
-                .cloned()
-                .unwrap_or(PropertyValue::Null),
-            Aggregate::Avg => {
-                let nums: Vec<f64> = values.iter().filter_map(PropertyValue::as_float).collect();
-                if nums.is_empty() {
-                    PropertyValue::Null
-                } else {
-                    PropertyValue::Float(nums.iter().sum::<f64>() / nums.len() as f64)
-                }
-            }
-            Aggregate::Count => unreachable!("count(v.p) is evaluated at the call site"),
-        },
-        // A property-less numeric aggregate cannot be built through the
-        // builder or the parser; answer Null for a hand-assembled one.
-        (_, None) => PropertyValue::Null,
-    }
-}
+/// One group's flattened scalar values, by `(variable, property)`.
+type Scalars<'a> = HashMap<(&'a str, &'a str), Vec<PropertyValue>>;
 
-/// The scalar values of `var.property` across a group, flattening LIST
-/// values into their elements. The flattening is what keeps per-element
-/// aggregates (`SUM`/`MIN`/`MAX`/`AVG`, `COUNT(DISTINCT v.p)`,
-/// `size(COLLECT(v.p))`) correct when the DIR→OPT rewrite answers them from
-/// a replicated LIST property: the list holds one element per original edge,
-/// so the flattened multiset equals the per-binding multiset on DIR.
-fn scalar_values(
+/// Evaluates one aggregate call — a RETURN item or the left side of a
+/// `HAVING` predicate — over a group's bindings.
+fn group_aggregate<'a>(
     ctx: &Ctx<'_>,
-    bindings: &[HashMap<String, VertexId>],
+    bindings: &[Binding],
     members: &[usize],
-    var: &str,
-    property: &str,
-) -> Vec<PropertyValue> {
-    let mut out = Vec::new();
-    for &i in members {
-        let Some(&vertex) = bindings[i].get(var) else { continue };
-        let Some(value) = ctx.backend.property_of(vertex, property) else { continue };
-        match value {
-            PropertyValue::List(items) => out.extend(items),
-            PropertyValue::Null => {}
-            scalar => out.push(scalar),
-        }
+    scalars: &mut Scalars<'a>,
+    agg: Aggregate,
+    var: &'a str,
+    property: Option<&'a str>,
+) -> PropertyValue {
+    let slot = ctx.slot(var);
+    let bound = || members.iter().filter_map(|&i| bindings[i][slot?]);
+    let int = |n: usize| PropertyValue::Int(n as i64);
+    let Some(property) = property else {
+        return match agg {
+            Aggregate::Count | Aggregate::CollectCount => int(bound().count()),
+            Aggregate::CountDistinct => int(bound().collect::<HashSet<VertexId>>().len()),
+            // A property-less numeric aggregate cannot be built through the
+            // builder or the parser; answer Null for a hand-assembled one.
+            _ => PropertyValue::Null,
+        };
+    };
+    // `count(v.p)` counts per-binding property *presence* (a LIST is one
+    // value here), so it reads the property itself instead of the flattened
+    // scalar set.
+    if agg == Aggregate::Count {
+        return int(bound().filter(|&v| ctx.backend.property_of(v, property).is_some()).count());
     }
-    out
+    // The scalar values of `var.property` across the group, flattening LIST
+    // values into their elements. The flattening is what keeps per-element
+    // aggregates (`SUM`/`MIN`/`MAX`/`AVG`, `COUNT(DISTINCT v.p)`,
+    // `size(COLLECT(v.p))`) correct when the DIR→OPT rewrite answers them
+    // from a replicated LIST property: the list holds one element per
+    // original edge, so the flattened multiset equals the per-binding
+    // multiset on DIR.
+    let values = scalars.entry((var, property)).or_insert_with(|| {
+        let mut values = Vec::new();
+        for value in bound().filter_map(|v| ctx.backend.property_of(v, property)) {
+            match value {
+                PropertyValue::List(items) => values.extend(items),
+                PropertyValue::Null => {}
+                scalar => values.push(scalar),
+            }
+        }
+        values
+    });
+    match agg {
+        Aggregate::CollectCount => int(values.len()),
+        Aggregate::CountDistinct => {
+            int(values.iter().map(|v| format!("{v:?}")).collect::<HashSet<String>>().len())
+        }
+        Aggregate::Sum => {
+            if values.iter().all(|v| matches!(v, PropertyValue::Int(_))) {
+                PropertyValue::Int(values.iter().filter_map(PropertyValue::as_int).sum())
+            } else {
+                PropertyValue::Float(values.iter().filter_map(PropertyValue::as_float).sum())
+            }
+        }
+        Aggregate::Min => {
+            values.iter().min_by(|a, b| order_values(a, b)).cloned().unwrap_or(PropertyValue::Null)
+        }
+        Aggregate::Max => {
+            values.iter().max_by(|a, b| order_values(a, b)).cloned().unwrap_or(PropertyValue::Null)
+        }
+        Aggregate::Avg => {
+            let nums: Vec<f64> = values.iter().filter_map(PropertyValue::as_float).collect();
+            if nums.is_empty() {
+                PropertyValue::Null
+            } else {
+                PropertyValue::Float(nums.iter().sum::<f64>() / nums.len() as f64)
+            }
+        }
+        Aggregate::Count => unreachable!("count(v.p) is answered above"),
+    }
 }
 
 /// Applies `DISTINCT`, `ORDER BY` and `SKIP`/`LIMIT` to the built rows.
@@ -889,27 +780,24 @@ fn scalar_values(
 /// against — the row's own binding for plain rows, the group's first binding
 /// for aggregate rows (`usize::MAX` for the binding-less global group, whose
 /// keys read as `Null`).
-fn finalize_rows(
-    ctx: &Ctx<'_>,
-    rows: Vec<Row>,
-    reps: &[usize],
-    bindings: &[HashMap<String, VertexId>],
-) -> Vec<Row> {
-    let clauses = ctx.clauses;
-    let mut keyed: Vec<(Row, Vec<PropertyValue>)> = if clauses.order_by.is_empty() {
+fn finalize_rows(ctx: &Ctx<'_>, rows: Vec<Row>, reps: &[usize], bindings: &[Binding]) -> Vec<Row> {
+    let stmt = ctx.stmt;
+    let mut keyed: Vec<(Row, Vec<PropertyValue>)> = if stmt.order_by.is_empty() {
         rows.into_iter().map(|r| (r, Vec::new())).collect()
     } else {
+        let slots: Vec<Option<usize>> = stmt.order_by.iter().map(|k| ctx.slot(&k.var)).collect();
         rows.into_iter()
             .zip(reps)
             .map(|(row, &rep)| {
-                let keys = clauses
+                let keys = stmt
                     .order_by
                     .iter()
-                    .map(|key| {
+                    .zip(&slots)
+                    .map(|(key, &slot)| {
                         bindings
                             .get(rep)
-                            .and_then(|b| b.get(&key.var))
-                            .and_then(|&v| ctx.backend.property_of(v, &key.property))
+                            .and_then(|binding| binding[slot?])
+                            .and_then(|v| ctx.backend.property_of(v, &key.property))
                             .unwrap_or(PropertyValue::Null)
                     })
                     .collect();
@@ -923,12 +811,12 @@ fn finalize_rows(
     // part of the returned row) the row content breaks the tie, so DIR and
     // OPT executions of equivalent statements produce identically ordered
     // rows. The surviving set is the same as deduplicating first.
-    if !clauses.order_by.is_empty() {
+    if !stmt.order_by.is_empty() {
         let reprs: Vec<String> = keyed.iter().map(|(row, _)| format!("{row:?}")).collect();
         let mut order: Vec<usize> = (0..keyed.len()).collect();
         order.sort_by(|&ia, &ib| {
             let (a, b) = (&keyed[ia].1, &keyed[ib].1);
-            for (key, (x, y)) in clauses.order_by.iter().zip(a.iter().zip(b.iter())) {
+            for (key, (x, y)) in stmt.order_by.iter().zip(a.iter().zip(b.iter())) {
                 let ord = order_values(x, y);
                 let ord = if key.descending { ord.reverse() } else { ord };
                 if ord != std::cmp::Ordering::Equal {
@@ -944,16 +832,17 @@ fn finalize_rows(
         keyed = sorted;
     }
 
-    if clauses.distinct {
+    if stmt.distinct {
         let mut seen: HashSet<String> = HashSet::with_capacity(keyed.len());
         keyed.retain(|(row, _)| seen.insert(format!("{row:?}")));
     }
 
+    // An unbound `$parameter` window resolves to no skip, no limit.
     let mut rows: Vec<Row> = keyed.into_iter().map(|(row, _)| row).collect();
-    if let Some(skip) = clauses.skip {
+    if let Some(skip) = stmt.skip.as_ref().and_then(CountTerm::count) {
         rows = rows.split_off(skip.min(rows.len()));
     }
-    if let Some(limit) = clauses.limit {
+    if let Some(limit) = stmt.limit.as_ref().and_then(CountTerm::count) {
         rows.truncate(limit);
     }
     rows
@@ -1686,15 +1575,14 @@ mod tests {
     #[test]
     fn fan_out_gate_respects_thresholds_and_shard_count() {
         let (mono, sharded) = mirrored(2, 10);
-        let query = Query::builder("g")
+        let stmt = Statement::builder("g")
             .node("d", "Drug")
             .node("i", "Indication")
             .edge("d", "treat", "i")
             .ret_property("i", "desc")
             .build();
-        let clauses = Clauses::NONE;
         let roots = sharded.vertices_with_label("Drug");
-        let ctx = Ctx::new(&query, &clauses, &sharded);
+        let ctx = Ctx::new(&stmt, &sharded);
         assert!(should_fan_out(&ctx, &roots, &ExecConfig::always_parallel()));
         assert!(!should_fan_out(&ctx, &roots, &ExecConfig::serial()));
         let high_floor =
@@ -1704,7 +1592,7 @@ mod tests {
             ExecConfig { parallel: true, min_parallel_roots: 0, min_estimated_work: 1_000_000 };
         assert!(!should_fan_out(&ctx, &roots, &work_floor), "work floor must gate");
         // A monolithic backend never fans out, whatever the config says.
-        let mono_ctx = Ctx::new(&query, &clauses, &mono);
+        let mono_ctx = Ctx::new(&stmt, &mono);
         assert!(!should_fan_out(&mono_ctx, &roots, &ExecConfig::always_parallel()));
     }
 
@@ -1741,6 +1629,202 @@ mod tests {
         assert_eq!(serial.stage_timings.fanned_out_shards, 0, "serial walk reports no fan-out");
     }
 
+    /// What a statement costs is part of the executor's contract (the paper
+    /// compares schemas by exactly these counters), and every equivalence
+    /// test above compares the executor with itself. The literals below
+    /// were recorded by running this test body against the string-keyed
+    /// executor this one replaced; a refactor must reproduce them.
+    #[test]
+    fn golden_counters_per_statement_shape() {
+        let direct = figure_1_direct();
+        let mut placebo = figure_1_direct();
+        placebo.add_vertex("Drug", props([("name", "Placebo".into())]));
+        let mut doses = MemoryGraph::new();
+        let a = doses.add_vertex("Drug", props([("name", "A".into())]));
+        let b = doses.add_vertex("Drug", props([("name", "B".into())]));
+        for (drug, dose) in [(a, 10i64), (a, 30), (b, 5)] {
+            let route = doses.add_vertex("Route", props([("dose", dose.into())]));
+            doses.add_edge("hasRoute", drug, route);
+        }
+        let (_, sharded) = mirrored(2, 10);
+        let serial = ExecConfig::serial();
+        let parallel = ExecConfig::always_parallel();
+        let treats = || Statement::builder("g").node("d", "Drug").node("i", "Indication");
+        let on_shards = treats()
+            .edge("d", "treat", "i")
+            .ret_property("d", "name")
+            .filter("i", "desc", CmpOp::Eq, "ind-003")
+            .order_by("d", "name", false)
+            .build();
+        let on_shards_rows: &[&str] = &["drug-004", "drug-009", "drug-009"];
+
+        // (shape, statement, backend, config, rows,
+        //  [matches, vertex reads, edge traversals, predicate checks])
+        type Case<'a> =
+            (&'a str, Statement, &'a dyn GraphBackend, &'a ExecConfig, &'a [&'a str], [u64; 4]);
+        let cases: Vec<Case<'_>> = vec![
+            (
+                "two-hop forward",
+                Statement::builder("g")
+                    .node("d", "Drug")
+                    .node("di", "DrugInteraction")
+                    .node("dfi", "DrugFoodInteraction")
+                    .edge("d", "has", "di")
+                    .edge("di", "isA", "dfi")
+                    .ret_property("d", "name")
+                    .ret_property("dfi", "risk")
+                    .build(),
+                &direct,
+                &serial,
+                &["Aspirin|moderate"],
+                [1, 5, 3, 0],
+            ),
+            (
+                "reverse hop",
+                Statement::builder("g")
+                    .node("i", "Indication")
+                    .node("d", "Drug")
+                    .edge("d", "treat", "i")
+                    .ret_property("i", "desc")
+                    .ret_vertex("d")
+                    .build(),
+                &direct,
+                &serial,
+                &["Fever|0", "Headache|0"],
+                [2, 4, 2, 0],
+            ),
+            (
+                "both endpoints bound",
+                treats()
+                    .edge("d", "treat", "i")
+                    .edge("d", "treat", "i")
+                    .ret_property("i", "desc")
+                    .build(),
+                &direct,
+                &serial,
+                &["Fever", "Headache"],
+                [2, 4, 6, 0],
+            ),
+            (
+                "disconnected mandatory edge",
+                Statement::builder("g")
+                    .node("i", "Indication")
+                    .node("d", "Drug")
+                    .node("di", "DrugInteraction")
+                    .edge("d", "has", "di")
+                    .ret_property("i", "desc")
+                    .ret_property("di", "summary")
+                    .build(),
+                &placebo,
+                &serial,
+                &["Fever|Delayed", "Headache|Delayed"],
+                [2, 6, 2, 0],
+            ),
+            (
+                "isolated node pattern",
+                treats().ret_property("d", "name").ret_property("i", "desc").build(),
+                &placebo,
+                &serial,
+                &["Aspirin|Fever", "Aspirin|Headache", "Placebo|Fever", "Placebo|Headache"],
+                [4, 8, 0, 0],
+            ),
+            (
+                "anchored OPTIONAL, hit and miss",
+                Statement::builder("g")
+                    .node("d", "Drug")
+                    .opt_node("i", "Indication")
+                    .opt_edge("d", "treat", "i")
+                    .ret_property("d", "name")
+                    .ret_property("i", "desc")
+                    .ret_vertex("i")
+                    .build(),
+                &placebo,
+                &serial,
+                &["Aspirin|Fever|1", "Aspirin|Headache|2", "Placebo|null|null"],
+                [3, 7, 2, 0],
+            ),
+            (
+                "unanchored OPTIONAL",
+                Statement::builder("g")
+                    .node("i", "Indication")
+                    .opt_node("di", "DrugInteraction")
+                    .opt_node("dli", "DrugLabInteraction")
+                    .opt_edge("di", "isA", "dli")
+                    .ret_property("i", "desc")
+                    .ret_property("dli", "mechanism")
+                    .build(),
+                &direct,
+                &serial,
+                &["Fever|glucose", "Headache|glucose"],
+                [2, 6, 2, 0],
+            ),
+            (
+                "WHERE pushdown on root and mid-pattern",
+                treats()
+                    .edge("d", "treat", "i")
+                    .ret_property("i", "desc")
+                    .filter("d", "name", CmpOp::Eq, "Aspirin")
+                    .filter("i", "desc", CmpOp::Contains, "Head")
+                    .build(),
+                &placebo,
+                &serial,
+                &["Headache"],
+                [1, 7, 2, 4],
+            ),
+            (
+                "GROUP BY + HAVING sharing one scalar read",
+                Statement::builder("g")
+                    .node("d", "Drug")
+                    .node("r", "Route")
+                    .edge("d", "hasRoute", "r")
+                    .ret_property("d", "name")
+                    .ret_aggregate(Aggregate::Sum, "r", Some("dose"))
+                    .ret_aggregate(Aggregate::Count, "r", Some("dose"))
+                    .group_by("d")
+                    .having(Aggregate::Avg, "r", Some("dose"), CmpOp::Gt, 10i64)
+                    .build(),
+                &doses,
+                &serial,
+                &["A|40|2"],
+                [3, 9, 3, 0],
+            ),
+            (
+                "2 shards, serial",
+                on_shards.clone(),
+                &sharded,
+                &serial,
+                on_shards_rows,
+                [3, 66, 30, 30],
+            ),
+            (
+                "2 shards, fanned out",
+                on_shards,
+                &sharded,
+                &parallel,
+                on_shards_rows,
+                [3, 66, 30, 30],
+            ),
+        ];
+        for (shape, stmt, backend, config, rows, counters) in cases {
+            let result = execute_statement_with(&stmt, backend, config);
+            let rendered: Vec<String> = result
+                .rows
+                .iter()
+                .map(|row| row.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("|"))
+                .collect();
+            assert_eq!(rendered, rows, "{shape}: rows");
+            let measured = [
+                result.matches as u64,
+                result.stats.vertex_reads,
+                result.stats.edge_traversals,
+                result.predicate_checks,
+            ];
+            assert_eq!(measured, counters, "{shape}: counters");
+            let shards = if config.parallel { 2 } else { 0 };
+            assert_eq!(result.stage_timings.fanned_out_shards, shards, "{shape}: fan-out width");
+        }
+    }
+
     #[test]
     fn traced_execution_emits_stage_and_summary_events() {
         let g = figure_1_direct();
@@ -1751,7 +1835,8 @@ mod tests {
             .ret_property("i", "desc")
             .build();
         let trace = pgso_telemetry::TraceBuffer::new(32);
-        let traced = execute_statement_traced(&stmt, &g, &ExecConfig::serial(), &trace);
+        let traced = execute_statement_with(&stmt, &g, &ExecConfig::serial());
+        emit_exec_trace(&traced, &trace, trace.new_span());
         let plain = execute_statement(&stmt, &g);
         assert_eq!(traced.rows, plain.rows, "tracing must not change results");
         let events = trace.recent();

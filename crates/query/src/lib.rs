@@ -57,8 +57,8 @@ pub mod stmt;
 
 pub use ast::{Aggregate, EdgePattern, NodePattern, Query, QueryBuilder, ReturnItem};
 pub use exec::{
-    emit_exec_trace, execute, execute_statement, execute_statement_traced, execute_statement_with,
-    ExecConfig, QueryResult, Row,
+    emit_exec_trace, execute, execute_statement, execute_statement_with, ExecConfig, QueryResult,
+    Row,
 };
 pub use explain::{AppliedRule, PlanActuals, QueryMode, QueryPlan};
 pub use fingerprint::{fingerprint, fingerprint_statement};

@@ -68,14 +68,14 @@
 //!   [`server::ServerConfig::slow_query_log_threshold`] is set — a
 //!   slow-query log entry carrying the statement fingerprint, a hash of the
 //!   bound parameters and nanosecond stage timings.
-//! * [`query::execute_statement_traced`] runs one statement with per-stage
-//!   trace events, and every [`query::QueryResult`] carries its
-//!   [`query::StageTimings`].
+//! * Every [`query::QueryResult`] carries its [`query::StageTimings`], and
+//!   [`query::emit_exec_trace`] turns them into per-stage trace events under
+//!   a span the caller holds.
 //! * The `server_throughput` bench records the reference numbers to
 //!   `BENCH_serving.json` at the repository root (latency percentiles, q/s
 //!   per mix, WAL fsync timings, telemetry on/off overhead, loopback wire
 //!   throughput over a connections × pipelining grid); CI replays it in
-//!   quick mode and gates on >20% q/s regressions. See
+//!   quick mode so the bench code keeps running. See
 //!   `examples/observed_kg.rs` for a live tour.
 //!
 //! ## Storage tiers
