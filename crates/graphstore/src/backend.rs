@@ -203,6 +203,37 @@ pub fn apply_updates(backend: &mut dyn GraphBackend, updates: &[GraphUpdate]) {
 /// Every backend is `Send + Sync` by contract: the serving layer shares one
 /// backend across threads, and the query executor fans pattern expansion out
 /// over [shards](GraphBackend::shard_count) with scoped threads.
+///
+/// # The read path
+///
+/// The *borrowed* reads — [`has_label`](GraphBackend::has_label),
+/// [`with_property`](GraphBackend::with_property),
+/// [`for_each_with_label`](GraphBackend::for_each_with_label),
+/// [`for_each_out`](GraphBackend::for_each_out) and
+/// [`for_each_in`](GraphBackend::for_each_in) — are the read path: every
+/// backend implements them natively and they hand out what is stored without
+/// copying it, so a read costs storage work, not heap allocations. The
+/// *owned* reads ([`label_of`](GraphBackend::label_of),
+/// [`property_of`](GraphBackend::property_of),
+/// [`vertices_with_label`](GraphBackend::vertices_with_label),
+/// [`out_neighbours`](GraphBackend::out_neighbours),
+/// [`in_neighbours`](GraphBackend::in_neighbours)) are conveniences defined
+/// once, here, over the borrowed ones; no backend overrides them, so there
+/// is one read path per backend and both forms charge the same counters.
+///
+/// Accounting, identical for every backend and both forms:
+///
+/// * a record read ([`vertex`](GraphBackend::vertex), `has_label`,
+///   `with_property` and their owned twins) of an existing vertex is one
+///   vertex read, whatever it finds; a read of an **unknown** id reads
+///   nothing and is charged nothing;
+/// * an adjacency walk charges one edge traversal per neighbour visited. A
+///   visitor cannot stop early, so a walk always charges the whole list;
+/// * label scans are index reads and are not charged.
+///
+/// Callbacks run with no backend lock held: they may re-enter the backend
+/// (the executor reads every neighbour's label and properties from inside
+/// an adjacency walk).
 pub trait GraphBackend: Send + Sync {
     /// Inserts a vertex and returns its id.
     fn add_vertex(&mut self, label: &str, properties: PropertyMap) -> VertexId;
@@ -213,41 +244,73 @@ pub trait GraphBackend: Send + Sync {
     /// Fetches a vertex (counted as a vertex read).
     fn vertex(&self, id: VertexId) -> Option<VertexData>;
 
-    /// Label of a vertex without materialising its properties (counted as a
-    /// vertex read). Backends override this when they can answer it cheaper
-    /// than a full [`GraphBackend::vertex`] fetch.
+    /// Whether the vertex exists and carries `label` (counted as a vertex
+    /// read).
+    fn has_label(&self, id: VertexId, label: &str) -> bool;
+
+    /// Calls `f` exactly once with a single property of a vertex, borrowed
+    /// from the store — `None` when the vertex or the property is absent
+    /// (counted as a vertex read).
+    fn with_property(&self, id: VertexId, name: &str, f: &mut dyn FnMut(Option<&PropertyValue>));
+
+    /// Visits the ids of all vertices with a label, in insertion order.
+    fn for_each_with_label(&self, label: &str, f: &mut dyn FnMut(VertexId));
+
+    /// Visits the out-neighbours of a vertex along edges with the given
+    /// label, in edge-insertion order (counted as edge traversals).
+    fn for_each_out(&self, vertex: VertexId, edge_label: &str, f: &mut dyn FnMut(VertexId));
+
+    /// Visits the in-neighbours of a vertex along edges with the given
+    /// label, in edge-insertion order (counted as edge traversals).
+    fn for_each_in(&self, vertex: VertexId, edge_label: &str, f: &mut dyn FnMut(VertexId));
+
+    /// Owned label of a vertex, read through [`GraphBackend::vertex`]
+    /// (counted as a vertex read).
     fn label_of(&self, id: VertexId) -> Option<String> {
         self.vertex(id).map(|v| v.label)
     }
 
-    /// A single property of a vertex (counted as a vertex read). Backends
-    /// override this to avoid cloning the whole property map.
+    /// Owned copy of what [`GraphBackend::with_property`] lends.
     fn property_of(&self, id: VertexId, name: &str) -> Option<PropertyValue> {
-        self.vertex(id).and_then(|v| v.properties.get(name).cloned())
+        let mut owned = None;
+        self.with_property(id, name, &mut |value| owned = value.cloned());
+        owned
     }
 
-    /// Ids of all vertices with a label.
-    fn vertices_with_label(&self, label: &str) -> Vec<VertexId>;
+    /// The ids [`GraphBackend::for_each_with_label`] visits, collected.
+    fn vertices_with_label(&self, label: &str) -> Vec<VertexId> {
+        let mut ids = Vec::new();
+        self.for_each_with_label(label, &mut |id| ids.push(id));
+        ids
+    }
 
     /// All vertex labels present in the store.
     fn labels(&self) -> Vec<String>;
 
-    /// Out-neighbours of a vertex following edges with the given label
-    /// (counted as edge traversals).
-    fn out_neighbours(&self, vertex: VertexId, edge_label: &str) -> Vec<VertexId>;
+    /// The neighbours [`GraphBackend::for_each_out`] visits, collected.
+    fn out_neighbours(&self, vertex: VertexId, edge_label: &str) -> Vec<VertexId> {
+        let mut neighbours = Vec::new();
+        self.for_each_out(vertex, edge_label, &mut |n| neighbours.push(n));
+        neighbours
+    }
 
-    /// In-neighbours of a vertex following edges with the given label
-    /// (counted as edge traversals).
-    fn in_neighbours(&self, vertex: VertexId, edge_label: &str) -> Vec<VertexId>;
+    /// The neighbours [`GraphBackend::for_each_in`] visits, collected.
+    fn in_neighbours(&self, vertex: VertexId, edge_label: &str) -> Vec<VertexId> {
+        let mut neighbours = Vec::new();
+        self.for_each_in(vertex, edge_label, &mut |n| neighbours.push(n));
+        neighbours
+    }
 
     /// Number of out-edges of a vertex with the given label, *without*
     /// materialising the neighbour list. Used for fan-out estimation (e.g.
     /// deciding whether a parallel expansion pays off), so backends override
     /// it with a cheap adjacency-metadata scan that is **not** charged as
     /// edge traversals. The default falls back to
-    /// [`GraphBackend::out_neighbours`] and therefore *is* counted.
+    /// [`GraphBackend::for_each_out`] and therefore *is* counted.
     fn out_degree(&self, vertex: VertexId, edge_label: &str) -> usize {
-        self.out_neighbours(vertex, edge_label).len()
+        let mut degree = 0;
+        self.for_each_out(vertex, edge_label, &mut |_| degree += 1);
+        degree
     }
 
     /// Number of storage shards backing this graph. `1` for monolithic
@@ -322,9 +385,10 @@ pub trait GraphBackend: Send + Sync {
 // A boxed backend is itself a backend, so wrappers that need to own an
 // arbitrary backend — `pgso_persist::JournaledGraph`, the serving layer's
 // epochs — can be generic over `GraphBackend` and still hold a
-// `Box<dyn GraphBackend>`. Every method delegates explicitly (rather than
-// relying on the defaults) so inner overrides like `ShardedGraph::shard_of`
-// survive the indirection.
+// `Box<dyn GraphBackend>`. Every method a backend implements or overrides
+// delegates explicitly (rather than relying on the defaults) so inner
+// overrides like `ShardedGraph::shard_of` survive the indirection; the owned
+// read conveniences are overridden by nobody and stay at their definitions.
 impl<B: GraphBackend + ?Sized> GraphBackend for Box<B> {
     fn add_vertex(&mut self, label: &str, properties: PropertyMap) -> VertexId {
         (**self).add_vertex(label, properties)
@@ -338,28 +402,28 @@ impl<B: GraphBackend + ?Sized> GraphBackend for Box<B> {
         (**self).vertex(id)
     }
 
-    fn label_of(&self, id: VertexId) -> Option<String> {
-        (**self).label_of(id)
+    fn has_label(&self, id: VertexId, label: &str) -> bool {
+        (**self).has_label(id, label)
     }
 
-    fn property_of(&self, id: VertexId, name: &str) -> Option<PropertyValue> {
-        (**self).property_of(id, name)
+    fn with_property(&self, id: VertexId, name: &str, f: &mut dyn FnMut(Option<&PropertyValue>)) {
+        (**self).with_property(id, name, f)
     }
 
-    fn vertices_with_label(&self, label: &str) -> Vec<VertexId> {
-        (**self).vertices_with_label(label)
+    fn for_each_with_label(&self, label: &str, f: &mut dyn FnMut(VertexId)) {
+        (**self).for_each_with_label(label, f)
+    }
+
+    fn for_each_out(&self, vertex: VertexId, edge_label: &str, f: &mut dyn FnMut(VertexId)) {
+        (**self).for_each_out(vertex, edge_label, f)
+    }
+
+    fn for_each_in(&self, vertex: VertexId, edge_label: &str, f: &mut dyn FnMut(VertexId)) {
+        (**self).for_each_in(vertex, edge_label, f)
     }
 
     fn labels(&self) -> Vec<String> {
         (**self).labels()
-    }
-
-    fn out_neighbours(&self, vertex: VertexId, edge_label: &str) -> Vec<VertexId> {
-        (**self).out_neighbours(vertex, edge_label)
-    }
-
-    fn in_neighbours(&self, vertex: VertexId, edge_label: &str) -> Vec<VertexId> {
-        (**self).in_neighbours(vertex, edge_label)
     }
 
     fn out_degree(&self, vertex: VertexId, edge_label: &str) -> usize {

@@ -56,15 +56,39 @@ pub fn encode_vertex(label: &str, properties: &PropertyMap) -> Bytes {
 /// # Panics
 /// Panics on malformed input; records are only ever produced by this module.
 pub fn decode_vertex(mut data: &[u8]) -> (String, PropertyMap) {
-    let label = get_str16(&mut data);
+    let label = get_str16(&mut data).to_string();
     let count = data.get_u16();
     let mut properties = PropertyMap::new();
     for _ in 0..count {
-        let name = get_str16(&mut data);
+        let name = get_str16(&mut data).to_string();
         let value = decode_value(&mut data);
         properties.insert(name, value);
     }
     (label, properties)
+}
+
+/// Label of an encoded vertex record, borrowed from the record bytes.
+///
+/// # Panics
+/// Panics on malformed input; records are only ever produced by this module.
+pub fn vertex_label(mut data: &[u8]) -> &str {
+    get_str16(&mut data)
+}
+
+/// Decodes the one property `name` of an encoded vertex record, stepping
+/// over every other value without materialising it.
+///
+/// # Panics
+/// Panics on malformed input; records are only ever produced by this module.
+pub fn vertex_property(mut data: &[u8], name: &str) -> Option<PropertyValue> {
+    get_str16(&mut data);
+    for _ in 0..data.get_u16() {
+        if get_str16(&mut data) == name {
+            return Some(decode_value(&mut data));
+        }
+        skip_value(&mut data);
+    }
+    None
 }
 
 /// Encodes one graph mutation record. `AddVertex` payloads are exactly the
@@ -219,11 +243,26 @@ fn put_str16(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-fn get_str16(data: &mut &[u8]) -> String {
+fn get_str16<'a>(data: &mut &'a [u8]) -> &'a str {
     let len = data.get_u16() as usize;
-    let s = String::from_utf8(data[..len].to_vec()).expect("valid utf8 in record");
-    data.advance(len);
-    s
+    let (head, tail) = data.split_at(len);
+    *data = tail;
+    std::str::from_utf8(head).expect("valid utf8 in record")
+}
+
+/// Steps over one encoded value of a record this module produced.
+fn skip_value(data: &mut &[u8]) {
+    match data.get_u8() {
+        0 => data.advance(1),
+        1 | 2 => data.advance(8),
+        3 => {
+            let len = data.get_u32_le() as usize;
+            data.advance(len);
+        }
+        4 => (0..data.get_u32_le()).for_each(|_| skip_value(data)),
+        5 => {}
+        tag => panic!("malformed value record: tag {tag}"),
+    }
 }
 
 #[cfg(test)]
@@ -261,6 +300,23 @@ mod tests {
         let (label, decoded) = decode_vertex(&encoded);
         assert_eq!(label, "Drug");
         assert_eq!(decoded, p);
+    }
+
+    #[test]
+    fn label_and_single_property_read_without_decoding_the_record() {
+        let p = props([
+            ("a", PropertyValue::Bool(true)),
+            ("list", PropertyValue::List(vec![1i64.into(), PropertyValue::str_list(["x"])])),
+            ("name", "Aspirin".into()),
+            ("null", PropertyValue::Null),
+            ("z", PropertyValue::Float(2.5)),
+        ]);
+        let encoded = encode_vertex("Drug", &p);
+        assert_eq!(vertex_label(&encoded), "Drug");
+        for (name, value) in &p {
+            assert_eq!(vertex_property(&encoded, name).as_ref(), Some(value), "{name}");
+        }
+        assert_eq!(vertex_property(&encoded, "missing"), None);
     }
 
     #[test]

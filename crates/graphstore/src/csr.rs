@@ -92,13 +92,15 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
 /// Typed backing store of one column. A column adopts the type of the first
 /// value written to it; a later value of a different type promotes the
 /// column to `Mixed` (per-row enum storage, the correctness fallback).
+/// Fixed-width types are stored unboxed; `Str` and `List` rows are stored as
+/// the `PropertyValue` a read lends out, so reading one copies nothing.
 #[derive(Debug, Clone)]
 enum ColumnData {
     Bool(Vec<bool>),
     Int(Vec<i64>),
     Float(Vec<f64>),
-    Str(Vec<String>),
-    List(Vec<Vec<PropertyValue>>),
+    Str(Vec<PropertyValue>),
+    List(Vec<PropertyValue>),
     Mixed(Vec<PropertyValue>),
 }
 
@@ -120,8 +122,8 @@ impl ColumnData {
             ColumnData::Bool(v) => v.push(false),
             ColumnData::Int(v) => v.push(0),
             ColumnData::Float(v) => v.push(0.0),
-            ColumnData::Str(v) => v.push(String::new()),
-            ColumnData::List(v) => v.push(Vec::new()),
+            ColumnData::Str(v) => v.push(PropertyValue::Str(String::new())),
+            ColumnData::List(v) => v.push(PropertyValue::List(Vec::new())),
             ColumnData::Mixed(v) => v.push(PropertyValue::Null),
         }
     }
@@ -132,9 +134,7 @@ impl ColumnData {
             ColumnData::Bool(v) => v.into_iter().map(PropertyValue::Bool).collect(),
             ColumnData::Int(v) => v.into_iter().map(PropertyValue::Int).collect(),
             ColumnData::Float(v) => v.into_iter().map(PropertyValue::Float).collect(),
-            ColumnData::Str(v) => v.into_iter().map(PropertyValue::Str).collect(),
-            ColumnData::List(v) => v.into_iter().map(PropertyValue::List).collect(),
-            ColumnData::Mixed(v) => v,
+            ColumnData::Str(v) | ColumnData::List(v) | ColumnData::Mixed(v) => v,
         }
     }
 
@@ -168,22 +168,21 @@ impl ColumnData {
             (ColumnData::Bool(v), PropertyValue::Bool(x)) => v.push(x),
             (ColumnData::Int(v), PropertyValue::Int(x)) => v.push(x),
             (ColumnData::Float(v), PropertyValue::Float(x)) => v.push(x),
-            (ColumnData::Str(v), PropertyValue::Str(x)) => v.push(x),
-            (ColumnData::List(v), PropertyValue::List(x)) => v.push(x),
+            (ColumnData::Str(v), x @ PropertyValue::Str(_)) => v.push(x),
+            (ColumnData::List(v), x @ PropertyValue::List(_)) => v.push(x),
             (ColumnData::Mixed(v), x) => v.push(x),
             _ => unreachable!("push after accepts() check"),
         }
     }
 
-    /// Materialises row `r` back into a `PropertyValue`.
-    fn get(&self, r: usize) -> PropertyValue {
+    /// Lends row `r` to `f` as a `PropertyValue` (fixed-width rows are
+    /// rebuilt on the stack, the others borrowed from the column).
+    fn with<R>(&self, r: usize, f: impl FnOnce(&PropertyValue) -> R) -> R {
         match self {
-            ColumnData::Bool(v) => PropertyValue::Bool(v[r]),
-            ColumnData::Int(v) => PropertyValue::Int(v[r]),
-            ColumnData::Float(v) => PropertyValue::Float(v[r]),
-            ColumnData::Str(v) => PropertyValue::Str(v[r].clone()),
-            ColumnData::List(v) => PropertyValue::List(v[r].clone()),
-            ColumnData::Mixed(v) => v[r].clone(),
+            ColumnData::Bool(v) => f(&PropertyValue::Bool(v[r])),
+            ColumnData::Int(v) => f(&PropertyValue::Int(v[r])),
+            ColumnData::Float(v) => f(&PropertyValue::Float(v[r])),
+            ColumnData::Str(v) | ColumnData::List(v) | ColumnData::Mixed(v) => f(&v[r]),
         }
     }
 
@@ -246,9 +245,13 @@ impl Column {
         self.mark_present(row);
     }
 
-    /// The value at `row`, or `None` when absent.
-    fn get(&self, row: usize) -> Option<PropertyValue> {
-        (row < self.data.len() && self.is_present(row)).then(|| self.data.get(row))
+    /// Lends the value at `row` to `f`, or `None` when absent.
+    fn with<R>(&self, row: usize, f: impl FnOnce(Option<&PropertyValue>) -> R) -> R {
+        if row < self.data.len() && self.is_present(row) {
+            self.data.with(row, |value| f(Some(value)))
+        } else {
+            f(None)
+        }
     }
 
     /// Approximate resident bytes: values + present bitmap.
@@ -280,16 +283,14 @@ impl CsrSegment {
         (self.offsets[row + 1] - self.offsets[row]) as usize
     }
 
-    fn decode_row(&self, row: usize) -> Vec<VertexId> {
-        let count = self.degree(row);
-        let mut out = Vec::with_capacity(count);
+    /// Decodes row `row` in place, handing each neighbour id to `f`.
+    fn for_each(&self, row: usize, f: &mut dyn FnMut(VertexId)) {
         let mut pos = self.byte_offsets[row] as usize;
         let mut prev = 0i64;
-        for _ in 0..count {
+        for _ in 0..self.degree(row) {
             prev += unzigzag(read_varint(&self.packed, &mut pos));
-            out.push(VertexId(prev as u64));
+            f(VertexId(prev as u64));
         }
-        out
     }
 
     fn resident_bytes(&self) -> u64 {
@@ -536,28 +537,24 @@ impl CsrGraph {
     fn materialise_properties(&self, rec: VertexRec) -> PropertyMap {
         let mut map = PropertyMap::new();
         for (name, col) in &self.columns[rec.label as usize] {
-            if let Some(value) = col.get(rec.row as usize) {
+            if let Some(value) = col.with(rec.row as usize, |value| value.cloned()) {
                 map.insert(name.clone(), value);
             }
         }
         map
     }
 
-    fn neighbours(&self, vertex: VertexId, edge_label: &str, out_direction: bool) -> Vec<VertexId> {
-        let Some(&rec) = self.vertices.get(vertex.0 as usize) else { return Vec::new() };
-        let result = match self.elabels.get(edge_label) {
-            None => Vec::new(),
-            Some(elabel) => {
-                let compiled = self.segments();
-                let side = if out_direction { &compiled.out } else { &compiled.inc };
-                match side.get(&(rec.label, elabel)) {
-                    None => Vec::new(),
-                    Some(segment) => segment.decode_row(rec.row as usize),
-                }
-            }
-        };
-        self.counters.count_edge_traversals(result.len() as u64);
-        result
+    /// Visits one adjacency row of `vertex`, charging its whole degree. The
+    /// compiled index is held by `Arc`, not by lock, while `f` runs.
+    fn walk(&self, vertex: VertexId, edge_label: &str, out: bool, f: &mut dyn FnMut(VertexId)) {
+        let Some(&rec) = self.vertices.get(vertex.0 as usize) else { return };
+        let Some(elabel) = self.elabels.get(edge_label) else { return };
+        let compiled = self.segments();
+        let side = if out { &compiled.out } else { &compiled.inc };
+        if let Some(segment) = side.get(&(rec.label, elabel)) {
+            self.counters.count_edge_traversals(segment.degree(rec.row as usize) as u64);
+            segment.for_each(rec.row as usize, f);
+        }
     }
 }
 
@@ -599,8 +596,8 @@ impl GraphBackend for CsrGraph {
     }
 
     fn vertex(&self, id: VertexId) -> Option<VertexData> {
-        self.counters.count_vertex_read();
         let &rec = self.vertices.get(id.0 as usize)?;
+        self.counters.count_vertex_read();
         Some(VertexData {
             id,
             label: self.vlabels.names[rec.label as usize].clone(),
@@ -608,22 +605,24 @@ impl GraphBackend for CsrGraph {
         })
     }
 
-    fn label_of(&self, id: VertexId) -> Option<String> {
+    fn has_label(&self, id: VertexId, label: &str) -> bool {
+        let Some(rec) = self.vertices.get(id.0 as usize) else { return false };
         self.counters.count_vertex_read();
-        let &rec = self.vertices.get(id.0 as usize)?;
-        Some(self.vlabels.names[rec.label as usize].clone())
+        self.vlabels.names[rec.label as usize] == label
     }
 
-    fn property_of(&self, id: VertexId, name: &str) -> Option<PropertyValue> {
+    fn with_property(&self, id: VertexId, name: &str, f: &mut dyn FnMut(Option<&PropertyValue>)) {
+        let Some(rec) = self.vertices.get(id.0 as usize) else { return f(None) };
         self.counters.count_vertex_read();
-        let &rec = self.vertices.get(id.0 as usize)?;
-        self.columns[rec.label as usize].get(name)?.get(rec.row as usize)
+        match self.columns[rec.label as usize].get(name) {
+            Some(column) => column.with(rec.row as usize, f),
+            None => f(None),
+        }
     }
 
-    fn vertices_with_label(&self, label: &str) -> Vec<VertexId> {
-        match self.vlabels.get(label) {
-            Some(id) => self.rows[id as usize].clone(),
-            None => Vec::new(),
+    fn for_each_with_label(&self, label: &str, f: &mut dyn FnMut(VertexId)) {
+        if let Some(id) = self.vlabels.get(label) {
+            self.rows[id as usize].iter().for_each(|&vertex| f(vertex));
         }
     }
 
@@ -633,12 +632,12 @@ impl GraphBackend for CsrGraph {
         labels
     }
 
-    fn out_neighbours(&self, vertex: VertexId, edge_label: &str) -> Vec<VertexId> {
-        self.neighbours(vertex, edge_label, true)
+    fn for_each_out(&self, vertex: VertexId, edge_label: &str, f: &mut dyn FnMut(VertexId)) {
+        self.walk(vertex, edge_label, true, f)
     }
 
-    fn in_neighbours(&self, vertex: VertexId, edge_label: &str) -> Vec<VertexId> {
-        self.neighbours(vertex, edge_label, false)
+    fn for_each_in(&self, vertex: VertexId, edge_label: &str, f: &mut dyn FnMut(VertexId)) {
+        self.walk(vertex, edge_label, false, f)
     }
 
     fn out_degree(&self, vertex: VertexId, edge_label: &str) -> usize {

@@ -28,8 +28,8 @@
 use crate::backend::{
     AccessStats, EdgeId, GraphBackend, GraphUpdate, StatsCounters, VertexData, VertexId,
 };
-use crate::codec::{decode_vertex, encode_vertex};
-use crate::value::PropertyMap;
+use crate::codec::{decode_vertex, encode_vertex, vertex_label, vertex_property};
+use crate::value::{PropertyMap, PropertyValue};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -275,6 +275,53 @@ impl DiskGraph {
         bytes
     }
 
+    /// Reads the record of vertex `id` through the buffer pool and hands its
+    /// bytes to `decode` — one vertex read plus the page accesses of its
+    /// record; `None`, and nothing charged, for an unknown id.
+    fn read_record<R>(&self, id: VertexId, decode: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        let pointer = *self.directory.get(id.0 as usize)?;
+        self.counters.count_vertex_read();
+        let start = pointer.offset as usize;
+        let end = start + pointer.len as usize;
+        Some(if end <= PAGE_SIZE {
+            decode(&self.fetch_page(pointer.page)[start..end])
+        } else {
+            // Oversized record spanning consecutive pages.
+            let span = end.div_ceil(PAGE_SIZE);
+            let mut buf = Vec::with_capacity(span * PAGE_SIZE);
+            for delta in 0..span as u32 {
+                buf.extend_from_slice(&self.fetch_page(pointer.page + delta));
+            }
+            decode(&buf[start..end])
+        })
+    }
+
+    /// Visits the far ends of `vertex`'s edges labelled `edge_label` in one
+    /// adjacency direction. Expanding adjacency touches the source vertex's
+    /// record page first; the lists themselves are in memory, so no lock is
+    /// held while `f` runs.
+    fn walk(
+        &self,
+        adjacency: &[Vec<EdgeId>],
+        vertex: VertexId,
+        edge_label: &str,
+        far_end: impl Fn(&StoredEdge) -> VertexId,
+        f: &mut dyn FnMut(VertexId),
+    ) {
+        let Some(edge_ids) = adjacency.get(vertex.0 as usize) else { return };
+        if let Some(pointer) = self.directory.get(vertex.0 as usize) {
+            let _ = self.fetch_page(pointer.page);
+        }
+        let mut visited = 0;
+        for e in edge_ids.iter().map(|eid| &self.edges[eid.0 as usize]) {
+            if e.label == edge_label {
+                visited += 1;
+                f(far_end(e));
+            }
+        }
+        self.counters.count_edge_traversals(visited);
+    }
+
     /// Seals the current tail page: writes it to disk and starts a new one.
     fn seal_tail_page(&mut self) {
         let mut tail = self.tail_page.lock();
@@ -360,27 +407,22 @@ impl GraphBackend for DiskGraph {
     }
 
     fn vertex(&self, id: VertexId) -> Option<VertexData> {
-        let pointer = *self.directory.get(id.0 as usize)?;
-        self.counters.count_vertex_read();
-        let start = pointer.offset as usize;
-        let end = start + pointer.len as usize;
-        let (label, properties) = if end <= PAGE_SIZE {
-            let page = self.fetch_page(pointer.page);
-            decode_vertex(&page[start..end])
-        } else {
-            // Oversized record spanning consecutive pages.
-            let span = end.div_ceil(PAGE_SIZE);
-            let mut buf = Vec::with_capacity(span * PAGE_SIZE);
-            for delta in 0..span as u32 {
-                buf.extend_from_slice(&self.fetch_page(pointer.page + delta));
-            }
-            decode_vertex(&buf[start..end])
-        };
+        let (label, properties) = self.read_record(id, decode_vertex)?;
         Some(VertexData { id, label, properties })
     }
 
-    fn vertices_with_label(&self, label: &str) -> Vec<VertexId> {
-        self.label_index.get(label).cloned().unwrap_or_default()
+    fn has_label(&self, id: VertexId, label: &str) -> bool {
+        self.read_record(id, |record| vertex_label(record) == label).unwrap_or(false)
+    }
+
+    fn with_property(&self, id: VertexId, name: &str, f: &mut dyn FnMut(Option<&PropertyValue>)) {
+        // The page is released before `f` runs: only the one value is
+        // decoded out of it.
+        f(self.read_record(id, |record| vertex_property(record, name)).flatten().as_ref())
+    }
+
+    fn for_each_with_label(&self, label: &str, f: &mut dyn FnMut(VertexId)) {
+        self.label_index.get(label).into_iter().flatten().for_each(|&id| f(id));
     }
 
     fn labels(&self) -> Vec<String> {
@@ -389,37 +431,12 @@ impl GraphBackend for DiskGraph {
         labels
     }
 
-    fn out_neighbours(&self, vertex: VertexId, edge_label: &str) -> Vec<VertexId> {
-        let Some(edge_ids) = self.outgoing.get(vertex.0 as usize) else { return Vec::new() };
-        // Expanding adjacency touches the source vertex's record page.
-        if let Some(pointer) = self.directory.get(vertex.0 as usize) {
-            let _ = self.fetch_page(pointer.page);
-        }
-        let neighbours: Vec<VertexId> = edge_ids
-            .iter()
-            .filter_map(|&eid| {
-                let e = &self.edges[eid.0 as usize];
-                (e.label == edge_label).then_some(e.dst)
-            })
-            .collect();
-        self.counters.count_edge_traversals(neighbours.len() as u64);
-        neighbours
+    fn for_each_out(&self, vertex: VertexId, edge_label: &str, f: &mut dyn FnMut(VertexId)) {
+        self.walk(&self.outgoing, vertex, edge_label, |e| e.dst, f)
     }
 
-    fn in_neighbours(&self, vertex: VertexId, edge_label: &str) -> Vec<VertexId> {
-        let Some(edge_ids) = self.incoming.get(vertex.0 as usize) else { return Vec::new() };
-        if let Some(pointer) = self.directory.get(vertex.0 as usize) {
-            let _ = self.fetch_page(pointer.page);
-        }
-        let neighbours: Vec<VertexId> = edge_ids
-            .iter()
-            .filter_map(|&eid| {
-                let e = &self.edges[eid.0 as usize];
-                (e.label == edge_label).then_some(e.src)
-            })
-            .collect();
-        self.counters.count_edge_traversals(neighbours.len() as u64);
-        neighbours
+    fn for_each_in(&self, vertex: VertexId, edge_label: &str, f: &mut dyn FnMut(VertexId)) {
+        self.walk(&self.incoming, vertex, edge_label, |e| e.src, f)
     }
 
     fn out_degree(&self, vertex: VertexId, edge_label: &str) -> usize {
@@ -473,7 +490,7 @@ impl GraphBackend for DiskGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{props, PropertyValue};
+    use crate::value::props;
     use tempfile::tempdir;
 
     fn new_graph(pool_pages: usize) -> (tempfile::TempDir, DiskGraph) {

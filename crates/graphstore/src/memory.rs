@@ -1,14 +1,14 @@
 //! In-memory property graph backend (the JanusGraph stand-in).
 //!
 //! Vertices, edges and adjacency lists live in plain vectors; a label index
-//! accelerates `vertices_with_label`. All reads still update the access
+//! accelerates label scans. All reads still update the access
 //! counters so experiments can compare edge-traversal counts across backends
 //! and schemas.
 
 use crate::backend::{
     AccessStats, EdgeData, EdgeId, GraphBackend, GraphUpdate, StatsCounters, VertexData, VertexId,
 };
-use crate::value::PropertyMap;
+use crate::value::{PropertyMap, PropertyValue};
 use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
@@ -51,6 +51,27 @@ impl MemoryGraph {
             dst: e.dst,
         })
     }
+
+    /// Visits the far ends of `vertex`'s edges labelled `edge_label` in one
+    /// adjacency direction, charging one traversal per neighbour visited.
+    fn walk(
+        &self,
+        adjacency: &[Vec<EdgeId>],
+        vertex: VertexId,
+        edge_label: &str,
+        far_end: impl Fn(&StoredEdge) -> VertexId,
+        f: &mut dyn FnMut(VertexId),
+    ) {
+        let Some(edge_ids) = adjacency.get(vertex.0 as usize) else { return };
+        let mut visited = 0;
+        for e in edge_ids.iter().map(|eid| &self.edges[eid.0 as usize]) {
+            if e.label == edge_label {
+                visited += 1;
+                f(far_end(e));
+            }
+        }
+        self.counters.count_edge_traversals(visited);
+    }
 }
 
 impl GraphBackend for MemoryGraph {
@@ -75,26 +96,25 @@ impl GraphBackend for MemoryGraph {
     }
 
     fn vertex(&self, id: VertexId) -> Option<VertexData> {
+        let v = self.vertices.get(id.0 as usize)?;
         self.counters.count_vertex_read();
-        self.vertices.get(id.0 as usize).map(|v| VertexData {
-            id,
-            label: v.label.clone(),
-            properties: v.properties.clone(),
-        })
+        Some(VertexData { id, label: v.label.clone(), properties: v.properties.clone() })
     }
 
-    fn label_of(&self, id: VertexId) -> Option<String> {
+    fn has_label(&self, id: VertexId, label: &str) -> bool {
+        let Some(v) = self.vertices.get(id.0 as usize) else { return false };
         self.counters.count_vertex_read();
-        self.vertices.get(id.0 as usize).map(|v| v.label.clone())
+        v.label == label
     }
 
-    fn property_of(&self, id: VertexId, name: &str) -> Option<crate::value::PropertyValue> {
+    fn with_property(&self, id: VertexId, name: &str, f: &mut dyn FnMut(Option<&PropertyValue>)) {
+        let Some(v) = self.vertices.get(id.0 as usize) else { return f(None) };
         self.counters.count_vertex_read();
-        self.vertices.get(id.0 as usize).and_then(|v| v.properties.get(name).cloned())
+        f(v.properties.get(name))
     }
 
-    fn vertices_with_label(&self, label: &str) -> Vec<VertexId> {
-        self.label_index.get(label).cloned().unwrap_or_default()
+    fn for_each_with_label(&self, label: &str, f: &mut dyn FnMut(VertexId)) {
+        self.label_index.get(label).into_iter().flatten().for_each(|&id| f(id));
     }
 
     fn labels(&self) -> Vec<String> {
@@ -103,30 +123,12 @@ impl GraphBackend for MemoryGraph {
         labels
     }
 
-    fn out_neighbours(&self, vertex: VertexId, edge_label: &str) -> Vec<VertexId> {
-        let Some(edge_ids) = self.outgoing.get(vertex.0 as usize) else { return Vec::new() };
-        let neighbours: Vec<VertexId> = edge_ids
-            .iter()
-            .filter_map(|&eid| {
-                let e = &self.edges[eid.0 as usize];
-                (e.label == edge_label).then_some(e.dst)
-            })
-            .collect();
-        self.counters.count_edge_traversals(neighbours.len() as u64);
-        neighbours
+    fn for_each_out(&self, vertex: VertexId, edge_label: &str, f: &mut dyn FnMut(VertexId)) {
+        self.walk(&self.outgoing, vertex, edge_label, |e| e.dst, f)
     }
 
-    fn in_neighbours(&self, vertex: VertexId, edge_label: &str) -> Vec<VertexId> {
-        let Some(edge_ids) = self.incoming.get(vertex.0 as usize) else { return Vec::new() };
-        let neighbours: Vec<VertexId> = edge_ids
-            .iter()
-            .filter_map(|&eid| {
-                let e = &self.edges[eid.0 as usize];
-                (e.label == edge_label).then_some(e.src)
-            })
-            .collect();
-        self.counters.count_edge_traversals(neighbours.len() as u64);
-        neighbours
+    fn for_each_in(&self, vertex: VertexId, edge_label: &str, f: &mut dyn FnMut(VertexId)) {
+        self.walk(&self.incoming, vertex, edge_label, |e| e.src, f)
     }
 
     fn out_degree(&self, vertex: VertexId, edge_label: &str) -> usize {
@@ -184,7 +186,7 @@ impl GraphBackend for MemoryGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{props, PropertyValue};
+    use crate::value::props;
 
     fn sample() -> (MemoryGraph, VertexId, VertexId, VertexId) {
         let mut g = MemoryGraph::new();

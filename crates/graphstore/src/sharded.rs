@@ -23,7 +23,7 @@
 //! Per-shard `local → global` tables translate adjacency answers back to
 //! global ids, so traversals through stubs are invisible to callers: the
 //! facade returns exactly the neighbour sets (and orderings) a monolithic
-//! backend would. Stubs never appear in [`GraphBackend::vertices_with_label`],
+//! backend would. Stubs never appear in [`GraphBackend::for_each_with_label`],
 //! [`GraphBackend::labels`] or [`GraphBackend::vertex_count`].
 //!
 //! # Statistics
@@ -269,30 +269,30 @@ impl GraphBackend for ShardedGraph {
         Some(data)
     }
 
-    fn label_of(&self, id: VertexId) -> Option<String> {
-        let placement = self.placement(id)?;
-        self.shards[placement.shard as usize].label_of(placement.local)
+    fn has_label(&self, id: VertexId, label: &str) -> bool {
+        self.placement(id).is_some_and(|p| self.shards[p.shard as usize].has_label(p.local, label))
     }
 
-    fn property_of(&self, id: VertexId, name: &str) -> Option<PropertyValue> {
-        let placement = self.placement(id)?;
-        self.shards[placement.shard as usize].property_of(placement.local, name)
+    fn with_property(&self, id: VertexId, name: &str, f: &mut dyn FnMut(Option<&PropertyValue>)) {
+        match self.placement(id) {
+            Some(p) => self.shards[p.shard as usize].with_property(p.local, name, f),
+            None => f(None),
+        }
     }
 
-    fn vertices_with_label(&self, label: &str) -> Vec<VertexId> {
+    fn for_each_with_label(&self, label: &str, f: &mut dyn FnMut(VertexId)) {
         if label == STUB_LABEL {
-            return Vec::new();
+            return;
         }
         let mut ids: Vec<VertexId> = Vec::new();
         for (shard, backend) in self.shards.iter().enumerate() {
-            ids.extend(
-                backend.vertices_with_label(label).into_iter().map(|l| self.to_global(shard, l)),
-            );
+            backend.for_each_with_label(label, &mut |local| ids.push(self.to_global(shard, local)));
         }
         // Global ids are allocated in insertion order, so sorting restores
-        // the exact order a monolithic backend's label index would return.
+        // the exact order a monolithic backend's label index would visit —
+        // the one allocation a sharded label scan makes.
         ids.sort_unstable();
-        ids
+        ids.into_iter().for_each(f);
     }
 
     fn labels(&self) -> Vec<String> {
@@ -303,24 +303,19 @@ impl GraphBackend for ShardedGraph {
         labels
     }
 
-    fn out_neighbours(&self, vertex: VertexId, edge_label: &str) -> Vec<VertexId> {
-        let Some(placement) = self.placement(vertex) else { return Vec::new() };
+    fn for_each_out(&self, vertex: VertexId, edge_label: &str, f: &mut dyn FnMut(VertexId)) {
+        let Some(placement) = self.placement(vertex) else { return };
         let shard = placement.shard as usize;
-        self.shards[shard]
-            .out_neighbours(placement.local, edge_label)
-            .into_iter()
-            .map(|local| self.to_global(shard, local))
-            .collect()
+        self.shards[shard].for_each_out(placement.local, edge_label, &mut |local| {
+            f(self.to_global(shard, local))
+        });
     }
 
-    fn in_neighbours(&self, vertex: VertexId, edge_label: &str) -> Vec<VertexId> {
-        let Some(placement) = self.placement(vertex) else { return Vec::new() };
+    fn for_each_in(&self, vertex: VertexId, edge_label: &str, f: &mut dyn FnMut(VertexId)) {
+        let Some(placement) = self.placement(vertex) else { return };
         let shard = placement.shard as usize;
         self.shards[shard]
-            .in_neighbours(placement.local, edge_label)
-            .into_iter()
-            .map(|local| self.to_global(shard, local))
-            .collect()
+            .for_each_in(placement.local, edge_label, &mut |local| f(self.to_global(shard, local)));
     }
 
     fn out_degree(&self, vertex: VertexId, edge_label: &str) -> usize {

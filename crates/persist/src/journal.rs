@@ -96,28 +96,28 @@ impl<B: GraphBackend> GraphBackend for JournaledGraph<B> {
         self.inner.vertex(id)
     }
 
-    fn label_of(&self, id: VertexId) -> Option<String> {
-        self.inner.label_of(id)
+    fn has_label(&self, id: VertexId, label: &str) -> bool {
+        self.inner.has_label(id, label)
     }
 
-    fn property_of(&self, id: VertexId, name: &str) -> Option<PropertyValue> {
-        self.inner.property_of(id, name)
+    fn with_property(&self, id: VertexId, name: &str, f: &mut dyn FnMut(Option<&PropertyValue>)) {
+        self.inner.with_property(id, name, f)
     }
 
-    fn vertices_with_label(&self, label: &str) -> Vec<VertexId> {
-        self.inner.vertices_with_label(label)
+    fn for_each_with_label(&self, label: &str, f: &mut dyn FnMut(VertexId)) {
+        self.inner.for_each_with_label(label, f)
     }
 
     fn labels(&self) -> Vec<String> {
         self.inner.labels()
     }
 
-    fn out_neighbours(&self, vertex: VertexId, edge_label: &str) -> Vec<VertexId> {
-        self.inner.out_neighbours(vertex, edge_label)
+    fn for_each_out(&self, vertex: VertexId, edge_label: &str, f: &mut dyn FnMut(VertexId)) {
+        self.inner.for_each_out(vertex, edge_label, f)
     }
 
-    fn in_neighbours(&self, vertex: VertexId, edge_label: &str) -> Vec<VertexId> {
-        self.inner.in_neighbours(vertex, edge_label)
+    fn for_each_in(&self, vertex: VertexId, edge_label: &str, f: &mut dyn FnMut(VertexId)) {
+        self.inner.for_each_in(vertex, edge_label, f)
     }
 
     fn out_degree(&self, vertex: VertexId, edge_label: &str) -> usize {

@@ -5,8 +5,10 @@
 //! and the remaining pattern is expanded edge by edge (forward along
 //! out-edges, backward along in-edges). Every neighbour expansion — and
 //! every `WHERE` predicate evaluation, which reads a property through
-//! [`GraphBackend::property_of`] — goes through the backend and is therefore
-//! counted in its [`AccessStats`]; the executor itself adds no caching, so
+//! [`GraphBackend::with_property`] — goes through the backend and is
+//! therefore counted in its [`AccessStats`]; the executor adds no caching
+//! and, reading through the backend's borrowed forms only, no allocation per
+//! candidate, neighbour or match (only per returned row and value), so
 //! latency differences between schemas reflect the storage work, as in the
 //! paper's evaluation. That makes the counters a contract: what a statement
 //! costs may only change when the storage work it does changes.
@@ -15,33 +17,25 @@
 //!
 //! Before matching, every pattern variable is resolved once to a *slot* —
 //! its name, the labels its node patterns declare and the `WHERE` predicates
-//! on it — and every mandatory or optional edge pattern to a *step*
-//! `(label, src slot, dst slot)`. A binding is a fixed-width row with one
-//! `Option<VertexId>` cell per slot: extending a match copies one small
-//! vector and writes one cell, and no variable name is hashed or cloned
-//! while matching. A cell still `None` after matching belongs to an
-//! unmatched `OPTIONAL` variable and surfaces as [`PropertyValue::Null`].
+//! on it — every mandatory or optional edge pattern to a *step* `(label, src
+//! slot, dst slot)`, and every variable an output clause names to its slot.
+//! Matching backtracks on one scratch row with an `Option<VertexId>` cell
+//! per slot — bind a cell, recurse, unbind it — and appends each complete
+//! match to one flat table of such rows: no variable name is hashed and
+//! nothing is allocated per match. A cell still `None` after matching
+//! belongs to an unmatched `OPTIONAL` variable and surfaces as
+//! [`PropertyValue::Null`].
 //!
 //! [`execute_statement`] adds the statement-level clauses on top of the same
-//! core:
-//!
-//! * **predicate pushdown** — `WHERE` predicates on the root variable filter
-//!   the root candidate set before any expansion; predicates on other
-//!   variables are applied the moment the variable is bound, pruning the
-//!   backtracking tree instead of filtering finished rows;
-//! * **optional edges** — applied after the mandatory pattern, in order,
-//!   with left-outer semantics: a row whose optional edge finds no match is
-//!   kept with the optional variable unbound, which surfaces as
-//!   [`PropertyValue::Null`] in result rows;
-//! * **aggregation** — statements whose `RETURN` clause carries aggregates
-//!   (`COUNT`, `COUNT(DISTINCT …)`, `SUM`/`MIN`/`MAX`/`AVG`,
-//!   `size(COLLECT(…))`) collapse the match into one row per `GROUP BY`
-//!   group (one global group without `GROUP BY`); property-carrying
-//!   aggregates flatten LIST values into their elements, which is what keeps
-//!   them correct over the replicated LIST properties the DIR→OPT rewrite
-//!   substitutes for edge traversals;
-//! * **`DISTINCT` → `ORDER BY` → `SKIP`/`LIMIT`**, applied in that order to
-//!   the (possibly aggregated) rows.
+//! core: **predicate pushdown** (a `WHERE` predicate is applied the moment
+//! its variable is bound — root candidates before any expansion — pruning
+//! the backtracking tree instead of filtering finished rows), **optional
+//! edges** (after the mandatory pattern, in order, left-outer), then
+//! **aggregation** (one row per `GROUP BY` group, one global group without;
+//! property-carrying aggregates flatten LIST values, which keeps them
+//! correct over the replicated LIST properties the DIR→OPT rewrite
+//! substitutes for edge traversals) and **`DISTINCT` → `ORDER BY` →
+//! `SKIP`/`LIMIT`**, in that order, on the (possibly aggregated) rows.
 //!
 //! # Parallel fan-out over shards
 //!
@@ -51,11 +45,10 @@
 //! fan out across scoped worker threads, one per shard: each worker takes
 //! the root candidates *owned by its shard*, so the initial vertex reads hit
 //! disjoint shard locks. Every worker runs the exact same backtracking
-//! expansion (freely crossing shards mid-pattern), and the per-root result
-//! lists are merged back **in root order**, so the final binding order — and
-//! therefore row order, `DISTINCT` survivor choice and `ORDER BY` tie-breaks
-//! — is bit-for-bit identical to the serial execution. DIR vs OPT row-set
-//! equivalence is unaffected.
+//! expansion (freely crossing shards mid-pattern), and the per-root runs of
+//! matches are merged back **in root order**, so the final binding order —
+//! and with it row order, `DISTINCT` survivor choice and `ORDER BY`
+//! tie-breaks — is bit-for-bit that of the serial execution.
 
 use crate::ast::{Aggregate, EdgePattern, Query, ReturnItem};
 use crate::stmt::{order_values, CountTerm, Predicate, Statement, Term};
@@ -172,50 +165,49 @@ pub fn execute_statement_with(
     let start = Instant::now();
     let ctx = Ctx::new(stmt, backend);
     let mut timings = StageTimings::default();
-
-    let mut bindings: Vec<Binding> = Vec::new();
+    let mut bindings: Vec<Cell> = Vec::new();
     // A statement that cannot match skips root selection and expansion.
     if !ctx.unsatisfiable && !stmt.pattern.nodes.is_empty() {
-        let stage = Instant::now();
-        let roots = backend.vertices_with_label(ctx.slots[ROOT].label);
-        timings.root_selection = stage.elapsed();
-        let stage = Instant::now();
-        if should_fan_out(&ctx, &roots, config) {
-            timings.fanned_out_shards = fan_out_roots(&ctx, &roots, &mut bindings);
-        } else {
-            for vertex in roots {
-                expand_root(&ctx, vertex, &mut bindings);
+        let mut row = vec![None; ctx.slots.len()];
+        let mut stage = Instant::now();
+        // The fan-out gate and the shard grouping need the root candidates
+        // as a slice; every other execution visits them in place.
+        if config.parallel && backend.shard_count() > 1 {
+            let roots = backend.vertices_with_label(ctx.slots[ROOT].label);
+            timings.root_selection = stage.elapsed();
+            stage = Instant::now();
+            if should_fan_out(&ctx, &roots, config) {
+                timings.fanned_out_shards = fan_out_roots(&ctx, &roots, &mut bindings);
+            } else {
+                roots.iter().for_each(|&root| expand_root(&ctx, root, &mut row, &mut bindings));
             }
+        } else {
+            let visit = &mut |root| expand_root(&ctx, root, &mut row, &mut bindings);
+            backend.for_each_with_label(ctx.slots[ROOT].label, visit);
         }
         timings.expansion = stage.elapsed();
     }
     let stage = Instant::now();
     let bindings = apply_optional(&ctx, bindings);
+    let matches = bindings.len() / ctx.stride;
     timings.optional = stage.elapsed();
-
     let stage = Instant::now();
     let (rows, reps) = if stmt.pattern.is_aggregation() {
         aggregate_rows(&ctx, &bindings)
     } else {
-        let rows = bindings
-            .iter()
-            .map(|row| {
-                stmt.pattern.returns.iter().map(|item| project(&ctx, item, Some(row))).collect()
-            })
-            .collect();
-        (rows, (0..bindings.len()).collect())
+        let project_row = |row| ctx.returns.iter().map(|&item| project(&ctx, item, row)).collect();
+        let rows = bindings.chunks_exact(ctx.stride).map(|row| project_row(Some(row)));
+        (rows.collect(), (0..matches).collect())
     };
     timings.aggregate = stage.elapsed();
     let stage = Instant::now();
     let rows = finalize_rows(&ctx, rows, &reps, &bindings);
     timings.windowing = stage.elapsed();
-    let elapsed = start.elapsed();
-    let after = backend.stats();
     QueryResult {
         rows,
-        matches: bindings.len(),
-        elapsed,
-        stats: after.delta_since(&before),
+        matches,
+        elapsed: start.elapsed(),
+        stats: backend.stats().delta_since(&before),
         predicate_checks: ctx.predicate_checks.load(Ordering::Relaxed),
         stage_timings: timings,
     }
@@ -223,10 +215,9 @@ pub fn execute_statement_with(
 
 /// Emits the post-hoc execution trace of `result` under `span`: one
 /// `stage.<name>` event per non-zero stage and a closing `query.exec` event
-/// carrying match/row counts and the fan-out width. Emission happens after
-/// execution from the recorded [`StageTimings`], so tracing never touches
-/// the execution hot path; serving layers call this with the span they
-/// already hold (a wire-supplied trace id, or [`TraceBuffer::new_span`]).
+/// carrying match/row counts and the fan-out width. Emission works from the
+/// recorded [`StageTimings`], off the execution hot path; serving layers pass
+/// the span they hold (a wire-supplied trace id, or [`TraceBuffer::new_span`]).
 pub fn emit_exec_trace(result: &QueryResult, trace: &TraceBuffer, span: u64) {
     for (name, duration) in result.stage_timings.stages() {
         if !duration.is_zero() {
@@ -253,9 +244,13 @@ pub fn emit_exec_trace(result: &QueryResult, trace: &TraceBuffer, span: u64) {
     );
 }
 
-/// One binding of the pattern: the vertex bound to each slot, `None` while
-/// the slot is unbound (after matching: an unmatched `OPTIONAL` variable).
-type Binding = Vec<Option<VertexId>>;
+/// One cell of a binding row: the vertex bound to a slot, `None` while the
+/// slot is unbound (after matching: an unmatched `OPTIONAL` variable). The
+/// matches of an execution are one flat table, `Ctx::stride` cells to a row.
+type Cell = Option<VertexId>;
+
+/// What a property read lends: the stored value, `None` when it is missing.
+type Read<'v> = Option<&'v PropertyValue>;
 
 /// Slot of the root variable: the first node pattern is resolved first.
 const ROOT: usize = 0;
@@ -285,23 +280,33 @@ struct Step<'a> {
     dst: usize,
 }
 
-/// Shared execution context threaded through the backtracking expansion:
-/// the statement resolved to slots and steps, the backend every read goes
-/// through, and the predicate-evaluation counter. `Sync`, so shard workers
-/// can share one instance by reference.
+/// Shared execution context of the backtracking expansion: the statement
+/// resolved to slots and steps, the backend every read goes through, and the
+/// predicate-evaluation counter. `Sync`: shard workers share one by reference.
 struct Ctx<'a> {
     stmt: &'a Statement,
     backend: &'a dyn GraphBackend,
     slots: Vec<Slot<'a>>,
     edges: Vec<Step<'a>>,
     opt_edges: Vec<Step<'a>>,
+    /// Slots of the variables the output clauses name, item by item; `None`
+    /// for a variable no pattern part mentions.
+    returns: Vec<Output<'a>>,
+    group_by: Vec<Option<usize>>,
+    having: Vec<Option<usize>>,
+    order_by: Vec<Option<usize>>,
+    /// Cells per binding-table row: one per slot, floored at one so that a
+    /// pattern-less statement's empty table still reads as zero rows.
+    stride: usize,
     /// A predicate on a variable no node pattern declares can never hold.
     unsatisfiable: bool,
     predicate_checks: AtomicU64,
 }
 
-/// Index of `var`'s slot, appending an undeclared (label-less) one if the
-/// variable is new.
+/// A `RETURN` item resolved to `(variable slot, property)`.
+type Output<'a> = (Option<usize>, Option<&'a str>);
+
+/// Index of `var`'s slot, appended undeclared (label-less) if `var` is new.
 fn slot_of<'a>(slots: &mut Vec<Slot<'a>>, var: &'a str) -> usize {
     slots.iter().position(|slot| slot.name == var).unwrap_or_else(|| {
         slots.push(Slot { name: var, ..Slot::default() });
@@ -347,71 +352,95 @@ impl<'a> Ctx<'a> {
                 slot.predicates.push(predicate);
             }
         }
-        let predicate_checks = AtomicU64::new(0);
-        Self { stmt, backend, slots, edges, opt_edges, unsatisfiable, predicate_checks }
+        // Output clauses name variables too: looked up once here, not per row.
+        let slot = |var: &String| slots.iter().position(|slot| slot.name == *var);
+        let returns = stmt.pattern.returns.iter().map(|item| match item {
+            ReturnItem::Property { var, property } => (slot(var), Some(property.as_str())),
+            ReturnItem::Vertex { var } => (slot(var), None),
+            ReturnItem::Aggregate { var, property, .. } => (slot(var), property.as_deref()),
+        });
+        Self {
+            stmt,
+            backend,
+            returns: returns.collect(),
+            group_by: stmt.group_by.iter().map(slot).collect(),
+            having: stmt.having.iter().map(|pred| slot(&pred.var)).collect(),
+            order_by: stmt.order_by.iter().map(|key| slot(&key.var)).collect(),
+            stride: slots.len().max(1),
+            slots,
+            edges,
+            opt_edges,
+            unsatisfiable,
+            predicate_checks: AtomicU64::new(0),
+        }
     }
 
-    /// Slot of `var`, if any pattern part mentions it.
-    fn slot(&self, var: &str) -> Option<usize> {
-        self.slots.iter().position(|slot| slot.name == var)
+    /// Reads one property of `vertex` where it is stored (one vertex read)
+    /// and returns what `f` makes of it; nothing is copied unless `f` clones.
+    fn read<R>(&self, vertex: VertexId, property: &str, mut f: impl FnMut(Read<'_>) -> R) -> R {
+        let mut result = None;
+        self.backend.with_property(vertex, property, &mut |value| result = Some(f(value)));
+        result.expect("with_property calls back exactly once")
     }
 
     /// Evaluates every predicate on `slot` against `vertex`. A missing
     /// property fails the predicate, as does an unbound `$parameter` (no
     /// property is fetched for one, so it is not counted as a check).
     fn passes(&self, slot: usize, vertex: VertexId) -> bool {
-        for predicate in &self.slots[slot].predicates {
+        self.slots[slot].predicates.iter().all(|predicate| {
             let Term::Literal(rhs) = &predicate.value else {
                 return false;
             };
             self.predicate_checks.fetch_add(1, Ordering::Relaxed);
-            let Some(value) = self.backend.property_of(vertex, &predicate.property) else {
-                return false;
-            };
-            if !predicate.op.eval(&value, rhs) {
-                return false;
-            }
-        }
-        true
+            self.read(vertex, &predicate.property, |value| {
+                value.is_some_and(|value| predicate.op.eval(value, rhs))
+            })
+        })
     }
 
     /// The one edge step. With exactly one endpoint of `edge` bound, walks
-    /// the edge from it (out-neighbours from `src`, in-neighbours from
-    /// `dst`) and yields the slot of the free endpoint with the neighbours
-    /// that may bind it: those carrying its label — the mandatory
-    /// declaration's for a mandatory edge, any declaration's for an
-    /// `optional` one — and passing its predicates, checked lazily in that
-    /// order. `None` when both endpoints or neither are bound.
+    /// the edge from it (out-neighbours from `src`, in-neighbours from `dst`)
+    /// and hands `visit` the free endpoint's slot with each neighbour that
+    /// may bind it: one carrying its label — the mandatory declaration's, for
+    /// an `optional` edge any declaration's — and passing its predicates,
+    /// checked in that order, one neighbour at a time. Returns `false`,
+    /// having read nothing, when both endpoints or neither are bound.
     fn across(
         &self,
         edge: &Step<'_>,
-        src: Option<VertexId>,
-        dst: Option<VertexId>,
+        src: Cell,
+        dst: Cell,
         optional: bool,
-    ) -> Option<(usize, impl Iterator<Item = VertexId> + '_)> {
-        let (free, neighbours) = match (src, dst) {
-            (Some(src), None) => (edge.dst, self.backend.out_neighbours(src, edge.label)),
-            (None, Some(dst)) => (edge.src, self.backend.in_neighbours(dst, edge.label)),
-            _ => return None,
+        visit: &mut dyn FnMut(usize, VertexId),
+    ) -> bool {
+        let (free, from) = match (src, dst) {
+            (Some(src), None) => (edge.dst, src),
+            (None, Some(dst)) => (edge.src, dst),
+            _ => return false,
         };
         let slot = &self.slots[free];
         let label = if optional { slot.any_label } else { slot.label };
-        let labelled =
-            move |n| label.is_empty() || self.backend.label_of(n).is_some_and(|l| l == label);
-        Some((free, neighbours.into_iter().filter(move |&n| labelled(n) && self.passes(free, n))))
+        let mut step = |n| {
+            if (label.is_empty() || self.backend.has_label(n, label)) && self.passes(free, n) {
+                visit(free, n);
+            }
+        };
+        if src.is_some() {
+            self.backend.for_each_out(from, edge.label, &mut step);
+        } else {
+            self.backend.for_each_in(from, edge.label, &mut step);
+        }
+        true
     }
 }
 
 /// Decides whether the root expansion is worth fanning out: the backend must
-/// actually be partitioned, and the estimated work — root count scaled by a
-/// sampled first-hop fan-out (read through the *uncharged*
-/// [`GraphBackend::out_degree`] accessor, so estimation never skews the
-/// experiment counters) — must clear the configured floor.
+/// be partitioned, and the estimated work — root count scaled by a sampled
+/// first-hop fan-out (read through the *uncharged* [`GraphBackend::out_degree`],
+/// so estimation never skews the counters) — must clear the configured floor.
 fn should_fan_out(ctx: &Ctx<'_>, roots: &[VertexId], config: &ExecConfig) -> bool {
-    if !config.parallel || ctx.backend.shard_count() <= 1 {
-        return false;
-    }
-    if roots.len() < config.min_parallel_roots {
+    let sharded = config.parallel && ctx.backend.shard_count() > 1;
+    if !sharded || roots.len() < config.min_parallel_roots {
         return false;
     }
     let estimated = match ctx.edges.first() {
@@ -427,159 +456,167 @@ fn should_fan_out(ctx: &Ctx<'_>, roots: &[VertexId], config: &ExecConfig) -> boo
 }
 
 /// Parallel root fan-out: one scoped worker per shard expands the root
-/// candidates *owned by that shard*; results are merged back in root order,
+/// candidates *owned by that shard* into a binding table of its own; the
+/// per-root runs of those tables are appended to `bindings` in root order,
 /// reproducing the serial binding order exactly. Returns the number of
-/// shard workers actually spawned (shards owning no root candidate get
-/// none).
-fn fan_out_roots(ctx: &Ctx<'_>, roots: &[VertexId], bindings: &mut Vec<Binding>) -> usize {
+/// workers spawned (a shard owning no root candidate gets none).
+fn fan_out_roots(ctx: &Ctx<'_>, roots: &[VertexId], bindings: &mut Vec<Cell>) -> usize {
     let shard_count = ctx.backend.shard_count();
     let mut groups: Vec<Vec<(usize, VertexId)>> = vec![Vec::new(); shard_count];
     for (pos, &vertex) in roots.iter().enumerate() {
         groups[ctx.backend.shard_of(vertex).min(shard_count - 1)].push((pos, vertex));
     }
-    // Per-root binding lists, indexed by the root's serial position.
-    let mut per_root: Vec<(usize, Vec<Binding>)> = Vec::with_capacity(roots.len());
-    let mut workers_spawned = 0;
+    // Per worker: its table, and where each root's run ends in it.
+    let mut tables = Vec::new();
     std::thread::scope(|scope| {
         let workers: Vec<_> = groups
             .iter()
             .filter(|group| !group.is_empty())
             .map(|group| {
                 scope.spawn(move || {
-                    let mut out = Vec::with_capacity(group.len());
+                    let mut row = vec![None; ctx.slots.len()];
+                    let (mut ends, mut table) = (Vec::with_capacity(group.len()), Vec::new());
                     for &(pos, vertex) in group {
-                        let mut local = Vec::new();
-                        expand_root(ctx, vertex, &mut local);
-                        out.push((pos, local));
+                        expand_root(ctx, vertex, &mut row, &mut table);
+                        ends.push((pos, table.len()));
                     }
-                    out
+                    (ends, table)
                 })
             })
             .collect();
-        workers_spawned = workers.len();
-        for worker in workers {
-            per_root.extend(worker.join().expect("shard fan-out worker panicked"));
-        }
+        let joined = workers.into_iter().map(|w| w.join().expect("shard fan-out worker panicked"));
+        tables.extend(joined);
     });
-    per_root.sort_unstable_by_key(|(pos, _)| *pos);
-    for (_, mut local) in per_root {
-        bindings.append(&mut local);
+    let mut runs: Vec<(usize, &[Cell])> = Vec::with_capacity(roots.len());
+    for (ends, table) in &tables {
+        let starts = std::iter::once(0).chain(ends.iter().map(|&(_, end)| end));
+        runs.extend(ends.iter().zip(starts).map(|(&(pos, end), start)| (pos, &table[start..end])));
     }
-    workers_spawned
+    runs.sort_unstable_by_key(|&(pos, _)| pos);
+    runs.iter().for_each(|(_, run)| bindings.extend_from_slice(run));
+    tables.len()
 }
 
 /// Matches the whole mandatory pattern from one root candidate — the body
-/// of the serial root loop and of every shard worker alike.
-fn expand_root(ctx: &Ctx<'_>, vertex: VertexId, out: &mut Vec<Binding>) {
-    // Predicate pushdown: root candidates that fail a WHERE predicate never
-    // enter the expansion.
-    if !ctx.passes(ROOT, vertex) {
-        return;
+/// of the serial root loop and of every shard worker alike. `row` is the
+/// caller's scratch row, all cells unbound on entry and on return.
+fn expand_root(ctx: &Ctx<'_>, vertex: VertexId, row: &mut [Cell], out: &mut Vec<Cell>) {
+    // Predicate pushdown: a root failing a WHERE predicate is not expanded.
+    if ctx.passes(ROOT, vertex) {
+        row[ROOT] = Some(vertex);
+        expand(ctx, 0, row, out);
+        row[ROOT] = None;
     }
-    let mut row = vec![None; ctx.slots.len()];
-    row[ROOT] = Some(vertex);
-    expand(ctx, 0, row, out);
 }
 
-/// Recursively matches mandatory edge patterns in order.
-fn expand(ctx: &Ctx<'_>, edge_index: usize, row: Binding, out: &mut Vec<Binding>) {
-    let backend = ctx.backend;
+/// Recursively matches mandatory edge patterns in order, backtracking on the
+/// one scratch `row`: bind a cell, recurse, unbind it. A complete match is
+/// appended to `out`, the only copy made of it.
+fn expand(ctx: &Ctx<'_>, edge_index: usize, row: &mut [Cell], out: &mut Vec<Cell>) {
     let Some(edge) = ctx.edges.get(edge_index) else {
-        // All edges matched; check that every node pattern variable is bound
-        // and labelled correctly (unbound isolated patterns bind to any vertex
-        // of their label that passes its predicates).
-        let mut rows = vec![row];
-        for (slot, node) in ctx.slots.iter().enumerate().filter(|(_, slot)| slot.mandatory) {
-            if rows.iter().all(|row| row[slot].is_some()) {
-                continue;
+        // All edges matched. A mandatory variable still unbound belongs to
+        // an isolated node pattern.
+        let mut cells = ctx.slots.iter().zip(&*row);
+        let complete = cells.all(|(slot, cell)| cell.is_some() || !slot.mandatory);
+        return if complete { out.extend_from_slice(row) } else { bind_isolated(ctx, row, out) };
+    };
+    let (src, dst) = (row[edge.src], row[edge.dst]);
+    let walked = ctx.across(edge, src, dst, false, &mut |free, neighbour| {
+        row[free] = Some(neighbour);
+        expand(ctx, edge_index + 1, row, out);
+        row[free] = None;
+    });
+    if let (false, Some(src), Some(dst)) = (walked, src, dst) {
+        let mut connected = false;
+        ctx.backend.for_each_out(src, edge.label, &mut |n| connected |= n == dst);
+        if connected {
+            expand(ctx, edge_index + 1, row, out);
+        }
+    } else if !walked {
+        // Disconnected edge pattern: enumerate source candidates by label,
+        // then match the same edge again with its source bound.
+        ctx.backend.for_each_with_label(ctx.slots[edge.src].label, &mut |candidate| {
+            if ctx.passes(edge.src, candidate) {
+                row[edge.src] = Some(candidate);
+                expand(ctx, edge_index, row, out);
+                row[edge.src] = None;
             }
-            let candidates: Vec<VertexId> = backend
-                .vertices_with_label(node.label)
-                .into_iter()
-                .filter(|&candidate| ctx.passes(slot, candidate))
-                .collect();
-            let mut expanded = Vec::new();
-            for row in rows {
+        });
+    }
+}
+
+/// Completes a match whose edges left mandatory node patterns unbound: each
+/// binds to any vertex of its label that passes its predicates. The
+/// candidates of such a slot are read once, in slot order, and the match is
+/// multiplied out over them, earlier slots varying slowest.
+fn bind_isolated(ctx: &Ctx<'_>, row: &[Cell], out: &mut Vec<Cell>) {
+    let mut rows = row.to_vec();
+    for (slot, node) in ctx.slots.iter().enumerate() {
+        // With no row left nothing can match, and nothing more is read.
+        if node.mandatory && row[slot].is_none() && !rows.is_empty() {
+            let mut candidates = Vec::new();
+            ctx.backend.for_each_with_label(node.label, &mut |candidate| {
+                if ctx.passes(slot, candidate) {
+                    candidates.push(candidate);
+                }
+            });
+            let mut expanded = Vec::with_capacity(rows.len() * candidates.len());
+            for row in rows.chunks_exact(row.len()) {
                 for &candidate in &candidates {
-                    let mut next = row.clone();
-                    next[slot] = Some(candidate);
-                    expanded.push(next);
+                    expanded.extend_from_slice(row);
+                    let at = expanded.len() - row.len() + slot;
+                    expanded[at] = Some(candidate);
                 }
             }
             rows = expanded;
         }
-        out.extend(rows);
-        return;
-    };
-
-    let (src, dst) = (row[edge.src], row[edge.dst]);
-    if let Some((free, neighbours)) = ctx.across(edge, src, dst, false) {
-        for neighbour in neighbours {
-            let mut next = row.clone();
-            next[free] = Some(neighbour);
-            expand(ctx, edge_index + 1, next, out);
-        }
-    } else if let (Some(src), Some(dst)) = (src, dst) {
-        if backend.out_neighbours(src, edge.label).contains(&dst) {
-            expand(ctx, edge_index + 1, row, out);
-        }
-    } else {
-        // Disconnected edge pattern: enumerate source candidates by label,
-        // then match the same edge again with its source bound.
-        for candidate in backend.vertices_with_label(ctx.slots[edge.src].label) {
-            if !ctx.passes(edge.src, candidate) {
-                continue;
-            }
-            let mut next = row.clone();
-            next[edge.src] = Some(candidate);
-            expand(ctx, edge_index, next, out);
-        }
     }
+    out.extend(rows);
 }
 
 /// Applies the optional edges in order, left-outer style: every input row
 /// survives; rows whose optional edge matches are multiplied per match, rows
 /// without a match keep the optional variable unbound.
-fn apply_optional(ctx: &Ctx<'_>, mut current: Vec<Binding>) -> Vec<Binding> {
+fn apply_optional(ctx: &Ctx<'_>, mut current: Vec<Cell>) -> Vec<Cell> {
+    let push_bound = |next: &mut Vec<Cell>, row: &[Cell], bound: &[(usize, VertexId)]| {
+        let at = next.len();
+        next.extend_from_slice(row);
+        bound.iter().for_each(|&(slot, vertex)| next[at + slot] = Some(vertex));
+    };
     // Slots an earlier pattern part may have bound: the mandatory nodes plus
-    // everything introduced by already-processed optional edges. An edge
-    // with both endpoints outside this set is *unanchored* — the optional
-    // part starts a fresh component and must enumerate its own candidates.
+    // those of already-processed optional edges. An edge with both endpoints
+    // outside this set is *unanchored*: it starts a fresh component and must
+    // enumerate its own candidates.
     let mut introduced: Vec<bool> = ctx.slots.iter().map(|slot| slot.mandatory).collect();
     for edge in &ctx.opt_edges {
         // Candidate (src, dst) pairs for an unanchored part depend only on
         // the edge, so compute them once, not per row.
         let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
         if !introduced[edge.src] && !introduced[edge.dst] {
-            for s in ctx.backend.vertices_with_label(ctx.slots[edge.src].any_label) {
-                if !ctx.passes(edge.src, s) {
-                    continue;
+            ctx.backend.for_each_with_label(ctx.slots[edge.src].any_label, &mut |s| {
+                if ctx.passes(edge.src, s) {
+                    ctx.across(edge, Some(s), None, true, &mut |_, n| pairs.push((s, n)));
                 }
-                if let Some((_, neighbours)) = ctx.across(edge, Some(s), None, true) {
-                    pairs.extend(neighbours.map(|n| (s, n)));
-                }
-            }
+            });
         }
         let mut next = Vec::with_capacity(current.len());
-        for row in current {
-            if let Some((free, neighbours)) = ctx.across(edge, row[edge.src], row[edge.dst], true) {
-                let matches: Vec<VertexId> = neighbours.collect();
-                extend_optional(free, row, &matches, &mut next);
-            } else if row[edge.src].is_none() && !pairs.is_empty() {
+        for row in current.chunks_exact(ctx.stride) {
+            let unmatched = next.len();
+            let walked = ctx.across(edge, row[edge.src], row[edge.dst], true, &mut |free, n| {
+                push_bound(&mut next, row, &[(free, n)]);
+            });
+            if !walked && row[edge.src].is_none() && !pairs.is_empty() {
                 // Unanchored part with matches: cross-join them in, like a
                 // left outer join against a fresh component.
                 for &(s, n) in &pairs {
-                    let mut with_pair = row.clone();
-                    with_pair[edge.src] = Some(s);
-                    with_pair[edge.dst] = Some(n);
-                    next.push(with_pair);
+                    push_bound(&mut next, row, &[(edge.src, s), (edge.dst, n)]);
                 }
-            } else {
-                // Both endpoints already bound (the optional edge adds no
-                // binding, whether it exists or not), no unanchored match,
-                // or an earlier optional part that should have bound an
-                // endpoint already failed: the row survives as-is.
-                next.push(row);
+            } else if next.len() == unmatched {
+                // Nothing matched, both endpoints already bound (the edge
+                // adds no binding, whether it exists or not), no unanchored
+                // match, or an earlier optional part that should have bound
+                // an endpoint failed: the row survives as-is.
+                next.extend_from_slice(row);
             }
         }
         introduced[edge.src] = true;
@@ -589,32 +626,13 @@ fn apply_optional(ctx: &Ctx<'_>, mut current: Vec<Binding>) -> Vec<Binding> {
     current
 }
 
-/// Pushes one copy of `row` per match with `slot` bound to it — or `row`
-/// itself, `slot` left unbound, when nothing matched.
-fn extend_optional(slot: usize, mut row: Binding, matches: &[VertexId], out: &mut Vec<Binding>) {
-    if let Some((&last, rest)) = matches.split_last() {
-        for &vertex in rest {
-            let mut next = row.clone();
-            next[slot] = Some(vertex);
-            out.push(next);
-        }
-        row[slot] = Some(last);
-    }
-    out.push(row);
-}
-
 /// Evaluates a non-aggregate RETURN item against `row` (`None` for the
 /// binding-less global group of an empty match).
-fn project(ctx: &Ctx<'_>, item: &ReturnItem, row: Option<&Binding>) -> PropertyValue {
-    let (var, property) = match item {
-        ReturnItem::Property { var, property } => (var, Some(property)),
-        ReturnItem::Vertex { var } => (var, None),
-        ReturnItem::Aggregate { .. } => unreachable!("aggregates are evaluated per group"),
-    };
-    let slot = ctx.slot(var);
+fn project(ctx: &Ctx<'_>, (slot, property): Output<'_>, row: Option<&[Cell]>) -> PropertyValue {
+    let empty = || PropertyValue::Str(String::new());
     match (row.and_then(|row| row[slot?]), property) {
         (Some(vertex), Some(property)) => {
-            ctx.backend.property_of(vertex, property).unwrap_or(PropertyValue::Str(String::new()))
+            ctx.read(vertex, property, |value| value.cloned()).unwrap_or_else(empty)
         }
         (Some(vertex), None) => PropertyValue::Int(vertex.0 as i64),
         // Unmatched OPTIONAL variables pad with Null; anything else unbound
@@ -622,95 +640,97 @@ fn project(ctx: &Ctx<'_>, item: &ReturnItem, row: Option<&Binding>) -> PropertyV
         (None, _) if row.is_some() && slot.is_some_and(|slot| ctx.slots[slot].optional) => {
             PropertyValue::Null
         }
-        (None, Some(_)) => PropertyValue::Str(String::new()),
+        (None, Some(_)) => empty(),
         (None, None) => PropertyValue::Int(-1),
     }
 }
 
 /// Computes one row per aggregation group — a single global group without
 /// `GROUP BY`, one group per distinct combination of grouped vertices
-/// otherwise (groups in first-appearance order, so the output is
-/// deterministic). Also returns each row's *representative* binding index
-/// (the group's first binding), which downstream `ORDER BY` keys are
-/// evaluated against; `usize::MAX` marks the binding-less global group of an
-/// empty match (its sort keys read as `Null`).
-fn aggregate_rows(ctx: &Ctx<'_>, bindings: &[Binding]) -> (Vec<Row>, Vec<usize>) {
+/// otherwise (in first-appearance order, so the output is deterministic).
+/// Also returns each row's *representative* binding index (the group's first
+/// binding), which downstream `ORDER BY` keys are evaluated against;
+/// `usize::MAX` marks the binding-less global group of an empty match (its
+/// sort keys read as `Null`).
+fn aggregate_rows(ctx: &Ctx<'_>, bindings: &[Cell]) -> (Vec<Row>, Vec<usize>) {
     let stmt = ctx.stmt;
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    if stmt.group_by.is_empty() {
-        // The global group exists even over an empty match: COUNT of an
-        // empty set is 0, not no-answer.
-        groups.push((0..bindings.len()).collect());
-    } else {
-        let keys: Vec<Option<usize>> = stmt.group_by.iter().map(|var| ctx.slot(var)).collect();
-        let mut index: HashMap<Binding, usize> = HashMap::new();
-        for (i, binding) in bindings.iter().enumerate() {
-            let key: Binding = keys.iter().map(|&slot| binding[slot?]).collect();
-            let group = *index.entry(key).or_insert_with(|| {
-                groups.push(Vec::new());
-                groups.len() - 1
+    // The group of every binding. The global group exists even over an
+    // empty match: COUNT of an empty set is 0, not no-answer.
+    let mut group_of: Vec<usize> = vec![0; bindings.len() / ctx.stride];
+    if !stmt.group_by.is_empty() {
+        let mut index: HashMap<Vec<Cell>, usize> = HashMap::new();
+        let mut key: Vec<Cell> = Vec::with_capacity(ctx.group_by.len());
+        for (binding, group) in bindings.chunks_exact(ctx.stride).zip(&mut group_of) {
+            key.clear();
+            key.extend(ctx.group_by.iter().map(|&slot| binding[slot?]));
+            // Only a group's first binding pays for an owned key, so this
+            // allocates per group, not per binding.
+            *group = index.get(key.as_slice()).copied().unwrap_or_else(|| {
+                index.insert(key.clone(), index.len());
+                index.len() - 1
             });
-            groups[group].push(i);
         }
     }
-
+    // The bindings sorted (stably) by group, each run one group's members.
+    let mut members: Vec<usize> = (0..group_of.len()).collect();
+    members.sort_by_key(|&binding| group_of[binding]);
+    let mut groups: Vec<&[usize]> = members.chunk_by(|&a, &b| group_of[a] == group_of[b]).collect();
+    if stmt.group_by.is_empty() && groups.is_empty() {
+        groups.push(&[]);
+    }
     let mut rows = Vec::with_capacity(groups.len());
     let mut reps = Vec::with_capacity(groups.len());
-    for members in &groups {
+    for members in groups {
         // Scalar property values shared across this group's aggregates:
         // `sum(r.dose), min(r.dose), max(r.dose)` reads each property once,
-        // not once per aggregate (the reads go through the backend and are
-        // charged to AccessStats, so sharing also keeps the experiment
-        // counters proportional to the data touched).
+        // not once per aggregate (the reads are charged to AccessStats, so
+        // sharing keeps the counters proportional to the data touched).
         let mut scalars = Scalars::new();
-        let mut aggregate = |agg, var, property| {
-            group_aggregate(ctx, bindings, members, &mut scalars, agg, var, property)
+        let mut aggregate = |agg, slot, property| {
+            group_aggregate(ctx, bindings, members, &mut scalars, agg, slot, property)
         };
-        // HAVING filters whole groups *before* their row is built (and long
-        // before DISTINCT / ORDER BY / SKIP / LIMIT see it), sharing the
-        // group's scalar cache with the RETURN aggregates below. An unbound
-        // `$parameter` fails the group, mirroring WHERE semantics.
-        let passes = stmt.having.iter().all(|pred| {
+        // HAVING filters whole groups *before* their row is built (so before
+        // DISTINCT / ORDER BY / SKIP / LIMIT), sharing the scalar cache with
+        // the RETURN aggregates below. An unbound `$parameter` fails the
+        // group, mirroring WHERE semantics.
+        let passes = stmt.having.iter().zip(&ctx.having).all(|(pred, &slot)| {
             let Term::Literal(rhs) = &pred.value else {
                 return false;
             };
-            pred.op.eval(&aggregate(pred.agg, &pred.var, pred.property.as_deref()), rhs)
+            pred.op.eval(&aggregate(pred.agg, slot, pred.property.as_deref()), rhs)
         });
-        if !passes {
-            continue;
+        if passes {
+            let rep = members.first().and_then(|&i| bindings.chunks_exact(ctx.stride).nth(i));
+            let items = stmt.pattern.returns.iter().zip(&ctx.returns);
+            let row = items.map(|(item, &output)| match item {
+                ReturnItem::Aggregate { agg, .. } => aggregate(*agg, output.0, output.1),
+                // A non-aggregated item next to aggregates reads from the
+                // group's first binding — well-defined when the item's
+                // variable is a GROUP BY key, an implicit sample otherwise.
+                _ => project(ctx, output, rep),
+            });
+            rows.push(row.collect());
+            reps.push(members.first().copied().unwrap_or(usize::MAX));
         }
-        let rep = members.first().map(|&i| &bindings[i]);
-        let row = stmt.pattern.returns.iter().map(|item| match item {
-            ReturnItem::Aggregate { agg, var, property } => {
-                aggregate(*agg, var, property.as_deref())
-            }
-            // A non-aggregated item next to aggregates reads from the
-            // group's first binding — well-defined when the item's
-            // variable is a GROUP BY key, an implicit sample otherwise.
-            item => project(ctx, item, rep),
-        });
-        rows.push(row.collect());
-        reps.push(members.first().copied().unwrap_or(usize::MAX));
     }
     (rows, reps)
 }
 
-/// One group's flattened scalar values, by `(variable, property)`.
-type Scalars<'a> = HashMap<(&'a str, &'a str), Vec<PropertyValue>>;
+/// One group's flattened scalar values, by `(variable slot, property)`.
+type Scalars<'a> = HashMap<(Option<usize>, &'a str), Vec<PropertyValue>>;
 
 /// Evaluates one aggregate call — a RETURN item or the left side of a
-/// `HAVING` predicate — over a group's bindings.
+/// `HAVING` predicate — over a group's bindings; `slot` is its variable's.
 fn group_aggregate<'a>(
     ctx: &Ctx<'_>,
-    bindings: &[Binding],
+    bindings: &[Cell],
     members: &[usize],
     scalars: &mut Scalars<'a>,
     agg: Aggregate,
-    var: &'a str,
+    slot: Option<usize>,
     property: Option<&'a str>,
 ) -> PropertyValue {
-    let slot = ctx.slot(var);
-    let bound = || members.iter().filter_map(|&i| bindings[i][slot?]);
+    let bound = || members.iter().filter_map(|&i| bindings[i * ctx.stride + slot?]);
     let int = |n: usize| PropertyValue::Int(n as i64);
     let Some(property) = property else {
         return match agg {
@@ -722,26 +742,24 @@ fn group_aggregate<'a>(
         };
     };
     // `count(v.p)` counts per-binding property *presence* (a LIST is one
-    // value here), so it reads the property itself instead of the flattened
-    // scalar set.
+    // value here), so it reads the property, not the flattened scalar set.
     if agg == Aggregate::Count {
-        return int(bound().filter(|&v| ctx.backend.property_of(v, property).is_some()).count());
+        return int(bound().filter(|&v| ctx.read(v, property, |value| value.is_some())).count());
     }
-    // The scalar values of `var.property` across the group, flattening LIST
-    // values into their elements. The flattening is what keeps per-element
-    // aggregates (`SUM`/`MIN`/`MAX`/`AVG`, `COUNT(DISTINCT v.p)`,
-    // `size(COLLECT(v.p))`) correct when the DIR→OPT rewrite answers them
-    // from a replicated LIST property: the list holds one element per
-    // original edge, so the flattened multiset equals the per-binding
-    // multiset on DIR.
-    let values = scalars.entry((var, property)).or_insert_with(|| {
+    // The scalar values of `var.property` across the group, LIST values
+    // flattened into their elements. That keeps per-element aggregates
+    // (`SUM`/`MIN`/`MAX`/`AVG`, `COUNT(DISTINCT v.p)`, `size(COLLECT(v.p))`)
+    // correct when the DIR→OPT rewrite answers them from a replicated LIST
+    // property: the list holds one element per original edge, so the
+    // flattened multiset equals the per-binding multiset on DIR.
+    let values = scalars.entry((slot, property)).or_insert_with(|| {
         let mut values = Vec::new();
-        for value in bound().filter_map(|v| ctx.backend.property_of(v, property)) {
-            match value {
-                PropertyValue::List(items) => values.extend(items),
-                PropertyValue::Null => {}
-                scalar => values.push(scalar),
-            }
+        for vertex in bound() {
+            ctx.read(vertex, property, |value| match value {
+                Some(PropertyValue::List(items)) => values.extend(items.iter().cloned()),
+                Some(PropertyValue::Null) | None => {}
+                Some(scalar) => values.push(scalar.clone()),
+            });
         }
         values
     });
@@ -764,11 +782,10 @@ fn group_aggregate<'a>(
             values.iter().max_by(|a, b| order_values(a, b)).cloned().unwrap_or(PropertyValue::Null)
         }
         Aggregate::Avg => {
-            let nums: Vec<f64> = values.iter().filter_map(PropertyValue::as_float).collect();
-            if nums.is_empty() {
-                PropertyValue::Null
-            } else {
-                PropertyValue::Float(nums.iter().sum::<f64>() / nums.len() as f64)
+            let nums = || values.iter().filter_map(PropertyValue::as_float);
+            match nums().count() {
+                0 => PropertyValue::Null,
+                n => PropertyValue::Float(nums().sum::<f64>() / n as f64),
             }
         }
         Aggregate::Count => unreachable!("count(v.p) is answered above"),
@@ -780,42 +797,30 @@ fn group_aggregate<'a>(
 /// against — the row's own binding for plain rows, the group's first binding
 /// for aggregate rows (`usize::MAX` for the binding-less global group, whose
 /// keys read as `Null`).
-fn finalize_rows(ctx: &Ctx<'_>, rows: Vec<Row>, reps: &[usize], bindings: &[Binding]) -> Vec<Row> {
+fn finalize_rows(ctx: &Ctx<'_>, mut rows: Vec<Row>, reps: &[usize], bindings: &[Cell]) -> Vec<Row> {
     let stmt = ctx.stmt;
-    let mut keyed: Vec<(Row, Vec<PropertyValue>)> = if stmt.order_by.is_empty() {
-        rows.into_iter().map(|r| (r, Vec::new())).collect()
-    } else {
-        let slots: Vec<Option<usize>> = stmt.order_by.iter().map(|k| ctx.slot(&k.var)).collect();
-        rows.into_iter()
-            .zip(reps)
-            .map(|(row, &rep)| {
-                let keys = stmt
-                    .order_by
-                    .iter()
-                    .zip(&slots)
-                    .map(|(key, &slot)| {
-                        bindings
-                            .get(rep)
-                            .and_then(|binding| binding[slot?])
-                            .and_then(|v| ctx.backend.property_of(v, &key.property))
-                            .unwrap_or(PropertyValue::Null)
-                    })
-                    .collect();
-                (row, keys)
-            })
-            .collect()
-    };
-
     // Sorting before DISTINCT makes the result independent of binding
-    // enumeration order: with equal sort keys (or a sort key that is not
-    // part of the returned row) the row content breaks the tie, so DIR and
-    // OPT executions of equivalent statements produce identically ordered
-    // rows. The surviving set is the same as deduplicating first.
+    // enumeration order: with equal sort keys (or a key that is not part of
+    // the returned row) the row content breaks the tie, so DIR and OPT
+    // executions of equivalent statements produce identically ordered rows.
+    // The surviving set is the same as deduplicating first.
     if !stmt.order_by.is_empty() {
-        let reprs: Vec<String> = keyed.iter().map(|(row, _)| format!("{row:?}")).collect();
-        let mut order: Vec<usize> = (0..keyed.len()).collect();
+        // The sort keys of all rows, `order_by.len()` to a row.
+        let width = stmt.order_by.len();
+        let mut keys: Vec<PropertyValue> = Vec::with_capacity(rows.len() * width);
+        for &rep in reps {
+            let binding = bindings.chunks_exact(ctx.stride).nth(rep);
+            keys.extend(stmt.order_by.iter().zip(&ctx.order_by).map(|(key, &slot)| {
+                binding
+                    .and_then(|binding| binding[slot?])
+                    .and_then(|v| ctx.read(v, &key.property, |value| value.cloned()))
+                    .unwrap_or(PropertyValue::Null)
+            }));
+        }
+        let reprs: Vec<String> = rows.iter().map(|row| format!("{row:?}")).collect();
+        let mut order: Vec<usize> = (0..rows.len()).collect();
         order.sort_by(|&ia, &ib| {
-            let (a, b) = (&keyed[ia].1, &keyed[ib].1);
+            let (a, b) = (&keys[ia * width..][..width], &keys[ib * width..][..width]);
             for (key, (x, y)) in stmt.order_by.iter().zip(a.iter().zip(b.iter())) {
                 let ord = order_values(x, y);
                 let ord = if key.descending { ord.reverse() } else { ord };
@@ -825,20 +830,15 @@ fn finalize_rows(ctx: &Ctx<'_>, rows: Vec<Row>, reps: &[usize], bindings: &[Bind
             }
             reprs[ia].cmp(&reprs[ib])
         });
-        let mut sorted = Vec::with_capacity(keyed.len());
-        for index in order {
-            sorted.push(std::mem::take(&mut keyed[index]));
-        }
-        keyed = sorted;
+        rows = order.into_iter().map(|index| std::mem::take(&mut rows[index])).collect();
     }
 
     if stmt.distinct {
-        let mut seen: HashSet<String> = HashSet::with_capacity(keyed.len());
-        keyed.retain(|(row, _)| seen.insert(format!("{row:?}")));
+        let mut seen: HashSet<String> = HashSet::with_capacity(rows.len());
+        rows.retain(|row| seen.insert(format!("{row:?}")));
     }
 
     // An unbound `$parameter` window resolves to no skip, no limit.
-    let mut rows: Vec<Row> = keyed.into_iter().map(|(row, _)| row).collect();
     if let Some(skip) = stmt.skip.as_ref().and_then(CountTerm::count) {
         rows = rows.split_off(skip.min(rows.len()));
     }

@@ -1,0 +1,162 @@
+//! Allocation budget of the executor: the invariant the repository
+//! benchmark's `allocs_per_query` comes from.
+//!
+//! The executor reads through the backend's borrowed forms and keeps its
+//! matches in one flat table, so a query allocates per returned row and
+//! value, and per aggregation group — never per candidate, per neighbour or
+//! per match. Every case below runs at two sizes and bounds the *slope*
+//! between them; a fixed cost (the resolved statement, the scratch row, a
+//! vector doubling a few more times) does not count against it.
+
+use pgso_graphstore::{props, GraphBackend, MemoryGraph, VertexId};
+use pgso_query::{execute_statement_with, Aggregate, CmpOp, ExecConfig, Statement};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    // Const-initialised and without a destructor, so the allocator can touch
+    // it without allocating. Per thread: tests run in parallel.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` unchanged; the only added work is
+// bumping a thread-local integer, which cannot affect the returned memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: same contract as the caller's.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations (and reallocations) one serial execution of `stmt`
+/// makes on this thread, with the number of matches and rows it found.
+fn execution(stmt: &Statement, graph: &MemoryGraph) -> (u64, usize, usize) {
+    // Built outside the measured region: the first `ExecConfig` of a process
+    // probes the CPU count, which allocates.
+    let config = ExecConfig::serial();
+    let before = ALLOCATIONS.with(Cell::get);
+    let result = execute_statement_with(stmt, graph, &config);
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    (allocations, result.matches, result.rows.len())
+}
+
+/// `drugs` Drug vertices, each treating `fan_out` Indications of its own,
+/// each of those with `fan_out` Symptoms of its own; every vertex is named.
+fn tree(drugs: usize, fan_out: usize) -> MemoryGraph {
+    let mut graph = MemoryGraph::new();
+    let named = |graph: &mut MemoryGraph, label: &str, name: String| -> VertexId {
+        graph.add_vertex(label, props([("name", name.into())]))
+    };
+    for d in 0..drugs {
+        let drug = named(&mut graph, "Drug", format!("drug-{d}"));
+        for i in 0..fan_out {
+            let indication = named(&mut graph, "Indication", format!("indication-{d}-{i}"));
+            graph.add_edge("treat", drug, indication);
+            for s in 0..fan_out {
+                let symptom = named(&mut graph, "Symptom", format!("symptom-{d}-{i}-{s}"));
+                graph.add_edge("show", indication, symptom);
+            }
+        }
+    }
+    graph
+}
+
+#[test]
+fn a_rejecting_label_scan_allocates_the_same_at_any_size() {
+    let stmt = Statement::builder("scan")
+        .node("d", "Drug")
+        .ret_property("d", "name")
+        .filter("d", "name", CmpOp::Eq, "no such drug")
+        .build();
+    let (small, ..) = execution(&stmt, &tree(100, 0));
+    let (large, matches, rows) = execution(&stmt, &tree(1_000, 0));
+    assert_eq!((matches, rows), (0, 0));
+    assert_eq!(small, large, "allocations must not depend on the candidates rejected");
+}
+
+#[test]
+fn a_two_hop_match_allocates_per_returned_row_and_value() {
+    let stmt = Statement::builder("two-hop")
+        .node("d", "Drug")
+        .node("i", "Indication")
+        .node("s", "Symptom")
+        .edge("d", "treat", "i")
+        .edge("i", "show", "s")
+        .ret_property("d", "name")
+        .ret_property("s", "name")
+        .build();
+    let columns = 2.0;
+    let (small, small_matches, _) = execution(&stmt, &tree(10, 2));
+    let (large, large_matches, rows) = execution(&stmt, &tree(10, 10));
+    assert_eq!((small_matches, large_matches, rows), (40, 1_000, 1_000));
+    // One row vector and one string per column for each further match; the
+    // slack covers the result and match tables doubling a few more times.
+    let slope = (large - small) as f64 / (large_matches - small_matches) as f64;
+    assert!(
+        slope <= 1.0 + columns + 0.05,
+        "{slope} allocations per match ({small} for 40 matches, {large} for 1000)"
+    );
+}
+
+#[test]
+fn grouped_counts_allocate_per_group_not_per_binding() {
+    let stmt = Statement::builder("grouped")
+        .node("d", "Drug")
+        .node("i", "Indication")
+        .edge("d", "treat", "i")
+        .ret_property("d", "name")
+        .ret_aggregate(Aggregate::Count, "i", None)
+        .group_by("d")
+        .build();
+    let (base, base_matches, base_rows) = execution(&stmt, &tree(20, 5));
+    let (more_bindings, matches, rows) = execution(&stmt, &tree(20, 50));
+    assert_eq!((base_matches, base_rows, matches, rows), (100, 20, 1_000, 20));
+    // Ten times the bindings in the same groups: only the tables that hold
+    // them double a few more times.
+    assert!(
+        more_bindings <= base + 8,
+        "{base} allocations for 100 bindings, {more_bindings} for 1000, both in 20 groups"
+    );
+    let (more_groups, matches, rows) = execution(&stmt, &tree(40, 5));
+    assert_eq!((matches, rows), (200, 40));
+    // A group costs its key, its row and the value in it, plus its share of
+    // the group index growing.
+    let slope = (more_groups - base) as f64 / 20.0;
+    assert!(slope <= 4.0, "{slope} allocations per further group ({base} → {more_groups})");
+}
+
+/// The counter itself: a test that could not fail proves nothing.
+#[test]
+fn the_counter_counts() {
+    let before = ALLOCATIONS.with(Cell::get);
+    let graph = tree(3, 0);
+    assert!(ALLOCATIONS.with(Cell::get) - before >= 3, "three vertices allocate");
+    assert_eq!(graph.vertex_count(), 3);
+}

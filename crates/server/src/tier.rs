@@ -112,28 +112,28 @@ impl GraphBackend for TempDiskGraph {
         self.graph.vertex(id)
     }
 
-    fn label_of(&self, id: VertexId) -> Option<String> {
-        self.graph.label_of(id)
+    fn has_label(&self, id: VertexId, label: &str) -> bool {
+        self.graph.has_label(id, label)
     }
 
-    fn property_of(&self, id: VertexId, name: &str) -> Option<PropertyValue> {
-        self.graph.property_of(id, name)
+    fn with_property(&self, id: VertexId, name: &str, f: &mut dyn FnMut(Option<&PropertyValue>)) {
+        self.graph.with_property(id, name, f)
     }
 
-    fn vertices_with_label(&self, label: &str) -> Vec<VertexId> {
-        self.graph.vertices_with_label(label)
+    fn for_each_with_label(&self, label: &str, f: &mut dyn FnMut(VertexId)) {
+        self.graph.for_each_with_label(label, f)
     }
 
     fn labels(&self) -> Vec<String> {
         self.graph.labels()
     }
 
-    fn out_neighbours(&self, vertex: VertexId, edge_label: &str) -> Vec<VertexId> {
-        self.graph.out_neighbours(vertex, edge_label)
+    fn for_each_out(&self, vertex: VertexId, edge_label: &str, f: &mut dyn FnMut(VertexId)) {
+        self.graph.for_each_out(vertex, edge_label, f)
     }
 
-    fn in_neighbours(&self, vertex: VertexId, edge_label: &str) -> Vec<VertexId> {
-        self.graph.in_neighbours(vertex, edge_label)
+    fn for_each_in(&self, vertex: VertexId, edge_label: &str, f: &mut dyn FnMut(VertexId)) {
+        self.graph.for_each_in(vertex, edge_label, f)
     }
 
     fn out_degree(&self, vertex: VertexId, edge_label: &str) -> usize {

@@ -9,10 +9,13 @@ use std::time::Duration;
 /// match) stay at zero, so the struct is cheap to populate unconditionally.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
-    /// Selecting root vertices for the match pattern.
+    /// Collecting the root candidates of the match pattern into a list —
+    /// which only the shard fan-out path does (a partitioned backend with
+    /// parallel execution enabled), so the field is zero everywhere else:
+    /// root candidates visited in place are timed under `expansion`.
     pub root_selection: Duration,
-    /// Pattern expansion — per-shard fan-out (or the serial walk) plus
-    /// predicate checks along the way.
+    /// Pattern expansion — per-shard fan-out (or the serial walk, root
+    /// candidate scan included) plus predicate checks along the way.
     pub expansion: Duration,
     /// OPTIONAL clause evaluation.
     pub optional: Duration,
