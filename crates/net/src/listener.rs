@@ -119,8 +119,7 @@ struct ConnectionStats {
     open: AtomicBool,
 }
 
-/// Snapshot of one connection's wire accounting — the per-connection
-/// counterpart of [`pgso_server::WorkloadRunReport`]'s per-shard stats.
+/// Snapshot of one connection's wire accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConnectionReport {
     /// Accept-order connection id.
@@ -138,8 +137,7 @@ pub struct ConnectionReport {
 }
 
 /// Wire-path accounting for a whole listener: totals plus the
-/// per-connection breakdown, mirroring how [`pgso_server::WorkloadRunReport`]
-/// breaks storage work down per shard.
+/// per-connection breakdown.
 #[derive(Debug, Clone)]
 pub struct NetRunReport {
     /// Connections ever accepted.
@@ -454,8 +452,7 @@ impl KgListener {
             .collect()
     }
 
-    /// Totals plus the per-connection breakdown (the wire-path analogue of
-    /// [`pgso_server::WorkloadRunReport`]).
+    /// Totals plus the per-connection breakdown.
     pub fn run_report(&self) -> NetRunReport {
         let per_connection = self.connection_reports();
         NetRunReport {

@@ -252,6 +252,10 @@ pub enum BindError {
         /// The undeclared name.
         name: String,
     },
+    /// The prepared-statement handle was not issued by the server asked to
+    /// execute it (another server's handle, or one from before a rebuild) —
+    /// reported by the serving layer, never by [`Statement::bind`].
+    UnknownStatement,
 }
 
 impl fmt::Display for BindError {
@@ -263,6 +267,9 @@ impl fmt::Display for BindError {
             }
             BindError::Unknown { name } => {
                 write!(f, "parameter ${name} is not declared by the statement")
+            }
+            BindError::UnknownStatement => {
+                write!(f, "prepared statement was not issued by this server")
             }
         }
     }

@@ -10,17 +10,23 @@
 //!
 //! The query surface is a **prepare/execute contract**:
 //!
-//! * [`KgServer::prepare_text`] / [`KgServer::prepare_statement`] register a
-//!   statement — `$name` parameters included — once, returning a
-//!   [`PreparedStatement`] handle that carries the statement's typed
-//!   parameter signature;
+//! * [`KgServer::prepare_text`] registers a statement — `$name` parameters
+//!   included — once, returning a [`PreparedStatement`] handle that carries
+//!   the statement's typed parameter signature;
 //! * [`KgServer::execute`] binds a [`Params`] set **by name** against that
 //!   signature (a [`BindError`] on anything missing, mismatched or
-//!   undeclared) and runs the cached plan;
+//!   undeclared, or on a handle another server issued) and runs the cached
+//!   plan;
 //! * [`KgServer::serve_text`] is the ad-hoc path, implemented as parse →
 //!   auto-parameterize → execute: literal constants canonicalize into
 //!   generated parameters, so value-varying requests of one shape share a
-//!   single cached plan without any literal-splicing machinery.
+//!   single cached plan without any literal-splicing machinery. An
+//!   `EXPLAIN` / `PROFILE` prefix returns the typed [`QueryPlan`] as tagged
+//!   rows ([`QueryPlan::from_rows`] rebuilds it) — in process exactly as
+//!   over the wire.
+//!
+//! Typed [`pgso_query::Query`] / [`Statement`] values reach the server
+//! through their `Display` text, which re-parses to an equal statement.
 //!
 //! Behind that surface the **plan cache** maps statement fingerprints to
 //! DIR→OPT rewrites of the *parameterized* statement, tagged with the schema
@@ -66,17 +72,20 @@ use pgso_pgschema::PropertyGraphSchema;
 use pgso_query::{
     emit_exec_trace, execute_statement_with, fingerprint_statement, parse_named, rewrite_statement,
     rewrite_statement_traced, strip_directive, AppliedRule, BindError, ExecConfig, ParamSignature,
-    Params, ParseError, PlanActuals, Query, QueryMode, QueryPlan, QueryResult, Statement,
+    Params, ParseError, PlanActuals, QueryMode, QueryPlan, QueryResult, Statement,
 };
 use pgso_telemetry::{
     current_trace_id, FieldValue, MetricsRegistry, MetricsSnapshot, StageTimings, TraceEvent,
     WindowRates, WINDOW_SECS,
 };
 use std::io;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+// ==== engine ====
 
 /// Serving-layer configuration.
 #[derive(Debug, Clone, Copy)]
@@ -127,14 +136,6 @@ pub struct ServerConfig {
     /// the statement fingerprint, a hash of the bound parameters, and the
     /// per-stage timings. `None` (the default) disables the slow-query log.
     pub slow_query_log_threshold: Option<Duration>,
-    /// Capacity of the structured trace ring (events retained before the
-    /// oldest are overwritten).
-    pub trace_capacity: usize,
-    /// Cap on distinct `prepared.<id>.latency` metric series. The first
-    /// this-many prepared ids get their own series; later ones share
-    /// `prepared.other.latency`, so a workload preparing statements without
-    /// bound cannot grow the metrics registry without bound.
-    pub prepared_series_limit: usize,
 }
 
 impl Default for ServerConfig {
@@ -151,8 +152,6 @@ impl Default for ServerConfig {
             ingest: IngestConfig::default(),
             telemetry_enabled: true,
             slow_query_log_threshold: None,
-            trace_capacity: 1024,
-            prepared_series_limit: crate::telemetry::DEFAULT_PREPARED_SERIES_LIMIT,
         }
     }
 }
@@ -160,8 +159,8 @@ impl Default for ServerConfig {
 /// Where a server's telemetry instruments live.
 ///
 /// The default, [`TelemetrySink::Private`], gives the server its own
-/// [`MetricsRegistry`] — the single-server behaviour every existing
-/// constructor keeps. [`TelemetrySink::Shared`] resolves the instruments
+/// [`MetricsRegistry`] — what [`KgServer::new`], [`KgServer::new_persistent`]
+/// and [`KgServer::recover`] use. [`TelemetrySink::Shared`] resolves the instruments
 /// inside an **existing** registry under a per-server name prefix, which is
 /// how a multi-tenant host (`pgso-tenant`) shares one exposition across
 /// tenants without metric-name collisions: tenant `alpha`'s serve latency is
@@ -186,18 +185,12 @@ pub enum TelemetrySink {
 }
 
 impl TelemetrySink {
-    fn build(&self, config: &ServerConfig) -> Arc<ServerTelemetry> {
-        Arc::new(match self {
-            TelemetrySink::Private => {
-                ServerTelemetry::with_limits(config.trace_capacity, config.prepared_series_limit)
-            }
-            TelemetrySink::Shared { registry, prefix } => ServerTelemetry::with_registry(
-                registry.clone(),
-                prefix.clone(),
-                config.trace_capacity,
-                config.prepared_series_limit,
-            ),
-        })
+    fn build(&self) -> Arc<ServerTelemetry> {
+        let (registry, prefix) = match self {
+            TelemetrySink::Private => (Arc::new(MetricsRegistry::new()), String::new()),
+            TelemetrySink::Shared { registry, prefix } => (registry.clone(), prefix.clone()),
+        };
+        Arc::new(ServerTelemetry::new(registry, prefix))
     }
 }
 
@@ -234,7 +227,7 @@ pub struct Epoch {
     pub schema: PropertyGraphSchema,
     // `GraphBackend` has `Send + Sync` supertraits, so the bare trait object
     // is already shareable across serving threads.
-    graph: Box<dyn GraphBackend>,
+    pub(crate) graph: Box<dyn GraphBackend>,
 }
 
 impl Epoch {
@@ -269,55 +262,6 @@ impl std::fmt::Debug for Epoch {
     }
 }
 
-/// Identity of a registered prepared statement: its dense registration
-/// index. Stable across epoch swaps, and — on a persistent server — across
-/// [`KgServer::recover`], which re-registers the persisted statements in
-/// their original order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PreparedId(usize);
-
-/// Handle returned by the [`KgServer::prepare`] family: the statement's
-/// registration id plus its typed parameter signature
-/// ([`pgso_query::ParamSignature`]).
-///
-/// The handle is the execution contract. [`KgServer::execute`] binds a
-/// [`Params`] set against the signature **by name** — a missing, mismatched
-/// or undeclared parameter is a [`BindError`], never a silently mis-bound
-/// value (which is what the positional literal rebinding this replaces could
-/// do when two literals swapped roles).
-#[derive(Debug, Clone)]
-pub struct PreparedStatement {
-    id: PreparedId,
-    signature: Arc<ParamSignature>,
-}
-
-impl PreparedStatement {
-    /// The registration id.
-    pub fn id(&self) -> PreparedId {
-        self.id
-    }
-
-    /// The statement's declared parameters.
-    pub fn signature(&self) -> &ParamSignature {
-        &self.signature
-    }
-}
-
-struct PreparedEntry {
-    fingerprint: u64,
-    stmt: Arc<Statement>,
-    signature: Arc<ParamSignature>,
-    /// Text form persisted in snapshots / the WAL so the registry survives
-    /// recovery (statements round-trip through the parser).
-    text: String,
-    /// True when `text` re-parses to a structurally equal statement. The
-    /// literal grammar is total over [`pgso_graphstore::PropertyValue`], so
-    /// this only fails for exotica (`NaN` literals, which are never equal to
-    /// themselves, or identifiers outside the grammar); such entries are
-    /// excluded from persistence rather than bricking recovery.
-    persistable: bool,
-}
-
 /// Outcome of one drift check that crossed the threshold.
 #[derive(Debug, Clone)]
 pub struct ReoptimizationEvent {
@@ -330,36 +274,6 @@ pub struct ReoptimizationEvent {
     /// True if a new epoch was swapped in (false when the re-optimized
     /// schema came out identical).
     pub swapped: bool,
-}
-
-/// Report of a multi-threaded workload replay.
-#[derive(Debug, Clone)]
-pub struct WorkloadRunReport {
-    /// Queries served.
-    pub served: u64,
-    /// Wall-clock duration of the replay.
-    pub elapsed: Duration,
-    /// Threads used.
-    pub threads: usize,
-    /// Storage shards of the epoch the replay started on.
-    pub shard_count: usize,
-    /// Backend work performed during the replay, broken down per shard
-    /// (single-element for a monolithic epoch). Summing the entries gives the
-    /// replay's total storage work; the spread shows how evenly the router
-    /// balanced it.
-    pub per_shard_stats: Vec<AccessStats>,
-}
-
-impl WorkloadRunReport {
-    /// Aggregate throughput in queries per second.
-    pub fn queries_per_second(&self) -> f64 {
-        self.served as f64 / self.elapsed.as_secs_f64().max(1e-12)
-    }
-
-    /// Total backend work of the replay (sum of the per-shard entries).
-    pub fn total_stats(&self) -> AccessStats {
-        self.per_shard_stats.iter().fold(AccessStats::default(), |acc, s| acc.merged(s))
-    }
 }
 
 /// Point-in-time liveness summary: engine progress counters plus rolling
@@ -383,72 +297,6 @@ pub struct HealthSummary {
     pub trace_dropped: u64,
 }
 
-/// Renders a [`QueryPlan`] as a [`QueryResult`] so EXPLAIN/PROFILE flow
-/// through every result surface unchanged: the plan travels as tagged rows
-/// (see [`QueryPlan::to_rows`]) that the wire streams like any result and
-/// clients rebuild with [`QueryPlan::from_rows`]. PROFILE copies its actuals
-/// into the result's own accounting fields too.
-fn plan_query_result(plan: &QueryPlan) -> QueryResult {
-    let rows = plan.to_rows();
-    let actuals = plan.actuals.as_ref();
-    QueryResult {
-        matches: rows.len(),
-        rows,
-        elapsed: actuals.map(|a| Duration::from_nanos(a.elapsed_ns)).unwrap_or_default(),
-        stats: actuals
-            .map(|a| AccessStats {
-                vertex_reads: a.vertex_reads,
-                edge_traversals: a.edge_traversals,
-                page_reads: a.page_reads,
-                page_hits: a.page_hits,
-            })
-            .unwrap_or_default(),
-        predicate_checks: actuals.map(|a| a.predicate_checks).unwrap_or(0),
-        stage_timings: StageTimings::default(),
-    }
-}
-
-/// Resets a flag on drop so a panicking re-optimization cannot wedge the
-/// server into "somebody is already re-optimizing" forever.
-struct FlagGuard<'a>(&'a AtomicBool);
-
-impl Drop for FlagGuard<'_> {
-    fn drop(&mut self) {
-        self.0.store(false, Ordering::Release);
-    }
-}
-
-/// Mutable ingest bookkeeping, behind one mutex so ingest calls serialize
-/// (readers are untouched — they only clone the epoch `Arc`).
-struct IngestState {
-    /// Construction journal of the current schema's base load (what
-    /// `load_into` produced). Re-derived on every schema swap.
-    base_journal: Vec<GraphUpdate>,
-    /// Ingested updates already published into the serving epoch; the
-    /// epoch's graph is exactly `base_journal ++ ingested`.
-    ingested: Vec<GraphUpdate>,
-    /// Updates durably logged (when persistence is on) but not yet visible
-    /// to readers.
-    pending: Vec<GraphUpdate>,
-    /// When the last publishing swap happened.
-    last_publish: Instant,
-}
-
-/// Durable side of the server: WAL writer + snapshot generation counter.
-struct PersistHandle {
-    config: PersistConfig,
-    inner: Mutex<PersistInner>,
-}
-
-struct PersistInner {
-    wal: WalWriter,
-    generation: u64,
-    last_checkpoint: Instant,
-    /// In-flight background snapshot write, joined before the next rotation
-    /// (and on drop) so errors surface instead of vanishing with the thread.
-    snapshot_thread: Option<JoinHandle<io::Result<()>>>,
-}
-
 /// Outcome of one [`KgServer::ingest`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestReport {
@@ -468,303 +316,189 @@ pub struct IngestReport {
 
 /// Thread-safe knowledge-graph serving engine. See the module docs.
 pub struct KgServer {
+    pub(crate) ontology: Ontology,
+    pub(crate) statistics: DataStatistics,
+    pub(crate) instance: InstanceKg,
+    pub(crate) config: ServerConfig,
+    pub(crate) epoch: RwLock<Arc<Epoch>>,
+    pub(crate) plan_cache: PlanCache,
+    pub(crate) prepared: RwLock<Vec<PreparedEntry>>,
+    pub(crate) tracker: WorkloadTracker,
+    /// Frequencies the current schema was optimized for.
+    pub(crate) baseline: Mutex<AccessFrequencies>,
+    pub(crate) served: AtomicU64,
+    pub(crate) reoptimizing: AtomicBool,
+    pub(crate) events: Mutex<Vec<ReoptimizationEvent>>,
+    pub(crate) ingest: Mutex<IngestState>,
+    pub(crate) persist: Option<PersistHandle>,
+    /// `Some` when [`ServerConfig::telemetry_enabled`]; shared with every
+    /// WAL writer the server opens and with background snapshot threads.
+    pub(crate) telemetry: Option<Arc<ServerTelemetry>>,
+}
+
+/// Everything a fresh build and a recovery hand to the one assembly
+/// function: the first epoch and the learned state that goes with it.
+pub(crate) struct Start {
+    pub(crate) epoch: Epoch,
+    pub(crate) tracker: WorkloadTracker,
+    /// Frequencies `epoch.schema` was optimized for.
+    pub(crate) baseline: AccessFrequencies,
+    pub(crate) base_journal: Vec<GraphUpdate>,
+    pub(crate) ingested: Vec<GraphUpdate>,
+    /// WAL / snapshot generation a persistent server opens.
+    pub(crate) generation: u64,
+    /// Persisted prepared-statement texts, in registration order.
+    pub(crate) prepared: Vec<String>,
+}
+
+/// The one way to build a [`KgServer`]: the inputs every server needs, then
+/// [`config`](Self::config), [`persist`](Self::persist) and
+/// [`telemetry_sink`](Self::telemetry_sink) as wanted, closed by
+/// [`build`](Self::build) (a fresh server) or [`recover`](Self::recover) (a
+/// killed one). See [`KgServer::builder`].
+#[derive(Debug)]
+pub struct KgServerBuilder {
     ontology: Ontology,
     statistics: DataStatistics,
     instance: InstanceKg,
     config: ServerConfig,
-    epoch: RwLock<Arc<Epoch>>,
-    plan_cache: PlanCache,
-    prepared: RwLock<Vec<PreparedEntry>>,
-    tracker: WorkloadTracker,
-    /// Frequencies the current schema was optimized for.
-    baseline: Mutex<AccessFrequencies>,
-    served: AtomicU64,
-    reoptimizing: AtomicBool,
-    events: Mutex<Vec<ReoptimizationEvent>>,
-    ingest: Mutex<IngestState>,
-    persist: Option<PersistHandle>,
-    /// `Some` when [`ServerConfig::telemetry_enabled`]; shared with every
-    /// WAL writer the server opens and with background snapshot threads.
-    telemetry: Option<Arc<ServerTelemetry>>,
+    persist: Option<PersistConfig>,
+    sink: TelemetrySink,
 }
 
-impl KgServer {
-    /// Builds a server: optimizes the initial schema for
-    /// `initial_frequencies` with PGSG, loads `instance` under it, and starts
-    /// serving at epoch 0.
-    pub fn new(
-        ontology: Ontology,
-        statistics: DataStatistics,
-        instance: InstanceKg,
-        initial_frequencies: AccessFrequencies,
-        config: ServerConfig,
-    ) -> Self {
-        Self::new_with_sink(
-            ontology,
-            statistics,
-            instance,
-            initial_frequencies,
-            config,
-            TelemetrySink::Private,
-        )
+impl KgServerBuilder {
+    /// Serving configuration (default: [`ServerConfig::default`]).
+    pub fn config(mut self, config: ServerConfig) -> Self {
+        self.config = config;
+        self
     }
 
-    /// [`KgServer::new`] with an explicit [`TelemetrySink`]: a multi-tenant
-    /// host passes [`TelemetrySink::Shared`] so this server's instruments
-    /// land prefixed in the host's registry.
-    pub fn new_with_sink(
-        ontology: Ontology,
-        statistics: DataStatistics,
-        instance: InstanceKg,
-        initial_frequencies: AccessFrequencies,
-        config: ServerConfig,
-        sink: TelemetrySink,
-    ) -> Self {
-        Self::build(ontology, statistics, instance, initial_frequencies, config, None, sink)
-            .expect("in-memory construction cannot fail")
+    /// Attaches durability: a write-ahead log for [`KgServer::ingest`] and
+    /// snapshot generations under `persist.dir`. Required by
+    /// [`recover`](Self::recover).
+    pub fn persist(mut self, persist: PersistConfig) -> Self {
+        self.persist = Some(persist);
+        self
     }
 
-    /// Builds a server like [`KgServer::new`] and attaches durability: the
+    /// Where the server's instruments live (default:
+    /// [`TelemetrySink::Private`]). A multi-tenant host passes
+    /// [`TelemetrySink::Shared`] so they land prefixed in its registry.
+    pub fn telemetry_sink(mut self, sink: TelemetrySink) -> Self {
+        self.sink = sink;
+        self
+    }
+
+    /// Builds a fresh server: optimizes the initial schema for
+    /// `initial_frequencies` with PGSG, loads the instance under it, and
+    /// starts serving at epoch 0. With [`persist`](Self::persist), the
     /// initial epoch is written as snapshot generation 0 and a write-ahead
-    /// log is opened for [`KgServer::ingest`]. Use [`KgServer::recover`] on
-    /// restart.
+    /// log is opened.
     ///
     /// # Errors
-    /// Fails with [`io::ErrorKind::AlreadyExists`] when the directory
-    /// already holds snapshot or WAL generations — a fresh server's
-    /// snapshot would *not* subsume them, so proceeding (and later pruning)
-    /// would destroy previously persisted state. Recover from the
-    /// directory, or point the server at an empty one.
-    pub fn new_persistent(
-        ontology: Ontology,
-        statistics: DataStatistics,
-        instance: InstanceKg,
-        initial_frequencies: AccessFrequencies,
-        config: ServerConfig,
-        persist: PersistConfig,
-    ) -> io::Result<Self> {
-        Self::new_persistent_with_sink(
-            ontology,
-            statistics,
-            instance,
-            initial_frequencies,
-            config,
-            persist,
-            TelemetrySink::Private,
-        )
-    }
-
-    /// [`KgServer::new_persistent`] with an explicit [`TelemetrySink`].
-    pub fn new_persistent_with_sink(
-        ontology: Ontology,
-        statistics: DataStatistics,
-        instance: InstanceKg,
-        initial_frequencies: AccessFrequencies,
-        config: ServerConfig,
-        persist: PersistConfig,
-        sink: TelemetrySink,
-    ) -> io::Result<Self> {
-        Self::build(
-            ontology,
-            statistics,
-            instance,
-            initial_frequencies,
-            config,
-            Some(persist),
-            sink,
-        )
-    }
-
-    fn build(
-        ontology: Ontology,
-        statistics: DataStatistics,
-        instance: InstanceKg,
-        initial_frequencies: AccessFrequencies,
-        config: ServerConfig,
-        persist: Option<PersistConfig>,
-        sink: TelemetrySink,
-    ) -> io::Result<Self> {
-        let input = OptimizerInput::new(&ontology, &statistics, &initial_frequencies);
-        let schema = pgso_core::optimize_pgsg(input, &config.optimizer).chosen.schema;
-        let (graph, base_journal) =
-            build_graph(&ontology, &schema, &instance, config.storage_tier, config.shard_count);
-        let tracker = WorkloadTracker::new(&ontology);
-        let telemetry = config.telemetry_enabled.then(|| sink.build(&config));
-        compile_for_serving(graph.as_ref(), config.storage_tier, telemetry.as_ref());
-        let persist = match persist {
-            None => None,
-            Some(cfg) => {
-                std::fs::create_dir_all(&cfg.dir)?;
-                if let Some(generation) = latest_generation(&cfg.dir)? {
-                    return Err(io::Error::new(
-                        io::ErrorKind::AlreadyExists,
-                        format!(
-                            "{} already holds persisted generations (latest {generation}); \
-                             use KgServer::recover or an empty directory",
-                            cfg.dir.display()
-                        ),
-                    ));
-                }
-                let generation = 0;
-                let mut wal = WalWriter::create(wal_path(&cfg.dir, generation), cfg.fsync)?;
-                wal.set_telemetry(telemetry.as_ref().map(|t| t.wal.clone()));
-                Some(PersistHandle {
-                    config: cfg,
-                    inner: Mutex::new(PersistInner {
-                        wal,
-                        generation,
-                        last_checkpoint: Instant::now(),
-                        snapshot_thread: None,
-                    }),
-                })
-            }
+    /// Only with persistence attached. [`io::ErrorKind::AlreadyExists`]
+    /// when the directory already holds snapshot or WAL generations — a
+    /// fresh server's snapshot would *not* subsume them, so proceeding (and
+    /// later pruning) would destroy previously persisted state. Recover
+    /// from the directory, or point the server at an empty one.
+    pub fn build(self, initial_frequencies: AccessFrequencies) -> io::Result<KgServer> {
+        if let Some(persist) = &self.persist {
+            claim_fresh_dir(&persist.dir)?;
+        }
+        let telemetry = self.telemetry();
+        let input = OptimizerInput::new(&self.ontology, &self.statistics, &initial_frequencies);
+        let schema = pgso_core::optimize_pgsg(input, &self.config.optimizer).chosen.schema;
+        let (graph, base_journal) = build_graph(
+            &self.ontology,
+            &schema,
+            &self.instance,
+            self.config.storage_tier,
+            self.config.shard_count,
+        );
+        compile_for_serving(graph.as_ref(), self.config.storage_tier, telemetry.as_ref());
+        let start = Start {
+            epoch: Epoch { number: 0, schema_generation: 0, schema, graph },
+            tracker: WorkloadTracker::new(&self.ontology),
+            baseline: initial_frequencies,
+            base_journal,
+            ingested: Vec::new(),
+            generation: 0,
+            prepared: Vec::new(),
         };
-        let server = Self {
-            epoch: RwLock::new(Arc::new(Epoch { number: 0, schema_generation: 0, schema, graph })),
-            plan_cache: PlanCache::new(config.plan_cache_capacity),
+        self.assemble(telemetry, start)
+    }
+
+    /// Resurrects a persistent server from its [`persist`](Self::persist)
+    /// directory: loads the newest valid snapshot, replays the WAL tail
+    /// (stopping cleanly at a torn record), restores the learned
+    /// workload-tracker counters, baseline frequencies and prepared
+    /// statements, collapses the replayed state into a fresh snapshot
+    /// generation and resumes serving — same schema, same global vertex
+    /// ids, bit-identical query answers.
+    ///
+    /// The configured `shard_count` and `storage_tier` may differ from the
+    /// killed server's: the graph journal replays into any storage layout
+    /// with identical global ids.
+    ///
+    /// # Errors
+    /// [`io::ErrorKind::InvalidInput`] without a [`persist`](Self::persist)
+    /// directory; [`io::ErrorKind::NotFound`] when it holds no valid
+    /// snapshot; [`io::ErrorKind::InvalidData`] when the tracker or
+    /// baseline blobs do not match the ontology.
+    pub fn recover(self) -> io::Result<KgServer> {
+        let Some(persist) = &self.persist else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "recovery needs a directory: call KgServerBuilder::persist first",
+            ));
+        };
+        let telemetry = self.telemetry();
+        let start = recover_start(&self.ontology, &self.config, &persist.dir, telemetry.as_ref())?;
+        self.assemble(telemetry, start)
+    }
+
+    fn telemetry(&self) -> Option<Arc<ServerTelemetry>> {
+        self.config.telemetry_enabled.then(|| self.sink.build())
+    }
+
+    /// The single place a [`KgServer`] comes into being: opens the WAL of
+    /// `start.generation` (persistent servers), puts the server together,
+    /// re-registers the persisted prepared statements and anchors the
+    /// generation with a snapshot.
+    fn assemble(
+        self,
+        telemetry: Option<Arc<ServerTelemetry>>,
+        start: Start,
+    ) -> io::Result<KgServer> {
+        let persist = self
+            .persist
+            .map(|config| PersistHandle::open(config, start.generation, telemetry.as_ref()))
+            .transpose()?;
+        let server = KgServer {
+            epoch: RwLock::new(Arc::new(start.epoch)),
+            plan_cache: PlanCache::new(self.config.plan_cache_capacity),
             prepared: RwLock::new(Vec::new()),
-            tracker,
-            baseline: Mutex::new(initial_frequencies),
+            tracker: start.tracker,
+            baseline: Mutex::new(start.baseline),
             served: AtomicU64::new(0),
             reoptimizing: AtomicBool::new(false),
             events: Mutex::new(Vec::new()),
             ingest: Mutex::new(IngestState {
-                base_journal,
-                ingested: Vec::new(),
+                base_journal: start.base_journal,
+                ingested: start.ingested,
                 pending: Vec::new(),
                 last_publish: Instant::now(),
             }),
             persist,
             telemetry,
-            ontology,
-            statistics,
-            instance,
-            config,
-        };
-        if server.persist.is_some() {
-            // The anchoring snapshot for this generation's WAL, written
-            // synchronously: nothing is durable until it exists.
-            let ing = server.ingest.lock();
-            server.write_snapshot_for_current_generation(&ing)?;
-        }
-        Ok(server)
-    }
-
-    /// Resurrects a persistent server from `persist.dir`: loads the newest
-    /// valid snapshot, replays the WAL tail (stopping cleanly at a torn
-    /// record), restores the learned workload-tracker counters and baseline
-    /// frequencies, collapses the replayed state into a fresh snapshot
-    /// generation and resumes serving — same schema, same global vertex ids,
-    /// bit-identical query answers.
-    ///
-    /// `config.shard_count` may differ from the killed server's: the graph
-    /// journal replays into any storage layout with identical global ids.
-    ///
-    /// # Errors
-    /// [`io::ErrorKind::NotFound`] when the directory holds no valid
-    /// snapshot; [`io::ErrorKind::InvalidData`] when the tracker or baseline
-    /// blobs do not match `ontology`.
-    pub fn recover(
-        ontology: Ontology,
-        statistics: DataStatistics,
-        instance: InstanceKg,
-        config: ServerConfig,
-        persist: PersistConfig,
-    ) -> io::Result<Self> {
-        Self::recover_with_sink(
-            ontology,
-            statistics,
-            instance,
-            config,
-            persist,
-            TelemetrySink::Private,
-        )
-    }
-
-    /// [`KgServer::recover`] with an explicit [`TelemetrySink`].
-    pub fn recover_with_sink(
-        ontology: Ontology,
-        statistics: DataStatistics,
-        instance: InstanceKg,
-        config: ServerConfig,
-        persist: PersistConfig,
-        sink: TelemetrySink,
-    ) -> io::Result<Self> {
-        let state = pgso_persist::recover(&persist.dir)?.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("no valid snapshot in {}", persist.dir.display()),
-            )
-        })?;
-        let telemetry = config.telemetry_enabled.then(|| sink.build(&config));
-        let mut graph = fresh_backend(config.storage_tier, config.shard_count);
-        let full_journal = state.full_journal();
-        let replay_started = Instant::now();
-        apply_updates(&mut graph, &full_journal);
-        compile_for_serving(graph.as_ref(), config.storage_tier, telemetry.as_ref());
-        if let Some(t) = &telemetry {
-            let replay = replay_started.elapsed();
-            t.recovery_replay.record_duration(replay);
-            t.trace().emit_with_duration(
-                "recovery.replay",
-                0,
-                replay,
-                vec![
-                    ("updates", FieldValue::from(full_journal.len())),
-                    ("snapshot_generation", FieldValue::from(state.max_generation)),
-                ],
-            );
-        }
-        let tracker = WorkloadTracker::new(&ontology);
-        if !state.tracker.is_empty() {
-            tracker.restore(&WorkloadSnapshot::from_bytes(&state.tracker)?);
-        }
-        let baseline = if state.snapshot.baseline.is_empty() {
-            AccessFrequencies::uniform(&ontology, 10_000.0)
-        } else {
-            frequencies_from_bytes(&ontology, &state.snapshot.baseline)?
-        };
-        let generation = state.max_generation + 1;
-        let mut wal = WalWriter::create(wal_path(&persist.dir, generation), persist.fsync)?;
-        wal.set_telemetry(telemetry.as_ref().map(|t| t.wal.clone()));
-        let server = Self {
-            epoch: RwLock::new(Arc::new(Epoch {
-                number: state.snapshot.epoch,
-                schema_generation: state.snapshot.schema_generation,
-                schema: state.snapshot.schema.clone(),
-                graph,
-            })),
-            plan_cache: PlanCache::new(config.plan_cache_capacity),
-            prepared: RwLock::new(Vec::new()),
-            tracker,
-            baseline: Mutex::new(baseline),
-            served: AtomicU64::new(0),
-            reoptimizing: AtomicBool::new(false),
-            events: Mutex::new(Vec::new()),
-            ingest: Mutex::new(IngestState {
-                base_journal: state.snapshot.journal.clone(),
-                ingested: state.ingested_updates(),
-                pending: Vec::new(),
-                last_publish: Instant::now(),
-            }),
-            persist: Some(PersistHandle {
-                config: persist,
-                inner: Mutex::new(PersistInner {
-                    wal,
-                    generation,
-                    last_checkpoint: Instant::now(),
-                    snapshot_thread: None,
-                }),
-            }),
-            telemetry,
-            ontology,
-            statistics,
-            instance,
-            config,
+            ontology: self.ontology,
+            statistics: self.statistics,
+            instance: self.instance,
+            config: self.config,
         };
         // Restore the prepared-statement registry in registration order, so
         // ids and parameter signatures match the killed server's.
-        for text in state.prepared_statements() {
+        for text in start.prepared {
             let stmt = parse_named(&text, "prepared").map_err(|err| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -775,14 +509,87 @@ impl KgServer {
             // grammar's Display→parse contract: persistable as-is.
             server.register_prepared(stmt, text, true);
         }
-        // Collapse the replayed tail into this generation's anchor snapshot
-        // (which now carries the restored registry, so the old WAL's
-        // registration records are subsumed before pruning).
-        {
+        if server.persist.is_some() {
+            // The anchoring snapshot for this generation's WAL, written
+            // synchronously: nothing is durable until it exists. After a
+            // recovery it collapses the replayed tail and carries the
+            // restored registry, so the old WAL's registration records are
+            // subsumed before pruning.
             let ing = server.ingest.lock();
             server.write_snapshot_for_current_generation(&ing)?;
         }
         Ok(server)
+    }
+}
+
+impl KgServer {
+    /// Starts building a server over `ontology`, its `statistics` and the
+    /// schema-independent `instance` data — see [`KgServerBuilder`].
+    ///
+    /// ```text
+    /// let server = KgServer::builder(ontology, statistics, instance)
+    ///     .config(ServerConfig { shard_count: 4, ..ServerConfig::default() })
+    ///     .persist(PersistConfig::new(dir))
+    ///     .build(initial_frequencies)?;   // or .recover()? after a kill
+    /// ```
+    pub fn builder(
+        ontology: Ontology,
+        statistics: DataStatistics,
+        instance: InstanceKg,
+    ) -> KgServerBuilder {
+        KgServerBuilder {
+            ontology,
+            statistics,
+            instance,
+            config: ServerConfig::default(),
+            persist: None,
+            sink: TelemetrySink::Private,
+        }
+    }
+
+    /// An in-memory server under `config`: shorthand for
+    /// [`builder`](Self::builder) → [`KgServerBuilder::build`].
+    pub fn new(
+        ontology: Ontology,
+        statistics: DataStatistics,
+        instance: InstanceKg,
+        initial_frequencies: AccessFrequencies,
+        config: ServerConfig,
+    ) -> Self {
+        Self::builder(ontology, statistics, instance)
+            .config(config)
+            .build(initial_frequencies)
+            .expect("in-memory construction cannot fail")
+    }
+
+    /// A durable server: shorthand for [`builder`](Self::builder) →
+    /// [`KgServerBuilder::persist`] → [`KgServerBuilder::build`] (whose
+    /// errors it returns). Use [`KgServer::recover`] on restart.
+    pub fn new_persistent(
+        ontology: Ontology,
+        statistics: DataStatistics,
+        instance: InstanceKg,
+        initial_frequencies: AccessFrequencies,
+        config: ServerConfig,
+        persist: PersistConfig,
+    ) -> io::Result<Self> {
+        Self::builder(ontology, statistics, instance)
+            .config(config)
+            .persist(persist)
+            .build(initial_frequencies)
+    }
+
+    /// Resurrects a killed persistent server: shorthand for
+    /// [`builder`](Self::builder) → [`KgServerBuilder::persist`] →
+    /// [`KgServerBuilder::recover`] (whose errors it returns).
+    pub fn recover(
+        ontology: Ontology,
+        statistics: DataStatistics,
+        instance: InstanceKg,
+        config: ServerConfig,
+        persist: PersistConfig,
+    ) -> io::Result<Self> {
+        Self::builder(ontology, statistics, instance).config(config).persist(persist).recover()
     }
 
     /// The domain ontology this server answers queries over.
@@ -936,15 +743,160 @@ impl KgServer {
         }
     }
 
-    /// Registers a bare pattern query for repeated execution; the
-    /// fingerprint is computed once here instead of on every call.
-    pub fn prepare(&self, query: Query) -> PreparedStatement {
-        self.prepare_statement(Statement::from(query))
+    /// Number of updates ingested but not yet visible to readers.
+    pub fn pending_updates(&self) -> usize {
+        self.ingest.lock().pending.len()
     }
 
-    /// Registers a statement for repeated execution and returns its handle,
-    /// carrying the typed parameter signature callers bind against through
-    /// [`KgServer::execute`].
+    /// Number of ingested updates visible in the serving epoch.
+    pub fn published_updates(&self) -> usize {
+        self.ingest.lock().ingested.len()
+    }
+
+    /// True when this server was built with persistence attached.
+    pub fn is_persistent(&self) -> bool {
+        self.persist.is_some()
+    }
+}
+
+/// Loads `instance` under `schema` into the configured storage layout
+/// (see [`crate::tier::fresh_backend`]), capturing the construction journal
+/// through a [`pgso_persist::JournaledGraph`] — the journal is what
+/// snapshots persist and what staging rebuilds replay.
+pub(crate) fn build_graph(
+    ontology: &Ontology,
+    schema: &PropertyGraphSchema,
+    instance: &InstanceKg,
+    tier: StorageTier,
+    shard_count: usize,
+) -> (Box<dyn GraphBackend>, Vec<GraphUpdate>) {
+    let mut journaled = JournaledGraph::new(fresh_backend(tier, shard_count));
+    load_into(&mut journaled, ontology, schema, instance);
+    journaled.into_parts()
+}
+
+/// Makes a freshly built epoch graph serve-ready off the read path: on the
+/// CSR tier this compiles the adjacency segments
+/// ([`GraphBackend::ensure_ready`]) and records the cost as `csr.compile` /
+/// `csr.compiles`, so the first query of the new epoch never pays it. A
+/// no-op on the other tiers.
+pub(crate) fn compile_for_serving(
+    graph: &dyn GraphBackend,
+    tier: StorageTier,
+    telemetry: Option<&Arc<ServerTelemetry>>,
+) {
+    if tier != StorageTier::Csr {
+        return;
+    }
+    let started = Instant::now();
+    graph.ensure_ready();
+    let took = started.elapsed();
+    if let Some(t) = telemetry {
+        t.csr_compile.record_duration(took);
+        t.csr_compiles.inc();
+        t.trace().emit_with_duration(
+            "csr.compile",
+            0,
+            took,
+            vec![
+                ("vertices", FieldValue::from(graph.vertex_count())),
+                ("edges", FieldValue::from(graph.edge_count())),
+            ],
+        );
+    }
+}
+
+impl std::fmt::Debug for KgServer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KgServer")
+            .field("ontology", &self.ontology.name())
+            .field("epoch", &self.current_epoch().number)
+            .field("served", &self.served())
+            .field("cache", &self.plan_cache.stats())
+            .field("persistent", &self.persist.is_some())
+            .finish()
+    }
+}
+
+// ==== serve ====
+
+/// Identity of a registered prepared statement: its dense registration
+/// index. Stable across epoch swaps, and — on a persistent server — across
+/// [`KgServer::recover`], which re-registers the persisted statements in
+/// their original order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PreparedId(usize);
+
+/// Handle returned by [`KgServer::prepare_text`]: the statement's
+/// registration id plus its typed parameter signature
+/// ([`pgso_query::ParamSignature`]).
+///
+/// The handle is the execution contract. [`KgServer::execute`] binds a
+/// [`Params`] set against the signature **by name** — a missing, mismatched
+/// or undeclared parameter is a [`BindError`], never a silently mis-bound
+/// value. It is good on the server that issued it and on no other: the
+/// signature `Arc` it shares with its registry entry is its proof of origin.
+#[derive(Debug, Clone)]
+pub struct PreparedStatement {
+    id: PreparedId,
+    signature: Arc<ParamSignature>,
+}
+
+impl PreparedStatement {
+    /// The registration id.
+    pub fn id(&self) -> PreparedId {
+        self.id
+    }
+
+    /// The statement's declared parameters.
+    pub fn signature(&self) -> &ParamSignature {
+        &self.signature
+    }
+}
+
+pub(crate) struct PreparedEntry {
+    fingerprint: u64,
+    stmt: Arc<Statement>,
+    signature: Arc<ParamSignature>,
+    /// Text form persisted in snapshots / the WAL so the registry survives
+    /// recovery (statements round-trip through the parser).
+    pub(crate) text: String,
+    /// True when `text` re-parses to a structurally equal statement. The
+    /// literal grammar is total over [`pgso_graphstore::PropertyValue`], so
+    /// this only fails for exotica (`NaN` literals, which are never equal to
+    /// themselves, or identifiers outside the grammar); such entries are
+    /// excluded from persistence rather than bricking recovery.
+    pub(crate) persistable: bool,
+}
+
+/// Renders a [`QueryPlan`] as a [`QueryResult`] so EXPLAIN/PROFILE flow
+/// through every result surface unchanged: the plan travels as tagged rows
+/// (see [`QueryPlan::to_rows`]) that the wire streams like any result and
+/// clients rebuild with [`QueryPlan::from_rows`]. PROFILE copies its actuals
+/// into the result's own accounting fields too.
+fn plan_query_result(plan: &QueryPlan) -> QueryResult {
+    let rows = plan.to_rows();
+    let actuals = plan.actuals.as_ref();
+    QueryResult {
+        matches: rows.len(),
+        rows,
+        elapsed: actuals.map(|a| Duration::from_nanos(a.elapsed_ns)).unwrap_or_default(),
+        stats: actuals
+            .map(|a| AccessStats {
+                vertex_reads: a.vertex_reads,
+                edge_traversals: a.edge_traversals,
+                page_reads: a.page_reads,
+                page_hits: a.page_hits,
+            })
+            .unwrap_or_default(),
+        predicate_checks: actuals.map(|a| a.predicate_checks).unwrap_or(0),
+        stage_timings: StageTimings::default(),
+    }
+}
+
+impl KgServer {
+    /// Registers a parsed statement and returns its handle — the step behind
+    /// [`KgServer::prepare_text`].
     ///
     /// On a persistent server the registration is also appended to the
     /// write-ahead log (best effort — a logging failure is reported on
@@ -954,7 +906,7 @@ impl KgServer {
     /// `NaN` literal, which is never equal to itself) is registered but not
     /// persisted — it is reported on stderr and will be missing after
     /// recovery, shifting the ids of later registrations.
-    pub fn prepare_statement(&self, stmt: Statement) -> PreparedStatement {
+    pub(crate) fn prepare_statement(&self, stmt: Statement) -> PreparedStatement {
         let Some(persist) = &self.persist else {
             // In-memory servers never persist the registry, so the text
             // rendering and round-trip check are skipped entirely.
@@ -1008,7 +960,7 @@ impl KgServer {
     /// Registry insertion without WAL logging (construction + recovery).
     /// `text`/`persistable` are the pre-computed persistence metadata (empty
     /// and false on in-memory servers, which never read them).
-    fn register_prepared(
+    pub(crate) fn register_prepared(
         &self,
         stmt: Statement,
         text: String,
@@ -1045,8 +997,9 @@ impl KgServer {
     }
 
     /// Parses a statement text — `$name` placeholders included — and
-    /// registers it for repeated execution: the text-first way to install a
-    /// workload (see [`pgso_query::parse()`] for the grammar).
+    /// registers it for repeated execution (see [`pgso_query::parse()`] for
+    /// the grammar). The returned handle carries the typed parameter
+    /// signature callers bind against through [`KgServer::execute`].
     ///
     /// ```text
     /// let ps = server.prepare_text(
@@ -1066,11 +1019,10 @@ impl KgServer {
     /// # Errors
     /// [`BindError`] when a declared parameter is missing, a `SKIP`/`LIMIT`
     /// parameter is not a non-negative integer, or `params` binds an
-    /// undeclared name.
-    ///
-    /// # Panics
-    /// Panics if `prepared` did not come from this server's
-    /// [`KgServer::prepare`] family of methods.
+    /// undeclared name — and [`BindError::UnknownStatement`] when `prepared`
+    /// was not issued by this server's [`KgServer::prepare_text`] (or handed
+    /// back by its [`KgServer::prepared_statements`]): another server's
+    /// handle is refused even when its id is in range here.
     pub fn execute(
         &self,
         prepared: &PreparedStatement,
@@ -1078,45 +1030,28 @@ impl KgServer {
     ) -> Result<QueryResult, BindError> {
         let (fp, stmt, signature) = {
             let entries = self.prepared.read();
-            let entry = entries.get(prepared.id.0).expect("unknown PreparedId");
-            (entry.fingerprint, entry.stmt.clone(), entry.signature.clone())
+            // Every handle this server issues shares its registry entry's
+            // signature `Arc`, so pointer identity tells its own handles
+            // from an equal-looking id issued elsewhere.
+            match entries.get(prepared.id.0) {
+                Some(entry) if Arc::ptr_eq(&entry.signature, &prepared.signature) => {
+                    (entry.fingerprint, entry.stmt.clone(), entry.signature.clone())
+                }
+                _ => return Err(BindError::UnknownStatement),
+            }
         };
         let detailed = self.telemetry.as_deref().is_some_and(|t| t.sample_detail());
         self.serve_inner(fp, &stmt, params, Some(&signature), Some(prepared.id), detailed)
     }
 
-    /// Serves a previously prepared parameterless statement (a convenience
-    /// over [`KgServer::execute`] with empty [`Params`]).
-    ///
-    /// # Panics
-    /// Panics if the statement declares parameters (bind them through
-    /// [`KgServer::execute`]) or if `prepared` came from another server.
-    pub fn serve_prepared(&self, prepared: &PreparedStatement) -> QueryResult {
-        self.execute(prepared, &Params::new()).unwrap_or_else(|err| {
-            panic!("serve_prepared on a parameterized statement ({err}); use KgServer::execute")
-        })
-    }
-
-    /// Serves one DIR pattern query: rewrite (cached) against the current
-    /// schema, execute on the current graph, record the access for workload
-    /// tracking.
-    pub fn serve(&self, query: &Query) -> QueryResult {
-        self.serve_statement(&Statement::from(query.clone()))
-    }
-
-    /// Serves one DIR statement ad hoc. The statement is
-    /// **auto-parameterized** first ([`Statement::parameterize`]): its
-    /// literal constants move into generated `$parameters`, the plan cache
-    /// is keyed on the canonical parameterized statement, and the extracted
-    /// values are bound back at execution — so value-varying ad-hoc
-    /// statements of one shape share a single cached plan.
-    ///
-    /// # Panics
-    /// Panics if the statement declares `$parameters` of its own: those have
-    /// no values here — register the statement with
-    /// [`KgServer::prepare_statement`] and bind them via
-    /// [`KgServer::execute`].
-    pub fn serve_statement(&self, stmt: &Statement) -> QueryResult {
+    /// Serves one parsed, parameterless DIR statement — the step behind
+    /// [`KgServer::serve_text`]. The statement is **auto-parameterized**
+    /// first ([`Statement::parameterize`]): its literal constants move into
+    /// generated `$parameters`, the plan cache is keyed on the canonical
+    /// parameterized statement, and the extracted values are bound back at
+    /// execution — so value-varying ad-hoc statements of one shape share a
+    /// single cached plan.
+    fn serve_statement(&self, stmt: &Statement) -> Result<QueryResult, ParseError> {
         // The detail-sampling ticket is drawn here so it can also gate the
         // parameterize timing, upstream of `serve_inner`'s phases.
         let detailed = self.telemetry.as_deref().is_some_and(|t| t.sample_detail());
@@ -1126,12 +1061,11 @@ impl KgServer {
             t.parameterize.record_duration(s.elapsed());
         }
         let fp = fingerprint_statement(&canonical);
-        self.serve_inner(fp, &canonical, &params, None, None, detailed).unwrap_or_else(|err| {
-            panic!(
-                "serve_statement on a statement with unbound parameters ({err}); \
-                    prepare it and bind them via KgServer::execute"
-            )
-        })
+        // The generated parameters bind by construction; only a `$parameter`
+        // of the statement's own could fail here, and `serve_text` has
+        // already refused those.
+        self.serve_inner(fp, &canonical, &params, None, None, detailed)
+            .map_err(|err| ParseError { message: err.to_string(), offset: 0 })
     }
 
     /// Parses and serves one statement text — the text-first ad-hoc entry
@@ -1169,40 +1103,13 @@ impl KgServer {
                 offset: 0,
             });
         }
-        Ok(self.serve_statement(&stmt))
+        self.serve_statement(&stmt)
     }
 
-    /// `EXPLAIN` for a statement text: parses, rewrites against the current
-    /// schema, and returns the typed [`QueryPlan`] — DIR and OPT texts, the
-    /// optimization rules the rewrite exploited (tracker-estimated fan-outs
-    /// attached), and whether the serving plan cache already holds the plan.
-    /// Nothing is executed. A leading `EXPLAIN`/`PROFILE` directive in
-    /// `text` is ignored in favour of this method's mode.
-    ///
-    /// # Errors
-    /// A [`ParseError`] for malformed text or text declaring `$parameters`
-    /// (the plan surface, like the ad-hoc path, has no values to bind).
-    pub fn explain_text(&self, text: &str) -> Result<QueryPlan, ParseError> {
-        let (_, rest) = strip_directive(text);
-        self.plan_text(rest, QueryMode::Explain, text.len() - rest.len())
-    }
-
-    /// `PROFILE` for a statement text: everything [`KgServer::explain_text`]
-    /// reports, plus the statement is actually executed on the current epoch
-    /// and the plan carries [`PlanActuals`] — per-stage wall times, backend
-    /// access counters and predicate checks, side by side with the rule
-    /// attribution.
-    ///
-    /// # Errors
-    /// A [`ParseError`] for malformed text or text declaring `$parameters`.
-    pub fn profile_text(&self, text: &str) -> Result<QueryPlan, ParseError> {
-        let (_, rest) = strip_directive(text);
-        self.plan_text(rest, QueryMode::Profile, text.len() - rest.len())
-    }
-
-    /// The directive-stripped planning path shared by [`KgServer::serve_text`]
-    /// and the `*_text` plan methods; `offset` is the stripped prefix length,
-    /// added back onto parse-error offsets so they index the original text.
+    /// The `EXPLAIN` / `PROFILE` half of [`KgServer::serve_text`]: `rest` is
+    /// the text behind the directive and `offset` the stripped prefix
+    /// length, added back onto parse-error offsets so they index the
+    /// original text.
     fn plan_text(
         &self,
         rest: &str,
@@ -1236,32 +1143,19 @@ impl KgServer {
     /// [`QueryMode::Profile`], a real execution on the current epoch whose
     /// actuals are exactly what [`pgso_query::execute_statement_with`]
     /// reports for the rewritten statement.
-    ///
-    /// # Panics
-    /// Panics in `Profile` mode if the statement declares `$parameters`
-    /// (there are no values to bind); `Explain` mode plans it anyway.
-    pub fn plan_statement(&self, stmt: &Statement, mode: QueryMode) -> QueryPlan {
+    pub(crate) fn plan_statement(&self, stmt: &Statement, mode: QueryMode) -> QueryPlan {
         let epoch = self.current_epoch();
-        // The serving cache is keyed on the registered statement for the
-        // prepared path and on the auto-parameterized canonical form for the
-        // ad-hoc path; probe whichever this statement would use. `peek`
-        // leaves the hit/miss counters alone — planning is not serving.
-        let cache_hit = if stmt.has_parameters() {
-            self.plan_cache.peek(fingerprint_statement(stmt), epoch.schema_generation)
-        } else {
-            let (canonical, _) = stmt.parameterize();
-            self.plan_cache.peek(fingerprint_statement(&canonical), epoch.schema_generation)
-        };
+        // Probe the key the ad-hoc path would serve this statement under:
+        // its auto-parameterized canonical form. `peek` leaves the hit/miss
+        // counters alone — planning is not serving.
+        let (canonical, _) = stmt.parameterize();
+        let cache_hit =
+            self.plan_cache.peek(fingerprint_statement(&canonical), epoch.schema_generation);
         let (opt, mut rules) = rewrite_statement_traced(stmt, &epoch.schema);
         self.attach_fanouts(&mut rules, epoch.graph());
         let actuals = match mode {
             QueryMode::Explain => None,
             QueryMode::Profile => {
-                assert!(
-                    !stmt.has_parameters(),
-                    "PROFILE executes the statement and has no parameter values; \
-                     EXPLAIN it instead, or splice literals"
-                );
                 let result = execute_statement_with(&opt, epoch.graph(), &self.config.exec);
                 // A profile is a real serve as far as the learned workload
                 // is concerned, and its executor stages join any live trace.
@@ -1461,7 +1355,60 @@ impl KgServer {
         }
         t.trace().emit_with_duration("slow_query", t.trace().new_span(), elapsed, fields);
     }
+}
 
+/// FNV-1a over a parameter set's sorted `(name, value)` pairs — a stable
+/// fingerprint for the slow-query log that identifies *which bindings* were
+/// slow without logging the values themselves. [`Params`] iterates in name
+/// order, so equal sets hash equal regardless of insertion order.
+pub(crate) fn params_hash(params: &Params) -> u64 {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut hash = FNV_OFFSET;
+    let mut mix = |bytes: &[u8]| {
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(FNV_PRIME);
+        }
+        hash ^= 0xff; // terminator keeps ("ab","c") distinct from ("a","bc")
+        hash = hash.wrapping_mul(FNV_PRIME);
+    };
+    for (name, value) in params.iter() {
+        mix(name.as_bytes());
+        mix(format!("{value:?}").as_bytes());
+    }
+    hash
+}
+
+// ==== publish ====
+
+/// Mutable ingest bookkeeping, behind one mutex so ingest calls serialize
+/// (readers are untouched — they only clone the epoch `Arc`).
+pub(crate) struct IngestState {
+    /// Construction journal of the current schema's base load (what
+    /// `load_into` produced). Re-derived on every schema swap.
+    pub(crate) base_journal: Vec<GraphUpdate>,
+    /// Ingested updates already published into the serving epoch; the
+    /// epoch's graph is exactly `base_journal ++ ingested`.
+    pub(crate) ingested: Vec<GraphUpdate>,
+    /// Updates durably logged (when persistence is on) but not yet visible
+    /// to readers.
+    pub(crate) pending: Vec<GraphUpdate>,
+    /// When the last publishing swap happened.
+    pub(crate) last_publish: Instant,
+}
+
+/// Resets a flag on drop so a panicking re-optimization cannot wedge the
+/// server into "somebody is already re-optimizing" forever.
+struct FlagGuard<'a>(&'a AtomicBool);
+
+impl Drop for FlagGuard<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
+    }
+}
+
+impl KgServer {
     /// Checks drift and — past the threshold — re-optimizes and swaps. At
     /// most one thread runs this at a time; concurrent callers return `None`
     /// immediately and keep serving on the old epoch.
@@ -1503,49 +1450,28 @@ impl KgServer {
             // The ingest lock is held across the reload so the base journal,
             // the ingested stream and the published epoch move together.
             let mut ing = self.ingest.lock();
-            // Re-read under the lock: an ingest publication may have swapped
-            // the epoch since the pre-optimization read, and `number` must
-            // stay strictly monotonic.
-            let current = self.current_epoch();
-            let (mut graph, base_journal) = build_graph(
+            let (graph, base_journal) = build_graph(
                 &self.ontology,
                 &re.outcome.schema,
                 &self.instance,
                 self.config.storage_tier,
                 self.config.shard_count,
             );
-            // Replay the ingested stream onto the new base. This swap also
-            // publishes anything still pending (with persistence, those
-            // updates are already in the WAL).
-            let pending = std::mem::take(&mut ing.pending);
-            ing.ingested.extend(pending);
-            apply_updates(&mut graph, &ing.ingested);
-            compile_for_serving(graph.as_ref(), self.config.storage_tier, self.telemetry.as_ref());
             ing.base_journal = base_journal;
-            ing.last_publish = Instant::now();
-            let next = Arc::new(Epoch {
-                number: current.number + 1,
-                schema_generation: current.schema_generation + 1,
-                schema: re.outcome.schema,
+            // Replaying the ingested stream onto the new base also publishes
+            // anything still pending (with persistence, those updates are
+            // already in the WAL).
+            let next = self.install_epoch(
+                &mut ing,
                 graph,
-            });
-            *self.epoch.write() = next.clone();
+                Some(re.outcome.schema),
+                vec![
+                    ("drift", FieldValue::from(drift)),
+                    ("changes", FieldValue::from(event.changes)),
+                ],
+            );
             self.plan_cache.invalidate_stale(next.schema_generation);
             event.swapped = true;
-            if let Some(t) = &self.telemetry {
-                t.schema_swaps.inc();
-                t.trace().emit(
-                    "epoch.swap",
-                    0,
-                    vec![
-                        ("kind", FieldValue::from("schema")),
-                        ("epoch", FieldValue::from(next.number)),
-                        ("schema_generation", FieldValue::from(next.schema_generation)),
-                        ("drift", FieldValue::from(drift)),
-                        ("changes", FieldValue::from(event.changes)),
-                    ],
-                );
-            }
             // A schema change obsoletes the previous snapshot's base journal,
             // so persist the new world immediately (recovery from the old
             // generation would resurrect the pre-swap schema: correct but
@@ -1565,8 +1491,6 @@ impl KgServer {
         self.tracker.rebase(&snapshot);
         event
     }
-
-    // ---- ingest & durability ----------------------------------------------
 
     /// Ingests a batch of graph updates.
     ///
@@ -1637,16 +1561,190 @@ impl KgServer {
         true
     }
 
-    /// Number of updates ingested but not yet visible to readers.
-    pub fn pending_updates(&self) -> usize {
-        self.ingest.lock().pending.len()
+    /// Rebuilds the staging graph (base journal + every ingested update,
+    /// including the pending batch), swaps it in as the next epoch, and
+    /// promotes the pending batch to published. The schema — and therefore
+    /// the plan-cache key — is untouched.
+    pub(crate) fn publish_locked(&self, ing: &mut IngestState) {
+        let mut graph = fresh_backend(self.config.storage_tier, self.config.shard_count);
+        apply_updates(&mut graph, &ing.base_journal);
+        let published = ing.pending.len();
+        self.install_epoch(ing, graph, None, vec![("published", FieldValue::from(published))]);
     }
 
-    /// Number of ingested updates visible in the serving epoch.
-    pub fn published_updates(&self) -> usize {
-        self.ingest.lock().ingested.len()
+    /// The one place a new epoch is installed, called with the ingest lock
+    /// held and `graph` holding `ing.base_journal`: promotes the pending
+    /// batch to published, replays the ingested stream onto `graph`, makes
+    /// it serve-ready and swaps it in as epoch `number + 1` — under `schema`
+    /// (bumping the schema lineage) after a re-optimization, under the
+    /// current schema for a data-only publication. Emits the `epoch.swap`
+    /// trace event with `fields` appended.
+    fn install_epoch(
+        &self,
+        ing: &mut IngestState,
+        mut graph: Box<dyn GraphBackend>,
+        schema: Option<PropertyGraphSchema>,
+        fields: Vec<(&'static str, FieldValue)>,
+    ) -> Arc<Epoch> {
+        let pending = std::mem::take(&mut ing.pending);
+        ing.ingested.extend(pending);
+        apply_updates(&mut graph, &ing.ingested);
+        compile_for_serving(graph.as_ref(), self.config.storage_tier, self.telemetry.as_ref());
+        ing.last_publish = Instant::now();
+        // Read under the ingest lock, which every swap holds: `number` stays
+        // strictly monotonic.
+        let current = self.current_epoch();
+        let schema_changed = schema.is_some();
+        let next = Arc::new(Epoch {
+            number: current.number + 1,
+            schema_generation: current.schema_generation + u64::from(schema_changed),
+            schema: schema.unwrap_or_else(|| current.schema.clone()),
+            graph,
+        });
+        *self.epoch.write() = next.clone();
+        if let Some(t) = &self.telemetry {
+            let (swaps, kind) = if schema_changed {
+                (&t.schema_swaps, "schema")
+            } else {
+                (&t.ingest_swaps, "ingest")
+            };
+            swaps.inc();
+            let mut event = vec![
+                ("kind", FieldValue::from(kind)),
+                ("epoch", FieldValue::from(next.number)),
+                ("schema_generation", FieldValue::from(next.schema_generation)),
+            ];
+            event.extend(fields);
+            t.trace().emit("epoch.swap", 0, event);
+        }
+        next
     }
+}
 
+// ==== durable ====
+
+/// Durable side of the server: WAL writer + snapshot generation counter.
+pub(crate) struct PersistHandle {
+    pub(crate) config: PersistConfig,
+    pub(crate) inner: Mutex<PersistInner>,
+}
+
+pub(crate) struct PersistInner {
+    pub(crate) wal: WalWriter,
+    generation: u64,
+    pub(crate) last_checkpoint: Instant,
+    /// In-flight background snapshot write, joined before the next rotation
+    /// (and on drop) so errors surface instead of vanishing with the thread.
+    snapshot_thread: Option<JoinHandle<io::Result<()>>>,
+}
+
+impl PersistHandle {
+    /// Opens the (empty) write-ahead log of `generation` under
+    /// `config.dir`.
+    pub(crate) fn open(
+        config: PersistConfig,
+        generation: u64,
+        telemetry: Option<&Arc<ServerTelemetry>>,
+    ) -> io::Result<Self> {
+        let wal = open_wal(&config, generation, telemetry)?;
+        Ok(Self {
+            config,
+            inner: Mutex::new(PersistInner {
+                wal,
+                generation,
+                last_checkpoint: Instant::now(),
+                snapshot_thread: None,
+            }),
+        })
+    }
+}
+
+/// Creates the WAL file of `generation`, recording into the server's
+/// `wal.*` instruments.
+fn open_wal(
+    config: &PersistConfig,
+    generation: u64,
+    telemetry: Option<&Arc<ServerTelemetry>>,
+) -> io::Result<WalWriter> {
+    let mut wal = WalWriter::create(wal_path(&config.dir, generation), config.fsync)?;
+    wal.set_telemetry(telemetry.map(|t| t.wal.clone()));
+    Ok(wal)
+}
+
+/// Creates `dir` for a fresh persistent server, refusing one that already
+/// holds snapshot or WAL generations.
+pub(crate) fn claim_fresh_dir(dir: &Path) -> io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    match latest_generation(dir)? {
+        None => Ok(()),
+        Some(generation) => Err(io::Error::new(
+            io::ErrorKind::AlreadyExists,
+            format!(
+                "{} already holds persisted generations (latest {generation}); \
+                 use KgServer::recover or an empty directory",
+                dir.display()
+            ),
+        )),
+    }
+}
+
+/// The recovery half of [`crate::KgServerBuilder::recover`]: loads the
+/// newest valid snapshot under `dir`, replays it and the WAL tail into a
+/// fresh backend of the configured layout, and restores the learned
+/// tracker counters and baseline frequencies.
+pub(crate) fn recover_start(
+    ontology: &Ontology,
+    config: &ServerConfig,
+    dir: &Path,
+    telemetry: Option<&Arc<ServerTelemetry>>,
+) -> io::Result<Start> {
+    let state = pgso_persist::recover(dir)?.ok_or_else(|| {
+        io::Error::new(io::ErrorKind::NotFound, format!("no valid snapshot in {}", dir.display()))
+    })?;
+    let mut graph = fresh_backend(config.storage_tier, config.shard_count);
+    let full_journal = state.full_journal();
+    let replay_started = Instant::now();
+    apply_updates(&mut graph, &full_journal);
+    compile_for_serving(graph.as_ref(), config.storage_tier, telemetry);
+    if let Some(t) = telemetry {
+        let replay = replay_started.elapsed();
+        t.recovery_replay.record_duration(replay);
+        t.trace().emit_with_duration(
+            "recovery.replay",
+            0,
+            replay,
+            vec![
+                ("updates", FieldValue::from(full_journal.len())),
+                ("snapshot_generation", FieldValue::from(state.max_generation)),
+            ],
+        );
+    }
+    let tracker = WorkloadTracker::new(ontology);
+    if !state.tracker.is_empty() {
+        tracker.restore(&WorkloadSnapshot::from_bytes(&state.tracker)?);
+    }
+    let baseline = if state.snapshot.baseline.is_empty() {
+        AccessFrequencies::uniform(ontology, 10_000.0)
+    } else {
+        frequencies_from_bytes(ontology, &state.snapshot.baseline)?
+    };
+    Ok(Start {
+        generation: state.max_generation + 1,
+        prepared: state.prepared_statements(),
+        ingested: state.ingested_updates(),
+        tracker,
+        baseline,
+        epoch: Epoch {
+            number: state.snapshot.epoch,
+            schema_generation: state.snapshot.schema_generation,
+            schema: state.snapshot.schema,
+            graph,
+        },
+        base_journal: state.snapshot.journal,
+    })
+}
+
+impl KgServer {
     /// Forces a durable checkpoint right now: publishes staged updates,
     /// rotates the WAL and writes a fresh snapshot generation
     /// *synchronously* (the file is durable when this returns). No-op
@@ -1661,48 +1759,6 @@ impl KgServer {
         }
         self.rotate_and_snapshot(&ing, false)?;
         Ok(true)
-    }
-
-    /// True when this server was built with persistence attached.
-    pub fn is_persistent(&self) -> bool {
-        self.persist.is_some()
-    }
-
-    /// Rebuilds the staging graph (base journal + every ingested update,
-    /// including the pending batch), swaps it in as the next epoch, and
-    /// promotes the pending batch to published. The schema — and therefore
-    /// the plan-cache key — is untouched.
-    fn publish_locked(&self, ing: &mut IngestState) {
-        let current = self.current_epoch();
-        let mut graph = fresh_backend(self.config.storage_tier, self.config.shard_count);
-        apply_updates(&mut graph, &ing.base_journal);
-        apply_updates(&mut graph, &ing.ingested);
-        apply_updates(&mut graph, &ing.pending);
-        compile_for_serving(graph.as_ref(), self.config.storage_tier, self.telemetry.as_ref());
-        let pending = std::mem::take(&mut ing.pending);
-        let published = pending.len();
-        ing.ingested.extend(pending);
-        ing.last_publish = Instant::now();
-        let next = Arc::new(Epoch {
-            number: current.number + 1,
-            schema_generation: current.schema_generation,
-            schema: current.schema.clone(),
-            graph,
-        });
-        let number = next.number;
-        *self.epoch.write() = next;
-        if let Some(t) = &self.telemetry {
-            t.ingest_swaps.inc();
-            t.trace().emit(
-                "epoch.swap",
-                0,
-                vec![
-                    ("kind", FieldValue::from("ingest")),
-                    ("epoch", FieldValue::from(number)),
-                    ("published", FieldValue::from(published)),
-                ],
-            );
-        }
     }
 
     /// Assembles the snapshot image of the current epoch under the ingest
@@ -1730,7 +1786,10 @@ impl KgServer {
 
     /// Writes the anchor snapshot of the *current* generation synchronously
     /// (startup / recovery path — the WAL for this generation is empty).
-    fn write_snapshot_for_current_generation(&self, ing: &IngestState) -> io::Result<()> {
+    pub(crate) fn write_snapshot_for_current_generation(
+        &self,
+        ing: &IngestState,
+    ) -> io::Result<()> {
         let persist = self.persist.as_ref().expect("persistence attached");
         let (image, generation) = {
             // Image assembled under the WAL lock, like rotation, so a racing
@@ -1755,7 +1814,11 @@ impl KgServer {
     /// Called with the ingest lock held and `pending` empty (a snapshot must
     /// describe exactly the published state, since the new WAL starts
     /// empty).
-    fn rotate_and_snapshot(&self, ing: &IngestState, background: bool) -> io::Result<()> {
+    pub(crate) fn rotate_and_snapshot(
+        &self,
+        ing: &IngestState,
+        background: bool,
+    ) -> io::Result<()> {
         debug_assert!(ing.pending.is_empty(), "snapshot with unpublished updates");
         let persist = self.persist.as_ref().expect("persistence attached");
         let mut inner = persist.inner.lock();
@@ -1774,11 +1837,9 @@ impl KgServer {
         inner.generation += 1;
         let generation = inner.generation;
         let dir = persist.config.dir.clone();
-        let mut wal = WalWriter::create(wal_path(&dir, generation), persist.config.fsync)?;
         // The successor writer keeps recording into the same metric handles,
         // so `wal.*` stays one continuous series across rotations.
-        wal.set_telemetry(self.telemetry.as_ref().map(|t| t.wal.clone()));
-        inner.wal = wal;
+        inner.wal = open_wal(&persist.config, generation, self.telemetry.as_ref())?;
         if let Some(t) = &self.telemetry {
             t.snapshot_rotations.inc();
         }
@@ -1802,187 +1863,6 @@ impl KgServer {
             write_timed()
         }
     }
-
-    /// Replays `statements` across `threads` worker threads (statement `i`
-    /// goes to thread `i % threads`, preserving each thread's relative
-    /// order) and reports aggregate throughput plus the per-shard storage
-    /// work the replay caused.
-    pub fn run_workload(&self, statements: &[Statement], threads: usize) -> WorkloadRunReport {
-        let threads = threads.max(1);
-        let epoch = self.current_epoch();
-        let before = epoch.shard_stats();
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let statements = &statements;
-                scope.spawn(move || {
-                    for stmt in statements.iter().skip(t).step_by(threads) {
-                        let _ = self.serve_statement(stmt);
-                    }
-                });
-            }
-        });
-        let elapsed = start.elapsed();
-        let per_shard_stats = self.per_shard_deltas(&epoch, &before);
-        WorkloadRunReport {
-            served: statements.len() as u64,
-            elapsed,
-            threads,
-            shard_count: epoch.shard_count(),
-            per_shard_stats,
-        }
-    }
-
-    /// Replays a prepared workload — `(handle, params)` executions — across
-    /// `threads` worker threads, exactly like [`KgServer::run_workload`] but
-    /// through the prepare/execute path: no per-request parsing, no
-    /// re-fingerprinting, parameters bound by name per execution.
-    ///
-    /// # Panics
-    /// Panics when an execution fails to bind (the workload's parameter sets
-    /// are expected to match their statements' signatures).
-    pub fn run_prepared_workload(
-        &self,
-        jobs: &[(PreparedStatement, Params)],
-        threads: usize,
-    ) -> WorkloadRunReport {
-        let threads = threads.max(1);
-        let epoch = self.current_epoch();
-        let before = epoch.shard_stats();
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let jobs = &jobs;
-                scope.spawn(move || {
-                    for (prepared, params) in jobs.iter().skip(t).step_by(threads) {
-                        let _ = self
-                            .execute(prepared, params)
-                            .expect("workload parameters bind against their statements");
-                    }
-                });
-            }
-        });
-        let elapsed = start.elapsed();
-        let per_shard_stats = self.per_shard_deltas(&epoch, &before);
-        WorkloadRunReport {
-            served: jobs.len() as u64,
-            elapsed,
-            threads,
-            shard_count: epoch.shard_count(),
-            per_shard_stats,
-        }
-    }
-
-    /// Per-shard storage work done since `before` was sampled on `start`.
-    ///
-    /// The delta is taken against the epoch the run started with (the `Arc`
-    /// keeps it alive even after a swap). When an ingest publication or a
-    /// schema re-optimization swapped epochs mid-run, the rebuilt shards
-    /// started from zeroed counters — so the *current* epoch's totals are
-    /// entirely in-window and are merged in shard-by-shard. Work done on
-    /// intermediate epochs (two or more swaps mid-run) is the only loss.
-    fn per_shard_deltas(&self, start: &Arc<Epoch>, before: &[AccessStats]) -> Vec<AccessStats> {
-        let mut deltas: Vec<AccessStats> = start
-            .shard_stats()
-            .iter()
-            .zip(before)
-            .map(|(after, before)| after.delta_since(before))
-            .collect();
-        let end = self.current_epoch();
-        if !Arc::ptr_eq(start, &end) {
-            for (shard, stats) in end.shard_stats().iter().enumerate() {
-                match deltas.get_mut(shard) {
-                    Some(delta) => *delta = delta.merged(stats),
-                    // The swapped-in layout has more shards than the one the
-                    // run started on; report the extras as-is.
-                    None => deltas.push(*stats),
-                }
-            }
-        }
-        deltas
-    }
-}
-
-/// FNV-1a over a parameter set's sorted `(name, value)` pairs — a stable
-/// fingerprint for the slow-query log that identifies *which bindings* were
-/// slow without logging the values themselves. [`Params`] iterates in name
-/// order, so equal sets hash equal regardless of insertion order.
-fn params_hash(params: &Params) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        hash ^= 0xff; // terminator keeps ("ab","c") distinct from ("a","bc")
-        hash = hash.wrapping_mul(FNV_PRIME);
-    };
-    for (name, value) in params.iter() {
-        mix(name.as_bytes());
-        mix(format!("{value:?}").as_bytes());
-    }
-    hash
-}
-
-/// Loads `instance` under `schema` into the configured storage layout
-/// (see [`crate::tier::fresh_backend`]), capturing the construction journal
-/// through a [`pgso_persist::JournaledGraph`] — the journal is what
-/// snapshots persist and what staging rebuilds replay.
-fn build_graph(
-    ontology: &Ontology,
-    schema: &PropertyGraphSchema,
-    instance: &InstanceKg,
-    tier: StorageTier,
-    shard_count: usize,
-) -> (Box<dyn GraphBackend>, Vec<GraphUpdate>) {
-    let mut journaled = JournaledGraph::new(fresh_backend(tier, shard_count));
-    load_into(&mut journaled, ontology, schema, instance);
-    journaled.into_parts()
-}
-
-/// Makes a freshly built epoch graph serve-ready off the read path: on the
-/// CSR tier this compiles the adjacency segments
-/// ([`GraphBackend::ensure_ready`]) and records the cost as `csr.compile` /
-/// `csr.compiles`, so the first query of the new epoch never pays it. A
-/// no-op on the other tiers.
-fn compile_for_serving(
-    graph: &dyn GraphBackend,
-    tier: StorageTier,
-    telemetry: Option<&Arc<ServerTelemetry>>,
-) {
-    if tier != StorageTier::Csr {
-        return;
-    }
-    let started = Instant::now();
-    graph.ensure_ready();
-    let took = started.elapsed();
-    if let Some(t) = telemetry {
-        t.csr_compile.record_duration(took);
-        t.csr_compiles.inc();
-        t.trace().emit_with_duration(
-            "csr.compile",
-            0,
-            took,
-            vec![
-                ("vertices", FieldValue::from(graph.vertex_count())),
-                ("edges", FieldValue::from(graph.edge_count())),
-            ],
-        );
-    }
-}
-
-impl std::fmt::Debug for KgServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KgServer")
-            .field("ontology", &self.ontology.name())
-            .field("epoch", &self.current_epoch().number)
-            .field("served", &self.served())
-            .field("cache", &self.plan_cache.stats())
-            .field("persistent", &self.persist.is_some())
-            .finish()
-    }
 }
 
 impl Drop for KgServer {
@@ -2002,6 +1882,7 @@ impl Drop for KgServer {
 mod tests {
     use super::*;
     use pgso_ontology::{catalog, StatisticsConfig};
+    use pgso_query::Query;
 
     fn mini_server(config: ServerConfig) -> KgServer {
         let ontology = catalog::med_mini();
@@ -2015,12 +1896,40 @@ mod tests {
         Query::builder("lookup").node("d", "Drug").ret_property("d", "name").build()
     }
 
+    /// Typed queries reach the server the one way there is: as text.
+    fn serve(server: &KgServer, query: &Query) -> QueryResult {
+        server.serve_text(&query.to_string()).expect("a query's Display text parses")
+    }
+
+    fn prepare(server: &KgServer, query: &Query) -> PreparedStatement {
+        server.prepare_text(&query.to_string()).expect("a query's Display text parses")
+    }
+
+    /// Executes a parameterless prepared statement.
+    fn run(server: &KgServer, prepared: &PreparedStatement) -> QueryResult {
+        server.execute(prepared, &Params::new()).expect("no parameters to bind")
+    }
+
+    /// Replays `jobs` across `threads` scoped threads, job `i` on thread
+    /// `i % threads`.
+    fn replay(server: &KgServer, jobs: &[(PreparedStatement, Params)], threads: usize) {
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                scope.spawn(move || {
+                    for (prepared, params) in jobs.iter().skip(t).step_by(threads) {
+                        server.execute(prepared, params).expect("job parameters bind");
+                    }
+                });
+            }
+        });
+    }
+
     #[test]
     fn serves_queries_and_caches_plans() {
         let server = mini_server(ServerConfig::default());
-        let first = server.serve(&lookup());
+        let first = serve(&server, &lookup());
         assert!(first.matches > 0);
-        let second = server.serve(&lookup());
+        let second = serve(&server, &lookup());
         assert_eq!(first.rows, second.rows);
         let stats = server.cache_stats();
         assert_eq!(stats.misses, 1, "first request rewrites");
@@ -2031,14 +1940,14 @@ mod tests {
     #[test]
     fn prepared_queries_reuse_the_fingerprint() {
         let server = mini_server(ServerConfig::default());
-        let ps = server.prepare(lookup());
+        let ps = prepare(&server, &lookup());
         assert!(ps.signature().is_empty(), "a bare lookup declares no parameters");
-        let a = server.serve_prepared(&ps);
-        let b = server.serve_prepared(&ps);
+        let a = run(&server, &ps);
+        let b = run(&server, &ps);
         assert_eq!(a.rows, b.rows);
         assert_eq!(server.cache_stats().hits, 1);
         // The ad-hoc path shares the cache: same shape, same plan.
-        let _ = server.serve(&lookup());
+        let _ = serve(&server, &lookup());
         assert_eq!(server.cache_stats().hits, 2);
     }
 
@@ -2093,22 +2002,43 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown PreparedId")]
     fn foreign_prepared_ids_are_rejected() {
-        let server = mini_server(ServerConfig::default());
-        let foreign = PreparedStatement {
-            id: PreparedId(99),
+        let alpha = mini_server(ServerConfig::default());
+        let beta = mini_server(ServerConfig::default());
+        let on_alpha = [
+            alpha.prepare_text("MATCH (d:Drug) RETURN d.name").unwrap(),
+            alpha.prepare_text("MATCH (i:Indication) RETURN i.desc").unwrap(),
+        ];
+        let on_beta = beta.prepare_text("MATCH (i:Indication) RETURN i.desc").unwrap();
+        // In range: beta holds a statement under id 0, and it is a different
+        // one. Running it would be a silently wrong answer.
+        assert_eq!(on_alpha[0].id(), on_beta.id());
+        let in_range = beta.execute(&on_alpha[0], &Params::new()).unwrap_err();
+        assert!(matches!(in_range, BindError::UnknownStatement), "{in_range}");
+        // Out of range: beta has no id 1 at all.
+        let out_of_range = beta.execute(&on_alpha[1], &Params::new()).unwrap_err();
+        assert!(matches!(out_of_range, BindError::UnknownStatement), "{out_of_range}");
+        // A fabricated handle fares no better than a borrowed one.
+        let fabricated = PreparedStatement {
+            id: PreparedId(0),
             signature: Arc::new(pgso_query::ParamSignature::default()),
         };
-        let _ = server.serve_prepared(&foreign);
+        assert!(matches!(
+            beta.execute(&fabricated, &Params::new()),
+            Err(BindError::UnknownStatement)
+        ));
+        assert_eq!(beta.served(), 0, "a refused handle never counts as a serve");
+        // Each server's own handles are untouched by all this.
+        assert!(!run(&alpha, &on_alpha[0]).rows.is_empty());
+        assert!(!run(&beta, &on_beta).rows.is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "use KgServer::execute")]
-    fn serve_prepared_refuses_parameterized_statements() {
+    fn executing_a_parameterized_statement_without_values_is_a_bind_error() {
         let server = mini_server(ServerConfig::default());
         let ps = server.prepare_text("MATCH (d:Drug) WHERE d.name = $name RETURN d.name").unwrap();
-        let _ = server.serve_prepared(&ps);
+        let err = server.execute(&ps, &Params::new()).unwrap_err();
+        assert!(matches!(err, BindError::Missing { ref name } if name == "name"), "{err}");
     }
 
     #[test]
@@ -2120,7 +2050,49 @@ mod tests {
             .serve_text("MATCH (d:Drug) WHERE d.name = $x RETURN d.name")
             .expect_err("parameterized text cannot be served ad hoc");
         assert!(err.message.contains("prepare_text"), "{err}");
+        // The plan directives have no values to bind either — and PROFILE,
+        // which executes, must refuse rather than run an unbound statement.
+        for directive in ["EXPLAIN", "PROFILE"] {
+            let text = format!("{directive} MATCH (d:Drug) WHERE d.name = $x RETURN d.name");
+            let err = server.serve_text(&text).expect_err("nothing to bind $x with");
+            assert!(err.message.contains(directive), "{err}");
+            assert_eq!(err.offset, directive.len() + 1, "offset indexes the original text");
+        }
         assert_eq!(server.served(), 0);
+        assert_eq!(server.tracker().total_queries(), 0, "nothing was executed");
+    }
+
+    #[test]
+    fn plan_directives_return_what_plan_statement_produces() {
+        let server = mini_server(ServerConfig { auto_reoptimize: false, ..Default::default() });
+        let mut fanouts = 0;
+        for text in [
+            "MATCH (d:Drug)-[:treat]->(i:Indication) WHERE d.name CONTAINS 'Drug' \
+             RETURN d.name, i.desc ORDER BY i.desc LIMIT 7",
+            "MATCH (d:Drug)-[:treat]->(i:Indication) RETURN size(collect(i.desc))",
+        ] {
+            let stmt = parse_named(text, "adhoc").unwrap();
+            // Serve once so the tracker has traversals to estimate fan-outs
+            // from and the plan cache holds the shape: both must show up.
+            let served = server.serve_text(text).unwrap();
+            for mode in [QueryMode::Explain, QueryMode::Profile] {
+                let direct = server.plan_statement(&stmt, mode);
+                assert!(direct.rewritten() && !direct.rules.is_empty(), "{text} must rewrite");
+                fanouts += direct.rules.iter().filter(|r| r.estimated_fanout.is_some()).count();
+                let rows = server.serve_text(&format!("{} {text}", mode.keyword())).unwrap().rows;
+                let mut via_text = QueryPlan::from_rows(&rows).expect("tagged rows rebuild");
+                assert!(direct.cache_hit && via_text.cache_hit, "{mode:?}: cache residency");
+                assert_eq!(via_text.rules, direct.rules, "{mode:?}: rules and fan-outs");
+                if let (Some(a), Some(b)) = (via_text.actuals.as_mut(), direct.actuals) {
+                    assert_eq!(a.rows, served.rows.len() as u64);
+                    // Two executions agree on every count; only the clocks
+                    // differ.
+                    (a.elapsed_ns, a.stage_ns) = (b.elapsed_ns, b.stage_ns);
+                }
+                assert_eq!(via_text, direct, "{mode:?} {text}");
+            }
+        }
+        assert!(fanouts > 0, "at least one attributed rule carries a tracker estimate");
     }
 
     #[test]
@@ -2154,12 +2126,12 @@ mod tests {
                     .filter("d", "name", pgso_query::CmpOp::Eq, f64::NAN)
                     .build(),
             );
-            assert!(server.serve_prepared(&nan).rows.is_empty(), "NaN never compares");
+            assert!(run(&server, &nan).rows.is_empty(), "NaN never compares");
             // … while null/list literals round-trip fine and persist.
             let listy = server
                 .prepare_text("MATCH (d:Drug) WHERE d.name CONTAINS ['a', null] RETURN d.name")
                 .unwrap();
-            let _ = server.serve_prepared(&listy);
+            let _ = run(&server, &listy);
             // kill without checkpoint
         }
         let (o, s, i, _) = make();
@@ -2180,7 +2152,7 @@ mod tests {
         // Without a space limit the schema is workload-independent, so no
         // drift can ever change it.
         for _ in 0..10 {
-            let _ = server.serve(&lookup());
+            let _ = serve(&server, &lookup());
         }
         assert!(server.try_reoptimize().is_none_or(|e| !e.swapped));
         assert_eq!(server.current_epoch().number, 0);
@@ -2192,7 +2164,7 @@ mod tests {
             mini_server(ServerConfig { auto_reoptimize: false, ..ServerConfig::default() });
         assert_eq!(server.drift(), 0.0);
         for _ in 0..50 {
-            let _ = server.serve(&lookup());
+            let _ = serve(&server, &lookup());
         }
         assert!(server.drift() > 0.3, "drift {}", server.drift());
     }
@@ -2202,13 +2174,12 @@ mod tests {
         let server = mini_server(ServerConfig::default());
         // Warm the cache serially: concurrent cold-start threads can race
         // get-before-insert and legitimately rewrite the same plan twice.
-        let _ = server.serve(&lookup());
-        let queries: Vec<Statement> = (0..40).map(|_| Statement::from(lookup())).collect();
-        let report = server.run_workload(&queries, 4);
-        assert_eq!(report.served, 40);
-        assert_eq!(report.threads, 4);
+        let _ = serve(&server, &lookup());
+        let ps = prepare(&server, &lookup());
+        let jobs: Vec<(PreparedStatement, Params)> =
+            (0..40).map(|_| (ps.clone(), Params::new())).collect();
+        replay(&server, &jobs, 4);
         assert_eq!(server.served(), 41);
-        assert!(report.queries_per_second() > 0.0);
         // 40 structurally identical queries against a warm cache: all hits.
         assert_eq!(server.cache_stats().hits, 40);
         assert_eq!(server.cache_stats().misses, 1);
@@ -2304,32 +2275,36 @@ mod tests {
             auto_reoptimize: false,
             ..ServerConfig::default()
         });
-        let queries: Vec<Statement> = (0..24)
-            .map(|_| {
-                Statement::from(
-                    Query::builder("treat")
-                        .node("d", "Drug")
-                        .node("i", "Indication")
-                        .edge("d", "treat", "i")
-                        .ret_property("i", "desc")
-                        .build(),
-                )
-            })
+        let treat = Query::builder("treat")
+            .node("d", "Drug")
+            .node("i", "Indication")
+            .edge("d", "treat", "i")
+            .ret_property("i", "desc")
+            .build();
+        let ps = prepare(&server, &treat);
+        let jobs: Vec<(PreparedStatement, Params)> =
+            (0..24).map(|_| (ps.clone(), Params::new())).collect();
+        let epoch = server.current_epoch();
+        assert_eq!(epoch.shard_count(), 4);
+        let before = epoch.shard_stats();
+        replay(&server, &jobs, 2);
+        let per_shard_stats: Vec<AccessStats> = epoch
+            .shard_stats()
+            .iter()
+            .zip(&before)
+            .map(|(after, before)| after.delta_since(before))
             .collect();
-        let report = server.run_workload(&queries, 2);
-        assert_eq!(report.shard_count, 4);
-        assert_eq!(report.per_shard_stats.len(), 4);
-        let total = report.total_stats();
+        assert_eq!(per_shard_stats.len(), 4);
+        let total = per_shard_stats.iter().fold(AccessStats::default(), |acc, s| acc.merged(s));
         assert!(total.vertex_reads > 0 || total.edge_traversals > 0);
         // The epoch counters also include the loader's reads, so the replay's
         // delta must be bounded by (not equal to) the epoch total.
-        let epoch_total = server.current_epoch().stats();
+        let epoch_total = epoch.stats();
         assert!(total.vertex_reads <= epoch_total.vertex_reads);
         assert!(total.edge_traversals <= epoch_total.edge_traversals);
         assert!(
-            report.per_shard_stats.iter().filter(|s| s.vertex_reads > 0).count() > 1,
-            "work must spread across shards: {:?}",
-            report.per_shard_stats
+            per_shard_stats.iter().filter(|s| s.vertex_reads > 0).count() > 1,
+            "work must spread across shards: {per_shard_stats:?}"
         );
     }
 
@@ -2359,7 +2334,7 @@ mod tests {
             },
         );
         for _ in 0..100 {
-            let _ = server.serve(&lookup());
+            let _ = serve(&server, &lookup());
         }
         let event = server.try_reoptimize();
         if event.is_some_and(|e| e.swapped) {
@@ -2388,29 +2363,29 @@ mod tests {
             ingest: IngestConfig { publish_batch: 4, publish_interval: Duration::from_secs(3600) },
             ..ServerConfig::default()
         });
-        let before = server.serve(&lookup()).matches;
+        let before = serve(&server, &lookup()).matches;
         let report = server.ingest(vec![new_drug(0), new_drug(1)]).unwrap();
         assert!(!report.published);
         assert_eq!(report.pending, 2);
         assert_eq!(report.wal_bytes, 0, "no persistence attached");
-        assert_eq!(server.serve(&lookup()).matches, before, "staged updates stay invisible");
+        assert_eq!(serve(&server, &lookup()).matches, before, "staged updates stay invisible");
         let report = server.ingest(vec![new_drug(2), new_drug(3)]).unwrap();
         assert!(report.published, "batch threshold crossed");
         assert_eq!(report.pending, 0);
         assert_eq!(server.pending_updates(), 0);
         assert_eq!(server.published_updates(), 4);
-        assert_eq!(server.serve(&lookup()).matches, before + 4, "published updates serve");
+        assert_eq!(serve(&server, &lookup()).matches, before + 4, "published updates serve");
         assert_eq!(server.current_epoch().number, 1, "publication is an epoch swap");
     }
 
     #[test]
     fn flush_ingest_publishes_early() {
         let server = mini_server(ServerConfig { auto_reoptimize: false, ..Default::default() });
-        let before = server.serve(&lookup()).matches;
+        let before = serve(&server, &lookup()).matches;
         let _ = server.ingest(vec![new_drug(0)]).unwrap();
         assert!(server.flush_ingest());
         assert!(!server.flush_ingest(), "nothing left to publish");
-        assert_eq!(server.serve(&lookup()).matches, before + 1);
+        assert_eq!(serve(&server, &lookup()).matches, before + 1);
     }
 
     #[test]
@@ -2420,11 +2395,11 @@ mod tests {
             ingest: IngestConfig { publish_batch: 1, publish_interval: Duration::ZERO },
             ..ServerConfig::default()
         });
-        let _ = server.serve(&lookup()); // miss: first rewrite
+        let _ = serve(&server, &lookup()); // miss: first rewrite
         for i in 0..5 {
             let report = server.ingest(vec![new_drug(i)]).unwrap();
             assert!(report.published);
-            let _ = server.serve(&lookup());
+            let _ = serve(&server, &lookup());
         }
         let stats = server.cache_stats();
         assert_eq!(stats.misses, 1, "data-only swaps must not invalidate plans");
@@ -2488,7 +2463,7 @@ mod tests {
             .unwrap();
             assert!(server.is_persistent());
             for _ in 0..10 {
-                let _ = server.serve(&lookup());
+                let _ = serve(&server, &lookup());
             }
             // 5 updates: 3 published by the batch threshold, 2 still staged
             // (durable in the WAL only) when the server dies.
@@ -2503,7 +2478,7 @@ mod tests {
             // (counters recorded after the last durable checkpoint die with
             // the process, exactly like un-logged data would).
             let tracker = server.tracker().snapshot();
-            let rows = server.serve(&lookup()).rows;
+            let rows = serve(&server, &lookup()).rows;
             (rows, tracker)
             // drop without checkpoint = kill
         };
@@ -2520,7 +2495,7 @@ mod tests {
         // the last ingest batch captured the 10 recorded lookups. (Snapshot
         // them before serving anything new on the recovered server.)
         let tracker = recovered.tracker().snapshot();
-        let rows = recovered.serve(&lookup()).rows;
+        let rows = serve(&recovered, &lookup()).rows;
         assert_eq!(rows.len(), pre_kill_rows.len() + 2, "WAL tail replays into the graph");
         assert_eq!(tracker.total_queries, pre_kill_tracker.total_queries);
         assert_eq!(tracker.concept_counts, pre_kill_tracker.concept_counts);
@@ -2697,8 +2672,8 @@ mod tests {
         let ps = server
             .prepare_text("MATCH (d:Drug)-[:treat]->(i:Indication) RETURN i.desc ORDER BY i.desc")
             .unwrap();
-        let a = server.serve_prepared(&ps);
-        let b = server.serve_prepared(&ps);
+        let a = run(&server, &ps);
+        let b = run(&server, &ps);
         assert_eq!(a.rows, b.rows);
         assert_eq!(server.cache_stats().hits, 1);
     }
@@ -2793,8 +2768,7 @@ mod tests {
                 )
             })
             .collect();
-        let report = server.run_prepared_workload(&jobs, 4);
-        assert_eq!(report.served, 32);
+        replay(&server, &jobs, 4);
         assert_eq!(server.served(), 33);
         let stats = server.cache_stats();
         assert_eq!(stats.misses, 1, "one prepared shape, one rewrite");
@@ -2825,12 +2799,9 @@ mod tests {
                 pgso_persist::PersistConfig::new_unsynced(dir.path()),
             )
             .unwrap();
-            let plain = server.prepare(lookup());
+            let plain = prepare(&server, &lookup());
             let parameterized = server.prepare_text(text).unwrap();
-            (
-                server.serve_prepared(&plain).rows,
-                server.execute(&parameterized, &params).unwrap().rows,
-            )
+            (run(&server, &plain).rows, server.execute(&parameterized, &params).unwrap().rows)
             // drop without checkpoint = kill; registrations live in the WAL
         };
         let (o, s, i, _) = make();
@@ -2841,16 +2812,16 @@ mod tests {
         assert_eq!(restored.len(), 2, "both registrations recovered in order");
         assert!(restored[0].signature().is_empty());
         assert_eq!(restored[1].signature().names().collect::<Vec<_>>(), ["needle", "n"]);
-        assert_eq!(recovered.serve_prepared(&restored[0]).rows, plain_rows);
+        assert_eq!(run(&recovered, &restored[0]).rows, plain_rows);
         assert_eq!(recovered.execute(&restored[1], &params).unwrap().rows, param_rows);
     }
 
     #[test]
     fn metrics_snapshot_reports_latency_cache_and_stage_series() {
         let server = mini_server(ServerConfig { auto_reoptimize: false, ..Default::default() });
-        let ps = server.prepare(lookup());
+        let ps = prepare(&server, &lookup());
         for _ in 0..8 {
-            let _ = server.serve_prepared(&ps);
+            let _ = run(&server, &ps);
         }
         let snapshot = server.metrics_snapshot();
         let latency = snapshot.histogram("query.latency").expect("query.latency registered");
@@ -2879,7 +2850,7 @@ mod tests {
             auto_reoptimize: false,
             ..Default::default()
         });
-        let _ = server.serve(&lookup());
+        let _ = serve(&server, &lookup());
         assert!(server.telemetry().is_none());
         assert!(server.trace_events().is_empty());
         let snapshot = server.metrics_snapshot();
@@ -2938,7 +2909,7 @@ mod tests {
     #[test]
     fn slow_query_log_is_off_by_default() {
         let server = mini_server(ServerConfig { auto_reoptimize: false, ..Default::default() });
-        let _ = server.serve(&lookup());
+        let _ = serve(&server, &lookup());
         assert!(server.trace_events().iter().all(|e| e.name != "slow_query"));
         assert_eq!(server.metrics_snapshot().counter("server.slow_queries"), Some(0));
     }
@@ -2996,43 +2967,5 @@ mod tests {
         let snapshot = recovered.metrics_snapshot();
         assert_eq!(snapshot.histogram("recovery.replay").unwrap().count, 1);
         assert!(recovered.trace_events().iter().any(|e| e.name == "recovery.replay"));
-    }
-
-    #[test]
-    fn workload_report_keeps_counting_across_a_mid_run_epoch_swap() {
-        // Deterministic reproduction of the mid-run-swap accounting bug:
-        // pin the start epoch, do some work, swap epochs (rebuilding the
-        // shards from zeroed counters), do more work, then ask for the
-        // deltas. The fixed report must include the post-swap work.
-        let server = mini_server(ServerConfig {
-            shard_count: 2,
-            auto_reoptimize: false,
-            ..Default::default()
-        });
-        let start = server.current_epoch();
-        let before = start.shard_stats();
-        let _ = server.serve(&lookup());
-        let pre_swap: u64 =
-            server.per_shard_deltas(&start, &before).iter().map(|s| s.vertex_reads).sum();
-        assert!(pre_swap > 0, "the serve touched vertices");
-        // Publish an ingest batch: epoch swap, shards rebuilt from scratch.
-        let _ = server.ingest(vec![new_drug(0)]).unwrap();
-        assert!(server.flush_ingest());
-        assert!(!Arc::ptr_eq(&start, &server.current_epoch()));
-        let _ = server.serve(&lookup());
-        let with_post_swap: u64 =
-            server.per_shard_deltas(&start, &before).iter().map(|s| s.vertex_reads).sum();
-        assert!(
-            with_post_swap > pre_swap,
-            "post-swap work must be counted ({with_post_swap} vs {pre_swap})"
-        );
-        // The naive delta (what the report used to be) loses it entirely.
-        let naive: u64 = start
-            .shard_stats()
-            .iter()
-            .zip(&before)
-            .map(|(after, before)| after.delta_since(before).vertex_reads)
-            .sum();
-        assert!(with_post_swap > naive, "the fix adds exactly the rebuilt shards' work");
     }
 }

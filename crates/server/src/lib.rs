@@ -11,17 +11,25 @@
 //! * [`KgServer`] — a thread-safe engine that owns a
 //!   [`pgso_graphstore::GraphBackend`] behind a shared read path and serves
 //!   DIR statements from any number of threads. The query surface is a
-//!   **prepare/execute contract**: [`KgServer::prepare_text`] registers a
-//!   statement with `$name` parameters and returns a [`PreparedStatement`]
-//!   handle carrying its typed signature, and [`KgServer::execute`] binds a
-//!   [`Params`] set by name ([`BindError`] on missing/mismatched/undeclared
-//!   names). [`KgServer::serve_text`] is the ad-hoc path — parse →
+//!   There is **one way to build one** — [`KgServer::builder`], closed by
+//!   [`KgServerBuilder::build`] or [`KgServerBuilder::recover`], with
+//!   [`KgServer::new`] / [`KgServer::new_persistent`] /
+//!   [`KgServer::recover`] as shorthands — and **one way to run a
+//!   statement on it**, three methods wide: [`KgServer::prepare_text`]
+//!   registers a statement with `$name` parameters and returns a
+//!   [`PreparedStatement`] handle carrying its typed signature;
+//!   [`KgServer::execute`] binds a [`Params`] set by name ([`BindError`] on
+//!   missing/mismatched/undeclared names, and on a handle some other
+//!   server issued); [`KgServer::serve_text`] is the ad-hoc path — parse →
 //!   auto-parameterize → execute — so one-off texts still share cached
-//!   plans across literal variations. With [`ServerConfig::shard_count`] > 1
-//!   every epoch's instance graph is hash-partitioned across a
+//!   plans across literal variations, and an `EXPLAIN` / `PROFILE` prefix
+//!   turns it into the plan surface ([`QueryPlan::from_rows`] rebuilds the
+//!   typed plan). Typed `Query` / `Statement` values go in as their
+//!   `Display` text. With [`ServerConfig::shard_count`] > 1 every epoch's
+//!   instance graph is hash-partitioned across a
 //!   [`pgso_graphstore::ShardedGraph`], the executor may fan root expansion
 //!   out across the shards ([`ServerConfig::exec`]), and
-//!   [`WorkloadRunReport`] breaks the storage work down per shard;
+//!   [`Epoch::shard_stats`] breaks the storage work down per shard;
 //! * [`PlanCache`] — a fingerprint-keyed DIR→OPT rewrite cache, invalidated
 //!   wholesale by schema-generation bumps. Keys are *parameterized
 //!   statements*: one prepared statement (or one auto-parameterized ad-hoc
@@ -45,14 +53,17 @@
 //! ```
 //! use pgso_datagen::InstanceKg;
 //! use pgso_ontology::{catalog, AccessFrequencies, DataStatistics, StatisticsConfig};
-//! use pgso_server::{KgServer, Params, ServerConfig};
+//! use pgso_server::{BindError, KgServer, Params, QueryPlan, ServerConfig};
 //!
 //! let ontology = catalog::med_mini();
 //! let statistics = DataStatistics::synthesize(&ontology, &StatisticsConfig::small(), 42);
 //! let instance = InstanceKg::generate(&ontology, &statistics, 0.5, 42);
 //! let frequencies = AccessFrequencies::uniform(&ontology, 10_000.0);
-//! let server = KgServer::new(ontology, statistics, instance, frequencies,
-//!                            ServerConfig::default());
+//! // `.persist(..)` would attach a WAL, `.telemetry_sink(..)` a shared registry.
+//! let server = KgServer::builder(ontology.clone(), statistics.clone(), instance.clone())
+//!     .config(ServerConfig { auto_reoptimize: false, ..ServerConfig::default() })
+//!     .build(frequencies.clone())
+//!     .unwrap();
 //!
 //! // Prepare once (the $parameters are part of the statement) ...
 //! let ps = server
@@ -69,10 +80,19 @@
 //!     .unwrap();
 //! assert_eq!(server.cache_stats().hits, 1); // same plan, new bindings
 //!
-//! // Ad-hoc text is auto-parameterized into the same machinery.
-//! let _ = server
-//!     .serve_text("MATCH (d:Drug) WHERE d.name CONTAINS 'Drug' RETURN d.name LIMIT 5")
-//!     .unwrap();
+//! // Ad-hoc text is auto-parameterized into the same machinery ...
+//! let text = "MATCH (d:Drug)-[:treat]->(i:Indication) RETURN d.name, i.desc LIMIT 5";
+//! let rows = server.serve_text(text).unwrap().rows;
+//! // ... and a PROFILE prefix returns the plan that produced those rows.
+//! let profiled = server.serve_text(&format!("PROFILE {text}")).unwrap();
+//! let plan = QueryPlan::from_rows(&profiled.rows).unwrap();
+//! assert!(plan.cache_hit);
+//! assert_eq!(plan.actuals.unwrap().rows, rows.len() as u64);
+//!
+//! // A handle is good on the server that issued it and nowhere else.
+//! let other = KgServer::new(ontology, statistics, instance, frequencies,
+//!                           ServerConfig::default());
+//! assert!(matches!(other.execute(&ps, &Params::new()), Err(BindError::UnknownStatement)));
 //! ```
 
 #![warn(missing_docs)]
@@ -86,10 +106,10 @@ pub mod tracker;
 
 pub use cache::{CacheStats, PlanCache};
 pub use engine::{
-    Epoch, HealthSummary, IngestConfig, IngestReport, KgServer, PreparedId, PreparedStatement,
-    ReoptimizationEvent, ServerConfig, TelemetrySink, WorkloadRunReport,
+    Epoch, HealthSummary, IngestConfig, IngestReport, KgServer, KgServerBuilder, PreparedId,
+    PreparedStatement, ReoptimizationEvent, ServerConfig, TelemetrySink,
 };
-pub use telemetry::{ServerTelemetry, DEFAULT_PREPARED_SERIES_LIMIT};
+pub use telemetry::{ServerTelemetry, DEFAULT_PREPARED_SERIES_LIMIT, DEFAULT_TRACE_CAPACITY};
 pub use tier::{StorageTier, TempDiskGraph};
 // The durability vocabulary callers need for `KgServer::ingest` /
 // `KgServer::recover`, and the binding vocabulary for
@@ -98,7 +118,7 @@ pub use tier::{StorageTier, TempDiskGraph};
 pub use pgso_graphstore::GraphUpdate;
 pub use pgso_persist::PersistConfig;
 pub use pgso_query::{BindError, ParamKind, ParamSignature, Params};
-// The plan vocabulary behind `KgServer::explain_text` / `profile_text`.
+// The plan vocabulary behind `EXPLAIN` / `PROFILE` through `KgServer::serve_text`.
 pub use pgso_query::{AppliedRule, PlanActuals, QueryMode, QueryPlan};
 // Observability vocabulary for `KgServer::metrics_snapshot` /
 // `KgServer::trace_events` / `KgServer::health_summary` readers.

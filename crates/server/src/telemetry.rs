@@ -16,7 +16,7 @@
 //! | `query.fanned_out_shards` | histogram | shard workers per query (0 = serial; sampled) |
 //! | `server.parse` / `server.parameterize` | histogram | text-path front-end time, ns |
 //! | `server.cache_lookup` / `server.rewrite` / `server.bind` / `server.execute` | histogram | serve pipeline phases, ns (sampled; `rewrite` always) |
-//! | `prepared.<id>.latency` | histogram | per-prepared-statement serve time, ns (first [`ServerTelemetry`] `prepared_series_limit` ids) |
+//! | `prepared.<id>.latency` | histogram | per-prepared-statement serve time, ns (first [`DEFAULT_PREPARED_SERIES_LIMIT`] ids) |
 //! | `prepared.other.latency` | histogram | shared overflow series for prepared ids past the limit |
 //! | `server.slow_queries` | counter | serves past the slow-query threshold |
 //! | `epoch.ingest_swaps` / `epoch.schema_swaps` | counter | epoch publications / re-optimizations |
@@ -75,9 +75,15 @@ use std::sync::Arc;
 /// width, pipeline phase histograms). The first serve is always sampled.
 pub const DETAIL_SAMPLE_EVERY: u64 = 8;
 
-/// Default cap on distinct `prepared.<id>.latency` series (see
-/// [`crate::ServerConfig::prepared_series_limit`]).
+/// Cap on distinct `prepared.<id>.latency` series: the first this-many
+/// prepared ids get their own series, later ones share
+/// `prepared.other.latency`, so a workload preparing statements without
+/// bound cannot grow the metrics registry without bound.
 pub const DEFAULT_PREPARED_SERIES_LIMIT: usize = 256;
+
+/// Capacity of the structured trace ring (events retained before the oldest
+/// are overwritten).
+pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
 
 /// Pre-resolved instrument handles plus the trace ring for one server.
 #[derive(Debug)]
@@ -143,35 +149,21 @@ pub struct ServerTelemetry {
 }
 
 impl ServerTelemetry {
-    /// A fresh registry + trace with every engine instrument resolved, at
-    /// the default per-prepared series cap.
-    pub fn new(trace_capacity: usize) -> Self {
-        Self::with_limits(trace_capacity, DEFAULT_PREPARED_SERIES_LIMIT)
+    /// Resolves every engine instrument inside `registry`, prefixing each
+    /// metric name with `prefix` — empty for a server that owns its
+    /// registry, `tenant.alpha.` and the like under a multi-tenant host,
+    /// which is how each tenant gets its own series
+    /// (`{prefix}query.latency`, `{prefix}prepared.<id>.latency`, …) in one
+    /// shared exposition without name collisions. The trace ring and the
+    /// rolling health windows stay private to this instance: traces and q/s
+    /// summaries are per-tenant even when the registry is shared.
+    pub fn new(registry: Arc<MetricsRegistry>, prefix: String) -> Self {
+        Self::with_limits(registry, prefix, DEFAULT_TRACE_CAPACITY, DEFAULT_PREPARED_SERIES_LIMIT)
     }
 
-    /// [`ServerTelemetry::new`] with an explicit cap on distinct
-    /// `prepared.<id>.latency` series; prepared ids past the cap record
-    /// into the shared `prepared.other.latency` histogram instead, so a
-    /// workload preparing statements without bound cannot grow the registry
-    /// without bound.
-    pub fn with_limits(trace_capacity: usize, prepared_series_limit: usize) -> Self {
-        Self::with_registry(
-            Arc::new(MetricsRegistry::new()),
-            String::new(),
-            trace_capacity,
-            prepared_series_limit,
-        )
-    }
-
-    /// Resolve every engine instrument inside an **existing** registry,
-    /// prefixing each metric name with `prefix` (for example
-    /// `tenant.alpha.`). This is how a multi-tenant host gives each tenant
-    /// its own series — `{prefix}query.latency`,
-    /// `{prefix}prepared.<id>.latency`, … — in one shared exposition
-    /// without any name collisions. The trace ring and the rolling health
-    /// windows stay private to this instance: traces and q/s summaries are
-    /// per-tenant even when the registry is shared.
-    pub fn with_registry(
+    /// [`ServerTelemetry::new`] with explicit ring and series caps, so the
+    /// unit tests can reach the overflow paths with a handful of events.
+    fn with_limits(
         registry: Arc<MetricsRegistry>,
         prefix: String,
         trace_capacity: usize,
@@ -269,7 +261,8 @@ mod tests {
 
     #[test]
     fn prepared_series_cap_overflows_into_shared_histogram() {
-        let telemetry = ServerTelemetry::with_limits(16, 2);
+        let telemetry =
+            ServerTelemetry::with_limits(Arc::new(MetricsRegistry::new()), String::new(), 16, 2);
         telemetry.prepared_latency(0).record(10);
         telemetry.prepared_latency(1).record(20);
         // Past the cap: both land in the shared overflow series.
@@ -289,8 +282,8 @@ mod tests {
     #[test]
     fn prefixed_instances_coexist_in_one_registry() {
         let registry = Arc::new(MetricsRegistry::new());
-        let a = ServerTelemetry::with_registry(registry.clone(), "tenant.a.".into(), 16, 4);
-        let b = ServerTelemetry::with_registry(registry.clone(), "tenant.b.".into(), 16, 4);
+        let a = ServerTelemetry::with_limits(registry.clone(), "tenant.a.".into(), 16, 4);
+        let b = ServerTelemetry::with_limits(registry.clone(), "tenant.b.".into(), 16, 4);
         assert_eq!(a.metric_prefix(), "tenant.a.");
         a.query_latency.record(10);
         b.query_latency.record(20);

@@ -7,8 +7,13 @@
 use pgso_core::{optimize_nsc, OptimizerConfig, OptimizerInput};
 use pgso_datagen::InstanceKg;
 use pgso_ontology::{catalog, DataStatistics, Ontology, StatisticsConfig};
-use pgso_query::{Aggregate, Query};
+use pgso_query::{Aggregate, Query, QueryResult};
 use pgso_server::{KgServer, ServerConfig, WorkloadTracker};
+
+/// Typed queries reach the server as their `Display` text.
+fn serve(server: &KgServer, query: &Query) -> QueryResult {
+    server.serve_text(&query.to_string()).expect("a query's Display text parses")
+}
 
 /// Patient-centric phase-A workload: encounters, diagnoses, lab results.
 fn phase_a_queries() -> Vec<Query> {
@@ -112,7 +117,7 @@ fn workload_shift_triggers_reoptimization_and_cuts_traversals() {
 
     // Pre-shift: the schema was optimized for phase A, so the drug-centric
     // probe still pays its edge traversals.
-    let before = server.serve(probe);
+    let before = serve(&server, probe);
     assert!(
         before.stats.edge_traversals > 0,
         "phase-A schema should not have replicated DrugRoute onto Drug"
@@ -124,7 +129,7 @@ fn workload_shift_triggers_reoptimization_and_cuts_traversals() {
     let mut swapped = false;
     for round in 0..50 {
         for q in &phase_b {
-            let _ = server.serve(q);
+            let _ = serve(&server, q);
         }
         if server.reoptimization_events().iter().any(|e| e.swapped) {
             swapped = true;
@@ -144,7 +149,7 @@ fn workload_shift_triggers_reoptimization_and_cuts_traversals() {
     // Post-shift: the re-optimized schema answers the same probe with fewer
     // traversals (the 1:M aggregation now reads a replicated LIST property),
     // and the answer is unchanged.
-    let after = server.serve(probe);
+    let after = serve(&server, probe);
     assert_eq!(answer_before, after.scalar(), "rewrite must preserve the answer");
     assert!(
         after.stats.edge_traversals < before.stats.edge_traversals,
@@ -165,7 +170,7 @@ fn plan_cache_is_invalidated_by_the_swap() {
 
     // Warm the cache on epoch 0.
     for q in &phase_b {
-        let _ = server.serve(q);
+        let _ = serve(&server, q);
     }
     let warm = server.cache_stats();
     assert_eq!(warm.misses, phase_b.len() as u64);
@@ -174,7 +179,7 @@ fn plan_cache_is_invalidated_by_the_swap() {
     // Drive the shift until the swap happens.
     for _ in 0..50 {
         for q in &phase_b {
-            let _ = server.serve(q);
+            let _ = serve(&server, q);
         }
         if server.reoptimization_events().iter().any(|e| e.swapped) {
             break;
@@ -190,7 +195,7 @@ fn plan_cache_is_invalidated_by_the_swap() {
     // The next round misses (plans re-rewritten against epoch 1), then hits.
     let misses_before = server.cache_stats().misses;
     for q in &phase_b {
-        let _ = server.serve(q);
+        let _ = serve(&server, q);
     }
     let misses_mid = server.cache_stats().misses;
     assert!(
@@ -199,7 +204,7 @@ fn plan_cache_is_invalidated_by_the_swap() {
     );
     let hits_before = server.cache_stats().hits;
     for q in &phase_b {
-        let _ = server.serve(q);
+        let _ = serve(&server, q);
     }
     assert_eq!(
         server.cache_stats().hits,
@@ -214,7 +219,7 @@ fn stable_workload_never_swaps() {
     let phase_a = phase_a_queries();
     for _ in 0..60 {
         for q in &phase_a {
-            let _ = server.serve(q);
+            let _ = serve(&server, q);
         }
     }
     assert_eq!(server.current_epoch().number, 0, "matching workload must not swap");

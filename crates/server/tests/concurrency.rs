@@ -4,8 +4,18 @@
 
 use pgso_datagen::InstanceKg;
 use pgso_ontology::{catalog, AccessFrequencies, DataStatistics, StatisticsConfig};
-use pgso_query::{Aggregate, Query, Row};
-use pgso_server::{KgServer, ServerConfig};
+use pgso_query::{Aggregate, Query, QueryResult, Row};
+use pgso_server::{KgServer, Params, PreparedStatement, ServerConfig};
+
+/// Typed queries reach the server as their `Display` text.
+fn serve(server: &KgServer, query: &Query) -> QueryResult {
+    server.serve_text(&query.to_string()).expect("a query's Display text parses")
+}
+
+/// Executes a parameterless prepared statement.
+fn run(server: &KgServer, prepared: &PreparedStatement) -> QueryResult {
+    server.execute(prepared, &Params::new()).expect("no parameters to bind")
+}
 
 fn medical_server() -> KgServer {
     let ontology = catalog::medical();
@@ -65,7 +75,7 @@ fn concurrent_execution_matches_serial_row_sets() {
     let queries = workload();
 
     // Serial reference: one execution of each query.
-    let serial: Vec<Vec<Row>> = queries.iter().map(|q| server.serve(q).rows).collect();
+    let serial: Vec<Vec<Row>> = queries.iter().map(|q| serve(&server, q).rows).collect();
     for (query, rows) in queries.iter().zip(&serial) {
         assert!(!rows.is_empty(), "serial run of {} returned no rows", query.name);
     }
@@ -81,7 +91,7 @@ fn concurrent_execution_matches_serial_row_sets() {
             scope.spawn(move || {
                 for _ in 0..ROUNDS {
                     for (query, expected) in queries.iter().zip(serial) {
-                        let result = server.serve(query);
+                        let result = serve(server, query);
                         assert_eq!(
                             &result.rows, expected,
                             "{} diverged under concurrency",
@@ -107,8 +117,11 @@ fn concurrent_execution_matches_serial_row_sets() {
 #[test]
 fn prepared_queries_are_thread_safe() {
     let server = medical_server();
-    let handles: Vec<_> = workload().into_iter().map(|q| server.prepare(q)).collect();
-    let serial: Vec<Vec<Row>> = handles.iter().map(|ps| server.serve_prepared(ps).rows).collect();
+    let handles: Vec<_> = workload()
+        .iter()
+        .map(|q| server.prepare_text(&q.to_string()).expect("a query's Display text parses"))
+        .collect();
+    let serial: Vec<Vec<Row>> = handles.iter().map(|ps| run(&server, ps).rows).collect();
 
     std::thread::scope(|scope| {
         for _ in 0..6 {
@@ -118,7 +131,7 @@ fn prepared_queries_are_thread_safe() {
             scope.spawn(move || {
                 for _ in 0..20 {
                     for (ps, expected) in handles.iter().zip(serial) {
-                        assert_eq!(&server.serve_prepared(ps).rows, expected);
+                        assert_eq!(&run(server, ps).rows, expected);
                     }
                 }
             });
@@ -129,7 +142,6 @@ fn prepared_queries_are_thread_safe() {
 
 #[test]
 fn parameterized_execution_is_thread_safe() {
-    use pgso_server::Params;
     let server = medical_server();
     let ps = server
         .prepare_text("MATCH (d:Drug) WHERE d.name CONTAINS $needle RETURN d.name LIMIT $n")
@@ -173,7 +185,7 @@ fn per_query_stats_remain_attributable_under_concurrency() {
     let q = workload().remove(1); // Drug -[treat]-> Indication pattern
     let baseline = server.current_epoch().stats().edge_traversals;
     let serial_cost = {
-        let r = server.serve(&q);
+        let r = serve(&server, &q);
         r.stats.edge_traversals
     };
     assert!(serial_cost > 0, "pattern query must traverse edges");
@@ -186,7 +198,7 @@ fn per_query_stats_remain_attributable_under_concurrency() {
             let q = &q;
             scope.spawn(move || {
                 for _ in 0..ROUNDS {
-                    let _ = server.serve(q);
+                    let _ = serve(server, q);
                 }
             });
         }

@@ -26,8 +26,7 @@
 //! Snapshots serialize in the workspace codec style
 //! ([`MetricsSnapshot::to_bytes`]) and render to a Prometheus-style text
 //! exposition ([`MetricsSnapshot::render_text`]). [`StageTimings`] is the
-//! shared per-query cost breakdown the executor fills in, and [`Json`] is
-//! a small writer used for the `BENCH_serving.json` bench artifact.
+//! shared per-query cost breakdown the executor fills in.
 //!
 //! Two request-scoped facilities round out the layer: [`RollingWindows`]
 //! answers "q/s and error rate over the last 1 s / 10 s / 60 s" from a
@@ -39,7 +38,6 @@
 #![warn(missing_docs)]
 
 mod hist;
-mod json;
 mod metrics;
 mod stage;
 mod trace;
@@ -48,7 +46,6 @@ mod windows;
 pub use hist::{
     bucket_index, bucket_lower_bound, bucket_upper_bound, Histogram, HistogramSnapshot,
 };
-pub use json::Json;
 pub use metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, METRICS_SNAPSHOT_VERSION};
 pub use stage::StageTimings;
 pub use trace::{

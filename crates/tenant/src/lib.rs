@@ -195,8 +195,7 @@ impl Drop for Admission<'_> {
 /// All serving entry points ([`Tenant::execute`], [`Tenant::serve_text`])
 /// pass through admission control; [`Tenant::ingest`] charges the ingest
 /// budget. The wrapped server is reachable via [`Tenant::server`] for
-/// surfaces that don't consume quota (EXPLAIN of a cached plan, health,
-/// metrics, workload replays in tests).
+/// surfaces that don't consume quota (health, metrics, epoch inspection).
 #[derive(Debug)]
 pub struct Tenant {
     name: String,
@@ -264,10 +263,10 @@ impl Tenant {
 
     /// Admission-controlled [`KgServer::execute`].
     ///
-    /// # Panics
-    /// Like the underlying call, panics if `prepared` came from a different
-    /// tenant's server — route handles through the tenant that prepared
-    /// them.
+    /// Like the underlying call, refuses a handle that a different tenant's
+    /// server issued with [`pgso_query::BindError::UnknownStatement`]
+    /// (wrapped in [`TenantError::Bind`]) — it never runs whichever
+    /// statement of this tenant happens to share the id.
     pub fn execute(
         &self,
         prepared: &PreparedStatement,
@@ -512,25 +511,13 @@ impl TenantHost {
             return Err(TenantError::AlreadyExists(name.to_string()));
         }
         let TenantSpec { ontology, statistics, instance, frequencies } = spec;
-        let server = match self.persist_for(name) {
-            Some(persist) => KgServer::new_persistent_with_sink(
-                ontology,
-                statistics,
-                instance,
-                frequencies,
-                self.config.server,
-                persist,
-                self.sink_for(name),
-            )?,
-            None => KgServer::new_with_sink(
-                ontology,
-                statistics,
-                instance,
-                frequencies,
-                self.config.server,
-                self.sink_for(name),
-            ),
-        };
+        let mut builder = KgServer::builder(ontology, statistics, instance)
+            .config(self.config.server)
+            .telemetry_sink(self.sink_for(name));
+        if let Some(persist) = self.persist_for(name) {
+            builder = builder.persist(persist);
+        }
+        let server = builder.build(frequencies)?;
         self.route(name, Tenant::new(name.to_string(), Arc::new(server), quotas))
     }
 
@@ -560,14 +547,11 @@ impl TenantHost {
             ))
         })?;
         let TenantSpec { ontology, statistics, instance, .. } = spec;
-        let server = KgServer::recover_with_sink(
-            ontology,
-            statistics,
-            instance,
-            self.config.server,
-            persist,
-            self.sink_for(name),
-        )?;
+        let server = KgServer::builder(ontology, statistics, instance)
+            .config(self.config.server)
+            .persist(persist)
+            .telemetry_sink(self.sink_for(name))
+            .recover()?;
         self.route(name, Tenant::new(name.to_string(), Arc::new(server), quotas))
     }
 
@@ -709,6 +693,23 @@ mod tests {
                 "{bad:?} must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn a_sibling_tenants_handle_is_refused_not_misrouted() {
+        let (_host, alpha, beta) = host_with_two_tenants();
+        let on_alpha = alpha.prepare_text("MATCH (d:Drug) RETURN d.name").expect("prepares");
+        let on_beta = beta.prepare_text("MATCH (i:Indication) RETURN i.desc").expect("prepares");
+        // Same id on both tenants, different statements behind it.
+        assert_eq!(on_alpha.id(), on_beta.id());
+        let err = beta.execute(&on_alpha, &Params::new()).expect_err("alpha's handle on beta");
+        assert!(matches!(err, TenantError::Bind(BindError::UnknownStatement)), "{err}");
+        // Out of range on beta: still an error, never a panic.
+        let second = alpha.prepare_text("MATCH (i:Indication) RETURN i.desc").expect("prepares");
+        let err = beta.execute(&second, &Params::new()).expect_err("beta has no such id");
+        assert!(matches!(err, TenantError::Bind(BindError::UnknownStatement)), "{err}");
+        assert_eq!(beta.server().served(), 0, "nothing ran on beta");
+        assert!(!beta.execute(&on_beta, &Params::new()).expect("own handle").rows.is_empty());
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! Durability scenario: build a persistent serving engine, teach it a
-//! workload, ingest a stream of updates through the write-ahead log, kill
-//! the server without any graceful shutdown — and recover it, asserting
-//! that the optimized Q9 plan, the query answers and the learned workload
-//! frequencies all survive the restart.
+//! workload, ingest a stream of updates through the write-ahead log with a
+//! checkpoint on the way, kill the server without any graceful shutdown —
+//! and recover it, asserting that the optimized Q9 plan, the query answers
+//! and the learned workload frequencies all survive the restart.
 //!
 //! ```text
-//! cargo run --example persistent_kg
+//! cargo run --release --example persistent_kg
 //! ```
 
 use pgso::ontology::catalog;
-use pgso::persist::PersistConfig;
 use pgso::prelude::*;
-use pgso::server::ServerConfig;
+use std::time::Instant;
 
 /// The drug-centric workload the schema is optimized for; the probe is the
 /// paper's Q9-style aggregation (Drug → DrugRoute).
@@ -21,10 +20,20 @@ const WORKLOAD: [&str; 3] = [
     "MATCH (d:Drug) WHERE d.name CONTAINS 'Drug_name' RETURN d.name LIMIT 5",
 ];
 
-fn workload_statements() -> Vec<Statement> {
-    (0..120)
-        .map(|i| parse_named(WORKLOAD[i % WORKLOAD.len()], "wl").expect("workload parses"))
-        .collect()
+/// Serves 120 workload texts ad hoc from 4 threads; returns (served, q/s).
+fn replay_workload(server: &KgServer) -> (usize, f64) {
+    let (total, threads) = (120, 4);
+    let started = Instant::now();
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            scope.spawn(move || {
+                for i in (t..total).step_by(threads) {
+                    server.serve_text(WORKLOAD[i % WORKLOAD.len()]).expect("workload parses");
+                }
+            });
+        }
+    });
+    (total, total as f64 / started.elapsed().as_secs_f64())
 }
 
 fn build_inputs() -> (Ontology, DataStatistics, InstanceKg, AccessFrequencies) {
@@ -33,8 +42,8 @@ fn build_inputs() -> (Ontology, DataStatistics, InstanceKg, AccessFrequencies) {
     let instance = InstanceKg::generate(&ontology, &statistics, 0.05, 23);
     // Teach the initial frequencies from the workload itself.
     let tracker = WorkloadTracker::new(&ontology);
-    for statement in workload_statements() {
-        tracker.record_statement(&statement);
+    for text in WORKLOAD {
+        tracker.record_statement(&parse(text).expect("workload parses"));
     }
     let frequencies = tracker.to_frequencies(&ontology, 10_000.0);
     (ontology, statistics, instance, frequencies)
@@ -76,11 +85,9 @@ fn main() {
         println!("serving from {} (WAL fsync on)", dir.display());
 
         // Steady state: 4 threads replay the workload; the tracker learns.
-        let report = server.run_workload(&workload_statements(), 4);
+        let (served, qps) = replay_workload(&server);
         println!(
-            "workload: {} queries -> {:.0} q/s, plan-cache hit ratio {:.3}",
-            report.served,
-            report.queries_per_second(),
+            "workload: {served} queries -> {qps:.0} q/s, plan-cache hit ratio {:.3}",
             server.cache_stats().hit_ratio()
         );
 
@@ -96,7 +103,7 @@ fn main() {
         );
         drop(epoch);
         let total = updates.len();
-        for batch in updates.chunks(50) {
+        for (i, batch) in updates.chunks(50).enumerate() {
             let report = server.ingest(batch.to_vec()).expect("ingest is durable");
             println!(
                 "ingest: {} updates (pending {}, published {}, wal {} bytes{})",
@@ -106,6 +113,13 @@ fn main() {
                 report.wal_bytes,
                 if report.rotated { ", rotated + snapshot" } else { "" }
             );
+            if i == 4 {
+                // A checkpoint mid-stream: the WAL rotates and a snapshot
+                // generation subsumes everything so far, so recovery below
+                // is that snapshot plus the tail logged after it.
+                server.checkpoint().expect("checkpoint is durable");
+                println!("checkpoint: snapshot written, WAL rotated");
+            }
         }
         server.flush_ingest();
 
@@ -131,7 +145,7 @@ fn main() {
             probe_result.scalar(),
             probe_result.stats.edge_traversals
         );
-        println!("killing the server (no checkpoint, no graceful shutdown) ...");
+        println!("killing the server (no final checkpoint, no graceful shutdown) ...");
         (probe_result.scalar(), probe_result.stats.edge_traversals, ratio, total, looked_up.rows)
         // <- server dropped here: the process state is gone, only dir remains
     };
@@ -181,13 +195,11 @@ fn main() {
     // The learned frequencies survive too: replaying the same workload on
     // the recovered server reaches the same plan-cache hit ratio (same
     // shapes, same rewrites) and the drift picks up where it left off.
-    let report = recovered.run_workload(&workload_statements(), 4);
+    let (served, qps) = replay_workload(&recovered);
     let ratio = recovered.cache_stats().hit_ratio();
     println!(
-        "replay after recovery: {} queries -> {:.0} q/s, hit ratio {ratio:.3} \
-         (pre-kill {pre_kill_ratio:.3})",
-        report.served,
-        report.queries_per_second()
+        "replay after recovery: {served} queries -> {qps:.0} q/s, hit ratio {ratio:.3} \
+         (pre-kill {pre_kill_ratio:.3})"
     );
     assert!(
         (ratio - pre_kill_ratio).abs() < 0.05,

@@ -9,13 +9,18 @@
 //! replay `(handle, params)` executions — no per-request parsing, values
 //! bound by name.
 //!
+//! The physical layout under all of this is two `ServerConfig` lines —
+//! `storage_tier` and `shard_count` — and the tour ends by serving the same
+//! instance from the memory tier, the read-optimized CSR tier and four hash
+//! shards: same rows, different storage.
+//!
 //! ```text
-//! cargo run --example serving_kg
+//! cargo run --release --example serving_kg
 //! ```
 
 use pgso::ontology::catalog;
 use pgso::prelude::*;
-use pgso::server::ServerConfig;
+use std::time::{Duration, Instant};
 
 /// Patient-centric phase A: the mix the initial schema is optimized for.
 fn phase_a_texts() -> Vec<&'static str> {
@@ -52,6 +57,59 @@ fn jobs_for(handles: &[PreparedStatement], total: usize) -> Vec<(PreparedStateme
         .collect()
 }
 
+/// Replays `jobs` across `threads` scoped threads, job `i` on thread
+/// `i % threads`, and returns the wall time.
+fn replay(server: &KgServer, jobs: &[(PreparedStatement, Params)], threads: usize) -> Duration {
+    let started = Instant::now();
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            scope.spawn(move || {
+                for (prepared, params) in jobs.iter().skip(t).step_by(threads) {
+                    server.execute(prepared, params).expect("workload parameters bind");
+                }
+            });
+        }
+    });
+    started.elapsed()
+}
+
+/// The same instance behind three physical layouts. Epoch swaps, the plan
+/// cache and ingest are layout-agnostic; so are the answers.
+fn storage_layouts(ontology: &Ontology, statistics: &DataStatistics, instance: &InstanceKg) {
+    println!("\n== one instance, three storage layouts ==");
+    let text = "MATCH (d:Drug)-[:treat]->(i:Indication) \
+                RETURN d.name, i.desc ORDER BY i.desc, d.name LIMIT 5";
+    let mut reference = None;
+    for (storage_tier, shard_count) in
+        [(StorageTier::Memory, 1), (StorageTier::Csr, 1), (StorageTier::Memory, 4)]
+    {
+        let server = KgServer::new(
+            ontology.clone(),
+            statistics.clone(),
+            instance.clone(),
+            AccessFrequencies::uniform(ontology, 10_000.0),
+            ServerConfig {
+                storage_tier, // memory | csr (compiled at publication) | disk
+                shard_count,  // > 1 hash-partitions every epoch
+                auto_reoptimize: false,
+                ..ServerConfig::default()
+            },
+        );
+        let rows = server.serve_text(text).expect("serves").rows;
+        let epoch = server.current_epoch();
+        let reads: Vec<u64> = epoch.shard_stats().iter().map(|s| s.vertex_reads).collect();
+        println!(
+            "  {:<7} x{shard_count}: backend {:<7} {:>8} resident bytes, vertex reads per shard \
+             {reads:?}, csr.compiles {}",
+            storage_tier.name(),
+            epoch.graph().backend_name(),
+            epoch.graph().resident_bytes(),
+            server.metrics_snapshot().counter("csr.compiles").unwrap_or(0)
+        );
+        assert_eq!(reference.get_or_insert_with(|| rows.clone()), &rows, "layouts must agree");
+    }
+}
+
 fn main() {
     let ontology = catalog::medical();
     println!("ontology: {}", ontology.summary());
@@ -77,9 +135,9 @@ fn main() {
     println!("space budget: {} bytes (NSC would want {})", nsc.total_cost / 8, nsc.total_cost);
 
     let server = KgServer::new(
-        ontology,
-        statistics,
-        instance,
+        ontology.clone(),
+        statistics.clone(),
+        instance.clone(),
         initial,
         ServerConfig {
             optimizer,
@@ -98,12 +156,12 @@ fn main() {
         phase_b_texts().iter().map(|t| server.prepare_text(t).expect(t)).collect();
 
     // Phase A steady state, served on 4 threads.
-    let report = server.run_prepared_workload(&jobs_for(&phase_a, 256), 4);
+    let jobs = jobs_for(&phase_a, 256);
+    let elapsed = replay(&server, &jobs, 4);
     println!(
-        "phase A: {} executions on {} threads -> {:.0} q/s, drift {:.3}, epoch {}",
-        report.served,
-        report.threads,
-        report.queries_per_second(),
+        "phase A: {} executions on 4 threads -> {:.0} q/s, drift {:.3}, epoch {}",
+        jobs.len(),
+        jobs.len() as f64 / elapsed.as_secs_f64(),
         server.drift(),
         server.current_epoch().number
     );
@@ -130,12 +188,12 @@ fn main() {
     // Phase B takes over; the drift checker notices and swaps. The prepared
     // handles stay valid across the swap — only the cached plans rewrite.
     println!("\nshifting workload to phase B ...");
-    let report = server.run_prepared_workload(&jobs_for(&phase_b, 512), 4);
+    let jobs = jobs_for(&phase_b, 512);
+    let elapsed = replay(&server, &jobs, 4);
     println!(
-        "phase B: {} executions on {} threads -> {:.0} q/s, epoch {}",
-        report.served,
-        report.threads,
-        report.queries_per_second(),
+        "phase B: {} executions on 4 threads -> {:.0} q/s, epoch {}",
+        jobs.len(),
+        jobs.len() as f64 / elapsed.as_secs_f64(),
         server.current_epoch().number
     );
     for event in server.reoptimization_events() {
@@ -167,4 +225,6 @@ fn main() {
         stats.hit_ratio(),
         stats.invalidations
     );
+
+    storage_layouts(&ontology, &statistics, &instance);
 }

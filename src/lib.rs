@@ -15,7 +15,7 @@
 //! | [`datagen`] | `pgso-datagen` | synthetic instance generation, schema-conforming loading, streaming update generation |
 //! | [`persist`] | `pgso-persist` | write-ahead log, epoch snapshots, crash recovery |
 //! | [`telemetry`] | `pgso-telemetry` | metrics registry (counters, gauges, log-scaled latency histograms), structured trace ring, Prometheus-style text exposition |
-//! | [`server`] | `pgso-server` | concurrent serving engine: prepare/execute API with named parameters, plan cache, workload tracking, adaptive re-optimization, WAL-backed ingest |
+//! | [`server`] | `pgso-server` | concurrent serving engine: one builder, a `prepare_text` / `execute` / `serve_text` statement surface with named parameters, plan cache, workload tracking, adaptive re-optimization, WAL-backed ingest |
 //! | [`net`] | `pgso-net` | binary wire protocol + non-blocking TCP connection layer: `KgListener` serves a `TenantHost` (or a single `KgServer`) to remote `KgClient`s with pipelining, `USE` tenant selection and graceful shutdown |
 //! | [`tenant`] | `pgso-tenant` | multi-tenant hosting: `TenantHost` runs many independent graphs in one process with per-tenant quotas, admission control and namespaced persistence |
 //!
@@ -71,12 +71,16 @@
 //! * Every [`query::QueryResult`] carries its [`query::StageTimings`], and
 //!   [`query::emit_exec_trace`] turns them into per-stage trace events under
 //!   a span the caller holds.
-//! * The `server_throughput` bench records the reference numbers to
-//!   `BENCH_serving.json` at the repository root (latency percentiles, q/s
-//!   per mix, WAL fsync timings, telemetry on/off overhead, loopback wire
-//!   throughput over a connections × pipelining grid); CI replays it in
-//!   quick mode so the bench code keeps running. See
-//!   `examples/observed_kg.rs` for a live tour.
+//! * `EXPLAIN` / `PROFILE` are statement prefixes:
+//!   [`server::KgServer::serve_text`] answers them with the typed
+//!   [`query::QueryPlan`] lowered onto tagged rows, and
+//!   [`query::QueryPlan::from_rows`] rebuilds it — in process exactly as a
+//!   wire client does.
+//! * What any of this costs is measured by the repository benchmark
+//!   (`benchmark/`, declared in `BENCHMARK.json`): end-to-end metrics per
+//!   workload plus an outside-in per-layer trace, the only numbers a
+//!   performance claim may cite. See `examples/networked_kg.rs` for a live
+//!   tour over the wire (EXPLAIN/PROFILE, trace drain, OBSERVE scrape).
 //!
 //! ## Storage tiers
 //!
@@ -102,10 +106,10 @@
 //!   backend (e.g. a [`persist::JournaledGraph`]-wrapped build) into an
 //!   immutable CSR with bit-identical query answers.
 //!
-//! The `server_throughput` bench's *scale ladder* records q/s and
-//! resident bytes per (scale × tier) cell into `BENCH_serving.json` at
-//! ≈10⁴…10⁶ vertices; see `examples/csr_kg.rs` for a freeze → serve →
-//! metrics tour.
+//! `benchmark/`'s `graphstore.*` per-layer probes time the read surface of
+//! each tier; `examples/serving_kg.rs` ends by serving one instance from the
+//! memory tier, the CSR tier and four hash shards — two config lines, same
+//! rows.
 //!
 //! ## Networking
 //!
@@ -160,7 +164,7 @@
 //!   revision-3 `USE` request ([`net::KgClient::use_tenant`]). Prepared
 //!   handles stay bound to the tenant that prepared them.
 //!
-//! See `examples/multi_tenant_kg.rs` for a two-ontology tour and
+//! See `examples/networked_kg.rs` for a two-ontology tour over the wire and
 //! `tests/tenant_isolation.rs` for the isolation acceptance suite.
 
 #![warn(missing_docs)]

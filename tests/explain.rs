@@ -1,5 +1,7 @@
 //! EXPLAIN/PROFILE acceptance for the microbenchmark ladder: every Q1–Q12
-//! PROFILE must report actuals **exactly** equal to a direct
+//! PROFILE — asked for the one way there is, a `PROFILE` prefix through
+//! `serve_text`, rebuilt with `QueryPlan::from_rows` exactly as a wire
+//! client does — must report actuals **exactly** equal to a direct
 //! `execute_statement_with` run of the rewritten statement — backend access
 //! counters, match/row counts, predicate checks and shard fan-out — on a
 //! 1-shard and a 4-shard server, and every plan whose DIR and OPT texts
@@ -10,6 +12,7 @@
 
 use pgso::ontology::{catalog, AccessFrequencies, DataStatistics, Ontology, StatisticsConfig};
 use pgso::prelude::*;
+use pgso::query::rewrite_statement_traced;
 use pgso::server::{PlanActuals, QueryMode, QueryPlan};
 use pgso_bench::{microbenchmark, DatasetId};
 
@@ -19,6 +22,12 @@ fn build_server(ontology: Ontology, shard_count: usize) -> KgServer {
     let frequencies = AccessFrequencies::uniform(&ontology, 10_000.0);
     let config = ServerConfig { shard_count, auto_reoptimize: false, ..ServerConfig::default() };
     KgServer::new(ontology, statistics, instance, frequencies, config)
+}
+
+/// `EXPLAIN` / `PROFILE` of `text`, the way every client gets a plan.
+fn plan(server: &KgServer, mode: QueryMode, text: &str) -> QueryPlan {
+    let result = server.serve_text(&format!("{} {text}", mode.keyword())).expect("parses");
+    QueryPlan::from_rows(&result.rows).expect("tagged rows rebuild")
 }
 
 #[test]
@@ -34,7 +43,7 @@ fn profile_actuals_match_direct_execution_exactly() {
             };
             let label = format!("{:?}/{} at {shard_count} shard(s)", bench.dataset, bench.family);
 
-            let plan = server.plan_statement(&bench.query, QueryMode::Profile);
+            let plan = plan(server, QueryMode::Profile, &bench.query.to_string());
             let actuals = plan.actuals.expect("PROFILE always carries actuals");
 
             // The reference run: rewrite against the serving schema and
@@ -124,16 +133,16 @@ fn explain_never_executes_and_reports_cache_residency() {
     let server = build_server(catalog::medical(), 1);
     let text = "MATCH (d:Drug)-[:treat]->(i:Indication) RETURN d.name, i.desc LIMIT 5";
 
-    let plan = server.explain_text(text).expect("parses");
-    assert_eq!(plan.mode, QueryMode::Explain);
-    assert!(plan.actuals.is_none(), "EXPLAIN must not execute");
-    assert!(!plan.cache_hit, "nothing served yet, the plan cache is cold");
+    let cold = plan(&server, QueryMode::Explain, text);
+    assert_eq!(cold.mode, QueryMode::Explain);
+    assert!(cold.actuals.is_none(), "EXPLAIN must not execute");
+    assert!(!cold.cache_hit, "nothing served yet, the plan cache is cold");
     assert_eq!(server.served(), 0, "EXPLAIN must not count as a serve");
 
     // Serving the statement warms the cache; the same EXPLAIN now sees it.
     server.serve_text(text).expect("serves");
-    let plan = server.explain_text(text).expect("parses");
-    assert!(plan.cache_hit, "EXPLAIN after a serve must see the cached plan");
+    let warm = plan(&server, QueryMode::Explain, text);
+    assert!(warm.cache_hit, "EXPLAIN after a serve must see the cached plan");
 }
 
 #[test]
@@ -145,10 +154,13 @@ fn directives_flow_through_serve_text_as_tagged_rows() {
     let plan = QueryPlan::from_rows(&explained.rows).expect("tagged rows rebuild");
     assert_eq!(plan.mode, QueryMode::Explain);
     assert!(plan.actuals.is_none());
-    let direct = server.explain_text(text).expect("parses");
-    assert_eq!(plan.dir, direct.dir);
-    assert_eq!(plan.opt, direct.opt);
-    assert_eq!(plan.rules, direct.rules);
+    // Against the rewriter itself: nothing has been served, so the tracker
+    // has no fan-out estimates to attach and the rules are the raw trace.
+    let dir = parse(text).expect("parses");
+    let (opt, rules) = rewrite_statement_traced(&dir, &server.current_epoch().schema);
+    assert_eq!(plan.dir, dir.to_string());
+    assert_eq!(plan.opt, opt.to_string());
+    assert_eq!(plan.rules, rules);
 
     let profiled = server.serve_text(&format!("PROFILE {text}")).expect("parses");
     let plan = QueryPlan::from_rows(&profiled.rows).expect("tagged rows rebuild");
@@ -159,10 +171,17 @@ fn directives_flow_through_serve_text_as_tagged_rows() {
     assert_eq!(actuals.matches, reference.matches as u64, "profiled match count");
 
     // Parameterized text cannot be profiled — there are no values to bind.
-    let err = server
-        .serve_text("PROFILE MATCH (d:Drug) WHERE d.name CONTAINS $x RETURN d.name")
-        .expect_err("parameters cannot be profiled");
-    assert!(err.to_string().contains("PROFILE"), "{err}");
+    // The same goes for EXPLAIN and for a plain serve: an error each time,
+    // never a panic and never an execution of the unbound statement.
+    let served = server.served();
+    for (prefix, names) in [("PROFILE ", "PROFILE"), ("EXPLAIN ", "EXPLAIN"), ("", "prepare_text")]
+    {
+        let err = server
+            .serve_text(&format!("{prefix}MATCH (d:Drug) WHERE d.name CONTAINS $x RETURN d.name"))
+            .expect_err("parameters cannot be bound ad hoc");
+        assert!(err.to_string().contains(names), "{err}");
+    }
+    assert_eq!(server.served(), served);
 
     // The rendered report mentions both texts and the mode keyword.
     let rendered = plan.render_text();

@@ -8,6 +8,7 @@ use pgso::datagen::{streaming_updates, UpdateStreamConfig};
 use pgso::ontology::catalog;
 use pgso::persist::PersistConfig;
 use pgso::prelude::*;
+use pgso::query::{QueryResult, Row};
 use pgso::server::ServerConfig;
 use pgso_bench::{microbenchmark, DatasetId};
 
@@ -63,6 +64,11 @@ fn dataset_queries(dataset: DatasetId) -> Vec<Statement> {
     microbenchmark().into_iter().filter(|q| q.dataset == dataset).map(|q| q.query).collect()
 }
 
+/// Typed statements reach a server as their `Display` text.
+fn serve(server: &KgServer, statement: &Statement) -> QueryResult {
+    server.serve_text(&statement.to_string()).expect("a statement's Display text parses")
+}
+
 /// The `$param` statement every matrix server prepares pre-kill; its handle
 /// (dense id + typed signature) must survive the epoch swaps the ingest
 /// batches cause *and* the recovery.
@@ -88,7 +94,7 @@ fn killed_server_recovers_to_bit_identical_q1_q12_rows() {
             let (updates, pre_kill_tracker, pre_kill_prepared_rows) = {
                 let server = build(dataset, shards, Some(persist.clone()));
                 for query in &queries {
-                    let _ = server.serve_statement(query);
+                    let _ = serve(&server, query);
                 }
                 let prepared = server.prepare_text(PREPARED_TEXT).expect("prepares");
                 let before_swaps = server.execute(&prepared, &prepared_params()).unwrap().rows;
@@ -130,7 +136,7 @@ fn killed_server_recovers_to_bit_identical_q1_q12_rows() {
             // match), same updates, never killed.
             let uninterrupted = build(dataset, shards, None);
             for query in &queries {
-                let _ = uninterrupted.serve_statement(query);
+                let _ = serve(&uninterrupted, query);
             }
             let prepared_b = uninterrupted.prepare_text(PREPARED_TEXT).unwrap();
             let _ = uninterrupted.execute(&prepared_b, &prepared_params()).unwrap();
@@ -165,8 +171,8 @@ fn killed_server_recovers_to_bit_identical_q1_q12_rows() {
 
             // Q1–Q12: bit-identical row sets.
             for (index, query) in queries.iter().enumerate() {
-                let recovered_rows = recovered.serve_statement(query).rows;
-                let uninterrupted_rows = uninterrupted.serve_statement(query).rows;
+                let recovered_rows = serve(&recovered, query).rows;
+                let uninterrupted_rows = serve(&uninterrupted, query).rows;
                 assert_eq!(
                     recovered_rows,
                     uninterrupted_rows,
@@ -307,4 +313,114 @@ fn recovery_survives_a_torn_wal_tail() {
         .serve_text("MATCH (d:Drug) RETURN d.name LIMIT 3")
         .expect("recovered server serves");
     assert!(result.matches > 0);
+}
+
+/// What must not depend on how a server was put together.
+fn fingerprint_of(
+    server: &KgServer,
+    queries: &[Statement],
+) -> (u64, u64, usize, usize, Vec<Vec<Row>>) {
+    let epoch = server.current_epoch();
+    let rows = queries.iter().map(|q| serve(server, q).rows).collect();
+    (
+        epoch.number,
+        epoch.schema_generation,
+        epoch.graph().vertex_count(),
+        epoch.graph().edge_count(),
+        rows,
+    )
+}
+
+/// `KgServer::{new, new_persistent, recover}` are shorthands for the
+/// builder: a volatile, a persistent and a recovered server answer Q1–Q12
+/// identically whichever spelling built them, and whether their instruments
+/// live in a private registry or a shared, prefixed one.
+#[test]
+fn builder_and_pinned_constructors_build_the_same_server() {
+    use pgso::server::TelemetrySink;
+    use std::sync::Arc;
+
+    for dataset in [DatasetId::Med, DatasetId::Fin] {
+        let queries = dataset_queries(dataset);
+        let registry = Arc::new(MetricsRegistry::new());
+        let shared = |name: &str| TelemetrySink::Shared {
+            registry: registry.clone(),
+            prefix: format!("tenant.{name}."),
+        };
+        let builder = || {
+            let i = inputs(dataset);
+            (
+                KgServer::builder(i.ontology, i.statistics, i.instance).config(config(1)),
+                i.frequencies,
+            )
+        };
+
+        // Volatile.
+        let pinned = build(dataset, 1, None);
+        let schema = pinned.current_epoch().schema.clone();
+        let reference = fingerprint_of(&pinned, &queries);
+        assert!(reference.4.iter().any(|rows| !rows.is_empty()), "{dataset:?} answers something");
+        let (b, frequencies) = builder();
+        let built = b.build(frequencies).expect("volatile build");
+        let (b, frequencies) = builder();
+        let built_shared = b.telemetry_sink(shared("volatile")).build(frequencies).expect("builds");
+        for (label, server) in [("builder", &built), ("builder + shared sink", &built_shared)] {
+            assert_eq!(server.current_epoch().schema, schema, "{dataset:?} {label}: schema");
+            assert_eq!(fingerprint_of(server, &queries), reference, "{dataset:?} {label}");
+            assert!(!server.is_persistent());
+        }
+        assert!(
+            registry.snapshot().histogram("tenant.volatile.query.latency").is_some(),
+            "the shared sink registers under its prefix"
+        );
+
+        // Persistent, then killed and recovered — one directory per spelling.
+        let (pinned_dir, built_dir) = (tempfile::tempdir().unwrap(), tempfile::tempdir().unwrap());
+        {
+            let pinned = build(dataset, 1, Some(PersistConfig::new_unsynced(pinned_dir.path())));
+            let (b, frequencies) = builder();
+            let built = b
+                .persist(PersistConfig::new_unsynced(built_dir.path()))
+                .telemetry_sink(shared("persistent"))
+                .build(frequencies)
+                .expect("persistent build");
+            for (label, server) in [("new_persistent", &pinned), ("builder", &built)] {
+                assert!(server.is_persistent());
+                assert_eq!(server.current_epoch().schema, schema, "{dataset:?} {label}: schema");
+                assert_eq!(fingerprint_of(server, &queries), reference, "{dataset:?} {label}");
+            }
+            // drop = kill
+        }
+        let i = inputs(dataset);
+        let pinned = KgServer::recover(
+            i.ontology,
+            i.statistics,
+            i.instance,
+            config(1),
+            PersistConfig::new_unsynced(pinned_dir.path()),
+        )
+        .expect("recovers");
+        let (b, _) = builder();
+        let built = b
+            .persist(PersistConfig::new_unsynced(built_dir.path()))
+            .telemetry_sink(shared("recovered"))
+            .recover()
+            .expect("recovers");
+        for (label, server) in [("recover", &pinned), ("builder", &built)] {
+            assert_eq!(server.current_epoch().schema, schema, "{dataset:?} {label}: schema");
+            assert_eq!(
+                fingerprint_of(server, &queries),
+                reference,
+                "{dataset:?} recovered {label}"
+            );
+        }
+
+        // The two terminals refuse each other's preconditions with typed
+        // errors: recovery needs a directory, a fresh build an empty one.
+        let (b, _) = builder();
+        assert_eq!(b.recover().unwrap_err().kind(), std::io::ErrorKind::InvalidInput);
+        let (b, frequencies) = builder();
+        let occupied = b.persist(PersistConfig::new_unsynced(built_dir.path())).build(frequencies);
+        assert_eq!(occupied.unwrap_err().kind(), std::io::ErrorKind::AlreadyExists);
+    }
 }

@@ -50,15 +50,13 @@ fn serving_metrics_cover_latency_cache_stages_and_wal() {
 
     // Mixed workload: text serves (parse + cache), prepared executions
     // (bind by name), repeated so the plan cache gets hits.
-    let statements: Vec<Statement> =
-        mixed_texts().iter().map(|t| parse_named(t, "mixed").expect(t)).collect();
     let prepared = server
         .prepare_text("MATCH (d:Drug) WHERE d.name CONTAINS $needle RETURN d.name LIMIT $n")
         .expect("prepares");
     let mut serves = 0u64;
     for round in 0..8 {
-        for stmt in &statements {
-            let result = server.serve_statement(stmt);
+        for text in mixed_texts() {
+            let result = server.serve_text(text).expect(text);
             assert!(result.elapsed >= result.stage_timings.expansion);
             serves += 1;
         }
