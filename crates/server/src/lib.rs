@@ -99,16 +99,20 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cache;
+mod durable;
 pub mod engine;
+mod publish;
+mod serve;
 pub mod telemetry;
 pub mod tier;
 pub mod tracker;
 
 pub use cache::{CacheStats, PlanCache};
 pub use engine::{
-    Epoch, HealthSummary, IngestConfig, IngestReport, KgServer, KgServerBuilder, PreparedId,
-    PreparedStatement, ReoptimizationEvent, ServerConfig, TelemetrySink,
+    Epoch, HealthSummary, IngestConfig, IngestReport, KgServer, KgServerBuilder,
+    ReoptimizationEvent, ServerConfig, TelemetrySink,
 };
+pub use serve::{PreparedId, PreparedStatement};
 pub use telemetry::{ServerTelemetry, DEFAULT_PREPARED_SERIES_LIMIT, DEFAULT_TRACE_CAPACITY};
 pub use tier::{StorageTier, TempDiskGraph};
 // The durability vocabulary callers need for `KgServer::ingest` /
