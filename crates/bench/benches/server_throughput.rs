@@ -105,14 +105,10 @@ fn shard_grid(c: &mut Criterion) -> Vec<(usize, f64)> {
             });
             // Average a few replays for the printed q/s: a single run is
             // too noisy to compare rows by. Nothing swaps the epoch here, so
-            // its per-shard counters bracket exactly the last replay.
+            // its per-shard counters bracket exactly these replays.
             let replays = 3;
-            let mut elapsed = Duration::ZERO;
-            let mut before = Vec::new();
-            for _ in 0..replays {
-                before = epoch.shard_stats();
-                elapsed += replay(&server, &jobs, threads);
-            }
+            let before = epoch.shard_stats();
+            let elapsed: Duration = (0..replays).map(|_| replay(&server, &jobs, threads)).sum();
             let qps = (replays * jobs.len()) as f64 / elapsed.as_secs_f64().max(1e-12);
             let reads: Vec<u64> = epoch
                 .shard_stats()

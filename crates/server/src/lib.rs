@@ -10,7 +10,7 @@
 //!
 //! * [`KgServer`] — a thread-safe engine that owns a
 //!   [`pgso_graphstore::GraphBackend`] behind a shared read path and serves
-//!   DIR statements from any number of threads. The query surface is a
+//!   DIR statements from any number of threads.
 //!   There is **one way to build one** — [`KgServer::builder`], closed by
 //!   [`KgServerBuilder::build`] or [`KgServerBuilder::recover`], with
 //!   [`KgServer::new`] / [`KgServer::new_persistent`] /

@@ -224,20 +224,20 @@ impl KgServer {
         prepared: &PreparedStatement,
         params: &Params,
     ) -> Result<QueryResult, BindError> {
-        let (fp, stmt, signature) = {
+        let (fp, stmt) = {
             let entries = self.prepared.read();
             // Every handle this server issues shares its registry entry's
             // signature `Arc`, so pointer identity tells its own handles
             // from an equal-looking id issued elsewhere.
             match entries.get(prepared.id.0) {
                 Some(entry) if Arc::ptr_eq(&entry.signature, &prepared.signature) => {
-                    (entry.fingerprint, entry.stmt.clone(), entry.signature.clone())
+                    (entry.fingerprint, entry.stmt.clone())
                 }
                 _ => return Err(BindError::UnknownStatement),
             }
         };
         let detailed = self.telemetry.as_deref().is_some_and(|t| t.sample_detail());
-        self.serve_inner(fp, &stmt, params, Some(&signature), Some(prepared.id), detailed)
+        self.serve_inner(fp, &stmt, params, Some(&prepared.signature), Some(prepared.id), detailed)
     }
 
     /// Serves one parsed, parameterless DIR statement — the step behind
