@@ -1,29 +1,49 @@
-//! Binary encoding of vertex records for the disk backend and of
-//! [`GraphUpdate`] mutation records for the write-ahead log.
+//! The workspace's one byte codec: the primitive grammar every persisted or
+//! wire format is written in, and the vertex / graph-update records of the
+//! disk backend and the write-ahead log.
 //!
-//! Records are self-describing and length-prefixed:
+//! # Primitive grammar
+//!
+//! Every format — these records, the snapshot file and WAL frames
+//! (`pgso-persist`), the tracker blobs (`pgso-server`) and the wire protocol
+//! (`pgso-net`) — is a sequence of these primitives, written by the `put_*`
+//! functions and read back by one [`Reader`]:
 //!
 //! ```text
-//! record   := label props
-//! label    := u16 len, bytes
-//! props    := u16 count, { name value }*
-//! name     := u16 len, bytes
-//! value    := tag(u8) payload
-//!   tag 0  := bool (u8)
-//!   tag 1  := i64 (le)
-//!   tag 2  := f64 (le)
-//!   tag 3  := string (u32 len, bytes)
-//!   tag 4  := list (u32 count, value*)
-//!   tag 5  := null (no payload)
+//! u8 u16 u32 u64 i64   fixed width, little-endian
+//! f64                  IEEE-754 bits, as a u64
+//! str16                u16 byte length, UTF-8 bytes
+//! str32                u32 byte length, UTF-8 bytes
+//! blob32               u32 byte length, bytes
+//! count                u32 item count
 //! ```
 //!
-//! Mutation records prepend a one-byte kind tag and reuse the vertex record
-//! encoding verbatim for the `AddVertex` payload:
+//! **The count rule:** a reader states the smallest encoding one item can
+//! have ([`Reader::count`]), and a count that the remaining bytes cannot hold
+//! is rejected before anything is allocated for it. Reading is total: a
+//! truncated input, a non-UTF-8 string or an impossible count is a
+//! [`DecodeError`], never a panic, and [`Reader::finish`] rejects trailing
+//! bytes.
+//!
+//! Writing is total for every value the formats can hold. `str16` and the
+//! `u16` counts are the one bound a caller can break; [`put_len16`] asserts
+//! it as an internal invariant, and [`encodable`] lets an entry point refuse
+//! such input before it reaches a writer.
+//!
+//! # Records
 //!
 //! ```text
-//! update   := tag(u8) payload
+//! record   := str16 label, u16 nprops, { str16 name, value }*
+//! value    := u8 tag, payload
+//!   tag 0  := bool (u8)
+//!   tag 1  := i64
+//!   tag 2  := f64
+//!   tag 3  := str32
+//!   tag 4  := list (count, value*)
+//!   tag 5  := null (no payload)
+//! update   := u8 tag, payload
 //!   tag 0  := add-vertex (record)
-//!   tag 1  := add-edge (label, u64 src le, u64 dst le)
+//!   tag 1  := add-edge (str16 label, u64 src, u64 dst)
 //! ```
 //!
 //! The format is deliberately simple — no varints, no compression — because
@@ -32,236 +52,391 @@
 
 use crate::backend::{GraphUpdate, VertexId};
 use crate::value::{PropertyMap, PropertyValue};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::fmt;
+use std::io;
 
 /// Kind tag of an encoded [`GraphUpdate::AddVertex`] record.
 pub const UPDATE_TAG_ADD_VERTEX: u8 = 0;
 /// Kind tag of an encoded [`GraphUpdate::AddEdge`] record.
 pub const UPDATE_TAG_ADD_EDGE: u8 = 1;
 
-/// Encodes a vertex record (label + properties) into bytes.
-pub fn encode_vertex(label: &str, properties: &PropertyMap) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
-    put_str16(&mut buf, label);
-    buf.put_u16(properties.len() as u16);
-    for (name, value) in properties {
-        put_str16(&mut buf, name);
-        encode_value(&mut buf, value);
+/// Nesting depth cap for list values: deeper lists are rejected so foreign
+/// bytes cannot drive unbounded recursion.
+pub const MAX_VALUE_DEPTH: u32 = 32;
+
+/// Why a [`Reader`] (or a format built on it) refused its input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DecodeError(pub &'static str);
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "malformed bytes: {}", self.0)
     }
-    buf.freeze()
+}
+
+impl std::error::Error for DecodeError {}
+
+impl From<DecodeError> for io::Error {
+    fn from(err: DecodeError) -> Self {
+        io::Error::new(io::ErrorKind::InvalidData, err)
+    }
+}
+
+/// Bounds-checked cursor over encoded bytes; see the module docs for the
+/// grammar it reads.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    data: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// A reader positioned at the start of `data`.
+    pub fn new(data: &'a [u8]) -> Self {
+        Self { data }
+    }
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.data.len()
+    }
+
+    /// The next `n` raw bytes.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        if n > self.data.len() {
+            return Err(DecodeError("truncated"));
+        }
+        let (head, tail) = self.data.split_at(n);
+        self.data = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.bytes(N)?);
+        Ok(out)
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, DecodeError> {
+        self.array().map(u8::from_le_bytes)
+    }
+
+    /// A little-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, DecodeError> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, DecodeError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, DecodeError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// A little-endian `i64`.
+    pub fn i64(&mut self) -> Result<i64, DecodeError> {
+        self.array().map(i64::from_le_bytes)
+    }
+
+    /// An `f64` from its little-endian bit pattern.
+    pub fn f64(&mut self) -> Result<f64, DecodeError> {
+        self.u64().map(f64::from_bits)
+    }
+
+    /// A `str16`, borrowed from the input.
+    pub fn str16(&mut self) -> Result<&'a str, DecodeError> {
+        let len = self.u16()?;
+        utf8(self.bytes(len.into())?)
+    }
+
+    /// A `str32`, borrowed from the input.
+    pub fn str32(&mut self) -> Result<&'a str, DecodeError> {
+        utf8(self.blob32()?)
+    }
+
+    /// A `blob32`, borrowed from the input.
+    pub fn blob32(&mut self) -> Result<&'a [u8], DecodeError> {
+        let len = self.u32()?;
+        self.bytes(usize::try_from(len).unwrap_or(usize::MAX))
+    }
+
+    /// A `count` of items each encoded in at least `min_item_bytes` (≥ 1)
+    /// bytes: rejected when the remaining bytes cannot hold that many, so
+    /// the result is safe to allocate for.
+    pub fn count(&mut self, min_item_bytes: usize) -> Result<usize, DecodeError> {
+        let count = usize::try_from(self.u32()?).unwrap_or(usize::MAX);
+        match count.checked_mul(min_item_bytes) {
+            Some(bytes) if bytes <= self.data.len() => Ok(count),
+            _ => Err(DecodeError("count exceeds the remaining bytes")),
+        }
+    }
+
+    /// Ends the read: trailing bytes are an error.
+    pub fn finish(self) -> Result<(), DecodeError> {
+        if self.data.is_empty() {
+            Ok(())
+        } else {
+            Err(DecodeError("trailing bytes"))
+        }
+    }
+}
+
+fn utf8(bytes: &[u8]) -> Result<&str, DecodeError> {
+    std::str::from_utf8(bytes).map_err(|_| DecodeError("invalid utf-8"))
+}
+
+/// Appends one byte.
+pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
+    buf.push(v);
+}
+
+/// Appends a little-endian `u16`.
+pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `u32`.
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `u64`.
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `i64`.
+pub fn put_i64(buf: &mut Vec<u8>, v: i64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends an `f64` as its little-endian bit pattern.
+pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
+    put_u64(buf, v.to_bits());
+}
+
+/// Appends a `u16` length or count.
+///
+/// # Panics
+/// Past `u16::MAX`: the formats cannot hold it, and every entry point that
+/// takes such input from outside refuses it first (see [`encodable`]).
+pub fn put_len16(buf: &mut Vec<u8>, len: usize) {
+    put_u16(buf, u16::try_from(len).expect("a u16 length or count holds at most u16::MAX"));
+}
+
+/// Appends a `count` (or a 32-bit length).
+///
+/// # Panics
+/// Past `u32::MAX`, which no in-memory collection a format writes reaches.
+pub fn put_count(buf: &mut Vec<u8>, count: usize) {
+    put_u32(buf, u32::try_from(count).expect("a u32 count holds at most u32::MAX"));
+}
+
+/// Appends a `str16`.
+///
+/// # Panics
+/// For a string longer than `u16::MAX` bytes, like [`put_len16`].
+pub fn put_str16(buf: &mut Vec<u8>, s: &str) {
+    put_len16(buf, s.len());
+    buf.extend_from_slice(s.as_bytes());
+}
+
+/// Appends a `str32`.
+pub fn put_str32(buf: &mut Vec<u8>, s: &str) {
+    put_blob32(buf, s.as_bytes());
+}
+
+/// Appends a `blob32`.
+pub fn put_blob32(buf: &mut Vec<u8>, bytes: &[u8]) {
+    put_count(buf, bytes.len());
+    buf.extend_from_slice(bytes);
+}
+
+/// True when `update` fits the record format: every label and property name
+/// at most `u16::MAX` bytes and at most `u16::MAX` properties. Ingest checks
+/// this before an update is logged, so [`encode_update`] never meets one
+/// that breaks [`put_len16`].
+pub fn encodable(update: &GraphUpdate) -> bool {
+    let fits = |n: usize| n <= usize::from(u16::MAX);
+    match update {
+        GraphUpdate::AddVertex { label, properties } => {
+            fits(label.len())
+                && fits(properties.len())
+                && properties.keys().all(|name| fits(name.len()))
+        }
+        GraphUpdate::AddEdge { label, .. } => fits(label.len()),
+    }
+}
+
+fn put_vertex(buf: &mut Vec<u8>, label: &str, properties: &PropertyMap) {
+    put_str16(buf, label);
+    put_len16(buf, properties.len());
+    for (name, value) in properties {
+        put_str16(buf, name);
+        put_value(buf, value);
+    }
+}
+
+/// Encodes a vertex record (label + properties).
+pub fn encode_vertex(label: &str, properties: &PropertyMap) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64);
+    put_vertex(&mut buf, label, properties);
+    buf
+}
+
+fn read_vertex(r: &mut Reader<'_>) -> Result<(String, PropertyMap), DecodeError> {
+    let label = r.str16()?.to_owned();
+    let mut properties = PropertyMap::new();
+    for _ in 0..r.u16()? {
+        let name = r.str16()?.to_owned();
+        properties.insert(name, read_value(r)?);
+    }
+    Ok((label, properties))
 }
 
 /// Decodes a vertex record produced by [`encode_vertex`].
-///
-/// # Panics
-/// Panics on malformed input; records are only ever produced by this module.
-pub fn decode_vertex(mut data: &[u8]) -> (String, PropertyMap) {
-    let label = get_str16(&mut data).to_string();
-    let count = data.get_u16();
-    let mut properties = PropertyMap::new();
-    for _ in 0..count {
-        let name = get_str16(&mut data).to_string();
-        let value = decode_value(&mut data);
-        properties.insert(name, value);
-    }
-    (label, properties)
+pub fn decode_vertex(data: &[u8]) -> Result<(String, PropertyMap), DecodeError> {
+    let mut r = Reader::new(data);
+    let vertex = read_vertex(&mut r)?;
+    r.finish()?;
+    Ok(vertex)
 }
 
 /// Label of an encoded vertex record, borrowed from the record bytes.
-///
-/// # Panics
-/// Panics on malformed input; records are only ever produced by this module.
-pub fn vertex_label(mut data: &[u8]) -> &str {
-    get_str16(&mut data)
+pub fn vertex_label(data: &[u8]) -> Result<&str, DecodeError> {
+    Reader::new(data).str16()
 }
 
 /// Decodes the one property `name` of an encoded vertex record, stepping
-/// over every other value without materialising it.
-///
-/// # Panics
-/// Panics on malformed input; records are only ever produced by this module.
-pub fn vertex_property(mut data: &[u8], name: &str) -> Option<PropertyValue> {
-    get_str16(&mut data);
-    for _ in 0..data.get_u16() {
-        if get_str16(&mut data) == name {
-            return Some(decode_value(&mut data));
+/// over every other value without materialising it; `Ok(None)` when the
+/// record has no such property.
+pub fn vertex_property(data: &[u8], name: &str) -> Result<Option<PropertyValue>, DecodeError> {
+    let mut r = Reader::new(data);
+    r.str16()?;
+    for _ in 0..r.u16()? {
+        if r.str16()? == name {
+            return read_value(&mut r).map(Some);
         }
-        skip_value(&mut data);
+        skip_value(&mut r, 0)?;
     }
-    None
+    Ok(None)
 }
 
 /// Encodes one graph mutation record. `AddVertex` payloads are exactly the
 /// bytes of [`encode_vertex`], so the write-ahead log shares the disk
 /// backend's record format.
-pub fn encode_update(update: &GraphUpdate) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
+///
+/// # Panics
+/// When `update` is not [`encodable`].
+pub fn encode_update(update: &GraphUpdate) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64);
     match update {
         GraphUpdate::AddVertex { label, properties } => {
-            buf.put_u8(UPDATE_TAG_ADD_VERTEX);
-            buf.put_slice(&encode_vertex(label, properties));
+            put_u8(&mut buf, UPDATE_TAG_ADD_VERTEX);
+            put_vertex(&mut buf, label, properties);
         }
         GraphUpdate::AddEdge { label, src, dst } => {
-            buf.put_u8(UPDATE_TAG_ADD_EDGE);
+            put_u8(&mut buf, UPDATE_TAG_ADD_EDGE);
             put_str16(&mut buf, label);
-            buf.put_u64_le(src.0);
-            buf.put_u64_le(dst.0);
+            put_u64(&mut buf, src.0);
+            put_u64(&mut buf, dst.0);
         }
     }
-    buf.freeze()
+    buf
 }
 
-/// Decodes a mutation record produced by [`encode_update`]. Returns `None`
-/// for an unknown kind tag or a short `AddEdge` buffer. `AddVertex` payloads
-/// delegate to [`decode_vertex`] and therefore must be integrity-checked
-/// first (the write-ahead log CRC-validates every frame before decoding).
-pub fn decode_update(mut data: &[u8]) -> Option<GraphUpdate> {
-    if data.is_empty() {
-        return None;
-    }
-    match data.get_u8() {
+/// Decodes a mutation record produced by [`encode_update`].
+pub fn decode_update(data: &[u8]) -> Result<GraphUpdate, DecodeError> {
+    let mut r = Reader::new(data);
+    let update = match r.u8()? {
         UPDATE_TAG_ADD_VERTEX => {
-            let (label, properties) = decode_vertex(data);
-            Some(GraphUpdate::AddVertex { label, properties })
+            let (label, properties) = read_vertex(&mut r)?;
+            GraphUpdate::AddVertex { label, properties }
         }
-        UPDATE_TAG_ADD_EDGE => {
-            if data.len() < 2 {
-                return None;
-            }
-            let len = data.get_u16() as usize;
-            if data.len() < len + 16 {
-                return None;
-            }
-            let label = std::str::from_utf8(&data[..len]).ok()?.to_string();
-            data.advance(len);
-            let src = VertexId(data.get_u64_le());
-            let dst = VertexId(data.get_u64_le());
-            Some(GraphUpdate::AddEdge { label, src, dst })
-        }
-        _ => None,
-    }
+        UPDATE_TAG_ADD_EDGE => GraphUpdate::AddEdge {
+            label: r.str16()?.to_owned(),
+            src: VertexId(r.u64()?),
+            dst: VertexId(r.u64()?),
+        },
+        _ => return Err(DecodeError("unknown update tag")),
+    };
+    r.finish()?;
+    Ok(update)
 }
 
-/// Nesting depth cap for [`try_decode_value`]: deeper lists are rejected so
-/// foreign bytes (network frames) cannot drive unbounded recursion.
-pub const MAX_VALUE_DEPTH: u32 = 32;
-
-/// Encodes one [`PropertyValue`] in the record format (tag byte + payload;
-/// see the module docs). Public so higher layers — the wire protocol in
-/// `pgso-net` — reuse the exact on-disk value encoding instead of inventing
-/// a second one.
-pub fn encode_value(buf: &mut BytesMut, value: &PropertyValue) {
+/// Appends one [`PropertyValue`] in the record format (tag byte + payload;
+/// see the module docs). Public so the wire protocol in `pgso-net` reuses
+/// the exact on-disk value encoding instead of inventing a second one.
+pub fn put_value(buf: &mut Vec<u8>, value: &PropertyValue) {
     match value {
         PropertyValue::Bool(v) => {
-            buf.put_u8(0);
-            buf.put_u8(*v as u8);
+            put_u8(buf, 0);
+            put_u8(buf, u8::from(*v));
         }
         PropertyValue::Int(v) => {
-            buf.put_u8(1);
-            buf.put_i64_le(*v);
+            put_u8(buf, 1);
+            put_i64(buf, *v);
         }
         PropertyValue::Float(v) => {
-            buf.put_u8(2);
-            buf.put_f64_le(*v);
+            put_u8(buf, 2);
+            put_f64(buf, *v);
         }
         PropertyValue::Str(s) => {
-            buf.put_u8(3);
-            buf.put_u32_le(s.len() as u32);
-            buf.put_slice(s.as_bytes());
+            put_u8(buf, 3);
+            put_str32(buf, s);
         }
         PropertyValue::List(items) => {
-            buf.put_u8(4);
-            buf.put_u32_le(items.len() as u32);
-            for item in items {
-                encode_value(buf, item);
-            }
+            put_u8(buf, 4);
+            put_count(buf, items.len());
+            items.iter().for_each(|item| put_value(buf, item));
         }
-        PropertyValue::Null => {
-            buf.put_u8(5);
-        }
+        PropertyValue::Null => put_u8(buf, 5),
     }
 }
 
-fn decode_value(data: &mut &[u8]) -> PropertyValue {
-    try_decode_value(data).expect("malformed value record")
+/// Reads one [`PropertyValue`] written by [`put_value`]. Lists nested past
+/// [`MAX_VALUE_DEPTH`] are rejected.
+pub fn read_value(r: &mut Reader<'_>) -> Result<PropertyValue, DecodeError> {
+    read_value_at(r, 0)
 }
 
-/// Bounds-checked, non-panicking decode of one [`PropertyValue`]. Returns
-/// `None` for truncated payloads, unknown tags, invalid UTF-8, list counts
-/// exceeding the remaining bytes, or nesting past [`MAX_VALUE_DEPTH`] — the
-/// hardened entry point for bytes that arrived over a network rather than
-/// from this module's own encoder.
-pub fn try_decode_value(data: &mut &[u8]) -> Option<PropertyValue> {
-    try_decode_value_at(data, 0)
-}
-
-fn try_decode_value_at(data: &mut &[u8], depth: u32) -> Option<PropertyValue> {
+fn read_value_at(r: &mut Reader<'_>, depth: u32) -> Result<PropertyValue, DecodeError> {
     if depth > MAX_VALUE_DEPTH {
-        return None;
+        return Err(DecodeError("list nesting too deep"));
     }
-    let (&tag, rest) = data.split_first()?;
-    *data = rest;
-    match tag {
-        0 => Some(PropertyValue::Bool(*take(data, 1)?.first()? != 0)),
-        1 => Some(PropertyValue::Int(i64::from_le_bytes(take(data, 8)?.try_into().ok()?))),
-        2 => Some(PropertyValue::Float(f64::from_le_bytes(take(data, 8)?.try_into().ok()?))),
-        3 => {
-            let len = u32::from_le_bytes(take(data, 4)?.try_into().ok()?) as usize;
-            let bytes = take(data, len)?;
-            Some(PropertyValue::Str(std::str::from_utf8(bytes).ok()?.to_string()))
-        }
+    Ok(match r.u8()? {
+        0 => PropertyValue::Bool(r.u8()? != 0),
+        1 => PropertyValue::Int(r.i64()?),
+        2 => PropertyValue::Float(r.f64()?),
+        3 => PropertyValue::Str(r.str32()?.to_owned()),
         4 => {
-            let count = u32::from_le_bytes(take(data, 4)?.try_into().ok()?) as usize;
-            // Every encoded value is at least one tag byte, so a count larger
-            // than the remaining payload is malformed — reject it up front
-            // instead of looping (and never pre-allocate from a foreign count).
-            if count > data.len() {
-                return None;
-            }
-            let mut items = Vec::new();
+            let count = r.count(1)?;
+            let mut items = Vec::with_capacity(count);
             for _ in 0..count {
-                items.push(try_decode_value_at(data, depth + 1)?);
+                items.push(read_value_at(r, depth + 1)?);
             }
-            Some(PropertyValue::List(items))
+            PropertyValue::List(items)
         }
-        5 => Some(PropertyValue::Null),
-        _ => None,
+        5 => PropertyValue::Null,
+        _ => return Err(DecodeError("unknown value tag")),
+    })
+}
+
+/// Steps over one value like [`read_value`] reads it, allocating nothing.
+fn skip_value(r: &mut Reader<'_>, depth: u32) -> Result<(), DecodeError> {
+    if depth > MAX_VALUE_DEPTH {
+        return Err(DecodeError("list nesting too deep"));
     }
-}
-
-fn take<'a>(data: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-    if data.len() < n {
-        return None;
-    }
-    let (head, tail) = data.split_at(n);
-    *data = tail;
-    Some(head)
-}
-
-fn put_str16(buf: &mut BytesMut, s: &str) {
-    buf.put_u16(s.len() as u16);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str16<'a>(data: &mut &'a [u8]) -> &'a str {
-    let len = data.get_u16() as usize;
-    let (head, tail) = data.split_at(len);
-    *data = tail;
-    std::str::from_utf8(head).expect("valid utf8 in record")
-}
-
-/// Steps over one encoded value of a record this module produced.
-fn skip_value(data: &mut &[u8]) {
-    match data.get_u8() {
-        0 => data.advance(1),
-        1 | 2 => data.advance(8),
-        3 => {
-            let len = data.get_u32_le() as usize;
-            data.advance(len);
-        }
-        4 => (0..data.get_u32_le()).for_each(|_| skip_value(data)),
-        5 => {}
-        tag => panic!("malformed value record: tag {tag}"),
+    match r.u8()? {
+        0 => r.bytes(1).map(|_| ()),
+        1 | 2 => r.bytes(8).map(|_| ()),
+        3 => r.blob32().map(|_| ()),
+        4 => (0..r.count(1)?).try_for_each(|_| skip_value(r, depth + 1)),
+        5 => Ok(()),
+        _ => Err(DecodeError("unknown value tag")),
     }
 }
 
@@ -279,7 +454,7 @@ mod tests {
             ("otc", PropertyValue::Bool(true)),
         ]);
         let encoded = encode_vertex("Drug", &p);
-        let (label, decoded) = decode_vertex(&encoded);
+        let (label, decoded) = decode_vertex(&encoded).unwrap();
         assert_eq!(label, "Drug");
         assert_eq!(decoded, p);
     }
@@ -297,7 +472,7 @@ mod tests {
             ),
         ]);
         let encoded = encode_vertex("Drug", &p);
-        let (label, decoded) = decode_vertex(&encoded);
+        let (label, decoded) = decode_vertex(&encoded).unwrap();
         assert_eq!(label, "Drug");
         assert_eq!(decoded, p);
     }
@@ -312,17 +487,17 @@ mod tests {
             ("z", PropertyValue::Float(2.5)),
         ]);
         let encoded = encode_vertex("Drug", &p);
-        assert_eq!(vertex_label(&encoded), "Drug");
+        assert_eq!(vertex_label(&encoded), Ok("Drug"));
         for (name, value) in &p {
-            assert_eq!(vertex_property(&encoded, name).as_ref(), Some(value), "{name}");
+            assert_eq!(vertex_property(&encoded, name), Ok(Some(value.clone())), "{name}");
         }
-        assert_eq!(vertex_property(&encoded, "missing"), None);
+        assert_eq!(vertex_property(&encoded, "missing"), Ok(None));
     }
 
     #[test]
     fn roundtrip_empty_properties_and_unicode() {
         let encoded = encode_vertex("Zwiebel–Röstung", &PropertyMap::new());
-        let (label, decoded) = decode_vertex(&encoded);
+        let (label, decoded) = decode_vertex(&encoded).unwrap();
         assert_eq!(label, "Zwiebel–Röstung");
         assert!(decoded.is_empty());
     }
@@ -332,6 +507,8 @@ mod tests {
         let p = props([("x", PropertyValue::Int(1))]);
         let encoded = encode_vertex("A", &p);
         assert!(encoded.len() < 32, "record unexpectedly large: {}", encoded.len());
+        // Little-endian like every other format: label length 1 is `01 00`.
+        assert_eq!(&encoded[..3], &[1, 0, b'A']);
     }
 
     #[test]
@@ -353,7 +530,7 @@ mod tests {
         ];
         for update in &updates {
             let encoded = encode_update(update);
-            assert_eq!(decode_update(&encoded).as_ref(), Some(update));
+            assert_eq!(decode_update(&encoded).as_ref(), Ok(update));
         }
     }
 
@@ -368,16 +545,59 @@ mod tests {
 
     #[test]
     fn foreign_bytes_decode_to_none() {
-        assert_eq!(decode_update(&[]), None);
-        assert_eq!(decode_update(&[9, 1, 2, 3]), None, "unknown tag");
-        assert_eq!(decode_update(&[UPDATE_TAG_ADD_EDGE, 0]), None, "short add-edge");
-        let truncated_edge = [UPDATE_TAG_ADD_EDGE, 0, 1, b'r', 1, 2, 3];
-        assert_eq!(decode_update(&truncated_edge), None, "missing endpoint bytes");
+        assert!(decode_update(&[]).is_err());
+        assert!(decode_update(&[9, 1, 2, 3]).is_err(), "unknown tag");
+        assert!(decode_update(&[UPDATE_TAG_ADD_EDGE, 0]).is_err(), "short add-edge");
+        let truncated_edge = [UPDATE_TAG_ADD_EDGE, 1, 0, b'r', 1, 2, 3];
+        assert!(decode_update(&truncated_edge).is_err(), "missing endpoint bytes");
         // A label length exceeding the buffer must not panic.
-        assert_eq!(decode_update(&[UPDATE_TAG_ADD_EDGE, 0xFF, 0xFF]), None, "oversized label len");
+        assert!(decode_update(&[UPDATE_TAG_ADD_EDGE, 0xFF, 0xFF]).is_err(), "oversized label");
         // Non-UTF-8 label bytes are rejected, not unwrapped.
-        let mut bad_utf8 = vec![UPDATE_TAG_ADD_EDGE, 0, 2, 0xFF, 0xFE];
+        let mut bad_utf8 = vec![UPDATE_TAG_ADD_EDGE, 2, 0, 0xFF, 0xFE];
         bad_utf8.extend_from_slice(&[0u8; 16]);
-        assert_eq!(decode_update(&bad_utf8), None, "invalid utf-8 label");
+        assert!(decode_update(&bad_utf8).is_err(), "invalid utf-8 label");
+        // Every truncation of a vertex record is an error (these panicked
+        // while the vertex decoder trusted its input).
+        let encoded = encode_update(&GraphUpdate::AddVertex {
+            label: "Drug".into(),
+            properties: props([("name", "Aspirin".into())]),
+        });
+        for cut in 0..encoded.len() {
+            assert!(decode_update(&encoded[..cut]).is_err(), "cut at {cut}");
+        }
+        assert!(decode_vertex(&encoded[1..encoded.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn reader_counts_are_bounded_by_the_remaining_bytes() {
+        let mut buf = Vec::new();
+        put_count(&mut buf, 3);
+        buf.extend_from_slice(&[0; 6]);
+        assert_eq!(Reader::new(&buf).count(2), Ok(3));
+        assert!(Reader::new(&buf).count(3).is_err(), "3 items of 3 bytes need 9");
+        let mut huge = Vec::new();
+        put_u32(&mut huge, u32::MAX);
+        assert!(Reader::new(&huge).count(1).is_err());
+        assert!(Reader::new(&[1]).finish().is_err(), "trailing bytes");
+    }
+
+    #[test]
+    fn only_encodable_updates_fit_the_record_format() {
+        let long = "x".repeat(usize::from(u16::MAX) + 1);
+        let vertex = |label: &str, name: &str| GraphUpdate::AddVertex {
+            label: label.into(),
+            properties: props([(name, PropertyValue::Null)]),
+        };
+        assert!(encodable(&vertex("Drug", "name")));
+        assert!(!encodable(&vertex(&long, "name")));
+        assert!(!encodable(&vertex("Drug", &long)));
+        let edge = GraphUpdate::AddEdge { label: long, src: VertexId(0), dst: VertexId(1) };
+        assert!(!encodable(&edge));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most u16::MAX")]
+    fn str16_refuses_what_its_prefix_cannot_hold() {
+        put_str16(&mut Vec::new(), &"x".repeat(70_000));
     }
 }

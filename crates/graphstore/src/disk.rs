@@ -28,7 +28,7 @@
 use crate::backend::{
     AccessStats, EdgeId, GraphBackend, GraphUpdate, StatsCounters, VertexData, VertexId,
 };
-use crate::codec::{decode_vertex, encode_vertex, vertex_label, vertex_property};
+use crate::codec::{decode_vertex, encode_vertex, vertex_label, vertex_property, DecodeError};
 use crate::value::{PropertyMap, PropertyValue};
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -278,12 +278,16 @@ impl DiskGraph {
     /// Reads the record of vertex `id` through the buffer pool and hands its
     /// bytes to `decode` — one vertex read plus the page accesses of its
     /// record; `None`, and nothing charged, for an unknown id.
-    fn read_record<R>(&self, id: VertexId, decode: impl FnOnce(&[u8]) -> R) -> Option<R> {
+    fn read_record<R>(
+        &self,
+        id: VertexId,
+        decode: impl FnOnce(&[u8]) -> Result<R, DecodeError>,
+    ) -> Option<R> {
         let pointer = *self.directory.get(id.0 as usize)?;
         self.counters.count_vertex_read();
         let start = pointer.offset as usize;
         let end = start + pointer.len as usize;
-        Some(if end <= PAGE_SIZE {
+        let decoded = if end <= PAGE_SIZE {
             decode(&self.fetch_page(pointer.page)[start..end])
         } else {
             // Oversized record spanning consecutive pages.
@@ -293,7 +297,8 @@ impl DiskGraph {
                 buf.extend_from_slice(&self.fetch_page(pointer.page + delta));
             }
             decode(&buf[start..end])
-        })
+        };
+        Some(decoded.expect("disk pages hold only records `add_vertex` encoded"))
     }
 
     /// Visits the far ends of `vertex`'s edges labelled `edge_label` in one
@@ -412,7 +417,7 @@ impl GraphBackend for DiskGraph {
     }
 
     fn has_label(&self, id: VertexId, label: &str) -> bool {
-        self.read_record(id, |record| vertex_label(record) == label).unwrap_or(false)
+        self.read_record(id, |record| vertex_label(record).map(|l| l == label)).unwrap_or(false)
     }
 
     fn with_property(&self, id: VertexId, name: &str, f: &mut dyn FnMut(Option<&PropertyValue>)) {

@@ -8,13 +8,13 @@
 //! methods ([`KgClient::execute`], [`KgClient::run`]) are one send + one
 //! receive.
 //!
-//! On a revision-2 session every PREPARE/EXECUTE/RUN is stamped with a
-//! fresh wire trace id ([`KgClient::last_trace_id`]) that the server
-//! propagates through engine, query stages and WAL into its trace ring, and
-//! the `observe_*` methods scrape the server's metrics / trace / health
-//! surfaces remotely. On a revision-3 session [`KgClient::use_tenant`]
-//! selects which hosted tenant subsequent RUN/PREPARE requests route to
-//! (multi-tenant listeners; connections start on the host default).
+//! Every PREPARE/EXECUTE/RUN is stamped with a fresh wire trace id
+//! ([`KgClient::last_trace_id`]) that the server propagates through engine,
+//! query stages and WAL into its trace ring, and the `observe_*` methods
+//! scrape the server's metrics / trace / health surfaces remotely.
+//! [`KgClient::use_tenant`] selects which hosted tenant subsequent
+//! RUN/PREPARE requests route to (multi-tenant listeners; connections start
+//! on the host default).
 
 use crate::frame::{write_frame, FrameReader, MAX_FRAME_LEN};
 use crate::proto::{
@@ -139,7 +139,6 @@ pub struct KgClient {
     stream: TcpStream,
     reader: FrameReader,
     next_handle: u32,
-    negotiated: u16,
     last_trace_id: u64,
 }
 
@@ -152,39 +151,27 @@ impl KgClient {
             stream,
             reader: FrameReader::new(MAX_FRAME_LEN),
             next_handle: 0,
-            negotiated: PROTOCOL_VERSION,
             last_trace_id: 0,
         };
         client.send(&Request::Hello { version: PROTOCOL_VERSION })?;
         match client.recv_response()? {
-            Response::HelloOk { version } => {
-                client.negotiated = version;
-                Ok(client)
-            }
+            Response::HelloOk { version: PROTOCOL_VERSION } => Ok(client),
             Response::Error { code, message } => Err(NetError::Remote { code, message }),
-            other => Err(NetError::Protocol(format!("expected HELLO_OK, got {other:?}"))),
+            other => Err(NetError::Protocol(format!(
+                "expected HELLO_OK at revision {PROTOCOL_VERSION}, got {other:?}"
+            ))),
         }
     }
 
-    /// The protocol revision the handshake settled on.
-    pub fn negotiated_version(&self) -> u16 {
-        self.negotiated
-    }
-
     /// The trace id stamped on the most recent PREPARE/EXECUTE/RUN, `0`
-    /// before the first request (or on a revision-1 session, which has no
-    /// trace trailer). Feed it to [`KgClient::observe_trace`] to pull that
-    /// request's server-side spans.
+    /// before the first request. Feed it to [`KgClient::observe_trace`] to
+    /// pull that request's server-side spans.
     pub fn last_trace_id(&self) -> u64 {
         self.last_trace_id
     }
 
-    /// Stamps (and remembers) a fresh trace context when the session speaks
-    /// revision ≥ 2.
+    /// Stamps (and remembers) a fresh trace context.
     fn stamp_trace(&mut self) -> Option<TraceContext> {
-        if self.negotiated < 2 {
-            return None;
-        }
         let trace_id = next_trace_id();
         self.last_trace_id = trace_id;
         Some(TraceContext { trace_id, parent_span: 0 })
@@ -208,18 +195,12 @@ impl KgClient {
         }
     }
 
-    /// Selects the tenant subsequent RUN/PREPARE requests route to
-    /// (revision ≥ 3). Selection is sticky for the connection; handles
-    /// already prepared keep executing on the tenant that prepared them.
-    /// An unknown name fails with [`ErrorCode::UnknownTenant`] and leaves
-    /// the previous selection in effect — the connection stays usable.
+    /// Selects the tenant subsequent RUN/PREPARE requests route to.
+    /// Selection is sticky for the connection; handles already prepared
+    /// keep executing on the tenant that prepared them. An unknown name
+    /// fails with [`ErrorCode::UnknownTenant`] and leaves the previous
+    /// selection in effect — the connection stays usable.
     pub fn use_tenant(&mut self, tenant: &str) -> Result<(), NetError> {
-        if self.negotiated < 3 {
-            return Err(NetError::Protocol(format!(
-                "USE needs protocol revision 3, session negotiated {}",
-                self.negotiated
-            )));
-        }
         self.send(&Request::Use { tenant: tenant.to_string() })?;
         match self.recv_response()? {
             Response::UseOk { tenant: echoed } if echoed == tenant => Ok(()),
@@ -260,11 +241,10 @@ impl KgClient {
         }
     }
 
-    /// Scrapes and decodes the binary metrics snapshot.
+    /// Scrapes the host's structured metrics snapshot.
     pub fn observe_metrics_snapshot(&mut self) -> Result<MetricsSnapshot, NetError> {
         match self.observe(ObserveRequest::MetricsSnapshot)? {
-            ObserveReply::MetricsSnapshot(bytes) => MetricsSnapshot::from_bytes(&bytes)
-                .map_err(|e| NetError::Protocol(format!("snapshot decode: {e}"))),
+            ObserveReply::MetricsSnapshot(snapshot) => Ok(snapshot),
             other => Err(NetError::Protocol(format!("expected MetricsSnapshot, got {other:?}"))),
         }
     }
@@ -289,12 +269,6 @@ impl KgClient {
     }
 
     fn observe(&mut self, observe: ObserveRequest) -> Result<ObserveReply, NetError> {
-        if self.negotiated < 2 {
-            return Err(NetError::Protocol(format!(
-                "OBSERVE needs protocol revision 2, session negotiated {}",
-                self.negotiated
-            )));
-        }
         self.send(&Request::Observe(observe))?;
         match self.recv_response()? {
             Response::Observe(reply) => Ok(reply),

@@ -19,6 +19,7 @@
 //! prefixes surface as [`FrameError`]s so the connection layer can reject
 //! the peer without trusting a single byte of the claim.
 
+use pgso_graphstore::codec::{put_u32, Reader};
 use std::fmt;
 
 /// Default cap on `len` (opcode + payload). A peer claiming a larger frame
@@ -58,8 +59,7 @@ impl std::error::Error for FrameError {}
 
 /// Appends one `opcode + payload` frame, length prefix included, to `out`.
 pub fn write_frame(out: &mut Vec<u8>, opcode: u8, payload: &[u8]) {
-    let len = payload.len() as u32 + 1;
-    out.extend_from_slice(&len.to_le_bytes());
+    put_u32(out, payload.len() as u32 + 1);
     out.push(opcode);
     out.extend_from_slice(payload);
 }
@@ -96,11 +96,10 @@ impl FrameReader {
     /// attempted).
     pub fn next_frame(&mut self) -> Result<Option<(u8, Vec<u8>)>, FrameError> {
         let available = &self.buf[self.pos..];
-        if available.len() < FRAME_HEADER_LEN {
+        let Ok(len) = Reader::new(available).u32() else {
             self.compact();
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(available[..FRAME_HEADER_LEN].try_into().expect("4 bytes"));
+        };
         if len == 0 {
             return Err(FrameError::Empty);
         }

@@ -15,7 +15,7 @@
 //!   pool executing requests against the engines. A listener fronts a
 //!   [`pgso_tenant::TenantHost`] ([`KgListener::bind_host`]) — many
 //!   independent tenant graphs behind one socket, selected per connection
-//!   with the revision-3 `USE` request — while [`KgListener::bind`] keeps
+//!   with the `USE` request — while [`KgListener::bind`] keeps
 //!   the single-server shape (the server becomes the host's sole `default`
 //!   tenant). Connections are pipelined (many requests in flight; responses
 //!   strictly in request order) and drain gracefully on
@@ -43,6 +43,6 @@ pub use frame::{FrameError, FrameReader, MAX_FRAME_LEN};
 pub use listener::{ConnectionReport, KgListener, NetConfig, NetRunReport, ShutdownReport};
 pub use proto::{
     ErrorCode, ObserveReply, ObserveRequest, ProtoViolation, Request, Response, TraceContext,
-    WireTraceEvent, MIN_PROTOCOL_VERSION, PROTOCOL_MAGIC, PROTOCOL_VERSION,
+    WireTraceEvent, PROTOCOL_MAGIC, PROTOCOL_VERSION,
 };
 pub use telemetry::NetTelemetry;

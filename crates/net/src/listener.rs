@@ -30,7 +30,7 @@
 //! reorder buffer, however the pool interleaves the executions.
 //!
 //! **Tenant routing.** Every connection lands on the host's default tenant
-//! at accept; a revision-3 `USE <tenant>` re-targets subsequent requests.
+//! at accept; a `USE <tenant>` re-targets subsequent requests.
 //! Selection is sticky per connection, and prepared handles stay bound to
 //! the tenant that prepared them — `USE b` after `PREPARE h` does not move
 //! `h`, so pipelined bursts spanning a switch stay correct. An unknown
@@ -58,7 +58,7 @@
 use crate::frame::{write_frame, FrameError, FrameReader};
 use crate::proto::{
     decode_request, encode_response, ErrorCode, ObserveReply, ObserveRequest, Request, Response,
-    WireTraceEvent, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    WireTraceEvent,
 };
 use crate::telemetry::NetTelemetry;
 use parking_lot::{Mutex as PlMutex, RwLock};
@@ -746,29 +746,9 @@ fn handle_frame(inner: &Inner, conn: &mut ConnLocal, op: u8, payload: &[u8]) {
     };
     match (conn.state, request) {
         (ConnState::AwaitingHello, Request::Hello { version }) => {
-            if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
-                // Negotiate down to the client's revision: echoing it back
-                // promises the server will never use newer-revision frames
-                // on this connection (nothing server-initiated exists yet,
-                // so accepting an old client is free).
-                conn.state = ConnState::Ready;
-                finish(inner, &conn.shared, seq, response_bytes(&Response::HelloOk { version }));
-            } else {
-                inner.count_error(&conn.shared);
-                finish(
-                    inner,
-                    &conn.shared,
-                    seq,
-                    error_bytes(
-                        ErrorCode::BadHandshake,
-                        &format!(
-                            "unsupported version {version} \
-                             (serving {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION})"
-                        ),
-                    ),
-                );
-                conn.state = ConnState::Draining;
-            }
+            // The decoder already refused every revision but this one.
+            conn.state = ConnState::Ready;
+            finish(inner, &conn.shared, seq, response_bytes(&Response::HelloOk { version }));
         }
         (ConnState::AwaitingHello, _) => {
             inner.count_error(&conn.shared);
@@ -914,7 +894,7 @@ fn observe_response(inner: &Inner, tenant: Option<&Tenant>, observe: ObserveRequ
     let reply = match observe {
         ObserveRequest::MetricsText => ObserveReply::MetricsText(inner.host.metrics_text()),
         ObserveRequest::MetricsSnapshot => {
-            ObserveReply::MetricsSnapshot(inner.host.metrics_snapshot().to_bytes())
+            ObserveReply::MetricsSnapshot(inner.host.metrics_snapshot())
         }
         ObserveRequest::Trace { trace_id } => {
             let Some(tenant) = tenant else { return no_tenant() };

@@ -1,39 +1,33 @@
 //! Message layer: typed requests/responses and their binary payload codec.
 //!
-//! Payloads reuse the workspace's existing value encoding
-//! ([`pgso_graphstore::codec`]) for every [`pgso_graphstore::PropertyValue`]
-//! — parameters
-//! and result cells travel in exactly the bytes the disk backend and WAL
-//! use. See `crates/net/README.md` for the full wire format.
+//! Payloads are written in the workspace's one primitive grammar
+//! ([`pgso_graphstore::codec`]: little-endian integers, `str32` strings,
+//! `count`-prefixed sequences), and every
+//! [`pgso_graphstore::PropertyValue`] — parameters and result cells —
+//! travels in exactly the bytes the disk backend and WAL use. See
+//! `crates/net/README.md` for the full wire format.
 //!
 //! Decoding is total: any byte sequence decodes to either a message or a
 //! [`ProtoViolation`] carrying a typed [`ErrorCode`]; nothing in this module
 //! panics on foreign input.
 
-use bytes::{BufMut, BytesMut};
-use pgso_graphstore::codec::{encode_value, try_decode_value};
+use pgso_graphstore::codec::{
+    put_count, put_f64, put_i64, put_str32, put_u16, put_u32, put_u64, put_u8, put_value,
+    read_value, DecodeError, Reader,
+};
 use pgso_query::{ParamKind, ParamSignature, ParamSpec, Params, Row};
 use pgso_server::HealthSummary;
-use pgso_telemetry::{FieldValue, TraceEvent, WindowRates};
+use pgso_telemetry::{FieldValue, HistogramSnapshot, MetricsSnapshot, TraceEvent, WindowRates};
 use std::time::Duration;
 
 /// `"PGSO"` in big-endian byte order: the first four payload bytes of every
 /// HELLO.
 pub const PROTOCOL_MAGIC: u32 = 0x5047_534F;
 
-/// Protocol revision this build speaks. Revision 2 adds the optional
-/// [`TraceContext`] trailer on PREPARE/EXECUTE/RUN and the OBSERVE scrape
-/// opcode. Revision 3 adds the USE opcode selecting a tenant on a
-/// multi-tenant host (plus the `UnknownTenant`/`QuotaExceeded` error
-/// codes); the payload codecs are otherwise unchanged from revision 1.
-pub const PROTOCOL_VERSION: u16 = 3;
-
-/// Oldest revision the server still accepts. A revision-1 HELLO negotiates
-/// a revision-1 session: the server never sends OBSERVE_OK unprompted and a
-/// v1 client never appends trace trailers, so both sides interoperate. A
-/// revision-2 (pre-USE) client lands on the host's default tenant and
-/// round-trips unchanged.
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
+/// The one protocol revision. A HELLO carrying any other value is refused
+/// with [`ErrorCode::BadHandshake`]: revisions 1–3 (optional trace trailer,
+/// `u16`-prefixed names, a versioned metrics blob) are not spoken.
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Frame opcodes. Client→server opcodes occupy the low range, server→client
 /// responses are the same ideas with the high bit set.
@@ -50,8 +44,7 @@ pub mod opcode {
     pub const GOODBYE: u8 = 0x05;
     /// Scrape the server's observability surfaces (metrics, traces, health).
     pub const OBSERVE: u8 = 0x06;
-    /// Select the tenant subsequent requests on this connection route to
-    /// (revision ≥ 3).
+    /// Select the tenant subsequent requests on this connection route to.
     pub const USE: u8 = 0x07;
     /// Handshake accepted.
     pub const HELLO_OK: u8 = 0x81;
@@ -75,8 +68,8 @@ pub mod opcode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u16)]
 pub enum ErrorCode {
-    /// HELLO missing, repeated, carrying the wrong magic, or an unsupported
-    /// version. Connection-fatal.
+    /// HELLO missing, repeated, carrying the wrong magic, or a version other
+    /// than [`PROTOCOL_VERSION`]. Connection-fatal.
     BadHandshake = 1,
     /// Frame opcode outside the protocol. The frame boundary is intact, so
     /// the connection survives.
@@ -141,23 +134,29 @@ pub struct ProtoViolation {
 }
 
 impl ProtoViolation {
-    fn malformed(what: &str) -> Self {
-        Self { code: ErrorCode::Malformed, message: format!("malformed {what} payload") }
+    fn handshake(message: String) -> Self {
+        Self { code: ErrorCode::BadHandshake, message }
+    }
+
+    fn unknown_opcode(direction: &str, op: u8) -> Self {
+        Self {
+            code: ErrorCode::UnknownOpcode,
+            message: format!("unknown {direction} opcode {op:#04x}"),
+        }
     }
 }
 
 /// Request-scoped tracing identifiers a client stamps into
-/// PREPARE/EXECUTE/RUN frames (protocol revision ≥ 2). The server installs
-/// them as the handling thread's [`pgso_telemetry::set_current_trace`]
-/// context, so every span the request touches — socket, engine, query
-/// stages, WAL group commit — lands in the trace ring under this id.
+/// PREPARE/EXECUTE/RUN frames. The server installs them as the handling
+/// thread's [`pgso_telemetry::set_current_trace`] context, so every span the
+/// request touches — socket, engine, query stages, WAL group commit — lands
+/// in the trace ring under this id.
 ///
-/// On the wire the context is an optional 16-byte trailer after the request
-/// body: absent (revision-1 clients) means untraced. A non-empty,
-/// non-16-byte remainder is malformed like any other trailing bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// On the wire the context is a 16-byte trailer every PREPARE/EXECUTE/RUN
+/// carries; a zero trace id means untraced.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceContext {
-    /// Client-chosen trace id; `0` means untraced (same as no trailer).
+    /// Client-chosen trace id; `0` means untraced (decodes as no context).
     pub trace_id: u64,
     /// Client-side parent span, `0` for a root request.
     pub parent_span: u64,
@@ -169,7 +168,7 @@ pub enum ObserveRequest {
     /// Prometheus-style text exposition
     /// ([`pgso_server::KgServer::metrics_text`]).
     MetricsText,
-    /// The binary [`pgso_telemetry::MetricsSnapshot`] blob.
+    /// The host's [`MetricsSnapshot`], structured.
     MetricsSnapshot,
     /// Drain the trace ring; `trace_id != 0` keeps only that trace's spans.
     Trace {
@@ -222,10 +221,8 @@ impl From<&TraceEvent> for WireTraceEvent {
 pub enum ObserveReply {
     /// Text exposition bytes.
     MetricsText(String),
-    /// Raw [`pgso_telemetry::MetricsSnapshot::to_bytes`] blob, passed
-    /// through opaquely so snapshot versioning stays the snapshot codec's
-    /// concern.
-    MetricsSnapshot(Vec<u8>),
+    /// Every counter, gauge and histogram of the host's registry.
+    MetricsSnapshot(MetricsSnapshot),
     /// Retained trace events, oldest first, post-filter.
     Trace(Vec<WireTraceEvent>),
     /// Engine liveness summary.
@@ -235,7 +232,7 @@ pub enum ObserveReply {
 /// One client→server message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Handshake (magic already verified by the decoder).
+    /// Handshake (magic and version already verified by the decoder).
     Hello {
         /// Protocol revision the client speaks.
         version: u16,
@@ -247,7 +244,7 @@ pub enum Request {
         handle: u32,
         /// Statement text, `$name` parameters included.
         text: String,
-        /// Request tracing context (revision ≥ 2).
+        /// Request tracing context.
         trace: Option<TraceContext>,
     },
     /// Execute a prepared handle with named bindings.
@@ -256,21 +253,21 @@ pub enum Request {
         handle: u32,
         /// Named parameter values.
         params: Params,
-        /// Request tracing context (revision ≥ 2).
+        /// Request tracing context.
         trace: Option<TraceContext>,
     },
     /// Parse and serve a parameterless statement text.
     Run {
         /// Statement text.
         text: String,
-        /// Request tracing context (revision ≥ 2).
+        /// Request tracing context.
         trace: Option<TraceContext>,
     },
-    /// Scrape an observability surface (revision ≥ 2).
+    /// Scrape an observability surface.
     Observe(ObserveRequest),
-    /// Route subsequent requests on this connection to the named tenant
-    /// (revision ≥ 3). Handles prepared before the switch stay bound to the
-    /// tenant that prepared them.
+    /// Route subsequent requests on this connection to the named tenant.
+    /// Handles prepared before the switch stay bound to the tenant that
+    /// prepared them.
     Use {
         /// Tenant name as registered with the host.
         tenant: String,
@@ -294,9 +291,9 @@ impl Request {
 /// One server→client message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// Handshake accepted at this version.
+    /// Handshake accepted.
     HelloOk {
-        /// Negotiated protocol revision.
+        /// The server's protocol revision ([`PROTOCOL_VERSION`]).
         version: u16,
     },
     /// PREPARE succeeded.
@@ -338,7 +335,7 @@ pub enum Response {
 
 /// Encodes a request as `(opcode, payload)`.
 pub fn encode_request(request: &Request) -> (u8, Vec<u8>) {
-    let mut buf = BytesMut::with_capacity(64);
+    let mut buf = Vec::with_capacity(64);
     let op = match request {
         Request::Hello { version } => {
             put_u32(&mut buf, PROTOCOL_MAGIC);
@@ -348,108 +345,113 @@ pub fn encode_request(request: &Request) -> (u8, Vec<u8>) {
         Request::Prepare { handle, text, trace } => {
             put_u32(&mut buf, *handle);
             put_str32(&mut buf, text);
-            put_trace(&mut buf, trace);
+            put_trace(&mut buf, *trace);
             opcode::PREPARE
         }
         Request::Execute { handle, params, trace } => {
             put_u32(&mut buf, *handle);
-            put_params(&mut buf, params);
-            put_trace(&mut buf, trace);
+            put_count(&mut buf, params.len());
+            for (name, value) in params.iter() {
+                put_str32(&mut buf, name);
+                put_value(&mut buf, value);
+            }
+            put_trace(&mut buf, *trace);
             opcode::EXECUTE
         }
         Request::Run { text, trace } => {
             put_str32(&mut buf, text);
-            put_trace(&mut buf, trace);
+            put_trace(&mut buf, *trace);
             opcode::RUN
         }
         Request::Observe(observe) => {
             match observe {
-                ObserveRequest::MetricsText => buf.put_slice(&[0]),
-                ObserveRequest::MetricsSnapshot => buf.put_slice(&[1]),
+                ObserveRequest::MetricsText => put_u8(&mut buf, 0),
+                ObserveRequest::MetricsSnapshot => put_u8(&mut buf, 1),
                 ObserveRequest::Trace { trace_id } => {
-                    buf.put_slice(&[2]);
+                    put_u8(&mut buf, 2);
                     put_u64(&mut buf, *trace_id);
                 }
-                ObserveRequest::Health => buf.put_slice(&[3]),
+                ObserveRequest::Health => put_u8(&mut buf, 3),
             }
             opcode::OBSERVE
         }
         Request::Use { tenant } => {
-            put_str16(&mut buf, tenant);
+            put_str32(&mut buf, tenant);
             opcode::USE
         }
         Request::Goodbye => opcode::GOODBYE,
     };
-    (op, buf.to_vec())
+    (op, buf)
+}
+
+/// Runs `body` over the whole payload of one `what` message: any
+/// [`DecodeError`] — trailing bytes included — is [`ErrorCode::Malformed`].
+fn decode_payload<T>(
+    payload: &[u8],
+    what: &str,
+    body: impl FnOnce(&mut Reader<'_>) -> Result<T, DecodeError>,
+) -> Result<T, ProtoViolation> {
+    let mut r = Reader::new(payload);
+    body(&mut r).and_then(|message| r.finish().map(|()| message)).map_err(|err| ProtoViolation {
+        code: ErrorCode::Malformed,
+        message: format!("malformed {what} payload: {}", err.0),
+    })
 }
 
 /// Decodes a request frame. Every failure carries the [`ErrorCode`] the
 /// server should answer with.
-pub fn decode_request(op: u8, mut payload: &[u8]) -> Result<Request, ProtoViolation> {
-    let data = &mut payload;
-    let request = match op {
+pub fn decode_request(op: u8, payload: &[u8]) -> Result<Request, ProtoViolation> {
+    match op {
         opcode::HELLO => {
-            let magic = take_u32(data).ok_or_else(|| ProtoViolation::malformed("HELLO"))?;
+            let (magic, version) = decode_payload(payload, "HELLO", |r| Ok((r.u32()?, r.u16()?)))?;
             if magic != PROTOCOL_MAGIC {
-                return Err(ProtoViolation {
-                    code: ErrorCode::BadHandshake,
-                    message: format!("bad magic {magic:#010x} (expected {PROTOCOL_MAGIC:#010x})"),
-                });
+                return Err(ProtoViolation::handshake(format!(
+                    "bad magic {magic:#010x} (expected {PROTOCOL_MAGIC:#010x})"
+                )));
             }
-            let version = take_u16(data).ok_or_else(|| ProtoViolation::malformed("HELLO"))?;
-            Request::Hello { version }
+            if version != PROTOCOL_VERSION {
+                return Err(ProtoViolation::handshake(format!(
+                    "unsupported version {version} (this server speaks only {PROTOCOL_VERSION})"
+                )));
+            }
+            Ok(Request::Hello { version })
         }
-        opcode::PREPARE => {
-            let err = || ProtoViolation::malformed("PREPARE");
-            let handle = take_u32(data).ok_or_else(err)?;
-            let text = take_str32(data).ok_or_else(err)?;
-            Request::Prepare { handle, text, trace: take_trace(data) }
-        }
-        opcode::EXECUTE => {
-            let err = || ProtoViolation::malformed("EXECUTE");
-            let handle = take_u32(data).ok_or_else(err)?;
-            let params = take_params(data).ok_or_else(err)?;
-            Request::Execute { handle, params, trace: take_trace(data) }
-        }
-        opcode::RUN => {
-            let text = take_str32(data).ok_or_else(|| ProtoViolation::malformed("RUN"))?;
-            Request::Run { text, trace: take_trace(data) }
-        }
-        opcode::OBSERVE => {
-            let err = || ProtoViolation::malformed("OBSERVE");
-            let observe = match take_u8(data).ok_or_else(err)? {
+        opcode::PREPARE => decode_payload(payload, "PREPARE", |r| {
+            Ok(Request::Prepare { handle: r.u32()?, text: read_string(r)?, trace: read_trace(r)? })
+        }),
+        opcode::EXECUTE => decode_payload(payload, "EXECUTE", |r| {
+            let handle = r.u32()?;
+            let mut params = Params::new();
+            // A binding is at least a str32 prefix and a value tag.
+            for _ in 0..r.count(5)? {
+                let name = read_string(r)?;
+                params.insert(name, read_value(r)?);
+            }
+            Ok(Request::Execute { handle, params, trace: read_trace(r)? })
+        }),
+        opcode::RUN => decode_payload(payload, "RUN", |r| {
+            Ok(Request::Run { text: read_string(r)?, trace: read_trace(r)? })
+        }),
+        opcode::OBSERVE => decode_payload(payload, "OBSERVE", |r| {
+            Ok(Request::Observe(match r.u8()? {
                 0 => ObserveRequest::MetricsText,
                 1 => ObserveRequest::MetricsSnapshot,
-                2 => ObserveRequest::Trace { trace_id: take_u64(data).ok_or_else(err)? },
+                2 => ObserveRequest::Trace { trace_id: r.u64()? },
                 3 => ObserveRequest::Health,
-                _ => return Err(err()),
-            };
-            Request::Observe(observe)
-        }
+                _ => return Err(DecodeError("unknown observe mode")),
+            }))
+        }),
         opcode::USE => {
-            let tenant = take_str16(data).ok_or_else(|| ProtoViolation::malformed("USE"))?;
-            Request::Use { tenant }
+            decode_payload(payload, "USE", |r| Ok(Request::Use { tenant: read_string(r)? }))
         }
-        opcode::GOODBYE => Request::Goodbye,
-        other => {
-            return Err(ProtoViolation {
-                code: ErrorCode::UnknownOpcode,
-                message: format!("unknown request opcode {other:#04x}"),
-            })
-        }
-    };
-    if !data.is_empty() {
-        return Err(ProtoViolation {
-            code: ErrorCode::Malformed,
-            message: format!("{} trailing bytes after request", data.len()),
-        });
+        opcode::GOODBYE => decode_payload(payload, "GOODBYE", |_| Ok(Request::Goodbye)),
+        other => Err(ProtoViolation::unknown_opcode("request", other)),
     }
-    Ok(request)
 }
 
 /// Encodes a response as `(opcode, payload)`.
 pub fn encode_response(response: &Response) -> (u8, Vec<u8>) {
-    let mut buf = BytesMut::with_capacity(64);
+    let mut buf = Vec::with_capacity(64);
     let op = match response {
         Response::HelloOk { version } => {
             put_u16(&mut buf, *version);
@@ -457,23 +459,24 @@ pub fn encode_response(response: &Response) -> (u8, Vec<u8>) {
         }
         Response::Prepared { handle, signature } => {
             put_u32(&mut buf, *handle);
-            put_u16(&mut buf, signature.len() as u16);
+            put_count(&mut buf, signature.len());
             for spec in signature.specs() {
-                put_str16(&mut buf, &spec.name);
-                buf.put_slice(&[match spec.kind {
-                    ParamKind::Value => 0u8,
-                    ParamKind::Count => 1u8,
-                }]);
+                put_str32(&mut buf, &spec.name);
+                put_u8(
+                    &mut buf,
+                    match spec.kind {
+                        ParamKind::Value => 0,
+                        ParamKind::Count => 1,
+                    },
+                );
             }
             opcode::PREPARED
         }
         Response::Rows { rows } => {
-            put_u32(&mut buf, rows.len() as u32);
+            put_count(&mut buf, rows.len());
             for row in rows {
-                put_u16(&mut buf, row.len() as u16);
-                for value in row {
-                    encode_value(&mut buf, value);
-                }
+                put_count(&mut buf, row.len());
+                row.iter().for_each(|value| put_value(&mut buf, value));
             }
             opcode::ROWS
         }
@@ -490,27 +493,24 @@ pub fn encode_response(response: &Response) -> (u8, Vec<u8>) {
         Response::Observe(reply) => {
             match reply {
                 ObserveReply::MetricsText(text) => {
-                    buf.put_slice(&[0]);
+                    put_u8(&mut buf, 0);
                     put_str32(&mut buf, text);
                 }
-                ObserveReply::MetricsSnapshot(bytes) => {
-                    buf.put_slice(&[1]);
-                    put_u32(&mut buf, bytes.len() as u32);
-                    buf.put_slice(bytes);
+                ObserveReply::MetricsSnapshot(snapshot) => {
+                    put_u8(&mut buf, 1);
+                    put_metrics(&mut buf, snapshot);
                 }
                 ObserveReply::Trace(events) => {
-                    buf.put_slice(&[2]);
-                    put_u32(&mut buf, events.len() as u32);
-                    for event in events {
-                        put_trace_event(&mut buf, event);
-                    }
+                    put_u8(&mut buf, 2);
+                    put_count(&mut buf, events.len());
+                    events.iter().for_each(|event| put_trace_event(&mut buf, event));
                 }
                 ObserveReply::Health(health) => {
-                    buf.put_slice(&[3]);
+                    put_u8(&mut buf, 3);
                     put_u64(&mut buf, health.served);
                     put_u64(&mut buf, health.epoch);
                     put_u64(&mut buf, health.schema_generation);
-                    buf.put_slice(&health.drift.to_bits().to_le_bytes());
+                    put_f64(&mut buf, health.drift);
                     for window in &health.windows {
                         put_u64(&mut buf, window.window_secs);
                         put_u64(&mut buf, window.requests);
@@ -522,313 +522,229 @@ pub fn encode_response(response: &Response) -> (u8, Vec<u8>) {
             opcode::OBSERVE_OK
         }
         Response::UseOk { tenant } => {
-            put_str16(&mut buf, tenant);
+            put_str32(&mut buf, tenant);
             opcode::USE_OK
         }
         Response::GoodbyeOk => opcode::GOODBYE_OK,
     };
-    (op, buf.to_vec())
+    (op, buf)
 }
 
 /// Decodes a response frame (the client side of [`decode_request`]).
-pub fn decode_response(op: u8, mut payload: &[u8]) -> Result<Response, ProtoViolation> {
-    let data = &mut payload;
-    let response = match op {
+pub fn decode_response(op: u8, payload: &[u8]) -> Result<Response, ProtoViolation> {
+    match op {
         opcode::HELLO_OK => {
-            let version = take_u16(data).ok_or_else(|| ProtoViolation::malformed("HELLO_OK"))?;
-            Response::HelloOk { version }
+            decode_payload(payload, "HELLO_OK", |r| Ok(Response::HelloOk { version: r.u16()? }))
         }
-        opcode::PREPARED => {
-            let err = || ProtoViolation::malformed("PREPARED");
-            let handle = take_u32(data).ok_or_else(err)?;
-            let count = take_u16(data).ok_or_else(err)? as usize;
-            let mut specs = Vec::new();
+        opcode::PREPARED => decode_payload(payload, "PREPARED", |r| {
+            let handle = r.u32()?;
+            // A spec is a str32 prefix and a kind byte.
+            let count = r.count(5)?;
+            let mut specs = Vec::with_capacity(count);
             for _ in 0..count {
-                let name = take_str16(data).ok_or_else(err)?;
-                let kind = match take_u8(data).ok_or_else(err)? {
+                let name = read_string(r)?;
+                let kind = match r.u8()? {
                     0 => ParamKind::Value,
                     1 => ParamKind::Count,
-                    _ => return Err(err()),
+                    _ => return Err(DecodeError("unknown parameter kind")),
                 };
                 specs.push(ParamSpec { name, kind });
             }
-            Response::Prepared { handle, signature: ParamSignature::from_specs(specs) }
-        }
-        opcode::ROWS => {
-            let err = || ProtoViolation::malformed("ROWS");
-            let count = take_u32(data).ok_or_else(err)? as usize;
-            if count > data.len() {
-                return Err(err());
-            }
-            let mut rows = Vec::new();
+            Ok(Response::Prepared { handle, signature: ParamSignature::from_specs(specs) })
+        }),
+        opcode::ROWS => decode_payload(payload, "ROWS", |r| {
+            // A row is at least its column count.
+            let count = r.count(4)?;
+            let mut rows = Vec::with_capacity(count);
             for _ in 0..count {
-                let cols = take_u16(data).ok_or_else(err)? as usize;
-                let mut row = Vec::with_capacity(cols.min(64));
+                let cols = r.count(1)?;
+                let mut row = Vec::with_capacity(cols);
                 for _ in 0..cols {
-                    row.push(try_decode_value(data).ok_or_else(err)?);
+                    row.push(read_value(r)?);
                 }
                 rows.push(row);
             }
-            Response::Rows { rows }
-        }
-        opcode::SUMMARY => {
-            let err = || ProtoViolation::malformed("SUMMARY");
-            let matches = take_u64(data).ok_or_else(err)?;
-            let rows = take_u64(data).ok_or_else(err)?;
-            Response::Summary { matches, rows }
-        }
-        opcode::ERROR => {
-            let err = || ProtoViolation::malformed("ERROR");
-            let raw = take_u16(data).ok_or_else(err)?;
-            let code = ErrorCode::from_u16(raw).ok_or_else(err)?;
-            let message = take_str32(data).ok_or_else(err)?;
-            Response::Error { code, message }
-        }
-        opcode::OBSERVE_OK => {
-            let err = || ProtoViolation::malformed("OBSERVE_OK");
-            let reply = match take_u8(data).ok_or_else(err)? {
-                0 => ObserveReply::MetricsText(take_str32(data).ok_or_else(err)?),
-                1 => {
-                    let len = take_u32(data).ok_or_else(err)? as usize;
-                    ObserveReply::MetricsSnapshot(take(data, len).ok_or_else(err)?.to_vec())
-                }
+            Ok(Response::Rows { rows })
+        }),
+        opcode::SUMMARY => decode_payload(payload, "SUMMARY", |r| {
+            Ok(Response::Summary { matches: r.u64()?, rows: r.u64()? })
+        }),
+        opcode::ERROR => decode_payload(payload, "ERROR", |r| {
+            let code = ErrorCode::from_u16(r.u16()?).ok_or(DecodeError("unknown error code"))?;
+            Ok(Response::Error { code, message: read_string(r)? })
+        }),
+        opcode::OBSERVE_OK => decode_payload(payload, "OBSERVE_OK", |r| {
+            Ok(Response::Observe(match r.u8()? {
+                0 => ObserveReply::MetricsText(read_string(r)?),
+                1 => ObserveReply::MetricsSnapshot(read_metrics(r)?),
                 2 => {
-                    let count = take_u32(data).ok_or_else(err)? as usize;
-                    if count > data.len() {
-                        return Err(err());
-                    }
-                    let mut events = Vec::new();
+                    // seq, at, span id, name prefix, duration flag, field count.
+                    let count = r.count(8 + 8 + 8 + 4 + 1 + 4)?;
+                    let mut events = Vec::with_capacity(count);
                     for _ in 0..count {
-                        events.push(take_trace_event(data).ok_or_else(err)?);
+                        events.push(read_trace_event(r)?);
                     }
                     ObserveReply::Trace(events)
                 }
                 3 => {
-                    let served = take_u64(data).ok_or_else(err)?;
-                    let epoch = take_u64(data).ok_or_else(err)?;
-                    let schema_generation = take_u64(data).ok_or_else(err)?;
-                    let drift = f64::from_bits(take_u64(data).ok_or_else(err)?);
+                    let (served, epoch, schema_generation) = (r.u64()?, r.u64()?, r.u64()?);
+                    let drift = r.f64()?;
                     let mut windows = [WindowRates::default(); 3];
                     for window in &mut windows {
-                        window.window_secs = take_u64(data).ok_or_else(err)?;
-                        window.requests = take_u64(data).ok_or_else(err)?;
-                        window.errors = take_u64(data).ok_or_else(err)?;
+                        *window = WindowRates {
+                            window_secs: r.u64()?,
+                            requests: r.u64()?,
+                            errors: r.u64()?,
+                        };
                     }
-                    let trace_dropped = take_u64(data).ok_or_else(err)?;
                     ObserveReply::Health(HealthSummary {
                         served,
                         epoch,
                         schema_generation,
                         drift,
                         windows,
-                        trace_dropped,
+                        trace_dropped: r.u64()?,
                     })
                 }
-                _ => return Err(err()),
-            };
-            Response::Observe(reply)
-        }
+                _ => return Err(DecodeError("unknown observe mode")),
+            }))
+        }),
         opcode::USE_OK => {
-            let tenant = take_str16(data).ok_or_else(|| ProtoViolation::malformed("USE_OK"))?;
-            Response::UseOk { tenant }
+            decode_payload(payload, "USE_OK", |r| Ok(Response::UseOk { tenant: read_string(r)? }))
         }
-        opcode::GOODBYE_OK => Response::GoodbyeOk,
-        other => {
-            return Err(ProtoViolation {
-                code: ErrorCode::UnknownOpcode,
-                message: format!("unknown response opcode {other:#04x}"),
-            })
-        }
-    };
-    if !data.is_empty() {
-        return Err(ProtoViolation {
-            code: ErrorCode::Malformed,
-            message: format!("{} trailing bytes after response", data.len()),
-        });
-    }
-    Ok(response)
-}
-
-// ---- payload primitives -------------------------------------------------
-//
-// Writers append to a `BytesMut`; readers are bounds-checked slice cursors
-// that return `None` instead of panicking on truncation.
-
-fn put_u16(buf: &mut BytesMut, v: u16) {
-    buf.put_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut BytesMut, v: u32) {
-    buf.put_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut BytesMut, v: u64) {
-    buf.put_slice(&v.to_le_bytes());
-}
-
-fn put_str16(buf: &mut BytesMut, s: &str) {
-    put_u16(buf, s.len() as u16);
-    buf.put_slice(s.as_bytes());
-}
-
-fn put_str32(buf: &mut BytesMut, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn put_params(buf: &mut BytesMut, params: &Params) {
-    put_u16(buf, params.len() as u16);
-    for (name, value) in params.iter() {
-        put_str16(buf, name);
-        encode_value(buf, value);
+        opcode::GOODBYE_OK => decode_payload(payload, "GOODBYE_OK", |_| Ok(Response::GoodbyeOk)),
+        other => Err(ProtoViolation::unknown_opcode("response", other)),
     }
 }
 
-/// Appends the optional 16-byte trace trailer. `None` (and a zero trace id,
-/// which means "untraced") writes nothing, so traced and untraced encodings
-/// of the same request differ only by the trailer — a revision-1 decoder
-/// never sees it because a revision-1 client never writes it.
-fn put_trace(buf: &mut BytesMut, trace: &Option<TraceContext>) {
-    if let Some(ctx) = trace {
-        if ctx.trace_id != 0 {
-            put_u64(buf, ctx.trace_id);
-            put_u64(buf, ctx.parent_span);
-        }
-    }
+// ---- payload pieces -------------------------------------------------------
+
+fn read_string(r: &mut Reader<'_>) -> Result<String, DecodeError> {
+    Ok(r.str32()?.to_owned())
 }
 
-/// Consumes the trace trailer iff exactly 16 bytes remain. Any other
-/// remainder is left in place for the caller's trailing-bytes check.
-fn take_trace(data: &mut &[u8]) -> Option<TraceContext> {
-    if data.len() != 16 {
-        return None;
-    }
-    let trace_id = take_u64(data)?;
-    let parent_span = take_u64(data)?;
-    if trace_id == 0 {
-        return None;
-    }
-    Some(TraceContext { trace_id, parent_span })
+/// Writes the 16-byte trace trailer; `None` and a zero trace id both write
+/// zeros, so an untraced request has one encoding.
+fn put_trace(buf: &mut Vec<u8>, trace: Option<TraceContext>) {
+    let ctx = trace.filter(|ctx| ctx.trace_id != 0).unwrap_or_default();
+    put_u64(buf, ctx.trace_id);
+    put_u64(buf, ctx.parent_span);
 }
 
-fn put_field_value(buf: &mut BytesMut, value: &FieldValue) {
-    match value {
-        FieldValue::U64(v) => {
-            buf.put_slice(&[0]);
-            put_u64(buf, *v);
-        }
-        FieldValue::I64(v) => {
-            buf.put_slice(&[1]);
-            buf.put_slice(&v.to_le_bytes());
-        }
-        FieldValue::F64(v) => {
-            buf.put_slice(&[2]);
-            buf.put_slice(&v.to_bits().to_le_bytes());
-        }
-        FieldValue::Str(v) => {
-            buf.put_slice(&[3]);
-            put_str32(buf, v);
-        }
-    }
+fn read_trace(r: &mut Reader<'_>) -> Result<Option<TraceContext>, DecodeError> {
+    let ctx = TraceContext { trace_id: r.u64()?, parent_span: r.u64()? };
+    Ok((ctx.trace_id != 0).then_some(ctx))
 }
 
-fn take_field_value(data: &mut &[u8]) -> Option<FieldValue> {
-    Some(match take_u8(data)? {
-        0 => FieldValue::U64(take_u64(data)?),
-        1 => FieldValue::I64(take_u64(data)? as i64),
-        2 => FieldValue::F64(f64::from_bits(take_u64(data)?)),
-        3 => FieldValue::Str(take_str32(data)?),
-        _ => return None,
-    })
-}
-
-fn put_trace_event(buf: &mut BytesMut, event: &WireTraceEvent) {
+fn put_trace_event(buf: &mut Vec<u8>, event: &WireTraceEvent) {
     put_u64(buf, event.seq);
     put_u64(buf, event.at.as_nanos() as u64);
     put_u64(buf, event.span_id);
-    put_str16(buf, &event.name);
+    put_str32(buf, &event.name);
     match event.duration {
         Some(duration) => {
-            buf.put_slice(&[1]);
+            put_u8(buf, 1);
             put_u64(buf, duration.as_nanos() as u64);
         }
-        None => buf.put_slice(&[0]),
+        None => put_u8(buf, 0),
     }
-    put_u16(buf, event.fields.len() as u16);
+    put_count(buf, event.fields.len());
     for (key, value) in &event.fields {
-        put_str16(buf, key);
-        put_field_value(buf, value);
+        put_str32(buf, key);
+        match value {
+            FieldValue::U64(v) => {
+                put_u8(buf, 0);
+                put_u64(buf, *v);
+            }
+            FieldValue::I64(v) => {
+                put_u8(buf, 1);
+                put_i64(buf, *v);
+            }
+            FieldValue::F64(v) => {
+                put_u8(buf, 2);
+                put_f64(buf, *v);
+            }
+            FieldValue::Str(v) => {
+                put_u8(buf, 3);
+                put_str32(buf, v);
+            }
+        }
     }
 }
 
-fn take_trace_event(data: &mut &[u8]) -> Option<WireTraceEvent> {
-    let seq = take_u64(data)?;
-    let at = Duration::from_nanos(take_u64(data)?);
-    let span_id = take_u64(data)?;
-    let name = take_str16(data)?;
-    let duration = match take_u8(data)? {
+fn read_trace_event(r: &mut Reader<'_>) -> Result<WireTraceEvent, DecodeError> {
+    let seq = r.u64()?;
+    let at = Duration::from_nanos(r.u64()?);
+    let span_id = r.u64()?;
+    let name = read_string(r)?;
+    let duration = match r.u8()? {
         0 => None,
-        1 => Some(Duration::from_nanos(take_u64(data)?)),
-        _ => return None,
+        1 => Some(Duration::from_nanos(r.u64()?)),
+        _ => return Err(DecodeError("bad duration flag")),
     };
-    let field_count = take_u16(data)? as usize;
-    if field_count > data.len() {
-        return None;
-    }
-    let mut fields = Vec::with_capacity(field_count.min(64));
-    for _ in 0..field_count {
-        let key = take_str16(data)?;
-        fields.push((key, take_field_value(data)?));
-    }
-    Some(WireTraceEvent { seq, at, span_id, name, duration, fields })
-}
-
-fn take<'a>(data: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-    if data.len() < n {
-        return None;
-    }
-    let (head, tail) = data.split_at(n);
-    *data = tail;
-    Some(head)
-}
-
-fn take_u8(data: &mut &[u8]) -> Option<u8> {
-    take(data, 1).map(|b| b[0])
-}
-
-fn take_u16(data: &mut &[u8]) -> Option<u16> {
-    take(data, 2).map(|b| u16::from_le_bytes(b.try_into().expect("2 bytes")))
-}
-
-fn take_u32(data: &mut &[u8]) -> Option<u32> {
-    take(data, 4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-}
-
-fn take_u64(data: &mut &[u8]) -> Option<u64> {
-    take(data, 8).map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-}
-
-fn take_str16(data: &mut &[u8]) -> Option<String> {
-    let len = take_u16(data)? as usize;
-    let bytes = take(data, len)?;
-    Some(std::str::from_utf8(bytes).ok()?.to_string())
-}
-
-fn take_str32(data: &mut &[u8]) -> Option<String> {
-    let len = take_u32(data)? as usize;
-    let bytes = take(data, len)?;
-    Some(std::str::from_utf8(bytes).ok()?.to_string())
-}
-
-fn take_params(data: &mut &[u8]) -> Option<Params> {
-    let count = take_u16(data)? as usize;
-    let mut params = Params::new();
+    // A field is at least a str32 prefix and a tagged 4-byte payload.
+    let count = r.count(9)?;
+    let mut fields = Vec::with_capacity(count);
     for _ in 0..count {
-        let name = take_str16(data)?;
-        let value = try_decode_value(data)?;
-        params.insert(name, value);
+        let key = read_string(r)?;
+        let value = match r.u8()? {
+            0 => FieldValue::U64(r.u64()?),
+            1 => FieldValue::I64(r.i64()?),
+            2 => FieldValue::F64(r.f64()?),
+            3 => FieldValue::Str(read_string(r)?),
+            _ => return Err(DecodeError("unknown field tag")),
+        };
+        fields.push((key, value));
     }
-    Some(params)
+    Ok(WireTraceEvent { seq, at, span_id, name, duration, fields })
+}
+
+/// The OBSERVE snapshot body: `count { str32, u64 }` counters, `count
+/// { str32, f64 }` gauges, `count { str32, count { u32 bucket, u64 n },
+/// u64 count, u64 sum, u64 min, u64 max }` histograms.
+fn put_metrics(buf: &mut Vec<u8>, snapshot: &MetricsSnapshot) {
+    put_count(buf, snapshot.counters.len());
+    for (name, value) in &snapshot.counters {
+        put_str32(buf, name);
+        put_u64(buf, *value);
+    }
+    put_count(buf, snapshot.gauges.len());
+    for (name, value) in &snapshot.gauges {
+        put_str32(buf, name);
+        put_f64(buf, *value);
+    }
+    put_count(buf, snapshot.histograms.len());
+    for (name, hist) in &snapshot.histograms {
+        put_str32(buf, name);
+        put_count(buf, hist.buckets.len());
+        for &(index, n) in &hist.buckets {
+            put_u32(buf, index);
+            put_u64(buf, n);
+        }
+        for v in [hist.count, hist.sum, hist.min, hist.max] {
+            put_u64(buf, v);
+        }
+    }
+}
+
+fn read_metrics(r: &mut Reader<'_>) -> Result<MetricsSnapshot, DecodeError> {
+    let mut snapshot = MetricsSnapshot::default();
+    for _ in 0..r.count(4 + 8)? {
+        snapshot.counters.push((read_string(r)?, r.u64()?));
+    }
+    for _ in 0..r.count(4 + 8)? {
+        snapshot.gauges.push((read_string(r)?, r.f64()?));
+    }
+    for _ in 0..r.count(4 + 4 + 4 * 8)? {
+        let name = read_string(r)?;
+        let mut hist = HistogramSnapshot::default();
+        for _ in 0..r.count(4 + 8)? {
+            hist.buckets.push((r.u32()?, r.u64()?));
+        }
+        (hist.count, hist.sum, hist.min, hist.max) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
+        snapshot.histograms.push((name, hist));
+    }
+    Ok(snapshot)
 }
 
 #[cfg(test)]
@@ -910,18 +826,16 @@ mod tests {
     }
 
     #[test]
-    fn v1_request_bytes_still_decode() {
-        // A revision-1 PREPARE is the same payload without the 16-byte trace
-        // trailer; the decoder must accept it unchanged.
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&7u32.to_le_bytes());
-        let text = "MATCH (d:Drug) RETURN d.name";
-        payload.extend_from_slice(&(text.len() as u32).to_le_bytes());
-        payload.extend_from_slice(text.as_bytes());
-        assert_eq!(
-            decode_request(opcode::PREPARE, &payload).expect("decodes"),
-            Request::Prepare { handle: 7, text: text.into(), trace: None }
-        );
+    fn prepare_without_its_trailer_is_malformed() {
+        // A revision-1 PREPARE: the same payload without the 16-byte trace
+        // trailer. Revision 4 always carries it.
+        let (op, payload) = encode_request(&Request::Prepare {
+            handle: 7,
+            text: "MATCH (d:Drug) RETURN d.name".into(),
+            trace: None,
+        });
+        let violation = decode_request(op, &payload[..payload.len() - 16]).unwrap_err();
+        assert_eq!(violation.code, ErrorCode::Malformed);
     }
 
     #[test]
@@ -943,7 +857,7 @@ mod tests {
         roundtrip_response(Response::Observe(ObserveReply::MetricsText(
             "query_latency_count 3\n".into(),
         )));
-        roundtrip_response(Response::Observe(ObserveReply::MetricsSnapshot(vec![1, 0, 2, 3])));
+        roundtrip_response(Response::Observe(ObserveReply::MetricsSnapshot(sample_metrics())));
         roundtrip_response(Response::Observe(ObserveReply::Trace(vec![
             WireTraceEvent {
                 seq: 4,
@@ -1006,13 +920,32 @@ mod tests {
         roundtrip_response(Response::GoodbyeOk);
     }
 
+    fn hello(magic: u32, version: u16) -> Vec<u8> {
+        let mut payload = Vec::new();
+        pgso_graphstore::codec::put_u32(&mut payload, magic);
+        put_u16(&mut payload, version);
+        payload
+    }
+
     #[test]
     fn bad_magic_is_a_handshake_violation() {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&0xdead_beefu32.to_le_bytes());
-        payload.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-        let violation = decode_request(opcode::HELLO, &payload).unwrap_err();
+        let violation =
+            decode_request(opcode::HELLO, &hello(0xdead_beef, PROTOCOL_VERSION)).unwrap_err();
         assert_eq!(violation.code, ErrorCode::BadHandshake);
+    }
+
+    #[test]
+    fn only_the_one_revision_shakes_hands() {
+        for version in [0, 1, 2, 3, PROTOCOL_VERSION + 1] {
+            let violation = decode_request(opcode::HELLO, &hello(PROTOCOL_MAGIC, version))
+                .expect_err("older and newer revisions are refused");
+            assert_eq!(violation.code, ErrorCode::BadHandshake, "revision {version}");
+            assert!(violation.message.contains(&version.to_string()), "{}", violation.message);
+        }
+        assert_eq!(
+            decode_request(opcode::HELLO, &hello(PROTOCOL_MAGIC, PROTOCOL_VERSION)),
+            Ok(Request::Hello { version: PROTOCOL_VERSION })
+        );
     }
 
     #[test]
@@ -1030,5 +963,42 @@ mod tests {
         extended.push(0);
         assert_eq!(decode_request(op, &extended).unwrap_err().code, ErrorCode::Malformed);
         assert_eq!(decode_request(0x77, &payload).unwrap_err().code, ErrorCode::UnknownOpcode);
+    }
+
+    fn sample_metrics() -> MetricsSnapshot {
+        let registry = pgso_telemetry::MetricsRegistry::new();
+        registry.counter("wal.appends").add(9);
+        registry.gauge("drift").set(-1.5);
+        let h = registry.histogram("query.latency");
+        for v in [1u64, 2, 3, 1_000_000, u64::MAX] {
+            h.record(v);
+        }
+        registry.snapshot()
+    }
+
+    #[test]
+    fn snapshot_codec_round_trips() {
+        let snapshot = sample_metrics();
+        roundtrip_response(Response::Observe(ObserveReply::MetricsSnapshot(snapshot.clone())));
+        roundtrip_response(Response::Observe(ObserveReply::MetricsSnapshot(
+            MetricsSnapshot::default(),
+        )));
+        assert_eq!(snapshot.counter("wal.appends"), Some(9));
+    }
+
+    #[test]
+    fn snapshot_codec_rejects_garbage() {
+        let malformed = |payload: &[u8]| {
+            decode_response(opcode::OBSERVE_OK, payload).map_err(|violation| violation.code)
+        };
+        assert_eq!(malformed(&[]), Err(ErrorCode::Malformed));
+        assert_eq!(malformed(&[1, 9, 9, 0, 0]), Err(ErrorCode::Malformed), "impossible count");
+        let (_, mut payload) =
+            encode_response(&Response::Observe(ObserveReply::MetricsSnapshot(sample_metrics())));
+        for cut in 0..payload.len() {
+            assert_eq!(malformed(&payload[..cut]), Err(ErrorCode::Malformed), "cut at {cut}");
+        }
+        payload.push(0);
+        assert_eq!(malformed(&payload), Err(ErrorCode::Malformed), "trailing bytes rejected");
     }
 }

@@ -68,8 +68,8 @@ proptest! {
         for (i, (kind, payload)) in specs.iter().enumerate() {
             params.insert(format!("p{i}"), value_from_spec(*kind, *payload, 2));
         }
-        // Odd handles ride with a trace trailer, even ones without, so the
-        // optional-16-byte rule is exercised across arbitrary param sets.
+        // Odd handles carry a trace id, even ones the all-zero (untraced)
+        // trailer, so both trailer values meet arbitrary param sets.
         let trace = (handle % 2 == 1).then(|| pgso_net::TraceContext {
             trace_id: handle as u64 + 1,
             parent_span: handle as u64,

@@ -222,16 +222,18 @@ fn malformed_inputs_are_rejected_without_killing_siblings() {
     assert_eq!(code, ErrorCode::BadHandshake);
     assert_eq!(raw.recv_frame(), None, "bad magic must close the connection");
 
-    // 2. Unsupported version: same treatment.
-    let mut raw = RawConn::connect(&listener);
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&PROTOCOL_MAGIC.to_le_bytes());
-    payload.extend_from_slice(&99u16.to_le_bytes());
-    raw.send_frame(opcode::HELLO, &payload);
-    let (code, message) = raw.recv_error();
-    assert_eq!(code, ErrorCode::BadHandshake);
-    assert!(message.contains("version"), "{message}");
-    assert_eq!(raw.recv_frame(), None);
+    // 2. Any revision but the one: same treatment, for old clients too.
+    for version in [1, 2, 3, 99] {
+        let mut raw = RawConn::connect(&listener);
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&PROTOCOL_MAGIC.to_le_bytes());
+        payload.extend_from_slice(&u16::to_le_bytes(version));
+        raw.send_frame(opcode::HELLO, &payload);
+        let (code, message) = raw.recv_error();
+        assert_eq!(code, ErrorCode::BadHandshake, "revision {version}");
+        assert!(message.contains("version"), "{message}");
+        assert_eq!(raw.recv_frame(), None, "revision {version} must drain and close");
+    }
 
     // 3. Oversized length prefix: typed rejection, then close — before any
     //    16 MiB allocation happens server-side.

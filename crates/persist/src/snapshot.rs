@@ -21,34 +21,38 @@
 //!
 //! # File layout
 //!
+//! In the primitive grammar of [`pgso_graphstore::codec`] (integers
+//! little-endian; `str16`, `str32`, `blob32` and `count` as defined there):
+//!
 //! ```text
-//! snapshot := magic "PGSOSNP1", u64 body_len (le), u32 crc32 (le, over body), body
+//! snapshot := magic "PGSOSNP1", u64 body_len, u32 crc32 (over body), body
 //! body     := u16 version, u64 epoch, u64 schema_generation, u32 shard_count,
-//!             schema, journal(base), journal(ingested), blob(tracker),
-//!             blob(baseline), prepared
-//! schema   := str name, u32 nvertices { str label, u16 nmerged str*,
-//!             u16 nprops prop* }, u32 nedges { str label, str src, str dst,
-//!             u8 kind }
-//! prop     := str name, u8 data_type, u8 is_list, u8 has_origin
-//!             [, str concept, str property]
-//! journal  := u32 count, { u32 len, update bytes }*   (graphstore codec)
-//! blob     := u32 len, bytes
-//! prepared := u32 count, blob*                        (statement text, utf-8)
-//! str      := u16 len, utf-8 bytes
+//!             schema, journal(base), journal(ingested), blob32(tracker),
+//!             blob32(baseline), prepared
+//! schema   := str16 name, count { str16 label, u16 nmerged str16*,
+//!             u16 nprops prop* }, count { str16 label, str16 src,
+//!             str16 dst, u8 kind }
+//! prop     := str16 name, u8 data_type, u8 is_list, u8 has_origin
+//!             [, str16 concept, str16 property]
+//! journal  := count, blob32(update record)*         (graphstore codec)
+//! prepared := count, str32(statement text)*
 //! ```
 //!
 //! Snapshots are written to a temporary file, fsynced, then atomically
 //! renamed into place: a crash mid-write leaves the previous generation
 //! intact and the torn temporary is ignored by recovery.
 
-use pgso_graphstore::codec::{decode_update, encode_update};
+use pgso_graphstore::codec::{
+    decode_update, encode_update, put_blob32, put_count, put_len16, put_str16, put_str32, put_u16,
+    put_u32, put_u64, put_u8, Reader,
+};
 use pgso_graphstore::GraphUpdate;
 use pgso_ontology::{DataType, RelationshipKind};
 use pgso_pgschema::{
     EdgeSchema, PropertyGraphSchema, PropertyOrigin, PropertySchema, VertexSchema,
 };
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use crate::wal::crc32;
@@ -57,9 +61,9 @@ use crate::wal::crc32;
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"PGSOSNP1";
 
 /// Current snapshot body version. Version 2 added the prepared-statement
-/// registry (`prepared`); earlier bodies are rejected rather than silently
-/// read without it.
-pub const SNAPSHOT_VERSION: u16 = 2;
+/// registry (`prepared`); version 3 writes the embedded graph-update records
+/// little-endian. Other versions are rejected rather than misread.
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 /// One recoverable image of a serving epoch.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,59 +112,6 @@ pub fn wal_path(dir: &Path, generation: u64) -> PathBuf {
 /// Parses the generation out of a `snapshot-*.snap` / `wal-*.log` file name.
 pub(crate) fn parse_generation(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
     name.strip_prefix(prefix)?.strip_suffix(suffix)?.parse().ok()
-}
-
-// ---- primitive encoding helpers -------------------------------------------
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    assert!(s.len() <= u16::MAX as usize, "string too long for snapshot format");
-    buf.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_blob(buf: &mut Vec<u8>, bytes: &[u8]) {
-    buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    buf.extend_from_slice(bytes);
-}
-
-/// Byte cursor whose reads fail with `InvalidData` instead of panicking.
-struct Cursor<'a>(&'a [u8]);
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        if self.0.len() < n {
-            return Err(corrupt("unexpected end of snapshot body"));
-        }
-        let (head, tail) = self.0.split_at(n);
-        self.0 = tail;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> io::Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn str(&mut self) -> io::Result<String> {
-        let len = self.u16()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| corrupt("invalid utf-8"))
-    }
-
-    fn blob(&mut self) -> io::Result<Vec<u8>> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
 }
 
 fn corrupt(what: &str) -> io::Error {
@@ -215,77 +166,75 @@ fn kind_from_tag(tag: u8) -> io::Result<RelationshipKind> {
     })
 }
 
+fn put_schema(buf: &mut Vec<u8>, schema: &PropertyGraphSchema) {
+    put_str16(buf, &schema.name);
+    put_count(buf, schema.vertices().count());
+    for vertex in schema.vertices() {
+        put_str16(buf, &vertex.label);
+        put_len16(buf, vertex.merged_from.len());
+        for concept in &vertex.merged_from {
+            put_str16(buf, concept);
+        }
+        put_len16(buf, vertex.properties.len());
+        for prop in &vertex.properties {
+            put_str16(buf, &prop.name);
+            put_u8(buf, data_type_tag(prop.data_type));
+            put_u8(buf, u8::from(prop.is_list));
+            match &prop.origin {
+                Some(origin) => {
+                    put_u8(buf, 1);
+                    put_str16(buf, &origin.concept);
+                    put_str16(buf, &origin.property);
+                }
+                None => put_u8(buf, 0),
+            }
+        }
+    }
+    put_count(buf, schema.edges().count());
+    for edge in schema.edges() {
+        put_str16(buf, &edge.label);
+        put_str16(buf, &edge.src);
+        put_str16(buf, &edge.dst);
+        put_u8(buf, kind_tag(edge.kind));
+    }
+}
+
 /// Encodes a schema into the snapshot body format (also usable on its own,
 /// e.g. to ship a schema between processes).
 pub fn encode_schema(schema: &PropertyGraphSchema) -> Vec<u8> {
     let mut buf = Vec::with_capacity(1024);
-    put_str(&mut buf, &schema.name);
-    let vertices: Vec<&VertexSchema> = schema.vertices().collect();
-    buf.extend_from_slice(&(vertices.len() as u32).to_le_bytes());
-    for vertex in vertices {
-        put_str(&mut buf, &vertex.label);
-        buf.extend_from_slice(&(vertex.merged_from.len() as u16).to_le_bytes());
-        for concept in &vertex.merged_from {
-            put_str(&mut buf, concept);
-        }
-        buf.extend_from_slice(&(vertex.properties.len() as u16).to_le_bytes());
-        for prop in &vertex.properties {
-            put_str(&mut buf, &prop.name);
-            buf.push(data_type_tag(prop.data_type));
-            buf.push(prop.is_list as u8);
-            match &prop.origin {
-                Some(origin) => {
-                    buf.push(1);
-                    put_str(&mut buf, &origin.concept);
-                    put_str(&mut buf, &origin.property);
-                }
-                None => buf.push(0),
-            }
-        }
-    }
-    let edges: Vec<&EdgeSchema> = schema.edges().collect();
-    buf.extend_from_slice(&(edges.len() as u32).to_le_bytes());
-    for edge in edges {
-        put_str(&mut buf, &edge.label);
-        put_str(&mut buf, &edge.src);
-        put_str(&mut buf, &edge.dst);
-        buf.push(kind_tag(edge.kind));
-    }
+    put_schema(&mut buf, schema);
     buf
 }
 
-fn decode_schema(cursor: &mut Cursor<'_>) -> io::Result<PropertyGraphSchema> {
-    let name = cursor.str()?;
-    let mut schema = PropertyGraphSchema::new(name);
-    let nvertices = cursor.u32()?;
-    for _ in 0..nvertices {
-        let label = cursor.str()?;
-        let nmerged = cursor.u16()?;
-        let mut merged_from = Vec::with_capacity(nmerged as usize);
-        for _ in 0..nmerged {
-            merged_from.push(cursor.str()?);
-        }
-        let nprops = cursor.u16()?;
-        let mut properties = Vec::with_capacity(nprops as usize);
-        for _ in 0..nprops {
-            let name = cursor.str()?;
-            let data_type = data_type_from_tag(cursor.u8()?)?;
-            let is_list = cursor.u8()? != 0;
-            let origin = match cursor.u8()? {
+fn read_str(r: &mut Reader<'_>) -> io::Result<String> {
+    Ok(r.str16()?.to_owned())
+}
+
+fn read_schema(r: &mut Reader<'_>) -> io::Result<PropertyGraphSchema> {
+    let mut schema = PropertyGraphSchema::new(read_str(r)?);
+    // A vertex is at least its label, nmerged and nprops (2 bytes each).
+    for _ in 0..r.count(6)? {
+        let label = read_str(r)?;
+        let merged_from = (0..r.u16()?).map(|_| read_str(r)).collect::<io::Result<_>>()?;
+        let mut properties = Vec::new();
+        for _ in 0..r.u16()? {
+            let name = read_str(r)?;
+            let data_type = data_type_from_tag(r.u8()?)?;
+            let is_list = r.u8()? != 0;
+            let origin = match r.u8()? {
                 0 => None,
-                1 => Some(PropertyOrigin::new(cursor.str()?, cursor.str()?)),
+                1 => Some(PropertyOrigin::new(read_str(r)?, read_str(r)?)),
                 _ => return Err(corrupt("bad origin flag")),
             };
             properties.push(PropertySchema { name, data_type, is_list, origin });
         }
         schema.insert_vertex(VertexSchema { label, properties, merged_from });
     }
-    let nedges = cursor.u32()?;
-    for _ in 0..nedges {
-        let label = cursor.str()?;
-        let src = cursor.str()?;
-        let dst = cursor.str()?;
-        let kind = kind_from_tag(cursor.u8()?)?;
+    // An edge is at least three str16 prefixes and its kind byte.
+    for _ in 0..r.count(7)? {
+        let (label, src, dst) = (read_str(r)?, read_str(r)?, read_str(r)?);
+        let kind = kind_from_tag(r.u8()?)?;
         schema.add_edge(EdgeSchema { label, src, dst, kind });
     }
     Ok(schema)
@@ -293,27 +242,27 @@ fn decode_schema(cursor: &mut Cursor<'_>) -> io::Result<PropertyGraphSchema> {
 
 /// Decodes a schema produced by [`encode_schema`].
 pub fn decode_schema_bytes(bytes: &[u8]) -> io::Result<PropertyGraphSchema> {
-    decode_schema(&mut Cursor(bytes))
+    let mut r = Reader::new(bytes);
+    let schema = read_schema(&mut r)?;
+    r.finish()?;
+    Ok(schema)
 }
 
 // ---- snapshot file I/O -----------------------------------------------------
 
 fn put_journal(body: &mut Vec<u8>, journal: &[GraphUpdate]) {
-    body.extend_from_slice(&(journal.len() as u32).to_le_bytes());
+    put_count(body, journal.len());
     for update in journal {
-        let bytes = encode_update(update);
-        body.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        body.extend_from_slice(&bytes);
+        put_blob32(body, &encode_update(update));
     }
 }
 
-fn get_journal(cursor: &mut Cursor<'_>) -> io::Result<Vec<GraphUpdate>> {
-    let count = cursor.u32()?;
-    let mut journal = Vec::with_capacity(count as usize);
+fn read_journal(r: &mut Reader<'_>) -> io::Result<Vec<GraphUpdate>> {
+    // A record is its blob32 prefix plus at least its tag byte.
+    let count = r.count(5)?;
+    let mut journal = Vec::with_capacity(count);
     for _ in 0..count {
-        let len = cursor.u32()? as usize;
-        let bytes = cursor.take(len)?;
-        journal.push(decode_update(bytes).ok_or_else(|| corrupt("bad journal record"))?);
+        journal.push(decode_update(r.blob32()?)?);
     }
     Ok(journal)
 }
@@ -321,53 +270,48 @@ fn get_journal(cursor: &mut Cursor<'_>) -> io::Result<Vec<GraphUpdate>> {
 fn encode_body(snapshot: &Snapshot) -> Vec<u8> {
     let mut body =
         Vec::with_capacity((snapshot.journal.len() + snapshot.ingested.len()) * 64 + 4096);
-    body.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    body.extend_from_slice(&snapshot.epoch.to_le_bytes());
-    body.extend_from_slice(&snapshot.schema_generation.to_le_bytes());
-    body.extend_from_slice(&snapshot.shard_count.to_le_bytes());
-    body.extend_from_slice(&encode_schema(&snapshot.schema));
+    put_u16(&mut body, SNAPSHOT_VERSION);
+    put_u64(&mut body, snapshot.epoch);
+    put_u64(&mut body, snapshot.schema_generation);
+    put_u32(&mut body, snapshot.shard_count);
+    put_schema(&mut body, &snapshot.schema);
     put_journal(&mut body, &snapshot.journal);
     put_journal(&mut body, &snapshot.ingested);
-    put_blob(&mut body, &snapshot.tracker);
-    put_blob(&mut body, &snapshot.baseline);
-    body.extend_from_slice(&(snapshot.prepared.len() as u32).to_le_bytes());
+    put_blob32(&mut body, &snapshot.tracker);
+    put_blob32(&mut body, &snapshot.baseline);
+    put_count(&mut body, snapshot.prepared.len());
     for text in &snapshot.prepared {
-        put_blob(&mut body, text.as_bytes());
+        put_str32(&mut body, text);
     }
     body
 }
 
 fn decode_body(body: &[u8]) -> io::Result<Snapshot> {
-    let mut cursor = Cursor(body);
-    let version = cursor.u16()?;
+    let mut r = Reader::new(body);
+    let version = r.u16()?;
     if version != SNAPSHOT_VERSION {
-        return Err(corrupt("unsupported snapshot version"));
+        return Err(corrupt(&format!("unsupported snapshot version {version}")));
     }
-    let epoch = cursor.u64()?;
-    let schema_generation = cursor.u64()?;
-    let shard_count = cursor.u32()?;
-    let schema = decode_schema(&mut cursor)?;
-    let journal = get_journal(&mut cursor)?;
-    let ingested = get_journal(&mut cursor)?;
-    let tracker = cursor.blob()?;
-    let baseline = cursor.blob()?;
-    let nprepared = cursor.u32()?;
-    let mut prepared = Vec::with_capacity(nprepared as usize);
-    for _ in 0..nprepared {
-        prepared
-            .push(String::from_utf8(cursor.blob()?).map_err(|_| corrupt("invalid prepared text"))?);
-    }
-    Ok(Snapshot {
-        epoch,
-        schema_generation,
-        shard_count,
-        schema,
-        journal,
-        ingested,
-        tracker,
-        baseline,
-        prepared,
-    })
+    let snapshot = Snapshot {
+        epoch: r.u64()?,
+        schema_generation: r.u64()?,
+        shard_count: r.u32()?,
+        schema: read_schema(&mut r)?,
+        journal: read_journal(&mut r)?,
+        ingested: read_journal(&mut r)?,
+        tracker: r.blob32()?.to_vec(),
+        baseline: r.blob32()?.to_vec(),
+        prepared: {
+            let count = r.count(4)?;
+            let mut prepared = Vec::with_capacity(count);
+            for _ in 0..count {
+                prepared.push(r.str32()?.to_owned());
+            }
+            prepared
+        },
+    };
+    r.finish()?;
+    Ok(snapshot)
 }
 
 /// Writes a snapshot atomically and durably: temporary file, fsync, rename,
@@ -378,12 +322,13 @@ fn decode_body(body: &[u8]) -> io::Result<Snapshot> {
 /// the serving layer's telemetry reports as the snapshot size.
 pub fn write_snapshot(path: &Path, snapshot: &Snapshot) -> io::Result<u64> {
     let body = encode_body(snapshot);
+    let mut header = SNAPSHOT_MAGIC.to_vec();
+    put_u64(&mut header, body.len() as u64);
+    put_u32(&mut header, crc32(&body));
     let tmp = path.with_extension("snap.tmp");
     {
         let mut file = File::create(&tmp)?;
-        file.write_all(&SNAPSHOT_MAGIC)?;
-        file.write_all(&(body.len() as u64).to_le_bytes())?;
-        file.write_all(&crc32(&body).to_le_bytes())?;
+        file.write_all(&header)?;
         file.write_all(&body)?;
         file.sync_all()?;
     }
@@ -393,7 +338,7 @@ pub fn write_snapshot(path: &Path, snapshot: &Snapshot) -> io::Result<u64> {
         // entry metadata (the rename) to disk.
         File::open(dir)?.sync_all()?;
     }
-    Ok(20 + body.len() as u64)
+    Ok((header.len() + body.len()) as u64)
 }
 
 /// Reads and validates a snapshot file.
@@ -403,16 +348,15 @@ pub fn write_snapshot(path: &Path, snapshot: &Snapshot) -> io::Result<u64> {
 /// mismatch, or an undecodable body — recovery treats any of these as "this
 /// generation's snapshot never completed" and falls back to the previous one.
 pub fn read_snapshot(path: &Path) -> io::Result<Snapshot> {
-    let mut data = Vec::new();
-    File::open(path)?.read_to_end(&mut data)?;
-    if data.len() < 20 || data[..8] != SNAPSHOT_MAGIC {
+    let data = std::fs::read(path)?;
+    let mut r = Reader::new(&data);
+    if r.bytes(SNAPSHOT_MAGIC.len()) != Ok(&SNAPSHOT_MAGIC[..]) {
         return Err(corrupt("missing snapshot magic"));
     }
-    let body_len = u64::from_le_bytes(data[8..16].try_into().expect("8 bytes")) as usize;
-    let crc = u32::from_le_bytes(data[16..20].try_into().expect("4 bytes"));
-    let Some(body) = data.get(20..20 + body_len) else {
-        return Err(corrupt("short snapshot body"));
-    };
+    let body_len = r.u64()?;
+    let crc = r.u32()?;
+    let body = r.bytes(usize::try_from(body_len).unwrap_or(usize::MAX))?;
+    r.finish()?;
     if crc32(body) != crc {
         return Err(corrupt("snapshot crc mismatch"));
     }
@@ -513,6 +457,31 @@ mod tests {
         // Not a snapshot at all.
         std::fs::write(&path, b"plain text").unwrap();
         assert!(read_snapshot(&path).is_err());
+    }
+
+    #[test]
+    fn impossible_body_lengths_and_old_versions_are_invalid_data() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = snapshot_path(dir.path(), 0);
+        // A header claiming a u64::MAX body (an overflow panic while the
+        // envelope was sliced by hand).
+        let mut file = SNAPSHOT_MAGIC.to_vec();
+        put_u64(&mut file, u64::MAX);
+        put_u32(&mut file, 0);
+        std::fs::write(&path, &file).unwrap();
+        assert_eq!(read_snapshot(&path).unwrap_err().kind(), io::ErrorKind::InvalidData);
+
+        // A well-formed envelope around a version-2 body (big-endian records).
+        let mut body = encode_body(&sample_snapshot());
+        body[..2].copy_from_slice(&2u16.to_le_bytes());
+        let mut file = SNAPSHOT_MAGIC.to_vec();
+        put_u64(&mut file, body.len() as u64);
+        put_u32(&mut file, crc32(&body));
+        file.extend_from_slice(&body);
+        std::fs::write(&path, &file).unwrap();
+        let err = read_snapshot(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("version 2"), "{err}");
     }
 
     #[test]

@@ -3,14 +3,18 @@
 //!
 //! # File layout
 //!
+//! In the primitive grammar of [`pgso_graphstore::codec`] (integers
+//! little-endian; `blob32` and `str32` as defined there):
+//!
 //! ```text
 //! wal      := magic frame*
-//! magic    := "PGSOWAL1" (8 bytes)
-//! frame    := u32 payload_len (le), u32 crc32 (le, IEEE, over payload), payload
-//! payload  := update | checkpoint
+//! magic    := "PGSOWAL2" (8 bytes)
+//! frame    := u32 payload_len, u32 crc32 (IEEE, over payload), payload
+//! payload  := update | checkpoint | prepared
 //! update   := graphstore update record (tag 0 = add-vertex, 1 = add-edge,
 //!             see pgso_graphstore::codec)
-//! checkpoint := tag 2 (u8), u32 len (le), opaque bytes
+//! checkpoint := u8 tag 2, blob32(tracker counters)
+//! prepared := u8 tag 3, str32(statement text)
 //! ```
 //!
 //! `AddVertex` payloads are byte-identical to the disk backend's vertex
@@ -33,11 +37,13 @@
 //! [`WalReadOutcome::truncated`] — it never panics on a torn tail and never
 //! yields a partial record.
 
-use pgso_graphstore::codec::{decode_update, encode_update};
+use pgso_graphstore::codec::{
+    decode_update, encode_update, put_blob32, put_count, put_u32, put_u8, DecodeError, Reader,
+};
 use pgso_graphstore::GraphUpdate;
 use pgso_telemetry::{Counter, Histogram, MetricsRegistry};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -82,8 +88,9 @@ impl WalTelemetry {
     }
 }
 
-/// Magic bytes opening every WAL file.
-pub const WAL_MAGIC: [u8; 8] = *b"PGSOWAL1";
+/// Magic bytes opening every WAL file. `PGSOWAL1` logs wrote their update
+/// records big-endian; they are refused, not misread.
+pub const WAL_MAGIC: [u8; 8] = *b"PGSOWAL2";
 
 /// Payload kind tag of a tracker-checkpoint record (graph updates use the
 /// graphstore codec tags 0 and 1).
@@ -143,44 +150,42 @@ pub enum WalRecord {
 
 fn encode_blob_record(tag: u8, blob: &[u8]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(blob.len() + 5);
-    payload.push(tag);
-    payload.extend_from_slice(&(blob.len() as u32).to_le_bytes());
-    payload.extend_from_slice(blob);
+    put_u8(&mut payload, tag);
+    put_blob32(&mut payload, blob);
     payload
 }
 
 fn encode_record(record: &WalRecord) -> Vec<u8> {
     match record {
-        WalRecord::Update(update) => encode_update(update).to_vec(),
+        WalRecord::Update(update) => encode_update(update),
         WalRecord::TrackerCheckpoint(blob) => encode_blob_record(RECORD_TAG_CHECKPOINT, blob),
         WalRecord::Prepared(text) => encode_blob_record(RECORD_TAG_PREPARED, text.as_bytes()),
     }
 }
 
-fn decode_blob_record(payload: &[u8]) -> Option<&[u8]> {
-    let rest = &payload[1..];
-    if rest.len() < 4 {
-        return None;
-    }
-    let len = u32::from_le_bytes(rest[..4].try_into().ok()?) as usize;
-    let blob = rest.get(4..4 + len)?;
-    if rest.len() != 4 + len {
-        return None;
-    }
-    Some(blob)
+fn decode_record(payload: &[u8]) -> Result<WalRecord, DecodeError> {
+    let mut r = Reader::new(payload);
+    let record = match r.u8()? {
+        RECORD_TAG_CHECKPOINT => WalRecord::TrackerCheckpoint(r.blob32()?.to_vec()),
+        RECORD_TAG_PREPARED => WalRecord::Prepared(r.str32()?.to_owned()),
+        _ => return decode_update(payload).map(WalRecord::Update),
+    };
+    r.finish()?;
+    Ok(record)
 }
 
-fn decode_record(payload: &[u8]) -> Option<WalRecord> {
-    match *payload.first()? {
-        RECORD_TAG_CHECKPOINT => {
-            Some(WalRecord::TrackerCheckpoint(decode_blob_record(payload)?.to_vec()))
-        }
-        RECORD_TAG_PREPARED => {
-            let text = String::from_utf8(decode_blob_record(payload)?.to_vec()).ok()?;
-            Some(WalRecord::Prepared(text))
-        }
-        _ => decode_update(payload).map(WalRecord::Update),
+/// Reads one CRC-validated frame.
+fn read_frame(r: &mut Reader<'_>) -> Result<WalRecord, DecodeError> {
+    let len = r.u32()?;
+    let crc = r.u32()?;
+    if len == 0 || len > MAX_FRAME_BYTES {
+        return Err(DecodeError("frame length out of range"));
     }
+    let payload = r.bytes(len as usize)?;
+    if crc32(payload) != crc {
+        return Err(DecodeError("frame crc mismatch"));
+    }
+    decode_record(payload)
 }
 
 /// Appending side of the log; see the module docs for the durability
@@ -247,8 +252,8 @@ impl WalWriter {
         let mut buf = Vec::with_capacity(records.len() * 64);
         for record in records {
             let payload = encode_record(record);
-            buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&crc32(&payload).to_le_bytes());
+            put_count(&mut buf, payload.len());
+            put_u32(&mut buf, crc32(&payload));
             buf.extend_from_slice(&payload);
         }
         match &self.telemetry {
@@ -335,44 +340,22 @@ impl WalReadOutcome {
 /// with the WAL magic (it is not a log at all), and propagates I/O errors.
 /// A torn *tail* is not an error — see [`WalReadOutcome::truncated`].
 pub fn read_wal(path: impl AsRef<Path>) -> io::Result<WalReadOutcome> {
-    let mut data = Vec::new();
-    File::open(path.as_ref())?.read_to_end(&mut data)?;
-    if data.len() < WAL_MAGIC.len() || data[..WAL_MAGIC.len()] != WAL_MAGIC {
+    let data = std::fs::read(path.as_ref())?;
+    let mut r = Reader::new(&data);
+    if r.bytes(WAL_MAGIC.len()) != Ok(&WAL_MAGIC[..]) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("{} is not a pgso WAL file", path.as_ref().display()),
+            format!("{} is not a pgso WAL file (or an older format)", path.as_ref().display()),
         ));
     }
     let mut records = Vec::new();
-    let mut offset = WAL_MAGIC.len();
-    let mut truncated = false;
-    while offset < data.len() {
-        let Some(header) = data.get(offset..offset + 8) else {
-            truncated = true;
-            break;
-        };
-        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        if len == 0 || len > MAX_FRAME_BYTES as usize {
-            truncated = true;
-            break;
-        }
-        let Some(payload) = data.get(offset + 8..offset + 8 + len) else {
-            truncated = true;
-            break;
-        };
-        if crc32(payload) != crc {
-            truncated = true;
-            break;
-        }
-        let Some(record) = decode_record(payload) else {
-            truncated = true;
-            break;
-        };
+    // Bytes after the last valid frame: anything left there is a torn tail.
+    let mut tail = r.remaining();
+    while let Ok(record) = read_frame(&mut r) {
         records.push(record);
-        offset += 8 + len;
+        tail = r.remaining();
     }
-    Ok(WalReadOutcome { records, valid_bytes: offset as u64, truncated })
+    Ok(WalReadOutcome { records, valid_bytes: (data.len() - tail) as u64, truncated: tail > 0 })
 }
 
 #[cfg(test)]
@@ -441,6 +424,18 @@ mod tests {
         assert!(outcome.records.is_empty());
         assert!(!outcome.truncated);
         assert_eq!(outcome.valid_bytes, WAL_MAGIC.len() as u64);
+    }
+
+    #[test]
+    fn version_one_logs_are_refused_not_misread() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("wal.log");
+        let mut writer = WalWriter::create(&path, false).unwrap();
+        writer.append(&sample_records()).unwrap();
+        let mut data = std::fs::read(&path).unwrap();
+        data[..WAL_MAGIC.len()].copy_from_slice(b"PGSOWAL1");
+        std::fs::write(&path, &data).unwrap();
+        assert_eq!(read_wal(&path).unwrap_err().kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

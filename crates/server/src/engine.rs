@@ -1359,6 +1359,44 @@ mod tests {
     }
 
     #[test]
+    fn ingest_refuses_names_the_record_format_cannot_hold() {
+        let dir = tempfile::tempdir().unwrap();
+        let cfg = ServerConfig {
+            auto_reoptimize: false,
+            ingest: IngestConfig { publish_batch: 1, publish_interval: Duration::from_secs(3600) },
+            ..ServerConfig::default()
+        };
+        let make = || {
+            let ontology = catalog::med_mini();
+            let statistics = DataStatistics::synthesize(&ontology, &StatisticsConfig::small(), 7);
+            let instance = InstanceKg::generate(&ontology, &statistics, 0.2, 7);
+            (ontology, statistics, instance)
+        };
+        let persist = || pgso_persist::PersistConfig::new_unsynced(dir.path());
+        let before = {
+            let (o, s, i) = make();
+            let f = AccessFrequencies::uniform(&o, 10_000.0);
+            let server = KgServer::new_persistent(o, s, i, f, cfg, persist()).unwrap();
+            server.ingest(vec![new_drug(0)]).unwrap();
+            // A 70,000-byte property name used to be acked with a wrapped
+            // u16 length — and every later `recover` panicked decoding it.
+            let name = "n".repeat(70_000);
+            let long_name = GraphUpdate::AddVertex {
+                label: "Drug".into(),
+                properties: pgso_graphstore::props([(name.as_str(), "x".into())]),
+            };
+            let err = server.ingest(vec![new_drug(1), long_name]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert_eq!((server.published_updates(), server.pending_updates()), (1, 0));
+            serve(&server, &lookup()).rows
+        };
+        let (o, s, i) = make();
+        let recovered = KgServer::recover(o, s, i, cfg, persist()).unwrap();
+        assert_eq!(recovered.published_updates(), 1, "nothing of the refused batch was logged");
+        assert_eq!(serve(&recovered, &lookup()).rows, before);
+    }
+
+    #[test]
     fn persistent_server_recovers_after_a_kill() {
         let dir = tempfile::tempdir().unwrap();
         let cfg = ServerConfig {

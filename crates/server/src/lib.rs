@@ -127,8 +127,7 @@ pub use pgso_query::{AppliedRule, PlanActuals, QueryMode, QueryPlan};
 // Observability vocabulary for `KgServer::metrics_snapshot` /
 // `KgServer::trace_events` / `KgServer::health_summary` readers.
 pub use pgso_telemetry::{
-    HistogramSnapshot, MetricsSnapshot, StageTimings, TraceEvent, WindowRates,
-    METRICS_SNAPSHOT_VERSION, WINDOW_SECS,
+    HistogramSnapshot, MetricsSnapshot, StageTimings, TraceEvent, WindowRates, WINDOW_SECS,
 };
 pub use tracker::{
     frequencies_from_bytes, frequencies_to_bytes, WorkloadSnapshot, WorkloadTracker,

@@ -7,7 +7,7 @@ use crate::engine::{
 };
 use crate::tier::fresh_backend;
 use pgso_core::{reoptimize, OptimizerInput};
-use pgso_graphstore::{apply_updates, GraphBackend, GraphUpdate};
+use pgso_graphstore::{apply_updates, codec, GraphBackend, GraphUpdate};
 use pgso_persist::WalRecord;
 use pgso_pgschema::PropertyGraphSchema;
 use pgso_telemetry::FieldValue;
@@ -143,7 +143,20 @@ impl KgServer {
     /// [`crate::PersistConfig::snapshot_wal_bytes`], the log rotates and a new
     /// snapshot generation is written on a background thread, off the
     /// serving (and ingesting) threads.
+    ///
+    /// # Errors
+    /// [`io::ErrorKind::InvalidInput`], with nothing logged or staged, when
+    /// an update does not fit the record format (a label, edge label or
+    /// property name over `u16::MAX` bytes; see
+    /// [`pgso_graphstore::codec::encodable`]). I/O errors of the WAL append.
     pub fn ingest(&self, updates: Vec<GraphUpdate>) -> io::Result<IngestReport> {
+        if !updates.iter().all(codec::encodable) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "update does not fit the record format: a label or property name over \
+                 65535 bytes, or over 65535 properties",
+            ));
+        }
         let mut ing = self.ingest.lock();
         let accepted = updates.len();
         if let Some(persist) = &self.persist {

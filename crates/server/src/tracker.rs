@@ -15,10 +15,12 @@
 //! the query actually reaches a property through an edge.
 
 use parking_lot::Mutex;
+use pgso_graphstore::codec::{put_count, put_f64, put_len16, put_u16, put_u32, put_u64, Reader};
 use pgso_graphstore::GraphBackend;
 use pgso_ontology::{AccessFrequencies, ConceptId, Ontology, PropertyId, RelationshipId};
 use pgso_query::{EdgePattern, NodePattern, Query, ReturnItem, Statement};
 use std::collections::HashMap;
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Point-in-time copy of everything the tracker has observed.
@@ -35,14 +37,12 @@ pub struct WorkloadSnapshot {
     pub property_counts: HashMap<(RelationshipId, PropertyId), u64>,
 }
 
-/// Binary format version of [`WorkloadSnapshot::to_bytes`].
+/// Binary format version of [`WorkloadSnapshot::to_bytes`] and
+/// [`frequencies_to_bytes`].
 pub const WORKLOAD_SNAPSHOT_VERSION: u16 = 1;
 
-fn decode_err(what: &str) -> std::io::Error {
-    std::io::Error::new(
-        std::io::ErrorKind::InvalidData,
-        format!("corrupt tracker snapshot: {what}"),
-    )
+fn decode_err(what: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("corrupt tracker snapshot: {what}"))
 }
 
 impl WorkloadSnapshot {
@@ -50,33 +50,29 @@ impl WorkloadSnapshot {
     /// the payload the persistence layer stores in snapshot files and WAL
     /// tracker checkpoints.
     ///
-    /// Layout (all integers little-endian): `u16 version, u64 total, u32
-    /// concept count + u64 each, u32 relationship count + u64 each, u32
-    /// property-entry count + (u32 relationship, u32 property, u64 count)
-    /// each`, property entries sorted by key for deterministic output.
+    /// Layout, in the [`pgso_graphstore::codec`] grammar: `u16 version, u64
+    /// total, count + u64 per concept, count + u64 per relationship, count +
+    /// (u32 relationship, u32 property, u64 count) per property entry`,
+    /// property entries sorted by key for deterministic output.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(
             16 + 8 * (self.concept_counts.len() + self.relationship_counts.len())
                 + 16 * self.property_counts.len(),
         );
-        buf.extend_from_slice(&WORKLOAD_SNAPSHOT_VERSION.to_le_bytes());
-        buf.extend_from_slice(&self.total_queries.to_le_bytes());
-        buf.extend_from_slice(&(self.concept_counts.len() as u32).to_le_bytes());
-        for &count in &self.concept_counts {
-            buf.extend_from_slice(&count.to_le_bytes());
-        }
-        buf.extend_from_slice(&(self.relationship_counts.len() as u32).to_le_bytes());
-        for &count in &self.relationship_counts {
-            buf.extend_from_slice(&count.to_le_bytes());
+        put_u16(&mut buf, WORKLOAD_SNAPSHOT_VERSION);
+        put_u64(&mut buf, self.total_queries);
+        for counts in [&self.concept_counts, &self.relationship_counts] {
+            put_count(&mut buf, counts.len());
+            counts.iter().for_each(|&count| put_u64(&mut buf, count));
         }
         let mut entries: Vec<(&(RelationshipId, PropertyId), &u64)> =
             self.property_counts.iter().collect();
         entries.sort_by_key(|(key, _)| **key);
-        buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+        put_count(&mut buf, entries.len());
         for (&(rid, pid), &count) in entries {
-            buf.extend_from_slice(&(rid.index() as u32).to_le_bytes());
-            buf.extend_from_slice(&(pid.index() as u32).to_le_bytes());
-            buf.extend_from_slice(&count.to_le_bytes());
+            put_u32(&mut buf, rid.index() as u32);
+            put_u32(&mut buf, pid.index() as u32);
+            put_u64(&mut buf, count);
         }
         buf
     }
@@ -84,51 +80,28 @@ impl WorkloadSnapshot {
     /// Decodes a blob produced by [`WorkloadSnapshot::to_bytes`].
     ///
     /// # Errors
-    /// [`std::io::ErrorKind::InvalidData`] on a version mismatch or a
-    /// malformed buffer; counters are never silently truncated.
-    pub fn from_bytes(mut data: &[u8]) -> std::io::Result<Self> {
-        fn take<'a>(data: &mut &'a [u8], n: usize) -> std::io::Result<&'a [u8]> {
-            if data.len() < n {
-                return Err(decode_err("unexpected end of buffer"));
-            }
-            let (head, tail) = data.split_at(n);
-            *data = tail;
-            Ok(head)
-        }
-        fn u16le(data: &mut &[u8]) -> std::io::Result<u16> {
-            Ok(u16::from_le_bytes(take(data, 2)?.try_into().expect("2 bytes")))
-        }
-        fn u32le(data: &mut &[u8]) -> std::io::Result<u32> {
-            Ok(u32::from_le_bytes(take(data, 4)?.try_into().expect("4 bytes")))
-        }
-        fn u64le(data: &mut &[u8]) -> std::io::Result<u64> {
-            Ok(u64::from_le_bytes(take(data, 8)?.try_into().expect("8 bytes")))
-        }
-        let version = u16le(&mut data)?;
-        if version != WORKLOAD_SNAPSHOT_VERSION {
+    /// [`io::ErrorKind::InvalidData`] on a version mismatch or a malformed
+    /// buffer; counters are never silently truncated, and a count the blob
+    /// cannot hold is refused before anything is allocated for it.
+    pub fn from_bytes(data: &[u8]) -> io::Result<Self> {
+        let mut r = Reader::new(data);
+        if r.u16()? != WORKLOAD_SNAPSHOT_VERSION {
             return Err(decode_err("unsupported version"));
         }
-        let total_queries = u64le(&mut data)?;
-        let nconcepts = u32le(&mut data)? as usize;
-        let mut concept_counts = Vec::with_capacity(nconcepts);
-        for _ in 0..nconcepts {
-            concept_counts.push(u64le(&mut data)?);
+        let total_queries = r.u64()?;
+        let mut counts = || -> io::Result<Vec<u64>> {
+            let count = r.count(8)?;
+            (0..count).map(|_| Ok(r.u64()?)).collect()
+        };
+        let concept_counts = counts()?;
+        let relationship_counts = counts()?;
+        let entries = r.count(16)?;
+        let mut property_counts = HashMap::with_capacity(entries);
+        for _ in 0..entries {
+            let key = (RelationshipId::new(r.u32()?), PropertyId::new(r.u32()?));
+            property_counts.insert(key, r.u64()?);
         }
-        let nrels = u32le(&mut data)? as usize;
-        let mut relationship_counts = Vec::with_capacity(nrels);
-        for _ in 0..nrels {
-            relationship_counts.push(u64le(&mut data)?);
-        }
-        let nprops = u32le(&mut data)? as usize;
-        let mut property_counts = HashMap::with_capacity(nprops);
-        for _ in 0..nprops {
-            let rid = RelationshipId::new(u32le(&mut data)?);
-            let pid = PropertyId::new(u32le(&mut data)?);
-            property_counts.insert((rid, pid), u64le(&mut data)?);
-        }
-        if !data.is_empty() {
-            return Err(decode_err("trailing bytes"));
-        }
+        r.finish()?;
         Ok(Self { total_queries, concept_counts, relationship_counts, property_counts })
     }
 }
@@ -504,20 +477,23 @@ impl WorkloadTracker {
 /// relationships in id order, then every `(relationship, destination
 /// property)` pair), for the snapshot `baseline` blob. Decoding requires the
 /// same catalog.
+///
+/// Layout: `u16 version, u32 nconcepts + f64 each, u32 nrelationships +
+/// (f64, u16 nprops + f64 each) each`.
 pub fn frequencies_to_bytes(ontology: &Ontology, frequencies: &AccessFrequencies) -> Vec<u8> {
     let mut buf = Vec::new();
-    buf.extend_from_slice(&WORKLOAD_SNAPSHOT_VERSION.to_le_bytes());
-    buf.extend_from_slice(&(ontology.concept_count() as u32).to_le_bytes());
+    put_u16(&mut buf, WORKLOAD_SNAPSHOT_VERSION);
+    put_count(&mut buf, ontology.concept_count());
     for cid in ontology.concept_ids() {
-        buf.extend_from_slice(&frequencies.concept(cid).to_bits().to_le_bytes());
+        put_f64(&mut buf, frequencies.concept(cid));
     }
-    buf.extend_from_slice(&(ontology.relationship_count() as u32).to_le_bytes());
+    put_count(&mut buf, ontology.relationship_count());
     for (rid, rel) in ontology.relationships() {
-        buf.extend_from_slice(&frequencies.relationship(rid).to_bits().to_le_bytes());
+        put_f64(&mut buf, frequencies.relationship(rid));
         let dst_props = ontology.concept_properties(rel.dst);
-        buf.extend_from_slice(&(dst_props.len() as u16).to_le_bytes());
+        put_len16(&mut buf, dst_props.len());
         for &pid in dst_props {
-            buf.extend_from_slice(&frequencies.property(rid, pid).to_bits().to_le_bytes());
+            put_f64(&mut buf, frequencies.property(rid, pid));
         }
     }
     buf
@@ -525,51 +501,31 @@ pub fn frequencies_to_bytes(ontology: &Ontology, frequencies: &AccessFrequencies
 
 /// Decodes a blob produced by [`frequencies_to_bytes`] against the same
 /// ontology.
-pub fn frequencies_from_bytes(
-    ontology: &Ontology,
-    mut data: &[u8],
-) -> std::io::Result<AccessFrequencies> {
-    fn f64le(data: &mut &[u8]) -> std::io::Result<f64> {
-        if data.len() < 8 {
-            return Err(decode_err("unexpected end of frequency buffer"));
+pub fn frequencies_from_bytes(ontology: &Ontology, data: &[u8]) -> io::Result<AccessFrequencies> {
+    let dim = |got: usize, expected: usize, what: &str| {
+        if got == expected {
+            Ok(())
+        } else {
+            Err(decode_err(what))
         }
-        let (head, tail) = data.split_at(8);
-        *data = tail;
-        Ok(f64::from_bits(u64::from_le_bytes(head.try_into().expect("8 bytes"))))
-    }
-    fn dim(data: &mut &[u8], bytes: usize, expected: usize, what: &str) -> std::io::Result<()> {
-        if data.len() < bytes {
-            return Err(decode_err("unexpected end of frequency buffer"));
-        }
-        let (head, tail) = data.split_at(bytes);
-        *data = tail;
-        let got = match bytes {
-            2 => u16::from_le_bytes(head.try_into().expect("2 bytes")) as usize,
-            _ => u32::from_le_bytes(head.try_into().expect("4 bytes")) as usize,
-        };
-        if got != expected {
-            return Err(decode_err(what));
-        }
-        Ok(())
-    }
-    dim(&mut data, 2, WORKLOAD_SNAPSHOT_VERSION as usize, "unsupported version")?;
+    };
+    let mut r = Reader::new(data);
+    dim(r.u16()?.into(), WORKLOAD_SNAPSHOT_VERSION.into(), "unsupported version")?;
     let mut frequencies = AccessFrequencies::uniform(ontology, 0.0);
-    dim(&mut data, 4, ontology.concept_count(), "concept dimension mismatch")?;
+    dim(r.u32()? as usize, ontology.concept_count(), "concept dimension mismatch")?;
     for cid in ontology.concept_ids() {
-        frequencies.set_concept(cid, f64le(&mut data)?);
+        frequencies.set_concept(cid, r.f64()?);
     }
-    dim(&mut data, 4, ontology.relationship_count(), "relationship dimension mismatch")?;
+    dim(r.u32()? as usize, ontology.relationship_count(), "relationship dimension mismatch")?;
     for (rid, rel) in ontology.relationships() {
-        frequencies.set_relationship(rid, f64le(&mut data)?);
+        frequencies.set_relationship(rid, r.f64()?);
         let dst_props = ontology.concept_properties(rel.dst);
-        dim(&mut data, 2, dst_props.len(), "property dimension mismatch")?;
+        dim(r.u16()?.into(), dst_props.len(), "property dimension mismatch")?;
         for &pid in dst_props {
-            frequencies.set_property(rid, pid, f64le(&mut data)?);
+            frequencies.set_property(rid, pid, r.f64()?);
         }
     }
-    if !data.is_empty() {
-        return Err(decode_err("trailing bytes"));
-    }
+    r.finish()?;
     Ok(frequencies)
 }
 
@@ -792,6 +748,18 @@ mod tests {
         let mut wrong_version = bytes;
         wrong_version[0] = 0xFF;
         assert!(WorkloadSnapshot::from_bytes(&wrong_version).is_err(), "version");
+    }
+
+    #[test]
+    fn impossible_counts_are_refused_before_allocating() {
+        // Version, total, then a claim of u32::MAX concepts in a 14-byte
+        // blob: refused by the count rule, not by a 32 GiB reservation.
+        let mut blob = Vec::new();
+        put_u16(&mut blob, WORKLOAD_SNAPSHOT_VERSION);
+        put_u64(&mut blob, 1);
+        put_count(&mut blob, u32::MAX as usize);
+        let err = WorkloadSnapshot::from_bytes(&blob).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

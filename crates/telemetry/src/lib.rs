@@ -23,9 +23,9 @@
 //!    [`HistogramSnapshot::merged`]), so the bench harness can aggregate
 //!    worker-local recordings without contention.
 //!
-//! Snapshots serialize in the workspace codec style
-//! ([`MetricsSnapshot::to_bytes`]) and render to a Prometheus-style text
-//! exposition ([`MetricsSnapshot::render_text`]). [`StageTimings`] is the
+//! Snapshots render to a Prometheus-style text exposition
+//! ([`MetricsSnapshot::render_text`]); their binary form is part of
+//! `pgso-net`'s OBSERVE reply, the one place a snapshot leaves the process. [`StageTimings`] is the
 //! shared per-query cost breakdown the executor fills in.
 //!
 //! Two request-scoped facilities round out the layer: [`RollingWindows`]
@@ -46,7 +46,7 @@ mod windows;
 pub use hist::{
     bucket_index, bucket_lower_bound, bucket_upper_bound, Histogram, HistogramSnapshot,
 };
-pub use metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, METRICS_SNAPSHOT_VERSION};
+pub use metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 pub use stage::StageTimings;
 pub use trace::{
     current_trace, current_trace_id, set_current_trace, FieldValue, TraceBuffer, TraceContextGuard,

@@ -3,19 +3,15 @@
 //! Registration is rare and goes through a `RwLock`-guarded map; the hot
 //! path never touches it — callers hold `Arc` handles to the instruments
 //! and record through relaxed atomics. [`MetricsRegistry::snapshot`]
-//! produces an immutable, serializable [`MetricsSnapshot`];
+//! produces an immutable [`MetricsSnapshot`];
 //! [`MetricsSnapshot::render_text`] emits a Prometheus-style text
-//! exposition.
+//! exposition (the binary form ships inside `pgso-net`'s OBSERVE reply).
 
 use crate::hist::{bucket_upper_bound, Histogram, HistogramSnapshot};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Binary format version of [`MetricsSnapshot::to_bytes`].
-pub const METRICS_SNAPSHOT_VERSION: u16 = 1;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -191,7 +187,7 @@ impl std::fmt::Debug for MetricsRegistry {
     }
 }
 
-/// Serializable point-in-time copy of a [`MetricsRegistry`]: three sorted
+/// Point-in-time copy of a [`MetricsRegistry`]: three sorted
 /// name→value lists, one per instrument kind.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
@@ -251,76 +247,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// Versioned binary encoding, in the workspace's little-endian codec
-    /// style (cf. `pgso_server::WorkloadSnapshot`).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(&METRICS_SNAPSHOT_VERSION.to_le_bytes());
-        encode_len(&mut buf, self.counters.len());
-        for (name, value) in &self.counters {
-            encode_str(&mut buf, name);
-            buf.extend_from_slice(&value.to_le_bytes());
-        }
-        encode_len(&mut buf, self.gauges.len());
-        for (name, value) in &self.gauges {
-            encode_str(&mut buf, name);
-            buf.extend_from_slice(&value.to_bits().to_le_bytes());
-        }
-        encode_len(&mut buf, self.histograms.len());
-        for (name, hist) in &self.histograms {
-            encode_str(&mut buf, name);
-            encode_len(&mut buf, hist.buckets.len());
-            for &(index, n) in &hist.buckets {
-                buf.extend_from_slice(&index.to_le_bytes());
-                buf.extend_from_slice(&n.to_le_bytes());
-            }
-            buf.extend_from_slice(&hist.count.to_le_bytes());
-            buf.extend_from_slice(&hist.sum.to_le_bytes());
-            buf.extend_from_slice(&hist.min.to_le_bytes());
-            buf.extend_from_slice(&hist.max.to_le_bytes());
-        }
-        buf
-    }
-
-    /// Decodes a blob produced by [`MetricsSnapshot::to_bytes`].
-    ///
-    /// # Errors
-    /// [`io::ErrorKind::InvalidData`] on a version mismatch or a truncated
-    /// or malformed buffer.
-    pub fn from_bytes(data: &[u8]) -> io::Result<Self> {
-        let mut cursor = Cursor { data, at: 0 };
-        let version = cursor.u16()?;
-        if version != METRICS_SNAPSHOT_VERSION {
-            return Err(invalid(format!("metrics snapshot version {version}")));
-        }
-        let mut snapshot = MetricsSnapshot::default();
-        for _ in 0..cursor.len()? {
-            let name = cursor.str()?;
-            snapshot.counters.push((name, cursor.u64()?));
-        }
-        for _ in 0..cursor.len()? {
-            let name = cursor.str()?;
-            snapshot.gauges.push((name, f64::from_bits(cursor.u64()?)));
-        }
-        for _ in 0..cursor.len()? {
-            let name = cursor.str()?;
-            let mut hist = HistogramSnapshot::default();
-            for _ in 0..cursor.len()? {
-                let index = cursor.u32()?;
-                hist.buckets.push((index, cursor.u64()?));
-            }
-            hist.count = cursor.u64()?;
-            hist.sum = cursor.u64()?;
-            hist.min = cursor.u64()?;
-            hist.max = cursor.u64()?;
-            snapshot.histograms.push((name, hist));
-        }
-        if cursor.at != data.len() {
-            return Err(invalid("trailing bytes after metrics snapshot"));
-        }
-        Ok(snapshot)
-    }
 }
 
 /// Maps a dotted metric name to a Prometheus-legal identifier.
@@ -328,54 +254,6 @@ fn prometheus_name(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() || c == '_' || c == ':' { c } else { '_' })
         .collect()
-}
-
-fn encode_len(buf: &mut Vec<u8>, len: usize) {
-    buf.extend_from_slice(&(len as u32).to_le_bytes());
-}
-
-fn encode_str(buf: &mut Vec<u8>, s: &str) {
-    encode_len(buf, s.len());
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn invalid(message: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, message.into())
-}
-
-struct Cursor<'a> {
-    data: &'a [u8],
-    at: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> io::Result<&[u8]> {
-        let bytes =
-            self.data.get(self.at..self.at + n).ok_or_else(|| invalid("truncated snapshot"))?;
-        self.at += n;
-        Ok(bytes)
-    }
-
-    fn u16(&mut self) -> io::Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn len(&mut self) -> io::Result<usize> {
-        Ok(self.u32()? as usize)
-    }
-
-    fn str(&mut self) -> io::Result<String> {
-        let len = self.len()?;
-        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| invalid("non-UTF-8 metric name"))
-    }
 }
 
 #[cfg(test)]
@@ -433,30 +311,5 @@ mod tests {
         assert!(text.contains("query_latency_bucket{le=\"+Inf\"} 2"), "{text}");
         assert!(text.contains("query_latency_sum 103"), "{text}");
         assert!(text.contains("query_latency_count 2"), "{text}");
-    }
-
-    #[test]
-    fn snapshot_codec_round_trips() {
-        let registry = MetricsRegistry::new();
-        registry.counter("wal.appends").add(9);
-        registry.gauge("drift").set(-1.5);
-        let h = registry.histogram("query.latency");
-        for v in [1u64, 2, 3, 1_000_000, u64::MAX] {
-            h.record(v);
-        }
-        let snap = registry.snapshot();
-        let decoded = MetricsSnapshot::from_bytes(&snap.to_bytes()).unwrap();
-        assert_eq!(decoded, snap);
-    }
-
-    #[test]
-    fn snapshot_codec_rejects_garbage() {
-        assert!(MetricsSnapshot::from_bytes(&[]).is_err());
-        assert!(MetricsSnapshot::from_bytes(&[9, 9, 0, 0]).is_err());
-        let registry = MetricsRegistry::new();
-        registry.counter("c").inc();
-        let mut bytes = registry.snapshot().to_bytes();
-        bytes.push(0);
-        assert!(MetricsSnapshot::from_bytes(&bytes).is_err(), "trailing bytes rejected");
     }
 }

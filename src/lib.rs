@@ -60,8 +60,9 @@
 //!   series, WAL append/fsync and snapshot/recovery timings, and gauges
 //!   mirroring engine state (plan-cache hit ratio, epoch, drift, ingest
 //!   backlog). [`telemetry::MetricsSnapshot::render_text`] emits it in
-//!   Prometheus-style text exposition format, and the snapshot round-trips
-//!   through a versioned binary codec for shipping off-process.
+//!   Prometheus-style text exposition format, and a
+//!   [`net::KgClient`] scrapes the same snapshot over the wire
+//!   (`observe_metrics_snapshot`).
 //! * [`server::KgServer::trace_events`] drains a bounded in-memory ring of
 //!   structured [`telemetry::TraceEvent`]s: epoch swaps (ingest and schema
 //!   re-optimization), recovery replay, and — when
@@ -117,7 +118,7 @@
 //! a [`server::KgServer`] over a socket instead of only in-process calls:
 //!
 //! * a length-framed **binary wire protocol** (`len(u32 le) opcode(u8)
-//!   payload`) carrying handshake/version negotiation, PREPARE with
+//!   payload`, one protocol revision) carrying the handshake, PREPARE with
 //!   client-chosen handles, EXECUTE with named parameters, ad-hoc RUN,
 //!   streamed ROWS chunks + SUMMARY, and typed ERROR frames — parameter and
 //!   result values travel in the same [`graphstore`] codec bytes the WAL and
@@ -160,8 +161,8 @@
 //!   [`tenant::TenantHealth`] (engine health + admission counters);
 //! * **on the wire**: [`net::KgListener::bind_host`] serves a whole host
 //!   behind one socket; connections land on the default tenant (so
-//!   revision-2 clients keep working unchanged) and re-target with the
-//!   revision-3 `USE` request ([`net::KgClient::use_tenant`]). Prepared
+//!   single-tenant clients never select one) and re-target with the `USE`
+//!   request ([`net::KgClient::use_tenant`]). Prepared
 //!   handles stay bound to the tenant that prepared them.
 //!
 //! See `examples/networked_kg.rs` for a two-ontology tour over the wire and

@@ -48,7 +48,6 @@ fn client_trace_ids_span_net_engine_query_and_wal() {
     listener.serve().expect("serves");
 
     let mut client = KgClient::connect(listener.local_addr()).expect("connects");
-    assert!(client.negotiated_version() >= 2, "trace stamping needs revision 2+");
     assert_eq!(client.last_trace_id(), 0, "no request sent yet");
 
     // PREPARE: the trace must reach the durable tail.

@@ -2,9 +2,9 @@
 //! Theorem 3 (rule-order independence), Proposition 1 (knapsack behaviour of
 //! the relation-centric selection), budget monotonicity, DSL round-trips,
 //! the statement API contracts (text round-trip, fingerprint invariance),
-//! codec round-trips over every `PropertyValue` variant, and
-//! `ShardedGraph`-vs-`MemoryGraph` execution equivalence over generated
-//! statements.
+//! codec round-trips over every `PropertyValue` variant, never-panicking
+//! decoders for every byte format, and `ShardedGraph`-vs-`MemoryGraph`
+//! execution equivalence over generated statements.
 
 use pgso::graphstore::codec::{decode_vertex, encode_vertex};
 use pgso::graphstore::PropertyMap;
@@ -466,7 +466,7 @@ proptest! {
         }
         let label = format!("Label-{label_seed}-ü");
         let encoded = encode_vertex(&label, &properties);
-        let (decoded_label, decoded) = decode_vertex(&encoded);
+        let (decoded_label, decoded) = decode_vertex(&encoded).expect("decodes");
         prop_assert_eq!(label, decoded_label);
         prop_assert_eq!(properties, decoded);
     }
@@ -560,7 +560,7 @@ fn codec_roundtrips_all_variants_in_one_record() {
         ]),
     );
     let encoded = encode_vertex("Everything", &properties);
-    let (label, decoded) = decode_vertex(&encoded);
+    let (label, decoded) = decode_vertex(&encoded).expect("decodes");
     assert_eq!(label, "Everything");
     assert_eq!(decoded, properties);
 }
@@ -641,5 +641,191 @@ proptest! {
                 prop_assert!(WorkloadSnapshot::from_bytes(&bytes[..cut]).is_err());
             }
         }
+    }
+}
+
+/// Feeds `valid` (which must decode), every truncation of it, and a copy
+/// with `flips` applied to `decode`: a decoder answers a value or a typed
+/// error for any bytes, and never panics.
+fn decoder_is_total(
+    what: &str,
+    valid: &[u8],
+    flips: &[(usize, u8)],
+    decode: &dyn Fn(&[u8]) -> bool,
+) {
+    assert!(decode(valid), "{what}: the valid encoding must decode");
+    for cut in 0..valid.len() {
+        decode(&valid[..cut]);
+    }
+    let mut flipped = valid.to_vec();
+    for &(at, mask) in flips {
+        let at = at % flipped.len();
+        flipped[at] ^= mask;
+    }
+    decode(&flipped);
+}
+
+/// A decoder under test: true when the bytes decoded.
+type Decoder = Box<dyn Fn(&[u8]) -> bool>;
+
+/// One valid encoding of every byte format the workspace reads back, each
+/// paired with its decoder.
+fn every_format() -> Vec<(&'static str, Vec<u8>, Decoder)> {
+    use pgso::graphstore::codec::{decode_update, encode_update};
+    use pgso::net::proto::{decode_request, decode_response, encode_request, encode_response};
+    use pgso::net::{ObserveReply, Request, Response, TraceContext, WireTraceEvent};
+    use pgso::persist::snapshot::{decode_schema_bytes, encode_schema};
+    use pgso::server::{frequencies_from_bytes, frequencies_to_bytes, HealthSummary};
+    use pgso::server::{WindowRates, WorkloadSnapshot};
+    use pgso::telemetry::FieldValue;
+
+    let nested = PropertyValue::List(vec![
+        PropertyValue::Null,
+        PropertyValue::List(vec![PropertyValue::Int(-7), PropertyValue::str("ü")]),
+        PropertyValue::Float(0.5),
+        PropertyValue::Bool(true),
+    ]);
+    let request = |request: Request| encode_request(&request);
+    let response = |response: Response| encode_response(&response);
+    let registry = MetricsRegistry::new();
+    registry.counter("net.requests").add(3);
+    registry.gauge("drift").set(0.25);
+    [1u64, 900, 1 << 40].iter().for_each(|&v| registry.histogram("query.latency").record(v));
+    let messages = [
+        request(Request::Execute {
+            handle: 3,
+            params: Params::new().set("needle", "ol").set("list", nested.clone()),
+            trace: Some(TraceContext { trace_id: 9, parent_span: 1 }),
+        }),
+        request(Request::Prepare {
+            handle: 1,
+            text: "MATCH (d:Drug) RETURN d".into(),
+            trace: None,
+        }),
+        request(Request::Use { tenant: "alpha".into() }),
+        response(Response::Rows {
+            rows: vec![vec![PropertyValue::str("a"), nested.clone()], vec![PropertyValue::Null]],
+        }),
+        response(Response::Observe(ObserveReply::MetricsSnapshot(registry.snapshot()))),
+        response(Response::Observe(ObserveReply::Trace(vec![WireTraceEvent {
+            seq: 1,
+            at: std::time::Duration::from_micros(5),
+            span_id: 9,
+            name: "server.serve".into(),
+            duration: Some(std::time::Duration::from_nanos(70)),
+            fields: vec![
+                ("rows".into(), FieldValue::U64(2)),
+                ("fp".into(), FieldValue::Str("x".into())),
+            ],
+        }]))),
+        response(Response::Observe(ObserveReply::Health(HealthSummary {
+            served: 4,
+            epoch: 1,
+            schema_generation: 1,
+            drift: 0.5,
+            windows: [WindowRates::default(); 3],
+            trace_dropped: 0,
+        }))),
+        response(Response::Error { code: pgso::net::ErrorCode::Parse, message: "no".into() }),
+    ];
+    let mut formats: Vec<(&'static str, Vec<u8>, Decoder)> = Vec::new();
+    for (op, payload) in messages {
+        // Requests and responses share no opcode, so each side only accepts
+        // its own frames; both decoders run on every payload.
+        formats.push((
+            "wire message",
+            payload,
+            Box::new(move |bytes| {
+                decode_request(op, bytes).is_ok() | decode_response(op, bytes).is_ok()
+            }),
+        ));
+    }
+    for update in [
+        GraphUpdate::AddVertex {
+            label: "Drug".into(),
+            properties: props([("name", "Aspirin".into()), ("mix", nested.clone())]),
+        },
+        GraphUpdate::AddEdge {
+            label: "treat".into(),
+            src: pgso::graphstore::VertexId(0),
+            dst: pgso::graphstore::VertexId(1),
+        },
+    ] {
+        formats.push((
+            "update record",
+            encode_update(&update),
+            Box::new(|b| decode_update(b).is_ok()),
+        ));
+    }
+
+    let ontology = catalog::med_mini();
+    let stats = DataStatistics::synthesize(&ontology, &StatisticsConfig::small(), 3);
+    let frequencies = AccessFrequencies::uniform(&ontology, 1_000.0);
+    let schema = optimize_nsc(
+        OptimizerInput::new(&ontology, &stats, &frequencies),
+        &OptimizerConfig::default(),
+    )
+    .schema;
+    formats.push(("schema", encode_schema(&schema), Box::new(|b| decode_schema_bytes(b).is_ok())));
+    let tracker = WorkloadSnapshot {
+        total_queries: 5,
+        concept_counts: vec![1; ontology.concept_count()],
+        relationship_counts: vec![2; ontology.relationship_count()],
+        property_counts: [(
+            (pgso::ontology::RelationshipId::new(0), pgso::ontology::PropertyId::new(0)),
+            3,
+        )]
+        .into_iter()
+        .collect(),
+    };
+    formats.push((
+        "tracker blob",
+        tracker.to_bytes(),
+        Box::new(|b| WorkloadSnapshot::from_bytes(b).is_ok()),
+    ));
+    let baseline = frequencies_to_bytes(&ontology, &frequencies);
+    formats.push((
+        "frequencies blob",
+        baseline,
+        Box::new(move |b| frequencies_from_bytes(&ontology, b).is_ok()),
+    ));
+    formats
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every decoder of bytes that come from outside the process — wire
+    /// frames, update records, the snapshot schema, the tracker and
+    /// frequencies blobs, a WAL file — is total over truncations and byte
+    /// flips of a valid encoding.
+    #[test]
+    fn decoders_never_panic_on_truncated_or_flipped_bytes(
+        flips in proptest::collection::vec((0usize..4096, 1u8..255), 1..6),
+    ) {
+        for (what, valid, decode) in every_format() {
+            decoder_is_total(what, &valid, &flips, decode.as_ref());
+        }
+
+        use pgso::persist::{read_wal, WalRecord, WalWriter};
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("wal.log");
+        let mut writer = WalWriter::create(&path, false).unwrap();
+        writer
+            .append(&[
+                WalRecord::Update(GraphUpdate::AddVertex {
+                    label: "Drug".into(),
+                    properties: props([("name", "Aspirin".into())]),
+                }),
+                WalRecord::Prepared("MATCH (d:Drug) RETURN d.name".into()),
+                WalRecord::TrackerCheckpoint(vec![1, 2, 3]),
+            ])
+            .unwrap();
+        let valid = std::fs::read(&path).unwrap();
+        let probe = dir.path().join("probe.log");
+        decoder_is_total("WAL file", &valid, &flips, &|bytes| {
+            std::fs::write(&probe, bytes).unwrap();
+            read_wal(&probe).is_ok()
+        });
     }
 }

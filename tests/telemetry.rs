@@ -117,13 +117,16 @@ fn serving_metrics_cover_latency_cache_stages_and_wal() {
     let events = server.trace_events();
     assert!(events.iter().any(|e| e.name == "epoch.swap"), "epoch swap is traced");
 
-    // The snapshot ships: text exposition + versioned binary codec.
+    // The snapshot ships: text exposition + the OBSERVE reply codec.
     let text = snapshot.render_text();
     assert!(text.contains("# TYPE query_latency histogram"), "{text}");
     assert!(text.contains("plan_cache_hit_ratio"), "{text}");
     assert!(text.contains("wal_fsync_count"), "{text}");
-    let decoded = pgso::telemetry::MetricsSnapshot::from_bytes(&snapshot.to_bytes()).unwrap();
-    assert_eq!(decoded, snapshot, "snapshot round-trips through the binary codec");
+    use pgso::net::proto::{decode_response, encode_response};
+    use pgso::net::{ObserveReply, Response};
+    let reply = Response::Observe(ObserveReply::MetricsSnapshot(snapshot));
+    let (op, payload) = encode_response(&reply);
+    assert_eq!(decode_response(op, &payload), Ok(reply), "snapshot round-trips over the wire");
 }
 
 /// Wire-layer observability: serving over TCP threads `net.*` counters,

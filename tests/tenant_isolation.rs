@@ -1,5 +1,5 @@
-//! Cross-tenant isolation acceptance for `pgso-tenant` + the revision-3
-//! wire protocol:
+//! Cross-tenant isolation acceptance for `pgso-tenant` + the wire
+//! protocol:
 //!
 //! * a 2-tenant [`TenantHost`] answers both tenants' Q1–Q12 **bit-identical**
 //!   to two standalone `KgServer`s built from the same inputs;
@@ -10,8 +10,8 @@
 //!   `<root>/tenants/<name>` directory bit-identically;
 //! * over TCP: `USE` re-targets ad-hoc queries (handles stay bound to the
 //!   preparing tenant), unknown tenants and quota exhaustion are
-//!   *survivable* typed errors, and a revision-2 client interoperates on
-//!   the default tenant.
+//!   *survivable* typed errors, and a revision-2 client is refused at HELLO
+//!   (one protocol revision; no negotiating down).
 
 use pgso::ontology::catalog;
 use pgso::persist::PersistConfig;
@@ -237,12 +237,12 @@ fn killed_host_recovers_every_tenant_bit_identically() {
     assert_eq!(alpha.serve_text(READ).expect("alpha survives sibling drop").rows, alpha_rows);
 }
 
-// ---- wire: USE, quotas, v2 interop --------------------------------------
+// ---- wire: USE, quotas, v2 refusal ---------------------------------------
 
-/// Revision-3 wire behavior end to end: default-tenant landing, `USE`
-/// re-targeting, handle-to-tenant binding, survivable UnknownTenant /
-/// QuotaExceeded errors, and a hand-rolled revision-2 client on the same
-/// listener.
+/// Wire behavior end to end: default-tenant landing, `USE` re-targeting,
+/// handle-to-tenant binding, survivable UnknownTenant / QuotaExceeded
+/// errors, and a hand-rolled revision-2 client on the same listener, which
+/// gets a typed `BadHandshake` instead of a session.
 #[test]
 fn wire_use_routing_quota_rejection_and_v2_interop() {
     let host =
@@ -267,7 +267,6 @@ fn wire_use_routing_quota_rejection_and_v2_interop() {
     assert_ne!(expect_a, expect_b, "scales differ, so the counts must too");
 
     let mut client = KgClient::connect(addr).expect("connect");
-    assert_eq!(client.negotiated_version(), 3);
 
     // Connections land on the default tenant (first created: "a").
     assert_eq!(client.run(COUNT).expect("default-tenant run").rows, expect_a);
@@ -308,45 +307,28 @@ fn wire_use_routing_quota_rejection_and_v2_interop() {
     assert_eq!(client.run(COUNT).expect("post-rejection run").rows, expect_a);
     client.goodbye().expect("goodbye");
 
-    // A revision-2 client (no USE in its vocabulary) interoperates on the
-    // default tenant. Hand-rolled: KgClient always speaks the newest rev.
-    let v2_rows = {
+    // A revision-2 client (no USE in its vocabulary, no trace trailer) is
+    // refused at HELLO and its connection drains; `KgClient` only speaks
+    // the one revision, so this one is hand-rolled.
+    {
         let mut stream = TcpStream::connect(addr).expect("v2 connect");
+        let (op, payload) = encode_request(&Request::Hello { version: 2 });
+        let mut frame = Vec::new();
+        write_frame(&mut frame, op, &payload);
+        stream.write_all(&frame).expect("v2 write");
+        let mut bytes = Vec::new();
+        stream.read_to_end(&mut bytes).expect("the server closes after refusing");
         let mut reader = FrameReader::new(MAX_FRAME_LEN);
-        let send = |stream: &mut TcpStream, request: &Request| {
-            let (op, payload) = encode_request(request);
-            let mut frame = Vec::new();
-            write_frame(&mut frame, op, &payload);
-            stream.write_all(&frame).expect("v2 write");
-        };
-        let recv = |stream: &mut TcpStream, reader: &mut FrameReader| -> Response {
-            let mut buf = [0u8; 8192];
-            loop {
-                if let Some((op, payload)) = reader.next_frame().expect("v2 frame") {
-                    return decode_response(op, &payload).expect("v2 decode");
-                }
-                let n = stream.read(&mut buf).expect("v2 read");
-                assert!(n > 0, "server closed on the v2 client");
-                reader.extend(&buf[..n]);
+        reader.extend(&bytes);
+        let (op, payload) = reader.next_frame().expect("legal frame").expect("an ERROR frame");
+        match decode_response(op, &payload).expect("decodes") {
+            Response::Error { code: ErrorCode::BadHandshake, message } => {
+                assert!(message.contains("version 2"), "{message}");
             }
-        };
-        send(&mut stream, &Request::Hello { version: 2 });
-        match recv(&mut stream, &mut reader) {
-            Response::HelloOk { version } => assert_eq!(version, 2, "negotiates down to 2"),
-            other => panic!("expected HELLO_OK, got {other:?}"),
+            other => panic!("expected BadHandshake, got {other:?}"),
         }
-        send(&mut stream, &Request::Run { text: COUNT.to_string(), trace: None });
-        let mut rows = Vec::new();
-        loop {
-            match recv(&mut stream, &mut reader) {
-                Response::Rows { rows: chunk } => rows.extend(chunk),
-                Response::Summary { .. } => break,
-                other => panic!("expected ROWS/SUMMARY, got {other:?}"),
-            }
-        }
-        rows
-    };
-    assert_eq!(v2_rows, expect_a, "v2 client lands on the default tenant");
+        assert_eq!(reader.next_frame(), Ok(None), "nothing follows the refusal");
+    }
 
     let report = listener.shutdown();
     assert!(report.drained, "all connections drained");
