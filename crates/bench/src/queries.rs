@@ -279,6 +279,34 @@ mod tests {
     }
 
     #[test]
+    fn q1_to_q12_fingerprints_are_pinned() {
+        // Plan-cache keys of the paper's queries: a refactor of the statement
+        // types must hash exactly the same bytes.
+        let measured: Vec<(String, u64)> = microbenchmark()
+            .iter()
+            .map(|bq| (bq.query.name.clone(), pgso_query::fingerprint_statement(&bq.query)))
+            .collect();
+        let pinned: Vec<(String, u64)> = [
+            ("Q1", 4643371351261989847),
+            ("Q2", 14553805344437790897),
+            ("Q3", 17474449622004168925),
+            ("Q4", 1041675459439911317),
+            ("Q5", 10239186289327331367),
+            ("Q6", 16362321307477725208),
+            ("Q7", 12579623835581157542),
+            ("Q8", 17312177158243395627),
+            ("Q9", 5327789058087776279),
+            ("Q10", 12354896535434125705),
+            ("Q11", 17059522688539715239),
+            ("Q12", 2544388150106222363),
+        ]
+        .into_iter()
+        .map(|(name, key)| (name.to_string(), key))
+        .collect();
+        assert_eq!(measured, pinned);
+    }
+
+    #[test]
     fn workload_has_fifteen_queries() {
         assert_eq!(figure12_workload(DatasetId::Med).len(), 15);
         assert_eq!(figure12_workload(DatasetId::Fin).len(), 15);

@@ -351,6 +351,72 @@ mod tests {
             .build()
     }
 
+    /// Fingerprints are plan-cache keys and persisted tracker state: the
+    /// hashed bytes of every clause kind are pinned as literals, so a
+    /// refactor of the statement types cannot move a key unnoticed.
+    #[test]
+    fn clause_shapes_have_pinned_fingerprints() {
+        use crate::ast::Aggregate as A;
+        let treat = || {
+            Statement::builder("pin")
+                .node("d", "Drug")
+                .node("i", "Indication")
+                .edge("d", "treat", "i")
+        };
+        let grouped =
+            || treat().ret_property("d", "name").ret_aggregate(A::Count, "i", None).group_by("d");
+        let shapes = [
+            ("bare", treat().ret_property("i", "desc").build()),
+            (
+                "OPTIONAL",
+                Statement::builder("pin")
+                    .node("d", "Drug")
+                    .ret_property("d", "name")
+                    .opt_node("i", "Indication")
+                    .opt_edge("d", "treat", "i")
+                    .build(),
+            ),
+            (
+                "WHERE literal",
+                treat()
+                    .ret_property("i", "desc")
+                    .filter("d", "name", CmpOp::Contains, "asp")
+                    .build(),
+            ),
+            (
+                "WHERE $param",
+                treat().ret_property("i", "desc").filter_param("d", "name", CmpOp::Eq, "n").build(),
+            ),
+            ("DISTINCT", treat().ret_property("d", "name").distinct().build()),
+            (
+                "ORDER BY DESC",
+                treat().ret_property("i", "desc").order_by("i", "desc", true).build(),
+            ),
+            ("SKIP/LIMIT literal", treat().ret_property("i", "desc").skip(2).limit(10).build()),
+            (
+                "SKIP/LIMIT $param",
+                treat().ret_property("i", "desc").skip_param("s").limit_param("n").build(),
+            ),
+            ("GROUP BY", grouped().build()),
+            ("HAVING", grouped().having(A::Count, "i", None, CmpOp::Ge, 2i64).build()),
+        ];
+        let measured: Vec<(&str, u64)> =
+            shapes.iter().map(|(shape, stmt)| (*shape, fingerprint_statement(stmt))).collect();
+        let pinned: Vec<(&str, u64)> = vec![
+            ("bare", 3201315618241265537),
+            ("OPTIONAL", 12358671714279220914),
+            ("WHERE literal", 1441554627620099205),
+            ("WHERE $param", 1637547330094470998),
+            ("DISTINCT", 6802963444608423891),
+            ("ORDER BY DESC", 7242901779778768256),
+            ("SKIP/LIMIT literal", 6969770550983971957),
+            ("SKIP/LIMIT $param", 14543554316501034552),
+            ("GROUP BY", 11799823303057753179),
+            ("HAVING", 9007525636721378903),
+        ];
+        assert_eq!(measured, pinned);
+    }
+
     #[test]
     fn bare_statement_matches_query_fingerprint() {
         let q = q1();
