@@ -12,7 +12,7 @@
 //! each query still exercises the same rule (union, inheritance, 1:1, 1:M or
 //! M:N) as its counterpart in the paper.
 
-use pgso_query::{Aggregate, Query, Statement};
+use pgso_query::{Aggregate, Statement};
 
 /// Which dataset a query runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,10 +46,6 @@ pub struct BenchQuery {
     pub query: Statement,
 }
 
-fn stmt(query: Query) -> Statement {
-    Statement::from(query)
-}
-
 /// Builds the twelve microbenchmark queries.
 pub fn microbenchmark() -> Vec<BenchQuery> {
     vec![
@@ -57,156 +53,132 @@ pub fn microbenchmark() -> Vec<BenchQuery> {
         BenchQuery {
             dataset: DatasetId::Med,
             family: "pattern",
-            query: stmt(
-                Query::builder("Q1")
-                    .node("d", "Drug")
-                    .node("di", "DrugInteraction")
-                    .node("dfi", "DrugFoodInteraction")
-                    .edge("d", "has", "di")
-                    .edge("di", "isA", "dfi")
-                    .ret_property("d", "name")
-                    .ret_property("dfi", "risk")
-                    .build(),
-            ),
+            query: Statement::builder("Q1")
+                .node("d", "Drug")
+                .node("di", "DrugInteraction")
+                .node("dfi", "DrugFoodInteraction")
+                .edge("d", "has", "di")
+                .edge("di", "isA", "dfi")
+                .ret_property("d", "name")
+                .ret_property("dfi", "risk")
+                .build(),
         },
         BenchQuery {
             dataset: DatasetId::Med,
             family: "pattern",
-            query: stmt(
-                Query::builder("Q2")
-                    .node("d", "Drug")
-                    .node("i", "Indication")
-                    .node("c", "Condition")
-                    .edge("d", "treat", "i")
-                    .edge("i", "hasCondition", "c")
-                    .ret_property("d", "name")
-                    .ret_property("c", "name")
-                    .build(),
-            ),
+            query: Statement::builder("Q2")
+                .node("d", "Drug")
+                .node("i", "Indication")
+                .node("c", "Condition")
+                .edge("d", "treat", "i")
+                .edge("i", "hasCondition", "c")
+                .ret_property("d", "name")
+                .ret_property("c", "name")
+                .build(),
         },
         BenchQuery {
             dataset: DatasetId::Fin,
             family: "pattern",
-            query: stmt(
-                Query::builder("Q3")
-                    .node("aa", "AutonomousAgent")
-                    .node("p", "Person")
-                    .node("cp", "ContractParty")
-                    .edge("aa", "isA", "p")
-                    .edge("p", "isA", "cp")
-                    .ret_vertex("aa")
-                    .build(),
-            ),
+            query: Statement::builder("Q3")
+                .node("aa", "AutonomousAgent")
+                .node("p", "Person")
+                .node("cp", "ContractParty")
+                .edge("aa", "isA", "p")
+                .edge("p", "isA", "cp")
+                .ret_vertex("aa")
+                .build(),
         },
         BenchQuery {
             dataset: DatasetId::Fin,
             family: "pattern",
-            query: stmt(
-                Query::builder("Q4")
-                    .node("l", "Lender")
-                    .node("b", "Bank")
-                    .node("a", "Account")
-                    .edge("l", "unionOf", "b")
-                    .edge("b", "holdsAccount", "a")
-                    .ret_property("a", "accountNumber")
-                    .build(),
-            ),
+            query: Statement::builder("Q4")
+                .node("l", "Lender")
+                .node("b", "Bank")
+                .node("a", "Account")
+                .edge("l", "unionOf", "b")
+                .edge("b", "holdsAccount", "a")
+                .ret_property("a", "accountNumber")
+                .build(),
         },
         // ---- Property lookup (Q5-Q8) ---------------------------------------
         BenchQuery {
             dataset: DatasetId::Med,
             family: "lookup",
-            query: stmt(
-                Query::builder("Q5")
-                    .node("di", "DrugInteraction")
-                    .node("dl", "DrugLabInteraction")
-                    .edge("di", "isA", "dl")
-                    .ret_property("di", "summary")
-                    .build(),
-            ),
+            query: Statement::builder("Q5")
+                .node("di", "DrugInteraction")
+                .node("dl", "DrugLabInteraction")
+                .edge("di", "isA", "dl")
+                .ret_property("di", "summary")
+                .build(),
         },
         BenchQuery {
             dataset: DatasetId::Med,
             family: "lookup",
-            query: stmt(
-                Query::builder("Q6")
-                    .node("se", "SideEffect")
-                    .node("ae", "AdverseEvent")
-                    .edge("se", "isA", "ae")
-                    .ret_property("se", "severity")
-                    .build(),
-            ),
+            query: Statement::builder("Q6")
+                .node("se", "SideEffect")
+                .node("ae", "AdverseEvent")
+                .edge("se", "isA", "ae")
+                .ret_property("se", "severity")
+                .build(),
         },
         BenchQuery {
             dataset: DatasetId::Fin,
             family: "lookup",
-            query: stmt(
-                Query::builder("Q7")
-                    .node("n", "Corporation")
-                    .ret_property("n", "hasLegalName")
-                    .build(),
-            ),
+            query: Statement::builder("Q7")
+                .node("n", "Corporation")
+                .ret_property("n", "hasLegalName")
+                .build(),
         },
         BenchQuery {
             dataset: DatasetId::Fin,
             family: "lookup",
-            query: stmt(
-                Query::builder("Q8")
-                    .node("fi", "FinancialInstrument")
-                    .node("b", "Bond")
-                    .edge("fi", "isA", "b")
-                    .ret_property("fi", "currency")
-                    .build(),
-            ),
+            query: Statement::builder("Q8")
+                .node("fi", "FinancialInstrument")
+                .node("b", "Bond")
+                .edge("fi", "isA", "b")
+                .ret_property("fi", "currency")
+                .build(),
         },
         // ---- Aggregation (Q9-Q12) -------------------------------------------
         BenchQuery {
             dataset: DatasetId::Med,
             family: "aggregation",
-            query: stmt(
-                Query::builder("Q9")
-                    .node("d", "Drug")
-                    .node("dr", "DrugRoute")
-                    .edge("d", "hasDrugRoute", "dr")
-                    .ret_aggregate(Aggregate::CollectCount, "dr", Some("drugRouteId"))
-                    .build(),
-            ),
+            query: Statement::builder("Q9")
+                .node("d", "Drug")
+                .node("dr", "DrugRoute")
+                .edge("d", "hasDrugRoute", "dr")
+                .ret_aggregate(Aggregate::CollectCount, "dr", Some("drugRouteId"))
+                .build(),
         },
         BenchQuery {
             dataset: DatasetId::Med,
             family: "aggregation",
-            query: stmt(
-                Query::builder("Q10")
-                    .node("p", "Patient")
-                    .node("e", "Encounter")
-                    .edge("p", "hasEncounter", "e")
-                    .ret_aggregate(Aggregate::CollectCount, "e", Some("encounterId"))
-                    .build(),
-            ),
+            query: Statement::builder("Q10")
+                .node("p", "Patient")
+                .node("e", "Encounter")
+                .edge("p", "hasEncounter", "e")
+                .ret_aggregate(Aggregate::CollectCount, "e", Some("encounterId"))
+                .build(),
         },
         BenchQuery {
             dataset: DatasetId::Fin,
             family: "aggregation",
-            query: stmt(
-                Query::builder("Q11")
-                    .node("corp", "Corporation")
-                    .node("con", "Contract")
-                    .edge("con", "isManagedBy", "corp")
-                    .ret_aggregate(Aggregate::CollectCount, "con", Some("hasEffectiveDate"))
-                    .build(),
-            ),
+            query: Statement::builder("Q11")
+                .node("corp", "Corporation")
+                .node("con", "Contract")
+                .edge("con", "isManagedBy", "corp")
+                .ret_aggregate(Aggregate::CollectCount, "con", Some("hasEffectiveDate"))
+                .build(),
         },
         BenchQuery {
             dataset: DatasetId::Fin,
             family: "aggregation",
-            query: stmt(
-                Query::builder("Q12")
-                    .node("corp", "Corporation")
-                    .node("o", "Officer")
-                    .edge("corp", "employsOfficer", "o")
-                    .ret_aggregate(Aggregate::CollectCount, "o", Some("title"))
-                    .build(),
-            ),
+            query: Statement::builder("Q12")
+                .node("corp", "Corporation")
+                .node("o", "Officer")
+                .edge("corp", "employsOfficer", "o")
+                .ret_aggregate(Aggregate::CollectCount, "o", Some("title"))
+                .build(),
         },
     ]
 }

@@ -1,7 +1,7 @@
-//! Graph query representation.
+//! The pattern parts of a [`Statement`](crate::Statement).
 //!
 //! The microbenchmark of Section 5.3 uses three families of queries, all of
-//! which fit one pattern-query shape:
+//! which fit one pattern shape:
 //!
 //! * **pattern matching** (Q1–Q4) — a small sub-graph of labelled node and
 //!   edge patterns, returning vertex properties;
@@ -9,12 +9,11 @@
 //! * **aggregation** (Q9–Q12) — counting a neighbour's property values
 //!   (`size(COLLECT(...))` in the paper's Cypher).
 //!
-//! A [`Query`] is a list of [`NodePattern`]s connected by [`EdgePattern`]s
-//! plus [`ReturnItem`]s. The executor treats the pattern as a connected graph
-//! rooted at the first node pattern.
+//! A statement's pattern is a list of [`NodePattern`]s connected by
+//! [`EdgePattern`]s plus [`ReturnItem`]s. The executor treats the pattern as
+//! a connected graph rooted at the first node pattern.
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// A labelled node pattern, e.g. `(d:Drug)`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -121,211 +120,14 @@ pub enum ReturnItem {
     },
 }
 
-/// A graph pattern query.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Query {
-    /// Query name (e.g. `Q1`), used in experiment output.
-    pub name: String,
-    /// Node patterns; the first is the traversal root.
-    pub nodes: Vec<NodePattern>,
-    /// Edge patterns connecting node variables.
-    pub edges: Vec<EdgePattern>,
-    /// Return clause.
-    pub returns: Vec<ReturnItem>,
-}
-
-impl Query {
-    /// Starts building a query with the given name.
-    pub fn builder(name: impl Into<String>) -> QueryBuilder {
-        QueryBuilder {
-            query: Query {
-                name: name.into(),
-                nodes: Vec::new(),
-                edges: Vec::new(),
-                returns: Vec::new(),
-            },
-        }
-    }
-
-    /// Finds a node pattern by variable.
-    pub fn node(&self, var: &str) -> Option<&NodePattern> {
-        self.nodes.iter().find(|n| n.var == var)
-    }
-
-    /// True if the query returns at least one aggregate.
-    pub fn is_aggregation(&self) -> bool {
-        self.returns.iter().any(|r| matches!(r, ReturnItem::Aggregate { .. }))
-    }
-
-    /// Number of edge patterns (the paper's "edge traversals specified").
-    pub fn edge_pattern_count(&self) -> usize {
-        self.edges.len()
-    }
-}
-
-impl Query {
-    /// True if rendering the edge patterns in order (source before
-    /// destination), then appending the edge-free node patterns, makes
-    /// variables first appear in exactly `self.nodes` order. When it does,
-    /// the compact `(a:A)-[:r]->(b:B)` rendering re-parses with the same
-    /// node order; when it does not, [`Query::fmt_match`] falls back to an
-    /// explicit form that lists every node pattern first.
-    fn display_order_is_node_order(&self) -> bool {
-        let mut induced: Vec<&str> = Vec::with_capacity(self.nodes.len());
-        for edge in &self.edges {
-            for var in [edge.src.as_str(), edge.dst.as_str()] {
-                if !induced.contains(&var) {
-                    induced.push(var);
-                }
-            }
-        }
-        for node in &self.nodes {
-            if !induced.contains(&node.var.as_str()) {
-                induced.push(&node.var);
-            }
-        }
-        induced.iter().zip(&self.nodes).all(|(&v, n)| v == n.var)
-            && induced.len() == self.nodes.len()
-    }
-
-    /// Writes the `MATCH` clause body (without the keyword). Every node
-    /// pattern appears — node patterns not referenced by any edge are
-    /// emitted as standalone `(v:Label)` parts — and variables first appear
-    /// in `self.nodes` order, so the output re-parses to an equal pattern.
-    pub(crate) fn fmt_match(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut parts: Vec<String> = Vec::new();
-        if self.display_order_is_node_order() {
-            for e in &self.edges {
-                let src = self.node(&e.src).map(|n| n.label.as_str()).unwrap_or("?");
-                let dst = self.node(&e.dst).map(|n| n.label.as_str()).unwrap_or("?");
-                parts.push(format!("({}:{})-[:{}]->({}:{})", e.src, src, e.label, e.dst, dst));
-            }
-            for n in &self.nodes {
-                let referenced = self.edges.iter().any(|e| e.src == n.var || e.dst == n.var);
-                if !referenced {
-                    parts.push(format!("({}:{})", n.var, n.label));
-                }
-            }
-        } else {
-            // Node order disagrees with edge order (e.g. the traversal root
-            // is the destination of the first edge): list the nodes first to
-            // pin their order, then the edges over bare variables.
-            for n in &self.nodes {
-                parts.push(format!("({}:{})", n.var, n.label));
-            }
-            for e in &self.edges {
-                parts.push(format!("({})-[:{}]->({})", e.src, e.label, e.dst));
-            }
-        }
-        write!(f, "{}", parts.join(", "))
-    }
-
-    /// Writes the `RETURN` clause body (without the keyword).
-    pub(crate) fn fmt_returns(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let returns: Vec<String> = self
-            .returns
-            .iter()
-            .map(|r| match r {
-                ReturnItem::Property { var, property } => format!("{var}.{property}"),
-                ReturnItem::Vertex { var } => var.clone(),
-                ReturnItem::Aggregate { agg, var, property } => {
-                    agg.render_call(var, property.as_deref())
-                }
-            })
-            .collect();
-        write!(f, "{}", returns.join(", "))
-    }
-}
-
-impl fmt::Display for Query {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "MATCH ")?;
-        self.fmt_match(f)?;
-        write!(f, " RETURN ")?;
-        self.fmt_returns(f)
-    }
-}
-
-/// Fluent builder for [`Query`].
-#[derive(Debug, Clone)]
-pub struct QueryBuilder {
-    query: Query,
-}
-
-impl QueryBuilder {
-    /// Adds a node pattern.
-    pub fn node(mut self, var: impl Into<String>, label: impl Into<String>) -> Self {
-        self.query.nodes.push(NodePattern { var: var.into(), label: label.into() });
-        self
-    }
-
-    /// Adds an edge pattern.
-    pub fn edge(
-        mut self,
-        src: impl Into<String>,
-        label: impl Into<String>,
-        dst: impl Into<String>,
-    ) -> Self {
-        self.query.edges.push(EdgePattern {
-            label: label.into(),
-            src: src.into(),
-            dst: dst.into(),
-        });
-        self
-    }
-
-    /// Returns a property of a bound node.
-    pub fn ret_property(mut self, var: impl Into<String>, property: impl Into<String>) -> Self {
-        self.query
-            .returns
-            .push(ReturnItem::Property { var: var.into(), property: property.into() });
-        self
-    }
-
-    /// Returns a bound vertex.
-    pub fn ret_vertex(mut self, var: impl Into<String>) -> Self {
-        self.query.returns.push(ReturnItem::Vertex { var: var.into() });
-        self
-    }
-
-    /// Returns an aggregate.
-    ///
-    /// # Panics
-    /// Panics when a numeric aggregate (`SUM`/`MIN`/`MAX`/`AVG`) is given no
-    /// property — those functions have no meaning over bare vertices.
-    pub fn ret_aggregate(
-        mut self,
-        agg: Aggregate,
-        var: impl Into<String>,
-        property: Option<&str>,
-    ) -> Self {
-        assert!(
-            !(agg.requires_property() && property.is_none()),
-            "{agg:?} requires a v.property operand"
-        );
-        self.query.returns.push(ReturnItem::Aggregate {
-            agg,
-            var: var.into(),
-            property: property.map(str::to_string),
-        });
-        self
-    }
-
-    /// Finalises the query.
-    pub fn build(self) -> Query {
-        assert!(!self.query.nodes.is_empty(), "a query needs at least one node pattern");
-        assert!(!self.query.returns.is_empty(), "a query needs a RETURN clause");
-        self.query
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Statement;
 
     #[test]
     fn builder_assembles_queries() {
-        let q = Query::builder("Q1")
+        let q = Statement::builder("Q1")
             .node("d", "Drug")
             .node("r", "Risk")
             .edge("d", "cause", "r")
@@ -341,7 +143,7 @@ mod tests {
 
     #[test]
     fn display_resembles_cypher() {
-        let q = Query::builder("Q9")
+        let q = Statement::builder("Q9")
             .node("d", "Drug")
             .node("dr", "DrugRoute")
             .edge("d", "hasDrugRoute", "dr")
@@ -354,8 +156,10 @@ mod tests {
 
     #[test]
     fn display_without_edges() {
-        let q =
-            Query::builder("Q7").node("n", "Corporation").ret_property("n", "hasLegalName").build();
+        let q = Statement::builder("Q7")
+            .node("n", "Corporation")
+            .ret_property("n", "hasLegalName")
+            .build();
         assert!(q.to_string().contains("MATCH (n:Corporation) RETURN n.hasLegalName"));
     }
 
@@ -363,7 +167,7 @@ mod tests {
     fn display_keeps_unreferenced_nodes_alongside_edges() {
         // A node pattern not referenced by any edge must still appear in the
         // MATCH clause as a standalone part.
-        let q = Query::builder("mixed")
+        let q = Statement::builder("mixed")
             .node("d", "Drug")
             .node("i", "Indication")
             .node("lone", "Physician")
@@ -379,7 +183,7 @@ mod tests {
     fn display_pins_node_order_when_edges_disagree() {
         // Root is the edge's destination: the compact form would flip the
         // node order, so the explicit node-list form is used instead.
-        let q = Query::builder("reverse")
+        let q = Statement::builder("reverse")
             .node("i", "Indication")
             .node("d", "Drug")
             .edge("d", "treat", "i")
@@ -391,8 +195,10 @@ mod tests {
 
     #[test]
     fn aggregation_detection() {
-        let q =
-            Query::builder("Q").node("a", "A").ret_aggregate(Aggregate::Count, "a", None).build();
+        let q = Statement::builder("Q")
+            .node("a", "A")
+            .ret_aggregate(Aggregate::Count, "a", None)
+            .build();
         assert!(q.is_aggregation());
         assert!(q.to_string().contains("count(a)"));
     }
@@ -400,6 +206,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "RETURN")]
     fn builder_requires_returns() {
-        let _ = Query::builder("bad").node("a", "A").build();
+        let _ = Statement::builder("bad").node("a", "A").build();
     }
 }

@@ -1,4 +1,4 @@
-//! Query executor.
+//! Statement executor.
 //!
 //! A straightforward backtracking pattern matcher: the first node pattern is
 //! the root; candidate vertices are found through the backend's label index
@@ -50,7 +50,7 @@
 //! and with it row order, `DISTINCT` survivor choice and `ORDER BY`
 //! tie-breaks — is bit-for-bit that of the serial execution.
 
-use crate::ast::{Aggregate, EdgePattern, Query, ReturnItem};
+use crate::ast::{Aggregate, EdgePattern, ReturnItem};
 use crate::stmt::{order_values, CountTerm, Predicate, Statement, Term};
 use pgso_graphstore::{AccessStats, GraphBackend, PropertyValue, VertexId};
 use pgso_telemetry::{FieldValue, StageTimings, TraceBuffer};
@@ -138,11 +138,6 @@ impl QueryResult {
     }
 }
 
-/// Executes a bare pattern query against a backend.
-pub fn execute(query: &Query, backend: &dyn GraphBackend) -> QueryResult {
-    execute_statement(&Statement::from(query.clone()), backend)
-}
-
 /// Executes a full statement (predicates, optional edges, aggregation with
 /// `GROUP BY`, `DISTINCT`, `ORDER BY`, `SKIP`/`LIMIT`) against a backend.
 ///
@@ -167,7 +162,7 @@ pub fn execute_statement_with(
     let mut timings = StageTimings::default();
     let mut bindings: Vec<Cell> = Vec::new();
     // A statement that cannot match skips root selection and expansion.
-    if !ctx.unsatisfiable && !stmt.pattern.nodes.is_empty() {
+    if !ctx.unsatisfiable && !stmt.nodes.is_empty() {
         let mut row = vec![None; ctx.slots.len()];
         let mut stage = Instant::now();
         // The fan-out gate and the shard grouping need the root candidates
@@ -192,7 +187,7 @@ pub fn execute_statement_with(
     let matches = bindings.len() / ctx.stride;
     timings.optional = stage.elapsed();
     let stage = Instant::now();
-    let (rows, reps) = if stmt.pattern.is_aggregation() {
+    let (rows, reps) = if stmt.is_aggregation() {
         aggregate_rows(&ctx, &bindings)
     } else {
         let project_row = |row| ctx.returns.iter().map(|&item| project(&ctx, item, row)).collect();
@@ -319,7 +314,7 @@ impl<'a> Ctx<'a> {
         let mut slots = Vec::new();
         // The first pattern declaring a variable decides its label, and a
         // mandatory declaration outranks an optional one.
-        for node in &stmt.pattern.nodes {
+        for node in &stmt.nodes {
             let slot = slot_of(&mut slots, &node.var);
             if !slots[slot].mandatory {
                 slots[slot].label = &node.label;
@@ -340,7 +335,7 @@ impl<'a> Ctx<'a> {
             src: slot_of(&mut slots, &edge.src),
             dst: slot_of(&mut slots, &edge.dst),
         };
-        let edges = stmt.pattern.edges.iter().map(&mut step).collect();
+        let edges = stmt.edges.iter().map(&mut step).collect();
         let opt_edges = stmt.opt_edges.iter().map(&mut step).collect();
         // Undeclared endpoints keep their predicates too: unanchored OPTIONAL
         // pairs are enumerated, and counted, even when nothing can match.
@@ -354,7 +349,7 @@ impl<'a> Ctx<'a> {
         }
         // Output clauses name variables too: looked up once here, not per row.
         let slot = |var: &String| slots.iter().position(|slot| slot.name == *var);
-        let returns = stmt.pattern.returns.iter().map(|item| match item {
+        let returns = stmt.returns.iter().map(|item| match item {
             ReturnItem::Property { var, property } => (slot(var), Some(property.as_str())),
             ReturnItem::Vertex { var } => (slot(var), None),
             ReturnItem::Aggregate { var, property, .. } => (slot(var), property.as_deref()),
@@ -701,7 +696,7 @@ fn aggregate_rows(ctx: &Ctx<'_>, bindings: &[Cell]) -> (Vec<Row>, Vec<usize>) {
         });
         if passes {
             let rep = members.first().and_then(|&i| bindings.chunks_exact(ctx.stride).nth(i));
-            let items = stmt.pattern.returns.iter().zip(&ctx.returns);
+            let items = stmt.returns.iter().zip(&ctx.returns);
             let row = items.map(|(item, &output)| match item {
                 ReturnItem::Aggregate { agg, .. } => aggregate(*agg, output.0, output.1),
                 // A non-aggregated item next to aggregates reads from the
@@ -851,7 +846,7 @@ fn finalize_rows(ctx: &Ctx<'_>, mut rows: Vec<Row>, reps: &[usize], bindings: &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{Aggregate, Query};
+    use crate::ast::Aggregate;
     use pgso_graphstore::{props, MemoryGraph};
 
     /// Builds the property graphs of Figure 1(b) (direct) and 1(c)
@@ -904,7 +899,7 @@ mod tests {
     fn pattern_match_two_hops_on_direct_graph() {
         // Example 1: Drug and the risk of its DrugFoodInteraction.
         let g = figure_1_direct();
-        let q = Query::builder("example1")
+        let q = Statement::builder("example1")
             .node("d", "Drug")
             .node("di", "DrugInteraction")
             .node("dfi", "DrugFoodInteraction")
@@ -913,7 +908,7 @@ mod tests {
             .ret_property("d", "name")
             .ret_property("dfi", "risk")
             .build();
-        let result = execute(&q, &g);
+        let result = execute_statement(&q, &g);
         assert_eq!(result.matches, 1);
         assert_eq!(result.rows[0][0].as_str(), Some("Aspirin"));
         assert_eq!(result.rows[0][1].as_str(), Some("moderate"));
@@ -923,13 +918,13 @@ mod tests {
     #[test]
     fn pattern_match_one_hop_on_optimized_graph() {
         let g = figure_1_optimized();
-        let q = Query::builder("example1-opt")
+        let q = Statement::builder("example1-opt")
             .node("d", "Drug")
             .node("dfi", "DrugFoodInteraction")
             .edge("d", "has", "dfi")
             .ret_property("dfi", "risk")
             .build();
-        let result = execute(&q, &g);
+        let result = execute_statement(&q, &g);
         assert_eq!(result.matches, 1);
         assert_eq!(result.rows[0][0].as_str(), Some("moderate"));
     }
@@ -938,22 +933,22 @@ mod tests {
     fn aggregation_count_over_traversal_vs_list_property() {
         // Example 2: COUNT of Indication.desc treated by each Drug.
         let direct = figure_1_direct();
-        let q_direct = Query::builder("example2")
+        let q_direct = Statement::builder("example2")
             .node("d", "Drug")
             .node("i", "Indication")
             .edge("d", "treat", "i")
             .ret_aggregate(Aggregate::CollectCount, "i", Some("desc"))
             .build();
-        let r1 = execute(&q_direct, &direct);
+        let r1 = execute_statement(&q_direct, &direct);
         assert_eq!(r1.scalar(), Some(2));
         assert!(r1.stats.edge_traversals >= 2);
 
         let optimized = figure_1_optimized();
-        let q_opt = Query::builder("example2-opt")
+        let q_opt = Statement::builder("example2-opt")
             .node("d", "Drug")
             .ret_aggregate(Aggregate::CollectCount, "d", Some("Indication.desc"))
             .build();
-        let r2 = execute(&q_opt, &optimized);
+        let r2 = execute_statement(&q_opt, &optimized);
         assert_eq!(r2.scalar(), Some(2), "LIST property must yield the same count");
         assert_eq!(r2.stats.edge_traversals, 0, "no traversal needed on the optimized graph");
     }
@@ -961,8 +956,8 @@ mod tests {
     #[test]
     fn property_lookup_without_edges() {
         let g = figure_1_direct();
-        let q = Query::builder("lookup").node("d", "Drug").ret_property("d", "brand").build();
-        let result = execute(&q, &g);
+        let q = Statement::builder("lookup").node("d", "Drug").ret_property("d", "brand").build();
+        let result = execute_statement(&q, &g);
         assert_eq!(result.matches, 1);
         assert_eq!(result.rows[0][0].as_str(), Some("Ecotrin"));
         assert_eq!(result.stats.edge_traversals, 0);
@@ -972,14 +967,14 @@ mod tests {
     fn reverse_traversal_matches_incoming_edges() {
         let g = figure_1_direct();
         // Root at Indication, pattern edge points Drug -> Indication.
-        let q = Query::builder("reverse")
+        let q = Statement::builder("reverse")
             .node("i", "Indication")
             .node("d", "Drug")
             .edge("d", "treat", "i")
             .ret_property("i", "desc")
             .ret_property("d", "name")
             .build();
-        let result = execute(&q, &g);
+        let result = execute_statement(&q, &g);
         assert_eq!(result.matches, 2);
         for row in &result.rows {
             assert_eq!(row[1].as_str(), Some("Aspirin"));
@@ -989,20 +984,21 @@ mod tests {
     #[test]
     fn count_aggregate_counts_matches() {
         let g = figure_1_direct();
-        let q = Query::builder("count")
+        let q = Statement::builder("count")
             .node("d", "Drug")
             .node("i", "Indication")
             .edge("d", "treat", "i")
             .ret_aggregate(Aggregate::Count, "i", None)
             .build();
-        assert_eq!(execute(&q, &g).scalar(), Some(2));
+        assert_eq!(execute_statement(&q, &g).scalar(), Some(2));
     }
 
     #[test]
     fn unmatched_label_returns_no_rows() {
         let g = figure_1_direct();
-        let q = Query::builder("missing").node("x", "Pharmacy").ret_property("x", "name").build();
-        let result = execute(&q, &g);
+        let q =
+            Statement::builder("missing").node("x", "Pharmacy").ret_property("x", "name").build();
+        let result = execute_statement(&q, &g);
         assert_eq!(result.matches, 0);
         assert!(result.rows.is_empty());
     }
@@ -1012,7 +1008,7 @@ mod tests {
         // Triangle-less check: (i1)<-[treat]-(d)-[treat]->(i2) with i1 != i2
         // via two edges sharing the drug variable.
         let g = figure_1_direct();
-        let q = Query::builder("two-indications")
+        let q = Statement::builder("two-indications")
             .node("d", "Drug")
             .node("i1", "Indication")
             .node("i2", "Indication")
@@ -1021,7 +1017,7 @@ mod tests {
             .ret_property("i1", "desc")
             .ret_property("i2", "desc")
             .build();
-        let result = execute(&q, &g);
+        let result = execute_statement(&q, &g);
         // 2 choices for i1 × 2 for i2 (homomorphism semantics).
         assert_eq!(result.matches, 4);
     }
@@ -1071,11 +1067,14 @@ mod tests {
             .build();
         assert!(execute_statement(&missing, &g).rows.is_empty());
 
-        let unknown = Statement::builder("unknown")
+        // The builder and the parser refuse an undeclared WHERE variable; a
+        // hand-assembled statement carrying one still matches nothing.
+        let mut unknown = Statement::builder("unknown")
             .node("d", "Drug")
             .ret_property("d", "name")
-            .filter("ghost", "name", CmpOp::Eq, "Aspirin")
+            .filter("d", "name", CmpOp::Eq, "Aspirin")
             .build();
+        unknown.predicates[0].var = "ghost".into();
         assert!(execute_statement(&unknown, &g).rows.is_empty());
     }
 
@@ -1140,13 +1139,14 @@ mod tests {
     #[test]
     fn unsatisfiable_predicate_short_circuits_before_matching() {
         let g = figure_1_direct();
-        let stmt = Statement::builder("ghost")
+        let mut stmt = Statement::builder("ghost")
             .node("d", "Drug")
             .node("i", "Indication")
             .edge("d", "treat", "i")
             .ret_property("i", "desc")
-            .filter("ghost", "p", CmpOp::Eq, 1i64)
+            .filter("d", "p", CmpOp::Eq, 1i64)
             .build();
+        stmt.predicates[0].var = "ghost".into();
         let result = execute_statement(&stmt, &g);
         assert!(result.rows.is_empty());
         assert_eq!(result.stats.edge_traversals, 0, "no matching work before the ghost check");
@@ -1598,17 +1598,20 @@ mod tests {
 
     #[test]
     fn bare_statement_matches_plain_execution() {
+        // A clause-free statement is a plain pattern match: one row per
+        // binding, in binding order, and no predicate work.
         let g = figure_1_direct();
-        let q = Query::builder("plain")
+        let q = Statement::builder("plain")
             .node("d", "Drug")
             .node("i", "Indication")
             .edge("d", "treat", "i")
             .ret_property("i", "desc")
             .build();
-        let plain = execute(&q, &g);
-        let stmt = execute_statement(&Statement::from(q), &g);
-        assert_eq!(plain.rows, stmt.rows);
-        assert_eq!(plain.matches, stmt.matches);
+        assert!(!q.has_clauses());
+        let stmt = execute_statement(&q, &g);
+        let descs: Vec<Option<&str>> = stmt.rows.iter().map(|r| r[0].as_str()).collect();
+        assert_eq!(descs, [Some("Fever"), Some("Headache")]);
+        assert_eq!(stmt.matches, 2);
         assert_eq!(stmt.predicate_checks, 0);
     }
 

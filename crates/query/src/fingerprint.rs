@@ -1,9 +1,8 @@
-//! Stable structural fingerprints for pattern queries and statements.
+//! Stable structural fingerprints for statements.
 //!
 //! The serving layer caches DIR→OPT rewrites per statement: two statements
 //! that are structurally equal share one plan regardless of their display
-//! name. [`fingerprint`] / [`fingerprint_statement`] hash that structure
-//! with FNV-1a, giving a stable 64-bit key that does not depend on
+//! name. [`fingerprint_statement`] hashes that structure with FNV-1a, giving a stable 64-bit key that does not depend on
 //! `std::collections` hash seeds or on the process — so cache keys are
 //! reproducible across runs and across serving threads.
 //!
@@ -17,7 +16,7 @@
 //! then visible in the statement itself rather than silently spliced in by
 //! position.
 
-use crate::ast::{Aggregate, Query, ReturnItem};
+use crate::ast::{Aggregate, ReturnItem};
 use crate::stmt::{CmpOp, CountTerm, Statement, Term};
 use pgso_graphstore::PropertyValue;
 
@@ -51,27 +50,19 @@ impl Fnv {
     }
 }
 
-/// Computes the structural fingerprint of a query.
-///
-/// The query name is deliberately excluded: it is presentation metadata, and
-/// including it would make semantically identical prepared queries miss each
-/// other in the plan cache.
-pub fn fingerprint(query: &Query) -> u64 {
-    let mut h = Fnv::new();
-    hash_query(&mut h, query);
-    h.0
-}
-
 /// Computes the structural fingerprint of a statement.
 ///
-/// A statement without any statement-level clause hashes identically to its
-/// bare pattern query. Everything else keys: predicate terms (literal values
-/// by content, `$parameters` by name), `SKIP`/`LIMIT` terms, `GROUP BY`,
-/// `HAVING`, `DISTINCT` and the sort keys. Only the presentation name is
-/// excluded.
+/// The pattern (node and edge patterns, `RETURN` items) always keys; the
+/// other clauses are hashed only when [`Statement::has_clauses`], so a
+/// clause-free statement hashes its pattern alone (the bytes every pinned
+/// key was recorded with). Everything else keys: predicate terms (literal
+/// values by content, `$parameters` by name), `SKIP`/`LIMIT` terms,
+/// `GROUP BY`, `HAVING`, `DISTINCT` and the sort keys. Only the presentation
+/// name is excluded: it is metadata, and keying it would make semantically
+/// identical prepared statements miss each other in the plan cache.
 pub fn fingerprint_statement(stmt: &Statement) -> u64 {
     let mut h = Fnv::new();
-    hash_query(&mut h, &stmt.pattern);
+    hash_pattern(&mut h, stmt);
     if stmt.has_clauses() {
         h.write_tag(4);
         h.write(&(stmt.opt_nodes.len() as u32).to_le_bytes());
@@ -210,23 +201,23 @@ fn hash_value(h: &mut Fnv, value: &PropertyValue) {
     }
 }
 
-fn hash_query(h: &mut Fnv, query: &Query) {
+fn hash_pattern(h: &mut Fnv, stmt: &Statement) {
     h.write_tag(1);
-    h.write(&(query.nodes.len() as u32).to_le_bytes());
-    for node in &query.nodes {
+    h.write(&(stmt.nodes.len() as u32).to_le_bytes());
+    for node in &stmt.nodes {
         h.write_str(&node.var);
         h.write_str(&node.label);
     }
     h.write_tag(2);
-    h.write(&(query.edges.len() as u32).to_le_bytes());
-    for edge in &query.edges {
+    h.write(&(stmt.edges.len() as u32).to_le_bytes());
+    for edge in &stmt.edges {
         h.write_str(&edge.label);
         h.write_str(&edge.src);
         h.write_str(&edge.dst);
     }
     h.write_tag(3);
-    h.write(&(query.returns.len() as u32).to_le_bytes());
-    for item in &query.returns {
+    h.write(&(stmt.returns.len() as u32).to_le_bytes());
+    for item in &stmt.returns {
         match item {
             ReturnItem::Property { var, property } => {
                 h.write_tag(10);
@@ -263,10 +254,9 @@ fn hash_query(h: &mut Fnv, query: &Query) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Query;
 
-    fn q1() -> Query {
-        Query::builder("Q1")
+    fn q1() -> Statement {
+        Statement::builder("Q1")
             .node("d", "Drug")
             .node("i", "Indication")
             .edge("d", "treat", "i")
@@ -276,63 +266,63 @@ mod tests {
 
     #[test]
     fn identical_structure_same_fingerprint() {
-        assert_eq!(fingerprint(&q1()), fingerprint(&q1()));
+        assert_eq!(fingerprint_statement(&q1()), fingerprint_statement(&q1()));
     }
 
     #[test]
     fn name_does_not_affect_fingerprint() {
         let mut renamed = q1();
         renamed.name = "something-else".into();
-        assert_eq!(fingerprint(&q1()), fingerprint(&renamed));
+        assert_eq!(fingerprint_statement(&q1()), fingerprint_statement(&renamed));
     }
 
     #[test]
     fn structure_changes_change_fingerprint() {
-        let base = fingerprint(&q1());
+        let base = fingerprint_statement(&q1());
 
-        let other_label = Query::builder("Q1")
+        let other_label = Statement::builder("Q1")
             .node("d", "Drug")
             .node("i", "Indication")
             .edge("d", "cause", "i")
             .ret_property("i", "desc")
             .build();
-        assert_ne!(base, fingerprint(&other_label));
+        assert_ne!(base, fingerprint_statement(&other_label));
 
-        let other_return = Query::builder("Q1")
+        let other_return = Statement::builder("Q1")
             .node("d", "Drug")
             .node("i", "Indication")
             .edge("d", "treat", "i")
             .ret_vertex("i")
             .build();
-        assert_ne!(base, fingerprint(&other_return));
+        assert_ne!(base, fingerprint_statement(&other_return));
 
-        let agg = Query::builder("Q1")
+        let agg = Statement::builder("Q1")
             .node("d", "Drug")
             .node("i", "Indication")
             .edge("d", "treat", "i")
             .ret_aggregate(crate::ast::Aggregate::CollectCount, "i", Some("desc"))
             .build();
-        assert_ne!(base, fingerprint(&agg));
+        assert_ne!(base, fingerprint_statement(&agg));
     }
 
     #[test]
     fn aggregate_variants_are_distinguished() {
-        let count = Query::builder("q")
+        let count = Statement::builder("q")
             .node("a", "A")
             .ret_aggregate(crate::ast::Aggregate::Count, "a", None)
             .build();
-        let collect = Query::builder("q")
+        let collect = Statement::builder("q")
             .node("a", "A")
             .ret_aggregate(crate::ast::Aggregate::CollectCount, "a", None)
             .build();
-        assert_ne!(fingerprint(&count), fingerprint(&collect));
+        assert_ne!(fingerprint_statement(&count), fingerprint_statement(&collect));
     }
 
     #[test]
     fn string_boundaries_do_not_collide() {
-        let ab = Query::builder("q").node("ab", "c").ret_vertex("ab").build();
-        let a = Query::builder("q").node("a", "bc").ret_vertex("a").build();
-        assert_ne!(fingerprint(&ab), fingerprint(&a));
+        let ab = Statement::builder("q").node("ab", "c").ret_vertex("ab").build();
+        let a = Statement::builder("q").node("a", "bc").ret_vertex("a").build();
+        assert_ne!(fingerprint_statement(&ab), fingerprint_statement(&a));
     }
 
     // ---- statement fingerprints ----------------------------------------
@@ -419,16 +409,18 @@ mod tests {
 
     #[test]
     fn bare_statement_matches_query_fingerprint() {
-        let q = q1();
-        let s = Statement::from(q.clone());
-        assert_eq!(fingerprint(&q), fingerprint_statement(&s));
+        // A clause-free statement hashes its pattern alone (the `has_clauses`
+        // branch is skipped): the "bare" key pinned above.
+        let bare = q1();
+        assert!(!bare.has_clauses());
+        assert_eq!(fingerprint_statement(&bare), 3201315618241265537);
     }
 
     #[test]
     fn names_do_not_key_but_literals_now_do() {
         let base = fingerprint_statement(&stmt1());
         let mut renamed = stmt1();
-        renamed.pattern.name = "renamed".into();
+        renamed.name = "renamed".into();
         assert_eq!(base, fingerprint_statement(&renamed), "name must not key");
         // Unlike the positional-rebinding design, a different constant is a
         // different statement — sharing is parameterization's job.
@@ -503,13 +495,12 @@ mod tests {
     fn having_clause_keys() {
         use crate::ast::Aggregate as A;
         let with_having = |agg: A, op: CmpOp, threshold: i64| {
-            let q = Query::builder("h")
+            let mut s = Statement::builder("h")
                 .node("d", "Drug")
                 .node("i", "Indication")
                 .edge("d", "treat", "i")
                 .ret_aggregate(A::Count, "i", None)
                 .build();
-            let mut s = Statement::from(q);
             s.group_by.push("d".into());
             s.having.push(crate::stmt::HavingPredicate {
                 agg,
@@ -544,12 +535,12 @@ mod tests {
     #[test]
     fn group_by_and_aggregate_functions_key() {
         let agg = |a: Aggregate, grouped: bool| {
-            let mut b = Query::builder("g")
+            let mut s = Statement::builder("g")
                 .node("d", "Drug")
                 .node("i", "Indication")
-                .edge("d", "treat", "i");
-            b = b.ret_aggregate(a, "i", Some("desc"));
-            let mut s = Statement::from(b.build());
+                .edge("d", "treat", "i")
+                .ret_aggregate(a, "i", Some("desc"))
+                .build();
             if grouped {
                 s.group_by.push("d".into());
             }

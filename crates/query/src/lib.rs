@@ -1,15 +1,16 @@
 //! # pgso-query
 //!
-//! Graph query layer for the `pgso` workspace: a pattern-query AST
-//! ([`Query`]), the statement layer on top of it ([`Statement`]: `WHERE`
-//! predicates, `OPTIONAL` edges, aggregation with `GROUP BY`/`HAVING`,
-//! `DISTINCT`, `ORDER BY`, `SKIP`/`LIMIT`), named `$parameters` with typed signatures
-//! and by-name binding ([`Params`] / [`Statement::bind`]), a Cypher-like
-//! text front-end ([`parse()`]), a backtracking executor ([`execute()`] /
-//! [`execute_statement`]) that runs against any
-//! [`pgso_graphstore::GraphBackend`], and the DIR→OPT rewriter
-//! ([`rewrite()`] / [`rewrite_statement`]) that maps queries written against
-//! the direct schema onto an optimized schema (Section 5.3 of the paper).
+//! Graph query layer for the `pgso` workspace, built around one statement
+//! type, [`Statement`]: a pattern (node and edge patterns plus `RETURN`)
+//! with `WHERE` predicates, `OPTIONAL` edges, aggregation with
+//! `GROUP BY`/`HAVING`, `DISTINCT`, `ORDER BY` and `SKIP`/`LIMIT`. Around it
+//! sit named `$parameters` with typed signatures and by-name binding
+//! ([`Params`] / [`Statement::bind`]), a Cypher-like text front-end
+//! ([`parse()`]), a backtracking executor ([`execute_statement`]) that runs
+//! against any [`pgso_graphstore::GraphBackend`], the DIR→OPT rewriter
+//! ([`rewrite_statement`]) that maps statements written against the direct
+//! schema onto an optimized schema (Section 5.3 of the paper), and the
+//! plan-cache key ([`fingerprint_statement`]).
 //!
 //! Text is the first-class entry point, and prepared statements carry
 //! `$name` placeholders instead of splicing literals:
@@ -39,9 +40,9 @@
 //! assert_eq!(execute_statement(&agg, &graph).rows[0][1].as_int(), Some(1));
 //! ```
 //!
-//! The builder API ([`Query::builder`], [`Statement::builder`]) remains for
-//! tests and embedded use, and statements round-trip through their `Display`
-//! form back into [`parse()`].
+//! The builder ([`Statement::builder`]) serves tests and embedded use. It
+//! enforces the parser's rules, so every statement, built or parsed,
+//! round-trips through its `Display` form back into [`parse()`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -55,17 +56,16 @@ pub mod parse;
 pub mod rewrite;
 pub mod stmt;
 
-pub use ast::{Aggregate, EdgePattern, NodePattern, Query, QueryBuilder, ReturnItem};
+pub use ast::{Aggregate, EdgePattern, NodePattern, ReturnItem};
 pub use exec::{
-    emit_exec_trace, execute, execute_statement, execute_statement_with, ExecConfig, QueryResult,
-    Row,
+    emit_exec_trace, execute_statement, execute_statement_with, ExecConfig, QueryResult, Row,
 };
 pub use explain::{AppliedRule, PlanActuals, QueryMode, QueryPlan};
-pub use fingerprint::{fingerprint, fingerprint_statement};
+pub use fingerprint::fingerprint_statement;
 pub use params::{BindError, ParamKind, ParamSignature, ParamSpec, Params};
 pub use parse::{parse, parse_directive, parse_named, strip_directive, ParseError};
 pub use pgso_telemetry::StageTimings;
-pub use rewrite::{rewrite, rewrite_statement, rewrite_statement_traced};
+pub use rewrite::{rewrite_statement, rewrite_statement_traced};
 pub use stmt::{
     CmpOp, CountTerm, HavingPredicate, OrderKey, Predicate, Statement, StatementBuilder, Term,
 };

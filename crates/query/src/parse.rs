@@ -23,7 +23,7 @@
 //! assert!(stmt.structurally_eq(&reparsed));
 //! ```
 
-use crate::ast::{Aggregate, EdgePattern, NodePattern, Query, ReturnItem};
+use crate::ast::{Aggregate, EdgePattern, NodePattern, ReturnItem};
 use crate::stmt::{CmpOp, CountTerm, HavingPredicate, OrderKey, Predicate, Statement, Term};
 use pgso_graphstore::PropertyValue;
 use std::fmt;
@@ -640,11 +640,6 @@ impl Parser {
                     break;
                 }
             }
-            if !returns.iter().any(|r| matches!(r, ReturnItem::Aggregate { .. })) {
-                return Err(
-                    self.error("GROUP BY requires at least one aggregate in the RETURN clause")
-                );
-            }
         }
 
         let mut having = Vec::new();
@@ -654,11 +649,6 @@ impl Parser {
                 if !self.eat_keyword("AND") {
                     break;
                 }
-            }
-            if !returns.iter().any(|r| matches!(r, ReturnItem::Aggregate { .. })) {
-                return Err(
-                    self.error("HAVING requires at least one aggregate in the RETURN clause")
-                );
             }
         }
 
@@ -689,45 +679,11 @@ impl Parser {
             return Err(self.error("unexpected trailing input"));
         }
 
-        // Semantic checks: every referenced variable must be bound.
-        let bound = |var: &str| {
-            nodes.iter().any(|n| n.var == var) || opt_nodes.iter().any(|n| n.var == var)
-        };
-        for item in &returns {
-            let var = match item {
-                ReturnItem::Property { var, .. }
-                | ReturnItem::Vertex { var }
-                | ReturnItem::Aggregate { var, .. } => var,
-            };
-            if !bound(var) {
-                return Err(self.error(format!("RETURN references unbound variable {var}")));
-            }
-        }
-        for predicate in &predicates {
-            if !bound(&predicate.var) {
-                return Err(
-                    self.error(format!("WHERE references unbound variable {}", predicate.var))
-                );
-            }
-        }
-        for key in &order_by {
-            if !bound(&key.var) {
-                return Err(self.error(format!("ORDER BY references unbound variable {}", key.var)));
-            }
-        }
-        for var in &group_by {
-            if !bound(var) {
-                return Err(self.error(format!("GROUP BY references unbound variable {var}")));
-            }
-        }
-        for pred in &having {
-            if !bound(&pred.var) {
-                return Err(self.error(format!("HAVING references unbound variable {}", pred.var)));
-            }
-        }
-
-        Ok(Statement {
-            pattern: Query { name, nodes, edges, returns },
+        let stmt = Statement {
+            name,
+            nodes,
+            edges,
+            returns,
             opt_nodes,
             opt_edges,
             predicates,
@@ -737,7 +693,11 @@ impl Parser {
             order_by,
             skip,
             limit,
-        })
+        };
+        // Semantic checks, shared with the builder: every referenced
+        // variable bound, aggregates where GROUP BY / HAVING need them.
+        stmt.validate().map_err(|message| self.error(message))?;
+        Ok(stmt)
     }
 }
 
@@ -815,8 +775,8 @@ mod tests {
              RETURN i.desc ORDER BY i.desc LIMIT 10",
         )
         .unwrap();
-        assert_eq!(stmt.pattern.nodes.len(), 2);
-        assert_eq!(stmt.pattern.edges.len(), 1);
+        assert_eq!(stmt.nodes.len(), 2);
+        assert_eq!(stmt.edges.len(), 1);
         assert_eq!(stmt.predicates.len(), 1);
         assert_eq!(stmt.predicates[0].op, CmpOp::Contains);
         assert_eq!(lit(&stmt, 0).as_str(), Some("aspirin"));
@@ -899,15 +859,10 @@ mod tests {
             "MATCH (sum:Drug)-[:treat]->(count:Indication) RETURN sum.name, count, min(count.desc)",
         )
         .unwrap();
-        assert_eq!(stmt.pattern.nodes[0].var, "sum");
-        assert!(
-            matches!(&stmt.pattern.returns[0], ReturnItem::Property { var, .. } if var == "sum")
-        );
-        assert!(matches!(&stmt.pattern.returns[1], ReturnItem::Vertex { var } if var == "count"));
-        assert!(matches!(
-            &stmt.pattern.returns[2],
-            ReturnItem::Aggregate { agg: Aggregate::Min, .. }
-        ));
+        assert_eq!(stmt.nodes[0].var, "sum");
+        assert!(matches!(&stmt.returns[0], ReturnItem::Property { var, .. } if var == "sum"));
+        assert!(matches!(&stmt.returns[1], ReturnItem::Vertex { var } if var == "count"));
+        assert!(matches!(&stmt.returns[2], ReturnItem::Aggregate { agg: Aggregate::Min, .. }));
         let reparsed = parse(&stmt.to_string()).unwrap();
         assert!(stmt.structurally_eq(&reparsed), "{stmt} vs {reparsed}");
     }
@@ -940,7 +895,6 @@ mod tests {
         assert!(stmt.is_aggregation());
         assert_eq!(stmt.group_by, vec!["d".to_string()]);
         let aggs: Vec<Aggregate> = stmt
-            .pattern
             .returns
             .iter()
             .filter_map(|r| match r {
@@ -1058,9 +1012,9 @@ mod tests {
              RETURN count(d), size(collect(di.summary))",
         )
         .unwrap();
-        assert_eq!(stmt.pattern.nodes.len(), 3);
-        assert_eq!(stmt.pattern.edges.len(), 2);
-        assert_eq!(stmt.pattern.edges[1].src, "di");
+        assert_eq!(stmt.nodes.len(), 3);
+        assert_eq!(stmt.edges.len(), 2);
+        assert_eq!(stmt.edges[1].src, "di");
         assert!(stmt.is_aggregation());
     }
 
@@ -1068,14 +1022,14 @@ mod tests {
     fn parses_explicit_node_list_form() {
         let stmt = parse("MATCH (i:Indication), (d:Drug), (d)-[:treat]->(i) RETURN i.desc, d.name")
             .unwrap();
-        assert_eq!(stmt.pattern.nodes[0].var, "i", "declared order preserved");
-        assert_eq!(stmt.pattern.edges[0].src, "d");
+        assert_eq!(stmt.nodes[0].var, "i", "declared order preserved");
+        assert_eq!(stmt.edges[0].src, "d");
     }
 
     #[test]
     fn parses_dotted_replicated_property_names() {
         let stmt = parse("MATCH (d:Drug) RETURN size(collect(d.Indication.desc))").unwrap();
-        match &stmt.pattern.returns[0] {
+        match &stmt.returns[0] {
             ReturnItem::Aggregate { property: Some(p), .. } => assert_eq!(p, "Indication.desc"),
             other => panic!("unexpected {other:?}"),
         }
@@ -1111,6 +1065,15 @@ mod tests {
                 err.message
             );
         }
+    }
+
+    #[test]
+    fn optional_nodes_outside_every_optional_edge_are_rejected() {
+        // `Display` renders optional nodes only through optional edges, so
+        // an edge-less `(x:X)` part would silently vanish on round-trip.
+        let text = "MATCH (d:Drug) OPTIONAL MATCH (x:X), (d)-[:treat]->(i:Indication) RETURN d";
+        let err = parse(text).expect_err(text);
+        assert_eq!(err.message, "optional node x is referenced by no optional edge");
     }
 
     #[test]
@@ -1178,7 +1141,7 @@ mod tests {
     #[test]
     fn parse_named_sets_the_name() {
         let stmt = parse_named("MATCH (a:A) RETURN a", "Q1").unwrap();
-        assert_eq!(stmt.pattern.name, "Q1");
-        assert_eq!(parse("MATCH (a:A) RETURN a").unwrap().pattern.name, "stmt");
+        assert_eq!(stmt.name, "Q1");
+        assert_eq!(parse("MATCH (a:A) RETURN a").unwrap().name, "stmt");
     }
 }

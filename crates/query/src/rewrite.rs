@@ -5,8 +5,8 @@
 //! written against the direct schema uses ontology concept names as labels;
 //! after optimization those concepts may have been merged (1:1, inheritance),
 //! dropped (union concepts, pushed-down parents) or given replicated LIST
-//! properties (1:M / M:N). [`rewrite()`] maps the query onto the optimized
-//! schema using the provenance recorded in the schema itself
+//! properties (1:M / M:N). [`rewrite_statement`] maps the statement onto the
+//! optimized schema using the provenance recorded in the schema itself
 //! (`merged_from`, property origins):
 //!
 //! 1. node labels are re-targeted to the vertex type that now carries the
@@ -19,30 +19,23 @@
 //! 4. property references are renamed to the replicated property names where
 //!    needed.
 
-use crate::ast::{Aggregate, EdgePattern, NodePattern, Query, ReturnItem};
+use crate::ast::{Aggregate, EdgePattern, NodePattern, ReturnItem};
 use crate::explain::AppliedRule;
 use crate::stmt::{HavingPredicate, OrderKey, Predicate, Statement};
 use pgso_pgschema::PropertyGraphSchema;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 
-/// Rewrites a query expressed against the direct schema into an equivalent
-/// query against the optimized schema.
-pub fn rewrite(query: &Query, optimized: &PropertyGraphSchema) -> Query {
-    let mut rewriter = Rewriter::new(query, &[], &[], HashSet::new(), false, optimized);
-    rewriter.unify_variables();
-    rewriter.rebuild()
-}
-
-/// Rewrites a full statement: the pattern core goes through the paper's
-/// DIR→OPT rules ([`rewrite()`]), and every statement-level clause is remapped
-/// over the result — predicate, `ORDER BY`, `GROUP BY` and `HAVING` variables follow
-/// the variable unification, predicate and sort properties follow the
-/// replicated-property renaming (`desc` → `Indication.desc` when the
-/// property moved under the 1:M/M:N rules), and optional edges are
-/// re-targeted like mandatory ones. Predicate `$parameters` pass through
-/// untouched, so one rewritten plan serves every binding of a prepared
-/// statement.
+/// Rewrites a statement expressed against the direct schema into an
+/// equivalent statement against the optimized schema: the pattern (`nodes`,
+/// `edges`, `returns`) goes through the paper's DIR→OPT rules, and every
+/// other clause is remapped over the result — predicate, `ORDER BY`,
+/// `GROUP BY` and `HAVING` variables follow the variable unification,
+/// predicate and sort properties follow the replicated-property renaming
+/// (`desc` → `Indication.desc` when the property moved under the 1:M/M:N
+/// rules), and optional edges are re-targeted like mandatory ones.
+/// Predicate `$parameters` pass through untouched, so one rewritten plan
+/// serves every binding of a prepared statement.
 ///
 /// Variables referenced by a predicate, an `ORDER BY` key, a `GROUP BY` or
 /// a `HAVING` predicate are *pinned*: the aggregate-to-LIST-property
@@ -62,22 +55,7 @@ pub fn rewrite_statement_traced(
     stmt: &Statement,
     optimized: &PropertyGraphSchema,
 ) -> (Statement, Vec<AppliedRule>) {
-    let pinned: HashSet<String> = stmt
-        .predicates
-        .iter()
-        .map(|p| p.var.clone())
-        .chain(stmt.order_by.iter().map(|k| k.var.clone()))
-        .chain(stmt.group_by.iter().cloned())
-        .chain(stmt.having.iter().map(|h| h.var.clone()))
-        .collect();
-    let mut rewriter = Rewriter::new(
-        &stmt.pattern,
-        &stmt.opt_nodes,
-        &stmt.opt_edges,
-        pinned,
-        !stmt.group_by.is_empty(),
-        optimized,
-    );
+    let mut rewriter = Rewriter::new(stmt, optimized);
     rewriter.unify_variables();
     let pattern = rewriter.rebuild();
 
@@ -143,7 +121,6 @@ pub fn rewrite_statement_traced(
         .collect();
 
     let rewritten = Statement {
-        pattern,
         opt_nodes,
         opt_edges,
         predicates,
@@ -153,18 +130,16 @@ pub fn rewrite_statement_traced(
         order_by,
         skip: stmt.skip.clone(),
         limit: stmt.limit.clone(),
+        ..pattern
     };
     (rewritten, rewriter.applied.into_inner())
 }
 
 struct Rewriter<'a> {
-    query: &'a Query,
-    /// Node patterns bound only by OPTIONAL MATCH parts.
-    opt_nodes: &'a [NodePattern],
-    /// OPTIONAL MATCH edges; they participate in variable unification (a
-    /// merged or folded optional hop disappears exactly like a mandatory
-    /// one) but never in the COLLECT-to-LIST replacement.
-    opt_edges: &'a [EdgePattern],
+    /// The DIR statement. Its OPTIONAL MATCH edges participate in variable
+    /// unification (a merged or folded optional hop disappears exactly like
+    /// a mandatory one) but never in the COLLECT-to-LIST replacement.
+    stmt: &'a Statement,
     schema: &'a PropertyGraphSchema,
     /// Variables that must stay bound (predicate / ORDER BY / GROUP BY
     /// references): the aggregation-to-LIST-property replacement is disabled
@@ -186,18 +161,19 @@ struct Rewriter<'a> {
 }
 
 impl<'a> Rewriter<'a> {
-    fn new(
-        query: &'a Query,
-        opt_nodes: &'a [NodePattern],
-        opt_edges: &'a [EdgePattern],
-        pinned: HashSet<String>,
-        grouped: bool,
-        schema: &'a PropertyGraphSchema,
-    ) -> Self {
+    fn new(stmt: &'a Statement, schema: &'a PropertyGraphSchema) -> Self {
+        let pinned = stmt
+            .predicates
+            .iter()
+            .map(|p| p.var.clone())
+            .chain(stmt.order_by.iter().map(|k| k.var.clone()))
+            .chain(stmt.group_by.iter().cloned())
+            .chain(stmt.having.iter().map(|h| h.var.clone()))
+            .collect();
         let mut concept_of = HashMap::new();
         let mut target_of = HashMap::new();
         let mut subst = HashMap::new();
-        for node in query.nodes.iter().chain(opt_nodes) {
+        for node in stmt.nodes.iter().chain(&stmt.opt_nodes) {
             concept_of.insert(node.var.clone(), node.label.clone());
             target_of.insert(
                 node.var.clone(),
@@ -206,12 +182,10 @@ impl<'a> Rewriter<'a> {
             subst.insert(node.var.clone(), node.var.clone());
         }
         Self {
-            query,
-            opt_nodes,
-            opt_edges,
+            stmt,
             schema,
             pinned,
-            grouped,
+            grouped: !stmt.group_by.is_empty(),
             concept_of,
             target_of,
             subst,
@@ -247,10 +221,10 @@ impl<'a> Rewriter<'a> {
     /// used to decide which variable survives a unification (mandatory and
     /// earlier patterns win).
     fn position_of(&self, var: &str) -> usize {
-        self.query
+        self.stmt
             .nodes
             .iter()
-            .chain(self.opt_nodes)
+            .chain(&self.stmt.opt_nodes)
             .position(|n| n.var == var)
             .unwrap_or(usize::MAX)
     }
@@ -286,7 +260,7 @@ impl<'a> Rewriter<'a> {
         //     Optional edges participate: a folded optional hop is always
         //     satisfied on the optimized schema (the two vertices are one),
         //     so the variable unifies and the edge disappears.
-        let all_edges = || self.query.edges.iter().chain(self.opt_edges);
+        let all_edges = || self.stmt.edges.iter().chain(&self.stmt.opt_edges);
         let mut unifications: Vec<(String, String)> = Vec::new();
         for edge in all_edges() {
             let src_target = self.target_of.get(&edge.src).cloned().flatten();
@@ -321,15 +295,15 @@ impl<'a> Rewriter<'a> {
         //     mandatory variable only folds along mandatory edges (folding it
         //     into an optional variable would leave the mandatory pattern
         //     empty); optional variables may fold along either kind.
-        let mandatory_count = self.query.nodes.len();
-        for (index, node) in self.query.nodes.iter().chain(self.opt_nodes).enumerate() {
+        let mandatory_count = self.stmt.nodes.len();
+        for (index, node) in self.stmt.nodes.iter().chain(&self.stmt.opt_nodes).enumerate() {
             if self.target_of.get(&node.var).cloned().flatten().is_some() {
                 continue;
             }
             let adjacent: &mut dyn Iterator<Item = &EdgePattern> = if index < mandatory_count {
-                &mut self.query.edges.iter()
+                &mut self.stmt.edges.iter()
             } else {
-                &mut self.query.edges.iter().chain(self.opt_edges)
+                &mut self.stmt.edges.iter().chain(&self.stmt.opt_edges)
             };
             let mut candidate: Option<(String, String)> = None;
             for edge in adjacent {
@@ -429,7 +403,9 @@ impl<'a> Rewriter<'a> {
         property.to_string()
     }
 
-    fn rebuild(&mut self) -> Query {
+    /// Rewrites the pattern: the returned statement carries the rewritten
+    /// `nodes`, `edges` and `returns` and no other clause.
+    fn rebuild(&mut self) -> Statement {
         // Decide which aggregations can be answered from a replicated LIST
         // property, eliminating their edge and node pattern. Per-element
         // aggregates qualify (`size(COLLECT)`, `SUM`/`MIN`/`MAX`/`AVG`,
@@ -460,7 +436,7 @@ impl<'a> Rewriter<'a> {
         // existence-aware variant is a ROADMAP follow-on.
         let mut agg_roots: HashSet<String> = HashSet::new();
         let mut all_replaceable = !self.grouped;
-        for item in &self.query.returns {
+        for item in &self.stmt.returns {
             match item {
                 ReturnItem::Aggregate { agg, var, property } => {
                     agg_roots.insert(self.resolve(var));
@@ -476,7 +452,7 @@ impl<'a> Rewriter<'a> {
         // var_root → (holder_root, provider concept): per-item replicated
         // property names are derived as `{provider_concept}.{property}`.
         let mut replaced_vars: HashMap<String, (String, String)> = HashMap::new();
-        'candidates: for item in &self.query.returns {
+        'candidates: for item in &self.stmt.returns {
             let ReturnItem::Aggregate { agg, var, property: Some(_) } = item else {
                 continue;
             };
@@ -493,7 +469,7 @@ impl<'a> Rewriter<'a> {
             }
             // The variable must be reached by exactly one pattern edge.
             let incident: Vec<&EdgePattern> = self
-                .query
+                .stmt
                 .edges
                 .iter()
                 .filter(|e| self.resolve(&e.src) == var_root || self.resolve(&e.dst) == var_root)
@@ -512,7 +488,7 @@ impl<'a> Rewriter<'a> {
             // Every aggregated property must be replicated as a LIST on the
             // holder — one unreplicated property and the traversal stays
             // (replacing only some aggregates would dangle the others).
-            for other in &self.query.returns {
+            for other in &self.stmt.returns {
                 if let ReturnItem::Aggregate { property: Some(property), .. } = other {
                     let replicated = format!("{provider_concept}.{property}");
                     let available = self
@@ -539,7 +515,7 @@ impl<'a> Rewriter<'a> {
 
         // Node patterns: one per surviving variable root that is still needed.
         let mut nodes: Vec<NodePattern> = Vec::new();
-        for node in &self.query.nodes {
+        for node in &self.stmt.nodes {
             let root = self.resolve(&node.var);
             if root != node.var {
                 continue; // substituted away
@@ -556,7 +532,7 @@ impl<'a> Rewriter<'a> {
         // Edge patterns: substitute endpoints, drop self-loops and edges whose
         // provider side was replaced by a LIST property.
         let mut edges: Vec<EdgePattern> = Vec::new();
-        for edge in &self.query.edges {
+        for edge in &self.stmt.edges {
             let src = self.resolve(&edge.src);
             let dst = self.resolve(&edge.dst);
             if src == dst {
@@ -573,7 +549,7 @@ impl<'a> Rewriter<'a> {
 
         // Return clause.
         let returns = self
-            .query
+            .stmt
             .returns
             .iter()
             .map(|item| match item {
@@ -602,7 +578,8 @@ impl<'a> Rewriter<'a> {
             })
             .collect();
 
-        Query { name: format!("{}-opt", self.query.name), nodes, edges, returns }
+        let name = format!("{}-opt", self.stmt.name);
+        Statement { name, nodes, edges, returns, ..Statement::default() }
     }
 }
 
@@ -623,7 +600,7 @@ mod tests {
     fn union_hop_is_eliminated() {
         // Q1-style: (d:Drug)-[cause]->(r:Risk)-[unionOf]->(ci:ContraIndication)
         let schema = optimized_mini();
-        let q = Query::builder("Q1")
+        let q = Statement::builder("Q1")
             .node("d", "Drug")
             .node("r", "Risk")
             .node("ci", "ContraIndication")
@@ -631,7 +608,7 @@ mod tests {
             .edge("r", "unionOf", "ci")
             .ret_property("d", "name")
             .build();
-        let rewritten = rewrite(&q, &schema);
+        let rewritten = rewrite_statement(&q, &schema);
         assert_eq!(rewritten.edge_pattern_count(), 1, "one hop instead of two: {rewritten}");
         assert!(rewritten.edges.iter().any(|e| e.label == "cause"));
         assert!(rewritten.nodes.iter().all(|n| n.label != "Risk"));
@@ -642,13 +619,13 @@ mod tests {
     fn inheritance_parent_lookup_needs_no_traversal() {
         // Q5-style: (di:DrugInteraction)-[isA]->(dl:DrugLabInteraction) RETURN di.summary
         let schema = optimized_mini();
-        let q = Query::builder("Q5")
+        let q = Statement::builder("Q5")
             .node("di", "DrugInteraction")
             .node("dl", "DrugLabInteraction")
             .edge("di", "isA", "dl")
             .ret_property("di", "summary")
             .build();
-        let rewritten = rewrite(&q, &schema);
+        let rewritten = rewrite_statement(&q, &schema);
         assert_eq!(rewritten.edge_pattern_count(), 0, "{rewritten}");
         assert_eq!(rewritten.nodes.len(), 1);
         assert_eq!(rewritten.nodes[0].label, "DrugLabInteraction");
@@ -665,7 +642,7 @@ mod tests {
     fn one_to_one_merge_unifies_variables() {
         // (d:Drug)-[treat]->(i:Indication)-[hasCondition]->(c:Condition)
         let schema = optimized_mini();
-        let q = Query::builder("merge")
+        let q = Statement::builder("merge")
             .node("d", "Drug")
             .node("i", "Indication")
             .node("c", "Condition")
@@ -673,7 +650,7 @@ mod tests {
             .edge("i", "hasCondition", "c")
             .ret_property("c", "name")
             .build();
-        let rewritten = rewrite(&q, &schema);
+        let rewritten = rewrite_statement(&q, &schema);
         assert_eq!(rewritten.edge_pattern_count(), 1);
         assert!(rewritten.nodes.iter().any(|n| n.label == "IndicationCondition"));
         // The returned property lives on the merged vertex under its plain name.
@@ -687,13 +664,13 @@ mod tests {
     fn aggregation_uses_replicated_list_property() {
         // Q9-style: COUNT of Indication.desc per Drug.
         let schema = optimized_mini();
-        let q = Query::builder("Q9")
+        let q = Statement::builder("Q9")
             .node("d", "Drug")
             .node("i", "Indication")
             .edge("d", "treat", "i")
             .ret_aggregate(Aggregate::CollectCount, "i", Some("desc"))
             .build();
-        let rewritten = rewrite(&q, &schema);
+        let rewritten = rewrite_statement(&q, &schema);
         assert_eq!(rewritten.edge_pattern_count(), 0, "{rewritten}");
         assert_eq!(rewritten.nodes.len(), 1);
         assert_eq!(rewritten.nodes[0].label, "Drug");
@@ -710,17 +687,15 @@ mod tests {
         // SUM/MIN/MAX/AVG and COUNT(DISTINCT …) over the 1:M neighbour's
         // property collapse to the replicated LIST exactly like COLLECT.
         for agg in [Aggregate::Sum, Aggregate::Min, Aggregate::Max, Aggregate::Avg] {
-            let stmt = Statement::from(
-                Query::builder("q")
-                    .node("d", "Drug")
-                    .node("i", "Indication")
-                    .edge("d", "treat", "i")
-                    .ret_aggregate(agg, "i", Some("desc"))
-                    .build(),
-            );
+            let stmt = Statement::builder("q")
+                .node("d", "Drug")
+                .node("i", "Indication")
+                .edge("d", "treat", "i")
+                .ret_aggregate(agg, "i", Some("desc"))
+                .build();
             let rewritten = rewrite_statement(&stmt, &schema);
-            assert_eq!(rewritten.pattern.edges.len(), 0, "{agg:?}: {rewritten}");
-            match &rewritten.pattern.returns[0] {
+            assert_eq!(rewritten.edges.len(), 0, "{agg:?}: {rewritten}");
+            match &rewritten.returns[0] {
                 ReturnItem::Aggregate { property: Some(p), var, .. } => {
                     assert_eq!(p, "Indication.desc");
                     assert_eq!(var, "d");
@@ -729,17 +704,15 @@ mod tests {
             }
         }
         // Two aggregates over the same variable replace together.
-        let both = Statement::from(
-            Query::builder("q")
-                .node("d", "Drug")
-                .node("i", "Indication")
-                .edge("d", "treat", "i")
-                .ret_aggregate(Aggregate::CollectCount, "i", Some("desc"))
-                .ret_aggregate(Aggregate::CountDistinct, "i", Some("desc"))
-                .build(),
-        );
+        let both = Statement::builder("q")
+            .node("d", "Drug")
+            .node("i", "Indication")
+            .edge("d", "treat", "i")
+            .ret_aggregate(Aggregate::CollectCount, "i", Some("desc"))
+            .ret_aggregate(Aggregate::CountDistinct, "i", Some("desc"))
+            .build();
         let rewritten = rewrite_statement(&both, &schema);
-        assert_eq!(rewritten.pattern.edges.len(), 0, "{rewritten}");
+        assert_eq!(rewritten.edges.len(), 0, "{rewritten}");
     }
 
     #[test]
@@ -748,43 +721,37 @@ mod tests {
         let schema = optimized_mini();
         // count(d) counts bindings: eliminating the treat edge would change
         // its multiplicity, so the shortcut must not fire for the mix.
-        let mixed = Statement::from(
-            Query::builder("mix")
-                .node("d", "Drug")
-                .node("i", "Indication")
-                .edge("d", "treat", "i")
-                .ret_aggregate(Aggregate::Count, "d", None)
-                .ret_aggregate(Aggregate::CollectCount, "i", Some("desc"))
-                .build(),
-        );
+        let mixed = Statement::builder("mix")
+            .node("d", "Drug")
+            .node("i", "Indication")
+            .edge("d", "treat", "i")
+            .ret_aggregate(Aggregate::Count, "d", None)
+            .ret_aggregate(Aggregate::CollectCount, "i", Some("desc"))
+            .build();
         let rewritten = rewrite_statement(&mixed, &schema);
-        assert_eq!(rewritten.pattern.edges.len(), 1, "{rewritten}");
+        assert_eq!(rewritten.edges.len(), 1, "{rewritten}");
         // A projection of the aggregated variable pins it the same way.
-        let projected = Statement::from(
-            Query::builder("proj")
-                .node("d", "Drug")
-                .node("i", "Indication")
-                .edge("d", "treat", "i")
-                .ret_property("i", "desc")
-                .ret_aggregate(Aggregate::CollectCount, "i", Some("desc"))
-                .build(),
-        );
+        let projected = Statement::builder("proj")
+            .node("d", "Drug")
+            .node("i", "Indication")
+            .edge("d", "treat", "i")
+            .ret_property("i", "desc")
+            .ret_aggregate(Aggregate::CollectCount, "i", Some("desc"))
+            .build();
         let rewritten = rewrite_statement(&projected, &schema);
-        assert_eq!(rewritten.pattern.edges.len(), 1, "{rewritten}");
+        assert_eq!(rewritten.edges.len(), 1, "{rewritten}");
         // So does a projection of the *holder*: with the edge gone, the
         // pattern would also match drugs that treat nothing, and the
         // representative row could name a drug the DIR join never binds.
-        let holder_projected = Statement::from(
-            Query::builder("holder-proj")
-                .node("d", "Drug")
-                .node("i", "Indication")
-                .edge("d", "treat", "i")
-                .ret_property("d", "name")
-                .ret_aggregate(Aggregate::Min, "i", Some("desc"))
-                .build(),
-        );
+        let holder_projected = Statement::builder("holder-proj")
+            .node("d", "Drug")
+            .node("i", "Indication")
+            .edge("d", "treat", "i")
+            .ret_property("d", "name")
+            .ret_aggregate(Aggregate::Min, "i", Some("desc"))
+            .build();
         let rewritten = rewrite_statement(&holder_projected, &schema);
-        assert_eq!(rewritten.pattern.edges.len(), 1, "{rewritten}");
+        assert_eq!(rewritten.edges.len(), 1, "{rewritten}");
     }
 
     #[test]
@@ -793,44 +760,38 @@ mod tests {
         let schema = optimized_mini();
         // Grouping by the aggregated variable needs it bound per vertex: the
         // LIST shortcut must not fire.
-        let mut grouped = Statement::from(
-            Query::builder("g")
-                .node("d", "Drug")
-                .node("i", "Indication")
-                .edge("d", "treat", "i")
-                .ret_aggregate(Aggregate::CollectCount, "i", Some("desc"))
-                .build(),
-        );
+        let mut grouped = Statement::builder("g")
+            .node("d", "Drug")
+            .node("i", "Indication")
+            .edge("d", "treat", "i")
+            .ret_aggregate(Aggregate::CollectCount, "i", Some("desc"))
+            .build();
         grouped.group_by.push("i".into());
         let rewritten = rewrite_statement(&grouped, &schema);
-        assert_eq!(rewritten.pattern.edges.len(), 1, "{rewritten}");
+        assert_eq!(rewritten.edges.len(), 1, "{rewritten}");
         assert_eq!(rewritten.group_by.len(), 1);
 
         // Grouping by the *holder* also keeps the traversal: with the edge
         // gone, a drug treating nothing would still bind the pattern and
         // gain a group the DIR join never produces.
-        let mut by_holder = Statement::from(
-            Query::builder("g2")
-                .node("d", "Drug")
-                .node("i", "Indication")
-                .edge("d", "treat", "i")
-                .ret_aggregate(Aggregate::CollectCount, "i", Some("desc"))
-                .build(),
-        );
+        let mut by_holder = Statement::builder("g2")
+            .node("d", "Drug")
+            .node("i", "Indication")
+            .edge("d", "treat", "i")
+            .ret_aggregate(Aggregate::CollectCount, "i", Some("desc"))
+            .build();
         by_holder.group_by.push("d".into());
         let rewritten = rewrite_statement(&by_holder, &schema);
-        assert_eq!(rewritten.pattern.edges.len(), 1, "{rewritten}");
+        assert_eq!(rewritten.edges.len(), 1, "{rewritten}");
         assert_eq!(rewritten.group_by, vec!["d".to_string()]);
 
         // Grouping by both sides of a 1:1 merge collapses to one key.
-        let mut merged = Statement::from(
-            Query::builder("g3")
-                .node("i", "Indication")
-                .node("c", "Condition")
-                .edge("i", "hasCondition", "c")
-                .ret_aggregate(Aggregate::Count, "i", None)
-                .build(),
-        );
+        let mut merged = Statement::builder("g3")
+            .node("i", "Indication")
+            .node("c", "Condition")
+            .edge("i", "hasCondition", "c")
+            .ret_aggregate(Aggregate::Count, "i", None)
+            .build();
         merged.group_by.extend(["i".into(), "c".into()]);
         let rewritten = rewrite_statement(&merged, &schema);
         assert_eq!(rewritten.group_by.len(), 1, "{rewritten}");
@@ -859,7 +820,7 @@ mod tests {
         // rewritten variable.
         let target = schema.vertex_for_concept("Indication").unwrap().label.clone();
         assert!(
-            rewritten.pattern.nodes.iter().any(|n| n.label == target),
+            rewritten.nodes.iter().any(|n| n.label == target),
             "pinned variable keeps its node: {rewritten}"
         );
     }
@@ -867,8 +828,8 @@ mod tests {
     #[test]
     fn plain_lookup_queries_are_left_intact() {
         let schema = optimized_mini();
-        let q = Query::builder("Q7").node("d", "Drug").ret_property("d", "brand").build();
-        let rewritten = rewrite(&q, &schema);
+        let q = Statement::builder("Q7").node("d", "Drug").ret_property("d", "brand").build();
+        let rewritten = rewrite_statement(&q, &schema);
         assert_eq!(rewritten.nodes.len(), 1);
         assert_eq!(rewritten.nodes[0].label, "Drug");
         assert_eq!(rewritten.edge_pattern_count(), 0);
@@ -889,7 +850,7 @@ mod tests {
             .filter("d", "name", CmpOp::Contains, "Drug_name")
             .build();
         let rewritten = rewrite_statement(&stmt, &schema);
-        assert_eq!(rewritten.pattern.edges.len(), 0, "{rewritten}");
+        assert_eq!(rewritten.edges.len(), 0, "{rewritten}");
         assert_eq!(rewritten.predicates.len(), 1);
         assert_eq!(rewritten.predicates[0].var, "d");
         assert_eq!(rewritten.predicates[0].property, "name");
@@ -910,12 +871,9 @@ mod tests {
             .filter("i", "desc", CmpOp::Contains, "Fever")
             .build();
         let rewritten = rewrite_statement(&stmt, &schema);
-        assert_eq!(rewritten.pattern.edges.len(), 1, "{rewritten}");
+        assert_eq!(rewritten.edges.len(), 1, "{rewritten}");
         let indication_target = schema.vertex_for_concept("Indication").unwrap().label.clone();
-        assert!(
-            rewritten.pattern.nodes.iter().any(|n| n.label == indication_target),
-            "{rewritten}"
-        );
+        assert!(rewritten.nodes.iter().any(|n| n.label == indication_target), "{rewritten}");
     }
 
     #[test]
@@ -940,7 +898,7 @@ mod tests {
             value: Term::Parameter("floor".into()),
         });
         let rewritten = rewrite_statement(&stmt, &schema);
-        assert_eq!(rewritten.pattern.edges.len(), 1, "{rewritten}");
+        assert_eq!(rewritten.edges.len(), 1, "{rewritten}");
         assert_eq!(rewritten.having.len(), 1);
         assert_eq!(
             rewritten.having[0].value,
@@ -964,12 +922,12 @@ mod tests {
             value: Term::literal(1i64),
         });
         let rewritten = rewrite_statement(&folded, &schema);
-        assert_eq!(rewritten.pattern.edges.len(), 0, "{rewritten}");
-        let var = rewritten.pattern.nodes[0].var.clone();
+        assert_eq!(rewritten.edges.len(), 0, "{rewritten}");
+        let var = rewritten.nodes[0].var.clone();
         assert_eq!(rewritten.having[0].var, var);
         assert!(
             schema
-                .vertex(&rewritten.pattern.nodes[0].label)
+                .vertex(&rewritten.nodes[0].label)
                 .unwrap()
                 .has_property(rewritten.having[0].property.as_deref().unwrap()),
             "HAVING property must exist on the rewritten vertex: {rewritten}"
@@ -991,12 +949,12 @@ mod tests {
             .order_by("di", "summary", true)
             .build();
         let rewritten = rewrite_statement(&stmt, &schema);
-        assert_eq!(rewritten.pattern.edges.len(), 0, "{rewritten}");
-        let var = rewritten.pattern.nodes[0].var.clone();
+        assert_eq!(rewritten.edges.len(), 0, "{rewritten}");
+        let var = rewritten.nodes[0].var.clone();
         assert_eq!(rewritten.predicates[0].var, var);
         assert!(
             schema
-                .vertex(&rewritten.pattern.nodes[0].label)
+                .vertex(&rewritten.nodes[0].label)
                 .unwrap()
                 .has_property(&rewritten.predicates[0].property),
             "predicate property must exist on the rewritten vertex"
@@ -1023,11 +981,11 @@ mod tests {
         let rewritten = rewrite_statement(&stmt, &schema);
         assert!(rewritten.opt_edges.is_empty(), "{rewritten}");
         assert!(rewritten.opt_nodes.is_empty(), "{rewritten}");
-        assert_eq!(rewritten.pattern.nodes.len(), 1);
-        let vertex = schema.vertex(&rewritten.pattern.nodes[0].label).unwrap();
-        for item in &rewritten.pattern.returns {
+        assert_eq!(rewritten.nodes.len(), 1);
+        let vertex = schema.vertex(&rewritten.nodes[0].label).unwrap();
+        for item in &rewritten.returns {
             if let ReturnItem::Property { var, property } = item {
-                assert_eq!(var, &rewritten.pattern.nodes[0].var);
+                assert_eq!(var, &rewritten.nodes[0].var);
                 assert!(vertex.has_property(property), "{property} missing on {}", vertex.label);
             }
         }
@@ -1058,52 +1016,44 @@ mod tests {
         let schema = optimized_mini();
 
         // Union fold (Q1-style): Risk vanished, folded along unionOf.
-        let union = Statement::from(
-            Query::builder("Q1")
-                .node("d", "Drug")
-                .node("r", "Risk")
-                .node("ci", "ContraIndication")
-                .edge("d", "cause", "r")
-                .edge("r", "unionOf", "ci")
-                .ret_property("d", "name")
-                .build(),
-        );
+        let union = Statement::builder("Q1")
+            .node("d", "Drug")
+            .node("r", "Risk")
+            .node("ci", "ContraIndication")
+            .edge("d", "cause", "r")
+            .edge("r", "unionOf", "ci")
+            .ret_property("d", "name")
+            .build();
         let (_, rules) = rewrite_statement_traced(&union, &schema);
         assert!(rules.iter().any(|r| r.rule == "union"), "{rules:?}");
 
         // Inheritance fold (Q5-style).
-        let inheritance = Statement::from(
-            Query::builder("Q5")
-                .node("di", "DrugInteraction")
-                .node("dl", "DrugLabInteraction")
-                .edge("di", "isA", "dl")
-                .ret_property("di", "summary")
-                .build(),
-        );
+        let inheritance = Statement::builder("Q5")
+            .node("di", "DrugInteraction")
+            .node("dl", "DrugLabInteraction")
+            .edge("di", "isA", "dl")
+            .ret_property("di", "summary")
+            .build();
         let (_, rules) = rewrite_statement_traced(&inheritance, &schema);
         assert!(rules.iter().any(|r| r.rule == "inheritance"), "{rules:?}");
 
         // 1:1 merge: endpoint unification plus label retarget.
-        let merge = Statement::from(
-            Query::builder("merge")
-                .node("i", "Indication")
-                .node("c", "Condition")
-                .edge("i", "hasCondition", "c")
-                .ret_property("c", "name")
-                .build(),
-        );
+        let merge = Statement::builder("merge")
+            .node("i", "Indication")
+            .node("c", "Condition")
+            .edge("i", "hasCondition", "c")
+            .ret_property("c", "name")
+            .build();
         let (_, rules) = rewrite_statement_traced(&merge, &schema);
         assert!(rules.iter().any(|r| r.rule == "one-to-one"), "{rules:?}");
 
         // 1:M LIST shortcut (Q9-style), with the eliminated edge label.
-        let list = Statement::from(
-            Query::builder("Q9")
-                .node("d", "Drug")
-                .node("i", "Indication")
-                .edge("d", "treat", "i")
-                .ret_aggregate(Aggregate::CollectCount, "i", Some("desc"))
-                .build(),
-        );
+        let list = Statement::builder("Q9")
+            .node("d", "Drug")
+            .node("i", "Indication")
+            .edge("d", "treat", "i")
+            .ret_aggregate(Aggregate::CollectCount, "i", Some("desc"))
+            .build();
         let (_, rules) = rewrite_statement_traced(&list, &schema);
         let one_to_many = rules.iter().find(|r| r.rule == "one-to-many").expect("LIST shortcut");
         assert_eq!(one_to_many.edge_label.as_deref(), Some("treat"));
@@ -1111,11 +1061,10 @@ mod tests {
         // A label retarget alone (no unification in the pattern) must still
         // attribute the merge rule — this is what keeps EXPLAIN's rule list
         // non-empty whenever DIR and OPT differ.
-        let lone = Statement::from(
-            Query::builder("lone").node("i", "Indication").ret_property("i", "desc").build(),
-        );
+        let lone =
+            Statement::builder("lone").node("i", "Indication").ret_property("i", "desc").build();
         let (rewritten, rules) = rewrite_statement_traced(&lone, &schema);
-        if rewritten.pattern.nodes[0].label != "Indication" {
+        if rewritten.nodes[0].label != "Indication" {
             assert!(rules.iter().any(|r| r.rule == "one-to-one"), "{rules:?}");
         }
     }
@@ -1123,9 +1072,7 @@ mod tests {
     #[test]
     fn identity_rewrites_report_no_rules() {
         let schema = optimized_mini();
-        let stmt = crate::stmt::Statement::from(
-            Query::builder("Q7").node("d", "Drug").ret_property("d", "brand").build(),
-        );
+        let stmt = Statement::builder("Q7").node("d", "Drug").ret_property("d", "brand").build();
         let (rewritten, rules) = rewrite_statement_traced(&stmt, &schema);
         assert_eq!(rewritten.to_string(), stmt.to_string());
         assert!(rules.is_empty(), "identity rewrite must not claim rules: {rules:?}");
@@ -1139,13 +1086,13 @@ mod tests {
         let schema =
             optimize_nsc(OptimizerInput::new(&o, &stats, &af), &OptimizerConfig::default()).schema;
         // Aggregation over DrugRoute ids per Drug (paper's Q9).
-        let q9 = Query::builder("Q9")
+        let q9 = Statement::builder("Q9")
             .node("d", "Drug")
             .node("dr", "DrugRoute")
             .edge("d", "hasDrugRoute", "dr")
             .ret_aggregate(Aggregate::CollectCount, "dr", Some("drugRouteId"))
             .build();
-        let rewritten = rewrite(&q9, &schema);
+        let rewritten = rewrite_statement(&q9, &schema);
         assert_eq!(rewritten.edge_pattern_count(), 0);
         match &rewritten.returns[0] {
             ReturnItem::Aggregate { property: Some(p), .. } => {

@@ -1,18 +1,19 @@
-//! Statement-level query representation.
+//! The one statement type.
 //!
-//! A [`Statement`] wraps the pattern core ([`Query`]) and adds the clauses of
-//! a fuller query surface: `WHERE` property predicates, `OPTIONAL` edge
-//! patterns with left-outer semantics, `DISTINCT`, `ORDER BY` and
-//! `SKIP`/`LIMIT`. Statements are what the serving layer caches and what the
-//! text front-end ([`crate::parse()`]) produces; the plain [`Query`] builder
-//! API remains for tests and embedded use.
+//! A [`Statement`] is a pattern — node patterns, edge patterns and the
+//! `RETURN` clause — plus the clauses of a fuller query surface: `WHERE`
+//! property predicates, `OPTIONAL` edge patterns with left-outer semantics,
+//! aggregation with `GROUP BY`/`HAVING`, `DISTINCT`, `ORDER BY` and
+//! `SKIP`/`LIMIT`. Statements are what the text front-end
+//! ([`crate::parse()`]) and [`Statement::builder`] produce, what the
+//! executor runs and what the serving layer caches.
 //!
-//! The pattern core stays a separate type on purpose: the DIR→OPT rewrite
-//! rules of the paper operate on the label pattern, and every clause added
-//! here is *remapped over* that rewrite ([`crate::rewrite_statement`]) rather
-//! than changing it.
+//! The pattern fields (`nodes`, `edges`, `returns`) are the part the DIR→OPT
+//! rewrite of the paper retargets ([`crate::rewrite_statement`]); every other
+//! clause is *remapped over* that rewrite, following its variable
+//! unification and property renaming, rather than changing it.
 
-use crate::ast::{Aggregate, EdgePattern, NodePattern, Query, QueryBuilder};
+use crate::ast::{Aggregate, EdgePattern, NodePattern, ReturnItem};
 use pgso_graphstore::PropertyValue;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -360,16 +361,20 @@ impl fmt::Display for OrderKey {
     }
 }
 
-/// A full query statement: the pattern core plus filtering, optional
-/// matching, projection modifiers and row windowing.
-///
-/// `Statement` derefs to its [`Query`] pattern, so pattern accessors
-/// (`name`, `nodes`, `edges`, [`Query::is_aggregation`], …) work directly on
-/// a statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A full query statement: a pattern (node and edge patterns plus the
+/// `RETURN` clause) with filtering, optional matching, aggregation,
+/// projection modifiers and row windowing.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Statement {
-    /// The mandatory pattern and return clause.
-    pub pattern: Query,
+    /// Presentation name (e.g. `Q1`), used in experiment output. Not part of
+    /// the text syntax, of structural equality or of fingerprints.
+    pub name: String,
+    /// Mandatory node patterns; the first is the traversal root.
+    pub nodes: Vec<NodePattern>,
+    /// Mandatory edge patterns connecting node variables.
+    pub edges: Vec<EdgePattern>,
+    /// `RETURN` clause.
+    pub returns: Vec<ReturnItem>,
     /// Node patterns bound only by `OPTIONAL MATCH` parts.
     pub opt_nodes: Vec<NodePattern>,
     /// `OPTIONAL MATCH` edges, applied in order with left-outer semantics:
@@ -383,7 +388,7 @@ pub struct Statement {
     /// `GROUP BY` variables: aggregates in the `RETURN` clause are computed
     /// per distinct combination of the vertices bound to these variables
     /// (one global group when empty). Only meaningful together with at least
-    /// one [`crate::ReturnItem::Aggregate`].
+    /// one [`ReturnItem::Aggregate`].
     pub group_by: Vec<String>,
     /// `HAVING` predicates (conjunctive), filtering aggregate groups after
     /// aggregation and before `DISTINCT`/`ORDER BY`. Only meaningful for
@@ -399,35 +404,26 @@ pub struct Statement {
     pub limit: Option<CountTerm>,
 }
 
-impl From<Query> for Statement {
-    fn from(pattern: Query) -> Self {
-        Statement {
-            pattern,
-            opt_nodes: Vec::new(),
-            opt_edges: Vec::new(),
-            predicates: Vec::new(),
-            distinct: false,
-            group_by: Vec::new(),
-            having: Vec::new(),
-            order_by: Vec::new(),
-            skip: None,
-            limit: None,
-        }
-    }
-}
-
-impl std::ops::Deref for Statement {
-    type Target = Query;
-
-    fn deref(&self) -> &Query {
-        &self.pattern
-    }
-}
-
 impl Statement {
     /// Starts building a statement with the given name.
     pub fn builder(name: impl Into<String>) -> StatementBuilder {
-        StatementBuilder { builder: Query::builder(name), stmt: StatementClauses::default() }
+        StatementBuilder { stmt: Statement { name: name.into(), ..Statement::default() } }
+    }
+
+    /// Finds a mandatory node pattern by variable.
+    pub fn node(&self, var: &str) -> Option<&NodePattern> {
+        self.nodes.iter().find(|n| n.var == var)
+    }
+
+    /// True if the statement returns at least one aggregate.
+    pub fn is_aggregation(&self) -> bool {
+        self.returns.iter().any(|r| matches!(r, ReturnItem::Aggregate { .. }))
+    }
+
+    /// Number of mandatory edge patterns (the paper's "edge traversals
+    /// specified").
+    pub fn edge_pattern_count(&self) -> usize {
+        self.edges.len()
     }
 
     /// True if any clause beyond the bare pattern is present.
@@ -456,12 +452,12 @@ impl Statement {
 
     /// Looks up a node pattern (mandatory or optional) by variable.
     pub fn any_node(&self, var: &str) -> Option<&NodePattern> {
-        self.pattern.node(var).or_else(|| self.opt_nodes.iter().find(|n| n.var == var))
+        self.node(var).or_else(|| self.opt_nodes.iter().find(|n| n.var == var))
     }
 
     /// True if `var` is bound only by `OPTIONAL MATCH` parts.
     pub fn is_optional_var(&self, var: &str) -> bool {
-        self.pattern.node(var).is_none() && self.opt_nodes.iter().any(|n| n.var == var)
+        self.node(var).is_none() && self.opt_nodes.iter().any(|n| n.var == var)
     }
 
     /// Structural equality, ignoring the presentation name. This is the
@@ -469,9 +465,9 @@ impl Statement {
     /// yields a statement structurally equal to `s` whatever name either
     /// carries.
     pub fn structurally_eq(&self, other: &Statement) -> bool {
-        self.pattern.nodes == other.pattern.nodes
-            && self.pattern.edges == other.pattern.edges
-            && self.pattern.returns == other.pattern.returns
+        self.nodes == other.nodes
+            && self.edges == other.edges
+            && self.returns == other.returns
             && self.opt_nodes == other.opt_nodes
             && self.opt_edges == other.opt_edges
             && self.predicates == other.predicates
@@ -482,28 +478,151 @@ impl Statement {
             && self.skip == other.skip
             && self.limit == other.limit
     }
-}
 
-/// The non-pattern clauses of a statement, shared between [`Statement`] and
-/// its builder.
-#[derive(Debug, Clone, Default)]
-struct StatementClauses {
-    opt_nodes: Vec<NodePattern>,
-    opt_edges: Vec<EdgePattern>,
-    predicates: Vec<Predicate>,
-    distinct: bool,
-    group_by: Vec<String>,
-    having: Vec<HavingPredicate>,
-    order_by: Vec<OrderKey>,
-    skip: Option<CountTerm>,
-    limit: Option<CountTerm>,
+    /// The one rule set every statement obeys, whichever way it was built:
+    /// [`crate::parse()`] reports a violation as a [`crate::ParseError`] and
+    /// [`StatementBuilder::build`] panics with it. It is what makes a
+    /// statement's `Display` text re-parse: every variable a clause names is
+    /// declared, and every declared variable has a text form.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if self.nodes.is_empty() {
+            return Err("a statement needs at least one node pattern".into());
+        }
+        if self.returns.is_empty() {
+            return Err("a statement needs a RETURN clause".into());
+        }
+        // A mandatory edge sees only mandatory nodes; an optional one also
+        // sees the optional nodes.
+        fn ends(e: &EdgePattern) -> [&str; 2] {
+            [&e.src, &e.dst]
+        }
+        let mandatory = self.edges.iter().flat_map(ends).map(|var| (var, self.node(var)));
+        let optional = self.opt_edges.iter().flat_map(ends).map(|var| (var, self.any_node(var)));
+        if let Some((var, _)) = mandatory.chain(optional).find(|(_, node)| node.is_none()) {
+            return Err(format!("variable {var} used before it was declared"));
+        }
+        for node in &self.opt_nodes {
+            if !self.opt_edges.iter().any(|e| e.src == node.var || e.dst == node.var) {
+                return Err(format!(
+                    "optional node {} is referenced by no optional edge",
+                    node.var
+                ));
+            }
+        }
+        let aggregates = self.returns.iter().filter_map(|item| match item {
+            ReturnItem::Aggregate { agg, property, .. } => Some((*agg, property)),
+            _ => None,
+        });
+        for (agg, property) in aggregates.chain(self.having.iter().map(|h| (h.agg, &h.property))) {
+            if agg.requires_property() && property.is_none() {
+                return Err(format!("{} requires a v.property operand", agg.render_call("", None)));
+            }
+        }
+        for (clause, empty) in
+            [("GROUP BY", self.group_by.is_empty()), ("HAVING", self.having.is_empty())]
+        {
+            if !empty && !self.is_aggregation() {
+                return Err(format!(
+                    "{clause} requires at least one aggregate in the RETURN clause"
+                ));
+            }
+        }
+        let returns = self.returns.iter().map(|item| match item {
+            ReturnItem::Property { var, .. }
+            | ReturnItem::Vertex { var }
+            | ReturnItem::Aggregate { var, .. } => ("RETURN", var),
+        });
+        let references = returns
+            .chain(self.predicates.iter().map(|p| ("WHERE", &p.var)))
+            .chain(self.order_by.iter().map(|k| ("ORDER BY", &k.var)))
+            .chain(self.group_by.iter().map(|var| ("GROUP BY", var)))
+            .chain(self.having.iter().map(|h| ("HAVING", &h.var)));
+        for (clause, var) in references {
+            if self.any_node(var).is_none() {
+                return Err(format!("{clause} references unbound variable {var}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// True if rendering the edge patterns in order (source before
+    /// destination), then appending the edge-free node patterns, makes
+    /// variables first appear in exactly `self.nodes` order. When it does,
+    /// the compact `(a:A)-[:r]->(b:B)` rendering re-parses with the same
+    /// node order; when it does not, [`Statement::fmt_match`] falls back to
+    /// an explicit form that lists every node pattern first.
+    fn display_order_is_node_order(&self) -> bool {
+        let mut induced: Vec<&str> = Vec::with_capacity(self.nodes.len());
+        for edge in &self.edges {
+            for var in [edge.src.as_str(), edge.dst.as_str()] {
+                if !induced.contains(&var) {
+                    induced.push(var);
+                }
+            }
+        }
+        for node in &self.nodes {
+            if !induced.contains(&node.var.as_str()) {
+                induced.push(&node.var);
+            }
+        }
+        induced.iter().zip(&self.nodes).all(|(&v, n)| v == n.var)
+            && induced.len() == self.nodes.len()
+    }
+
+    /// Writes the `MATCH` clause body (without the keyword). Every node
+    /// pattern appears — node patterns not referenced by any edge are
+    /// emitted as standalone `(v:Label)` parts — and variables first appear
+    /// in `self.nodes` order, so the output re-parses to an equal pattern.
+    fn fmt_match(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut parts: Vec<String> = Vec::new();
+        if self.display_order_is_node_order() {
+            for e in &self.edges {
+                let src = self.node(&e.src).map(|n| n.label.as_str()).unwrap_or("?");
+                let dst = self.node(&e.dst).map(|n| n.label.as_str()).unwrap_or("?");
+                parts.push(format!("({}:{})-[:{}]->({}:{})", e.src, src, e.label, e.dst, dst));
+            }
+            for n in &self.nodes {
+                let referenced = self.edges.iter().any(|e| e.src == n.var || e.dst == n.var);
+                if !referenced {
+                    parts.push(format!("({}:{})", n.var, n.label));
+                }
+            }
+        } else {
+            // Node order disagrees with edge order (e.g. the traversal root
+            // is the destination of the first edge): list the nodes first to
+            // pin their order, then the edges over bare variables.
+            for n in &self.nodes {
+                parts.push(format!("({}:{})", n.var, n.label));
+            }
+            for e in &self.edges {
+                parts.push(format!("({})-[:{}]->({})", e.src, e.label, e.dst));
+            }
+        }
+        write!(f, "{}", parts.join(", "))
+    }
+
+    /// Writes the `RETURN` clause body (without the keyword).
+    fn fmt_returns(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let returns: Vec<String> = self
+            .returns
+            .iter()
+            .map(|r| match r {
+                ReturnItem::Property { var, property } => format!("{var}.{property}"),
+                ReturnItem::Vertex { var } => var.clone(),
+                ReturnItem::Aggregate { agg, var, property } => {
+                    agg.render_call(var, property.as_deref())
+                }
+            })
+            .collect();
+        write!(f, "{}", returns.join(", "))
+    }
 }
 
 impl fmt::Display for Statement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "MATCH ")?;
-        self.pattern.fmt_match(f)?;
-        let mut labelled: Vec<&str> = self.pattern.nodes.iter().map(|n| n.var.as_str()).collect();
+        self.fmt_match(f)?;
+        let mut labelled: Vec<&str> = self.nodes.iter().map(|n| n.var.as_str()).collect();
         for edge in &self.opt_edges {
             write!(f, " OPTIONAL MATCH ")?;
             let node_ref = |f: &mut fmt::Formatter<'_>, var: &'_ str| -> fmt::Result {
@@ -536,7 +655,7 @@ impl fmt::Display for Statement {
         if self.distinct {
             write!(f, "DISTINCT ")?;
         }
-        self.pattern.fmt_returns(f)?;
+        self.fmt_returns(f)?;
         if !self.group_by.is_empty() {
             write!(f, " GROUP BY {}", self.group_by.join(", "))?;
         }
@@ -568,18 +687,17 @@ impl fmt::Display for Statement {
     }
 }
 
-/// Fluent builder for [`Statement`]. Pattern methods mirror
-/// [`QueryBuilder`]; clause methods add the statement-level extras.
+/// Fluent builder for [`Statement`]: pattern methods add node and edge
+/// patterns and `RETURN` items, clause methods add the rest.
 #[derive(Debug, Clone)]
 pub struct StatementBuilder {
-    builder: QueryBuilder,
-    stmt: StatementClauses,
+    stmt: Statement,
 }
 
 impl StatementBuilder {
     /// Adds a mandatory node pattern.
     pub fn node(mut self, var: impl Into<String>, label: impl Into<String>) -> Self {
-        self.builder = self.builder.node(var, label);
+        self.stmt.nodes.push(NodePattern { var: var.into(), label: label.into() });
         self
     }
 
@@ -590,19 +708,19 @@ impl StatementBuilder {
         label: impl Into<String>,
         dst: impl Into<String>,
     ) -> Self {
-        self.builder = self.builder.edge(src, label, dst);
+        self.stmt.edges.push(EdgePattern { label: label.into(), src: src.into(), dst: dst.into() });
         self
     }
 
     /// Returns a property of a bound node.
     pub fn ret_property(mut self, var: impl Into<String>, property: impl Into<String>) -> Self {
-        self.builder = self.builder.ret_property(var, property);
+        self.stmt.returns.push(ReturnItem::Property { var: var.into(), property: property.into() });
         self
     }
 
     /// Returns a bound vertex.
     pub fn ret_vertex(mut self, var: impl Into<String>) -> Self {
-        self.builder = self.builder.ret_vertex(var);
+        self.stmt.returns.push(ReturnItem::Vertex { var: var.into() });
         self
     }
 
@@ -613,7 +731,11 @@ impl StatementBuilder {
         var: impl Into<String>,
         property: Option<&str>,
     ) -> Self {
-        self.builder = self.builder.ret_aggregate(agg, var, property);
+        self.stmt.returns.push(ReturnItem::Aggregate {
+            agg,
+            var: var.into(),
+            property: property.map(str::to_string),
+        });
         self
     }
 
@@ -774,72 +896,17 @@ impl StatementBuilder {
     /// Finalises the statement.
     ///
     /// # Panics
-    /// Panics if the pattern has no node or no return item, if an optional
-    /// edge references a variable that is neither a mandatory node nor a
-    /// declared optional node, or if an optional node is referenced by no
-    /// optional edge (such a node has no text form, so the statement could
-    /// not round-trip through `Display` → [`crate::parse()`]).
+    /// Panics when the statement breaks a rule [`crate::parse()`] enforces
+    /// on text, with the parser's message: an empty pattern or `RETURN`
+    /// clause, a clause or edge naming an undeclared variable, an optional
+    /// node no optional edge references, `GROUP BY`/`HAVING` without an
+    /// aggregate, or a numeric aggregate without a property. A built
+    /// statement therefore round-trips through `Display` → `parse`.
     pub fn build(self) -> Statement {
-        let pattern = self.builder.build();
-        let clauses = self.stmt;
-        for edge in &clauses.opt_edges {
-            for var in [&edge.src, &edge.dst] {
-                assert!(
-                    pattern.node(var).is_some() || clauses.opt_nodes.iter().any(|n| &n.var == var),
-                    "optional edge references undeclared variable {var}"
-                );
-            }
+        if let Err(message) = self.stmt.validate() {
+            panic!("{message}");
         }
-        for node in &clauses.opt_nodes {
-            assert!(
-                clauses.opt_edges.iter().any(|e| e.src == node.var || e.dst == node.var),
-                "optional node {} is referenced by no optional edge",
-                node.var
-            );
-        }
-        if !clauses.group_by.is_empty() {
-            assert!(
-                pattern.is_aggregation(),
-                "GROUP BY requires at least one aggregate in the RETURN clause"
-            );
-            for var in &clauses.group_by {
-                assert!(
-                    pattern.node(var).is_some() || clauses.opt_nodes.iter().any(|n| &n.var == var),
-                    "GROUP BY references undeclared variable {var}"
-                );
-            }
-        }
-        if !clauses.having.is_empty() {
-            assert!(
-                pattern.is_aggregation(),
-                "HAVING requires at least one aggregate in the RETURN clause"
-            );
-            for predicate in &clauses.having {
-                assert!(
-                    pattern.node(&predicate.var).is_some()
-                        || clauses.opt_nodes.iter().any(|n| n.var == predicate.var),
-                    "HAVING references undeclared variable {}",
-                    predicate.var
-                );
-                assert!(
-                    !(predicate.agg.requires_property() && predicate.property.is_none()),
-                    "{:?} requires a v.property operand",
-                    predicate.agg
-                );
-            }
-        }
-        Statement {
-            pattern,
-            opt_nodes: clauses.opt_nodes,
-            opt_edges: clauses.opt_edges,
-            predicates: clauses.predicates,
-            distinct: clauses.distinct,
-            group_by: clauses.group_by,
-            having: clauses.having,
-            order_by: clauses.order_by,
-            skip: clauses.skip,
-            limit: clauses.limit,
-        }
+        self.stmt
     }
 }
 
@@ -866,7 +933,7 @@ mod tests {
     #[test]
     fn builder_assembles_all_clauses() {
         let s = sample();
-        assert_eq!(s.pattern.nodes.len(), 2);
+        assert_eq!(s.nodes.len(), 2);
         assert_eq!(s.opt_nodes.len(), 1);
         assert_eq!(s.opt_edges.len(), 1);
         assert_eq!(s.predicates.len(), 1);
@@ -950,7 +1017,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "HAVING references undeclared variable")]
+    #[should_panic(expected = "HAVING references unbound variable")]
     fn having_requires_declared_vars() {
         use crate::ast::Aggregate;
         let _ = Statement::builder("bad")
@@ -971,7 +1038,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "GROUP BY references undeclared variable")]
+    #[should_panic(expected = "GROUP BY references unbound variable")]
     fn group_by_requires_declared_vars() {
         use crate::ast::Aggregate;
         let _ = Statement::builder("bad")
@@ -985,7 +1052,10 @@ mod tests {
     fn deref_exposes_the_pattern() {
         let s = sample();
         assert_eq!(s.name, "s");
+        assert_eq!(s.nodes[0], NodePattern { var: "d".into(), label: "Drug".into() });
+        assert_eq!(s.edges.len(), 1);
         assert_eq!(s.edge_pattern_count(), 1);
+        assert_eq!(s.returns, [ReturnItem::Property { var: "i".into(), property: "desc".into() }]);
         assert!(!s.is_aggregation());
     }
 
@@ -1002,7 +1072,7 @@ mod tests {
 
     #[test]
     fn bare_statement_has_no_clauses() {
-        let s: Statement = Query::builder("q").node("a", "A").ret_vertex("a").build().into();
+        let s = Statement::builder("q").node("a", "A").ret_vertex("a").build();
         assert!(!s.has_clauses());
         assert!(!s.has_parameters());
     }
@@ -1011,7 +1081,7 @@ mod tests {
     fn structural_equality_ignores_the_name() {
         let a = sample();
         let mut b = sample();
-        b.pattern.name = "renamed".into();
+        b.name = "renamed".into();
         assert!(a.structurally_eq(&b));
         b.limit = Some(CountTerm::Count(11));
         assert!(!a.structurally_eq(&b));
@@ -1054,7 +1124,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "undeclared variable")]
+    #[should_panic(expected = "used before it was declared")]
     fn optional_edges_require_declared_vars() {
         let _ = Statement::builder("bad")
             .node("a", "A")
@@ -1069,5 +1139,42 @@ mod tests {
         // An edge-less optional node has no text form, so it could never
         // round-trip through Display → parse.
         let _ = Statement::builder("bad").node("a", "A").ret_vertex("a").opt_node("o", "O").build();
+    }
+
+    #[test]
+    fn builder_rejects_what_the_parser_rejects() {
+        // Each statement renders to the text beside it, which `parse`
+        // rejects; the builder must refuse it with the parser's message
+        // instead of building a statement that cannot round-trip.
+        let drug = || Statement::builder("bad").node("d", "Drug");
+        let cases = [
+            (
+                drug().ret_property("x", "name"),
+                "MATCH (d:Drug) RETURN x.name",
+                "RETURN references unbound variable x",
+            ),
+            (
+                drug().ret_property("d", "name").filter("x", "name", CmpOp::Eq, "a"),
+                "MATCH (d:Drug) WHERE x.name = 'a' RETURN d.name",
+                "WHERE references unbound variable x",
+            ),
+            (
+                drug().ret_property("d", "name").order_by("x", "name", false),
+                "MATCH (d:Drug) RETURN d.name ORDER BY x.name",
+                "ORDER BY references unbound variable x",
+            ),
+            (
+                drug().edge("d", "treat", "i").ret_property("d", "name"),
+                "MATCH (d:Drug), (d)-[:treat]->(i) RETURN d.name",
+                "variable i used before it was declared",
+            ),
+        ];
+        for (builder, text, message) in cases {
+            let parsed = crate::parse(text).expect_err(text);
+            assert_eq!(parsed.message, message, "{text}");
+            let panic = std::panic::catch_unwind(move || builder.build())
+                .expect_err(&format!("the builder accepted `{text}`"));
+            assert_eq!(panic.downcast_ref::<String>().map(String::as_str), Some(message));
+        }
     }
 }

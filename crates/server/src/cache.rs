@@ -167,9 +167,7 @@ mod tests {
     use super::*;
 
     fn plan(name: &str) -> Arc<Statement> {
-        Arc::new(Statement::from(
-            pgso_query::Query::builder(name).node("a", "A").ret_vertex("a").build(),
-        ))
+        Arc::new(Statement::builder(name).node("a", "A").ret_vertex("a").build())
     }
 
     #[test]

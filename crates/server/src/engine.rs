@@ -25,8 +25,8 @@
 //!   rows ([`crate::QueryPlan::from_rows`] rebuilds it) — in process exactly as
 //!   over the wire.
 //!
-//! Typed [`pgso_query::Query`] / [`pgso_query::Statement`] values reach the server
-//! through their `Display` text, which re-parses to an equal statement.
+//! Typed [`pgso_query::Statement`] values reach the server through their
+//! `Display` text, which re-parses to an equal statement.
 //!
 //! Behind that surface the **plan cache** maps statement fingerprints to
 //! DIR→OPT rewrites of the *parameterized* statement, tagged with the schema
@@ -220,7 +220,7 @@ pub struct Epoch {
 }
 
 impl Epoch {
-    /// The backend, usable with [`pgso_query::execute`].
+    /// The backend, usable with [`pgso_query::execute_statement`].
     pub fn graph(&self) -> &dyn GraphBackend {
         self.graph.as_ref()
     }
@@ -813,7 +813,7 @@ mod tests {
     use crate::serve::{params_hash, PreparedStatement};
     use pgso_ontology::{catalog, StatisticsConfig};
     use pgso_query::{
-        fingerprint_statement, BindError, Params, Query, QueryMode, QueryPlan, QueryResult,
+        fingerprint_statement, BindError, Params, QueryMode, QueryPlan, QueryResult, Statement,
     };
 
     fn mini_server(config: ServerConfig) -> KgServer {
@@ -824,17 +824,17 @@ mod tests {
         KgServer::new(ontology, statistics, instance, frequencies, config)
     }
 
-    fn lookup() -> Query {
-        Query::builder("lookup").node("d", "Drug").ret_property("d", "name").build()
+    fn lookup() -> Statement {
+        Statement::builder("lookup").node("d", "Drug").ret_property("d", "name").build()
     }
 
-    /// Typed queries reach the server the one way there is: as text.
-    fn serve(server: &KgServer, query: &Query) -> QueryResult {
-        server.serve_text(&query.to_string()).expect("a query's Display text parses")
+    /// Typed statements reach the server the one way there is: as text.
+    fn serve(server: &KgServer, stmt: &Statement) -> QueryResult {
+        server.serve_text(&stmt.to_string()).expect("a statement's Display text parses")
     }
 
-    fn prepare(server: &KgServer, query: &Query) -> PreparedStatement {
-        server.prepare_text(&query.to_string()).expect("a query's Display text parses")
+    fn prepare(server: &KgServer, stmt: &Statement) -> PreparedStatement {
+        server.prepare_text(&stmt.to_string()).expect("a statement's Display text parses")
     }
 
     /// Executes a parameterless prepared statement.
@@ -1198,7 +1198,7 @@ mod tests {
             auto_reoptimize: false,
             ..ServerConfig::default()
         });
-        let treat = Query::builder("treat")
+        let treat = Statement::builder("treat")
             .node("d", "Drug")
             .node("i", "Indication")
             .edge("d", "treat", "i")

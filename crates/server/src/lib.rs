@@ -24,7 +24,7 @@
 //!   auto-parameterize → execute — so one-off texts still share cached
 //!   plans across literal variations, and an `EXPLAIN` / `PROFILE` prefix
 //!   turns it into the plan surface ([`QueryPlan::from_rows`] rebuilds the
-//!   typed plan). Typed `Query` / `Statement` values go in as their
+//!   typed plan). Typed [`pgso_query::Statement`] values go in as their
 //!   `Display` text. With [`ServerConfig::shard_count`] > 1 every epoch's
 //!   instance graph is hash-partitioned across a
 //!   [`pgso_graphstore::ShardedGraph`], the executor may fan root expansion

@@ -18,7 +18,7 @@ use parking_lot::Mutex;
 use pgso_graphstore::codec::{put_count, put_f64, put_len16, put_u16, put_u32, put_u64, Reader};
 use pgso_graphstore::GraphBackend;
 use pgso_ontology::{AccessFrequencies, ConceptId, Ontology, PropertyId, RelationshipId};
-use pgso_query::{EdgePattern, NodePattern, Query, ReturnItem, Statement};
+use pgso_query::{EdgePattern, ReturnItem, Statement};
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -176,50 +176,21 @@ impl WorkloadTracker {
         candidates.first().map(|&(_, _, rid)| rid)
     }
 
-    /// Records one served DIR query.
-    pub fn record(&self, query: &Query) {
-        self.record_parts(&query.nodes, &[], &query.edges, &[], &query.returns, &[]);
-    }
-
     /// Records one served DIR statement. `OPTIONAL MATCH` nodes and edges
     /// count like mandatory ones (the backend traverses them either way),
     /// and `WHERE` predicates count as property accesses, so the observed
     /// frequencies keep reflecting what the storage layer actually pays for.
     pub fn record_statement(&self, stmt: &Statement) {
-        let predicate_accesses: Vec<(&str, &str)> =
-            stmt.predicates.iter().map(|p| (p.var.as_str(), p.property.as_str())).collect();
-        self.record_parts(
-            &stmt.pattern.nodes,
-            &stmt.opt_nodes,
-            &stmt.pattern.edges,
-            &stmt.opt_edges,
-            &stmt.pattern.returns,
-            &predicate_accesses,
-        );
-    }
-
-    fn record_parts(
-        &self,
-        nodes: &[NodePattern],
-        opt_nodes: &[NodePattern],
-        edges: &[EdgePattern],
-        opt_edges: &[EdgePattern],
-        returns: &[ReturnItem],
-        predicate_accesses: &[(&str, &str)],
-    ) {
         self.total.fetch_add(1, Ordering::Relaxed);
-        let node_of = |var: &str| -> Option<&NodePattern> {
-            nodes.iter().chain(opt_nodes).find(|n| n.var == var)
-        };
         let concept_of = |var: &str| -> Option<ConceptId> {
-            node_of(var).and_then(|n| self.concept_by_label.get(&n.label)).copied()
+            stmt.any_node(var).and_then(|n| self.concept_by_label.get(&n.label)).copied()
         };
-        for node in nodes.iter().chain(opt_nodes) {
+        for node in stmt.nodes.iter().chain(&stmt.opt_nodes) {
             if let Some(&cid) = self.concept_by_label.get(&node.label) {
                 self.concepts[cid.index()].fetch_add(1, Ordering::Relaxed);
             }
         }
-        let all_edges: Vec<&EdgePattern> = edges.iter().chain(opt_edges).collect();
+        let all_edges: Vec<&EdgePattern> = stmt.edges.iter().chain(&stmt.opt_edges).collect();
         let mut edge_rel: Vec<Option<RelationshipId>> = Vec::with_capacity(all_edges.len());
         for edge in &all_edges {
             let rid = self.resolve_relationship(
@@ -236,14 +207,16 @@ impl WorkloadTracker {
         // (from the RETURN clause or a WHERE predicate) where some pattern
         // edge ends in `var`.
         let mut touched: Vec<(RelationshipId, PropertyId)> = Vec::new();
-        let return_accesses = returns.iter().filter_map(|item| match item {
+        let return_accesses = stmt.returns.iter().filter_map(|item| match item {
             ReturnItem::Property { var, property } => Some((var.as_str(), property.as_str())),
             ReturnItem::Aggregate { var, property: Some(property), .. } => {
                 Some((var.as_str(), property.as_str()))
             }
             _ => None,
         });
-        for (var, property) in return_accesses.chain(predicate_accesses.iter().copied()) {
+        let predicate_accesses =
+            stmt.predicates.iter().map(|p| (p.var.as_str(), p.property.as_str()));
+        for (var, property) in return_accesses.chain(predicate_accesses) {
             let Some(cid) = concept_of(var) else { continue };
             let Some(&pid) = self.property_by_name.get(&cid).and_then(|props| props.get(property))
             else {
@@ -541,8 +514,8 @@ mod tests {
     use pgso_ontology::catalog;
     use pgso_query::Aggregate;
 
-    fn treat_query() -> Query {
-        Query::builder("q")
+    fn treat_query() -> Statement {
+        Statement::builder("q")
             .node("d", "Drug")
             .node("i", "Indication")
             .edge("d", "treat", "i")
@@ -554,8 +527,8 @@ mod tests {
     fn records_concepts_relationships_and_properties() {
         let o = catalog::med_mini();
         let tracker = WorkloadTracker::new(&o);
-        tracker.record(&treat_query());
-        tracker.record(&treat_query());
+        tracker.record_statement(&treat_query());
+        tracker.record_statement(&treat_query());
         let snap = tracker.snapshot();
         assert_eq!(snap.total_queries, 2);
         let drug = o.concept_by_name("Drug").unwrap();
@@ -572,13 +545,13 @@ mod tests {
     fn aggregate_returns_count_as_property_accesses() {
         let o = catalog::med_mini();
         let tracker = WorkloadTracker::new(&o);
-        let q = Query::builder("q9")
+        let q = Statement::builder("q9")
             .node("d", "Drug")
             .node("i", "Indication")
             .edge("d", "treat", "i")
             .ret_aggregate(Aggregate::CollectCount, "i", Some("desc"))
             .build();
-        tracker.record(&q);
+        tracker.record_statement(&q);
         let (treat, rel) = o.relationships().find(|(_, r)| r.name == "treat").unwrap();
         let desc = o.property_by_name(rel.dst, "desc").unwrap();
         assert_eq!(tracker.snapshot().property_counts.get(&(treat, desc)), Some(&1));
@@ -586,7 +559,7 @@ mod tests {
 
     #[test]
     fn statements_record_optional_parts_and_predicates() {
-        use pgso_query::{CmpOp, Statement};
+        use pgso_query::CmpOp;
         let o = catalog::med_mini();
         let tracker = WorkloadTracker::new(&o);
         let stmt = Statement::builder("s")
@@ -616,8 +589,9 @@ mod tests {
     fn unknown_labels_are_ignored() {
         let o = catalog::med_mini();
         let tracker = WorkloadTracker::new(&o);
-        let q = Query::builder("q").node("x", "NoSuchConcept").ret_property("x", "nope").build();
-        tracker.record(&q);
+        let q =
+            Statement::builder("q").node("x", "NoSuchConcept").ret_property("x", "nope").build();
+        tracker.record_statement(&q);
         let snap = tracker.snapshot();
         assert_eq!(snap.total_queries, 1);
         assert!(snap.concept_counts.iter().all(|&c| c == 0));
@@ -632,14 +606,14 @@ mod tests {
         assert_eq!(tracker.drift(&uniform), 0.0, "no observations yet");
         // Hit every concept once: perfectly uniform mix.
         for (_, concept) in o.concepts() {
-            let q = Query::builder("q").node("x", concept.name.clone()).ret_vertex("x").build();
-            tracker.record(&q);
+            let q = Statement::builder("q").node("x", concept.name.clone()).ret_vertex("x").build();
+            tracker.record_statement(&q);
         }
         assert!(tracker.drift(&uniform) < 1e-9);
         // Now hammer a single concept; drift must rise.
         for _ in 0..200 {
-            let q = Query::builder("q").node("d", "Drug").ret_vertex("d").build();
-            tracker.record(&q);
+            let q = Statement::builder("q").node("d", "Drug").ret_vertex("d").build();
+            tracker.record_statement(&q);
         }
         assert!(tracker.drift(&uniform) > 0.5, "drift {}", tracker.drift(&uniform));
     }
@@ -649,7 +623,7 @@ mod tests {
         let o = catalog::med_mini();
         let tracker = WorkloadTracker::new(&o);
         for _ in 0..10 {
-            tracker.record(&treat_query());
+            tracker.record_statement(&treat_query());
         }
         let af = tracker.to_frequencies(&o, 10_000.0);
         let total: f64 = o.concept_ids().map(|c| af.concept(c)).sum();
@@ -668,12 +642,12 @@ mod tests {
         let o = catalog::med_mini();
         let tracker = WorkloadTracker::new(&o);
         for _ in 0..5 {
-            tracker.record(&treat_query());
+            tracker.record_statement(&treat_query());
         }
         let snapshot = tracker.snapshot();
         // Two more queries arrive while "re-optimization" is in flight.
-        tracker.record(&treat_query());
-        tracker.record(&treat_query());
+        tracker.record_statement(&treat_query());
+        tracker.record_statement(&treat_query());
         tracker.rebase(&snapshot);
         let after = tracker.snapshot();
         assert_eq!(after.total_queries, 2, "post-snapshot queries must survive");
@@ -701,7 +675,7 @@ mod tests {
         let _ = d2;
         // Nothing recorded yet: no relationship qualifies.
         assert!(tracker.estimated_fanouts(&o, &g, 8).is_empty());
-        tracker.record(&treat_query());
+        tracker.record_statement(&treat_query());
         g.reset_stats();
         let fanouts = tracker.estimated_fanouts(&o, &g, 8);
         let (treat, _) = o.relationships().find(|(_, r)| r.name == "treat").unwrap();
@@ -715,7 +689,7 @@ mod tests {
         let o = catalog::med_mini();
         let tracker = WorkloadTracker::new(&o);
         for _ in 0..7 {
-            tracker.record(&treat_query());
+            tracker.record_statement(&treat_query());
         }
         let snapshot = tracker.snapshot();
         let bytes = snapshot.to_bytes();
@@ -739,7 +713,7 @@ mod tests {
     fn snapshot_bytes_reject_corruption() {
         let o = catalog::med_mini();
         let tracker = WorkloadTracker::new(&o);
-        tracker.record(&treat_query());
+        tracker.record_statement(&treat_query());
         let bytes = tracker.snapshot().to_bytes();
         assert!(WorkloadSnapshot::from_bytes(&bytes[..bytes.len() - 1]).is_err(), "short");
         let mut extended = bytes.clone();
@@ -767,7 +741,7 @@ mod tests {
         let o = catalog::med_mini();
         let tracker = WorkloadTracker::new(&o);
         for _ in 0..9 {
-            tracker.record(&treat_query());
+            tracker.record_statement(&treat_query());
         }
         let af = tracker.to_frequencies(&o, 10_000.0);
         let bytes = frequencies_to_bytes(&o, &af);
@@ -791,7 +765,7 @@ mod tests {
     fn reset_zeroes_counts() {
         let o = catalog::med_mini();
         let tracker = WorkloadTracker::new(&o);
-        tracker.record(&treat_query());
+        tracker.record_statement(&treat_query());
         tracker.reset();
         let snap = tracker.snapshot();
         assert_eq!(snap.total_queries, 0);

@@ -7,31 +7,31 @@
 use pgso_core::{optimize_nsc, OptimizerConfig, OptimizerInput};
 use pgso_datagen::InstanceKg;
 use pgso_ontology::{catalog, DataStatistics, Ontology, StatisticsConfig};
-use pgso_query::{Aggregate, Query, QueryResult};
+use pgso_query::{Aggregate, QueryResult, Statement};
 use pgso_server::{KgServer, ServerConfig, WorkloadTracker};
 
-/// Typed queries reach the server as their `Display` text.
-fn serve(server: &KgServer, query: &Query) -> QueryResult {
-    server.serve_text(&query.to_string()).expect("a query's Display text parses")
+/// Typed statements reach the server as their `Display` text.
+fn serve(server: &KgServer, stmt: &Statement) -> QueryResult {
+    server.serve_text(&stmt.to_string()).expect("a statement's Display text parses")
 }
 
 /// Patient-centric phase-A workload: encounters, diagnoses, lab results.
-fn phase_a_queries() -> Vec<Query> {
+fn phase_a_queries() -> Vec<Statement> {
     vec![
-        Query::builder("patient-lookup").node("p", "Patient").ret_property("p", "mrn").build(),
-        Query::builder("encounters")
+        Statement::builder("patient-lookup").node("p", "Patient").ret_property("p", "mrn").build(),
+        Statement::builder("encounters")
             .node("p", "Patient")
             .node("e", "Encounter")
             .edge("p", "hasEncounter", "e")
             .ret_aggregate(Aggregate::CollectCount, "e", Some("encounterId"))
             .build(),
-        Query::builder("diagnoses")
+        Statement::builder("diagnoses")
             .node("p", "Patient")
             .node("dg", "Diagnosis")
             .edge("p", "hasDiagnosis", "dg")
             .ret_aggregate(Aggregate::CollectCount, "dg", Some("code"))
             .build(),
-        Query::builder("lab-results")
+        Statement::builder("lab-results")
             .node("e", "Encounter")
             .node("l", "LabResult")
             .edge("e", "hasLabResult", "l")
@@ -41,21 +41,21 @@ fn phase_a_queries() -> Vec<Query> {
 }
 
 /// Drug-centric phase-B workload: the paper's Q9-style aggregations.
-fn phase_b_queries() -> Vec<Query> {
+fn phase_b_queries() -> Vec<Statement> {
     vec![
-        Query::builder("q9-routes")
+        Statement::builder("q9-routes")
             .node("d", "Drug")
             .node("dr", "DrugRoute")
             .edge("d", "hasDrugRoute", "dr")
             .ret_aggregate(Aggregate::CollectCount, "dr", Some("drugRouteId"))
             .build(),
-        Query::builder("indications")
+        Statement::builder("indications")
             .node("d", "Drug")
             .node("i", "Indication")
             .edge("d", "treat", "i")
             .ret_aggregate(Aggregate::CollectCount, "i", Some("desc"))
             .build(),
-        Query::builder("side-effects")
+        Statement::builder("side-effects")
             .node("d", "Drug")
             .node("s", "SideEffect")
             .edge("d", "hasSideEffect", "s")
@@ -68,13 +68,13 @@ fn phase_b_queries() -> Vec<Query> {
 /// tracker would observe it.
 fn frequencies_for(
     ontology: &Ontology,
-    queries: &[Query],
+    queries: &[Statement],
     repeats: usize,
 ) -> pgso_ontology::AccessFrequencies {
     let tracker = WorkloadTracker::new(ontology);
     for _ in 0..repeats {
         for q in queries {
-            tracker.record(q);
+            tracker.record_statement(q);
         }
     }
     tracker.to_frequencies(ontology, 10_000.0)

@@ -4,12 +4,12 @@
 
 use pgso_datagen::InstanceKg;
 use pgso_ontology::{catalog, AccessFrequencies, DataStatistics, StatisticsConfig};
-use pgso_query::{Aggregate, Query, QueryResult, Row};
+use pgso_query::{Aggregate, QueryResult, Row, Statement};
 use pgso_server::{KgServer, Params, PreparedStatement, ServerConfig};
 
-/// Typed queries reach the server as their `Display` text.
-fn serve(server: &KgServer, query: &Query) -> QueryResult {
-    server.serve_text(&query.to_string()).expect("a query's Display text parses")
+/// Typed statements reach the server as their `Display` text.
+fn serve(server: &KgServer, stmt: &Statement) -> QueryResult {
+    server.serve_text(&stmt.to_string()).expect("a statement's Display text parses")
 }
 
 /// Executes a parameterless prepared statement.
@@ -32,29 +32,29 @@ fn medical_server() -> KgServer {
 }
 
 /// A mixed workload: lookups, one-hop and two-hop patterns, aggregations.
-fn workload() -> Vec<Query> {
+fn workload() -> Vec<Statement> {
     vec![
-        Query::builder("drug-lookup").node("d", "Drug").ret_property("d", "name").build(),
-        Query::builder("treat")
+        Statement::builder("drug-lookup").node("d", "Drug").ret_property("d", "name").build(),
+        Statement::builder("treat")
             .node("d", "Drug")
             .node("i", "Indication")
             .edge("d", "treat", "i")
             .ret_property("d", "name")
             .ret_property("i", "desc")
             .build(),
-        Query::builder("routes-agg")
+        Statement::builder("routes-agg")
             .node("d", "Drug")
             .node("dr", "DrugRoute")
             .edge("d", "hasDrugRoute", "dr")
             .ret_aggregate(Aggregate::CollectCount, "dr", Some("drugRouteId"))
             .build(),
-        Query::builder("patient-encounters")
+        Statement::builder("patient-encounters")
             .node("p", "Patient")
             .node("e", "Encounter")
             .edge("p", "hasEncounter", "e")
             .ret_property("e", "encounterId")
             .build(),
-        Query::builder("two-hop")
+        Statement::builder("two-hop")
             .node("p", "Patient")
             .node("e", "Encounter")
             .node("l", "LabResult")
@@ -62,7 +62,7 @@ fn workload() -> Vec<Query> {
             .edge("e", "hasLabResult", "l")
             .ret_aggregate(Aggregate::Count, "l", None)
             .build(),
-        Query::builder("physician-count")
+        Statement::builder("physician-count")
             .node("ph", "Physician")
             .ret_aggregate(Aggregate::Count, "ph", None)
             .build(),

@@ -11,7 +11,7 @@
 //! | [`pgschema`] | `pgso-pgschema` | property graph schema model, DDL emission, space estimation, diffs |
 //! | [`optimizer`] | `pgso-core` | relationship rules, OntologyPR, cost-benefit model, NSC / CC / RC / PGSG |
 //! | [`graphstore`] | `pgso-graphstore` | in-memory, disk-backed (paged, buffer pool) and CSR read-optimized property graph storage |
-//! | [`query`] | `pgso-query` | pattern + statement AST (WHERE/OPTIONAL/ORDER BY/LIMIT, `$name` parameters, aggregation + GROUP BY), Cypher-like text parser, executor, DIR→OPT rewriter, plan fingerprints |
+//! | [`query`] | `pgso-query` | one statement type (pattern plus WHERE/OPTIONAL/ORDER BY/LIMIT, `$name` parameters, aggregation + GROUP BY), Cypher-like text parser, executor, DIR→OPT rewriter, plan fingerprints |
 //! | [`datagen`] | `pgso-datagen` | synthetic instance generation, schema-conforming loading, streaming update generation |
 //! | [`persist`] | `pgso-persist` | write-ahead log, epoch snapshots, crash recovery |
 //! | [`telemetry`] | `pgso-telemetry` | metrics registry (counters, gauges, log-scaled latency histograms), structured trace ring, Prometheus-style text exposition |
@@ -202,9 +202,9 @@ pub mod prelude {
     pub use pgso_persist::{JournaledGraph, PersistConfig};
     pub use pgso_pgschema::{ddl, PropertyGraphSchema};
     pub use pgso_query::{
-        execute, execute_statement, execute_statement_with, fingerprint, fingerprint_statement,
-        parse, parse_named, rewrite, rewrite_statement, Aggregate, BindError, CmpOp, CountTerm,
-        ExecConfig, Params, ParseError, Query, Statement, Term,
+        execute_statement, execute_statement_with, fingerprint_statement, parse, parse_named,
+        rewrite_statement, Aggregate, BindError, CmpOp, CountTerm, ExecConfig, Params, ParseError,
+        Statement, Term,
     };
     pub use pgso_server::{
         IngestConfig, KgServer, PreparedStatement, ServerConfig, StorageTier, WorkloadTracker,

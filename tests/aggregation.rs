@@ -93,8 +93,8 @@ fn count_variants_of_q1_q12_are_equivalent() {
     for dataset in [DatasetId::Med, DatasetId::Fin] {
         let setup = setup(dataset);
         for bq in microbenchmark().into_iter().filter(|q| q.dataset == dataset) {
-            let mut pattern = bq.query.pattern.clone();
-            pattern.returns = pattern
+            let mut stmt = bq.query.clone();
+            stmt.returns = stmt
                 .nodes
                 .iter()
                 .flat_map(|n| {
@@ -112,8 +112,7 @@ fn count_variants_of_q1_q12_are_equivalent() {
                     ]
                 })
                 .collect();
-            let name = format!("{}-counts", pattern.name);
-            let stmt = Statement::from(pattern);
+            let name = format!("{}-counts", stmt.name);
             assert_equivalent(&setup, &stmt, cross_schema(dataset), &name);
         }
     }
@@ -132,12 +131,12 @@ fn per_element_variants_of_q9_q12_are_equivalent() {
             .filter(|q| q.dataset == dataset && q.family == "aggregation")
         {
             let ReturnItem::Aggregate { var, property: Some(property), .. } =
-                bq.query.pattern.returns[0].clone()
+                bq.query.returns[0].clone()
             else {
                 panic!("{} is not a property aggregation", bq.query.name);
             };
-            let mut pattern = bq.query.pattern.clone();
-            pattern.returns = [
+            let mut stmt = bq.query.clone();
+            stmt.returns = [
                 Aggregate::CollectCount,
                 Aggregate::CountDistinct,
                 Aggregate::Sum,
@@ -152,17 +151,16 @@ fn per_element_variants_of_q9_q12_are_equivalent() {
                 property: Some(property.clone()),
             })
             .collect();
-            let name = format!("{}-per-element", pattern.name);
-            let stmt = Statement::from(pattern);
+            let name = format!("{}-per-element", stmt.name);
             let rewritten = rewrite_statement(&stmt, &setup.opt_schema);
             assert_equivalent(&setup, &stmt, cross_schema(dataset), &name);
             // When the MED optimizer replicated the property, the rewrite
             // must actually have used the shortcut (the equivalence above
             // then proves flattening correct, not just trivially equal
             // plans).
-            if cross_schema(dataset) && rewritten.pattern.edges.is_empty() {
+            if cross_schema(dataset) && rewritten.edges.is_empty() {
                 assert!(
-                    rewritten.pattern.returns.iter().all(|r| matches!(
+                    rewritten.returns.iter().all(|r| matches!(
                         r,
                         ReturnItem::Aggregate { property: Some(p), .. } if p.contains('.')
                     )),

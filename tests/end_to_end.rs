@@ -32,15 +32,15 @@ fn motivating_example_pipeline_preserves_answers_and_saves_traversals() {
     let (_, opt_schema, direct, optimized) = pipeline(&ontology, 5, 0.5);
 
     // Example 2: aggregation over Indication.desc per Drug.
-    let aggregation = Query::builder("example2")
+    let aggregation = Statement::builder("example2")
         .node("d", "Drug")
         .node("i", "Indication")
         .edge("d", "treat", "i")
         .ret_aggregate(Aggregate::CollectCount, "i", Some("desc"))
         .build();
-    let rewritten = rewrite(&aggregation, &opt_schema);
-    let on_direct = execute(&aggregation, &direct);
-    let on_optimized = execute(&rewritten, &optimized);
+    let rewritten = rewrite_statement(&aggregation, &opt_schema);
+    let on_direct = execute_statement(&aggregation, &direct);
+    let on_optimized = execute_statement(&rewritten, &optimized);
     assert_eq!(on_direct.scalar(), on_optimized.scalar(), "aggregation answers must match");
     assert!(
         on_optimized.stats.edge_traversals < on_direct.stats.edge_traversals,
@@ -48,7 +48,7 @@ fn motivating_example_pipeline_preserves_answers_and_saves_traversals() {
     );
 
     // Example 1: pattern matching through the interaction hierarchy.
-    let pattern = Query::builder("example1")
+    let pattern = Statement::builder("example1")
         .node("d", "Drug")
         .node("di", "DrugInteraction")
         .node("dfi", "DrugFoodInteraction")
@@ -56,10 +56,10 @@ fn motivating_example_pipeline_preserves_answers_and_saves_traversals() {
         .edge("di", "isA", "dfi")
         .ret_property("dfi", "risk")
         .build();
-    let rewritten = rewrite(&pattern, &opt_schema);
+    let rewritten = rewrite_statement(&pattern, &opt_schema);
     assert!(rewritten.edge_pattern_count() < pattern.edge_pattern_count());
-    let on_direct = execute(&pattern, &direct);
-    let on_optimized = execute(&rewritten, &optimized);
+    let on_direct = execute_statement(&pattern, &direct);
+    let on_optimized = execute_statement(&rewritten, &optimized);
     assert_eq!(on_direct.matches, on_optimized.matches, "same matches on both schemas");
 }
 
@@ -67,7 +67,7 @@ fn motivating_example_pipeline_preserves_answers_and_saves_traversals() {
 fn union_queries_survive_the_risk_vertex_removal() {
     let ontology = catalog::med_mini();
     let (_, opt_schema, direct, optimized) = pipeline(&ontology, 9, 0.5);
-    let query = Query::builder("union")
+    let query = Statement::builder("union")
         .node("d", "Drug")
         .node("r", "Risk")
         .node("ci", "ContraIndication")
@@ -75,9 +75,9 @@ fn union_queries_survive_the_risk_vertex_removal() {
         .edge("r", "unionOf", "ci")
         .ret_property("ci", "desc")
         .build();
-    let rewritten = rewrite(&query, &opt_schema);
-    let on_direct = execute(&query, &direct);
-    let on_optimized = execute(&rewritten, &optimized);
+    let rewritten = rewrite_statement(&query, &opt_schema);
+    let on_direct = execute_statement(&query, &direct);
+    let on_optimized = execute_statement(&rewritten, &optimized);
     assert_eq!(on_direct.matches, on_optimized.matches);
     assert!(rewritten.edge_pattern_count() == 1);
     assert!(on_optimized.stats.edge_traversals <= on_direct.stats.edge_traversals);
@@ -88,28 +88,28 @@ fn med_catalog_microbenchmark_queries_are_equivalent_across_schemas() {
     let ontology = catalog::medical();
     let (_, opt_schema, direct, optimized) = pipeline(&ontology, 13, 0.05);
     // Q9: COUNT of drug routes per drug.
-    let q9 = Query::builder("Q9")
+    let q9 = Statement::builder("Q9")
         .node("d", "Drug")
         .node("dr", "DrugRoute")
         .edge("d", "hasDrugRoute", "dr")
         .ret_aggregate(Aggregate::CollectCount, "dr", Some("drugRouteId"))
         .build();
-    let rewritten = rewrite(&q9, &opt_schema);
-    let on_direct = execute(&q9, &direct);
-    let on_optimized = execute(&rewritten, &optimized);
+    let rewritten = rewrite_statement(&q9, &opt_schema);
+    let on_direct = execute_statement(&q9, &direct);
+    let on_optimized = execute_statement(&rewritten, &optimized);
     assert_eq!(on_direct.scalar(), on_optimized.scalar());
     assert_eq!(rewritten.edge_pattern_count(), 0, "Q9 must become a local lookup");
 
     // Q5: parent property lookup from the child.
-    let q5 = Query::builder("Q5")
+    let q5 = Statement::builder("Q5")
         .node("di", "DrugInteraction")
         .node("dl", "DrugLabInteraction")
         .edge("di", "isA", "dl")
         .ret_property("di", "summary")
         .build();
-    let rewritten = rewrite(&q5, &opt_schema);
-    let on_direct = execute(&q5, &direct);
-    let on_optimized = execute(&rewritten, &optimized);
+    let rewritten = rewrite_statement(&q5, &opt_schema);
+    let on_direct = execute_statement(&q5, &direct);
+    let on_optimized = execute_statement(&rewritten, &optimized);
     assert_eq!(on_direct.matches, on_optimized.matches);
     // Every returned summary value must be non-empty on both graphs.
     for rows in [&on_direct.rows, &on_optimized.rows] {
@@ -140,15 +140,15 @@ fn disk_backend_runs_the_same_pipeline() {
     direct.flush().unwrap();
     optimized.flush().unwrap();
 
-    let query = Query::builder("agg")
+    let query = Statement::builder("agg")
         .node("d", "Drug")
         .node("i", "Indication")
         .edge("d", "treat", "i")
         .ret_aggregate(Aggregate::CollectCount, "i", Some("desc"))
         .build();
-    let rewritten = rewrite(&query, &outcome.schema);
-    let on_direct = execute(&query, &direct);
-    let on_optimized = execute(&rewritten, &optimized);
+    let rewritten = rewrite_statement(&query, &outcome.schema);
+    let on_direct = execute_statement(&query, &direct);
+    let on_optimized = execute_statement(&rewritten, &optimized);
     assert_eq!(on_direct.scalar(), on_optimized.scalar());
     assert!(direct.payload_bytes() > 0);
     assert!(optimized.stats().page_hits + optimized.stats().page_reads > 0);
@@ -171,9 +171,9 @@ fn space_constrained_schema_still_loads_and_answers_queries() {
     let report = load_into(&mut graph, &ontology, schema, &instance);
     assert!(report.vertices > 0);
 
-    let q = Query::builder("lookup").node("d", "Drug").ret_property("d", "name").build();
-    let rewritten = rewrite(&q, schema);
-    let result = execute(&rewritten, &graph);
+    let q = Statement::builder("lookup").node("d", "Drug").ret_property("d", "name").build();
+    let rewritten = rewrite_statement(&q, schema);
+    let result = execute_statement(&rewritten, &graph);
     assert!(result.matches > 0, "drugs must be queryable under the constrained schema");
 }
 
@@ -194,7 +194,7 @@ fn where_order_limit_statement_is_equivalent_and_cheaper_on_opt() {
     .expect("statement parses");
     let rewritten = rewrite_statement(&stmt, &opt_schema);
     assert!(
-        rewritten.pattern.edges.len() < stmt.pattern.edges.len(),
+        rewritten.edges.len() < stmt.edges.len(),
         "rewrite must drop the union hop: {rewritten}"
     );
     let on_direct = execute_statement(&stmt, &direct);
@@ -217,8 +217,8 @@ fn where_order_limit_statement_is_equivalent_and_cheaper_on_opt() {
 fn optional_match_pads_rows_identically_across_schemas() {
     let ontology = catalog::med_mini();
     let (_, opt_schema, direct, optimized) = pipeline(&ontology, 17, 0.3);
-    let drugs = execute(
-        &Query::builder("count-drugs").node("d", "Drug").ret_property("d", "name").build(),
+    let drugs = execute_statement(
+        &Statement::builder("count-drugs").node("d", "Drug").ret_property("d", "name").build(),
         &direct,
     );
     let stmt = parse_named(
@@ -272,7 +272,7 @@ fn rewritten_returns_reference_existing_properties() {
         OptimizerInput::new(&ontology, &stats, &workload),
         &OptimizerConfig::default(),
     );
-    let q = Query::builder("Q1")
+    let q = Statement::builder("Q1")
         .node("d", "Drug")
         .node("di", "DrugInteraction")
         .node("dfi", "DrugFoodInteraction")
@@ -282,7 +282,7 @@ fn rewritten_returns_reference_existing_properties() {
         .ret_property("dfi", "risk")
         .ret_property("di", "summary")
         .build();
-    let rewritten = rewrite(&q, &outcome.schema);
+    let rewritten = rewrite_statement(&q, &outcome.schema);
     for item in &rewritten.returns {
         if let ReturnItem::Property { var, property } = item {
             let node = rewritten.node(var).expect("return var bound to a node pattern");

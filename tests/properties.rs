@@ -293,7 +293,7 @@ proptest! {
         // after canonicalization.
         let base = fingerprint_statement(&stmt);
         let mut renamed = stmt.clone();
-        renamed.pattern.name = "renamed".into();
+        renamed.name = "renamed".into();
         prop_assert_eq!(base, fingerprint_statement(&renamed));
         prop_assert_eq!(base, fingerprint_statement(&reparsed));
         let mut other_literals = bound.clone();

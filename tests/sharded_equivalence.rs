@@ -91,7 +91,7 @@ fn q1_to_q12_rows_identical_across_shard_counts_and_schemas() {
             DatasetId::Med => &med,
             DatasetId::Fin => &fin,
         };
-        let name = &bench_query.query.pattern.name;
+        let name = &bench_query.query.name;
         // DIR: the statement as written.
         assert_shard_equivalence(&format!("{name}/DIR"), ds.name, &bench_query.query, &ds.direct);
         // OPT: the statement rewritten onto the optimized schema.
