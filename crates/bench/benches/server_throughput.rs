@@ -1,26 +1,18 @@
-//! The two serving cells the repository benchmark (`benchmark/`) does not
+//! The one serving cell the repository benchmark (`benchmark/`) does not
 //! cover yet; everything else this file used to measure — mixes, ingest
 //! while serving, telemetry overhead, the loopback wire grid, the scale
 //! ladder, the `BENCH_serving.json` report — is `benchmark/`'s job now, and
-//! performance claims cite only that. Both cells reach the server the way
+//! performance claims cite only that. The cell reaches the server the way
 //! production does: statements prepared once, `$name` values bound per
 //! request through `execute`.
 //!
-//! * **Shard grid** — 1/2/4/8 storage shards × 1/2/4/8 serving threads over
-//!   a pattern mix (lookup, two one-hop patterns, a collect aggregation),
-//!   printing q/s per cell and how evenly the vertex reads spread across the
-//!   shards. It is the evidence the `ShardedGraph` + executor fan-out entry
-//!   of the ROADMAP ledger waits for: on a multi-core host the multi-shard
-//!   rows should beat the single shard at 8 threads; on one core the
-//!   fan-out gate keeps execution serial and sharding must merely cost no
-//!   more than the global→local indirection.
-//! * **Tenant grid** — a value-varying prepared mix replayed against a
-//!   `pgso_tenant::TenantHost` carrying 1/2/4 independent medical-catalog
-//!   tenants × 1/2 client threads per tenant, printing total and per-tenant
-//!   q/s and a **fairness ratio** (min/max of the per-tenant numbers).
-//!   Beyond throughput the cells are isolation gates: exact per-tenant
-//!   admission counts, zero quota rejections, and a ≥ 90% post-warm
-//!   plan-cache hit ratio on *every* tenant.
+//! **Tenant grid** — a value-varying prepared mix replayed against a
+//! `pgso_tenant::TenantHost` carrying 1/2/4 independent medical-catalog
+//! tenants × 1/2 client threads per tenant, printing total and per-tenant
+//! q/s and a **fairness ratio** (min/max of the per-tenant numbers). Beyond
+//! throughput the cells are isolation gates: exact per-tenant admission
+//! counts, zero quota rejections, and a ≥ 90% post-warm plan-cache hit ratio
+//! on *every* tenant.
 //!
 //! Adaptive re-optimization is off so every sample measures one schema
 //! epoch. `-- --test` (CI's smoke run) executes every cell once and gates
@@ -30,31 +22,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use pgso_datagen::InstanceKg;
 use pgso_ontology::{catalog, AccessFrequencies, DataStatistics, StatisticsConfig};
 use pgso_query::Params;
-use pgso_server::{KgServer, PreparedStatement, ServerConfig};
+use pgso_server::PreparedStatement;
 use pgso_tenant::{Tenant, TenantHost, TenantHostConfig, TenantSpec};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// One prepared execution of a replay.
-type Job = (PreparedStatement, Params);
-
-/// Replays `jobs` across `threads` scoped threads (job `i` on thread
-/// `i % threads`, each thread keeping its relative order) and returns the
-/// wall time.
-fn replay(server: &KgServer, jobs: &[Job], threads: usize) -> Duration {
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            scope.spawn(move || {
-                for (prepared, params) in jobs.iter().skip(t).step_by(threads) {
-                    server.execute(prepared, params).expect("replay parameters bind");
-                }
-            });
-        }
-    });
-    started.elapsed()
-}
 
 fn medical_inputs(
     scale: f64,
@@ -65,69 +37,6 @@ fn medical_inputs(
     let instance = InstanceKg::generate(&ontology, &statistics, scale, seed);
     let frequencies = AccessFrequencies::uniform(&ontology, 10_000.0);
     (ontology, statistics, instance, frequencies)
-}
-
-/// The shard grid's mix: a lookup, two one-hop patterns and a collect
-/// aggregation, 512 executions round-robin.
-const PATTERN_TEXTS: [&str; 4] = [
-    "MATCH (d:Drug) RETURN d.name",
-    "MATCH (d:Drug)-[:treat]->(i:Indication) RETURN i.desc",
-    "MATCH (d:Drug)-[:hasDrugRoute]->(dr:DrugRoute) RETURN size(collect(dr.drugRouteId))",
-    "MATCH (p:Patient)-[:hasEncounter]->(e:Encounter) RETURN e.encounterId",
-];
-
-fn pattern_jobs(server: &KgServer) -> Vec<Job> {
-    let handles: Vec<PreparedStatement> = PATTERN_TEXTS
-        .iter()
-        .map(|text| server.prepare_text(text).expect("pattern statement prepares"))
-        .collect();
-    (0..512).map(|i| (handles[i % handles.len()].clone(), Params::new())).collect()
-}
-
-/// The shard-count × thread-count grid. Returns q/s at 8 serving threads
-/// per shard count.
-fn shard_grid(c: &mut Criterion) -> Vec<(usize, f64)> {
-    let mut at_8_threads = Vec::new();
-    for shards in [1usize, 2, 4, 8] {
-        let (ontology, statistics, instance, frequencies) = medical_inputs(0.05, 42);
-        let config =
-            ServerConfig { auto_reoptimize: false, shard_count: shards, ..ServerConfig::default() };
-        let server = KgServer::new(ontology, statistics, instance, frequencies, config);
-        let jobs = pattern_jobs(&server);
-        replay(&server, &jobs, 1); // warm the plan cache
-        let epoch = server.current_epoch();
-        assert_eq!(epoch.shard_count(), shards);
-        let mut group = c.benchmark_group(format!("server_throughput/shards_{shards}"));
-        group.sample_size(5);
-        for threads in [1usize, 2, 4, 8] {
-            group.bench_function(format!("threads_{threads}"), |b| {
-                b.iter_custom(|iters| (0..iters).map(|_| replay(&server, &jobs, threads)).sum())
-            });
-            // Average a few replays for the printed q/s: a single run is
-            // too noisy to compare rows by. Nothing swaps the epoch here, so
-            // its per-shard counters bracket exactly these replays.
-            let replays = 3;
-            let before = epoch.shard_stats();
-            let elapsed: Duration = (0..replays).map(|_| replay(&server, &jobs, threads)).sum();
-            let qps = (replays * jobs.len()) as f64 / elapsed.as_secs_f64().max(1e-12);
-            let reads: Vec<u64> = epoch
-                .shard_stats()
-                .iter()
-                .zip(&before)
-                .map(|(after, before)| after.delta_since(before).vertex_reads)
-                .collect();
-            assert_eq!(reads.len(), shards);
-            println!(
-                "server_throughput/grid shards_{shards} threads_{threads:<2} \
-                 {qps:>12.0} queries/sec  shard vertex-read balance {reads:?}"
-            );
-            if threads == 8 {
-                at_8_threads.push((shards, qps));
-            }
-        }
-        group.finish();
-    }
-    at_8_threads
 }
 
 /// The four `$param` statement texts of the tenant grid's value-varying
@@ -286,43 +195,7 @@ fn tenant_grid(quick: bool) {
 }
 
 fn bench(c: &mut Criterion) {
-    // Capture before the benchmark groups borrow `c`.
-    let quick = c.is_test_mode();
-
-    let grid = shard_grid(c);
-    let single = grid.iter().find(|&&(shards, _)| shards == 1).map_or(0.0, |&(_, qps)| qps);
-    let best_multi = grid
-        .iter()
-        .filter(|&&(shards, _)| shards > 1)
-        .map(|&(_, qps)| qps)
-        .fold(f64::NEG_INFINITY, f64::max);
-    println!(
-        "server_throughput/grid summary @8 threads: 1 shard {single:.0} q/s, \
-         best multi-shard {best_multi:.0} q/s (x{:.2})",
-        best_multi / single.max(1e-9)
-    );
-    // `--test` smoke runs (CI) only check that the grid executes: timing a
-    // single quick pass is not a measurement, so no performance gate there.
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    if quick {
-        assert!(single > 0.0 && best_multi > 0.0, "grid must have produced throughput numbers");
-    } else if cores > 1 {
-        assert!(
-            best_multi > single,
-            "on a {cores}-core host, multi-shard fan-out must beat the single shard \
-             at 8 serving threads ({best_multi:.0} vs {single:.0} q/s)"
-        );
-    } else {
-        // Single core: fan-out stays gated off; sharding must not cost more
-        // than the global→local indirection.
-        assert!(
-            best_multi > 0.5 * single,
-            "sharded serving regressed far beyond indirection overhead \
-             ({best_multi:.0} vs {single:.0} q/s)"
-        );
-    }
-
-    tenant_grid(quick);
+    tenant_grid(c.is_test_mode());
 }
 
 criterion_group!(benches, bench);

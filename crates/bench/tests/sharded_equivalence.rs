@@ -1,8 +1,7 @@
 //! Storage-tier execution equivalence: the CSR read-optimized layout must
 //! be *indistinguishable* from the mutable `MemoryGraph` through the whole
-//! query surface — same rows, same order — monolithic and behind a
-//! 4-shard `ShardedGraph`, serial and forced-parallel, under the direct
-//! schema and the optimizer's rewrites alike.
+//! query surface — same rows, same order — under the direct schema and the
+//! optimizer's rewrites alike.
 //!
 //! Two layers of coverage:
 //!
@@ -15,19 +14,18 @@
 use pgso_bench::{microbenchmark, DatasetId, Workbench};
 use pgso_core::{optimize_nsc, OptimizerConfig};
 use pgso_datagen::{load_into, InstanceKg};
-use pgso_graphstore::{CsrGraph, GraphBackend, HashRouter, MemoryGraph, ShardedGraph};
+use pgso_graphstore::{CsrGraph, MemoryGraph};
 use pgso_ontology::WorkloadDistribution;
 use pgso_pgschema::PropertyGraphSchema;
-use pgso_query::{execute_statement_with, parse_named, rewrite_statement, ExecConfig, Statement};
+use pgso_query::{execute_statement, parse_named, rewrite_statement, Statement};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
-/// One schema's worth of graphs: the memory reference plus the CSR
-/// backends under test, all loaded from the same instance.
+/// One schema's worth of graphs: the memory reference plus the CSR backend
+/// under test, both loaded from the same instance.
 struct SchemaFixture {
     memory: MemoryGraph,
     csr: CsrGraph,
-    csr_sharded_4: ShardedGraph,
 }
 
 struct Fixture {
@@ -45,11 +43,7 @@ fn load_schema(
     load_into(&mut memory, &wb.ontology, schema, instance);
     let mut csr = CsrGraph::new();
     load_into(&mut csr, &wb.ontology, schema, instance);
-    let shards: Vec<Box<dyn GraphBackend>> =
-        (0..4).map(|_| Box::new(CsrGraph::new()) as Box<dyn GraphBackend>).collect();
-    let mut csr_sharded_4 = ShardedGraph::with_router(shards, Box::new(HashRouter));
-    load_into(&mut csr_sharded_4, &wb.ontology, schema, instance);
-    SchemaFixture { memory, csr, csr_sharded_4 }
+    SchemaFixture { memory, csr }
 }
 
 fn fixture() -> &'static Fixture {
@@ -67,27 +61,19 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-/// Executes `stmt` on the memory reference and on every CSR backend, in
-/// serial and forced-parallel mode, and asserts bit-identical rows.
+/// Executes `stmt` on the memory reference and on the CSR backend and
+/// asserts bit-identical rows.
 fn assert_rows_match(fx: &SchemaFixture, stmt: &Statement, context: &str) {
-    for config in [ExecConfig::serial(), ExecConfig::always_parallel()] {
-        let mode = if config.parallel { "parallel" } else { "serial" };
-        let reference = execute_statement_with(stmt, &fx.memory, &config);
-        for (tier, backend) in
-            [("csr", &fx.csr as &dyn GraphBackend), ("csr/4-shards", &fx.csr_sharded_4)]
-        {
-            let got = execute_statement_with(stmt, backend, &config);
-            assert_eq!(
-                got.rows,
-                reference.rows,
-                "{context} [{mode}] rows diverged on {tier} (memory reference: \
-                 {} rows, {tier}: {} rows)",
-                reference.rows.len(),
-                got.rows.len()
-            );
-            assert_eq!(got.matches, reference.matches, "{context} [{mode}] matches on {tier}");
-        }
-    }
+    let reference = execute_statement(stmt, &fx.memory);
+    let got = execute_statement(stmt, &fx.csr);
+    assert_eq!(
+        got.rows,
+        reference.rows,
+        "{context} rows diverged on csr (memory reference: {} rows, csr: {} rows)",
+        reference.rows.len(),
+        got.rows.len()
+    );
+    assert_eq!(got.matches, reference.matches, "{context} matches on csr");
 }
 
 #[test]
@@ -135,18 +121,9 @@ proptest! {
             } else {
                 stmt.clone()
             };
-            for config in [ExecConfig::serial(), ExecConfig::always_parallel()] {
-                let reference = execute_statement_with(&stmt, &sfx.memory, &config);
-                for (tier, backend) in
-                    [("csr", &sfx.csr as &dyn GraphBackend), ("csr/4", &sfx.csr_sharded_4)]
-                {
-                    let got = execute_statement_with(&stmt, backend, &config);
-                    prop_assert_eq!(
-                        &got.rows, &reference.rows,
-                        "{} {} diverged: {}", schema, tier, text
-                    );
-                }
-            }
+            let reference = execute_statement(&stmt, &sfx.memory);
+            let got = execute_statement(&stmt, &sfx.csr);
+            prop_assert_eq!(&got.rows, &reference.rows, "{} csr diverged: {}", schema, text);
         }
     }
 }

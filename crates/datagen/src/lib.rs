@@ -31,5 +31,5 @@ pub mod updates;
 
 pub use instance::{property_value_for, Entity, InstanceKg, RelationshipInstance};
 pub use ladder::ScaleLadder;
-pub use load::{load_into, load_sharded, LoadReport};
+pub use load::{load_into, LoadReport};
 pub use updates::{streaming_updates, UpdateStreamConfig};

@@ -18,7 +18,7 @@
 //! budget) loads correctly.
 
 use crate::instance::{property_value_for, Entity, InstanceKg};
-use pgso_graphstore::{GraphBackend, PropertyMap, PropertyValue, ShardedGraph, VertexId};
+use pgso_graphstore::{GraphBackend, PropertyMap, PropertyValue, VertexId};
 use pgso_ontology::{ConceptId, Ontology, RelationshipKind};
 use pgso_pgschema::{PropertyGraphSchema, VertexSchema};
 use std::collections::{BTreeMap, HashMap};
@@ -52,23 +52,6 @@ pub fn load_into(
         report: LoadReport::default(),
     }
     .run()
-}
-
-/// Shard-aware convenience loader: materialises `instance` under `schema`
-/// into a fresh hash-partitioned [`ShardedGraph`] of `shard_count` in-memory
-/// shards. Because the loader is deterministic and the sharded facade
-/// allocates global vertex ids in insertion order, the result answers every
-/// query with ids — and orderings — identical to a [`load_into`] onto a
-/// single `MemoryGraph`.
-pub fn load_sharded(
-    ontology: &Ontology,
-    schema: &PropertyGraphSchema,
-    instance: &InstanceKg,
-    shard_count: usize,
-) -> (ShardedGraph, LoadReport) {
-    let mut graph = ShardedGraph::new_memory(shard_count);
-    let report = load_into(&mut graph, ontology, schema, instance);
-    (graph, report)
 }
 
 struct Loader<'a> {
@@ -514,45 +497,6 @@ mod tests {
             let (first, second) = (load(), load());
             assert_eq!(first.payload_bytes(), second.payload_bytes(), "{}", ontology.name());
             assert_eq!(first.export_updates(), second.export_updates(), "{}", ontology.name());
-        }
-    }
-
-    #[test]
-    fn sharded_load_mirrors_monolithic_load() {
-        let f = fixture();
-        for schema in [&f.direct, &f.optimized] {
-            let mut mono = MemoryGraph::new();
-            let mono_report = load_into(&mut mono, &f.ontology, schema, &f.instance);
-            for shard_count in [1usize, 2, 4] {
-                let (sharded, report) = load_sharded(&f.ontology, schema, &f.instance, shard_count);
-                assert_eq!(report, mono_report, "{shard_count} shards");
-                assert_eq!(sharded.vertex_count(), mono.vertex_count());
-                assert_eq!(sharded.edge_count(), mono.edge_count());
-                assert_eq!(sharded.labels(), mono.labels());
-                for label in mono.labels() {
-                    assert_eq!(
-                        sharded.vertices_with_label(&label),
-                        mono.vertices_with_label(&label),
-                        "{label} ids must match at {shard_count} shards"
-                    );
-                }
-                // Spot-check adjacency equivalence on every vertex.
-                for v in 0..mono.vertex_count() as u64 {
-                    let id = pgso_graphstore::VertexId(v);
-                    assert_eq!(sharded.vertex(id), mono.vertex(id));
-                    for rel in ["treat", "isA", "unionOf", "has"] {
-                        assert_eq!(sharded.out_neighbours(id, rel), mono.out_neighbours(id, rel));
-                        assert_eq!(sharded.in_neighbours(id, rel), mono.in_neighbours(id, rel));
-                    }
-                }
-                if shard_count > 1 {
-                    let counts = sharded.shard_vertex_counts();
-                    assert!(
-                        counts.iter().filter(|&&c| c > 0).count() > 1,
-                        "hash routing must actually spread vertices: {counts:?}"
-                    );
-                }
-            }
         }
     }
 

@@ -58,17 +58,6 @@ pub struct AccessStats {
 }
 
 impl AccessStats {
-    /// Component-wise sum of two counter snapshots (used to aggregate
-    /// per-shard statistics).
-    pub fn merged(&self, other: &AccessStats) -> AccessStats {
-        AccessStats {
-            vertex_reads: self.vertex_reads + other.vertex_reads,
-            edge_traversals: self.edge_traversals + other.edge_traversals,
-            page_reads: self.page_reads + other.page_reads,
-            page_hits: self.page_hits + other.page_hits,
-        }
-    }
-
     /// Component-wise saturating difference (`self - earlier`), used to turn
     /// two snapshots into the work performed between them.
     pub fn delta_since(&self, earlier: &AccessStats) -> AccessStats {
@@ -201,8 +190,7 @@ pub fn apply_updates(backend: &mut dyn GraphBackend, updates: &[GraphUpdate]) {
 /// counters internally.
 ///
 /// Every backend is `Send + Sync` by contract: the serving layer shares one
-/// backend across threads, and the query executor fans pattern expansion out
-/// over [shards](GraphBackend::shard_count) with scoped threads.
+/// epoch's backend across all of its serving threads.
 ///
 /// # The read path
 ///
@@ -302,34 +290,15 @@ pub trait GraphBackend: Send + Sync {
     }
 
     /// Number of out-edges of a vertex with the given label, *without*
-    /// materialising the neighbour list. Used for fan-out estimation (e.g.
-    /// deciding whether a parallel expansion pays off), so backends override
-    /// it with a cheap adjacency-metadata scan that is **not** charged as
-    /// edge traversals. The default falls back to
+    /// materialising the neighbour list. Used for fan-out estimation (the
+    /// serving layer's per-relationship estimates in `EXPLAIN`), so backends
+    /// override it with a cheap adjacency-metadata scan that is **not**
+    /// charged as edge traversals. The default falls back to
     /// [`GraphBackend::for_each_out`] and therefore *is* counted.
     fn out_degree(&self, vertex: VertexId, edge_label: &str) -> usize {
         let mut degree = 0;
         self.for_each_out(vertex, edge_label, &mut |_| degree += 1);
         degree
-    }
-
-    /// Number of storage shards backing this graph. `1` for monolithic
-    /// backends; [`crate::ShardedGraph`] reports its partition count so the
-    /// executor can fan root expansion out shard by shard.
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    /// Index of the shard owning `vertex` (always `0` for monolithic
-    /// backends). The result is only meaningful for vertices that exist.
-    fn shard_of(&self, _vertex: VertexId) -> usize {
-        0
-    }
-
-    /// Per-shard access counters; a single-element vector for monolithic
-    /// backends. Summing the entries yields [`GraphBackend::stats`].
-    fn shard_stats(&self) -> Vec<AccessStats> {
-        vec![self.stats()]
     }
 
     /// Number of vertices.
@@ -358,10 +327,8 @@ pub trait GraphBackend: Send + Sync {
     /// wrapping a backend in `pgso_persist::JournaledGraph`.
     ///
     /// Returns `None` when the backend cannot reconstruct a faithful
-    /// insertion order (e.g. [`crate::ShardedGraph`], which distributes
-    /// edges across shards without keeping a global edge sequence). The
-    /// default is `None`; backends that retain enough ordering information
-    /// override it.
+    /// insertion order. The default is `None`; backends that retain enough
+    /// ordering information override it.
     fn export_updates(&self) -> Option<Vec<GraphUpdate>> {
         None
     }
@@ -387,7 +354,7 @@ pub trait GraphBackend: Send + Sync {
 // epochs — can be generic over `GraphBackend` and still hold a
 // `Box<dyn GraphBackend>`. Every method a backend implements or overrides
 // delegates explicitly (rather than relying on the defaults) so inner
-// overrides like `ShardedGraph::shard_of` survive the indirection; the owned
+// overrides like `CsrGraph::out_degree` survive the indirection; the owned
 // read conveniences are overridden by nobody and stay at their definitions.
 impl<B: GraphBackend + ?Sized> GraphBackend for Box<B> {
     fn add_vertex(&mut self, label: &str, properties: PropertyMap) -> VertexId {
@@ -428,18 +395,6 @@ impl<B: GraphBackend + ?Sized> GraphBackend for Box<B> {
 
     fn out_degree(&self, vertex: VertexId, edge_label: &str) -> usize {
         (**self).out_degree(vertex, edge_label)
-    }
-
-    fn shard_count(&self) -> usize {
-        (**self).shard_count()
-    }
-
-    fn shard_of(&self, vertex: VertexId) -> usize {
-        (**self).shard_of(vertex)
-    }
-
-    fn shard_stats(&self) -> Vec<AccessStats> {
-        (**self).shard_stats()
     }
 
     fn vertex_count(&self) -> usize {
@@ -547,7 +502,6 @@ mod tests {
         let v = boxed.add_vertex("Drug", props([("name", "Aspirin".into())]));
         assert_eq!(boxed.vertex_count(), 1);
         assert_eq!(boxed.label_of(v).as_deref(), Some("Drug"));
-        assert_eq!(boxed.shard_count(), 1);
         assert_eq!(boxed.backend_name(), "memory");
         // Double boxing also works (Box<B: ?Sized> blanket impl).
         let doubly: Box<Box<dyn GraphBackend>> = Box::new(boxed);

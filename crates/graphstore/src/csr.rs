@@ -19,9 +19,8 @@
 //! next adjacency read (or an explicit [`GraphBackend::ensure_ready`], which
 //! the serving layer calls at epoch publication so the cost never lands on a
 //! query) rebuilds it. Reads are therefore always consistent and the type
-//! stays a drop-in replacement everywhere a backend is expected — including
-//! as the inner shard backend of a [`crate::ShardedGraph`] (vertex ids are
-//! dense and sequential).
+//! stays a drop-in replacement everywhere a backend is expected (vertex ids
+//! are dense and sequential).
 //!
 //! # Equivalence contract
 //!
@@ -399,9 +398,10 @@ impl CsrGraph {
     /// cannot reconstruct (in-neighbour lists interleave across sources).
     ///
     /// # Panics
-    /// Panics when `source` cannot export its update sequence (e.g. a
-    /// [`crate::ShardedGraph`]); wrap construction in
-    /// `pgso_persist::JournaledGraph` or replay the journal manually.
+    /// Panics when `source` cannot export its update sequence (a backend
+    /// keeping the trait's default [`GraphBackend::export_updates`]); wrap
+    /// construction in `pgso_persist::JournaledGraph` or replay the journal
+    /// manually.
     pub fn freeze<B: GraphBackend + ?Sized>(source: &B) -> CsrGraph {
         let updates = source.export_updates().unwrap_or_else(|| {
             panic!(
@@ -816,11 +816,68 @@ mod tests {
         assert!(frozen.resident_bytes() > 0);
     }
 
+    /// An empty, read-only backend that keeps the trait's default
+    /// `export_updates`, so it cannot replay itself.
+    struct NoReplay;
+
+    impl GraphBackend for NoReplay {
+        fn add_vertex(&mut self, _: &str, _: PropertyMap) -> VertexId {
+            unreachable!("read-only")
+        }
+
+        fn add_edge(&mut self, _: &str, _: VertexId, _: VertexId) -> EdgeId {
+            unreachable!("read-only")
+        }
+
+        fn vertex(&self, _: VertexId) -> Option<VertexData> {
+            None
+        }
+
+        fn has_label(&self, _: VertexId, _: &str) -> bool {
+            false
+        }
+
+        fn with_property(&self, _: VertexId, _: &str, f: &mut dyn FnMut(Option<&PropertyValue>)) {
+            f(None)
+        }
+
+        fn for_each_with_label(&self, _: &str, _: &mut dyn FnMut(VertexId)) {}
+
+        fn for_each_out(&self, _: VertexId, _: &str, _: &mut dyn FnMut(VertexId)) {}
+
+        fn for_each_in(&self, _: VertexId, _: &str, _: &mut dyn FnMut(VertexId)) {}
+
+        fn labels(&self) -> Vec<String> {
+            Vec::new()
+        }
+
+        fn vertex_count(&self) -> usize {
+            0
+        }
+
+        fn edge_count(&self) -> usize {
+            0
+        }
+
+        fn payload_bytes(&self) -> u64 {
+            0
+        }
+
+        fn stats(&self) -> AccessStats {
+            AccessStats::default()
+        }
+
+        fn reset_stats(&self) {}
+
+        fn backend_name(&self) -> &'static str {
+            "no-replay"
+        }
+    }
+
     #[test]
     #[should_panic(expected = "cannot export its update sequence")]
     fn freeze_rejects_backends_without_replay() {
-        let sharded = crate::ShardedGraph::new_memory(2);
-        let _ = CsrGraph::freeze(&sharded);
+        let _ = CsrGraph::freeze(&NoReplay);
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //!
 //! # Lock striping
 //!
-//! The store is shared read-only by any number of serving threads (and by
-//! shards of a [`crate::ShardedGraph`] living on the same disk). Instead of
+//! The store is shared read-only by any number of serving threads. Instead of
 //! one global `Mutex<File>` + `Mutex<BufferPool>` pair — which serializes
 //! every page access — the backend keeps a power-of-two number of
 //! [stripes](DiskGraphConfig::lock_stripes), each with its own file handle

@@ -3,22 +3,19 @@
 //! Property graph storage substrate for the `pgso` workspace.
 //!
 //! The paper evaluates its optimized schemas on Neo4j (disk-based) and
-//! JanusGraph; this crate provides two architecturally distinct stand-ins
+//! JanusGraph; this crate provides architecturally distinct stand-ins
 //! behind one [`GraphBackend`] trait:
 //!
 //! * [`MemoryGraph`] — adjacency lists and property maps in memory;
 //! * [`DiskGraph`] — vertex records in fixed-size pages of a store file with
 //!   a lock-striped LRU buffer pool, so traversals cost page I/O when the
 //!   working set exceeds the pool;
-//! * [`ShardedGraph`] — a hash-partitioned facade over N inner backends
-//!   (pluggable [`ShardRouter`], owner-side adjacency with remote stubs for
-//!   cross-shard edges), the substrate for parallel fan-out query execution;
 //! * [`CsrGraph`] — the read-optimized serving tier: type-segmented CSR
 //!   adjacency (delta + varint compressed) and typed property columns,
 //!   compiled lazily or frozen from any replayable backend via
 //!   [`CsrGraph::freeze`].
 //!
-//! Both backends keep [`AccessStats`] counters (vertex reads, edge
+//! Every backend keeps [`AccessStats`] counters (vertex reads, edge
 //! traversals, page reads/hits) so experiments can attribute latency
 //! differences to the mechanisms the paper describes.
 //!
@@ -41,7 +38,6 @@ pub mod codec;
 pub mod csr;
 pub mod disk;
 pub mod memory;
-pub mod sharded;
 pub mod value;
 
 pub use backend::{
@@ -51,12 +47,11 @@ pub use backend::{
 pub use csr::{CsrBuildStats, CsrGraph};
 pub use disk::{DiskGraph, DiskGraphConfig, PAGE_SIZE};
 pub use memory::MemoryGraph;
-pub use sharded::{HashRouter, LabelRouter, ShardRouter, ShardedGraph, STUB_LABEL};
 pub use value::{props, PropertyMap, PropertyValue};
 
 // Compile-time guarantee that the serving layer can share backends across
 // threads: every read path takes `&self` and the statistics counters are
-// atomics, so both backends must be `Send + Sync`. Keeping the assertion in
+// atomics, so every backend must be `Send + Sync`. Keeping the assertion in
 // the library (not just tests) makes an accidental regression — e.g. a
 // `RefCell` slipped into a buffer pool — a compile error.
 const _: () = {
@@ -64,7 +59,6 @@ const _: () = {
     assert_send_sync::<StatsCounters>();
     assert_send_sync::<MemoryGraph>();
     assert_send_sync::<DiskGraph>();
-    assert_send_sync::<ShardedGraph>();
     assert_send_sync::<CsrGraph>();
 };
 
@@ -79,7 +73,6 @@ mod send_sync_tests {
         assert_impl::<StatsCounters>();
         assert_impl::<MemoryGraph>();
         assert_impl::<DiskGraph>();
-        assert_impl::<ShardedGraph>();
         assert_impl::<CsrGraph>();
         // `Send + Sync` are supertraits now, so the bare trait object works.
         assert_impl::<Box<dyn GraphBackend>>();

@@ -155,8 +155,8 @@ pub struct NetRunReport {
 }
 
 impl NetRunReport {
-    /// Served counts per connection, accept order — the balance vector the
-    /// serving bench prints next to the shard grid's vertex-read balance.
+    /// Served counts per connection, accept order: how evenly the
+    /// connections shared the work.
     pub fn served_balance(&self) -> Vec<u64> {
         self.per_connection.iter().map(|c| c.served).collect()
     }

@@ -3,16 +3,16 @@
 //!
 //! The journal — the ordered [`GraphUpdate`] list — is the persistence
 //! layer's view of a graph: since backends assign dense sequential ids, the
-//! journal *is* the graph, replayable into any empty backend of any shard
-//! count to produce bit-identical ids and adjacency. The serving layer wraps
+//! journal *is* the graph, replayable into any empty backend to produce
+//! bit-identical ids and adjacency. The serving layer wraps
 //! the loader's target in a `JournaledGraph` so the base-load construction
 //! log falls out of the normal build for free, and uses
 //! [`JournaledGraph::replay_into`] to clone epochs for staging.
 //!
 //! The wrapper is generic over the backend (`MemoryGraph`, `DiskGraph`,
-//! `ShardedGraph`, or a `Box<dyn GraphBackend>` holding any of them) and is
-//! transparent on every read path — all reads, statistics and shard topology
-//! delegate to the inner backend unchanged.
+//! `CsrGraph`, or a `Box<dyn GraphBackend>` holding any of them) and is
+//! transparent on every read path — all reads and statistics delegate to the
+//! inner backend unchanged.
 
 use pgso_graphstore::{
     AccessStats, EdgeId, GraphBackend, GraphUpdate, PropertyMap, PropertyValue, VertexData,
@@ -124,18 +124,6 @@ impl<B: GraphBackend> GraphBackend for JournaledGraph<B> {
         self.inner.out_degree(vertex, edge_label)
     }
 
-    fn shard_count(&self) -> usize {
-        self.inner.shard_count()
-    }
-
-    fn shard_of(&self, vertex: VertexId) -> usize {
-        self.inner.shard_of(vertex)
-    }
-
-    fn shard_stats(&self) -> Vec<AccessStats> {
-        self.inner.shard_stats()
-    }
-
     fn vertex_count(&self) -> usize {
         self.inner.vertex_count()
     }
@@ -162,8 +150,8 @@ impl<B: GraphBackend> GraphBackend for JournaledGraph<B> {
 
     fn export_updates(&self) -> Option<Vec<GraphUpdate>> {
         // The journal is by construction the complete, ordered update
-        // sequence — exporting works even when the inner backend (e.g. a
-        // sharded one) cannot reconstruct its own.
+        // sequence — exporting works even when the inner backend cannot
+        // reconstruct its own.
         Some(self.journal.clone())
     }
 
@@ -179,7 +167,7 @@ impl<B: GraphBackend> GraphBackend for JournaledGraph<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgso_graphstore::{props, MemoryGraph, ShardedGraph};
+    use pgso_graphstore::{props, CsrGraph, MemoryGraph};
 
     fn build(mut g: JournaledGraph<MemoryGraph>) -> JournaledGraph<MemoryGraph> {
         let d = g.add_vertex("Drug", props([("name", "Aspirin".into())]));
@@ -205,8 +193,9 @@ mod tests {
     #[test]
     fn replay_into_clones_across_layouts() {
         let g = build(JournaledGraph::new(MemoryGraph::new()));
-        for shards in [1usize, 3] {
-            let mut copy = ShardedGraph::new_memory(shards);
+        let copies: [Box<dyn GraphBackend>; 2] =
+            [Box::new(MemoryGraph::new()), Box::new(CsrGraph::new())];
+        for mut copy in copies {
             g.replay_into(&mut copy);
             assert_eq!(copy.vertex_count(), g.vertex_count());
             assert_eq!(copy.edge_count(), g.edge_count());
@@ -233,7 +222,6 @@ mod tests {
         assert_eq!(g.label_of(VertexId(0)).as_deref(), Some("Drug"));
         assert_eq!(g.property_of(VertexId(1), "desc"), Some(PropertyValue::str("Fever")));
         assert_eq!(g.out_degree(VertexId(0), "treat"), 1);
-        assert_eq!(g.shard_count(), 1);
         assert_eq!(g.labels(), vec!["Drug".to_string(), "Indication".to_string()]);
         assert!(g.stats().vertex_reads >= 2, "reads charge the inner backend's counters");
         assert_eq!(g.inner().backend_name(), "memory");
@@ -241,15 +229,16 @@ mod tests {
 
     #[test]
     fn export_updates_returns_the_journal_even_over_sharded_backends() {
-        let mut g = JournaledGraph::new(ShardedGraph::new_memory(3));
+        let mut g = JournaledGraph::new(CsrGraph::new());
         let d = g.add_vertex("Drug", props([("name", "Aspirin".into())]));
         let i = g.add_vertex("Indication", props([("desc", "Fever".into())]));
         g.add_edge("treat", d, i);
-        // The sharded inner backend cannot export, but the wrapper can.
-        assert!(g.inner().export_updates().is_none());
+        // The wrapper exports its journal, not whatever the inner backend
+        // reconstructs; here the two agree.
         assert_eq!(g.export_updates().as_deref(), Some(g.journal()));
+        assert_eq!(g.inner().export_updates().as_deref(), Some(g.journal()));
         // Which is exactly what CsrGraph::freeze needs.
-        let frozen = pgso_graphstore::CsrGraph::freeze(&g);
+        let frozen = CsrGraph::freeze(&g);
         assert_eq!(frozen.vertex_count(), 2);
         assert_eq!(frozen.out_neighbours(d, "treat"), vec![i]);
     }

@@ -13,7 +13,7 @@
 //!   [`pgso_graphstore::GraphUpdate`] records, reusing the graphstore record
 //!   codec. Torn tails are detected and dropped cleanly on read.
 //! * [`snapshot`] — epoch snapshot files capturing the optimized schema, the
-//!   graph (as its construction journal, replayable into any shard layout),
+//!   graph (as its construction journal, replayable into any storage layout),
 //!   and opaque workload-tracker / baseline-frequency blobs.
 //! * [`recover`](fn@crate::recover) — finds the newest valid snapshot,
 //!   replays every later WAL in order, and hands the serving layer a

@@ -8,12 +8,12 @@
 //!   would mean re-optimizing from scratch on restart);
 //! * the **graph**, serialized as its *construction journal*: the ordered
 //!   [`GraphUpdate`] sequence that built it. Backends assign dense
-//!   sequential ids, so replaying the journal into any empty backend — one
-//!   [`MemoryGraph`](pgso_graphstore::MemoryGraph) or an N-shard
-//!   [`ShardedGraph`](pgso_graphstore::ShardedGraph) — reproduces the exact
-//!   global ids, orderings and row sets of the original (the per-shard
-//!   layout is re-derived by the router, which is why one format covers
-//!   every shard count);
+//!   sequential ids, so replaying the journal into any empty backend —
+//!   [`MemoryGraph`](pgso_graphstore::MemoryGraph),
+//!   [`CsrGraph`](pgso_graphstore::CsrGraph) or
+//!   [`DiskGraph`](pgso_graphstore::DiskGraph) — reproduces the exact ids,
+//!   orderings and row sets of the original, which is why one format covers
+//!   every storage layout;
 //! * the **workload tracker counters** and the **baseline frequencies** the
 //!   schema was optimized for, stored as opaque blobs owned by the serving
 //!   layer, so a restart resumes with the learned workload instead of
@@ -73,8 +73,8 @@ pub struct Snapshot {
     /// Schema generation of that epoch (plan-cache key; ingest swaps bump
     /// the epoch but not the schema generation).
     pub schema_generation: u64,
-    /// Storage shard count the epoch was serving with. Recovery may load the
-    /// journal under a different shard count; this records the original.
+    /// Recorded, not interpreted; always 1. Servers that partitioned their
+    /// epochs wrote their shard count here, and recovery ignores the value.
     pub shard_count: u32,
     /// The optimized schema the epoch serves.
     pub schema: PropertyGraphSchema,

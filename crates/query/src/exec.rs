@@ -36,74 +36,13 @@
 //! correct over the replicated LIST properties the DIR→OPT rewrite
 //! substitutes for edge traversals) and **`DISTINCT` → `ORDER BY` →
 //! `SKIP`/`LIMIT`**, in that order, on the (possibly aggregated) rows.
-//!
-//! # Parallel fan-out over shards
-//!
-//! When the backend is partitioned ([`GraphBackend::shard_count`] > 1) and
-//! the root candidate set is large enough to pay for thread spawns (see
-//! [`ExecConfig`]), root-candidate filtering and per-root pattern expansion
-//! fan out across scoped worker threads, one per shard: each worker takes
-//! the root candidates *owned by its shard*, so the initial vertex reads hit
-//! disjoint shard locks. Every worker runs the exact same backtracking
-//! expansion (freely crossing shards mid-pattern), and the per-root runs of
-//! matches are merged back **in root order**, so the final binding order —
-//! and with it row order, `DISTINCT` survivor choice and `ORDER BY`
-//! tie-breaks — is bit-for-bit that of the serial execution.
 
 use crate::ast::{Aggregate, EdgePattern, ReturnItem};
 use crate::stmt::{order_values, CountTerm, Predicate, Statement, Term};
 use pgso_graphstore::{AccessStats, GraphBackend, PropertyValue, VertexId};
 use pgso_telemetry::{FieldValue, StageTimings, TraceBuffer};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-
-/// Tuning knobs for the executor's parallel fan-out.
-///
-/// Production code runs [`ExecConfig::default`] only: no caller outside the
-/// tests sets a field, so the two floors are first guesses, not tuned
-/// values. The tests use [`ExecConfig::serial`] and
-/// [`ExecConfig::always_parallel`] as their reference switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecConfig {
-    /// Master switch for the shard fan-out. Defaults to `true` only when the
-    /// process actually has more than one CPU — on a single core, per-query
-    /// thread spawns are pure overhead.
-    pub parallel: bool,
-    /// Minimum number of root candidates before fanning out.
-    pub min_parallel_roots: usize,
-    /// Minimum *estimated* expansion work (root count × sampled first-hop
-    /// fan-out, via the uncharged [`GraphBackend::out_degree`] accessor)
-    /// before fanning out.
-    pub min_estimated_work: usize,
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        Self { parallel: default_parallel(), min_parallel_roots: 32, min_estimated_work: 192 }
-    }
-}
-
-impl ExecConfig {
-    /// A configuration that never fans out (always serial).
-    pub fn serial() -> Self {
-        Self { parallel: false, ..Self::default() }
-    }
-
-    /// A configuration that fans out whenever the backend is sharded,
-    /// regardless of core count or workload size — used by equivalence tests
-    /// to force the parallel path.
-    pub fn always_parallel() -> Self {
-        Self { parallel: true, min_parallel_roots: 0, min_estimated_work: 0 }
-    }
-}
-
-fn default_parallel() -> bool {
-    static MULTI_CORE: OnceLock<bool> = OnceLock::new();
-    *MULTI_CORE
-        .get_or_init(|| std::thread::available_parallelism().map(|n| n.get() > 1).unwrap_or(false))
-}
 
 /// One result row: the values requested by the RETURN clause.
 pub type Row = Vec<PropertyValue>;
@@ -124,9 +63,8 @@ pub struct QueryResult {
     /// fetched through the backend.
     pub predicate_checks: u64,
     /// Wall time spent in each execution stage (root selection, expansion,
-    /// optional matching, aggregation, windowing) and the number of shards
-    /// the expansion fanned out across. Always populated; the five extra
-    /// monotonic-clock reads are noise next to any real query.
+    /// optional matching, aggregation, windowing). Always populated; the
+    /// extra monotonic-clock reads are noise next to any real query.
     pub stage_timings: StageTimings,
 }
 
@@ -146,16 +84,6 @@ impl QueryResult {
 /// predicate comparing against it matches nothing (like a `Null` literal),
 /// an unbound `SKIP` skips nothing, and an unbound `LIMIT` does not limit.
 pub fn execute_statement(stmt: &Statement, backend: &dyn GraphBackend) -> QueryResult {
-    execute_statement_with(stmt, backend, &ExecConfig::default())
-}
-
-/// [`execute_statement`] with explicit [`ExecConfig`] control over the
-/// parallel shard fan-out.
-pub fn execute_statement_with(
-    stmt: &Statement,
-    backend: &dyn GraphBackend,
-    config: &ExecConfig,
-) -> QueryResult {
     let before = backend.stats();
     let start = Instant::now();
     let ctx = Ctx::new(stmt, backend);
@@ -164,22 +92,16 @@ pub fn execute_statement_with(
     // A statement that cannot match skips root selection and expansion.
     if !ctx.unsatisfiable && !stmt.nodes.is_empty() {
         let mut row = vec![None; ctx.slots.len()];
-        let mut stage = Instant::now();
-        // The fan-out gate and the shard grouping need the root candidates
-        // as a slice; every other execution visits them in place.
-        if config.parallel && backend.shard_count() > 1 {
-            let roots = backend.vertices_with_label(ctx.slots[ROOT].label);
-            timings.root_selection = stage.elapsed();
-            stage = Instant::now();
-            if should_fan_out(&ctx, &roots, config) {
-                timings.fanned_out_shards = fan_out_roots(&ctx, &roots, &mut bindings);
-            } else {
-                roots.iter().for_each(|&root| expand_root(&ctx, root, &mut row, &mut bindings));
+        let stage = Instant::now();
+        backend.for_each_with_label(ctx.slots[ROOT].label, &mut |root| {
+            // Predicate pushdown: a root failing a WHERE predicate is not
+            // expanded.
+            if ctx.passes(ROOT, root) {
+                row[ROOT] = Some(root);
+                expand(&ctx, 0, &mut row, &mut bindings);
+                row[ROOT] = None;
             }
-        } else {
-            let visit = &mut |root| expand_root(&ctx, root, &mut row, &mut bindings);
-            backend.for_each_with_label(ctx.slots[ROOT].label, visit);
-        }
+        });
         timings.expansion = stage.elapsed();
     }
     let stage = Instant::now();
@@ -203,14 +125,14 @@ pub fn execute_statement_with(
         matches,
         elapsed: start.elapsed(),
         stats: backend.stats().delta_since(&before),
-        predicate_checks: ctx.predicate_checks.load(Ordering::Relaxed),
+        predicate_checks: ctx.predicate_checks.get(),
         stage_timings: timings,
     }
 }
 
 /// Emits the post-hoc execution trace of `result` under `span`: one
 /// `stage.<name>` event per non-zero stage and a closing `query.exec` event
-/// carrying match/row counts and the fan-out width. Emission works from the
+/// carrying match, row and predicate-check counts. Emission works from the
 /// recorded [`StageTimings`], off the execution hot path; serving layers pass
 /// the span they hold (a wire-supplied trace id, or [`TraceBuffer::new_span`]).
 pub fn emit_exec_trace(result: &QueryResult, trace: &TraceBuffer, span: u64) {
@@ -234,7 +156,6 @@ pub fn emit_exec_trace(result: &QueryResult, trace: &TraceBuffer, span: u64) {
             ("matches", FieldValue::from(result.matches)),
             ("rows", FieldValue::from(result.rows.len())),
             ("predicate_checks", FieldValue::from(result.predicate_checks)),
-            ("fanned_out_shards", FieldValue::from(result.stage_timings.fanned_out_shards)),
         ],
     );
 }
@@ -275,9 +196,9 @@ struct Step<'a> {
     dst: usize,
 }
 
-/// Shared execution context of the backtracking expansion: the statement
-/// resolved to slots and steps, the backend every read goes through, and the
-/// predicate-evaluation counter. `Sync`: shard workers share one by reference.
+/// Execution context of the backtracking expansion: the statement resolved
+/// to slots and steps, the backend every read goes through, and the
+/// predicate-evaluation counter.
 struct Ctx<'a> {
     stmt: &'a Statement,
     backend: &'a dyn GraphBackend,
@@ -295,7 +216,7 @@ struct Ctx<'a> {
     stride: usize,
     /// A predicate on a variable no node pattern declares can never hold.
     unsatisfiable: bool,
-    predicate_checks: AtomicU64,
+    predicate_checks: std::cell::Cell<u64>,
 }
 
 /// A `RETURN` item resolved to `(variable slot, property)`.
@@ -366,7 +287,7 @@ impl<'a> Ctx<'a> {
             edges,
             opt_edges,
             unsatisfiable,
-            predicate_checks: AtomicU64::new(0),
+            predicate_checks: std::cell::Cell::new(0),
         }
     }
 
@@ -386,7 +307,7 @@ impl<'a> Ctx<'a> {
             let Term::Literal(rhs) = &predicate.value else {
                 return false;
             };
-            self.predicate_checks.fetch_add(1, Ordering::Relaxed);
+            self.predicate_checks.set(self.predicate_checks.get() + 1);
             self.read(vertex, &predicate.property, |value| {
                 value.is_some_and(|value| predicate.op.eval(value, rhs))
             })
@@ -426,81 +347,6 @@ impl<'a> Ctx<'a> {
             self.backend.for_each_in(from, edge.label, &mut step);
         }
         true
-    }
-}
-
-/// Decides whether the root expansion is worth fanning out: the backend must
-/// be partitioned, and the estimated work — root count scaled by a sampled
-/// first-hop fan-out (read through the *uncharged* [`GraphBackend::out_degree`],
-/// so estimation never skews the counters) — must clear the configured floor.
-fn should_fan_out(ctx: &Ctx<'_>, roots: &[VertexId], config: &ExecConfig) -> bool {
-    let sharded = config.parallel && ctx.backend.shard_count() > 1;
-    if !sharded || roots.len() < config.min_parallel_roots {
-        return false;
-    }
-    let estimated = match ctx.edges.first() {
-        Some(edge) => {
-            let sample: usize =
-                roots.iter().take(4).map(|&v| ctx.backend.out_degree(v, edge.label)).sum();
-            let per_root = 1 + sample / roots.len().clamp(1, 4);
-            roots.len() * per_root
-        }
-        None => roots.len(),
-    };
-    estimated >= config.min_estimated_work
-}
-
-/// Parallel root fan-out: one scoped worker per shard expands the root
-/// candidates *owned by that shard* into a binding table of its own; the
-/// per-root runs of those tables are appended to `bindings` in root order,
-/// reproducing the serial binding order exactly. Returns the number of
-/// workers spawned (a shard owning no root candidate gets none).
-fn fan_out_roots(ctx: &Ctx<'_>, roots: &[VertexId], bindings: &mut Vec<Cell>) -> usize {
-    let shard_count = ctx.backend.shard_count();
-    let mut groups: Vec<Vec<(usize, VertexId)>> = vec![Vec::new(); shard_count];
-    for (pos, &vertex) in roots.iter().enumerate() {
-        groups[ctx.backend.shard_of(vertex).min(shard_count - 1)].push((pos, vertex));
-    }
-    // Per worker: its table, and where each root's run ends in it.
-    let mut tables = Vec::new();
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = groups
-            .iter()
-            .filter(|group| !group.is_empty())
-            .map(|group| {
-                scope.spawn(move || {
-                    let mut row = vec![None; ctx.slots.len()];
-                    let (mut ends, mut table) = (Vec::with_capacity(group.len()), Vec::new());
-                    for &(pos, vertex) in group {
-                        expand_root(ctx, vertex, &mut row, &mut table);
-                        ends.push((pos, table.len()));
-                    }
-                    (ends, table)
-                })
-            })
-            .collect();
-        let joined = workers.into_iter().map(|w| w.join().expect("shard fan-out worker panicked"));
-        tables.extend(joined);
-    });
-    let mut runs: Vec<(usize, &[Cell])> = Vec::with_capacity(roots.len());
-    for (ends, table) in &tables {
-        let starts = std::iter::once(0).chain(ends.iter().map(|&(_, end)| end));
-        runs.extend(ends.iter().zip(starts).map(|(&(pos, end), start)| (pos, &table[start..end])));
-    }
-    runs.sort_unstable_by_key(|&(pos, _)| pos);
-    runs.iter().for_each(|(_, run)| bindings.extend_from_slice(run));
-    tables.len()
-}
-
-/// Matches the whole mandatory pattern from one root candidate — the body
-/// of the serial root loop and of every shard worker alike. `row` is the
-/// caller's scratch row, all cells unbound on entry and on return.
-fn expand_root(ctx: &Ctx<'_>, vertex: VertexId, row: &mut [Cell], out: &mut Vec<Cell>) {
-    // Predicate pushdown: a root failing a WHERE predicate is not expanded.
-    if ctx.passes(ROOT, vertex) {
-        row[ROOT] = Some(vertex);
-        expand(ctx, 0, row, out);
-        row[ROOT] = None;
     }
 }
 
@@ -1496,106 +1342,6 @@ mod tests {
         assert_eq!(result.rows.len(), 1);
     }
 
-    // ---- parallel fan-out over shards ----------------------------------
-
-    use pgso_graphstore::ShardedGraph;
-
-    /// Loads the same synthetic graph into a `MemoryGraph` and a
-    /// `ShardedGraph`: `n` drugs, each treating 3 of `n` indications.
-    fn mirrored(shards: usize, n: u64) -> (MemoryGraph, ShardedGraph) {
-        let mut mono = MemoryGraph::new();
-        let mut sharded = ShardedGraph::new_memory(shards);
-        for backend in [&mut mono as &mut dyn pgso_graphstore::GraphBackend, &mut sharded as _] {
-            let drugs: Vec<_> = (0..n)
-                .map(|i| {
-                    backend.add_vertex("Drug", props([("name", format!("drug-{i:03}").into())]))
-                })
-                .collect();
-            let inds: Vec<_> = (0..n)
-                .map(|i| {
-                    backend
-                        .add_vertex("Indication", props([("desc", format!("ind-{i:03}").into())]))
-                })
-                .collect();
-            for (i, &d) in drugs.iter().enumerate() {
-                for k in 0..3u64 {
-                    backend.add_edge(
-                        "treat",
-                        d,
-                        inds[(i as u64 * 7 + k * 5) as usize % n as usize],
-                    );
-                }
-            }
-        }
-        (mono, sharded)
-    }
-
-    #[test]
-    fn parallel_fan_out_matches_serial_rows_and_order() {
-        let (mono, sharded) = mirrored(4, 40);
-        let stmt = Statement::builder("fanout")
-            .node("d", "Drug")
-            .node("i", "Indication")
-            .edge("d", "treat", "i")
-            .ret_property("d", "name")
-            .ret_property("i", "desc")
-            .filter("i", "desc", CmpOp::Contains, "ind-0")
-            .build();
-        let serial = execute_statement_with(&stmt, &mono, &ExecConfig::serial());
-        let parallel = execute_statement_with(&stmt, &sharded, &ExecConfig::always_parallel());
-        assert!(serial.matches > 0, "fixture must produce matches");
-        assert_eq!(serial.rows, parallel.rows, "row order must be deterministic");
-        assert_eq!(serial.matches, parallel.matches);
-        assert_eq!(serial.predicate_checks, parallel.predicate_checks);
-        assert_eq!(serial.stats.edge_traversals, parallel.stats.edge_traversals);
-        // The serial path on the sharded backend agrees too.
-        let sharded_serial = execute_statement_with(&stmt, &sharded, &ExecConfig::serial());
-        assert_eq!(serial.rows, sharded_serial.rows);
-    }
-
-    #[test]
-    fn parallel_fan_out_preserves_windowing_semantics() {
-        let (mono, sharded) = mirrored(3, 30);
-        let stmt = Statement::builder("windowed")
-            .node("d", "Drug")
-            .node("i", "Indication")
-            .edge("d", "treat", "i")
-            .ret_property("i", "desc")
-            .distinct()
-            .order_by("i", "desc", true)
-            .skip(2)
-            .limit(9)
-            .build();
-        let serial = execute_statement_with(&stmt, &mono, &ExecConfig::serial());
-        let parallel = execute_statement_with(&stmt, &sharded, &ExecConfig::always_parallel());
-        assert_eq!(serial.rows, parallel.rows, "DISTINCT/ORDER BY/SKIP/LIMIT must agree");
-        assert_eq!(serial.rows.len(), 9);
-    }
-
-    #[test]
-    fn fan_out_gate_respects_thresholds_and_shard_count() {
-        let (mono, sharded) = mirrored(2, 10);
-        let stmt = Statement::builder("g")
-            .node("d", "Drug")
-            .node("i", "Indication")
-            .edge("d", "treat", "i")
-            .ret_property("i", "desc")
-            .build();
-        let roots = sharded.vertices_with_label("Drug");
-        let ctx = Ctx::new(&stmt, &sharded);
-        assert!(should_fan_out(&ctx, &roots, &ExecConfig::always_parallel()));
-        assert!(!should_fan_out(&ctx, &roots, &ExecConfig::serial()));
-        let high_floor =
-            ExecConfig { parallel: true, min_parallel_roots: 1_000, min_estimated_work: 0 };
-        assert!(!should_fan_out(&ctx, &roots, &high_floor), "root floor must gate");
-        let work_floor =
-            ExecConfig { parallel: true, min_parallel_roots: 0, min_estimated_work: 1_000_000 };
-        assert!(!should_fan_out(&ctx, &roots, &work_floor), "work floor must gate");
-        // A monolithic backend never fans out, whatever the config says.
-        let mono_ctx = Ctx::new(&stmt, &mono);
-        assert!(!should_fan_out(&mono_ctx, &roots, &ExecConfig::always_parallel()));
-    }
-
     #[test]
     fn bare_statement_matches_plain_execution() {
         // A clause-free statement is a plain pattern match: one row per
@@ -1617,7 +1363,7 @@ mod tests {
 
     #[test]
     fn stage_timings_reflect_the_executed_stages() {
-        let (_, sharded) = mirrored(4, 40);
+        let g = figure_1_direct();
         let stmt = Statement::builder("timed")
             .node("d", "Drug")
             .node("i", "Indication")
@@ -1625,11 +1371,11 @@ mod tests {
             .ret_property("i", "desc")
             .order_by("i", "desc", false)
             .build();
-        let parallel = execute_statement_with(&stmt, &sharded, &ExecConfig::always_parallel());
-        assert_eq!(parallel.stage_timings.fanned_out_shards, 4, "one worker per shard");
-        assert!(parallel.stage_timings.total() <= parallel.elapsed + parallel.elapsed);
-        let serial = execute_statement_with(&stmt, &sharded, &ExecConfig::serial());
-        assert_eq!(serial.stage_timings.fanned_out_shards, 0, "serial walk reports no fan-out");
+        let result = execute_statement(&stmt, &g);
+        assert!(result.stage_timings.total() <= result.elapsed);
+        // Root candidates are visited in place, inside the expansion stage.
+        assert_eq!(result.stage_timings.root_selection, Duration::ZERO);
+        assert!(result.stage_timings.expansion > Duration::ZERO);
     }
 
     /// What a statement costs is part of the executor's contract (the paper
@@ -1649,22 +1395,11 @@ mod tests {
             let route = doses.add_vertex("Route", props([("dose", dose.into())]));
             doses.add_edge("hasRoute", drug, route);
         }
-        let (_, sharded) = mirrored(2, 10);
-        let serial = ExecConfig::serial();
-        let parallel = ExecConfig::always_parallel();
         let treats = || Statement::builder("g").node("d", "Drug").node("i", "Indication");
-        let on_shards = treats()
-            .edge("d", "treat", "i")
-            .ret_property("d", "name")
-            .filter("i", "desc", CmpOp::Eq, "ind-003")
-            .order_by("d", "name", false)
-            .build();
-        let on_shards_rows: &[&str] = &["drug-004", "drug-009", "drug-009"];
 
-        // (shape, statement, backend, config, rows,
+        // (shape, statement, backend, rows,
         //  [matches, vertex reads, edge traversals, predicate checks])
-        type Case<'a> =
-            (&'a str, Statement, &'a dyn GraphBackend, &'a ExecConfig, &'a [&'a str], [u64; 4]);
+        type Case<'a> = (&'a str, Statement, &'a dyn GraphBackend, &'a [&'a str], [u64; 4]);
         let cases: Vec<Case<'_>> = vec![
             (
                 "two-hop forward",
@@ -1678,7 +1413,6 @@ mod tests {
                     .ret_property("dfi", "risk")
                     .build(),
                 &direct,
-                &serial,
                 &["Aspirin|moderate"],
                 [1, 5, 3, 0],
             ),
@@ -1692,7 +1426,6 @@ mod tests {
                     .ret_vertex("d")
                     .build(),
                 &direct,
-                &serial,
                 &["Fever|0", "Headache|0"],
                 [2, 4, 2, 0],
             ),
@@ -1704,7 +1437,6 @@ mod tests {
                     .ret_property("i", "desc")
                     .build(),
                 &direct,
-                &serial,
                 &["Fever", "Headache"],
                 [2, 4, 6, 0],
             ),
@@ -1719,7 +1451,6 @@ mod tests {
                     .ret_property("di", "summary")
                     .build(),
                 &placebo,
-                &serial,
                 &["Fever|Delayed", "Headache|Delayed"],
                 [2, 6, 2, 0],
             ),
@@ -1727,7 +1458,6 @@ mod tests {
                 "isolated node pattern",
                 treats().ret_property("d", "name").ret_property("i", "desc").build(),
                 &placebo,
-                &serial,
                 &["Aspirin|Fever", "Aspirin|Headache", "Placebo|Fever", "Placebo|Headache"],
                 [4, 8, 0, 0],
             ),
@@ -1742,7 +1472,6 @@ mod tests {
                     .ret_vertex("i")
                     .build(),
                 &placebo,
-                &serial,
                 &["Aspirin|Fever|1", "Aspirin|Headache|2", "Placebo|null|null"],
                 [3, 7, 2, 0],
             ),
@@ -1757,7 +1486,6 @@ mod tests {
                     .ret_property("dli", "mechanism")
                     .build(),
                 &direct,
-                &serial,
                 &["Fever|glucose", "Headache|glucose"],
                 [2, 6, 2, 0],
             ),
@@ -1770,7 +1498,6 @@ mod tests {
                     .filter("i", "desc", CmpOp::Contains, "Head")
                     .build(),
                 &placebo,
-                &serial,
                 &["Headache"],
                 [1, 7, 2, 4],
             ),
@@ -1787,29 +1514,12 @@ mod tests {
                     .having(Aggregate::Avg, "r", Some("dose"), CmpOp::Gt, 10i64)
                     .build(),
                 &doses,
-                &serial,
                 &["A|40|2"],
                 [3, 9, 3, 0],
             ),
-            (
-                "2 shards, serial",
-                on_shards.clone(),
-                &sharded,
-                &serial,
-                on_shards_rows,
-                [3, 66, 30, 30],
-            ),
-            (
-                "2 shards, fanned out",
-                on_shards,
-                &sharded,
-                &parallel,
-                on_shards_rows,
-                [3, 66, 30, 30],
-            ),
         ];
-        for (shape, stmt, backend, config, rows, counters) in cases {
-            let result = execute_statement_with(&stmt, backend, config);
+        for (shape, stmt, backend, rows, counters) in cases {
+            let result = execute_statement(&stmt, backend);
             let rendered: Vec<String> = result
                 .rows
                 .iter()
@@ -1823,8 +1533,6 @@ mod tests {
                 result.predicate_checks,
             ];
             assert_eq!(measured, counters, "{shape}: counters");
-            let shards = if config.parallel { 2 } else { 0 };
-            assert_eq!(result.stage_timings.fanned_out_shards, shards, "{shape}: fan-out width");
         }
     }
 
@@ -1838,7 +1546,7 @@ mod tests {
             .ret_property("i", "desc")
             .build();
         let trace = pgso_telemetry::TraceBuffer::new(32);
-        let traced = execute_statement_with(&stmt, &g, &ExecConfig::serial());
+        let traced = execute_statement(&stmt, &g);
         emit_exec_trace(&traced, &trace, trace.new_span());
         let plain = execute_statement(&stmt, &g);
         assert_eq!(traced.rows, plain.rows, "tracing must not change results");

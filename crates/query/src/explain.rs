@@ -6,9 +6,8 @@
 //! (union / inheritance / one-to-one merge / one-to-many LIST replication —
 //! the same vocabulary as `pgso_core::RuleItem::rule_name`). `PROFILE`
 //! additionally executes the statement and attaches [`PlanActuals`]: the
-//! executor's exact `AccessStats`, predicate checks, per-stage wall times
-//! and shard fan-out, side by side with the rules' tracker-estimated
-//! fan-outs.
+//! executor's exact `AccessStats`, predicate checks and per-stage wall
+//! times, side by side with the rules' tracker-estimated fan-outs.
 //!
 //! A plan is an ordinary value *and* an ordinary result: [`QueryPlan::to_rows`]
 //! lowers it onto tagged [`PropertyValue`] rows so it streams through every
@@ -76,7 +75,7 @@ impl AppliedRule {
 
 /// Measured per-stage actuals of one `PROFILE` execution — copied verbatim
 /// from the executor's [`QueryResult`], so equality against a direct
-/// `execute_statement_with` run is exact.
+/// `execute_statement` run is exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanActuals {
     /// Pattern matches found (before aggregation and windowing).
@@ -95,8 +94,6 @@ pub struct PlanActuals {
     pub predicate_checks: u64,
     /// End-to-end execution wall time, nanoseconds.
     pub elapsed_ns: u64,
-    /// Shards the expansion fanned out across (0 = serial).
-    pub fanned_out_shards: u64,
     /// Per-stage wall times in [`pgso_telemetry::StageTimings::stages`]
     /// order (root selection, expansion, optional, aggregate, windowing),
     /// nanoseconds.
@@ -119,7 +116,6 @@ impl PlanActuals {
             page_hits: result.stats.page_hits,
             predicate_checks: result.predicate_checks,
             elapsed_ns: result.elapsed.as_nanos() as u64,
-            fanned_out_shards: result.stage_timings.fanned_out_shards as u64,
             stage_ns,
         }
     }
@@ -191,7 +187,6 @@ impl QueryPlan {
                 actuals.page_hits,
                 actuals.predicate_checks,
                 actuals.elapsed_ns,
-                actuals.fanned_out_shards,
             ] {
                 row.push(PropertyValue::Int(value as i64));
             }
@@ -232,8 +227,8 @@ impl QueryPlan {
                     edge_label: row[3].as_str().map(str::to_string),
                     estimated_fanout: row[4].as_float(),
                 }),
-                "actuals" if row.len() == 15 => {
-                    let mut values = [0u64; 14];
+                "actuals" if row.len() == 14 => {
+                    let mut values = [0u64; 13];
                     for (slot, cell) in values.iter_mut().zip(&row[1..]) {
                         *slot = cell.as_int()? as u64;
                     }
@@ -246,8 +241,7 @@ impl QueryPlan {
                         page_hits: values[5],
                         predicate_checks: values[6],
                         elapsed_ns: values[7],
-                        fanned_out_shards: values[8],
-                        stage_ns: values[9..14].try_into().expect("five stage slots"),
+                        stage_ns: values[8..13].try_into().expect("five stage slots"),
                     });
                 }
                 _ => return None,
@@ -279,14 +273,13 @@ impl QueryPlan {
             let _ = writeln!(
                 out,
                 "  actuals: {} matches, {} rows, {} vertex reads, {} edge traversals, \
-                 {} predicate checks, {} ns ({} shards)",
+                 {} predicate checks, {} ns",
                 a.matches,
                 a.rows,
                 a.vertex_reads,
                 a.edge_traversals,
                 a.predicate_checks,
                 a.elapsed_ns,
-                a.fanned_out_shards,
             );
             let stages = ["root_selection", "expansion", "optional", "aggregate", "windowing"];
             for (name, ns) in stages.iter().zip(a.stage_ns) {
@@ -334,7 +327,6 @@ mod tests {
                 page_hits: 0,
                 predicate_checks: 7,
                 elapsed_ns: 12_345,
-                fanned_out_shards: 4,
                 stage_ns: [1, 2, 0, 3, 4],
             }),
         }

@@ -9,7 +9,7 @@
 //! vector doubling a few more times) does not count against it.
 
 use pgso_graphstore::{props, GraphBackend, MemoryGraph, VertexId};
-use pgso_query::{execute_statement_with, Aggregate, CmpOp, ExecConfig, Statement};
+use pgso_query::{execute_statement, Aggregate, CmpOp, Statement};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -55,31 +55,28 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Heap allocations (and reallocations) one serial execution of `stmt`
-/// makes on this thread, with the number of matches and rows it found.
+/// Heap allocations (and reallocations) one execution of `stmt` makes on
+/// this thread, with the number of matches and rows it found.
 fn execution(stmt: &Statement, graph: &MemoryGraph) -> (u64, usize, usize) {
-    // Built outside the measured region: the first `ExecConfig` of a process
-    // probes the CPU count, which allocates.
-    let config = ExecConfig::serial();
     let before = ALLOCATIONS.with(Cell::get);
-    let result = execute_statement_with(stmt, graph, &config);
+    let result = execute_statement(stmt, graph);
     let allocations = ALLOCATIONS.with(Cell::get) - before;
     (allocations, result.matches, result.rows.len())
 }
 
-/// `drugs` Drug vertices, each treating `fan_out` Indications of its own,
-/// each of those with `fan_out` Symptoms of its own; every vertex is named.
-fn tree(drugs: usize, fan_out: usize) -> MemoryGraph {
+/// `drugs` Drug vertices, each treating `width` Indications of its own,
+/// each of those with `width` Symptoms of its own; every vertex is named.
+fn tree(drugs: usize, width: usize) -> MemoryGraph {
     let mut graph = MemoryGraph::new();
     let named = |graph: &mut MemoryGraph, label: &str, name: String| -> VertexId {
         graph.add_vertex(label, props([("name", name.into())]))
     };
     for d in 0..drugs {
         let drug = named(&mut graph, "Drug", format!("drug-{d}"));
-        for i in 0..fan_out {
+        for i in 0..width {
             let indication = named(&mut graph, "Indication", format!("indication-{d}-{i}"));
             graph.add_edge("treat", drug, indication);
-            for s in 0..fan_out {
+            for s in 0..width {
                 let symptom = named(&mut graph, "Symptom", format!("symptom-{d}-{i}-{s}"));
                 graph.add_edge("show", indication, symptom);
             }

@@ -101,7 +101,7 @@ pub(crate) fn recover_start(
     let state = pgso_persist::recover(dir)?.ok_or_else(|| {
         io::Error::new(io::ErrorKind::NotFound, format!("no valid snapshot in {}", dir.display()))
     })?;
-    let mut graph = fresh_backend(config.storage_tier, config.shard_count);
+    let mut graph = fresh_backend(config.storage_tier);
     let full_journal = state.full_journal();
     let replay_started = Instant::now();
     apply_updates(&mut graph, &full_journal);
@@ -168,7 +168,7 @@ impl KgServer {
         Snapshot {
             epoch: epoch.number,
             schema_generation: epoch.schema_generation,
-            shard_count: epoch.shard_count() as u32,
+            shard_count: 1,
             schema: epoch.schema.clone(),
             journal: ing.base_journal.clone(),
             ingested: ing.ingested.clone(),

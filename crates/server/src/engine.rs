@@ -67,7 +67,7 @@ use pgso_graphstore::{AccessStats, GraphBackend, GraphUpdate};
 use pgso_ontology::{AccessFrequencies, DataStatistics, Ontology};
 use pgso_persist::{JournaledGraph, PersistConfig};
 use pgso_pgschema::PropertyGraphSchema;
-use pgso_query::{parse_named, ExecConfig};
+use pgso_query::parse_named;
 use pgso_telemetry::{
     FieldValue, MetricsRegistry, MetricsSnapshot, TraceEvent, WindowRates, WINDOW_SECS,
 };
@@ -94,22 +94,12 @@ pub struct ServerConfig {
     /// If false, drift is never checked automatically; re-optimization only
     /// happens through [`KgServer::try_reoptimize`].
     pub auto_reoptimize: bool,
-    /// Number of storage shards per epoch. `1` serves from a single
-    /// backend of the configured [`ServerConfig::storage_tier`]; larger
-    /// values hash-partition every epoch's instance graph across that many
-    /// tier-layout shards ([`pgso_graphstore::ShardedGraph`]), and the
-    /// executor may fan root expansion out across them (see
-    /// [`ServerConfig::exec`]). Epoch swaps rebuild the *sharded* graph off
-    /// the read path, exactly like the monolithic case.
-    pub shard_count: usize,
     /// Physical storage layout every epoch (initial build, ingest
-    /// publications, re-optimization swaps, recovery) is built on. The CSR
-    /// tier compiles its read index at publication
-    /// ([`crate::tier::StorageTier::Csr`]), recorded as `csr.compile`.
+    /// publications, re-optimization swaps, recovery) is built on: one
+    /// backend of this tier per epoch. The CSR tier compiles its read index
+    /// at publication ([`crate::tier::StorageTier::Csr`]), recorded as
+    /// `csr.compile`.
     pub storage_tier: StorageTier,
-    /// Executor tuning (parallel fan-out gates) applied to every served
-    /// statement.
-    pub exec: ExecConfig,
     /// Ingest staging policy: when pending updates are published into a new
     /// serving epoch.
     pub ingest: IngestConfig,
@@ -135,9 +125,7 @@ impl Default for ServerConfig {
             check_interval: 256,
             plan_cache_capacity: 1024,
             auto_reoptimize: true,
-            shard_count: 1,
             storage_tier: StorageTier::Memory,
-            exec: ExecConfig::default(),
             ingest: IngestConfig::default(),
             telemetry_enabled: true,
             slow_query_log_threshold: None,
@@ -228,16 +216,6 @@ impl Epoch {
     /// Access counters of this generation's backend.
     pub fn stats(&self) -> AccessStats {
         self.graph.stats()
-    }
-
-    /// Number of storage shards backing this generation.
-    pub fn shard_count(&self) -> usize {
-        self.graph.shard_count()
-    }
-
-    /// Per-shard access counters (single-element for a monolithic epoch).
-    pub fn shard_stats(&self) -> Vec<AccessStats> {
-        self.graph.shard_stats()
     }
 }
 
@@ -397,13 +375,8 @@ impl KgServerBuilder {
         let telemetry = self.telemetry();
         let input = OptimizerInput::new(&self.ontology, &self.statistics, &initial_frequencies);
         let schema = pgso_core::optimize_pgsg(input, &self.config.optimizer).chosen.schema;
-        let (graph, base_journal) = build_graph(
-            &self.ontology,
-            &schema,
-            &self.instance,
-            self.config.storage_tier,
-            self.config.shard_count,
-        );
+        let (graph, base_journal) =
+            build_graph(&self.ontology, &schema, &self.instance, self.config.storage_tier);
         compile_for_serving(graph.as_ref(), self.config.storage_tier, telemetry.as_ref());
         let start = Start {
             epoch: Epoch { number: 0, schema_generation: 0, schema, graph },
@@ -425,9 +398,8 @@ impl KgServerBuilder {
     /// generation and resumes serving — same schema, same global vertex
     /// ids, bit-identical query answers.
     ///
-    /// The configured `shard_count` and `storage_tier` may differ from the
-    /// killed server's: the graph journal replays into any storage layout
-    /// with identical global ids.
+    /// The configured `storage_tier` may differ from the killed server's: the
+    /// graph journal replays into any storage layout with identical ids.
     ///
     /// # Errors
     /// [`io::ErrorKind::InvalidInput`] without a [`persist`](Self::persist)
@@ -517,7 +489,7 @@ impl KgServer {
     ///
     /// ```text
     /// let server = KgServer::builder(ontology, statistics, instance)
-    ///     .config(ServerConfig { shard_count: 4, ..ServerConfig::default() })
+    ///     .config(ServerConfig { storage_tier: StorageTier::Csr, ..ServerConfig::default() })
     ///     .persist(PersistConfig::new(dir))
     ///     .build(initial_frequencies)?;   // or .recover()? after a kill
     /// ```
@@ -692,7 +664,6 @@ impl KgServer {
         let epoch = self.current_epoch();
         registry.gauge(&name("epoch.number")).set(epoch.number as f64);
         registry.gauge(&name("epoch.schema_generation")).set(epoch.schema_generation as f64);
-        registry.gauge(&name("epoch.shard_count")).set(epoch.shard_count() as f64);
         if self.config.storage_tier == StorageTier::Csr {
             // Cheap on an already-published epoch: the CSR index was
             // compiled at publication, so this only sums footprints.
@@ -757,9 +728,8 @@ pub(crate) fn build_graph(
     schema: &PropertyGraphSchema,
     instance: &InstanceKg,
     tier: StorageTier,
-    shard_count: usize,
 ) -> (Box<dyn GraphBackend>, Vec<GraphUpdate>) {
-    let mut journaled = JournaledGraph::new(fresh_backend(tier, shard_count));
+    let mut journaled = JournaledGraph::new(fresh_backend(tier));
     load_into(&mut journaled, ontology, schema, instance);
     journaled.into_parts()
 }
@@ -1109,17 +1079,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_server_answers_identically_to_monolithic() {
-        let mono = mini_server(ServerConfig::default());
-        for shard_count in [2usize, 4] {
-            let sharded = mini_server(ServerConfig {
-                shard_count,
-                // Force the fan-out path so this test covers it even on a
-                // single-core machine.
-                exec: pgso_query::ExecConfig::always_parallel(),
-                ..ServerConfig::default()
-            });
-            assert_eq!(sharded.current_epoch().shard_count(), shard_count);
+    fn csr_and_disk_tier_servers_answer_identically_to_memory() {
+        let memory = mini_server(ServerConfig::default());
+        for tier in [StorageTier::Csr, StorageTier::Disk] {
+            let tiered =
+                mini_server(ServerConfig { storage_tier: tier, ..ServerConfig::default() });
+            assert_eq!(tiered.current_epoch().graph().backend_name(), tier.name());
             for text in [
                 "MATCH (d:Drug) RETURN d.name ORDER BY d.name",
                 "MATCH (d:Drug)-[:treat]->(i:Indication) WHERE i.desc CONTAINS 'instance' \
@@ -1127,37 +1092,9 @@ mod tests {
                 "MATCH (d:Drug) OPTIONAL MATCH (d)-[:treat]->(i:Indication) \
                  RETURN DISTINCT d.name, i.desc",
             ] {
-                let a = mono.serve_text(text).unwrap();
-                let b = sharded.serve_text(text).unwrap();
-                assert_eq!(a.rows, b.rows, "shards={shard_count} text={text}");
-            }
-        }
-    }
-
-    #[test]
-    fn csr_and_disk_tier_servers_answer_identically_to_memory() {
-        let memory = mini_server(ServerConfig::default());
-        for tier in [StorageTier::Csr, StorageTier::Disk] {
-            for shard_count in [1usize, 4] {
-                let tiered = mini_server(ServerConfig {
-                    storage_tier: tier,
-                    shard_count,
-                    exec: pgso_query::ExecConfig::always_parallel(),
-                    ..ServerConfig::default()
-                });
-                let inner = if shard_count == 1 { tier.name() } else { "sharded" };
-                assert_eq!(tiered.current_epoch().graph().backend_name(), inner);
-                for text in [
-                    "MATCH (d:Drug) RETURN d.name ORDER BY d.name",
-                    "MATCH (d:Drug)-[:treat]->(i:Indication) WHERE i.desc CONTAINS 'instance' \
-                     RETURN d.name, i.desc ORDER BY i.desc DESC LIMIT 7",
-                    "MATCH (d:Drug) OPTIONAL MATCH (d)-[:treat]->(i:Indication) \
-                     RETURN DISTINCT d.name, i.desc",
-                ] {
-                    let a = memory.serve_text(text).unwrap();
-                    let b = tiered.serve_text(text).unwrap();
-                    assert_eq!(a.rows, b.rows, "tier={} shards={shard_count}", tier.name());
-                }
+                let a = memory.serve_text(text).unwrap();
+                let b = tiered.serve_text(text).unwrap();
+                assert_eq!(a.rows, b.rows, "tier={}", tier.name());
             }
         }
     }
@@ -1189,87 +1126,6 @@ mod tests {
             .serve_text("MATCH (d:Drug) WHERE d.name CONTAINS 'Zynteglo' RETURN d.name")
             .unwrap();
         assert_eq!(rows.matches, 1);
-    }
-
-    #[test]
-    fn run_workload_reports_per_shard_stats() {
-        let server = mini_server(ServerConfig {
-            shard_count: 4,
-            auto_reoptimize: false,
-            ..ServerConfig::default()
-        });
-        let treat = Statement::builder("treat")
-            .node("d", "Drug")
-            .node("i", "Indication")
-            .edge("d", "treat", "i")
-            .ret_property("i", "desc")
-            .build();
-        let ps = prepare(&server, &treat);
-        let jobs: Vec<(PreparedStatement, Params)> =
-            (0..24).map(|_| (ps.clone(), Params::new())).collect();
-        let epoch = server.current_epoch();
-        assert_eq!(epoch.shard_count(), 4);
-        let before = epoch.shard_stats();
-        replay(&server, &jobs, 2);
-        let per_shard_stats: Vec<AccessStats> = epoch
-            .shard_stats()
-            .iter()
-            .zip(&before)
-            .map(|(after, before)| after.delta_since(before))
-            .collect();
-        assert_eq!(per_shard_stats.len(), 4);
-        let total = per_shard_stats.iter().fold(AccessStats::default(), |acc, s| acc.merged(s));
-        assert!(total.vertex_reads > 0 || total.edge_traversals > 0);
-        // The epoch counters also include the loader's reads, so the replay's
-        // delta must be bounded by (not equal to) the epoch total.
-        let epoch_total = epoch.stats();
-        assert!(total.vertex_reads <= epoch_total.vertex_reads);
-        assert!(total.edge_traversals <= epoch_total.edge_traversals);
-        assert!(
-            per_shard_stats.iter().filter(|s| s.vertex_reads > 0).count() > 1,
-            "work must spread across shards: {per_shard_stats:?}"
-        );
-    }
-
-    #[test]
-    fn sharded_epoch_swap_rebuilds_sharded() {
-        // A space limit makes the schema workload-sensitive, so a skewed
-        // observed mix can actually swap the epoch.
-        let ontology = catalog::med_mini();
-        let statistics = DataStatistics::synthesize(&ontology, &StatisticsConfig::small(), 7);
-        let instance = InstanceKg::generate(&ontology, &statistics, 0.5, 7);
-        let frequencies = AccessFrequencies::uniform(&ontology, 10_000.0);
-        let nsc = pgso_core::optimize_nsc(
-            OptimizerInput::new(&ontology, &statistics, &frequencies),
-            &OptimizerConfig::default(),
-        );
-        let server = KgServer::new(
-            ontology,
-            statistics,
-            instance,
-            frequencies,
-            ServerConfig {
-                shard_count: 2,
-                auto_reoptimize: false,
-                drift_threshold: 0.05,
-                optimizer: OptimizerConfig::with_space_limit(nsc.total_cost / 2),
-                ..ServerConfig::default()
-            },
-        );
-        for _ in 0..100 {
-            let _ = serve(&server, &lookup());
-        }
-        let event = server.try_reoptimize();
-        if event.is_some_and(|e| e.swapped) {
-            let epoch = server.current_epoch();
-            assert!(epoch.number > 0);
-            assert_eq!(epoch.shard_count(), 2, "swapped epoch must stay sharded");
-            assert!(epoch.graph().vertex_count() > 0);
-        } else {
-            // Re-optimization legitimately may not change this tiny schema;
-            // the sharded epoch still serves.
-            assert_eq!(server.current_epoch().shard_count(), 2);
-        }
     }
 
     fn new_drug(i: u32) -> GraphUpdate {

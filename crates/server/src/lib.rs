@@ -25,11 +25,8 @@
 //!   plans across literal variations, and an `EXPLAIN` / `PROFILE` prefix
 //!   turns it into the plan surface ([`QueryPlan::from_rows`] rebuilds the
 //!   typed plan). Typed [`pgso_query::Statement`] values go in as their
-//!   `Display` text. With [`ServerConfig::shard_count`] > 1 every epoch's
-//!   instance graph is hash-partitioned across a
-//!   [`pgso_graphstore::ShardedGraph`], the executor may fan root expansion
-//!   out across the shards ([`ServerConfig::exec`]), and
-//!   [`Epoch::shard_stats`] breaks the storage work down per shard;
+//!   `Display` text. Every epoch is one backend of the configured
+//!   [`StorageTier`];
 //! * [`PlanCache`] — a fingerprint-keyed DIR→OPT rewrite cache, invalidated
 //!   wholesale by schema-generation bumps. Keys are *parameterized
 //!   statements*: one prepared statement (or one auto-parameterized ad-hoc

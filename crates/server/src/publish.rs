@@ -89,7 +89,6 @@ impl KgServer {
                 &re.outcome.schema,
                 &self.instance,
                 self.config.storage_tier,
-                self.config.shard_count,
             );
             ing.base_journal = base_journal;
             // Replaying the ingested stream onto the new base also publishes
@@ -213,7 +212,7 @@ impl KgServer {
     /// promotes the pending batch to published. The schema — and therefore
     /// the plan-cache key — is untouched.
     pub(crate) fn publish_locked(&self, ing: &mut IngestState) {
-        let mut graph = fresh_backend(self.config.storage_tier, self.config.shard_count);
+        let mut graph = fresh_backend(self.config.storage_tier);
         apply_updates(&mut graph, &ing.base_journal);
         let published = ing.pending.len();
         self.install_epoch(ing, graph, None, vec![("published", FieldValue::from(published))]);

@@ -7,7 +7,7 @@ use crate::engine::KgServer;
 use pgso_graphstore::{AccessStats, GraphBackend};
 use pgso_persist::WalRecord;
 use pgso_query::{
-    emit_exec_trace, execute_statement_with, fingerprint_statement, parse_named, rewrite_statement,
+    emit_exec_trace, execute_statement, fingerprint_statement, parse_named, rewrite_statement,
     rewrite_statement_traced, strip_directive, AppliedRule, BindError, ParamSignature, Params,
     ParseError, PlanActuals, QueryMode, QueryPlan, QueryResult, Statement,
 };
@@ -337,8 +337,8 @@ impl KgServer {
     /// provenance ([`pgso_query::rewrite_statement_traced`]), fan-out
     /// estimates from the workload tracker, plan-cache residency — and, in
     /// [`QueryMode::Profile`], a real execution on the current epoch whose
-    /// actuals are exactly what [`pgso_query::execute_statement_with`]
-    /// reports for the rewritten statement.
+    /// actuals are exactly what [`pgso_query::execute_statement`] reports
+    /// for the rewritten statement.
     pub(crate) fn plan_statement(&self, stmt: &Statement, mode: QueryMode) -> QueryPlan {
         let epoch = self.current_epoch();
         // Probe the key the ad-hoc path would serve this statement under:
@@ -352,7 +352,7 @@ impl KgServer {
         let actuals = match mode {
             QueryMode::Explain => None,
             QueryMode::Profile => {
-                let result = execute_statement_with(&opt, epoch.graph(), &self.config.exec);
+                let result = execute_statement(&opt, epoch.graph());
                 // A profile is a real serve as far as the learned workload
                 // is concerned, and its executor stages join any live trace.
                 self.tracker.record_statement(stmt);
@@ -457,9 +457,9 @@ impl KgServer {
             if let (Some(t), Some(l), Some(b)) = (telemetry, after_lookup, after_bind) {
                 t.bind.record_duration(b.duration_since(l));
             }
-            (execute_statement_with(&bound, epoch.graph(), &self.config.exec), after_bind)
+            (execute_statement(&bound, epoch.graph()), after_bind)
         } else {
-            (execute_statement_with(&plan, epoch.graph(), &self.config.exec), after_lookup)
+            (execute_statement(&plan, epoch.graph()), after_lookup)
         };
         if let (Some(t), Some(s)) = (telemetry, serve_started) {
             // One final clock read closes both the execute phase (detail
@@ -520,7 +520,6 @@ impl KgServer {
             for (hist, &(_, duration)) in t.stage.iter().zip(stages.iter()) {
                 hist.record_duration(duration);
             }
-            t.fanned_out_shards.record(result.stage_timings.fanned_out_shards as u64);
         }
         if let Some(id) = prepared {
             t.prepared_latency(id.0).record_duration(elapsed);
@@ -537,7 +536,6 @@ impl KgServer {
             ("params_hash", FieldValue::Str(format!("{:016x}", params_hash(params)))),
             ("rows", FieldValue::from(result.rows.len())),
             ("matches", FieldValue::from(result.matches)),
-            ("fanned_out_shards", FieldValue::from(result.stage_timings.fanned_out_shards)),
         ];
         for &(name, duration) in &stages {
             let field = match name {

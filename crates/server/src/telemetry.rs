@@ -13,7 +13,6 @@
 //! |------|------|---------|
 //! | `query.latency` | histogram | end-to-end serve time, ns |
 //! | `query.stage.root_selection` … `query.stage.windowing` | histogram | executor stage time, ns (sampled) |
-//! | `query.fanned_out_shards` | histogram | shard workers per query (0 = serial; sampled) |
 //! | `server.parse` / `server.parameterize` | histogram | text-path front-end time, ns |
 //! | `server.cache_lookup` / `server.rewrite` / `server.bind` / `server.execute` | histogram | serve pipeline phases, ns (sampled; `rewrite` always) |
 //! | `prepared.<id>.latency` | histogram | per-prepared-statement serve time, ns (first [`DEFAULT_PREPARED_SERIES_LIMIT`] ids) |
@@ -55,14 +54,13 @@
 //!
 //! The end-to-end series (`query.latency`, `prepared.<id>.latency`, the
 //! slow-query log) record **every** serve. The detail series — per-stage
-//! executor timings, fan-out width, and the cache-lookup/bind/execute
-//! pipeline phases — are recorded for one serve in
-//! [`DETAIL_SAMPLE_EVERY`], chosen round-robin by a shared counter. The
-//! phase breakdown of serves that all take a few microseconds is
-//! statistically identical at 1-in-8 resolution, and sampling is what keeps
-//! the always-on overhead of the instrumented hot path under the 5% q/s
-//! budget (each detail serve costs two extra clock reads and nine extra
-//! histogram records).
+//! executor timings and the cache-lookup/bind/execute pipeline phases — are
+//! recorded for one serve in [`DETAIL_SAMPLE_EVERY`], chosen round-robin by
+//! a shared counter. The phase breakdown of serves that all take a few
+//! microseconds is statistically identical at 1-in-8 resolution, and
+//! sampling is what keeps the always-on overhead of the instrumented hot
+//! path under the 5% q/s budget (each detail serve costs two extra clock
+//! reads and eight extra histogram records).
 
 use parking_lot::RwLock;
 use pgso_persist::WalTelemetry;
@@ -71,8 +69,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One serve in this many records the detail series (stage timings, fan-out
-/// width, pipeline phase histograms). The first serve is always sampled.
+/// One serve in this many records the detail series (stage timings and
+/// pipeline phase histograms). The first serve is always sampled.
 pub const DETAIL_SAMPLE_EVERY: u64 = 8;
 
 /// Cap on distinct `prepared.<id>.latency` series: the first this-many
@@ -94,8 +92,6 @@ pub struct ServerTelemetry {
     pub query_latency: Arc<Histogram>,
     /// `query.stage.*`, in [`pgso_telemetry::StageTimings::stages`] order.
     pub stage: [Arc<Histogram>; 5],
-    /// `query.fanned_out_shards`.
-    pub fanned_out_shards: Arc<Histogram>,
     /// `server.parse`.
     pub parse: Arc<Histogram>,
     /// `server.parameterize`.
@@ -181,7 +177,6 @@ impl ServerTelemetry {
             trace: Arc::new(TraceBuffer::new(trace_capacity)),
             query_latency: registry.histogram(&name("query.latency")),
             stage,
-            fanned_out_shards: registry.histogram(&name("query.fanned_out_shards")),
             parse: registry.histogram(&name("server.parse")),
             parameterize: registry.histogram(&name("server.parameterize")),
             cache_lookup: registry.histogram(&name("server.cache_lookup")),

@@ -9,14 +9,11 @@
 
 use pgso_graphstore::{
     AccessStats, CsrGraph, DiskGraph, DiskGraphConfig, EdgeId, GraphBackend, GraphUpdate,
-    HashRouter, MemoryGraph, PropertyMap, PropertyValue, ShardedGraph, VertexData, VertexId,
+    MemoryGraph, PropertyMap, PropertyValue, VertexData, VertexId,
 };
 
-/// Physical storage layout of a serving epoch.
-///
-/// With [`crate::ServerConfig::shard_count`] > 1 the chosen tier becomes
-/// the *inner shard* backend of a [`ShardedGraph`]; at 1 it is the epoch's
-/// backend directly.
+/// Physical storage layout of a serving epoch: each epoch is one backend of
+/// the configured tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StorageTier {
     /// [`MemoryGraph`]: adjacency lists + per-vertex property maps. The
@@ -46,24 +43,12 @@ impl StorageTier {
     }
 }
 
-/// An empty backend in the configured layout: the tier's backend directly
-/// for `shard_count <= 1`, a hash-partitioned [`ShardedGraph`] over
-/// tier-layout shards otherwise.
-pub(crate) fn fresh_backend(tier: StorageTier, shard_count: usize) -> Box<dyn GraphBackend> {
-    let make = || -> Box<dyn GraphBackend> {
-        match tier {
-            StorageTier::Memory => Box::new(MemoryGraph::new()),
-            StorageTier::Disk => Box::new(TempDiskGraph::new()),
-            StorageTier::Csr => Box::new(CsrGraph::new()),
-        }
-    };
-    if shard_count <= 1 {
-        make()
-    } else {
-        Box::new(ShardedGraph::with_router(
-            (0..shard_count).map(|_| make()).collect(),
-            Box::new(HashRouter),
-        ))
+/// An empty backend of the configured tier.
+pub(crate) fn fresh_backend(tier: StorageTier) -> Box<dyn GraphBackend> {
+    match tier {
+        StorageTier::Memory => Box::new(MemoryGraph::new()),
+        StorageTier::Disk => Box::new(TempDiskGraph::new()),
+        StorageTier::Csr => Box::new(CsrGraph::new()),
     }
 }
 
@@ -192,12 +177,9 @@ mod tests {
 
     #[test]
     fn fresh_backend_honours_tier_and_shards() {
-        assert_eq!(fresh_backend(StorageTier::Memory, 1).backend_name(), "memory");
-        assert_eq!(fresh_backend(StorageTier::Csr, 1).backend_name(), "csr");
-        assert_eq!(fresh_backend(StorageTier::Disk, 1).backend_name(), "disk");
-        let sharded = fresh_backend(StorageTier::Csr, 3);
-        assert_eq!(sharded.backend_name(), "sharded");
-        assert_eq!(sharded.shard_count(), 3);
+        for tier in [StorageTier::Memory, StorageTier::Csr, StorageTier::Disk] {
+            assert_eq!(fresh_backend(tier).backend_name(), tier.name());
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!    (8 sub-buckets per power of two ⇒ ≤12.5% relative error over the
 //!    full `u64` range); the trace ring overwrites its oldest event at
 //!    capacity and counts the drops.
-//! 3. **Mergeable.** Per-thread or per-shard histograms merge exactly at
+//! 3. **Mergeable.** Per-thread or per-tenant histograms merge exactly at
 //!    bucket resolution ([`Histogram::merge_from`],
 //!    [`HistogramSnapshot::merged`]), so the bench harness can aggregate
 //!    worker-local recordings without contention.

@@ -9,13 +9,13 @@ use std::time::Duration;
 /// match) stay at zero, so the struct is cheap to populate unconditionally.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
-    /// Collecting the root candidates of the match pattern into a list —
-    /// which only the shard fan-out path does (a partitioned backend with
-    /// parallel execution enabled), so the field is zero everywhere else:
-    /// root candidates visited in place are timed under `expansion`.
+    /// Collecting the root candidates of the match pattern into a list.
+    /// The executor visits root candidates in place and times that under
+    /// `expansion`, so this stage always reads zero; it stays because
+    /// consumers index [`StageTimings::stages`] by position.
     pub root_selection: Duration,
-    /// Pattern expansion — per-shard fan-out (or the serial walk, root
-    /// candidate scan included) plus predicate checks along the way.
+    /// Pattern expansion — the root candidate scan plus the backtracking
+    /// walk from each root, predicate checks included.
     pub expansion: Duration,
     /// OPTIONAL clause evaluation.
     pub optional: Duration,
@@ -24,9 +24,6 @@ pub struct StageTimings {
     pub aggregate: Duration,
     /// Result windowing: `DISTINCT`, `ORDER BY` sort, `SKIP`/`LIMIT`.
     pub windowing: Duration,
-    /// Number of shards the expansion fanned out across (`0` when the
-    /// backend was walked serially).
-    pub fanned_out_shards: usize,
 }
 
 impl StageTimings {
@@ -60,7 +57,6 @@ mod tests {
             optional: Duration::from_micros(3),
             aggregate: Duration::from_micros(4),
             windowing: Duration::from_micros(5),
-            fanned_out_shards: 4,
         };
         assert_eq!(timings.total(), Duration::from_micros(15));
         let sum: Duration = timings.stages().iter().map(|&(_, d)| d).sum();

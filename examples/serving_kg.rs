@@ -9,10 +9,10 @@
 //! replay `(handle, params)` executions — no per-request parsing, values
 //! bound by name.
 //!
-//! The physical layout under all of this is two `ServerConfig` lines —
-//! `storage_tier` and `shard_count` — and the tour ends by serving the same
-//! instance from the memory tier, the read-optimized CSR tier and four hash
-//! shards: same rows, different storage.
+//! The physical layout under all of this is one `ServerConfig` line —
+//! `storage_tier` — and the tour ends by serving the same instance from the
+//! memory tier and the read-optimized CSR tier: same rows, different
+//! storage.
 //!
 //! ```text
 //! cargo run --release --example serving_kg
@@ -73,16 +73,14 @@ fn replay(server: &KgServer, jobs: &[(PreparedStatement, Params)], threads: usiz
     started.elapsed()
 }
 
-/// The same instance behind three physical layouts. Epoch swaps, the plan
+/// The same instance behind two physical layouts. Epoch swaps, the plan
 /// cache and ingest are layout-agnostic; so are the answers.
 fn storage_layouts(ontology: &Ontology, statistics: &DataStatistics, instance: &InstanceKg) {
-    println!("\n== one instance, three storage layouts ==");
+    println!("\n== one instance, two storage layouts ==");
     let text = "MATCH (d:Drug)-[:treat]->(i:Indication) \
                 RETURN d.name, i.desc ORDER BY i.desc, d.name LIMIT 5";
     let mut reference = None;
-    for (storage_tier, shard_count) in
-        [(StorageTier::Memory, 1), (StorageTier::Csr, 1), (StorageTier::Memory, 4)]
-    {
+    for storage_tier in [StorageTier::Memory, StorageTier::Csr] {
         let server = KgServer::new(
             ontology.clone(),
             statistics.clone(),
@@ -90,20 +88,18 @@ fn storage_layouts(ontology: &Ontology, statistics: &DataStatistics, instance: &
             AccessFrequencies::uniform(ontology, 10_000.0),
             ServerConfig {
                 storage_tier, // memory | csr (compiled at publication) | disk
-                shard_count,  // > 1 hash-partitions every epoch
                 auto_reoptimize: false,
                 ..ServerConfig::default()
             },
         );
         let rows = server.serve_text(text).expect("serves").rows;
         let epoch = server.current_epoch();
-        let reads: Vec<u64> = epoch.shard_stats().iter().map(|s| s.vertex_reads).collect();
         println!(
-            "  {:<7} x{shard_count}: backend {:<7} {:>8} resident bytes, vertex reads per shard \
-             {reads:?}, csr.compiles {}",
+            "  {:<7} backend {:<7} {:>8} resident bytes, {} vertex reads, csr.compiles {}",
             storage_tier.name(),
             epoch.graph().backend_name(),
             epoch.graph().resident_bytes(),
+            epoch.stats().vertex_reads,
             server.metrics_snapshot().counter("csr.compiles").unwrap_or(0)
         );
         assert_eq!(reference.get_or_insert_with(|| rows.clone()), &rows, "layouts must agree");

@@ -85,12 +85,10 @@
 //!
 //! ## Storage tiers
 //!
-//! Every serving epoch is built on one of three physical layouts, chosen
-//! by [`server::ServerConfig::storage_tier`] — the serving machinery
+//! Every serving epoch is one backend of one of three physical layouts,
+//! chosen by [`server::ServerConfig::storage_tier`] — the serving machinery
 //! above (plan cache, epoch swaps, ingest overlays, WAL recovery) is
-//! layout-agnostic, and with [`server::ServerConfig::shard_count`] > 1
-//! the chosen tier becomes the inner shard backend of a
-//! [`graphstore::ShardedGraph`]:
+//! layout-agnostic:
 //!
 //! * **Memory** ([`graphstore::MemoryGraph`]) — adjacency lists and
 //!   per-vertex property maps; the write-friendly default.
@@ -109,8 +107,7 @@
 //!
 //! `benchmark/`'s `graphstore.*` per-layer probes time the read surface of
 //! each tier; `examples/serving_kg.rs` ends by serving one instance from the
-//! memory tier, the CSR tier and four hash shards — two config lines, same
-//! rows.
+//! memory tier and the CSR tier — one config line, same rows.
 //!
 //! ## Networking
 //!
@@ -189,10 +186,10 @@ pub mod prelude {
         optimize_concept_centric, optimize_nsc, optimize_pgsg, optimize_relation_centric,
         OptimizationOutcome, OptimizerConfig, OptimizerInput,
     };
-    pub use pgso_datagen::{load_into, load_sharded, streaming_updates, InstanceKg};
+    pub use pgso_datagen::{load_into, streaming_updates, InstanceKg};
     pub use pgso_graphstore::{
-        props, CsrGraph, DiskGraph, DiskGraphConfig, GraphBackend, GraphUpdate, HashRouter,
-        LabelRouter, MemoryGraph, PropertyValue, ShardRouter, ShardedGraph,
+        props, CsrGraph, DiskGraph, DiskGraphConfig, GraphBackend, GraphUpdate, MemoryGraph,
+        PropertyValue,
     };
     pub use pgso_net::{KgClient, KgListener, NetConfig};
     pub use pgso_ontology::{
@@ -202,9 +199,8 @@ pub mod prelude {
     pub use pgso_persist::{JournaledGraph, PersistConfig};
     pub use pgso_pgschema::{ddl, PropertyGraphSchema};
     pub use pgso_query::{
-        execute_statement, execute_statement_with, fingerprint_statement, parse, parse_named,
-        rewrite_statement, Aggregate, BindError, CmpOp, CountTerm, ExecConfig, Params, ParseError,
-        Statement, Term,
+        execute_statement, fingerprint_statement, parse, parse_named, rewrite_statement, Aggregate,
+        BindError, CmpOp, CountTerm, Params, ParseError, Statement, Term,
     };
     pub use pgso_server::{
         IngestConfig, KgServer, PreparedStatement, ServerConfig, StorageTier, WorkloadTracker,

@@ -1,30 +1,55 @@
 //! Aggregation equivalence matrix: COUNT / COUNT DISTINCT / SUM / MIN / MAX
-//! / AVG / GROUP BY variants derived from the Q1–Q12 microbenchmark must
-//! return **identical rows** across schemas and storage layouts, serial and
-//! forced-parallel fan-out:
+//! / AVG / GROUP BY / HAVING variants derived from the Q1–Q12
+//! microbenchmark must return **identical rows** on DIR and on its OPT
+//! rewrite, compared by value:
 //!
-//! * **MED** — full DIR vs OPT × 1 vs 4 shards: the rewritten statement may
-//!   answer per-element aggregates from replicated LIST properties, and
-//!   flattening those lists must reproduce the DIR per-binding multiset.
-//! * **FIN** — 1 vs 4 shards under each schema. Cross-schema equality is
-//!   *not* asserted for FIN: the reconstruction's 1:1 relationships chain
-//!   into one mega-merged vertex type while the synthesized instance data
-//!   violates the 1:1 cardinality the merge rule assumes, so even the
-//!   pre-existing lookup rewrites (Q4, Q11) change their match sets. That
-//!   provenance hole predates the aggregation surface and is recorded as a
-//!   ROADMAP follow-on (provenance-filtered rewrites over merged labels).
+//! * **MED** — every case: the rewritten statement may answer per-element
+//!   aggregates from replicated LIST properties, and flattening those lists
+//!   must reproduce the DIR per-binding multiset.
+//! * **FIN** — every case except those in [`FIN_KNOWN_DIFFERENCES`], which
+//!   must still differ. The reconstruction's 1:1 relationships chain into
+//!   one mega-merged vertex type while the synthesized instance data
+//!   violates the 1:1 cardinality the merge rule assumes, so rewrites over
+//!   the merged label change their match sets (ROADMAP direction 1). The
+//!   fix shrinks the list; a listed case that starts agreeing fails here
+//!   until it is taken off.
 
 use pgso::ontology::catalog;
 use pgso::prelude::*;
-use pgso::query::{ReturnItem, Row};
+use pgso::query::ReturnItem;
 use pgso_bench::{microbenchmark, DatasetId};
 
+const FIN_GROUP_BY: [&str; 2] = [
+    "MATCH (corp:Corporation), (con:Contract), (con)-[:isManagedBy]->(corp) \
+     RETURN corp.hasLegalName, count(con), sum(con.hasEffectiveDate) \
+     GROUP BY corp ORDER BY corp.hasLegalName",
+    "MATCH (corp:Corporation)-[:employsOfficer]->(o:Officer) \
+     RETURN corp.hasLegalName, count(DISTINCT o.title), min(o.title), max(o.title) \
+     GROUP BY corp ORDER BY corp.hasLegalName",
+];
+
+const FIN_HAVING: [&str; 1] = ["MATCH (corp:Corporation)-[:employsOfficer]->(o:Officer) \
+     RETURN corp.hasLegalName, count(o) GROUP BY corp \
+     HAVING count(o) >= 2 ORDER BY corp.hasLegalName"];
+
+/// The FIN cases whose OPT rows differ from DIR today, by label. Every other
+/// FIN case is held to DIR-vs-OPT equality.
+const FIN_KNOWN_DIFFERENCES: [&str; 8] = [
+    "Q4-counts",
+    "Q7-counts",
+    "Q11-counts",
+    "Q11-per-element",
+    "Q12-counts",
+    FIN_GROUP_BY[0],
+    FIN_GROUP_BY[1],
+    FIN_HAVING[0],
+];
+
 struct Setup {
+    dataset: DatasetId,
     opt_schema: PropertyGraphSchema,
-    dir_mono: MemoryGraph,
-    opt_mono: MemoryGraph,
-    dir_shard: ShardedGraph,
-    opt_shard: ShardedGraph,
+    dir_graph: MemoryGraph,
+    opt_graph: MemoryGraph,
 }
 
 fn setup(dataset: DatasetId) -> Setup {
@@ -40,54 +65,36 @@ fn setup(dataset: DatasetId) -> Setup {
     );
     let direct_schema = PropertyGraphSchema::direct_from_ontology(&ontology);
     let instance = InstanceKg::generate(&ontology, &stats, 0.04, 13);
-    let mut dir_mono = MemoryGraph::new();
-    load_into(&mut dir_mono, &ontology, &direct_schema, &instance);
-    let mut opt_mono = MemoryGraph::new();
-    load_into(&mut opt_mono, &ontology, &outcome.schema, &instance);
-    let (dir_shard, _) = load_sharded(&ontology, &direct_schema, &instance, 4);
-    let (opt_shard, _) = load_sharded(&ontology, &outcome.schema, &instance, 4);
-    Setup { opt_schema: outcome.schema, dir_mono, opt_mono, dir_shard, opt_shard }
+    let mut dir_graph = MemoryGraph::new();
+    load_into(&mut dir_graph, &ontology, &direct_schema, &instance);
+    let mut opt_graph = MemoryGraph::new();
+    load_into(&mut opt_graph, &ontology, &outcome.schema, &instance);
+    Setup { dataset, opt_schema: outcome.schema, dir_graph, opt_graph }
 }
 
-/// Asserts `stmt` (written against DIR) answers identically on every
-/// applicable backend combination. With `cross_schema`, the OPT rewrite at
-/// both shard counts must match the DIR reference; without, each schema is
-/// only held to 1-shard vs 4-shard agreement.
-fn assert_equivalent(setup: &Setup, stmt: &Statement, cross_schema: bool, label: &str) {
+/// Asserts that `stmt` (written against DIR) and its OPT rewrite return the
+/// same rows — or, for a listed FIN case, that they still differ.
+fn assert_equivalent(setup: &Setup, stmt: &Statement, label: &str) {
     let rewritten = rewrite_statement(stmt, &setup.opt_schema);
-    let dir_reference = execute_statement_with(stmt, &setup.dir_mono, &ExecConfig::serial());
-    let opt_reference = execute_statement_with(&rewritten, &setup.opt_mono, &ExecConfig::serial());
-    let combos: [(&dyn GraphBackend, &Statement, &Vec<Row>, &str); 3] = [
-        (&setup.dir_shard, stmt, &dir_reference.rows, "DIR@4"),
-        (&setup.opt_shard, &rewritten, &opt_reference.rows, "OPT@4"),
-        (&setup.opt_mono, &rewritten, &opt_reference.rows, "OPT@1"),
-    ];
-    for (backend, statement, expected, name) in combos {
-        for config in [ExecConfig::serial(), ExecConfig::always_parallel()] {
-            let got = execute_statement_with(statement, backend, &config);
-            assert_eq!(
-                expected, &got.rows,
-                "{label} diverged on {name} (parallel={})\n  DIR: {stmt}\n  OPT: {rewritten}",
-                config.parallel
-            );
-        }
-    }
-    if cross_schema {
+    let dir = execute_statement(stmt, &setup.dir_graph).rows;
+    let opt = execute_statement(&rewritten, &setup.opt_graph).rows;
+    if setup.dataset == DatasetId::Fin && FIN_KNOWN_DIFFERENCES.contains(&label) {
+        assert_ne!(
+            dir, opt,
+            "{label} now agrees across schemas: take it off FIN_KNOWN_DIFFERENCES\n  \
+             DIR: {stmt}\n  OPT: {rewritten}"
+        );
+    } else {
         assert_eq!(
-            dir_reference.rows, opt_reference.rows,
+            dir, opt,
             "{label}: DIR vs OPT rows must be identical\n  DIR: {stmt}\n  OPT: {rewritten}"
         );
     }
 }
 
-fn cross_schema(dataset: DatasetId) -> bool {
-    matches!(dataset, DatasetId::Med)
-}
-
 /// COUNT and COUNT(DISTINCT …) over every variable of every microbenchmark
 /// query: binding multiplicities and distinct vertex counts must survive the
-/// rewrite (merged variables still bind the same match sets) and the
-/// sharding.
+/// rewrite (merged variables still bind the same match sets).
 #[test]
 fn count_variants_of_q1_q12_are_equivalent() {
     for dataset in [DatasetId::Med, DatasetId::Fin] {
@@ -113,7 +120,7 @@ fn count_variants_of_q1_q12_are_equivalent() {
                 })
                 .collect();
             let name = format!("{}-counts", stmt.name);
-            assert_equivalent(&setup, &stmt, cross_schema(dataset), &name);
+            assert_equivalent(&setup, &stmt, &name);
         }
     }
 }
@@ -153,12 +160,12 @@ fn per_element_variants_of_q9_q12_are_equivalent() {
             .collect();
             let name = format!("{}-per-element", stmt.name);
             let rewritten = rewrite_statement(&stmt, &setup.opt_schema);
-            assert_equivalent(&setup, &stmt, cross_schema(dataset), &name);
+            assert_equivalent(&setup, &stmt, &name);
             // When the MED optimizer replicated the property, the rewrite
             // must actually have used the shortcut (the equivalence above
             // then proves flattening correct, not just trivially equal
             // plans).
-            if cross_schema(dataset) && rewritten.edges.is_empty() {
+            if dataset == DatasetId::Med && rewritten.edges.is_empty() {
                 assert!(
                     rewritten.returns.iter().all(|r| matches!(
                         r,
@@ -191,30 +198,21 @@ fn group_by_variants_are_equivalent() {
         "MATCH (d:Drug)-[:treat]->(i:Indication) \
          RETURN d.name, count(i) GROUP BY d ORDER BY d.name DESC SKIP 1 LIMIT 5",
     ];
-    let fin = [
-        "MATCH (corp:Corporation), (con:Contract), (con)-[:isManagedBy]->(corp) \
-         RETURN corp.hasLegalName, count(con), sum(con.hasEffectiveDate) \
-         GROUP BY corp ORDER BY corp.hasLegalName",
-        "MATCH (corp:Corporation)-[:employsOfficer]->(o:Officer) \
-         RETURN corp.hasLegalName, count(DISTINCT o.title), min(o.title), max(o.title) \
-         GROUP BY corp ORDER BY corp.hasLegalName",
-    ];
-    for (dataset, texts) in [(DatasetId::Med, &med[..]), (DatasetId::Fin, &fin[..])] {
+    for (dataset, texts) in [(DatasetId::Med, &med[..]), (DatasetId::Fin, &FIN_GROUP_BY[..])] {
         let setup = setup(dataset);
         for text in texts {
             let stmt = parse_named(text, "grouped").expect(text);
             assert!(!stmt.group_by.is_empty());
-            let reference = execute_statement_with(&stmt, &setup.dir_mono, &ExecConfig::serial());
+            let reference = execute_statement(&stmt, &setup.dir_graph);
             assert!(!reference.rows.is_empty(), "fixture must produce groups: {text}");
-            assert_equivalent(&setup, &stmt, cross_schema(dataset), text);
+            assert_equivalent(&setup, &stmt, text);
         }
     }
 }
 
 /// HAVING variants: group filters over counts and numeric aggregates must
 /// survive the DIR→OPT rewrite (the HAVING variable is pinned, its property
-/// references renamed) and the shard fan-out, with the filter applied before
-/// windowing on every backend.
+/// references renamed), with the filter applied before windowing.
 #[test]
 fn having_variants_are_equivalent() {
     let med = [
@@ -230,10 +228,7 @@ fn having_variants_are_equivalent() {
          RETURN p.mrn, count(e) GROUP BY p HAVING count(e) >= 1 \
          ORDER BY p.mrn SKIP 1 LIMIT 4",
     ];
-    let fin = ["MATCH (corp:Corporation)-[:employsOfficer]->(o:Officer) \
-         RETURN corp.hasLegalName, count(o) GROUP BY corp \
-         HAVING count(o) >= 2 ORDER BY corp.hasLegalName"];
-    for (dataset, texts) in [(DatasetId::Med, &med[..]), (DatasetId::Fin, &fin[..])] {
+    for (dataset, texts) in [(DatasetId::Med, &med[..]), (DatasetId::Fin, &FIN_HAVING[..])] {
         let setup = setup(dataset);
         for text in texts {
             let stmt = parse_named(text, "having").expect(text);
@@ -243,11 +238,11 @@ fn having_variants_are_equivalent() {
                 s.having.clear();
                 s
             };
-            let all = execute_statement_with(&unfiltered, &setup.dir_mono, &ExecConfig::serial());
-            let kept = execute_statement_with(&stmt, &setup.dir_mono, &ExecConfig::serial());
+            let all = execute_statement(&unfiltered, &setup.dir_graph);
+            let kept = execute_statement(&stmt, &setup.dir_graph);
             assert!(!kept.rows.is_empty(), "fixture must keep some groups: {text}");
             assert!(kept.rows.len() <= all.rows.len(), "HAVING can only drop groups: {text}");
-            assert_equivalent(&setup, &stmt, cross_schema(dataset), text);
+            assert_equivalent(&setup, &stmt, text);
         }
     }
 }

@@ -7,7 +7,7 @@
 
 use pgso_graphstore::{
     apply_updates, props, AccessStats, CsrGraph, DiskGraph, DiskGraphConfig, GraphBackend,
-    GraphUpdate, MemoryGraph, PropertyMap, PropertyValue, ShardedGraph, VertexId, STUB_LABEL,
+    GraphUpdate, MemoryGraph, PropertyMap, PropertyValue, VertexId,
 };
 use pgso_persist::JournaledGraph;
 use pgso_server::TempDiskGraph;
@@ -51,7 +51,7 @@ fn updates() -> Vec<GraphUpdate> {
 }
 
 const VERTICES: u64 = 6;
-const LABELS: [&str; 5] = ["Drug", "Indication", "Missing", "", STUB_LABEL];
+const LABELS: [&str; 4] = ["Drug", "Indication", "Missing", ""];
 const EDGE_LABELS: [&str; 3] = ["treat", "cause", "missing"];
 const PROPERTIES: [&str; 7] = ["name", "doses", "otc", "ratio", "tags", "severity", "missing"];
 
@@ -64,12 +64,10 @@ fn backends(dir: &std::path::Path) -> Vec<(&'static str, Box<dyn GraphBackend>)>
         ("memory", Box::new(MemoryGraph::new())),
         ("csr", Box::new(CsrGraph::new())),
         ("disk", Box::new(disk.expect("create the store file"))),
-        ("2 shards", Box::new(ShardedGraph::new_memory(2))),
-        ("3 shards", Box::new(ShardedGraph::new_memory(3))),
         // The outer box is the trait object; the backend behind it is
         // `Box<dyn GraphBackend>`, so every call crosses `Box`'s forwarding.
         ("boxed", Box::new(boxed)),
-        ("journaled", Box::new(JournaledGraph::new(ShardedGraph::new_memory(3)))),
+        ("journaled", Box::new(JournaledGraph::new(CsrGraph::new()))),
         ("temp disk", Box::new(TempDiskGraph::new())),
     ];
     for (_, backend) in &mut all {
@@ -163,10 +161,7 @@ fn every_borrowed_read_matches_its_owned_twin_on_every_backend() {
             );
             assert_eq!((owned, borrowed), Default::default(), "{name}: label scans are free");
         }
-        // Remote stubs stay invisible: no scan yields one, nothing carries
-        // their label, and every neighbour is a real (global) vertex.
-        assert!(g.vertices_with_label(STUB_LABEL).is_empty(), "{name}");
-        assert!(!g.labels().iter().any(|label| label == STUB_LABEL), "{name}");
+        assert_eq!(g.labels(), reference.labels(), "{name}");
         assert_eq!(g.vertex_count() as u64, VERTICES, "{name}");
     }
 }

@@ -2,10 +2,9 @@
 //! PROFILE — asked for the one way there is, a `PROFILE` prefix through
 //! `serve_text`, rebuilt with `QueryPlan::from_rows` exactly as a wire
 //! client does — must report actuals **exactly** equal to a direct
-//! `execute_statement_with` run of the rewritten statement — backend access
-//! counters, match/row counts, predicate checks and shard fan-out — on a
-//! 1-shard and a 4-shard server, and every plan whose DIR and OPT texts
-//! differ must name at least one optimization rule. The tagged-row
+//! `execute_statement` run of the rewritten statement — backend access
+//! counters, match/row counts and predicate checks — and every plan whose
+//! DIR and OPT texts differ must name at least one optimization rule. The tagged-row
 //! serialization (`QueryPlan::to_rows` / `from_rows`) must round-trip, and
 //! the `EXPLAIN` / `PROFILE` statement directives must flow through
 //! `serve_text` like any query.
@@ -16,11 +15,11 @@ use pgso::query::rewrite_statement_traced;
 use pgso::server::{PlanActuals, QueryMode, QueryPlan};
 use pgso_bench::{microbenchmark, DatasetId};
 
-fn build_server(ontology: Ontology, shard_count: usize) -> KgServer {
+fn build_server(ontology: Ontology) -> KgServer {
     let statistics = DataStatistics::synthesize(&ontology, &StatisticsConfig::small(), 11);
     let instance = InstanceKg::generate(&ontology, &statistics, 0.05, 11);
     let frequencies = AccessFrequencies::uniform(&ontology, 10_000.0);
-    let config = ServerConfig { shard_count, auto_reoptimize: false, ..ServerConfig::default() };
+    let config = ServerConfig { auto_reoptimize: false, ..ServerConfig::default() };
     KgServer::new(ontology, statistics, instance, frequencies, config)
 }
 
@@ -32,105 +31,98 @@ fn plan(server: &KgServer, mode: QueryMode, text: &str) -> QueryPlan {
 
 #[test]
 fn profile_actuals_match_direct_execution_exactly() {
-    for shard_count in [1usize, 4] {
-        let med = build_server(catalog::medical(), shard_count);
-        let fin = build_server(catalog::financial(), shard_count);
-        let mut rewritten_plans = 0usize;
-        for bench in microbenchmark() {
-            let server = match bench.dataset {
-                DatasetId::Med => &med,
-                DatasetId::Fin => &fin,
-            };
-            let label = format!("{:?}/{} at {shard_count} shard(s)", bench.dataset, bench.family);
+    let med = build_server(catalog::medical());
+    let fin = build_server(catalog::financial());
+    let mut rewritten_plans = 0usize;
+    for bench in microbenchmark() {
+        let server = match bench.dataset {
+            DatasetId::Med => &med,
+            DatasetId::Fin => &fin,
+        };
+        let label = format!("{:?}/{}", bench.dataset, bench.family);
 
-            let plan = plan(server, QueryMode::Profile, &bench.query.to_string());
-            let actuals = plan.actuals.expect("PROFILE always carries actuals");
+        let plan = plan(server, QueryMode::Profile, &bench.query.to_string());
+        let actuals = plan.actuals.expect("PROFILE always carries actuals");
 
-            // The reference run: rewrite against the serving schema and
-            // execute with the server's own executor configuration.
-            let epoch = server.current_epoch();
-            let opt = rewrite_statement(&bench.query, &epoch.schema);
-            assert_eq!(opt.to_string(), plan.opt, "{label}: OPT text diverged");
-            let expected = execute_statement_with(&opt, epoch.graph(), &ExecConfig::default());
+        // The reference run: rewrite against the serving schema and
+        // execute on the serving epoch's graph.
+        let epoch = server.current_epoch();
+        let opt = rewrite_statement(&bench.query, &epoch.schema);
+        assert_eq!(opt.to_string(), plan.opt, "{label}: OPT text diverged");
+        let expected = execute_statement(&opt, epoch.graph());
 
-            assert_eq!(actuals.matches, expected.matches as u64, "{label}: matches");
-            assert_eq!(actuals.rows, expected.rows.len() as u64, "{label}: rows");
-            assert_eq!(actuals.vertex_reads, expected.stats.vertex_reads, "{label}: vertex reads");
-            assert_eq!(
-                actuals.edge_traversals, expected.stats.edge_traversals,
-                "{label}: edge traversals"
+        assert_eq!(actuals.matches, expected.matches as u64, "{label}: matches");
+        assert_eq!(actuals.rows, expected.rows.len() as u64, "{label}: rows");
+        assert_eq!(actuals.vertex_reads, expected.stats.vertex_reads, "{label}: vertex reads");
+        assert_eq!(
+            actuals.edge_traversals, expected.stats.edge_traversals,
+            "{label}: edge traversals"
+        );
+        assert_eq!(actuals.page_reads, expected.stats.page_reads, "{label}: page reads");
+        assert_eq!(actuals.page_hits, expected.stats.page_hits, "{label}: page hits");
+        assert_eq!(
+            actuals.predicate_checks, expected.predicate_checks,
+            "{label}: predicate checks"
+        );
+
+        // Rule attribution: a non-identity rewrite must say *why*.
+        if plan.rewritten() {
+            rewritten_plans += 1;
+            assert!(
+                !plan.rules.is_empty(),
+                "{label}: DIR and OPT differ but no rule was attributed\n\
+                 DIR: {}\nOPT: {}",
+                plan.dir,
+                plan.opt
             );
-            assert_eq!(actuals.page_reads, expected.stats.page_reads, "{label}: page reads");
-            assert_eq!(actuals.page_hits, expected.stats.page_hits, "{label}: page hits");
-            assert_eq!(
-                actuals.predicate_checks, expected.predicate_checks,
-                "{label}: predicate checks"
-            );
-            assert_eq!(
-                actuals.fanned_out_shards, expected.stage_timings.fanned_out_shards as u64,
-                "{label}: shard fan-out"
-            );
-
-            // Rule attribution: a non-identity rewrite must say *why*.
-            if plan.rewritten() {
-                rewritten_plans += 1;
+            for rule in &plan.rules {
                 assert!(
-                    !plan.rules.is_empty(),
-                    "{label}: DIR and OPT differ but no rule was attributed\n\
-                     DIR: {}\nOPT: {}",
-                    plan.dir,
-                    plan.opt
+                    matches!(
+                        rule.rule.as_str(),
+                        "union" | "inheritance" | "one-to-one" | "one-to-many"
+                    ),
+                    "{label}: unknown rule name {:?}",
+                    rule.rule
                 );
-                for rule in &plan.rules {
-                    assert!(
-                        matches!(
-                            rule.rule.as_str(),
-                            "union" | "inheritance" | "one-to-one" | "one-to-many"
-                        ),
-                        "{label}: unknown rule name {:?}",
-                        rule.rule
-                    );
-                    assert!(!rule.detail.is_empty(), "{label}: rule without detail");
-                }
+                assert!(!rule.detail.is_empty(), "{label}: rule without detail");
             }
-
-            // The DIR (un-rewritten) side too: `PlanActuals` must be a
-            // faithful projection of the executor's `AccessStats` whichever
-            // statement form ran.
-            let dir_run =
-                execute_statement_with(&bench.query, epoch.graph(), &ExecConfig::default());
-            let dir_actuals = PlanActuals::from_result(&dir_run);
-            assert_eq!(dir_actuals.matches, dir_run.matches as u64, "{label}: DIR matches");
-            assert_eq!(
-                dir_actuals.vertex_reads, dir_run.stats.vertex_reads,
-                "{label}: DIR vertex reads"
-            );
-            assert_eq!(
-                dir_actuals.edge_traversals, dir_run.stats.edge_traversals,
-                "{label}: DIR edge traversals"
-            );
-            assert_eq!(
-                dir_actuals.predicate_checks, dir_run.predicate_checks,
-                "{label}: DIR predicate checks"
-            );
-
-            // The tagged-row wire form is lossless.
-            assert_eq!(
-                QueryPlan::from_rows(&plan.to_rows()).as_ref(),
-                Some(&plan),
-                "{label}: plan rows did not round-trip"
-            );
         }
-        assert!(
-            rewritten_plans >= 4,
-            "expected most microbenchmark queries to rewrite, got {rewritten_plans}"
+
+        // The DIR (un-rewritten) side too: `PlanActuals` must be a
+        // faithful projection of the executor's `AccessStats` whichever
+        // statement form ran.
+        let dir_run = execute_statement(&bench.query, epoch.graph());
+        let dir_actuals = PlanActuals::from_result(&dir_run);
+        assert_eq!(dir_actuals.matches, dir_run.matches as u64, "{label}: DIR matches");
+        assert_eq!(
+            dir_actuals.vertex_reads, dir_run.stats.vertex_reads,
+            "{label}: DIR vertex reads"
+        );
+        assert_eq!(
+            dir_actuals.edge_traversals, dir_run.stats.edge_traversals,
+            "{label}: DIR edge traversals"
+        );
+        assert_eq!(
+            dir_actuals.predicate_checks, dir_run.predicate_checks,
+            "{label}: DIR predicate checks"
+        );
+
+        // The tagged-row wire form is lossless.
+        assert_eq!(
+            QueryPlan::from_rows(&plan.to_rows()).as_ref(),
+            Some(&plan),
+            "{label}: plan rows did not round-trip"
         );
     }
+    assert!(
+        rewritten_plans >= 4,
+        "expected most microbenchmark queries to rewrite, got {rewritten_plans}"
+    );
 }
 
 #[test]
 fn explain_never_executes_and_reports_cache_residency() {
-    let server = build_server(catalog::medical(), 1);
+    let server = build_server(catalog::medical());
     let text = "MATCH (d:Drug)-[:treat]->(i:Indication) RETURN d.name, i.desc LIMIT 5";
 
     let cold = plan(&server, QueryMode::Explain, text);
@@ -147,7 +139,7 @@ fn explain_never_executes_and_reports_cache_residency() {
 
 #[test]
 fn directives_flow_through_serve_text_as_tagged_rows() {
-    let server = build_server(catalog::medical(), 1);
+    let server = build_server(catalog::medical());
     let text = "MATCH (d:Drug)-[:treat]->(i:Indication) RETURN d.name, i.desc LIMIT 7";
 
     let explained = server.serve_text(&format!("EXPLAIN {text}")).expect("parses");

@@ -2,9 +2,8 @@
 //! Theorem 3 (rule-order independence), Proposition 1 (knapsack behaviour of
 //! the relation-centric selection), budget monotonicity, DSL round-trips,
 //! the statement API contracts (text round-trip, fingerprint invariance),
-//! codec round-trips over every `PropertyValue` variant, never-panicking
-//! decoders for every byte format, and `ShardedGraph`-vs-`MemoryGraph`
-//! execution equivalence over generated statements.
+//! codec round-trips over every `PropertyValue` variant and never-panicking
+//! decoders for every byte format.
 
 use pgso::graphstore::codec::{decode_vertex, encode_vertex};
 use pgso::graphstore::PropertyMap;
@@ -35,38 +34,29 @@ fn value_from_spec(kind: usize, payload: i64, depth: usize) -> PropertyValue {
     }
 }
 
-/// Deterministically builds a tiny property graph from integer specs and
-/// loads the *same* insertion sequence into a `MemoryGraph` and a
-/// `ShardedGraph`, so global vertex ids line up.
-fn mirrored_graphs(
-    vertex_specs: &[(usize, i64)],
-    edge_specs: &[(usize, usize, usize)],
-    shards: usize,
-) -> (MemoryGraph, ShardedGraph) {
-    let mut mono = MemoryGraph::new();
-    let mut sharded = ShardedGraph::new_memory(shards);
-    for backend in [&mut mono as &mut dyn GraphBackend, &mut sharded as &mut dyn GraphBackend] {
-        let n = vertex_specs.len();
-        for (i, &(label, seed)) in vertex_specs.iter().enumerate() {
-            backend.add_vertex(
-                &format!("L{}", label % 4),
-                props([
-                    ("p0", PropertyValue::Int(seed % 5)),
-                    ("p1", PropertyValue::str(format!("str{}", seed % 7))),
-                    ("p2", value_from_spec(i + label, seed, 2)),
-                ]),
-            );
-        }
-        for &(src, dst, label) in edge_specs {
-            let (src, dst) = (src % n, dst % n);
-            backend.add_edge(
-                &format!("r{}", label % 3),
-                pgso::graphstore::VertexId(src as u64),
-                pgso::graphstore::VertexId(dst as u64),
-            );
-        }
+/// Deterministically builds a tiny property graph from integer specs.
+fn spec_graph(vertex_specs: &[(usize, i64)], edge_specs: &[(usize, usize, usize)]) -> MemoryGraph {
+    let mut graph = MemoryGraph::new();
+    let n = vertex_specs.len();
+    for (i, &(label, seed)) in vertex_specs.iter().enumerate() {
+        graph.add_vertex(
+            &format!("L{}", label % 4),
+            props([
+                ("p0", PropertyValue::Int(seed % 5)),
+                ("p1", PropertyValue::str(format!("str{}", seed % 7))),
+                ("p2", value_from_spec(i + label, seed, 2)),
+            ]),
+        );
     }
-    (mono, sharded)
+    for &(src, dst, label) in edge_specs {
+        let (src, dst) = (src % n, dst % n);
+        graph.add_edge(
+            &format!("r{}", label % 3),
+            pgso::graphstore::VertexId(src as u64),
+            pgso::graphstore::VertexId(dst as u64),
+        );
+    }
+    graph
 }
 
 /// Deterministically assembles a [`Statement`] from generated integer specs.
@@ -341,7 +331,7 @@ proptest! {
         ),
         grouped in 0u8..2,
     ) {
-        let (mono, _) = mirrored_graphs(&vertex_specs, &graph_edges, 2);
+        let graph = spec_graph(&vertex_specs, &graph_edges);
         let mut b = Statement::builder("having-gen")
             .node("a", "L0")
             .node("b", "L1")
@@ -387,7 +377,7 @@ proptest! {
         // by applying each predicate to its returned aggregate column.
         let mut unfiltered = bound.clone();
         unfiltered.having.clear();
-        let expected: Vec<_> = execute_statement(&unfiltered, &mono)
+        let expected: Vec<_> = execute_statement(&unfiltered, &graph)
             .rows
             .into_iter()
             .filter(|row| {
@@ -397,7 +387,7 @@ proptest! {
                     .all(|(k, (op, threshold))| op.eval(&row[k + 1], threshold))
             })
             .collect();
-        prop_assert_eq!(execute_statement(&bound, &mono).rows, expected, "{}", bound);
+        prop_assert_eq!(execute_statement(&bound, &graph).rows, expected, "{}", bound);
     }
 
     /// Binding semantics: executing `stmt.bind(params)` equals executing the
@@ -418,7 +408,7 @@ proptest! {
         flags in 0u8..128,
     ) {
         let (stmt, params) = build_statement(node_count, &edge_specs, &[], &pred_specs, flags);
-        let (mono, _) = mirrored_graphs(&vertex_specs, &graph_edges, 2);
+        let graph = spec_graph(&vertex_specs, &graph_edges);
 
         // Hand substitution, the ground truth.
         let mut literal = stmt.clone();
@@ -446,8 +436,8 @@ proptest! {
         let bound = stmt.bind(&shuffled).expect("generated params bind");
         prop_assert!(bound.structurally_eq(&literal), "{bound} vs {literal}");
 
-        let via_bind = execute_statement(&bound, &mono);
-        let via_literals = execute_statement(&literal, &mono);
+        let via_bind = execute_statement(&bound, &graph);
+        let via_literals = execute_statement(&literal, &graph);
         prop_assert_eq!(via_bind.rows, via_literals.rows);
         prop_assert_eq!(via_bind.matches, via_literals.matches);
     }
@@ -469,38 +459,6 @@ proptest! {
         let (decoded_label, decoded) = decode_vertex(&encoded).expect("decodes");
         prop_assert_eq!(label, decoded_label);
         prop_assert_eq!(properties, decoded);
-    }
-
-    /// Executing a generated statement on a `ShardedGraph` (2 and 4 shards,
-    /// serial and forced-parallel fan-out) returns exactly the rows of a
-    /// `MemoryGraph` holding the same data.
-    #[test]
-    fn sharded_execution_matches_memory_graph(
-        vertex_specs in proptest::collection::vec((0usize..4, 0i64..40), 2..24),
-        graph_edges in proptest::collection::vec((0usize..24, 0usize..24, 0usize..3), 0..32),
-        node_count in 1usize..4,
-        edge_specs in proptest::collection::vec((0usize..4, 0usize..4, 0usize..3), 0..3),
-        pred_specs in proptest::collection::vec(
-            (0usize..4, 0usize..7, 0usize..4, 0i64..10),
-            0..3,
-        ),
-        flags in 0u8..128,
-    ) {
-        let (stmt, params) = build_statement(node_count, &edge_specs, &[], &pred_specs, flags);
-        let stmt = stmt.bind(&params).expect("generated params bind");
-        for shards in [2usize, 4] {
-            let (mono, sharded) = mirrored_graphs(&vertex_specs, &graph_edges, shards);
-            let expected = execute_statement_with(&stmt, &mono, &ExecConfig::serial());
-            for config in [ExecConfig::serial(), ExecConfig::always_parallel()] {
-                let got = execute_statement_with(&stmt, &sharded, &config);
-                prop_assert_eq!(
-                    &expected.rows, &got.rows,
-                    "rows diverged at {} shards (parallel={}) for {}",
-                    shards, config.parallel, stmt
-                );
-                prop_assert_eq!(expected.matches, got.matches);
-            }
-        }
     }
 
     /// The ontology DSL round-trips arbitrary small ontologies built from

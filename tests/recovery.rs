@@ -1,16 +1,18 @@
 //! Crash-recovery acceptance: a `KgServer` killed after ingesting K updates
 //! must recover to **bit-identical Q1–Q12 row sets** versus an uninterrupted
-//! server that ingested the same updates — at 1 and at 4 storage shards —
-//! and its recovered `WorkloadTracker` frequencies must equal the pre-kill
-//! state (last durable checkpoint: snapshot + replayed WAL tail).
+//! server that ingested the same updates — also from a store whose snapshots
+//! record four storage shards — and its recovered `WorkloadTracker`
+//! frequencies must equal the pre-kill state (last durable checkpoint:
+//! snapshot + replayed WAL tail).
 
 use pgso::datagen::{streaming_updates, UpdateStreamConfig};
 use pgso::ontology::catalog;
-use pgso::persist::PersistConfig;
+use pgso::persist::{PersistConfig, Snapshot};
 use pgso::prelude::*;
 use pgso::query::{QueryResult, Row};
 use pgso::server::ServerConfig;
 use pgso_bench::{microbenchmark, DatasetId};
+use std::path::Path;
 
 struct Inputs {
     ontology: Ontology,
@@ -30,10 +32,9 @@ fn inputs(dataset: DatasetId) -> Inputs {
     Inputs { ontology, statistics, instance, frequencies }
 }
 
-fn config(shards: usize) -> ServerConfig {
+fn config() -> ServerConfig {
     ServerConfig {
         auto_reoptimize: false,
-        shard_count: shards,
         // Small publish batches so the K updates span several epoch swaps
         // and the final batch is still *staged* (WAL-only) at kill time.
         ingest: IngestConfig {
@@ -44,16 +45,16 @@ fn config(shards: usize) -> ServerConfig {
     }
 }
 
-fn build(dataset: DatasetId, shards: usize, persist: Option<PersistConfig>) -> KgServer {
+fn build(dataset: DatasetId, persist: Option<PersistConfig>) -> KgServer {
     let i = inputs(dataset);
     match persist {
-        None => KgServer::new(i.ontology, i.statistics, i.instance, i.frequencies, config(shards)),
+        None => KgServer::new(i.ontology, i.statistics, i.instance, i.frequencies, config()),
         Some(p) => KgServer::new_persistent(
             i.ontology,
             i.statistics,
             i.instance,
             i.frequencies,
-            config(shards),
+            config(),
             p,
         )
         .expect("persistent server builds"),
@@ -79,127 +80,150 @@ fn prepared_params() -> pgso::prelude::Params {
     pgso::prelude::Params::new().set("needle", "Drug_name").set("n", 5i64)
 }
 
-/// The kill/recover equivalence matrix: Med and Fin, 1 and 4 shards.
+/// Copies the store in `dir` and rewrites every snapshot in the copy as a
+/// server that partitioned its epochs across `shard_count` shards wrote it.
+fn copy_store_with_shard_count(dir: &Path, shard_count: u32) -> tempfile::TempDir {
+    let copy = tempfile::tempdir().unwrap();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, copy.path().join(path.file_name().unwrap())).unwrap();
+    }
+    let (snapshots, _) = pgso::persist::list_generations(copy.path()).unwrap();
+    assert!(!snapshots.is_empty());
+    for generation in snapshots {
+        let path = pgso::persist::snapshot_path(copy.path(), generation);
+        let snapshot = pgso::persist::read_snapshot(&path).unwrap();
+        assert_eq!(snapshot.shard_count, 1, "servers record one backend per epoch");
+        pgso::persist::write_snapshot(&path, &Snapshot { shard_count, ..snapshot }).unwrap();
+    }
+    copy
+}
+
+/// The kill/recover equivalence matrix: Med and Fin, each also recovered
+/// from a copy of the store whose snapshots record four shards.
 #[test]
 fn killed_server_recovers_to_bit_identical_q1_q12_rows() {
     for dataset in [DatasetId::Med, DatasetId::Fin] {
         let queries = dataset_queries(dataset);
         assert!(!queries.is_empty());
-        for shards in [1usize, 4] {
-            let dir = tempfile::tempdir().unwrap();
-            let persist = PersistConfig::new_unsynced(dir.path());
+        let dir = tempfile::tempdir().unwrap();
+        let persist = PersistConfig::new_unsynced(dir.path());
 
-            // Server A: serve the full microbenchmark (the tracker learns),
-            // ingest K updates, die without a checkpoint.
-            let (updates, pre_kill_tracker, pre_kill_prepared_rows) = {
-                let server = build(dataset, shards, Some(persist.clone()));
-                for query in &queries {
-                    let _ = serve(&server, query);
-                }
-                let prepared = server.prepare_text(PREPARED_TEXT).expect("prepares");
-                let before_swaps = server.execute(&prepared, &prepared_params()).unwrap().rows;
-                let epoch = server.current_epoch();
-                assert_eq!(epoch.shard_count(), shards);
-                let updates = streaming_updates(
-                    server.ontology(),
-                    &epoch.schema,
-                    epoch.graph(),
-                    60,
-                    77,
-                    &UpdateStreamConfig::default(),
-                );
-                drop(epoch);
-                let mut published_some = false;
-                let mut staged_some = false;
-                for batch in updates.chunks(20) {
-                    let report = server.ingest(batch.to_vec()).unwrap();
-                    published_some |= report.published;
-                    staged_some |= report.pending > 0;
-                }
-                assert!(published_some, "some batches must have been published pre-kill");
-                assert!(staged_some, "some updates must still be WAL-only at kill time");
-                // Taken *before* the final execute: this is the state the
-                // last WAL tracker checkpoint captured, which is what
-                // recovery restores.
-                let tracker = server.tracker().snapshot();
-                // The prepared handle survives the publication epoch swaps:
-                // same signature, still executable, rows growing only with
-                // the ingested data.
-                let after_swaps = server.execute(&prepared, &prepared_params()).unwrap().rows;
-                assert!(after_swaps.len() >= before_swaps.len());
-                (updates, tracker, after_swaps)
-                // drop = kill: no checkpoint, no flush
-            };
-
-            // Server B: identical construction, same request stream (one
-            // prepared execution included, so the learned frequencies
-            // match), same updates, never killed.
-            let uninterrupted = build(dataset, shards, None);
+        // Server A: serve the full microbenchmark (the tracker learns),
+        // ingest K updates, die without a checkpoint.
+        let (updates, pre_kill_tracker, pre_kill_prepared_rows) = {
+            let server = build(dataset, Some(persist.clone()));
             for query in &queries {
-                let _ = serve(&uninterrupted, query);
+                let _ = serve(&server, query);
             }
-            let prepared_b = uninterrupted.prepare_text(PREPARED_TEXT).unwrap();
-            let _ = uninterrupted.execute(&prepared_b, &prepared_params()).unwrap();
-            uninterrupted.ingest(updates.clone()).unwrap();
-            uninterrupted.flush_ingest();
+            let prepared = server.prepare_text(PREPARED_TEXT).expect("prepares");
+            let before_swaps = server.execute(&prepared, &prepared_params()).unwrap().rows;
+            let epoch = server.current_epoch();
+            let updates = streaming_updates(
+                server.ontology(),
+                &epoch.schema,
+                epoch.graph(),
+                60,
+                77,
+                &UpdateStreamConfig::default(),
+            );
+            drop(epoch);
+            let mut published_some = false;
+            let mut staged_some = false;
+            for batch in updates.chunks(20) {
+                let report = server.ingest(batch.to_vec()).unwrap();
+                published_some |= report.published;
+                staged_some |= report.pending > 0;
+            }
+            assert!(published_some, "some batches must have been published pre-kill");
+            assert!(staged_some, "some updates must still be WAL-only at kill time");
+            // Taken *before* the final execute: this is the state the
+            // last WAL tracker checkpoint captured, which is what
+            // recovery restores.
+            let tracker = server.tracker().snapshot();
+            // The prepared handle survives the publication epoch swaps:
+            // same signature, still executable, rows growing only with
+            // the ingested data.
+            let after_swaps = server.execute(&prepared, &prepared_params()).unwrap().rows;
+            assert!(after_swaps.len() >= before_swaps.len());
+            (updates, tracker, after_swaps)
+            // drop = kill: no checkpoint, no flush
+        };
+        // Stores written before epochs became one backend each carry their
+        // shard count; recovery must ignore it.
+        let partitioned = copy_store_with_shard_count(dir.path(), 4);
 
-            // Recovery.
+        // Server B: identical construction, same request stream (one
+        // prepared execution included, so the learned frequencies
+        // match), same updates, never killed.
+        let uninterrupted = build(dataset, None);
+        for query in &queries {
+            let _ = serve(&uninterrupted, query);
+        }
+        let prepared_b = uninterrupted.prepare_text(PREPARED_TEXT).unwrap();
+        let _ = uninterrupted.execute(&prepared_b, &prepared_params()).unwrap();
+        uninterrupted.ingest(updates.clone()).unwrap();
+        uninterrupted.flush_ingest();
+
+        // Recovery, from the store as written and from its partitioned copy.
+        let recover = |persist| {
             let i = inputs(dataset);
-            let recovered =
-                KgServer::recover(i.ontology, i.statistics, i.instance, config(shards), persist)
-                    .expect("recovery succeeds");
-            assert_eq!(recovered.current_epoch().shard_count(), shards);
-            assert_eq!(
-                recovered.published_updates(),
-                updates.len(),
-                "every durably logged update must be recovered"
-            );
+            KgServer::recover(i.ontology, i.statistics, i.instance, config(), persist)
+                .expect("recovery succeeds")
+        };
+        let recovered = recover(persist);
+        let recovered_partitioned = recover(PersistConfig::new_unsynced(partitioned.path()));
+        assert_eq!(
+            recovered.published_updates(),
+            updates.len(),
+            "every durably logged update must be recovered"
+        );
 
-            // Tracker: recovered == pre-kill (snapshot + replayed tail; the
-            // last WAL checkpoint rode along with the final ingest batch).
-            let tracker = recovered.tracker().snapshot();
-            assert_eq!(tracker, pre_kill_tracker, "{dataset:?} shards={shards}");
-            let a = recovered.tracker().to_frequencies(recovered.ontology(), 10_000.0);
-            let b = uninterrupted.tracker().to_frequencies(uninterrupted.ontology(), 10_000.0);
-            for cid in recovered.ontology().concept_ids() {
-                assert_eq!(
-                    a.concept(cid).to_bits(),
-                    b.concept(cid).to_bits(),
-                    "learned frequencies must match the uninterrupted server"
-                );
-            }
-
-            // Q1–Q12: bit-identical row sets.
-            for (index, query) in queries.iter().enumerate() {
-                let recovered_rows = serve(&recovered, query).rows;
-                let uninterrupted_rows = serve(&uninterrupted, query).rows;
-                assert_eq!(
-                    recovered_rows,
-                    uninterrupted_rows,
-                    "{dataset:?} Q{} shards={shards}",
-                    index + 1
-                );
-            }
-
-            // The prepared handle registered pre-kill survives recovery:
-            // the registry comes back in registration order with the typed
-            // parameter signature intact, and executing it with the same
-            // bindings reproduces the pre-kill rows (the staged WAL-only
-            // updates replayed, so the graph is the pre-kill graph).
-            let restored = recovered.prepared_statements();
-            assert_eq!(restored.len(), 1, "{dataset:?} shards={shards}");
-            let prepared = &restored[0];
+        // Tracker: recovered == pre-kill (snapshot + replayed tail; the
+        // last WAL checkpoint rode along with the final ingest batch).
+        let tracker = recovered.tracker().snapshot();
+        assert_eq!(tracker, pre_kill_tracker, "{dataset:?}");
+        let a = recovered.tracker().to_frequencies(recovered.ontology(), 10_000.0);
+        let b = uninterrupted.tracker().to_frequencies(uninterrupted.ontology(), 10_000.0);
+        for cid in recovered.ontology().concept_ids() {
             assert_eq!(
-                prepared.signature().names().collect::<Vec<_>>(),
-                ["needle", "n"],
-                "parameter signature survives recovery"
-            );
-            assert_eq!(
-                recovered.execute(prepared, &prepared_params()).unwrap().rows,
-                pre_kill_prepared_rows,
-                "{dataset:?} shards={shards}: prepared execution survives recovery"
+                a.concept(cid).to_bits(),
+                b.concept(cid).to_bits(),
+                "learned frequencies must match the uninterrupted server"
             );
         }
+
+        // Q1–Q12: bit-identical row sets.
+        for (index, query) in queries.iter().enumerate() {
+            let recovered_rows = serve(&recovered, query).rows;
+            let uninterrupted_rows = serve(&uninterrupted, query).rows;
+            assert_eq!(recovered_rows, uninterrupted_rows, "{dataset:?} Q{}", index + 1);
+            assert_eq!(
+                serve(&recovered_partitioned, query).rows,
+                recovered_rows,
+                "{dataset:?} Q{}: a snapshot recording 4 shards",
+                index + 1
+            );
+        }
+
+        // The prepared handle registered pre-kill survives recovery:
+        // the registry comes back in registration order with the typed
+        // parameter signature intact, and executing it with the same
+        // bindings reproduces the pre-kill rows (the staged WAL-only
+        // updates replayed, so the graph is the pre-kill graph).
+        let restored = recovered.prepared_statements();
+        assert_eq!(restored.len(), 1, "{dataset:?}");
+        let prepared = &restored[0];
+        assert_eq!(
+            prepared.signature().names().collect::<Vec<_>>(),
+            ["needle", "n"],
+            "parameter signature survives recovery"
+        );
+        assert_eq!(
+            recovered.execute(prepared, &prepared_params()).unwrap().rows,
+            pre_kill_prepared_rows,
+            "{dataset:?}: prepared execution survives recovery"
+        );
     }
 }
 
@@ -216,7 +240,7 @@ fn socket_killed_client_leaves_persistent_server_recoverable() {
     let persist = PersistConfig::new_unsynced(dir.path());
 
     let pre_kill_rows = {
-        let server = Arc::new(build(DatasetId::Med, 1, Some(persist.clone())));
+        let server = Arc::new(build(DatasetId::Med, Some(persist.clone())));
         let mut listener =
             KgListener::bind(server.clone(), "127.0.0.1:0", NetConfig::default()).unwrap();
         listener.serve().unwrap();
@@ -262,7 +286,7 @@ fn socket_killed_client_leaves_persistent_server_recoverable() {
     };
 
     let i = inputs(DatasetId::Med);
-    let recovered = KgServer::recover(i.ontology, i.statistics, i.instance, config(1), persist)
+    let recovered = KgServer::recover(i.ontology, i.statistics, i.instance, config(), persist)
         .expect("recovery succeeds after a socket-killed client");
     let restored = recovered.prepared_statements();
     assert_eq!(restored.len(), 1, "the wire-registered prepared statement survives");
@@ -280,7 +304,7 @@ fn recovery_survives_a_torn_wal_tail() {
     let dir = tempfile::tempdir().unwrap();
     let persist = PersistConfig::new_unsynced(dir.path());
     let total = {
-        let server = build(DatasetId::Med, 1, Some(persist.clone()));
+        let server = build(DatasetId::Med, Some(persist.clone()));
         let epoch = server.current_epoch();
         let updates = streaming_updates(
             server.ontology(),
@@ -303,7 +327,7 @@ fn recovery_survives_a_torn_wal_tail() {
     std::fs::write(&wal, &bytes[..bytes.len() * 3 / 5]).unwrap();
 
     let i = inputs(DatasetId::Med);
-    let recovered = KgServer::recover(i.ontology, i.statistics, i.instance, config(1), persist)
+    let recovered = KgServer::recover(i.ontology, i.statistics, i.instance, config(), persist)
         .expect("torn tail must not prevent recovery");
     let survived = recovered.published_updates();
     assert!(survived < total, "the torn records must be dropped");
@@ -350,13 +374,13 @@ fn builder_and_pinned_constructors_build_the_same_server() {
         let builder = || {
             let i = inputs(dataset);
             (
-                KgServer::builder(i.ontology, i.statistics, i.instance).config(config(1)),
+                KgServer::builder(i.ontology, i.statistics, i.instance).config(config()),
                 i.frequencies,
             )
         };
 
         // Volatile.
-        let pinned = build(dataset, 1, None);
+        let pinned = build(dataset, None);
         let schema = pinned.current_epoch().schema.clone();
         let reference = fingerprint_of(&pinned, &queries);
         assert!(reference.4.iter().any(|rows| !rows.is_empty()), "{dataset:?} answers something");
@@ -377,7 +401,7 @@ fn builder_and_pinned_constructors_build_the_same_server() {
         // Persistent, then killed and recovered — one directory per spelling.
         let (pinned_dir, built_dir) = (tempfile::tempdir().unwrap(), tempfile::tempdir().unwrap());
         {
-            let pinned = build(dataset, 1, Some(PersistConfig::new_unsynced(pinned_dir.path())));
+            let pinned = build(dataset, Some(PersistConfig::new_unsynced(pinned_dir.path())));
             let (b, frequencies) = builder();
             let built = b
                 .persist(PersistConfig::new_unsynced(built_dir.path()))
@@ -396,7 +420,7 @@ fn builder_and_pinned_constructors_build_the_same_server() {
             i.ontology,
             i.statistics,
             i.instance,
-            config(1),
+            config(),
             PersistConfig::new_unsynced(pinned_dir.path()),
         )
         .expect("recovers");

@@ -239,7 +239,6 @@ fn disabled_telemetry_still_mirrors_engine_gauges() {
     assert!(snapshot.histogram("query.latency").is_none(), "no hot-path series when disabled");
     assert_eq!(snapshot.gauge("server.served"), Some(1.0), "state gauges still mirror");
     assert!(snapshot.gauge("plan_cache.hit_ratio").is_some());
-    assert_eq!(snapshot.gauge("epoch.shard_count"), Some(1.0), "default shard count");
     assert!(server.trace_events().is_empty(), "no trace ring when disabled");
     assert!(server.metrics_text().contains("server_served 1"));
 }
