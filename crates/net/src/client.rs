@@ -113,7 +113,8 @@ impl NetPrepared {
 pub struct NetResult {
     /// All result rows, chunk order preserved.
     pub rows: Vec<Row>,
-    /// Pattern matches found (before aggregation/windowing).
+    /// Matches enumerated (before aggregation/windowing); a plain window
+    /// stops at `SKIP + LIMIT`.
     pub matches: u64,
 }
 

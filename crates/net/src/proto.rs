@@ -310,7 +310,8 @@ pub enum Response {
     },
     /// End of a result stream.
     Summary {
-        /// Pattern matches found (before aggregation/windowing).
+        /// Matches enumerated (before aggregation/windowing); a plain
+        /// window stops at `SKIP + LIMIT`.
         matches: u64,
         /// Total rows streamed for this result.
         rows: u64,

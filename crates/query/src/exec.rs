@@ -8,7 +8,7 @@
 //! [`GraphBackend::with_property`] — goes through the backend and is
 //! therefore counted in its [`AccessStats`]; the executor adds no caching
 //! and, reading through the backend's borrowed forms only, no allocation per
-//! candidate, neighbour or match (only per returned row and value), so
+//! candidate or neighbour (only per projected row and value), so
 //! latency differences between schemas reflect the storage work, as in the
 //! paper's evaluation. That makes the counters a contract: what a statement
 //! costs may only change when the storage work it does changes.
@@ -36,6 +36,16 @@
 //! correct over the replicated LIST properties the DIR→OPT rewrite
 //! substitutes for edge traversals) and **`DISTINCT` → `ORDER BY` →
 //! `SKIP`/`LIMIT`**, in that order, on the (possibly aggregated) rows.
+//!
+//! A *plain* statement — no aggregate, no `DISTINCT`, no `ORDER BY` — turns
+//! each match into one row, in match order, so its window is its first
+//! `SKIP + LIMIT` matches: **matching stops there**. Every stage that appends
+//! to the binding table (the root loop, each edge step, the disconnected-edge
+//! and isolated-node candidates, each optional pass) stops once the table
+//! holds that many rows, and only the `LIMIT` rows after the first `SKIP` are
+//! projected. The backend's loops cannot be broken off, so the rest of the
+//! current adjacency list is still walked (and charged) and the remaining
+//! root visits do nothing. Any other statement matches everything first.
 
 use crate::ast::{Aggregate, EdgePattern, ReturnItem};
 use crate::stmt::{order_values, CountTerm, Predicate, Statement, Term};
@@ -52,7 +62,8 @@ pub type Row = Vec<PropertyValue>;
 pub struct QueryResult {
     /// Result rows (a single row for aggregate queries).
     pub rows: Vec<Row>,
-    /// Number of pattern matches found (before aggregation and windowing).
+    /// Matches enumerated (before aggregation and windowing); a plain
+    /// window stops at `SKIP + LIMIT`.
     pub matches: usize,
     /// Wall-clock execution time.
     pub elapsed: Duration,
@@ -95,8 +106,9 @@ pub fn execute_statement(stmt: &Statement, backend: &dyn GraphBackend) -> QueryR
         let stage = Instant::now();
         backend.for_each_with_label(ctx.slots[ROOT].label, &mut |root| {
             // Predicate pushdown: a root failing a WHERE predicate is not
-            // expanded.
-            if ctx.passes(ROOT, root) {
+            // expanded. Once the table is full the remaining visits are
+            // no-ops: the backend's scan cannot be broken off.
+            if !ctx.full(&bindings) && ctx.passes(ROOT, root) {
                 row[ROOT] = Some(root);
                 expand(&ctx, 0, &mut row, &mut bindings);
                 row[ROOT] = None;
@@ -112,13 +124,17 @@ pub fn execute_statement(stmt: &Statement, backend: &dyn GraphBackend) -> QueryR
     let (rows, reps) = if stmt.is_aggregation() {
         aggregate_rows(&ctx, &bindings)
     } else {
-        let project_row = |row| ctx.returns.iter().map(|&item| project(&ctx, item, row)).collect();
-        let rows = bindings.chunks_exact(ctx.stride).map(|row| project_row(Some(row)));
-        (rows.collect(), (0..matches).collect())
+        // A plain statement projects only the window; any other projects
+        // every match, and only ORDER BY reads the representatives.
+        let (skip, limit) = if ctx.plain { (ctx.skip, ctx.limit) } else { (0, usize::MAX) };
+        let rows = bindings.chunks_exact(ctx.stride).skip(skip).take(limit);
+        let rows = rows.map(|row| ctx.returns.iter().map(|&item| project(&ctx, item, Some(row))));
+        let reps = if stmt.order_by.is_empty() { Vec::new() } else { (0..matches).collect() };
+        (rows.map(Iterator::collect).collect(), reps)
     };
     timings.aggregate = stage.elapsed();
     let stage = Instant::now();
-    let rows = finalize_rows(&ctx, rows, &reps, &bindings);
+    let rows = if ctx.plain { rows } else { finalize_rows(&ctx, rows, &reps, &bindings) };
     timings.windowing = stage.elapsed();
     QueryResult {
         rows,
@@ -216,6 +232,16 @@ struct Ctx<'a> {
     stride: usize,
     /// A predicate on a variable no node pattern declares can never hold.
     unsatisfiable: bool,
+    /// No aggregate, no `DISTINCT`, no `ORDER BY`: each match yields one
+    /// row, in match order, so the window is the first matches' rows.
+    plain: bool,
+    /// `SKIP` and `LIMIT`; an unbound `$parameter` skips nothing and does
+    /// not limit.
+    skip: usize,
+    limit: usize,
+    /// Rows the binding table may need: `SKIP + LIMIT` for a plain windowed
+    /// statement, unbounded otherwise. A full table stops matching.
+    budget: usize,
     predicate_checks: std::cell::Cell<u64>,
 }
 
@@ -275,6 +301,10 @@ impl<'a> Ctx<'a> {
             ReturnItem::Vertex { var } => (slot(var), None),
             ReturnItem::Aggregate { var, property, .. } => (slot(var), property.as_deref()),
         });
+        let count = |term: &Option<CountTerm>| term.as_ref().and_then(CountTerm::count);
+        let (skip, limit) =
+            (count(&stmt.skip).unwrap_or(0), count(&stmt.limit).unwrap_or(usize::MAX));
+        let plain = !stmt.is_aggregation() && !stmt.distinct && stmt.order_by.is_empty();
         Self {
             stmt,
             backend,
@@ -287,8 +317,18 @@ impl<'a> Ctx<'a> {
             edges,
             opt_edges,
             unsatisfiable,
+            plain,
+            skip,
+            limit,
+            budget: if plain { skip.saturating_add(limit) } else { usize::MAX },
             predicate_checks: std::cell::Cell::new(0),
         }
+    }
+
+    /// Whether `table` holds every row the statement can return, so that
+    /// appending more would only enumerate matches the window drops.
+    fn full(&self, table: &[Cell]) -> bool {
+        table.len() / self.stride >= self.budget
     }
 
     /// Reads one property of `vertex` where it is stored (one vertex read)
@@ -352,7 +392,8 @@ impl<'a> Ctx<'a> {
 
 /// Recursively matches mandatory edge patterns in order, backtracking on the
 /// one scratch `row`: bind a cell, recurse, unbind it. A complete match is
-/// appended to `out`, the only copy made of it.
+/// appended to `out`, the only copy made of it; once `out` is full, the
+/// remaining neighbours and candidates are visited without recursing.
 fn expand(ctx: &Ctx<'_>, edge_index: usize, row: &mut [Cell], out: &mut Vec<Cell>) {
     let Some(edge) = ctx.edges.get(edge_index) else {
         // All edges matched. A mandatory variable still unbound belongs to
@@ -363,9 +404,11 @@ fn expand(ctx: &Ctx<'_>, edge_index: usize, row: &mut [Cell], out: &mut Vec<Cell
     };
     let (src, dst) = (row[edge.src], row[edge.dst]);
     let walked = ctx.across(edge, src, dst, false, &mut |free, neighbour| {
-        row[free] = Some(neighbour);
-        expand(ctx, edge_index + 1, row, out);
-        row[free] = None;
+        if !ctx.full(out) {
+            row[free] = Some(neighbour);
+            expand(ctx, edge_index + 1, row, out);
+            row[free] = None;
+        }
     });
     if let (false, Some(src), Some(dst)) = (walked, src, dst) {
         let mut connected = false;
@@ -377,7 +420,7 @@ fn expand(ctx: &Ctx<'_>, edge_index: usize, row: &mut [Cell], out: &mut Vec<Cell
         // Disconnected edge pattern: enumerate source candidates by label,
         // then match the same edge again with its source bound.
         ctx.backend.for_each_with_label(ctx.slots[edge.src].label, &mut |candidate| {
-            if ctx.passes(edge.src, candidate) {
+            if !ctx.full(out) && ctx.passes(edge.src, candidate) {
                 row[edge.src] = Some(candidate);
                 expand(ctx, edge_index, row, out);
                 row[edge.src] = None;
@@ -389,8 +432,11 @@ fn expand(ctx: &Ctx<'_>, edge_index: usize, row: &mut [Cell], out: &mut Vec<Cell
 /// Completes a match whose edges left mandatory node patterns unbound: each
 /// binds to any vertex of its label that passes its predicates. The
 /// candidates of such a slot are read once, in slot order, and the match is
-/// multiplied out over them, earlier slots varying slowest.
+/// multiplied out over them, earlier slots varying slowest. Each row of a
+/// stage yields at least one match, in order, or every row yields none, so
+/// no stage keeps more rows than `out` has room for.
 fn bind_isolated(ctx: &Ctx<'_>, row: &[Cell], out: &mut Vec<Cell>) {
+    let (width, room) = (row.len(), ctx.budget.saturating_sub(out.len() / ctx.stride));
     let mut rows = row.to_vec();
     for (slot, node) in ctx.slots.iter().enumerate() {
         // With no row left nothing can match, and nothing more is read.
@@ -401,13 +447,14 @@ fn bind_isolated(ctx: &Ctx<'_>, row: &[Cell], out: &mut Vec<Cell>) {
                     candidates.push(candidate);
                 }
             });
-            let mut expanded = Vec::with_capacity(rows.len() * candidates.len());
-            for row in rows.chunks_exact(row.len()) {
-                for &candidate in &candidates {
-                    expanded.extend_from_slice(row);
-                    let at = expanded.len() - row.len() + slot;
-                    expanded[at] = Some(candidate);
-                }
+            let cells = (rows.len() * candidates.len()).min(room.saturating_mul(width));
+            let mut expanded = Vec::with_capacity(cells);
+            let product =
+                rows.chunks_exact(width).flat_map(|row| candidates.iter().map(move |&c| (row, c)));
+            for (row, candidate) in product.take(room) {
+                expanded.extend_from_slice(row);
+                let at = expanded.len() - width + slot;
+                expanded[at] = Some(candidate);
             }
             rows = expanded;
         }
@@ -417,7 +464,8 @@ fn bind_isolated(ctx: &Ctx<'_>, row: &[Cell], out: &mut Vec<Cell>) {
 
 /// Applies the optional edges in order, left-outer style: every input row
 /// survives; rows whose optional edge matches are multiplied per match, rows
-/// without a match keep the optional variable unbound.
+/// without a match keep the optional variable unbound. Since each input row
+/// yields at least one output row, in order, a full output stops the pass.
 fn apply_optional(ctx: &Ctx<'_>, mut current: Vec<Cell>) -> Vec<Cell> {
     let push_bound = |next: &mut Vec<Cell>, row: &[Cell], bound: &[(usize, VertexId)]| {
         let at = next.len();
@@ -442,6 +490,9 @@ fn apply_optional(ctx: &Ctx<'_>, mut current: Vec<Cell>) -> Vec<Cell> {
         }
         let mut next = Vec::with_capacity(current.len());
         for row in current.chunks_exact(ctx.stride) {
+            if ctx.full(&next) {
+                break;
+            }
             let unmatched = next.len();
             let walked = ctx.across(edge, row[edge.src], row[edge.dst], true, &mut |free, n| {
                 push_bound(&mut next, row, &[(free, n)]);
@@ -679,13 +730,8 @@ fn finalize_rows(ctx: &Ctx<'_>, mut rows: Vec<Row>, reps: &[usize], bindings: &[
         rows.retain(|row| seen.insert(format!("{row:?}")));
     }
 
-    // An unbound `$parameter` window resolves to no skip, no limit.
-    if let Some(skip) = stmt.skip.as_ref().and_then(CountTerm::count) {
-        rows = rows.split_off(skip.min(rows.len()));
-    }
-    if let Some(limit) = stmt.limit.as_ref().and_then(CountTerm::count) {
-        rows.truncate(limit);
-    }
+    rows.drain(..ctx.skip.min(rows.len()));
+    rows.truncate(ctx.limit);
     rows
 }
 
@@ -1096,6 +1142,27 @@ mod tests {
     }
 
     #[test]
+    fn largest_windows_return_nothing_without_overflow() {
+        let g = figure_1_direct();
+        let max = usize::MAX;
+        let optional = " OPTIONAL MATCH (i)-[:treat]->(x:Drug)";
+        for (optional, order) in [("", ""), ("", " ORDER BY i.desc"), (optional, "")] {
+            let text =
+                format!("MATCH (d:Drug)-[:treat]->(i:Indication){optional} RETURN i.desc{order}");
+            // SKIP + LIMIT is usize::MAX + usize::MAX as literals, and the
+            // largest count a `$parameter` (an Int) carries, doubled.
+            let literal = crate::parse(&format!("{text} SKIP {max} LIMIT {max}")).unwrap();
+            let params = crate::Params::new().set("s", i64::MAX).set("n", i64::MAX);
+            let bound = crate::parse(&format!("{text} SKIP $s LIMIT $n")).unwrap().bind(&params);
+            for stmt in [literal, bound.unwrap()] {
+                let result = execute_statement(&stmt, &g);
+                assert!(result.rows.is_empty(), "{stmt}");
+                assert_eq!(result.matches, 2, "{stmt}: every match is enumerated");
+            }
+        }
+    }
+
+    #[test]
     fn group_by_aggregates_per_vertex() {
         let mut g = figure_1_direct();
         // A second drug treating one indication, so groups differ in size.
@@ -1382,7 +1449,9 @@ mod tests {
     /// compares schemas by exactly these counters), and every equivalence
     /// test above compares the executor with itself. The literals below
     /// were recorded by running this test body against the string-keyed
-    /// executor this one replaced; a refactor must reproduce them.
+    /// executor this one replaced; a refactor must reproduce them. The
+    /// windowed rows at the end pin the early stop of plain windows, and
+    /// that `ORDER BY`, `DISTINCT` and aggregates still match everything.
     #[test]
     fn golden_counters_per_statement_shape() {
         let direct = figure_1_direct();
@@ -1516,6 +1585,76 @@ mod tests {
                 &doses,
                 &["A|40|2"],
                 [3, 9, 3, 0],
+            ),
+            (
+                "LIMIT stops the match",
+                treats().edge("d", "treat", "i").ret_property("i", "desc").limit(1).build(),
+                &direct,
+                &["Fever"],
+                [1, 3, 2, 0],
+            ),
+            (
+                "SKIP + LIMIT stops the match",
+                treats().edge("d", "treat", "i").ret_property("i", "desc").skip(1).limit(1).build(),
+                &direct,
+                &["Headache"],
+                [2, 3, 2, 0],
+            ),
+            (
+                "anchored OPTIONAL under LIMIT",
+                Statement::builder("g")
+                    .node("d", "Drug")
+                    .opt_node("i", "Indication")
+                    .opt_edge("d", "treat", "i")
+                    .ret_property("d", "name")
+                    .ret_property("i", "desc")
+                    .limit(2)
+                    .build(),
+                &placebo,
+                &["Aspirin|Fever", "Aspirin|Headache"],
+                [2, 6, 2, 0],
+            ),
+            (
+                "isolated node pattern under LIMIT",
+                treats().ret_property("d", "name").ret_property("i", "desc").limit(1).build(),
+                &placebo,
+                &["Aspirin|Fever"],
+                [1, 2, 0, 0],
+            ),
+            (
+                "ORDER BY + LIMIT matches everything",
+                treats()
+                    .edge("d", "treat", "i")
+                    .ret_property("i", "desc")
+                    .order_by("i", "desc", true)
+                    .limit(1)
+                    .build(),
+                &direct,
+                &["Headache"],
+                [2, 6, 2, 0],
+            ),
+            (
+                "DISTINCT + LIMIT matches everything",
+                treats()
+                    .edge("d", "treat", "i")
+                    .ret_property("d", "name")
+                    .distinct()
+                    .limit(1)
+                    .build(),
+                &direct,
+                &["Aspirin"],
+                [2, 4, 2, 0],
+            ),
+            (
+                "aggregate + LIMIT matches everything",
+                treats()
+                    .edge("d", "treat", "i")
+                    .ret_aggregate(Aggregate::Count, "i", None)
+                    .limit(1)
+                    .build(),
+                &direct,
+                &["2"],
+                [2, 2, 2, 0],
             ),
         ];
         for (shape, stmt, backend, rows, counters) in cases {

@@ -78,7 +78,8 @@ impl AppliedRule {
 /// `execute_statement` run is exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanActuals {
-    /// Pattern matches found (before aggregation and windowing).
+    /// Matches enumerated (before aggregation and windowing); a plain
+    /// window stops at `SKIP + LIMIT`.
     pub matches: u64,
     /// Result rows produced.
     pub rows: u64,

@@ -2,14 +2,16 @@
 //! benchmark's `allocs_per_query` comes from.
 //!
 //! The executor reads through the backend's borrowed forms and keeps its
-//! matches in one flat table, so a query allocates per returned row and
+//! matches in one flat table, so a query allocates per projected row and
 //! value, and per aggregation group — never per candidate, per neighbour or
-//! per match. Every case below runs at two sizes and bounds the *slope*
-//! between them; a fixed cost (the resolved statement, the scratch row, a
-//! vector doubling a few more times) does not count against it.
+//! per match. A plain window (no aggregate, `DISTINCT` or `ORDER BY`) stops
+//! matching at `SKIP + LIMIT`, so it allocates the same at any size. Every
+//! other case below runs at two sizes and bounds the *slope* between them; a
+//! fixed cost (the resolved statement, the scratch row, a vector doubling a
+//! few more times) does not count against it.
 
 use pgso_graphstore::{props, GraphBackend, MemoryGraph, VertexId};
-use pgso_query::{execute_statement, Aggregate, CmpOp, Statement};
+use pgso_query::{execute_statement, Aggregate, CmpOp, Statement, StatementBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -98,9 +100,9 @@ fn a_rejecting_label_scan_allocates_the_same_at_any_size() {
     assert_eq!(small, large, "allocations must not depend on the candidates rejected");
 }
 
-#[test]
-fn a_two_hop_match_allocates_per_returned_row_and_value() {
-    let stmt = Statement::builder("two-hop")
+/// Drug → Indication → Symptom, returning the drug's and the symptom's name.
+fn two_hop() -> StatementBuilder {
+    Statement::builder("two-hop")
         .node("d", "Drug")
         .node("i", "Indication")
         .node("s", "Symptom")
@@ -108,7 +110,11 @@ fn a_two_hop_match_allocates_per_returned_row_and_value() {
         .edge("i", "show", "s")
         .ret_property("d", "name")
         .ret_property("s", "name")
-        .build();
+}
+
+#[test]
+fn a_two_hop_match_allocates_per_returned_row_and_value() {
+    let stmt = two_hop().build();
     let columns = 2.0;
     let (small, small_matches, _) = execution(&stmt, &tree(10, 2));
     let (large, large_matches, rows) = execution(&stmt, &tree(10, 10));
@@ -120,6 +126,17 @@ fn a_two_hop_match_allocates_per_returned_row_and_value() {
         slope <= 1.0 + columns + 0.05,
         "{slope} allocations per match ({small} for 40 matches, {large} for 1000)"
     );
+}
+
+#[test]
+fn a_limited_two_hop_match_allocates_the_same_at_any_size() {
+    // A plain window stops matching once it has its rows, so a graph with
+    // 250 times the matches costs not one allocation more.
+    let stmt = two_hop().limit(5).build();
+    let (small, small_matches, _) = execution(&stmt, &tree(10, 2));
+    let (large, large_matches, rows) = execution(&stmt, &tree(100, 10));
+    assert_eq!((small_matches, large_matches, rows), (5, 5, 5));
+    assert_eq!(small, large, "allocations must not depend on the matches past the window");
 }
 
 #[test]

@@ -88,8 +88,8 @@ fn build_statement(
     let mut opt_vars = Vec::new();
     for (k, &(anchor, label)) in opt_specs.iter().enumerate() {
         let var = format!("o{k}");
-        b = b.opt_node(&var, format!("OL{label}"));
-        b = b.opt_edge(format!("v{}", anchor % node_count), format!("or{label}"), &var);
+        b = b.opt_node(&var, format!("L{label}"));
+        b = b.opt_edge(format!("v{}", anchor % node_count), format!("r{label}"), &var);
         opt_vars.push(var);
     }
     for (k, &(var, op, prop, value)) in pred_specs.iter().enumerate() {
@@ -441,6 +441,64 @@ proptest! {
         prop_assert_eq!(via_bind.rows, via_literals.rows);
         prop_assert_eq!(via_bind.matches, via_literals.matches);
     }
+}
+
+proptest! {
+    // Most generated statements match fewer rows than `SKIP 3 LIMIT 7`
+    // spans, so a window only bites in a fraction of the cases.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `SKIP`/`LIMIT` is the last clause: on every backend, a generated
+    /// statement returns its unwindowed rows with `[skip..][..limit]` applied
+    /// by hand, and stopping a plain window early never reads or traverses
+    /// more than matching everything.
+    #[test]
+    fn windows_slice_the_unwindowed_rows_and_never_read_more(
+        vertex_specs in proptest::collection::vec((0usize..4, 0i64..40), 2..16),
+        graph_edges in proptest::collection::vec((0usize..16, 0usize..16, 0usize..3), 0..24),
+        node_count in 1usize..4,
+        edge_specs in proptest::collection::vec((0usize..4, 0usize..4, 0usize..3), 0..3),
+        opt_specs in proptest::collection::vec((0usize..4, 0usize..3), 0..3),
+        pred_specs in proptest::collection::vec(
+            (0usize..6, 0usize..7, 0usize..4, 0i64..10),
+            0..3,
+        ),
+        flags in 0u8..128,
+    ) {
+        use pgso::graphstore::{apply_updates, CsrGraph, DiskGraph, DiskGraphConfig, GraphBackend};
+        let (stmt, params) = build_statement(node_count, &edge_specs, &opt_specs, &pred_specs, flags);
+        let windowed = stmt.bind(&params).expect("generated params bind");
+        let mut unwindowed = windowed.clone();
+        (unwindowed.skip, unwindowed.limit) = (None, None);
+        let count = |term: &Option<CountTerm>| term.as_ref().and_then(CountTerm::count);
+        let skip = count(&windowed.skip).unwrap_or(0);
+        let limit = count(&windowed.limit).unwrap_or(usize::MAX);
+
+        let memory = spec_graph(&vertex_specs, &graph_edges);
+        let csr = CsrGraph::freeze(&memory);
+        let dir = tempfile::tempdir().unwrap();
+        let store = dir.path().join("graph.store");
+        let mut disk = DiskGraph::create(store, DiskGraphConfig::with_pool_pages(2)).unwrap();
+        apply_updates(&mut disk, &memory.export_updates().expect("memory graphs export"));
+        disk.ensure_ready();
+        let backends: [(&str, &dyn GraphBackend); 3] =
+            [("memory", &memory), ("csr", &csr), ("disk", &disk)];
+        for (name, backend) in backends {
+            let all = execute_statement(&unwindowed, backend);
+            let window = execute_statement(&windowed, backend);
+            let expected: Vec<_> = all.rows.into_iter().skip(skip).take(limit).collect();
+            prop_assert_eq!(window.rows, expected, "{} on {}", windowed, name);
+            prop_assert!(window.stats.vertex_reads <= all.stats.vertex_reads, "{windowed} on {name}");
+            prop_assert!(
+                window.stats.edge_traversals <= all.stats.edge_traversals,
+                "{windowed} on {name}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The disk-record codec round-trips vertices whose properties cycle
     /// through every `PropertyValue` variant, including `Null` and nested
