@@ -378,6 +378,7 @@ impl<'a> Loader<'a> {
 mod tests {
     use super::*;
     use pgso_core::{optimize_nsc, OptimizerConfig, OptimizerInput};
+    use pgso_graphstore::codec::encode_update;
     use pgso_graphstore::MemoryGraph;
     use pgso_ontology::{catalog, AccessFrequencies, DataStatistics, StatisticsConfig};
 
@@ -497,6 +498,64 @@ mod tests {
             let (first, second) = (load(), load());
             assert_eq!(first.payload_bytes(), second.payload_bytes(), "{}", ontology.name());
             assert_eq!(first.export_updates(), second.export_updates(), "{}", ontology.name());
+        }
+    }
+
+    /// FNV-1a over the byte encoding of every update `export_updates`
+    /// replays: vertices in id order, then edges in insertion order.
+    fn export_digest(graph: &MemoryGraph) -> u64 {
+        let updates = graph.export_updates().expect("a memory graph exports its updates");
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        for byte in updates.iter().flat_map(encode_update) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
+    }
+
+    #[test]
+    fn load_output_is_pinned() {
+        // The exact graphs MED and FIN load into at scale 0.05, seed 42: how
+        // the loader computes them may change, what it writes may not.
+        // (vertices, edges, payload bytes, report, export digest).
+        let report = |vertices, edges, skipped_edges| LoadReport { vertices, edges, skipped_edges };
+        let pinned = [
+            (
+                catalog::medical(),
+                [
+                    (178, 283, 7_299, report(178, 283, 0), 3_220_574_063_169_167_206),
+                    (132, 217, 20_469, report(132, 217, 30), 7_546_316_018_253_369_386),
+                ],
+            ),
+            (
+                catalog::financial(),
+                [
+                    (286, 699, 15_368, report(286, 699, 0), 4_085_653_190_658_731_614),
+                    (68, 156, 36_028, report(68, 156, 316), 1_594_097_438_031_047_631),
+                ],
+            ),
+        ];
+        for (ontology, [dir, opt]) in pinned {
+            let stats = DataStatistics::synthesize(&ontology, &StatisticsConfig::small(), 42);
+            let af = AccessFrequencies::uniform(&ontology, 1_000.0);
+            let instance = InstanceKg::generate(&ontology, &stats, 0.05, 42);
+            let direct = PropertyGraphSchema::direct_from_ontology(&ontology);
+            let optimized = optimize_nsc(
+                OptimizerInput::new(&ontology, &stats, &af),
+                &OptimizerConfig::default(),
+            )
+            .schema;
+            for (schema, expected) in [(&direct, dir), (&optimized, opt)] {
+                let mut g = MemoryGraph::new();
+                let report = load_into(&mut g, &ontology, schema, &instance);
+                let actual = (
+                    g.vertex_count(),
+                    g.edge_count(),
+                    g.payload_bytes(),
+                    report,
+                    export_digest(&g),
+                );
+                assert_eq!(actual, expected, "{}", schema.name);
+            }
         }
     }
 
