@@ -12,7 +12,8 @@
 //! * [`load_into`] — materialises the instance graph into any
 //!   [`pgso_graphstore::GraphBackend`] under a given schema (direct or
 //!   optimized), following the schema's merges, drops and replicated
-//!   properties;
+//!   properties: one load plan per call, O(concepts² + schema), then
+//!   O(entities + relationship instances) with no read of the backend;
 //! * [`streaming_updates`] — a deterministic stream of physical
 //!   [`pgso_graphstore::GraphUpdate`]s (new entities wired into a loaded
 //!   graph), feeding the serving layer's write-ahead-logged ingest path and

@@ -16,12 +16,21 @@
 //! The loader is driven entirely by the schema's `merged_from` lists and
 //! property origins, so any schema produced by the optimizer (under any space
 //! budget) loads correctly.
+//!
+//! **Cost.** Each call first compiles one load plan from `(ontology, schema)`
+//! in O(concepts² + schema): per concept its vertex type, 1:1 anchor,
+//! ancestor walk and scalar-property plans; per (vertex type, provider
+//! concept) the LIST properties it fills; the set of admitted edge types.
+//! Entities and relationship instances then stream through table lookups in
+//! O(entities + relationship instances). The loader never reads the backend
+//! it writes: the edge phase takes vertex labels from its own record of the
+//! vertices it created.
 
 use crate::instance::{property_value_for, Entity, InstanceKg};
 use pgso_graphstore::{GraphBackend, PropertyMap, PropertyValue, VertexId};
-use pgso_ontology::{ConceptId, Ontology, RelationshipKind};
+use pgso_ontology::{ConceptId, Ontology, PropertyId, RelationshipKind};
 use pgso_pgschema::{PropertyGraphSchema, VertexSchema};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 /// Summary of a load operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -43,322 +52,346 @@ pub fn load_into(
     schema: &PropertyGraphSchema,
     instance: &InstanceKg,
 ) -> LoadReport {
-    Loader {
-        backend,
-        ontology,
-        schema,
-        instance,
-        map: HashMap::new(),
-        report: LoadReport::default(),
+    let plan = Plan::compile(ontology, schema);
+    let first = backend.vertex_count() as u64;
+    let (created, map, report) = (Vec::new(), HashMap::new(), LoadReport::default());
+    let mut loader = Loader { backend, plan: &plan, instance, first, created, map, report };
+    let mains = loader.create_main_vertices();
+    loader.create_ancestor_vertices(&mains);
+    loader.create_relationship_edges();
+    loader.report
+}
+
+/// Properties a vertex receives, in schema order (a later duplicate name
+/// wins): `(schema property name, ontology property holding the value)`.
+type PropertyPlan<'a> = Vec<(&'a str, PropertyId)>;
+
+/// What the load needs to know about `(ontology, schema)`, compiled once.
+struct Plan<'a> {
+    ontology: &'a Ontology,
+    /// Vertex types in label order; a vertex type is its index here.
+    types: Vec<&'a VertexSchema>,
+    /// Per concept index; `None` when no vertex type holds the concept.
+    concepts: Vec<Option<ConceptPlan<'a>>>,
+    /// LIST properties a provider concept's values fill on a vertex type, at
+    /// `vertex type * concept count + provider`.
+    lists: Vec<PropertyPlan<'a>>,
+    /// Edge types as `(src vertex type, label, dst vertex type)`.
+    edges: HashSet<(usize, &'a str, usize)>,
+}
+
+/// What the schema makes of every entity of one concept.
+struct ConceptPlan<'a> {
+    /// Vertex type of the entity's main vertex.
+    vertex: usize,
+    /// The smallest concept 1:1-connected to this one inside the vertex type:
+    /// entities with the same anchor and index share one main vertex.
+    anchor: ConceptId,
+    /// Scalar properties of the main vertex.
+    scalars: PropertyPlan<'a>,
+    /// Structural ancestors the schema keeps, in the order the walk meets them.
+    levels: Vec<Level<'a>>,
+}
+
+/// A structural ancestor level the schema keeps for an entity.
+struct Level<'a> {
+    concept: ConceptId,
+    /// The vertex below: 0 is the main vertex, `k` the `k`-th level vertex.
+    below: usize,
+    /// The level's own vertex: its type, its properties and the `isA` /
+    /// `unionOf` edge to the vertex below if the schema has that edge type.
+    /// `None` when the level shares the vertex below (inheritance fold).
+    own: Option<(usize, PropertyPlan<'a>, Option<&'static str>)>,
+}
+
+impl<'a> Plan<'a> {
+    fn compile(ontology: &'a Ontology, schema: &'a PropertyGraphSchema) -> Self {
+        let types: Vec<&VertexSchema> = schema.vertices().collect();
+        // As `vertex_for_concept`: the first type in label order merging it.
+        let vertex_of: Vec<Option<usize>> = ontology
+            .concept_ids()
+            .map(|c| types.iter().position(|v| v.merged_from.contains(&ontology.concept(c).name)))
+            .collect();
+        let type_of = |label: &str| types.iter().position(|v| v.label == label);
+        let edges = schema
+            .edges()
+            .filter_map(|e| Some((type_of(&e.src)?, e.label.as_str(), type_of(&e.dst)?)))
+            .collect();
+        let mut plan = Plan { ontology, types, concepts: Vec::new(), lists: Vec::new(), edges };
+        let pairs = (0..plan.types.len()).flat_map(|t| ontology.concept_ids().map(move |p| (t, p)));
+        plan.lists = pairs.map(|(t, provider)| plan.list_plan(t, provider)).collect();
+        plan.concepts = ontology.concept_ids().map(|c| plan.concept(&vertex_of, c)).collect();
+        plan
     }
-    .run()
+
+    /// Plans the entities of `concept`, if a vertex type holds it, walking
+    /// its structural ancestors breadth-first. A visited set guards against
+    /// mixed `isA` / `unionOf` cycles (legal in the ontology: each kind is
+    /// acyclic on its own) and diamond hierarchies: every ancestor level is
+    /// planned at most once, via the first path that reaches it.
+    fn concept(&self, vertex_of: &[Option<usize>], concept: ConceptId) -> Option<ConceptPlan<'a>> {
+        let (ontology, vertex) = (self.ontology, vertex_of[concept.index()]?);
+        // Vertex type of each vertex of the walk, main vertex first.
+        let mut walk = vec![vertex];
+        let (mut levels, mut visited) = (Vec::new(), vec![concept]);
+        let mut queue = VecDeque::from([(concept, 0)]);
+        while let Some((level, below)) = queue.pop_front() {
+            for (ancestor, edge) in structural_parents(ontology, level) {
+                if visited.contains(&ancestor) {
+                    continue;
+                }
+                visited.push(ancestor);
+                match vertex_of[ancestor.index()] {
+                    // Dropped level (union concept / pushed-down parent):
+                    // nothing to materialise at this level; higher levels are
+                    // still reachable through other paths if the schema keeps
+                    // them, so keep walking upwards from the vertex below.
+                    None => queue.push_back((ancestor, below)),
+                    Some(t) if t == walk[below] => {
+                        levels.push(Level { concept: ancestor, below, own: None });
+                        queue.push_back((ancestor, below));
+                    }
+                    Some(t) => {
+                        let edge = self.edges.contains(&(t, edge, walk[below])).then_some(edge);
+                        let own = Some((t, Vec::new(), edge));
+                        levels.push(Level { concept: ancestor, below, own });
+                        walk.push(t);
+                        queue.push_back((ancestor, walk.len() - 1));
+                    }
+                }
+            }
+        }
+        // `visited` is now the concept and all its structural ancestors: the
+        // concepts its entities take scalar property values from.
+        let scalars_of = |t: usize| self.scalar_plan(t, &visited);
+        for level in &mut levels {
+            if let Some((t, scalars, _)) = &mut level.own {
+                *scalars = own_scalars(ontology, level.concept, self.types[*t], &scalars_of(*t));
+            }
+        }
+        let anchor = anchor_concept(ontology, concept, self.types[vertex]);
+        Some(ConceptPlan { vertex, anchor, scalars: scalars_of(vertex), levels })
+    }
+
+    /// Scalar properties an entity contributes to vertex type `t`: those whose
+    /// origin is one of `origins`, the entity's concept and its ancestors.
+    fn scalar_plan(&self, t: usize, origins: &[ConceptId]) -> PropertyPlan<'a> {
+        let vertex = self.types[t];
+        let scalars = vertex.properties.iter().filter(|p| !p.is_list);
+        scalars
+            .filter_map(|p| {
+                let (concept, property) = match &p.origin {
+                    Some(o) => (&o.concept, &o.property),
+                    None => (&vertex.label, &p.name),
+                };
+                let concept =
+                    self.ontology.concept_by_name(concept).filter(|c| origins.contains(c))?;
+                Some((p.name.as_str(), self.ontology.property_by_name(concept, property)?))
+            })
+            .collect()
+    }
+
+    /// LIST properties `"{provider}.{property}"` of vertex type `t` that the
+    /// provider concept's properties fill: those whose name's first property
+    /// schema on the vertex type is a LIST.
+    fn list_plan(&self, t: usize, provider: ConceptId) -> PropertyPlan<'a> {
+        let provider_name = self.ontology.concept(provider).name.as_str();
+        let dotted = |name: &str, property: &str| {
+            name.strip_prefix(provider_name).and_then(|rest| rest.strip_prefix('.'))
+                == Some(property)
+        };
+        let properties = self.ontology.concept_properties(provider).iter();
+        properties
+            .filter_map(|&pid| {
+                let property = self.ontology.property(pid).name.as_str();
+                let prop = self.types[t].properties.iter().find(|p| dotted(&p.name, property))?;
+                prop.is_list.then_some((prop.name.as_str(), pid))
+            })
+            .collect()
+    }
+}
+
+/// Structural parents of a concept: `isA` parents, then the union concepts
+/// the concept is a member of.
+fn structural_parents(ontology: &Ontology, concept: ConceptId) -> Vec<(ConceptId, &'static str)> {
+    let mut parents: Vec<(ConceptId, &'static str)> =
+        ontology.parents(concept).into_iter().map(|p| (p, "isA")).collect();
+    for &rid in ontology.incoming(concept) {
+        let rel = ontology.relationship(rid);
+        if rel.kind == RelationshipKind::Union {
+            parents.push((rel.src, "unionOf"));
+        }
+    }
+    parents
+}
+
+/// The anchor concept used to key a (possibly 1:1-merged) main vertex: the
+/// smallest concept id among the vertex's merged concepts that are connected
+/// to `concept` through 1:1 relationships.
+fn anchor_concept(ontology: &Ontology, concept: ConceptId, vertex: &VertexSchema) -> ConceptId {
+    let merged = |c: ConceptId| vertex.merged_from.contains(&ontology.concept(c).name);
+    let one_to_one: Vec<(ConceptId, ConceptId)> = ontology
+        .relationships_of_kind(RelationshipKind::OneToOne)
+        .map(|(_, rel)| (rel.src, rel.dst))
+        .filter(|&(a, b)| merged(a) && merged(b))
+        .collect();
+    let mut group = vec![concept];
+    while let Some(&(a, b)) =
+        one_to_one.iter().find(|(a, b)| group.contains(a) != group.contains(b))
+    {
+        group.push(if group.contains(&a) { b } else { a });
+    }
+    group.into_iter().min().unwrap_or(concept)
+}
+
+/// Scalar properties of an ancestor-level vertex: only the ancestor's own,
+/// each valued as the entity's scalar plan `all` for the vertex type values
+/// it, otherwise from the ancestor's property of the same name.
+fn own_scalars<'a>(
+    ontology: &Ontology,
+    ancestor: ConceptId,
+    vertex: &'a VertexSchema,
+    all: &[(&str, PropertyId)],
+) -> PropertyPlan<'a> {
+    let name = &ontology.concept(ancestor).name;
+    let own = vertex
+        .properties
+        .iter()
+        .filter(|p| !p.is_list && p.origin.as_ref().map_or(&vertex.label, |o| &o.concept) == name);
+    own.filter_map(|p| {
+        let planned = all.iter().rev().find(|(n, _)| *n == p.name).map(|&(_, pid)| pid);
+        Some((p.name.as_str(), planned.or_else(|| ontology.property_by_name(ancestor, &p.name))?))
+    })
+    .collect()
+}
+
+/// The values an entity writes under a property plan.
+fn values<'p>(
+    ontology: &'p Ontology,
+    plan: &'p [(&str, PropertyId)],
+    entity: Entity,
+) -> impl Iterator<Item = (String, PropertyValue)> + 'p {
+    plan.iter()
+        .map(move |&(name, pid)| (name.to_string(), property_value_for(ontology, entity, pid)))
 }
 
 struct Loader<'a> {
     backend: &'a mut dyn GraphBackend,
-    ontology: &'a Ontology,
-    schema: &'a PropertyGraphSchema,
+    plan: &'a Plan<'a>,
     instance: &'a InstanceKg,
+    /// Id of the first vertex this load creates.
+    first: u64,
+    /// Vertex type of each vertex this load created, indexed by id − `first`:
+    /// the edge phase reads labels here, never from the backend.
+    created: Vec<u32>,
     /// (role concept, entity) -> vertex representing that concept level for
     /// that entity.
     map: HashMap<(ConceptId, Entity), VertexId>,
     report: LoadReport,
 }
 
-impl<'a> Loader<'a> {
-    fn run(mut self) -> LoadReport {
-        self.create_main_vertices();
-        self.create_ancestor_vertices();
-        self.create_relationship_edges();
-        self.report
+impl Loader<'_> {
+    fn add_vertex(&mut self, vertex: usize, props: PropertyMap) -> VertexId {
+        let id = self.backend.add_vertex(&self.plan.types[vertex].label, props);
+        debug_assert_eq!(id.0, self.first + self.created.len() as u64, "vertex ids are dense");
+        self.created.push(vertex as u32);
+        self.report.vertices += 1;
+        id
     }
 
-    /// Structural ancestors of a concept: transitive `isA` parents and union
-    /// concepts the concept is a member of.
-    fn structural_parents(&self, concept: ConceptId) -> Vec<(ConceptId, &'static str)> {
-        let mut parents: Vec<(ConceptId, &'static str)> =
-            self.ontology.parents(concept).into_iter().map(|p| (p, "isA")).collect();
-        for &rid in self.ontology.incoming(concept) {
-            let rel = self.ontology.relationship(rid);
-            if rel.kind == RelationshipKind::Union {
-                parents.push((rel.src, "unionOf"));
-            }
-        }
-        parents
-    }
-
-    /// All transitive structural ancestors of a concept.
-    fn all_ancestors(&self, concept: ConceptId) -> Vec<ConceptId> {
-        let mut result = Vec::new();
-        let mut stack: Vec<ConceptId> =
-            self.structural_parents(concept).into_iter().map(|(c, _)| c).collect();
-        let mut visited = vec![false; self.ontology.concept_count()];
-        while let Some(c) = stack.pop() {
-            if visited[c.index()] {
-                continue;
-            }
-            visited[c.index()] = true;
-            result.push(c);
-            stack.extend(self.structural_parents(c).into_iter().map(|(p, _)| p));
-        }
-        result
-    }
-
-    /// The anchor concept used to key a (possibly 1:1-merged) main vertex: the
-    /// smallest concept id among the vertex's merged concepts that are
-    /// connected to `concept` through 1:1 relationships.
-    fn anchor_concept(&self, concept: ConceptId, vertex: &VertexSchema) -> ConceptId {
-        let merged: Vec<ConceptId> = vertex
-            .merged_from
-            .iter()
-            .filter_map(|name| self.ontology.concept_by_name(name))
-            .collect();
-        let mut group = vec![concept];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for (_, rel) in self.ontology.relationships_of_kind(RelationshipKind::OneToOne) {
-                let (a, b) = (rel.src, rel.dst);
-                if merged.contains(&a) && merged.contains(&b) {
-                    if group.contains(&a) && !group.contains(&b) {
-                        group.push(b);
-                        changed = true;
-                    }
-                    if group.contains(&b) && !group.contains(&a) {
-                        group.push(a);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        group.into_iter().min().unwrap_or(concept)
-    }
-
-    /// Scalar properties an entity contributes to a vertex type.
-    fn scalar_properties(&self, entity: Entity, vertex: &VertexSchema) -> PropertyMap {
-        let mut props = PropertyMap::new();
-        let own_and_ancestors: Vec<ConceptId> = {
-            let mut v = vec![entity.concept];
-            v.extend(self.all_ancestors(entity.concept));
-            v
-        };
-        for prop in vertex.properties.iter().filter(|p| !p.is_list) {
-            let origin_concept_name = prop
-                .origin
-                .as_ref()
-                .map(|o| o.concept.clone())
-                .unwrap_or_else(|| vertex.label.clone());
-            let origin_property_name = prop
-                .origin
-                .as_ref()
-                .map(|o| o.property.clone())
-                .unwrap_or_else(|| prop.name.clone());
-            let Some(origin_concept) = self.ontology.concept_by_name(&origin_concept_name) else {
-                continue;
-            };
-            if !own_and_ancestors.contains(&origin_concept) {
-                continue;
-            }
-            let Some(pid) = self.ontology.property_by_name(origin_concept, &origin_property_name)
-            else {
-                continue;
-            };
-            props.insert(
-                prop.name.clone(),
-                property_value_for(
-                    self.ontology,
-                    Entity { concept: entity.concept, index: entity.index },
-                    pid,
-                ),
-            );
-        }
-        props
-    }
-
-    fn create_main_vertices(&mut self) {
+    /// Creates the main vertices; returns each entity's, in entity order.
+    fn create_main_vertices(&mut self) -> Vec<(Entity, VertexId)> {
+        let (ontology, plan, instance) = (self.plan.ontology, self.plan, self.instance);
         // Accumulate property maps per main-vertex key so that 1:1-paired
         // entities contribute to the same vertex before it is created.
-        type Key = (String, ConceptId, u32);
-        let mut pending: Vec<(Key, PropertyMap)> = Vec::new();
-        let mut index_of: HashMap<Key, usize> = HashMap::new();
-        let mut members: HashMap<Key, Vec<Entity>> = HashMap::new();
-
-        for entity in self.instance.entities().collect::<Vec<_>>() {
-            let concept_name = &self.ontology.concept(entity.concept).name;
-            let Some(vertex) = self.schema.vertex_for_concept(concept_name) else { continue };
-            let anchor = self.anchor_concept(entity.concept, vertex);
-            let key: Key = (vertex.label.clone(), anchor, entity.index);
-            let props = self.scalar_properties(entity, vertex);
-            match index_of.get(&key) {
-                Some(&i) => pending[i].1.extend(props),
-                None => {
-                    index_of.insert(key.clone(), pending.len());
-                    pending.push((key.clone(), props));
-                }
-            }
-            members.entry(key).or_default().push(entity);
+        let mut pending: Vec<(usize, PropertyMap)> = Vec::new();
+        let mut index_of: HashMap<(usize, ConceptId, u32), usize> = HashMap::new();
+        let mut members: Vec<(Entity, usize)> = Vec::new();
+        for entity in instance.entities() {
+            let Some(concept) = &plan.concepts[entity.concept.index()] else { continue };
+            let key = (concept.vertex, concept.anchor, entity.index);
+            let i = *index_of.entry(key).or_insert_with(|| {
+                pending.push((concept.vertex, PropertyMap::new()));
+                pending.len() - 1
+            });
+            pending[i].1.extend(values(ontology, &concept.scalars, entity));
+            members.push((entity, i));
         }
 
         // Fill LIST properties from relationship instances. Ordered by key:
         // entities merged into one vertex can hold the same list, the last
         // one written wins, and which one is last must not vary run to run.
-        let mut lists: BTreeMap<(ConceptId, u32, String), Vec<PropertyValue>> = BTreeMap::new();
-        for inst in self.instance.all_instances() {
-            let rel = self.ontology.relationship(inst.relationship);
+        let mut lists: BTreeMap<(ConceptId, u32, &str), Vec<PropertyValue>> = BTreeMap::new();
+        for inst in instance.all_instances() {
+            let rel = ontology.relationship(inst.relationship);
             for (holder, provider, provider_concept) in
                 [(inst.src, inst.dst, rel.dst), (inst.dst, inst.src, rel.src)]
             {
-                let holder_name = &self.ontology.concept(holder.concept).name;
-                let Some(holder_vertex) = self.schema.vertex_for_concept(holder_name) else {
-                    continue;
-                };
-                let provider_name = &self.ontology.concept(provider_concept).name;
-                for &pid in self.ontology.concept_properties(provider_concept) {
-                    let prop = self.ontology.property(pid);
-                    let list_name = format!("{provider_name}.{}", prop.name);
-                    let is_list =
-                        holder_vertex.property(&list_name).map(|p| p.is_list).unwrap_or(false);
-                    if !is_list {
-                        continue;
-                    }
-                    lists
-                        .entry((holder.concept, holder.index, list_name))
-                        .or_default()
-                        .push(property_value_for(self.ontology, provider, pid));
+                let Some(concept) = &plan.concepts[holder.concept.index()] else { continue };
+                let at = concept.vertex * plan.concepts.len() + provider_concept.index();
+                for &(name, pid) in &plan.lists[at] {
+                    let list = lists.entry((holder.concept, holder.index, name)).or_default();
+                    list.push(property_value_for(ontology, provider, pid));
                 }
             }
         }
-        for ((concept, index, list_name), values) in lists {
-            let entity = Entity { concept, index };
-            let concept_name = &self.ontology.concept(concept).name;
-            let Some(vertex) = self.schema.vertex_for_concept(concept_name) else { continue };
-            let anchor = self.anchor_concept(concept, vertex);
-            let key: Key = (vertex.label.clone(), anchor, entity.index);
-            if let Some(&i) = index_of.get(&key) {
-                pending[i].1.insert(list_name, PropertyValue::List(values));
-            }
+        for ((concept, index, name), mut values) in lists {
+            values.shrink_to_fit(); // moved into the graph, so trim its spare capacity
+            let Some(holder) = &plan.concepts[concept.index()] else { continue };
+            let i = index_of[&(holder.vertex, holder.anchor, index)];
+            pending[i].1.insert(name.to_string(), PropertyValue::List(values));
         }
 
-        // Create the vertices and register every contributing entity.
-        for ((label, _anchor, _index), props) in &pending {
-            let id = self.backend.add_vertex(label, props.clone());
-            self.report.vertices += 1;
-            let key = (label.clone(), *_anchor, *_index);
-            for entity in members.get(&key).cloned().unwrap_or_default() {
-                self.map.insert((entity.concept, entity), id);
-            }
-        }
+        // Create the vertices, moving each map in.
+        let ids: Vec<VertexId> =
+            pending.into_iter().map(|(vertex, props)| self.add_vertex(vertex, props)).collect();
+        members.into_iter().map(|(entity, i)| (entity, ids[i])).collect()
     }
 
-    fn create_ancestor_vertices(&mut self) {
-        for entity in self.instance.entities().collect::<Vec<_>>() {
-            let Some(&main_vertex) = self.map.get(&(entity.concept, entity)) else { continue };
-            let main_label = self
-                .schema
-                .vertex_for_concept(&self.ontology.concept(entity.concept).name)
-                .map(|v| v.label.clone())
-                .unwrap_or_default();
-            self.materialise_ancestors(entity, main_vertex, &main_label);
-        }
-    }
-
-    /// Walks the structural ancestors of `entity`'s concept breadth-first,
-    /// creating separate ancestor-level vertices where the schema keeps them.
-    /// A per-entity visited set guards against mixed `isA` / `unionOf` cycles
-    /// (legal in the ontology: each kind is acyclic on its own) and diamond
-    /// hierarchies: every ancestor level is materialised at most once, via the
-    /// first path that reaches it.
-    fn materialise_ancestors(&mut self, entity: Entity, main_vertex: VertexId, main_label: &str) {
-        let mut visited: std::collections::HashSet<ConceptId> = std::collections::HashSet::new();
-        visited.insert(entity.concept);
-        let mut queue: std::collections::VecDeque<(ConceptId, VertexId, String)> =
-            std::collections::VecDeque::new();
-        queue.push_back((entity.concept, main_vertex, main_label.to_string()));
-
-        while let Some((level, lower_vertex, lower_label)) = queue.pop_front() {
-            for (ancestor, edge_label) in self.structural_parents(level) {
-                if !visited.insert(ancestor) {
-                    continue;
-                }
-                let ancestor_name = self.ontology.concept(ancestor).name.clone();
-                let Some(vertex_schema) = self.schema.vertex_for_concept(&ancestor_name) else {
-                    // Dropped level (union concept / pushed-down parent):
-                    // nothing to materialise at this level; higher levels are
-                    // still reachable through other paths if the schema keeps
-                    // them, so keep walking upwards from here.
-                    queue.push_back((ancestor, lower_vertex, lower_label.clone()));
+    /// Registers each entity's main vertex and creates the ancestor-level
+    /// vertices the schema keeps, following the entity's planned walk.
+    fn create_ancestor_vertices(&mut self, mains: &[(Entity, VertexId)]) {
+        let (ontology, plan) = (self.plan.ontology, self.plan);
+        let mut walk = Vec::new();
+        for &(entity, main) in mains {
+            self.map.insert((entity.concept, entity), main);
+            let Some(concept) = &plan.concepts[entity.concept.index()] else { continue };
+            walk.clear();
+            walk.push(main);
+            for level in &concept.levels {
+                let below = walk[level.below];
+                let Some((vertex, scalars, edge)) = &level.own else {
+                    // Same vertex (inheritance fold): just record the mapping.
+                    self.map.insert((level.concept, entity), below);
                     continue;
                 };
-                if vertex_schema.label == lower_label || self.map.contains_key(&(ancestor, entity))
-                {
-                    // Same vertex (inheritance fold) or already created: just
-                    // record the mapping and continue upwards.
-                    let existing = *self.map.get(&(ancestor, entity)).unwrap_or(&lower_vertex);
-                    self.map.insert((ancestor, entity), existing);
-                    queue.push_back((ancestor, existing, vertex_schema.label.clone()));
-                    continue;
-                }
-                let props = self.scalar_properties(
-                    Entity { concept: entity.concept, index: entity.index },
-                    vertex_schema,
-                );
-                // Only the ancestor's own properties belong on the
-                // ancestor-level vertex.
-                let mut ancestor_props = PropertyMap::new();
-                for prop in vertex_schema.properties.iter().filter(|p| !p.is_list) {
-                    let origin = prop
-                        .origin
-                        .as_ref()
-                        .map(|o| o.concept.clone())
-                        .unwrap_or_else(|| vertex_schema.label.clone());
-                    if origin == ancestor_name {
-                        if let Some(value) = props.get(&prop.name) {
-                            ancestor_props.insert(prop.name.clone(), value.clone());
-                        } else if let Some(pid) =
-                            self.ontology.property_by_name(ancestor, &prop.name)
-                        {
-                            ancestor_props.insert(
-                                prop.name.clone(),
-                                property_value_for(
-                                    self.ontology,
-                                    Entity { concept: entity.concept, index: entity.index },
-                                    pid,
-                                ),
-                            );
-                        }
-                    }
-                }
-                let label = vertex_schema.label.clone();
-                let ancestor_vertex = self.backend.add_vertex(&label, ancestor_props);
-                self.report.vertices += 1;
-                self.map.insert((ancestor, entity), ancestor_vertex);
-                if self.schema.edge(&label, edge_label, &lower_label).is_some() {
-                    self.backend.add_edge(edge_label, ancestor_vertex, lower_vertex);
+                let id = self.add_vertex(*vertex, values(ontology, scalars, entity).collect());
+                self.map.insert((level.concept, entity), id);
+                if let Some(label) = edge {
+                    self.backend.add_edge(label, id, below);
                     self.report.edges += 1;
                 }
-                queue.push_back((ancestor, ancestor_vertex, label));
+                walk.push(id);
             }
         }
     }
 
     fn create_relationship_edges(&mut self) {
-        for inst in self.instance.all_instances().copied().collect::<Vec<_>>() {
-            let rel = self.ontology.relationship(inst.relationship);
-            let src_vertex = self.resolve_vertex(rel.src, inst.src);
-            let dst_vertex = self.resolve_vertex(rel.dst, inst.dst);
-            let (Some(src), Some(dst)) = (src_vertex, dst_vertex) else {
+        let (ontology, plan, instance) = (self.plan.ontology, self.plan, self.instance);
+        let type_of = |id: VertexId| self.created[(id.0 - self.first) as usize] as usize;
+        for inst in instance.all_instances() {
+            let rel = ontology.relationship(inst.relationship);
+            let src = self.resolve_vertex(rel.src, inst.src);
+            let (Some(src), Some(dst)) = (src, self.resolve_vertex(rel.dst, inst.dst)) else {
                 self.report.skipped_edges += 1;
                 continue;
             };
-            let src_label = self.backend.vertex(src).map(|v| v.label).unwrap_or_default();
-            let dst_label = self.backend.vertex(dst).map(|v| v.label).unwrap_or_default();
-            if self.schema.edge(&src_label, &rel.name, &dst_label).is_some() {
+            if plan.edges.contains(&(type_of(src), rel.name.as_str(), type_of(dst))) {
                 self.backend.add_edge(&rel.name, src, dst);
                 self.report.edges += 1;
-            } else if src == dst {
-                // Folded into a single vertex (1:1 merge): nothing to add.
-                self.report.skipped_edges += 1;
             } else {
+                // No such edge type, e.g. folded into a single vertex (1:1
+                // merge): nothing to add.
                 self.report.skipped_edges += 1;
             }
         }
@@ -379,7 +412,7 @@ mod tests {
     use super::*;
     use pgso_core::{optimize_nsc, OptimizerConfig, OptimizerInput};
     use pgso_graphstore::codec::encode_update;
-    use pgso_graphstore::MemoryGraph;
+    use pgso_graphstore::{AccessStats, DiskGraph, DiskGraphConfig, MemoryGraph};
     use pgso_ontology::{catalog, AccessFrequencies, DataStatistics, StatisticsConfig};
 
     struct Fixture {
@@ -557,6 +590,25 @@ mod tests {
                 assert_eq!(actual, expected, "{}", schema.name);
             }
         }
+    }
+
+    #[test]
+    fn the_loader_never_reads_the_backend() {
+        // Edges are labelled from the loader's own record of what it wrote:
+        // no vertex read, no traversal, and no page pulled into a disk pool.
+        let f = fixture();
+        let path = std::env::temp_dir().join(format!("pgso-load-{}.store", std::process::id()));
+        for schema in [&f.direct, &f.optimized] {
+            let mut memory = MemoryGraph::new();
+            let mut disk = DiskGraph::create(&path, DiskGraphConfig::with_pool_pages(4)).unwrap();
+            for backend in [&mut memory as &mut dyn GraphBackend, &mut disk] {
+                let report = load_into(backend, &f.ontology, schema, &f.instance);
+                assert!(report.edges > 0);
+                let (name, stats) = (backend.backend_name(), backend.stats());
+                assert_eq!(stats, AccessStats::default(), "{name} {}", schema.name);
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
