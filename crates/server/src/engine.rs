@@ -5,8 +5,9 @@
 //! [`Epoch`] — optimized schema plus the backend loaded under it — held in an
 //! `Arc` behind an `RwLock`. Serving threads clone the `Arc` (one brief read
 //! lock), so a schema swap is one pointer store under the write lock and
-//! in-flight queries finish on the epoch they started with; nothing is ever
-//! mutated in place.
+//! in-flight queries finish on the epoch they started with. No graph a
+//! reader can reach is ever mutated: publication extends a retired epoch's
+//! graph only once no one else holds that epoch.
 //!
 //! The query surface is a **prepare/execute contract**:
 //!
@@ -448,6 +449,7 @@ impl KgServerBuilder {
                 base_journal: start.base_journal,
                 ingested: start.ingested,
                 pending: Vec::new(),
+                retired: None,
                 last_publish: Instant::now(),
             }),
             persist,
@@ -722,7 +724,8 @@ impl KgServer {
 /// Loads `instance` under `schema` into the configured storage layout
 /// (see [`crate::tier::fresh_backend`]), capturing the construction journal
 /// through a [`pgso_persist::JournaledGraph`] — the journal is what
-/// snapshots persist and what staging rebuilds replay.
+/// snapshots persist and what a publication that cannot extend a retired
+/// graph replays.
 pub(crate) fn build_graph(
     ontology: &Ontology,
     schema: &PropertyGraphSchema,
@@ -781,9 +784,11 @@ impl std::fmt::Debug for KgServer {
 mod tests {
     use super::*;
     use crate::serve::{params_hash, PreparedStatement};
+    use pgso_graphstore::apply_updates;
     use pgso_ontology::{catalog, StatisticsConfig};
     use pgso_query::{
-        fingerprint_statement, BindError, Params, QueryMode, QueryPlan, QueryResult, Statement,
+        execute_statement, fingerprint_statement, rewrite_statement, BindError, Params, QueryMode,
+        QueryPlan, QueryResult, Row, Statement,
     };
 
     fn mini_server(config: ServerConfig) -> KgServer {
@@ -1249,6 +1254,52 @@ mod tests {
         let (o, s, i) = make();
         let recovered = KgServer::recover(o, s, i, cfg, persist()).unwrap();
         assert_eq!(recovered.published_updates(), 1, "nothing of the refused batch was logged");
+        assert_eq!(serve(&recovered, &lookup()).rows, before);
+    }
+
+    #[test]
+    fn ingest_refuses_edges_to_vertices_that_do_not_exist() {
+        let dir = tempfile::tempdir().unwrap();
+        let cfg = ServerConfig {
+            auto_reoptimize: false,
+            ingest: IngestConfig { publish_batch: 8, publish_interval: Duration::from_secs(3600) },
+            ..ServerConfig::default()
+        };
+        let make = || {
+            let ontology = catalog::med_mini();
+            let statistics = DataStatistics::synthesize(&ontology, &StatisticsConfig::small(), 7);
+            let instance = InstanceKg::generate(&ontology, &statistics, 0.2, 7);
+            (ontology, statistics, instance)
+        };
+        let persist = || pgso_persist::PersistConfig::new_unsynced(dir.path());
+        let edge = |src: u64, dst: u64| GraphUpdate::AddEdge {
+            label: "treat".into(),
+            src: pgso_graphstore::VertexId(src),
+            dst: pgso_graphstore::VertexId(dst),
+        };
+        let before = {
+            let (o, s, i) = make();
+            let f = AccessFrequencies::uniform(&o, 10_000.0);
+            let server = KgServer::new_persistent(o, s, i, f, cfg, persist()).unwrap();
+            let published = server.current_epoch().graph().vertex_count() as u64;
+            // Vertex ids are predicted: a staged vertex and one added earlier
+            // in the same batch are both valid endpoints.
+            server.ingest(vec![new_drug(0)]).unwrap();
+            server.ingest(vec![new_drug(1), edge(published, published + 1)]).unwrap();
+            // One past the last vertex that will exist, in either position.
+            // These used to be acked into the WAL, and then the publication
+            // and every later `recover` panicked applying them.
+            for dangling in [edge(published + 3, 0), edge(0, published + 3)] {
+                let err = server.ingest(vec![new_drug(2), dangling]).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+                assert_eq!((server.published_updates(), server.pending_updates()), (0, 3));
+            }
+            assert!(server.flush_ingest());
+            serve(&server, &lookup()).rows
+        };
+        let (o, s, i) = make();
+        let recovered = KgServer::recover(o, s, i, cfg, persist()).unwrap();
+        assert_eq!(recovered.published_updates(), 3, "nothing of the refused batches was logged");
         assert_eq!(serve(&recovered, &lookup()).rows, before);
     }
 
@@ -1785,5 +1836,185 @@ mod tests {
         let snapshot = recovered.metrics_snapshot();
         assert_eq!(snapshot.histogram("recovery.replay").unwrap().count, 1);
         assert!(recovered.trace_events().iter().any(|e| e.name == "recovery.replay"));
+    }
+
+    /// Statements the publication tests compare rows on: a label scan that
+    /// sees ingested vertices, and a hop that sees ingested edges.
+    const PUBLISHED_TEXTS: [&str; 2] = [
+        "MATCH (d:Drug) RETURN d.name ORDER BY d.name",
+        "MATCH (d:Drug)-[:treat]->(i:Indication) RETURN d.name, i.desc",
+    ];
+
+    /// `text`'s rows on `graph`, rewritten onto `schema` as the server
+    /// rewrites it.
+    fn rows_on(graph: &dyn GraphBackend, schema: &PropertyGraphSchema, text: &str) -> Vec<Row> {
+        let stmt = parse_named(text, "adhoc").unwrap();
+        execute_statement(&rewrite_statement(&stmt, schema), graph).rows
+    }
+
+    /// Asserts that the served epoch is `base_journal ++ ingested` replayed
+    /// into a fresh backend: the same update sequence, the same rows.
+    fn assert_serves_a_fresh_replay(server: &KgServer, step: &str) {
+        let (epoch, fresh) = {
+            let ing = server.ingest.lock();
+            let mut fresh = fresh_backend(server.config.storage_tier);
+            apply_updates(fresh.as_mut(), &ing.base_journal);
+            apply_updates(fresh.as_mut(), &ing.ingested);
+            (server.current_epoch(), fresh)
+        };
+        let tier = server.config.storage_tier.name();
+        assert!(
+            epoch.graph().export_updates() == fresh.export_updates(),
+            "{tier} {step}: the served graph is not the journal"
+        );
+        for text in PUBLISHED_TEXTS {
+            let expected = rows_on(fresh.as_ref(), &epoch.schema, text);
+            assert!(!expected.is_empty(), "{text} must exercise real data");
+            assert_eq!(server.serve_text(text).unwrap().rows, expected, "{tier} {step}: {text}");
+        }
+    }
+
+    /// How each publication got its graph, oldest first: the `graph` field
+    /// of every ingest `epoch.swap` event.
+    fn publication_graphs(server: &KgServer) -> Vec<String> {
+        let events = server.trace_events();
+        let swaps = events.iter().filter(|e| e.name == "epoch.swap");
+        swaps
+            .filter_map(|e| e.fields.iter().find(|(name, _)| *name == "graph"))
+            .map(|(_, how)| how.to_string())
+            .collect()
+    }
+
+    /// Four new drugs and two edges between base vertices, which exist under
+    /// any schema (ingested ids shift when a schema swap changes the base).
+    fn publication_batch(first: u32) -> Vec<GraphUpdate> {
+        let edge = |src: u64| GraphUpdate::AddEdge {
+            label: "treat".into(),
+            src: pgso_graphstore::VertexId(src),
+            dst: pgso_graphstore::VertexId(src + 1),
+        };
+        let mut batch: Vec<GraphUpdate> = (first..first + 4).map(new_drug).collect();
+        batch.extend([edge(u64::from(first % 8)), edge(u64::from(first % 8) + 2)]);
+        batch
+    }
+
+    #[test]
+    fn publication_serves_what_a_fresh_replay_serves_on_every_tier() {
+        // Patient-centric statements the schema is optimized for, and the
+        // drug-centric mix that drifts it: with a space budget the schema
+        // is workload-sensitive, so the drift re-optimizes and swaps.
+        const PATIENT_MIX: [&str; 2] = [
+            "MATCH (p:Patient)-[:hasEncounter]->(e:Encounter) RETURN size(collect(e.encounterId))",
+            "MATCH (p:Patient)-[:hasDiagnosis]->(g:Diagnosis) RETURN size(collect(g.code))",
+        ];
+        const DRUG_MIX: [&str; 2] = [
+            "MATCH (d:Drug)-[:hasDrugRoute]->(r:DrugRoute) RETURN size(collect(r.drugRouteId))",
+            "MATCH (d:Drug)-[:hasSideEffect]->(s:SideEffect) RETURN size(collect(s.name))",
+        ];
+        let make = || {
+            let ontology = catalog::medical();
+            let statistics = DataStatistics::synthesize(&ontology, &StatisticsConfig::small(), 23);
+            let instance = InstanceKg::generate(&ontology, &statistics, 0.05, 23);
+            (ontology, statistics, instance)
+        };
+        for tier in [StorageTier::Memory, StorageTier::Csr, StorageTier::Disk] {
+            let dir = tempfile::tempdir().unwrap();
+            let persist = || pgso_persist::PersistConfig::new_unsynced(dir.path());
+            let (o, s, i) = make();
+            let tracker = WorkloadTracker::new(&o);
+            for text in PATIENT_MIX.iter().cycle().take(20) {
+                tracker.record_statement(&parse_named(text, "mix").unwrap());
+            }
+            let initial = tracker.to_frequencies(&o, 10_000.0);
+            let nsc = pgso_core::optimize_nsc(
+                OptimizerInput::new(&o, &s, &initial),
+                &OptimizerConfig::default(),
+            );
+            let cfg = ServerConfig {
+                optimizer: OptimizerConfig::with_space_limit(nsc.total_cost / 8),
+                auto_reoptimize: false,
+                storage_tier: tier,
+                ingest: IngestConfig {
+                    publish_batch: usize::MAX,
+                    publish_interval: Duration::from_secs(3600),
+                },
+                ..ServerConfig::default()
+            };
+            let cycle = |server: &KgServer, first: u32| {
+                server.ingest(publication_batch(first)).unwrap();
+                assert!(server.flush_ingest());
+                assert_serves_a_fresh_replay(server, &format!("publication {first}"));
+            };
+            {
+                let server = KgServer::new_persistent(o, s, i, initial, cfg, persist()).unwrap();
+                for first in [0, 4, 8] {
+                    cycle(&server, first);
+                }
+                for text in DRUG_MIX.iter().cycle().take(120) {
+                    server.serve_text(text).unwrap();
+                }
+                let event = server.try_reoptimize().expect("the drug mix drifts past 0.25");
+                assert!(event.swapped, "{tier:?}: the schema must change");
+                assert_serves_a_fresh_replay(&server, "after the schema swap");
+                for first in [12, 16] {
+                    cycle(&server, first);
+                }
+                // The first publication rebuilds, and so does the first after
+                // the swap; every other one extends the retired graph.
+                let graphs = ["rebuilt", "reused", "reused", "rebuilt", "reused"];
+                assert_eq!(publication_graphs(&server), graphs, "{tier:?}");
+                // Staged (WAL-only) at the kill.
+                server.ingest(publication_batch(20)).unwrap();
+            }
+            let (o, s, i) = make();
+            let recovered = KgServer::recover(o, s, i, cfg, persist()).unwrap();
+            assert_eq!(recovered.published_updates(), 6 * publication_batch(0).len());
+            assert_eq!(recovered.current_epoch().schema_generation, 1);
+            assert_serves_a_fresh_replay(&recovered, "after recovery");
+            for first in [24, 28] {
+                cycle(&recovered, first);
+            }
+            assert_eq!(publication_graphs(&recovered), ["rebuilt", "reused"], "{tier:?}");
+        }
+    }
+
+    #[test]
+    fn a_held_epoch_is_never_written() {
+        let server = mini_server(ServerConfig {
+            auto_reoptimize: false,
+            ingest: IngestConfig {
+                publish_batch: usize::MAX,
+                publish_interval: Duration::from_secs(3600),
+            },
+            ..ServerConfig::default()
+        });
+        let publish = |first: u32| {
+            server.ingest(publication_batch(first)).unwrap();
+            assert!(server.flush_ingest());
+            publication_graphs(&server).pop().unwrap()
+        };
+        let state = |epoch: &Epoch| {
+            let graph = epoch.graph();
+            let rows = PUBLISHED_TEXTS.map(|text| rows_on(graph, &epoch.schema, text));
+            (graph.vertex_count(), graph.edge_count(), rows)
+        };
+        let drugs = serve(&server, &lookup()).matches;
+        let first = server.current_epoch();
+        assert!(first.stats().vertex_reads > 0, "epoch 0 has served reads");
+        drop(first);
+        assert_eq!(publish(0), "rebuilt", "nothing is retired yet");
+        let held = server.current_epoch();
+        let before = state(&held);
+        // Nobody holds epoch 0 any more: its graph is extended, and its
+        // counters start again from zero.
+        assert_eq!(publish(4), "reused");
+        assert_eq!(server.current_epoch().stats(), AccessStats::default());
+        assert_serves_a_fresh_replay(&server, "extending the retired graph");
+        // That publication retired the epoch this test holds, so the next one
+        // must not write it: it rebuilds.
+        assert_eq!(publish(8), "rebuilt");
+        assert_serves_a_fresh_replay(&server, "rebuilding beside a held epoch");
+        assert_eq!(state(&held), before, "the held epoch is untouched");
+        assert_eq!(serve(&server, &lookup()).matches, drugs + 12);
     }
 }

@@ -7,7 +7,7 @@ use crate::engine::{
 };
 use crate::tier::fresh_backend;
 use pgso_core::{reoptimize, OptimizerInput};
-use pgso_graphstore::{apply_updates, codec, GraphBackend, GraphUpdate};
+use pgso_graphstore::{apply_updates, codec, GraphBackend, GraphUpdate, VertexId};
 use pgso_persist::WalRecord;
 use pgso_pgschema::PropertyGraphSchema;
 use pgso_telemetry::FieldValue;
@@ -28,6 +28,13 @@ pub(crate) struct IngestState {
     /// Updates durably logged (when persistence is on) but not yet visible
     /// to readers.
     pub(crate) pending: Vec<GraphUpdate>,
+    /// The epoch the last data-only swap replaced, and how many entries of
+    /// `ingested` its graph holds (it is `base_journal ++ ingested[..n]`).
+    /// The next publication extends that graph by the rest when no reader
+    /// holds the epoch any more. `None` before the first data-only swap and
+    /// after a schema swap, whose predecessor was built under another
+    /// schema.
+    pub(crate) retired: Option<(Arc<Epoch>, usize)>,
     /// When the last publishing swap happened.
     pub(crate) last_publish: Instant,
 }
@@ -91,12 +98,13 @@ impl KgServer {
                 self.config.storage_tier,
             );
             ing.base_journal = base_journal;
-            // Replaying the ingested stream onto the new base also publishes
-            // anything still pending (with persistence, those updates are
-            // already in the WAL).
+            // Replaying the whole ingested stream onto the new base also
+            // publishes anything still pending (with persistence, those
+            // updates are already in the WAL).
             let next = self.install_epoch(
                 &mut ing,
                 graph,
+                0,
                 Some(re.outcome.schema),
                 vec![
                     ("drift", FieldValue::from(drift)),
@@ -133,10 +141,14 @@ impl KgServer {
     /// updates survive a crash. The updates then stage invisibly; when
     /// [`crate::IngestConfig::publish_batch`] or
     /// [`crate::IngestConfig::publish_interval`] is crossed, the staged
-    /// batch is applied to a freshly rebuilt staging graph and published by
-    /// an epoch swap — readers never block and in-flight queries finish on
-    /// the epoch they started with. Publishing keeps the schema, so every
-    /// cached plan stays valid ([`Epoch::schema_generation`] is unchanged).
+    /// batch is published by an epoch swap — readers never block and
+    /// in-flight queries finish on the epoch they started with. Publication
+    /// costs O(batch): it extends the graph of the epoch the previous
+    /// publication retired by the updates that graph lacks. It rebuilds the
+    /// graph from the journal only when there is no such graph — the first
+    /// publication, the first after a schema swap — or a reader still holds
+    /// that epoch. Publishing keeps the schema, so every cached plan stays
+    /// valid ([`Epoch::schema_generation`] is unchanged).
     ///
     /// Finally, when the WAL has grown past
     /// [`crate::PersistConfig::snapshot_wal_bytes`], the log rotates and a new
@@ -147,7 +159,10 @@ impl KgServer {
     /// [`io::ErrorKind::InvalidInput`], with nothing logged or staged, when
     /// an update does not fit the record format (a label, edge label or
     /// property name over `u16::MAX` bytes; see
-    /// [`pgso_graphstore::codec::encodable`]). I/O errors of the WAL append.
+    /// [`pgso_graphstore::codec::encodable`]), or when an edge names an
+    /// endpoint that does not exist yet: neither a published vertex, nor a
+    /// staged one, nor one added earlier in the same batch. I/O errors of
+    /// the WAL append.
     pub fn ingest(&self, updates: Vec<GraphUpdate>) -> io::Result<IngestReport> {
         if !updates.iter().all(codec::encodable) {
             return Err(io::Error::new(
@@ -157,6 +172,12 @@ impl KgServer {
             ));
         }
         let mut ing = self.ingest.lock();
+        if let Some(missing) = self.missing_endpoint(&ing, &updates) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("edge endpoint {} does not exist", missing.0),
+            ));
+        }
         let accepted = updates.len();
         if let Some(persist) = &self.persist {
             let mut inner = persist.inner.lock();
@@ -207,34 +228,74 @@ impl KgServer {
         true
     }
 
-    /// Rebuilds the staging graph (base journal + every ingested update,
-    /// including the pending batch), swaps it in as the next epoch, and
-    /// promotes the pending batch to published. The schema — and therefore
-    /// the plan-cache key — is untouched.
+    /// The first edge endpoint in `updates` that names no vertex: vertex ids
+    /// are dense and sequential, so the vertices that exist when an update
+    /// applies are the published ones, the staged ones and those added
+    /// earlier in `updates`.
+    fn missing_endpoint(&self, ing: &IngestState, updates: &[GraphUpdate]) -> Option<VertexId> {
+        let staged =
+            ing.pending.iter().filter(|u| matches!(u, GraphUpdate::AddVertex { .. })).count();
+        let mut vertices = (self.current_epoch().graph.vertex_count() + staged) as u64;
+        updates.iter().find_map(|update| match update {
+            GraphUpdate::AddVertex { .. } => {
+                vertices += 1;
+                None
+            }
+            GraphUpdate::AddEdge { src, dst, .. } => {
+                [*src, *dst].into_iter().find(|endpoint| endpoint.0 >= vertices)
+            }
+        })
+    }
+
+    /// Publishes the pending batch as the next epoch under the current
+    /// schema, so the plan-cache key is untouched. The graph is the retired
+    /// epoch's when no reader holds that epoch any more — it then lacks
+    /// only the previous batch and this one — and otherwise a fresh backend
+    /// replaying the base journal.
     pub(crate) fn publish_locked(&self, ing: &mut IngestState) {
-        let mut graph = fresh_backend(self.config.storage_tier);
-        apply_updates(&mut graph, &ing.base_journal);
-        let published = ing.pending.len();
-        self.install_epoch(ing, graph, None, vec![("published", FieldValue::from(published))]);
+        let reusable = ing.retired.take().and_then(|(epoch, held)| {
+            // Only succeeds when no reader can reach the graph any more.
+            Arc::try_unwrap(epoch).ok().map(|epoch| (epoch.graph, held))
+        });
+        let (graph, held, how) = match reusable {
+            Some((graph, held)) => {
+                graph.reset_stats();
+                (graph, held, "reused")
+            }
+            None => {
+                let mut graph = fresh_backend(self.config.storage_tier);
+                apply_updates(&mut graph, &ing.base_journal);
+                (graph, 0, "rebuilt")
+            }
+        };
+        let fields = vec![
+            ("published", FieldValue::from(ing.pending.len())),
+            ("graph", FieldValue::from(how)),
+        ];
+        self.install_epoch(ing, graph, held, None, fields);
     }
 
     /// The one place a new epoch is installed, called with the ingest lock
-    /// held and `graph` holding `ing.base_journal`: promotes the pending
-    /// batch to published, replays the ingested stream onto `graph`, makes
-    /// it serve-ready and swaps it in as epoch `number + 1` — under `schema`
-    /// (bumping the schema lineage) after a re-optimization, under the
-    /// current schema for a data-only publication. Emits the `epoch.swap`
-    /// trace event with `fields` appended.
+    /// held and `graph` holding `ing.base_journal ++ ing.ingested[..held]`:
+    /// promotes the pending batch to published, applies the rest of the
+    /// ingested stream to `graph`, makes it serve-ready and swaps it in as
+    /// epoch `number + 1` — under `schema` (bumping the schema lineage)
+    /// after a re-optimization, under the current schema for a data-only
+    /// publication, which also keeps the epoch it replaces as
+    /// `ing.retired`. Emits the `epoch.swap` trace event with `fields`
+    /// appended.
     fn install_epoch(
         &self,
         ing: &mut IngestState,
         mut graph: Box<dyn GraphBackend>,
+        held: usize,
         schema: Option<PropertyGraphSchema>,
         fields: Vec<(&'static str, FieldValue)>,
     ) -> Arc<Epoch> {
+        let published_before = ing.ingested.len();
         let pending = std::mem::take(&mut ing.pending);
         ing.ingested.extend(pending);
-        apply_updates(&mut graph, &ing.ingested);
+        apply_updates(&mut graph, &ing.ingested[held..]);
         compile_for_serving(graph.as_ref(), self.config.storage_tier, self.telemetry.as_ref());
         ing.last_publish = Instant::now();
         // Read under the ingest lock, which every swap holds: `number` stays
@@ -248,6 +309,7 @@ impl KgServer {
             graph,
         });
         *self.epoch.write() = next.clone();
+        ing.retired = (!schema_changed).then_some((current, published_before));
         if let Some(t) = &self.telemetry {
             let (swaps, kind) = if schema_changed {
                 (&t.schema_swaps, "schema")

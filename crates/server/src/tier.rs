@@ -1,11 +1,13 @@
 //! Storage-tier selection: which physical graph layout the server builds
 //! its epochs on.
 //!
-//! Every epoch swap, recovery and staging rebuild goes through
-//! `fresh_backend`, so [`StorageTier`] is a one-field decision on
-//! [`crate::ServerConfig`] that changes the physical layout of *every*
-//! generation the server ever publishes — the serving machinery above it
-//! (plan cache, epoch swaps, ingest overlays, WAL) is layout-agnostic.
+//! Every graph the server builds starts as `fresh_backend`: the initial
+//! load, a schema swap, a recovery, and a publication that rebuilds rather
+//! than extending the graph of the epoch it retired. So [`StorageTier`] is
+//! a one-field decision on [`crate::ServerConfig`] that changes the
+//! physical layout of *every* generation the server ever publishes — the
+//! serving machinery above it (plan cache, epoch swaps, ingest, WAL) is
+//! layout-agnostic.
 
 use pgso_graphstore::{
     AccessStats, CsrGraph, DiskGraph, DiskGraphConfig, EdgeId, GraphBackend, GraphUpdate,
@@ -52,10 +54,12 @@ pub(crate) fn fresh_backend(tier: StorageTier) -> Box<dyn GraphBackend> {
     }
 }
 
-/// A [`DiskGraph`] whose store file lives in an owned temporary directory —
-/// the serving layer's epochs are rebuilt from the journal on every swap
-/// and recovery, so the file needs no name and no lifetime beyond the
-/// epoch's.
+/// A [`DiskGraph`] whose store file lives in an owned temporary directory.
+/// The serving layer rebuilds a graph from the journal at recovery, on a
+/// schema swap, at the first publication and whenever a reader still holds
+/// the epoch a publication would extend; otherwise publication appends to
+/// the retired epoch's graph. Either way the file needs no name and no
+/// lifetime beyond the graph's.
 #[derive(Debug)]
 pub struct TempDiskGraph {
     graph: DiskGraph,
