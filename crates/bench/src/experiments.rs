@@ -1,7 +1,7 @@
 //! One function per table / figure of the paper's evaluation (Section 5),
-//! plus the ablation studies called out in DESIGN.md. Each function returns
-//! plain data rows and has a `print_*` companion used by the `reproduce`
-//! binary; the Criterion benches wrap the same functions.
+//! plus two ablations (FPTAS vs greedy selection, disk buffer-pool size) and
+//! a schema-size summary. Each function returns plain data rows, which the
+//! `reproduce` binary prints.
 
 use crate::queries::{figure12_workload, microbenchmark, DatasetId};
 use crate::workbench::{build_disk_pair, build_memory_pair, compare_query, Workbench};
@@ -275,9 +275,7 @@ pub fn optimizer_efficiency(seed: u64) -> Vec<EfficiencyRow> {
     rows
 }
 
-/// Intro examples (Section 1): the pattern-matching and aggregation queries of
-/// Figure 1, DIR vs OPT on the mini medical ontology (reported as part of the
-/// Figure 11 output via Q1/Q9-equivalent shapes on MED).
+/// Ablation: one row of FPTAS vs greedy selection at one space budget.
 #[derive(Debug, Clone)]
 pub struct AblationKnapsackRow {
     /// Space budget as a fraction of the NSC cost.
@@ -347,7 +345,7 @@ pub fn ablation_buffer_pool(scale: f64, seed: u64) -> Vec<AblationBufferPoolRow>
     rows
 }
 
-/// NSC baseline summary used by EXPERIMENTS.md: schema sizes before/after.
+/// Schema sizes before and after NSC optimization, for one dataset.
 #[derive(Debug, Clone)]
 pub struct SchemaSummaryRow {
     /// Dataset label.

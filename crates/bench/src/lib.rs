@@ -1,15 +1,15 @@
 //! # pgso-bench
 //!
 //! Experiment harness reproducing every table and figure of the paper's
-//! evaluation (Section 5), plus the ablation studies listed in DESIGN.md.
+//! evaluation (Section 5), plus two ablation studies.
 //!
 //! * library — reusable experiment functions ([`experiments`]), the
 //!   microbenchmark query set ([`queries`]) and dataset/loading plumbing
 //!   ([`workbench`]);
 //! * `reproduce` binary — prints the rows of each figure/table
 //!   (`cargo run -p pgso-bench --bin reproduce -- all`);
-//! * Criterion benches — one target per figure/table
-//!   (`cargo bench -p pgso-bench`).
+//! * `server_throughput` Criterion bench — the tenants × threads serving
+//!   grid (`cargo bench -p pgso-bench --bench server_throughput`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

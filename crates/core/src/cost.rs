@@ -89,9 +89,11 @@ impl<'a> CostModel<'a> {
         items.iter().map(|i| self.cost(i)).sum()
     }
 
-    /// Total benefit of applying every item in a plan.
+    /// Total benefit of applying every item in a plan; `+0.0` for an empty
+    /// plan (`Iterator::sum` over `f64` starts from `-0.0`, which would print
+    /// as `-0.000` in a benefit-ratio column).
     pub fn total_benefit(&self, items: &[RuleItem]) -> f64 {
-        items.iter().map(|i| self.benefit(i)).sum()
+        items.iter().fold(0.0, |total, i| total + self.benefit(i))
     }
 
     /// Equation 3 cost: number of instance edges between the union concept

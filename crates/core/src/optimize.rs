@@ -252,6 +252,11 @@ mod tests {
         let mut half = nsc.clone();
         half.total_benefit = nsc.total_benefit / 2.0;
         assert!((half.benefit_ratio(&nsc) - 0.5).abs() < 1e-12);
+        // A budget nothing fits in selects nothing: its ratio is +0, never -0.
+        let none = crate::optimize_concept_centric(input, &OptimizerConfig::with_space_limit(0));
+        assert!(none.selected.is_empty());
+        assert!(none.total_benefit.is_sign_positive(), "{}", none.total_benefit);
+        assert!(none.benefit_ratio(&nsc).is_sign_positive());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! loader is deterministic and vertex ids are dense and sequential, rung
 //! `r` is an **induced prefix** of every larger rung: vertex `v` of rung 1
 //! has the same id, label, properties and neighbour lists at rung 10 and
-//! rung 100. Benchmarks can therefore compare storage tiers and scales on
+//! rung 100. Benchmarks can therefore compare backends and scales on
 //! graphs that are bit-identical where they overlap, and a query's answer
 //! at a small rung stays valid at every larger one (modulo rows contributed
 //! by later chunks).

@@ -333,12 +333,6 @@ pub trait GraphBackend: Send + Sync {
         None
     }
 
-    /// Forces any lazily built read structures (indexes, compiled adjacency)
-    /// to be materialised *now*, so the cost lands at publication time
-    /// instead of on the first query of a fresh epoch. No-op for backends
-    /// whose read structures are maintained eagerly.
-    fn ensure_ready(&self) {}
-
     /// Approximate resident bytes of the read path: property payload plus
     /// any compiled read-optimized structures. Defaults to
     /// [`GraphBackend::payload_bytes`]; backends with a separate compiled
@@ -350,10 +344,10 @@ pub trait GraphBackend: Send + Sync {
 }
 
 // A boxed backend is itself a backend, so wrappers that need to own an
-// arbitrary backend — `pgso_persist::JournaledGraph`, the serving layer's
-// epochs — can be generic over `GraphBackend` and still hold a
-// `Box<dyn GraphBackend>`. Every method a backend implements or overrides
-// delegates explicitly (rather than relying on the defaults) so inner
+// arbitrary backend — `pgso_persist::JournaledGraph` — can be generic over
+// `GraphBackend` and still hold a `Box<dyn GraphBackend>`. Every method a
+// backend implements or overrides delegates explicitly (rather than relying
+// on the defaults) so inner
 // overrides like `CsrGraph::out_degree` survive the indirection; the owned
 // read conveniences are overridden by nobody and stay at their definitions.
 impl<B: GraphBackend + ?Sized> GraphBackend for Box<B> {
@@ -423,10 +417,6 @@ impl<B: GraphBackend + ?Sized> GraphBackend for Box<B> {
 
     fn export_updates(&self) -> Option<Vec<GraphUpdate>> {
         (**self).export_updates()
-    }
-
-    fn ensure_ready(&self) {
-        (**self).ensure_ready()
     }
 
     fn resident_bytes(&self) -> u64 {

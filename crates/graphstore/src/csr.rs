@@ -1,6 +1,6 @@
 //! Compressed sparse row (CSR) read-optimized backend.
 //!
-//! [`CsrGraph`] is the serving-tier layout: adjacency is compiled into
+//! [`CsrGraph`] is a read-optimized layout: adjacency is compiled into
 //! **type-segmented CSR arrays** — one segment per (vertex type, edge label)
 //! pair, so `expand(v, :REL)` reads one contiguous byte slice instead of
 //! filtering a per-vertex edge list — and properties live in **typed
@@ -16,9 +16,8 @@
 //! other [`GraphBackend`] — property columns are maintained eagerly (they
 //! *are* the authoritative vertex store), while the CSR adjacency segments
 //! are compiled lazily: any mutation invalidates the compiled index and the
-//! next adjacency read (or an explicit [`GraphBackend::ensure_ready`], which
-//! the serving layer calls at epoch publication so the cost never lands on a
-//! query) rebuilds it. Reads are therefore always consistent and the type
+//! next adjacency read rebuilds it ([`CsrGraph::freeze`] compiles up front,
+//! so a frozen graph's first read pays nothing). Reads are therefore always consistent and the type
 //! stays a drop-in replacement everywhere a backend is expected (vertex ids
 //! are dense and sequential).
 //!
@@ -412,7 +411,7 @@ impl CsrGraph {
         });
         let mut graph = CsrGraph::new();
         apply_updates(&mut graph, &updates);
-        graph.ensure_ready();
+        graph.segments();
         graph
     }
 
@@ -693,10 +692,6 @@ impl GraphBackend for CsrGraph {
         Some(updates)
     }
 
-    fn ensure_ready(&self) {
-        let _ = self.segments();
-    }
-
     fn resident_bytes(&self) -> u64 {
         let structural = (self.vertices.len() * std::mem::size_of::<VertexRec>()
             + self.edges.len() * std::mem::size_of::<EdgeRec>()
@@ -782,7 +777,7 @@ mod tests {
     #[test]
     fn out_degree_is_o1_and_uncharged() {
         let (_, csr) = pair();
-        csr.ensure_ready();
+        csr.segments();
         csr.reset_stats();
         assert_eq!(csr.out_degree(VertexId(0), "treat"), 2);
         assert_eq!(csr.out_degree(VertexId(0), "cause"), 1);

@@ -13,16 +13,9 @@
 //! record on every expansion, mimicking an adjacency lookup in the node
 //! store.
 //!
-//! # Lock striping
-//!
-//! The store is shared read-only by any number of serving threads. Instead of
-//! one global `Mutex<File>` + `Mutex<BufferPool>` pair — which serializes
-//! every page access — the backend keeps a power-of-two number of
-//! [stripes](DiskGraphConfig::lock_stripes), each with its own file handle
-//! (independently opened, so seek cursors never race) and its own slice of
-//! the buffer pool. Page `p` belongs to stripe `p & (stripes - 1)`, so
-//! concurrent readers touching different pages proceed in parallel and only
-//! same-stripe accesses contend.
+//! The store file and the buffer pool each sit behind one mutex, so a graph
+//! may be read from several threads; the pool is one LRU over exactly
+//! [`DiskGraphConfig::buffer_pool_pages`] pages.
 
 use crate::backend::{
     AccessStats, EdgeId, GraphBackend, GraphUpdate, StatsCounters, VertexData, VertexId,
@@ -39,37 +32,23 @@ use std::path::{Path, PathBuf};
 /// Size of one page in the store file.
 pub const PAGE_SIZE: usize = 8192;
 
-/// Largest power of two `<= n` (for `n >= 1`).
-fn prev_power_of_two(n: usize) -> usize {
-    1 << (usize::BITS - 1 - n.leading_zeros())
-}
-
 /// Configuration of the disk backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiskGraphConfig {
-    /// Number of pages the buffer pool may hold in memory (split across the
-    /// lock stripes).
+    /// Number of pages the buffer pool may hold in memory.
     pub buffer_pool_pages: usize,
-    /// Number of lock stripes (file handle + buffer-pool slice each), rounded
-    /// up to the next power of two and clamped so each stripe caches at
-    /// least two pages; small pools therefore collapse to a single stripe —
-    /// one global LRU, the pre-striping behaviour. The pool becomes a
-    /// *partitioned* LRU (each stripe evicts independently over the pages
-    /// mapping to it), but its total capacity is always exactly
-    /// `buffer_pool_pages`.
-    pub lock_stripes: usize,
 }
 
 impl Default for DiskGraphConfig {
     fn default() -> Self {
-        Self { buffer_pool_pages: 64, lock_stripes: 8 }
+        Self { buffer_pool_pages: 64 }
     }
 }
 
 impl DiskGraphConfig {
     /// Default configuration with a specific buffer-pool size.
     pub fn with_pool_pages(buffer_pool_pages: usize) -> Self {
-        Self { buffer_pool_pages, ..Self::default() }
+        Self { buffer_pool_pages }
     }
 }
 
@@ -126,22 +105,11 @@ impl BufferPool {
     }
 }
 
-/// One lock stripe: a private file handle (its seek cursor is protected by
-/// the mutex and shared with no other stripe) plus a slice of the buffer
-/// pool. Stripe `s` serves exactly the pages with `page & mask == s`.
-#[derive(Debug)]
-struct Stripe {
-    file: Mutex<File>,
-    pool: Mutex<BufferPool>,
-}
-
 /// Disk-backed backend; see the module documentation.
 pub struct DiskGraph {
     path: PathBuf,
-    /// Power-of-two lock stripes; see the module docs.
-    stripes: Vec<Stripe>,
-    /// `stripes.len() - 1`, for the page → stripe mapping.
-    stripe_mask: u32,
+    file: Mutex<File>,
+    pool: Mutex<BufferPool>,
     /// Current partially-filled page (always the last page of the file).
     tail_page: Mutex<Vec<u8>>,
     tail_page_no: u32,
@@ -168,37 +136,12 @@ impl DiskGraph {
     /// Creates (truncating) a disk graph at the given store-file path.
     pub fn create(path: impl AsRef<Path>, config: DiskGraphConfig) -> std::io::Result<Self> {
         let path = path.as_ref().to_path_buf();
-        // The first open truncates; every further stripe opens the same file
-        // independently so each handle has a private seek cursor.
-        let first =
+        let file =
             OpenOptions::new().create(true).read(true).write(true).truncate(true).open(&path)?;
-        // Striping must not distort the cache budget a buffer-pool experiment
-        // asked for: the stripe count is capped so every stripe holds at
-        // least two pages (a tiny pool degrades to one stripe — a single
-        // global LRU, exactly the pre-striping behaviour), and the remainder
-        // of `pool / stripes` is spread one page at a time so the capacities
-        // sum to precisely `buffer_pool_pages`.
-        let max_stripes = prev_power_of_two((config.buffer_pool_pages / 2).max(1));
-        let stripe_count = config.lock_stripes.clamp(1, max_stripes).next_power_of_two();
-        let base = config.buffer_pool_pages / stripe_count;
-        let remainder = config.buffer_pool_pages % stripe_count;
-        let pool_for = |i: usize| (base + usize::from(i < remainder)).max(1);
-        let mut stripes = Vec::with_capacity(stripe_count);
-        stripes.push(Stripe {
-            file: Mutex::new(first),
-            pool: Mutex::new(BufferPool::new(pool_for(0))),
-        });
-        for i in 1..stripe_count {
-            let handle = OpenOptions::new().read(true).write(true).open(&path)?;
-            stripes.push(Stripe {
-                file: Mutex::new(handle),
-                pool: Mutex::new(BufferPool::new(pool_for(i))),
-            });
-        }
         Ok(Self {
             path,
-            stripes,
-            stripe_mask: stripe_count as u32 - 1,
+            file: Mutex::new(file),
+            pool: Mutex::new(BufferPool::new(config.buffer_pool_pages)),
             tail_page: Mutex::new(Vec::with_capacity(PAGE_SIZE)),
             tail_page_no: 0,
             directory: Vec::new(),
@@ -216,16 +159,6 @@ impl DiskGraph {
         &self.path
     }
 
-    /// Number of lock stripes in use (a power of two).
-    pub fn stripe_count(&self) -> usize {
-        self.stripes.len()
-    }
-
-    /// The stripe owning a page.
-    fn stripe(&self, page: u32) -> &Stripe {
-        &self.stripes[(page & self.stripe_mask) as usize]
-    }
-
     /// Number of pages written so far (including the partially filled tail).
     pub fn page_count(&self) -> u32 {
         self.tail_page_no + 1
@@ -239,14 +172,13 @@ impl DiskGraph {
         }
         let mut padded = tail.clone();
         padded.resize(PAGE_SIZE, 0);
-        let mut file = self.stripe(self.tail_page_no).file.lock();
+        let mut file = self.file.lock();
         file.seek(SeekFrom::Start(self.tail_page_no as u64 * PAGE_SIZE as u64))?;
         file.write_all(&padded)?;
         file.flush()
     }
 
-    /// Reads a page through its stripe's buffer pool, updating hit/miss
-    /// counters. Only accesses mapping to the same stripe contend on a lock.
+    /// Reads a page through the buffer pool, updating hit/miss counters.
     fn fetch_page(&self, page: u32) -> Bytes {
         // The tail page lives in memory until it is sealed.
         if page == self.tail_page_no {
@@ -256,21 +188,20 @@ impl DiskGraph {
             padded.resize(PAGE_SIZE, 0);
             return Bytes::from(padded);
         }
-        let stripe = self.stripe(page);
-        if let Some(bytes) = stripe.pool.lock().get(page) {
+        if let Some(bytes) = self.pool.lock().get(page) {
             self.counters.count_page_hit();
             return bytes;
         }
         self.counters.count_page_read();
         let mut buf = vec![0u8; PAGE_SIZE];
         {
-            let mut file = stripe.file.lock();
+            let mut file = self.file.lock();
             file.seek(SeekFrom::Start(page as u64 * PAGE_SIZE as u64))
                 .expect("seek within store file");
             file.read_exact(&mut buf).expect("read full page");
         }
         let bytes = Bytes::from(buf);
-        stripe.pool.lock().insert(page, bytes.clone());
+        self.pool.lock().insert(page, bytes.clone());
         bytes
     }
 
@@ -331,14 +262,13 @@ impl DiskGraph {
         let mut tail = self.tail_page.lock();
         let mut padded = tail.clone();
         padded.resize(PAGE_SIZE, 0);
-        let stripe = self.stripe(self.tail_page_no);
         {
-            let mut file = stripe.file.lock();
+            let mut file = self.file.lock();
             file.seek(SeekFrom::Start(self.tail_page_no as u64 * PAGE_SIZE as u64))
                 .expect("seek within store file");
             file.write_all(&padded).expect("write page");
         }
-        stripe.pool.lock().invalidate(self.tail_page_no);
+        self.pool.lock().invalidate(self.tail_page_no);
         tail.clear();
         drop(tail);
         self.tail_page_no += 1;
@@ -358,11 +288,9 @@ impl GraphBackend for DiskGraph {
             let start_page = self.tail_page_no;
             let span = record.len().div_ceil(PAGE_SIZE);
             {
-                // The span crosses stripe boundaries, but `&mut self`
-                // guarantees no concurrent reader; any stripe's handle works.
                 let mut padded = record.to_vec();
                 padded.resize(span * PAGE_SIZE, 0);
-                let mut file = self.stripe(start_page).file.lock();
+                let mut file = self.file.lock();
                 file.seek(SeekFrom::Start(start_page as u64 * PAGE_SIZE as u64))
                     .expect("seek within store file");
                 file.write_all(&padded).expect("write oversized record");
@@ -551,7 +479,7 @@ mod tests {
             let dir = tempdir().unwrap();
             let mut g = DiskGraph::create(
                 dir.path().join("graph.store"),
-                DiskGraphConfig { buffer_pool_pages: pool_pages, lock_stripes: 2 },
+                DiskGraphConfig::with_pool_pages(pool_pages),
             )
             .unwrap();
             let mut ids = Vec::new();
@@ -584,35 +512,37 @@ mod tests {
     }
 
     #[test]
-    fn stripe_count_rounds_to_power_of_two_and_respects_the_pool_budget() {
-        let dir = tempdir().unwrap();
-        for (pool, requested, expected) in [
-            (64usize, 0usize, 1usize),
-            (64, 1, 1),
-            (64, 3, 4),
-            (64, 8, 8),
-            (64, 9, 16),
-            // A small pool caps the stripe count (≥ 2 pages per stripe) so
-            // the cache budget and behaviour stay what the experiment
-            // configured; tiny pools degrade to one global LRU.
-            (2, 8, 1),
-            (1, 8, 1),
-            (7, 8, 2),
-            (8, 8, 4),
-        ] {
-            let g = DiskGraph::create(
-                dir.path().join(format!("stripes-{pool}-{requested}.store")),
-                DiskGraphConfig { buffer_pool_pages: pool, lock_stripes: requested },
-            )
-            .unwrap();
-            assert_eq!(g.stripe_count(), expected, "pool {pool}, requested {requested}");
+    fn a_working_set_that_fits_the_pool_stays_resident() {
+        // One record per page, so vertex `i` lives on page `i`. Reading the
+        // nine sealed pages 0, 8, …, 64 twice through the default 64-page
+        // pool faults each in once; the second pass is all hits, whatever
+        // the page numbers.
+        let (_dir, mut g) = new_graph(DiskGraphConfig::default().buffer_pool_pages);
+        let pad = "x".repeat(PAGE_SIZE * 3 / 4);
+        let ids: Vec<VertexId> = (0..73)
+            .map(|_| g.add_vertex("Node", props([("pad", PropertyValue::Str(pad.clone()))])))
+            .collect();
+        g.flush().unwrap();
+        let working_set: Vec<VertexId> = ids.iter().copied().step_by(8).take(9).collect();
+        assert!(working_set.iter().all(|&id| g.directory[id.0 as usize].page == id.0 as u32));
+        assert!(g.page_count() > 65, "page 64 must be sealed, not the tail");
+        g.reset_stats();
+        for id in &working_set {
+            let _ = g.vertex(*id);
         }
+        assert_eq!(g.stats().page_reads, 9, "the first pass faults each page in");
+        g.reset_stats();
+        for id in &working_set {
+            let _ = g.vertex(*id);
+        }
+        let stats = g.stats();
+        assert_eq!((stats.page_reads, stats.page_hits), (0, 9), "second pass: {stats:?}");
     }
 
     #[test]
     fn small_pool_budget_is_not_inflated_by_striping() {
-        // With the default 8 stripes, a 2-page pool must still behave like a
-        // 2-page cache: scanning a >2-page working set twice re-reads pages.
+        // A 2-page pool behaves like a 2-page cache: scanning a >2-page
+        // working set twice re-reads pages.
         let dir = tempdir().unwrap();
         let mut g =
             DiskGraph::create(dir.path().join("graph.store"), DiskGraphConfig::with_pool_pages(2))
@@ -632,8 +562,8 @@ mod tests {
         }
         // A true 2-page cache evicts every sealed page before the sequential
         // scan wraps around, so each of the two scans faults each sealed page
-        // back in. Were striping to inflate the pool to 8 pages (the old
-        // `max(1)` per-stripe floor), the second scan would be all hits.
+        // back in. A pool inflated past its budget would make the second
+        // scan all hits.
         let stats = g.stats();
         assert!(
             stats.page_reads >= 2 * sealed_pages,
@@ -644,11 +574,9 @@ mod tests {
     #[test]
     fn concurrent_readers_see_consistent_records_across_stripes() {
         let dir = tempdir().unwrap();
-        let mut g = DiskGraph::create(
-            dir.path().join("graph.store"),
-            DiskGraphConfig { buffer_pool_pages: 4, lock_stripes: 4 },
-        )
-        .unwrap();
+        let mut g =
+            DiskGraph::create(dir.path().join("graph.store"), DiskGraphConfig::with_pool_pages(4))
+                .unwrap();
         let mut ids = Vec::new();
         for i in 0..1_000 {
             ids.push(g.add_vertex(
@@ -660,14 +588,15 @@ mod tests {
             ));
         }
         g.flush().unwrap();
-        assert!(g.page_count() > 8, "records must span more pages than stripes");
+        assert!(g.page_count() > 8, "records must span more pages than the pool holds");
         let g = &g;
         let ids = &ids;
         std::thread::scope(|scope| {
             for t in 0..4usize {
                 scope.spawn(move || {
-                    // Each thread scans a different offset pattern so stripes
-                    // are hit concurrently in interleaved orders.
+                    // Each thread scans a different offset pattern so pages
+                    // are faulted and evicted concurrently in interleaved
+                    // orders.
                     for (i, id) in ids.iter().enumerate().skip(t).step_by(4) {
                         let v = g.vertex(*id).expect("record readable under concurrency");
                         assert_eq!(v.properties["seq"].as_int(), Some(i as i64));
@@ -677,7 +606,7 @@ mod tests {
         });
         let stats = g.stats();
         assert_eq!(stats.vertex_reads, 1_000);
-        assert!(stats.page_reads > 0, "tiny striped pool must fault pages in");
+        assert!(stats.page_reads > 0, "tiny pool must fault pages in");
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! JanusGraph; this crate provides architecturally distinct stand-ins
 //! behind one [`GraphBackend`] trait:
 //!
-//! * [`MemoryGraph`] — adjacency lists and property maps in memory;
+//! * [`MemoryGraph`] — adjacency lists and property maps in memory (what
+//!   the serving layer's epochs hold);
 //! * [`DiskGraph`] — vertex records in fixed-size pages of a store file with
-//!   a lock-striped LRU buffer pool, so traversals cost page I/O when the
-//!   working set exceeds the pool;
-//! * [`CsrGraph`] — the read-optimized serving tier: type-segmented CSR
+//!   an LRU buffer pool, so traversals cost page I/O when the working set
+//!   exceeds the pool;
+//! * [`CsrGraph`] — a read-optimized layout: type-segmented CSR
 //!   adjacency (delta + varint compressed) and typed property columns,
 //!   compiled lazily or frozen from any replayable backend via
 //!   [`CsrGraph::freeze`].

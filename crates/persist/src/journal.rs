@@ -155,10 +155,6 @@ impl<B: GraphBackend> GraphBackend for JournaledGraph<B> {
         Some(self.journal.clone())
     }
 
-    fn ensure_ready(&self) {
-        self.inner.ensure_ready()
-    }
-
     fn resident_bytes(&self) -> u64 {
         self.inner.resident_bytes()
     }

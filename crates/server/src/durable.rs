@@ -2,15 +2,14 @@
 //! snapshot image, WAL rotation and checkpoints, and recovery of a killed
 //! server's state.
 
-use crate::engine::{compile_for_serving, Epoch, KgServer, ServerConfig, Start};
+use crate::engine::{Epoch, KgServer, Start};
 use crate::publish::IngestState;
 use crate::telemetry::ServerTelemetry;
-use crate::tier::fresh_backend;
 use crate::tracker::{
     frequencies_from_bytes, frequencies_to_bytes, WorkloadSnapshot, WorkloadTracker,
 };
 use parking_lot::Mutex;
-use pgso_graphstore::apply_updates;
+use pgso_graphstore::{apply_updates, MemoryGraph};
 use pgso_ontology::{AccessFrequencies, Ontology};
 use pgso_persist::{
     latest_generation, prune_generations, snapshot_path, wal_path, write_snapshot, PersistConfig,
@@ -90,22 +89,20 @@ pub(crate) fn claim_fresh_dir(dir: &Path) -> io::Result<()> {
 
 /// The recovery half of [`crate::KgServerBuilder::recover`]: loads the
 /// newest valid snapshot under `dir`, replays it and the WAL tail into a
-/// fresh backend of the configured layout, and restores the learned
+/// fresh [`MemoryGraph`], and restores the learned
 /// tracker counters and baseline frequencies.
 pub(crate) fn recover_start(
     ontology: &Ontology,
-    config: &ServerConfig,
     dir: &Path,
     telemetry: Option<&Arc<ServerTelemetry>>,
 ) -> io::Result<Start> {
     let state = pgso_persist::recover(dir)?.ok_or_else(|| {
         io::Error::new(io::ErrorKind::NotFound, format!("no valid snapshot in {}", dir.display()))
     })?;
-    let mut graph = fresh_backend(config.storage_tier);
+    let mut graph = MemoryGraph::new();
     let full_journal = state.full_journal();
     let replay_started = Instant::now();
     apply_updates(&mut graph, &full_journal);
-    compile_for_serving(graph.as_ref(), config.storage_tier, telemetry);
     if let Some(t) = telemetry {
         let replay = replay_started.elapsed();
         t.recovery_replay.record_duration(replay);

@@ -59,19 +59,16 @@ use crate::durable::{claim_fresh_dir, recover_start, PersistHandle};
 use crate::publish::IngestState;
 use crate::serve::PreparedEntry;
 use crate::telemetry::ServerTelemetry;
-use crate::tier::{fresh_backend, StorageTier};
 use crate::tracker::WorkloadTracker;
 use parking_lot::{Mutex, RwLock};
 use pgso_core::{OptimizerConfig, OptimizerInput};
 use pgso_datagen::{load_into, InstanceKg};
-use pgso_graphstore::{AccessStats, GraphBackend, GraphUpdate};
+use pgso_graphstore::{AccessStats, GraphBackend, GraphUpdate, MemoryGraph};
 use pgso_ontology::{AccessFrequencies, DataStatistics, Ontology};
 use pgso_persist::{JournaledGraph, PersistConfig};
 use pgso_pgschema::PropertyGraphSchema;
 use pgso_query::parse_named;
-use pgso_telemetry::{
-    FieldValue, MetricsRegistry, MetricsSnapshot, TraceEvent, WindowRates, WINDOW_SECS,
-};
+use pgso_telemetry::{MetricsRegistry, MetricsSnapshot, TraceEvent, WindowRates, WINDOW_SECS};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -95,12 +92,6 @@ pub struct ServerConfig {
     /// If false, drift is never checked automatically; re-optimization only
     /// happens through [`KgServer::try_reoptimize`].
     pub auto_reoptimize: bool,
-    /// Physical storage layout every epoch (initial build, ingest
-    /// publications, re-optimization swaps, recovery) is built on: one
-    /// backend of this tier per epoch. The CSR tier compiles its read index
-    /// at publication ([`crate::tier::StorageTier::Csr`]), recorded as
-    /// `csr.compile`.
-    pub storage_tier: StorageTier,
     /// Ingest staging policy: when pending updates are published into a new
     /// serving epoch.
     pub ingest: IngestConfig,
@@ -126,7 +117,6 @@ impl Default for ServerConfig {
             check_interval: 256,
             plan_cache_capacity: 1024,
             auto_reoptimize: true,
-            storage_tier: StorageTier::Memory,
             ingest: IngestConfig::default(),
             telemetry_enabled: true,
             slow_query_log_threshold: None,
@@ -203,15 +193,13 @@ pub struct Epoch {
     pub schema_generation: u64,
     /// The schema this generation serves.
     pub schema: PropertyGraphSchema,
-    // `GraphBackend` has `Send + Sync` supertraits, so the bare trait object
-    // is already shareable across serving threads.
-    pub(crate) graph: Box<dyn GraphBackend>,
+    pub(crate) graph: MemoryGraph,
 }
 
 impl Epoch {
     /// The backend, usable with [`pgso_query::execute_statement`].
     pub fn graph(&self) -> &dyn GraphBackend {
-        self.graph.as_ref()
+        &self.graph
     }
 
     /// Access counters of this generation's backend.
@@ -376,9 +364,7 @@ impl KgServerBuilder {
         let telemetry = self.telemetry();
         let input = OptimizerInput::new(&self.ontology, &self.statistics, &initial_frequencies);
         let schema = pgso_core::optimize_pgsg(input, &self.config.optimizer).chosen.schema;
-        let (graph, base_journal) =
-            build_graph(&self.ontology, &schema, &self.instance, self.config.storage_tier);
-        compile_for_serving(graph.as_ref(), self.config.storage_tier, telemetry.as_ref());
+        let (graph, base_journal) = build_graph(&self.ontology, &schema, &self.instance);
         let start = Start {
             epoch: Epoch { number: 0, schema_generation: 0, schema, graph },
             tracker: WorkloadTracker::new(&self.ontology),
@@ -399,9 +385,6 @@ impl KgServerBuilder {
     /// generation and resumes serving — same schema, same global vertex
     /// ids, bit-identical query answers.
     ///
-    /// The configured `storage_tier` may differ from the killed server's: the
-    /// graph journal replays into any storage layout with identical ids.
-    ///
     /// # Errors
     /// [`io::ErrorKind::InvalidInput`] without a [`persist`](Self::persist)
     /// directory; [`io::ErrorKind::NotFound`] when it holds no valid
@@ -415,7 +398,7 @@ impl KgServerBuilder {
             ));
         };
         let telemetry = self.telemetry();
-        let start = recover_start(&self.ontology, &self.config, &persist.dir, telemetry.as_ref())?;
+        let start = recover_start(&self.ontology, &persist.dir, telemetry.as_ref())?;
         self.assemble(telemetry, start)
     }
 
@@ -491,7 +474,7 @@ impl KgServer {
     ///
     /// ```text
     /// let server = KgServer::builder(ontology, statistics, instance)
-    ///     .config(ServerConfig { storage_tier: StorageTier::Csr, ..ServerConfig::default() })
+    ///     .config(ServerConfig { check_interval: 64, ..ServerConfig::default() })
     ///     .persist(PersistConfig::new(dir))
     ///     .build(initial_frequencies)?;   // or .recover()? after a kill
     /// ```
@@ -666,11 +649,6 @@ impl KgServer {
         let epoch = self.current_epoch();
         registry.gauge(&name("epoch.number")).set(epoch.number as f64);
         registry.gauge(&name("epoch.schema_generation")).set(epoch.schema_generation as f64);
-        if self.config.storage_tier == StorageTier::Csr {
-            // Cheap on an already-published epoch: the CSR index was
-            // compiled at publication, so this only sums footprints.
-            registry.gauge(&name("csr.resident_bytes")).set(epoch.graph.resident_bytes() as f64);
-        }
         {
             let ing = self.ingest.lock();
             registry.gauge(&name("ingest.pending")).set(ing.pending.len() as f64);
@@ -721,51 +699,18 @@ impl KgServer {
     }
 }
 
-/// Loads `instance` under `schema` into the configured storage layout
-/// (see [`crate::tier::fresh_backend`]), capturing the construction journal
-/// through a [`pgso_persist::JournaledGraph`] — the journal is what
-/// snapshots persist and what a publication that cannot extend a retired
-/// graph replays.
+/// Loads `instance` under `schema` into a fresh [`MemoryGraph`], capturing
+/// the construction journal through a [`pgso_persist::JournaledGraph`] — the
+/// journal is what snapshots persist and what a publication that cannot
+/// extend a retired graph replays.
 pub(crate) fn build_graph(
     ontology: &Ontology,
     schema: &PropertyGraphSchema,
     instance: &InstanceKg,
-    tier: StorageTier,
-) -> (Box<dyn GraphBackend>, Vec<GraphUpdate>) {
-    let mut journaled = JournaledGraph::new(fresh_backend(tier));
+) -> (MemoryGraph, Vec<GraphUpdate>) {
+    let mut journaled = JournaledGraph::new(MemoryGraph::new());
     load_into(&mut journaled, ontology, schema, instance);
     journaled.into_parts()
-}
-
-/// Makes a freshly built epoch graph serve-ready off the read path: on the
-/// CSR tier this compiles the adjacency segments
-/// ([`GraphBackend::ensure_ready`]) and records the cost as `csr.compile` /
-/// `csr.compiles`, so the first query of the new epoch never pays it. A
-/// no-op on the other tiers.
-pub(crate) fn compile_for_serving(
-    graph: &dyn GraphBackend,
-    tier: StorageTier,
-    telemetry: Option<&Arc<ServerTelemetry>>,
-) {
-    if tier != StorageTier::Csr {
-        return;
-    }
-    let started = Instant::now();
-    graph.ensure_ready();
-    let took = started.elapsed();
-    if let Some(t) = telemetry {
-        t.csr_compile.record_duration(took);
-        t.csr_compiles.inc();
-        t.trace().emit_with_duration(
-            "csr.compile",
-            0,
-            took,
-            vec![
-                ("vertices", FieldValue::from(graph.vertex_count())),
-                ("edges", FieldValue::from(graph.edge_count())),
-            ],
-        );
-    }
 }
 
 impl std::fmt::Debug for KgServer {
@@ -1083,56 +1028,6 @@ mod tests {
         assert_eq!(server.cache_stats().misses, 1);
     }
 
-    #[test]
-    fn csr_and_disk_tier_servers_answer_identically_to_memory() {
-        let memory = mini_server(ServerConfig::default());
-        for tier in [StorageTier::Csr, StorageTier::Disk] {
-            let tiered =
-                mini_server(ServerConfig { storage_tier: tier, ..ServerConfig::default() });
-            assert_eq!(tiered.current_epoch().graph().backend_name(), tier.name());
-            for text in [
-                "MATCH (d:Drug) RETURN d.name ORDER BY d.name",
-                "MATCH (d:Drug)-[:treat]->(i:Indication) WHERE i.desc CONTAINS 'instance' \
-                 RETURN d.name, i.desc ORDER BY i.desc DESC LIMIT 7",
-                "MATCH (d:Drug) OPTIONAL MATCH (d)-[:treat]->(i:Indication) \
-                 RETURN DISTINCT d.name, i.desc",
-            ] {
-                let a = memory.serve_text(text).unwrap();
-                let b = tiered.serve_text(text).unwrap();
-                assert_eq!(a.rows, b.rows, "tier={}", tier.name());
-            }
-        }
-    }
-
-    #[test]
-    fn csr_tier_compiles_at_publication_and_reports_metrics() {
-        let server = mini_server(ServerConfig {
-            storage_tier: StorageTier::Csr,
-            auto_reoptimize: false,
-            ingest: IngestConfig { publish_batch: 1, publish_interval: Duration::from_secs(3600) },
-            ..ServerConfig::default()
-        });
-        // The initial build compiled once.
-        let snap = server.metrics_snapshot();
-        assert_eq!(snap.counter("csr.compiles"), Some(1));
-        assert!(snap.histogram("csr.compile").is_some_and(|h| h.count == 1));
-        assert!(snap.gauge("csr.resident_bytes").is_some_and(|b| b > 0.0));
-        // An ingest publication targets CSR too and compiles again — off
-        // the read path, so queries immediately after never pay it.
-        server
-            .ingest(vec![GraphUpdate::AddVertex {
-                label: "Drug".into(),
-                properties: pgso_graphstore::props([("name", "Zynteglo".into())]),
-            }])
-            .unwrap();
-        let snap = server.metrics_snapshot();
-        assert_eq!(snap.counter("csr.compiles"), Some(2));
-        let rows = server
-            .serve_text("MATCH (d:Drug) WHERE d.name CONTAINS 'Zynteglo' RETURN d.name")
-            .unwrap();
-        assert_eq!(rows.matches, 1);
-    }
-
     fn new_drug(i: u32) -> GraphUpdate {
         GraphUpdate::AddVertex {
             label: "Drug".into(),
@@ -1370,83 +1265,6 @@ mod tests {
         assert_eq!(tracker.property_counts, pre_kill_tracker.property_counts);
         assert_eq!(recovered.current_epoch().schema_generation, 0);
         assert!(recovered.drift() > 0.0, "recovered counters drive drift immediately");
-    }
-
-    #[test]
-    fn csr_tier_recovery_matches_memory_tier_bit_for_bit() {
-        // The same WAL history recovered onto two storage tiers must yield
-        // the same epoch: identical replayable update sequences, identical
-        // rows. The tier changes the physical layout, never the contents.
-        let make = || {
-            let ontology = catalog::med_mini();
-            let statistics = DataStatistics::synthesize(&ontology, &StatisticsConfig::small(), 7);
-            let instance = InstanceKg::generate(&ontology, &statistics, 0.5, 7);
-            let frequencies = AccessFrequencies::uniform(&ontology, 10_000.0);
-            (ontology, statistics, instance, frequencies)
-        };
-        let recovered_on = |tier: StorageTier| {
-            let dir = tempfile::tempdir().unwrap();
-            let cfg = ServerConfig {
-                auto_reoptimize: false,
-                storage_tier: tier,
-                ingest: IngestConfig {
-                    publish_batch: 3,
-                    publish_interval: Duration::from_secs(3600),
-                },
-                ..ServerConfig::default()
-            };
-            {
-                let (o, s, i, f) = make();
-                let server = KgServer::new_persistent(
-                    o,
-                    s,
-                    i,
-                    f,
-                    cfg,
-                    pgso_persist::PersistConfig::new_unsynced(dir.path()),
-                )
-                .unwrap();
-                // 3 updates publish via the batch threshold, 2 stay staged
-                // (WAL-only) when the server dies — recovery must replay
-                // both kinds.
-                server.ingest((0..3).map(new_drug).collect()).unwrap();
-                server.ingest((3..5).map(new_drug).collect()).unwrap();
-                // drop without checkpoint = kill
-            }
-            let (o, s, i, _) = make();
-            let server = KgServer::recover(
-                o,
-                s,
-                i,
-                cfg,
-                pgso_persist::PersistConfig::new_unsynced(dir.path()),
-            )
-            .unwrap();
-            (server, dir)
-        };
-
-        let (mem, _mem_dir) = recovered_on(StorageTier::Memory);
-        let (csr, _csr_dir) = recovered_on(StorageTier::Csr);
-        assert_eq!(mem.current_epoch().graph().backend_name(), "memory");
-        assert_eq!(csr.current_epoch().graph().backend_name(), "csr");
-        // Strongest equivalence first: both recovered epochs replay into
-        // the identical update sequence (ids, labels, properties, edge
-        // order — everything).
-        let mem_updates = mem.current_epoch().graph().export_updates();
-        let csr_updates = csr.current_epoch().graph().export_updates();
-        assert!(mem_updates.is_some() && mem_updates == csr_updates);
-        assert_eq!(mem.published_updates(), csr.published_updates());
-        assert_eq!(csr.pending_updates(), 0);
-        // And the serving surface agrees, lookups through aggregations.
-        for text in [
-            "MATCH (d:Drug) RETURN d.name ORDER BY d.name",
-            "MATCH (d:Drug)-[:treat]->(i:Indication) RETURN i.desc",
-            "MATCH (d:Drug)-[:treat]->(i:Indication) RETURN size(collect(i.desc))",
-        ] {
-            let expected = mem.serve_text(text).expect(text).rows;
-            assert_eq!(csr.serve_text(text).expect(text).rows, expected, "{text}");
-            assert!(!expected.is_empty(), "{text} must exercise real data");
-        }
     }
 
     #[test]
@@ -1853,24 +1671,23 @@ mod tests {
     }
 
     /// Asserts that the served epoch is `base_journal ++ ingested` replayed
-    /// into a fresh backend: the same update sequence, the same rows.
+    /// into a fresh graph: the same update sequence, the same rows.
     fn assert_serves_a_fresh_replay(server: &KgServer, step: &str) {
         let (epoch, fresh) = {
             let ing = server.ingest.lock();
-            let mut fresh = fresh_backend(server.config.storage_tier);
-            apply_updates(fresh.as_mut(), &ing.base_journal);
-            apply_updates(fresh.as_mut(), &ing.ingested);
+            let mut fresh = MemoryGraph::new();
+            apply_updates(&mut fresh, &ing.base_journal);
+            apply_updates(&mut fresh, &ing.ingested);
             (server.current_epoch(), fresh)
         };
-        let tier = server.config.storage_tier.name();
         assert!(
             epoch.graph().export_updates() == fresh.export_updates(),
-            "{tier} {step}: the served graph is not the journal"
+            "{step}: the served graph is not the journal"
         );
         for text in PUBLISHED_TEXTS {
-            let expected = rows_on(fresh.as_ref(), &epoch.schema, text);
+            let expected = rows_on(&fresh, &epoch.schema, text);
             assert!(!expected.is_empty(), "{text} must exercise real data");
-            assert_eq!(server.serve_text(text).unwrap().rows, expected, "{tier} {step}: {text}");
+            assert_eq!(server.serve_text(text).unwrap().rows, expected, "{step}: {text}");
         }
     }
 
@@ -1917,65 +1734,62 @@ mod tests {
             let instance = InstanceKg::generate(&ontology, &statistics, 0.05, 23);
             (ontology, statistics, instance)
         };
-        for tier in [StorageTier::Memory, StorageTier::Csr, StorageTier::Disk] {
-            let dir = tempfile::tempdir().unwrap();
-            let persist = || pgso_persist::PersistConfig::new_unsynced(dir.path());
-            let (o, s, i) = make();
-            let tracker = WorkloadTracker::new(&o);
-            for text in PATIENT_MIX.iter().cycle().take(20) {
-                tracker.record_statement(&parse_named(text, "mix").unwrap());
-            }
-            let initial = tracker.to_frequencies(&o, 10_000.0);
-            let nsc = pgso_core::optimize_nsc(
-                OptimizerInput::new(&o, &s, &initial),
-                &OptimizerConfig::default(),
-            );
-            let cfg = ServerConfig {
-                optimizer: OptimizerConfig::with_space_limit(nsc.total_cost / 8),
-                auto_reoptimize: false,
-                storage_tier: tier,
-                ingest: IngestConfig {
-                    publish_batch: usize::MAX,
-                    publish_interval: Duration::from_secs(3600),
-                },
-                ..ServerConfig::default()
-            };
-            let cycle = |server: &KgServer, first: u32| {
-                server.ingest(publication_batch(first)).unwrap();
-                assert!(server.flush_ingest());
-                assert_serves_a_fresh_replay(server, &format!("publication {first}"));
-            };
-            {
-                let server = KgServer::new_persistent(o, s, i, initial, cfg, persist()).unwrap();
-                for first in [0, 4, 8] {
-                    cycle(&server, first);
-                }
-                for text in DRUG_MIX.iter().cycle().take(120) {
-                    server.serve_text(text).unwrap();
-                }
-                let event = server.try_reoptimize().expect("the drug mix drifts past 0.25");
-                assert!(event.swapped, "{tier:?}: the schema must change");
-                assert_serves_a_fresh_replay(&server, "after the schema swap");
-                for first in [12, 16] {
-                    cycle(&server, first);
-                }
-                // The first publication rebuilds, and so does the first after
-                // the swap; every other one extends the retired graph.
-                let graphs = ["rebuilt", "reused", "reused", "rebuilt", "reused"];
-                assert_eq!(publication_graphs(&server), graphs, "{tier:?}");
-                // Staged (WAL-only) at the kill.
-                server.ingest(publication_batch(20)).unwrap();
-            }
-            let (o, s, i) = make();
-            let recovered = KgServer::recover(o, s, i, cfg, persist()).unwrap();
-            assert_eq!(recovered.published_updates(), 6 * publication_batch(0).len());
-            assert_eq!(recovered.current_epoch().schema_generation, 1);
-            assert_serves_a_fresh_replay(&recovered, "after recovery");
-            for first in [24, 28] {
-                cycle(&recovered, first);
-            }
-            assert_eq!(publication_graphs(&recovered), ["rebuilt", "reused"], "{tier:?}");
+        let dir = tempfile::tempdir().unwrap();
+        let persist = || pgso_persist::PersistConfig::new_unsynced(dir.path());
+        let (o, s, i) = make();
+        let tracker = WorkloadTracker::new(&o);
+        for text in PATIENT_MIX.iter().cycle().take(20) {
+            tracker.record_statement(&parse_named(text, "mix").unwrap());
         }
+        let initial = tracker.to_frequencies(&o, 10_000.0);
+        let nsc = pgso_core::optimize_nsc(
+            OptimizerInput::new(&o, &s, &initial),
+            &OptimizerConfig::default(),
+        );
+        let cfg = ServerConfig {
+            optimizer: OptimizerConfig::with_space_limit(nsc.total_cost / 8),
+            auto_reoptimize: false,
+            ingest: IngestConfig {
+                publish_batch: usize::MAX,
+                publish_interval: Duration::from_secs(3600),
+            },
+            ..ServerConfig::default()
+        };
+        let cycle = |server: &KgServer, first: u32| {
+            server.ingest(publication_batch(first)).unwrap();
+            assert!(server.flush_ingest());
+            assert_serves_a_fresh_replay(server, &format!("publication {first}"));
+        };
+        {
+            let server = KgServer::new_persistent(o, s, i, initial, cfg, persist()).unwrap();
+            for first in [0, 4, 8] {
+                cycle(&server, first);
+            }
+            for text in DRUG_MIX.iter().cycle().take(120) {
+                server.serve_text(text).unwrap();
+            }
+            let event = server.try_reoptimize().expect("the drug mix drifts past 0.25");
+            assert!(event.swapped, "the schema must change");
+            assert_serves_a_fresh_replay(&server, "after the schema swap");
+            for first in [12, 16] {
+                cycle(&server, first);
+            }
+            // The first publication rebuilds, and so does the first after
+            // the swap; every other one extends the retired graph.
+            let graphs = ["rebuilt", "reused", "reused", "rebuilt", "reused"];
+            assert_eq!(publication_graphs(&server), graphs);
+            // Staged (WAL-only) at the kill.
+            server.ingest(publication_batch(20)).unwrap();
+        }
+        let (o, s, i) = make();
+        let recovered = KgServer::recover(o, s, i, cfg, persist()).unwrap();
+        assert_eq!(recovered.published_updates(), 6 * publication_batch(0).len());
+        assert_eq!(recovered.current_epoch().schema_generation, 1);
+        assert_serves_a_fresh_replay(&recovered, "after recovery");
+        for first in [24, 28] {
+            cycle(&recovered, first);
+        }
+        assert_eq!(publication_graphs(&recovered), ["rebuilt", "reused"]);
     }
 
     #[test]

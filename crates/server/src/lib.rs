@@ -9,7 +9,7 @@
 //! and drifts over time:
 //!
 //! * [`KgServer`] — a thread-safe engine that owns a
-//!   [`pgso_graphstore::GraphBackend`] behind a shared read path and serves
+//!   [`pgso_graphstore::MemoryGraph`] behind a shared read path and serves
 //!   DIR statements from any number of threads.
 //!   There is **one way to build one** — [`KgServer::builder`], closed by
 //!   [`KgServerBuilder::build`] or [`KgServerBuilder::recover`], with
@@ -25,8 +25,7 @@
 //!   plans across literal variations, and an `EXPLAIN` / `PROFILE` prefix
 //!   turns it into the plan surface ([`QueryPlan::from_rows`] rebuilds the
 //!   typed plan). Typed [`pgso_query::Statement`] values go in as their
-//!   `Display` text. Every epoch is one backend of the configured
-//!   [`StorageTier`];
+//!   `Display` text;
 //! * [`PlanCache`] — a fingerprint-keyed DIR→OPT rewrite cache, invalidated
 //!   wholesale by schema-generation bumps. Keys are *parameterized
 //!   statements*: one prepared statement (or one auto-parameterized ad-hoc
@@ -101,7 +100,6 @@ pub mod engine;
 mod publish;
 mod serve;
 pub mod telemetry;
-pub mod tier;
 pub mod tracker;
 
 pub use cache::{CacheStats, PlanCache};
@@ -111,7 +109,6 @@ pub use engine::{
 };
 pub use serve::{PreparedId, PreparedStatement};
 pub use telemetry::{ServerTelemetry, DEFAULT_PREPARED_SERIES_LIMIT, DEFAULT_TRACE_CAPACITY};
-pub use tier::{StorageTier, TempDiskGraph};
 // The durability vocabulary callers need for `KgServer::ingest` /
 // `KgServer::recover`, and the binding vocabulary for
 // `KgServer::prepare_text` / `KgServer::execute`, re-exported so

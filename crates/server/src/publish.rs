@@ -2,12 +2,9 @@
 //! staging and publication, the drift check, and the re-optimization swap —
 //! every new epoch goes through one `install_epoch`.
 
-use crate::engine::{
-    build_graph, compile_for_serving, Epoch, IngestReport, KgServer, ReoptimizationEvent,
-};
-use crate::tier::fresh_backend;
+use crate::engine::{build_graph, Epoch, IngestReport, KgServer, ReoptimizationEvent};
 use pgso_core::{reoptimize, OptimizerInput};
-use pgso_graphstore::{apply_updates, codec, GraphBackend, GraphUpdate, VertexId};
+use pgso_graphstore::{apply_updates, codec, GraphBackend, GraphUpdate, MemoryGraph, VertexId};
 use pgso_persist::WalRecord;
 use pgso_pgschema::PropertyGraphSchema;
 use pgso_telemetry::FieldValue;
@@ -91,12 +88,8 @@ impl KgServer {
             // The ingest lock is held across the reload so the base journal,
             // the ingested stream and the published epoch move together.
             let mut ing = self.ingest.lock();
-            let (graph, base_journal) = build_graph(
-                &self.ontology,
-                &re.outcome.schema,
-                &self.instance,
-                self.config.storage_tier,
-            );
+            let (graph, base_journal) =
+                build_graph(&self.ontology, &re.outcome.schema, &self.instance);
             ing.base_journal = base_journal;
             // Replaying the whole ingested stream onto the new base also
             // publishes anything still pending (with persistence, those
@@ -250,7 +243,7 @@ impl KgServer {
     /// Publishes the pending batch as the next epoch under the current
     /// schema, so the plan-cache key is untouched. The graph is the retired
     /// epoch's when no reader holds that epoch any more — it then lacks
-    /// only the previous batch and this one — and otherwise a fresh backend
+    /// only the previous batch and this one — and otherwise a fresh graph
     /// replaying the base journal.
     pub(crate) fn publish_locked(&self, ing: &mut IngestState) {
         let reusable = ing.retired.take().and_then(|(epoch, held)| {
@@ -263,7 +256,7 @@ impl KgServer {
                 (graph, held, "reused")
             }
             None => {
-                let mut graph = fresh_backend(self.config.storage_tier);
+                let mut graph = MemoryGraph::new();
                 apply_updates(&mut graph, &ing.base_journal);
                 (graph, 0, "rebuilt")
             }
@@ -278,7 +271,7 @@ impl KgServer {
     /// The one place a new epoch is installed, called with the ingest lock
     /// held and `graph` holding `ing.base_journal ++ ing.ingested[..held]`:
     /// promotes the pending batch to published, applies the rest of the
-    /// ingested stream to `graph`, makes it serve-ready and swaps it in as
+    /// ingested stream to `graph` and swaps it in as
     /// epoch `number + 1` — under `schema` (bumping the schema lineage)
     /// after a re-optimization, under the current schema for a data-only
     /// publication, which also keeps the epoch it replaces as
@@ -287,7 +280,7 @@ impl KgServer {
     fn install_epoch(
         &self,
         ing: &mut IngestState,
-        mut graph: Box<dyn GraphBackend>,
+        mut graph: MemoryGraph,
         held: usize,
         schema: Option<PropertyGraphSchema>,
         fields: Vec<(&'static str, FieldValue)>,
@@ -296,7 +289,6 @@ impl KgServer {
         let pending = std::mem::take(&mut ing.pending);
         ing.ingested.extend(pending);
         apply_updates(&mut graph, &ing.ingested[held..]);
-        compile_for_serving(graph.as_ref(), self.config.storage_tier, self.telemetry.as_ref());
         ing.last_publish = Instant::now();
         // Read under the ingest lock, which every swap holds: `number` stays
         // strictly monotonic.

@@ -24,9 +24,6 @@
 //! | `snapshot.bytes` | counter | snapshot bytes written |
 //! | `snapshot.rotations` | counter | WAL rotations |
 //! | `recovery.replay` | histogram | journal replay time on recover, ns |
-//! | `csr.compile` | histogram | CSR adjacency compilation time at epoch publication, ns |
-//! | `csr.compiles` | counter | CSR compilations performed (one per published epoch on the CSR tier) |
-//! | `csr.resident_bytes` | gauge | resident bytes of the served epoch's storage (CSR tier; refreshed at snapshot read) |
 //! | `trace.dropped` | gauge | trace-ring events overwritten before being read (refreshed at snapshot read) |
 //!
 //! A listener in front of the engine (`pgso-net`) registers its wire-layer
@@ -136,12 +133,6 @@ pub struct ServerTelemetry {
     prefix: String,
     /// Round-robin chooser for the detail series (see the module docs).
     detail_counter: AtomicU64,
-    // Epoch-publication instruments last: cold fields, kept off the cache
-    // lines the per-serve fields above share.
-    /// `csr.compile`.
-    pub csr_compile: Arc<Histogram>,
-    /// `csr.compiles`.
-    pub csr_compiles: Arc<Counter>,
 }
 
 impl ServerTelemetry {
@@ -196,8 +187,6 @@ impl ServerTelemetry {
             prepared_overflow: registry.histogram(&name("prepared.other.latency")),
             windows: RollingWindows::new(),
             detail_counter: AtomicU64::new(0),
-            csr_compile: registry.histogram(&name("csr.compile")),
-            csr_compiles: registry.counter(&name("csr.compiles")),
             prefix,
             registry,
         }

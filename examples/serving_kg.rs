@@ -9,11 +9,6 @@
 //! replay `(handle, params)` executions — no per-request parsing, values
 //! bound by name.
 //!
-//! The physical layout under all of this is one `ServerConfig` line —
-//! `storage_tier` — and the tour ends by serving the same instance from the
-//! memory tier and the read-optimized CSR tier: same rows, different
-//! storage.
-//!
 //! ```text
 //! cargo run --release --example serving_kg
 //! ```
@@ -73,39 +68,6 @@ fn replay(server: &KgServer, jobs: &[(PreparedStatement, Params)], threads: usiz
     started.elapsed()
 }
 
-/// The same instance behind two physical layouts. Epoch swaps, the plan
-/// cache and ingest are layout-agnostic; so are the answers.
-fn storage_layouts(ontology: &Ontology, statistics: &DataStatistics, instance: &InstanceKg) {
-    println!("\n== one instance, two storage layouts ==");
-    let text = "MATCH (d:Drug)-[:treat]->(i:Indication) \
-                RETURN d.name, i.desc ORDER BY i.desc, d.name LIMIT 5";
-    let mut reference = None;
-    for storage_tier in [StorageTier::Memory, StorageTier::Csr] {
-        let server = KgServer::new(
-            ontology.clone(),
-            statistics.clone(),
-            instance.clone(),
-            AccessFrequencies::uniform(ontology, 10_000.0),
-            ServerConfig {
-                storage_tier, // memory | csr (compiled at publication) | disk
-                auto_reoptimize: false,
-                ..ServerConfig::default()
-            },
-        );
-        let rows = server.serve_text(text).expect("serves").rows;
-        let epoch = server.current_epoch();
-        println!(
-            "  {:<7} backend {:<7} {:>8} resident bytes, {} vertex reads, csr.compiles {}",
-            storage_tier.name(),
-            epoch.graph().backend_name(),
-            epoch.graph().resident_bytes(),
-            epoch.stats().vertex_reads,
-            server.metrics_snapshot().counter("csr.compiles").unwrap_or(0)
-        );
-        assert_eq!(reference.get_or_insert_with(|| rows.clone()), &rows, "layouts must agree");
-    }
-}
-
 fn main() {
     let ontology = catalog::medical();
     println!("ontology: {}", ontology.summary());
@@ -131,9 +93,9 @@ fn main() {
     println!("space budget: {} bytes (NSC would want {})", nsc.total_cost / 8, nsc.total_cost);
 
     let server = KgServer::new(
-        ontology.clone(),
-        statistics.clone(),
-        instance.clone(),
+        ontology,
+        statistics,
+        instance,
         initial,
         ServerConfig {
             optimizer,
@@ -221,6 +183,4 @@ fn main() {
         stats.hit_ratio(),
         stats.invalidations
     );
-
-    storage_layouts(&ontology, &statistics, &instance);
 }

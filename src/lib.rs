@@ -83,31 +83,19 @@
 //!   performance claim may cite. See `examples/networked_kg.rs` for a live
 //!   tour over the wire (EXPLAIN/PROFILE, trace drain, OBSERVE scrape).
 //!
-//! ## Storage tiers
+//! ## Storage backends
 //!
-//! Every serving epoch is one backend of one of three physical layouts,
-//! chosen by [`server::ServerConfig::storage_tier`] — the serving machinery
-//! above (plan cache, epoch swaps, ingest overlays, WAL recovery) is
-//! layout-agnostic:
-//!
-//! * **Memory** ([`graphstore::MemoryGraph`]) — adjacency lists and
-//!   per-vertex property maps; the write-friendly default.
-//! * **Disk** ([`graphstore::DiskGraph`] in a temporary directory) —
-//!   paged vertex records behind a lock-striped buffer pool, for
-//!   instances that outgrow RAM.
-//! * **Csr** ([`graphstore::CsrGraph`]) — the read-optimized tier:
-//!   per-vertex-type CSR adjacency segments keyed by relationship type
-//!   (delta + varint-compressed neighbour ids, O(1) `out_degree`) and
-//!   typed columnar property storage with present-bitmaps. Compiled once
-//!   per epoch publication ([`graphstore::GraphBackend::ensure_ready`],
-//!   surfaced as `csr.*` metrics), so the query path only sees contiguous
-//!   scans. [`graphstore::CsrGraph::freeze`] compiles any replayable
-//!   backend (e.g. a [`persist::JournaledGraph`]-wrapped build) into an
-//!   immutable CSR with bit-identical query answers.
-//!
-//! `benchmark/`'s `graphstore.*` per-layer probes time the read surface of
-//! each tier; `examples/serving_kg.rs` ends by serving one instance from the
-//! memory tier and the CSR tier — one config line, same rows.
+//! [`graphstore`] has three backends behind one [`graphstore::GraphBackend`]
+//! trait, with bit-identical query answers: [`graphstore::MemoryGraph`]
+//! (adjacency lists and per-vertex property maps),
+//! [`graphstore::DiskGraph`] (paged vertex records behind an LRU buffer
+//! pool, the disk store of the paper's Neo4j comparison) and
+//! [`graphstore::CsrGraph`] (type-segmented, delta/varint-compressed CSR
+//! adjacency and typed property columns, compiled from any replayable
+//! backend by [`graphstore::CsrGraph::freeze`]). `MemoryGraph` is the one
+//! that serves: every [`server::Epoch`] holds one. The other two are what
+//! the paper's figures and `benchmark/`'s `graphstore.*` per-layer probes
+//! measure the same graph on.
 //!
 //! ## Networking
 //!
@@ -203,7 +191,7 @@ pub mod prelude {
         BindError, CmpOp, CountTerm, Params, ParseError, Statement, Term,
     };
     pub use pgso_server::{
-        IngestConfig, KgServer, PreparedStatement, ServerConfig, StorageTier, WorkloadTracker,
+        IngestConfig, KgServer, PreparedStatement, ServerConfig, WorkloadTracker,
     };
     pub use pgso_telemetry::{MetricsRegistry, MetricsSnapshot, TraceEvent};
     pub use pgso_tenant::{

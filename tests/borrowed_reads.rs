@@ -10,7 +10,6 @@ use pgso_graphstore::{
     GraphUpdate, MemoryGraph, PropertyMap, PropertyValue, VertexId,
 };
 use pgso_persist::JournaledGraph;
-use pgso_server::TempDiskGraph;
 
 /// A small graph with every shape the reads must handle: several labels, a
 /// vertex without edges, parallel and converging edges under two edge
@@ -68,11 +67,9 @@ fn backends(dir: &std::path::Path) -> Vec<(&'static str, Box<dyn GraphBackend>)>
         // `Box<dyn GraphBackend>`, so every call crosses `Box`'s forwarding.
         ("boxed", Box::new(boxed)),
         ("journaled", Box::new(JournaledGraph::new(CsrGraph::new()))),
-        ("temp disk", Box::new(TempDiskGraph::new())),
     ];
     for (_, backend) in &mut all {
         apply_updates(backend.as_mut(), &updates());
-        backend.ensure_ready();
     }
     all
 }

@@ -480,7 +480,6 @@ proptest! {
         let store = dir.path().join("graph.store");
         let mut disk = DiskGraph::create(store, DiskGraphConfig::with_pool_pages(2)).unwrap();
         apply_updates(&mut disk, &memory.export_updates().expect("memory graphs export"));
-        disk.ensure_ready();
         let backends: [(&str, &dyn GraphBackend); 3] =
             [("memory", &memory), ("csr", &csr), ("disk", &disk)];
         for (name, backend) in backends {
