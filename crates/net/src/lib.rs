@@ -1,4 +1,4 @@
-//! pgso-net: binary wire protocol + non-blocking TCP connection layer, so a
+//! pgso-net: binary wire protocol + TCP connection layer, so a
 //! [`pgso_server::KgServer`] serves real clients over a socket instead of
 //! only in-process calls.
 //!
@@ -10,14 +10,14 @@
 //! * [`proto`] — typed requests/responses and their payload codec, reusing
 //!   the workspace value encoding ([`pgso_graphstore::codec`]) for parameters
 //!   and result cells;
-//! * [`KgListener`] — the serving side: one accept thread, a few readiness
-//!   loop threads multiplexing non-blocking sockets, and a shared worker
-//!   pool executing requests against the engines. A listener fronts a
+//! * [`KgListener`] — the serving side: one accept thread and one thread
+//!   per connection, which reads, handles every request in receive order
+//!   against the engines, and writes the replies. A listener fronts a
 //!   [`pgso_tenant::TenantHost`] ([`KgListener::bind_host`]) — many
 //!   independent tenant graphs behind one socket, selected per connection
 //!   with the `USE` request — while [`KgListener::bind`] keeps
 //!   the single-server shape (the server becomes the host's sole `default`
-//!   tenant). Connections are pipelined (many requests in flight; responses
+//!   tenant). Connections are pipelined (many requests queued; responses
 //!   strictly in request order) and drain gracefully on
 //!   [`KgListener::shutdown`];
 //! * [`KgClient`] — a blocking client with the same prepare/execute shape as

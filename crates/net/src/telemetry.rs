@@ -15,7 +15,7 @@
 //! | `net.bytes.in` / `net.bytes.out` | counter | payload bytes read from / written to sockets |
 //! | `net.requests` | counter | frames decoded into requests |
 //! | `net.errors` | counter | ERROR responses sent (all tenants) |
-//! | `net.request.latency` | histogram | wire latency of EXECUTE/RUN: frame decoded → response bytes handed to the socket, ns |
+//! | `net.request.latency` | histogram | wire latency of EXECUTE/RUN: frame decoded → response encoded, ns |
 //! | `net.slow_requests` | counter | wire requests past [`crate::NetConfig::slow_request_threshold`] |
 //!
 //! The wire counters are listener-global (sockets are shared

@@ -11,7 +11,7 @@
 //! [`MetricsRegistry`], into which every tenant's instruments are
 //! registered under a `tenant.<name>.` prefix
 //! ([`pgso_server::TelemetrySink::Shared`]), and — when fronted by
-//! `pgso-net` — one listener, one worker pool and one accept loop.
+//! `pgso-net` — one listener and one accept thread.
 //!
 //! # Resource governance
 //!
@@ -570,7 +570,7 @@ impl TenantHost {
     }
 
     /// Detaches `name` from routing and returns it. In-flight holders of
-    /// the `Arc<Tenant>` (queued wire jobs, workload threads) finish
+    /// the `Arc<Tenant>` (wire connections, workload threads) finish
     /// undisturbed; new lookups fail with [`TenantError::UnknownTenant`].
     /// Persistent state stays on disk for a later [`TenantHost::open`].
     pub fn close(&self, name: &str) -> Result<Arc<Tenant>, TenantError> {

@@ -16,7 +16,7 @@
 //! | [`persist`] | `pgso-persist` | write-ahead log, epoch snapshots, crash recovery |
 //! | [`telemetry`] | `pgso-telemetry` | metrics registry (counters, gauges, log-scaled latency histograms), structured trace ring, Prometheus-style text exposition |
 //! | [`server`] | `pgso-server` | concurrent serving engine: one builder, a `prepare_text` / `execute` / `serve_text` statement surface with named parameters, plan cache, workload tracking, adaptive re-optimization, WAL-backed ingest |
-//! | [`net`] | `pgso-net` | binary wire protocol + non-blocking TCP connection layer: `KgListener` serves a `TenantHost` (or a single `KgServer`) to remote `KgClient`s with pipelining, `USE` tenant selection and graceful shutdown |
+//! | [`net`] | `pgso-net` | binary wire protocol + thread-per-connection TCP layer: `KgListener` serves a `TenantHost` (or a single `KgServer`) to remote `KgClient`s with pipelining, `USE` tenant selection and graceful shutdown |
 //! | [`tenant`] | `pgso-tenant` | multi-tenant hosting: `TenantHost` runs many independent graphs in one process with per-tenant quotas, admission control and namespaced persistence |
 //!
 //! ## Quick start
@@ -108,11 +108,11 @@
 //!   streamed ROWS chunks + SUMMARY, and typed ERROR frames — parameter and
 //!   result values travel in the same [`graphstore`] codec bytes the WAL and
 //!   disk backend use (full format: `crates/net/README.md`);
-//! * [`net::KgListener`] — a self-built non-blocking serving loop (accept
-//!   thread + readiness loops + shared worker pool, no async runtime) with
-//!   **pipelining**: many requests in flight per connection, responses
+//! * [`net::KgListener`] — a blocking thread-per-connection server (accept
+//!   thread + one thread per connection, no async runtime) with
+//!   **pipelining**: many requests queued per connection, responses
 //!   strictly in request order, and graceful [`net::KgListener::shutdown`]
-//!   that drains in-flight work before closing;
+//!   that lets a request in progress finish before closing;
 //! * [`net::KgClient`] — a blocking client mirroring the in-process
 //!   prepare/execute shape, plus explicit send/recv halves for pipelining;
 //! * wire observability as `net.*` metrics (connections, bytes, request

@@ -2,12 +2,21 @@
 //! and EXECUTE 1000 times with varying parameters across 4 concurrent
 //! pipelined connections, with row sets **bit-identical** to the in-process
 //! `KgServer::execute` path — and the plan cache must stay hot over the
-//! wire (hit ratio ≥ 0.9 across the whole run).
+//! wire (hit ratio ≥ 0.9 across the whole run). A peer that pipelines
+//! without reading stops being served instead of piling responses up
+//! server-side, and shutdown force-closes it after the drain timeout.
 
 use pgso::net::{KgClient, KgListener, NetConfig};
 use pgso::ontology::catalog;
 use pgso::prelude::*;
+use pgso_net::frame::write_frame;
+use pgso_net::proto::{decode_response, encode_request, opcode};
+use pgso_net::{FrameReader, Request, Response, MAX_FRAME_LEN, PROTOCOL_VERSION};
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 fn build_server() -> Arc<KgServer> {
     let ontology = catalog::medical();
@@ -127,4 +136,103 @@ fn four_pipelined_connections_serve_1000_executes_bit_identically() {
         "per-connection accounting must balance"
     );
     assert!(listener.shutdown().drained);
+}
+
+/// 26 rows, ≈930 bytes per response on the wire.
+const CROSS: &str = "MATCH (a:Drug), (b:Indication) RETURN a.name, b.desc";
+/// ≈18.6 MB of responses: far more than the socket buffers hold.
+const FLOOD: usize = 20_000;
+
+/// Connects and, from a second thread, writes HELLO plus [`FLOOD`] pipelined
+/// RUNs of [`CROSS`] without reading anything. The writer's result is the
+/// outcome of its `write_all`.
+fn flood(listener: &KgListener) -> (TcpStream, JoinHandle<std::io::Result<()>>) {
+    let stream = TcpStream::connect(listener.local_addr()).expect("connects");
+    let mut bytes = Vec::new();
+    let (op, payload) = encode_request(&Request::Hello { version: PROTOCOL_VERSION });
+    write_frame(&mut bytes, op, &payload);
+    let (op, payload) = encode_request(&Request::Run { text: CROSS.to_string(), trace: None });
+    for _ in 0..FLOOD {
+        write_frame(&mut bytes, op, &payload);
+    }
+    let mut writer = stream.try_clone().expect("clones");
+    (stream, std::thread::spawn(move || writer.write_all(&bytes)))
+}
+
+/// A peer that pipelines without reading stops being served: the server
+/// blocks writing to it rather than executing everything and buffering the
+/// replies. Once the peer reads, every response arrives, in order.
+#[test]
+fn a_peer_that_never_reads_stops_being_served() {
+    let server = build_server();
+    let expected_rows = server.serve_text(CROSS).expect("serves in-process").rows.len() as u64;
+    assert_eq!(expected_rows, 26);
+    let mut listener =
+        KgListener::bind(server.clone(), "127.0.0.1:0", NetConfig::default()).expect("binds");
+    listener.serve().expect("serves");
+    let (mut stream, writer) = flood(&listener);
+
+    std::thread::sleep(Duration::from_millis(1500));
+    let served = listener.run_report().served;
+    assert!(served < FLOOD as u64, "served all {served} requests to a peer that reads nothing");
+
+    let mut reader = FrameReader::new(MAX_FRAME_LEN);
+    let mut buf = vec![0u8; 64 * 1024];
+    let mut next_frame = |stream: &mut TcpStream| loop {
+        if let Some(frame) = reader.next_frame().expect("server frames are legal") {
+            return frame;
+        }
+        let n = stream.read(&mut buf).expect("reads");
+        assert!(n > 0, "the server closed the connection mid-stream");
+        reader.extend(&buf[..n]);
+    };
+    let (op, _) = next_frame(&mut stream);
+    assert_eq!(op, opcode::HELLO_OK);
+    for i in 0..FLOOD {
+        let (op, payload) = loop {
+            let (op, payload) = next_frame(&mut stream);
+            if op != opcode::ROWS {
+                break (op, payload);
+            }
+        };
+        match decode_response(op, &payload).expect("decodes") {
+            Response::Summary { rows, .. } => assert_eq!(rows, expected_rows, "response {i}"),
+            other => panic!("response {i}: expected SUMMARY, got {other:?}"),
+        }
+    }
+    writer.join().expect("writer thread").expect("the whole flood was written");
+    assert_eq!(listener.run_report().served, FLOOD as u64);
+    drop(stream);
+    assert!(listener.shutdown().drained);
+}
+
+/// Shutdown does not wait forever on that peer: past the drain timeout the
+/// connection blocked writing to it is force-closed.
+#[test]
+fn shutdown_force_closes_a_peer_that_never_reads() {
+    let config = NetConfig { drain_timeout: Duration::from_millis(200), ..NetConfig::default() };
+    let mut listener = KgListener::bind(build_server(), "127.0.0.1:0", config).expect("binds");
+    listener.serve().expect("serves");
+    let (stream, writer) = flood(&listener);
+
+    // Wait until the server has stopped serving: it is blocked on the peer.
+    // A count that holds still for half a second is a blocked write, not a
+    // connection thread that merely lost the CPU for a moment.
+    let (mut served, mut still) = (0, 0);
+    while still < 5 {
+        std::thread::sleep(Duration::from_millis(100));
+        let now = listener.run_report().served;
+        still = if now > 0 && now == served { still + 1 } else { 0 };
+        served = now;
+    }
+    assert!(served < FLOOD as u64, "served all {served} requests to a peer that reads nothing");
+
+    let started = Instant::now();
+    let report = listener.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(3), "shutdown took {took:?}");
+    assert_eq!(report.force_closed, 1);
+    assert!(!report.drained);
+    let _ = stream.shutdown(Shutdown::Both);
+    let _ = writer.join().expect("writer thread");
 }

@@ -55,7 +55,7 @@ fn client_trace_ids_span_net_engine_query_and_wal() {
     let prepare_trace = client.last_trace_id();
     assert_ne!(prepare_trace, 0, "PREPARE must have been stamped");
 
-    // RUN: the trace must cross the worker pool into the executor stages.
+    // RUN: the trace must reach from the listener into the executor stages.
     let result = client.run(RUN_TEXT).expect("runs");
     assert!(result.rows.len() <= 5);
     let run_trace = client.last_trace_id();

@@ -194,8 +194,8 @@ fn wire_serving_threads_net_metrics_through_the_server_registry() {
     assert_eq!(snapshot.counter("net.requests"), Some(11), "every decoded frame counted");
     assert_eq!(snapshot.counter("net.errors"), Some(1), "the parse failure counted");
 
-    // The wire latency histogram records EXECUTE/RUN only (pool-executed
-    // requests), and with a zero threshold each one is also "slow".
+    // The wire latency histogram records EXECUTE/RUN only (the requests
+    // that reach an engine), and with a zero threshold each one is also "slow".
     let latency = snapshot.histogram("net.request.latency").expect("wire latency series");
     assert_eq!(latency.count, 7, "6 executes + 1 failed run");
     assert!(latency.max > 0);

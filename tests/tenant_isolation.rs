@@ -11,7 +11,10 @@
 //! * over TCP: `USE` re-targets ad-hoc queries (handles stay bound to the
 //!   preparing tenant), unknown tenants and quota exhaustion are
 //!   *survivable* typed errors, and a revision-2 client is refused at HELLO
-//!   (one protocol revision; no negotiating down).
+//!   (one protocol revision; no negotiating down);
+//! * a pipelined `USE` re-targets only the requests behind it, and a tenant
+//!   closed and re-created under its old name never answers a PREPARE with
+//!   its predecessor's handle.
 
 use pgso::ontology::catalog;
 use pgso::persist::PersistConfig;
@@ -20,7 +23,7 @@ use pgso::server::{IngestConfig, ServerConfig};
 use pgso_bench::{microbenchmark, DatasetId};
 use pgso_net::frame::{write_frame, FrameReader, MAX_FRAME_LEN};
 use pgso_net::proto::{decode_response, encode_request, ErrorCode, Request, Response};
-use pgso_net::{KgClient, KgListener, NetConfig, NetError};
+use pgso_net::{KgClient, KgListener, NetConfig, NetError, PROTOCOL_VERSION};
 use pgso_tenant::{TenantHost, TenantHostConfig, TenantQuotas, TenantSpec};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -336,4 +339,110 @@ fn wire_use_routing_quota_rejection_and_v2_interop() {
     let health = host.tenant("capped").expect("capped").health();
     assert_eq!(health.rejected, 1);
     assert_eq!(health.admitted, 3);
+}
+
+/// Reads `stream` until `reader` holds one more whole frame, then decodes it.
+fn next_response(stream: &mut TcpStream, reader: &mut FrameReader) -> Response {
+    let mut buf = [0u8; 4096];
+    loop {
+        if let Some((op, payload)) = reader.next_frame().expect("server frames are legal") {
+            return decode_response(op, &payload).expect("decodes");
+        }
+        let n = stream.read(&mut buf).expect("reads");
+        assert!(n > 0, "the server closed the connection mid-burst");
+        reader.extend(&buf[..n]);
+    }
+}
+
+/// Collects one result stream: ROWS chunks until the SUMMARY.
+fn next_rows(stream: &mut TcpStream, reader: &mut FrameReader) -> Vec<pgso_query::Row> {
+    let mut rows = Vec::new();
+    loop {
+        match next_response(stream, reader) {
+            Response::Rows { rows: chunk } => rows.extend(chunk),
+            Response::Summary { .. } => return rows,
+            other => panic!("expected ROWS/SUMMARY, got {other:?}"),
+        }
+    }
+}
+
+/// A pipelined `USE` re-targets only the requests behind it. The burst
+/// `HELLO; RUN q; USE b; RUN q` goes out in one write on a fresh connection,
+/// again and again: the first RUN must answer from the default tenant `a`
+/// every time, however the server schedules the burst.
+#[test]
+fn pipelined_use_never_reroutes_an_earlier_run() {
+    let host =
+        Arc::new(TenantHost::new(TenantHostConfig { server: quiet(), ..Default::default() }));
+    let a = host.create_tenant("a", mini_spec(7, 0.05)).expect("tenant a");
+    let b = host.create_tenant("b", mini_spec(11, 0.6)).expect("tenant b");
+    let mut listener =
+        KgListener::bind_host(host.clone(), "127.0.0.1:0", NetConfig::default()).expect("bind");
+    listener.serve().expect("serve");
+
+    const COUNT: &str = "MATCH (d:Drug) RETURN count(d)";
+    let expect_a = a.server().serve_text(COUNT).expect("a in-process").rows;
+    let expect_b = b.server().serve_text(COUNT).expect("b in-process").rows;
+    assert_ne!(expect_a, expect_b, "scales differ, so the counts must too");
+
+    let mut burst = Vec::new();
+    for request in [
+        Request::Hello { version: PROTOCOL_VERSION },
+        Request::Run { text: COUNT.to_string(), trace: None },
+        Request::Use { tenant: "b".to_string() },
+        Request::Run { text: COUNT.to_string(), trace: None },
+    ] {
+        let (op, payload) = encode_request(&request);
+        write_frame(&mut burst, op, &payload);
+    }
+    for attempt in 0..200 {
+        let mut stream = TcpStream::connect(listener.local_addr()).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        stream.write_all(&burst).expect("burst written");
+        let mut reader = FrameReader::new(MAX_FRAME_LEN);
+        let hello = next_response(&mut stream, &mut reader);
+        assert!(matches!(hello, Response::HelloOk { .. }), "{hello:?}");
+        let first = next_rows(&mut stream, &mut reader);
+        let switched = next_response(&mut stream, &mut reader);
+        assert!(matches!(switched, Response::UseOk { .. }), "{switched:?}");
+        let second = next_rows(&mut stream, &mut reader);
+        assert_eq!(first, expect_a, "burst {attempt}: the RUN before `USE b` ran on b");
+        assert_eq!(second, expect_b, "burst {attempt}: the RUN after `USE b` ran on a");
+    }
+    assert!(listener.shutdown().drained, "all connections drained");
+}
+
+/// PREPARE dedups statement texts across connections per tenant *instance*:
+/// after `a` is closed and re-created under the same name, a fresh
+/// connection's PREPARE gets a handle the new engine issued, not the closed
+/// engine's, and executing it answers from the new data.
+#[test]
+fn wire_prepare_never_returns_a_closed_tenants_handle() {
+    let host =
+        Arc::new(TenantHost::new(TenantHostConfig { server: quiet(), ..Default::default() }));
+    let old = host.create_tenant("a", mini_spec(7, 0.05)).expect("tenant a");
+    let mut listener =
+        KgListener::bind_host(host.clone(), "127.0.0.1:0", NetConfig::default()).expect("bind");
+    listener.serve().expect("serve");
+    let addr = listener.local_addr();
+
+    const COUNT: &str = "MATCH (d:Drug) RETURN count(d)";
+    let expect_old = old.server().serve_text(COUNT).expect("old a in-process").rows;
+    let mut first = KgClient::connect(addr).expect("connect");
+    let stmt = first.prepare(COUNT).expect("prepare on the first a");
+    assert_eq!(first.execute(&stmt, &Params::new()).expect("execute").rows, expect_old);
+    first.goodbye().expect("goodbye");
+
+    host.close("a").expect("close a");
+    let new = host.create_tenant("a", mini_spec(11, 0.6)).expect("re-created a");
+    let expect_new = new.server().serve_text(COUNT).expect("new a in-process").rows;
+    assert_ne!(expect_old, expect_new, "scales differ, so the counts must too");
+
+    let mut fresh = KgClient::connect(addr).expect("connect");
+    fresh.use_tenant("a").expect("USE the re-created a");
+    let stmt = fresh.prepare(COUNT).expect("prepare on the re-created a");
+    let result = fresh.execute(&stmt, &Params::new()).expect("the handle is the new engine's");
+    assert_eq!(result.rows, expect_new);
+    fresh.goodbye().expect("goodbye");
+    assert!(listener.shutdown().drained, "all connections drained");
 }
