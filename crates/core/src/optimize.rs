@@ -76,18 +76,6 @@ pub struct OptimizationOutcome {
 }
 
 impl OptimizationOutcome {
-    /// How many selected items fall into each rule family, as
-    /// `(kind, count)` pairs ordered union / inheritance / 1:1 / 1:M.
-    /// Families with no selected item are omitted.
-    pub fn rule_counts(&self) -> Vec<(crate::rules::RuleKind, usize)> {
-        use crate::rules::RuleKind;
-        [RuleKind::Union, RuleKind::Inheritance, RuleKind::OneToOne, RuleKind::OneToMany]
-            .into_iter()
-            .map(|kind| (kind, self.selected.iter().filter(|i| i.kind() == kind).count()))
-            .filter(|&(_, n)| n > 0)
-            .collect()
-    }
-
     /// Benefit ratio `BR = B_SC / B_NSC` against an unconstrained baseline.
     pub fn benefit_ratio(&self, unconstrained: &OptimizationOutcome) -> f64 {
         if unconstrained.total_benefit <= 0.0 {

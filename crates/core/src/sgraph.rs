@@ -198,22 +198,26 @@ impl SchemaGraph {
         true
     }
 
-    /// Merges node `from` into node `into`: properties are copied (renaming on
-    /// name clashes with a `Concept.property` prefix), every edge touching
-    /// `from` is redirected to `into` (self-loops are dropped), the
-    /// `merged_from` lists are combined and the concept mapping is updated.
+    /// Copies another node's property onto a node. When the name is taken by
+    /// a property of another origin, the copy is renamed `Concept.property`
+    /// (its origin), so both stay reachable by origin. Returns true if the
+    /// node changed.
+    fn copy_property(&mut self, node: usize, mut prop: SchemaNodeProperty) -> bool {
+        let properties = &self.nodes[node].properties;
+        if properties.iter().any(|p| p.name == prop.name && p.origin != prop.origin) {
+            prop.name = prop.origin.to_string();
+        }
+        self.upsert_property(node, prop)
+    }
+
+    /// Merges node `from` into node `into`: properties are copied (see
+    /// [`SchemaGraph::copy_property`]), every edge touching `from` is
+    /// redirected to `into` (self-loops are dropped), the `merged_from` lists
+    /// are combined and the concept mapping is updated.
     fn merge_node_into(&mut self, from: usize, into: usize, ontology: &Ontology) {
         debug_assert_ne!(from, into);
-        let from_props = self.nodes[from].properties.clone();
-        for mut prop in from_props {
-            let clash = self.nodes[into]
-                .properties
-                .iter()
-                .any(|p| p.name == prop.name && p.origin != prop.origin);
-            if clash {
-                prop.name = format!("{}.{}", prop.origin.concept, prop.origin.property);
-            }
-            self.upsert_property(into, prop);
+        for prop in self.nodes[from].properties.clone() {
+            self.copy_property(into, prop);
         }
 
         // Redirect edges.
@@ -355,9 +359,8 @@ impl SchemaGraph {
                 // neighbours are copied down to the child (Figure 5(a)/(b));
                 // once no child remains attached through an isA edge, the
                 // parent node is dropped.
-                let parent_props = self.nodes[parent].properties.clone();
-                for prop in parent_props {
-                    self.upsert_property(child, prop);
+                for prop in self.nodes[parent].properties.clone() {
+                    self.copy_property(child, prop);
                 }
                 for idx in self.edges_touching(parent) {
                     let (name, kind, rel_id, src, dst) = {
@@ -650,8 +653,29 @@ mod tests {
         g.merge_node_into(cond, bbw, &o);
         let s = g.to_schema(&o, "merged");
         let merged = s.vertex("ConditionBlackBoxWarning").unwrap();
-        assert!(merged.has_property("route"));
-        assert!(merged.has_property("Condition.route"));
+        assert_eq!(merged.property_of("BlackBoxWarning", "route").unwrap().name, "route");
+        assert_eq!(merged.property_of("Condition", "route").unwrap().name, "Condition.route");
+    }
+
+    #[test]
+    fn push_down_renames_a_clashing_parent_property() {
+        let (o, mut g) = mini();
+        // Give DrugFoodInteraction its own `summary`: the parent's is pushed
+        // down beside it as `DrugInteraction.summary`, not dropped.
+        let dfi = g.node_of(o.concept_by_name("DrugFoodInteraction").unwrap());
+        g.nodes[dfi].properties.push(SchemaNodeProperty {
+            name: "summary".into(),
+            data_type: DataType::Str,
+            is_list: false,
+            origin: PropertyOrigin::new("DrugFoodInteraction", "summary"),
+        });
+        let r1 = rel_by_name(&o, "isA", "DrugFoodInteraction");
+        assert!(g.apply_inheritance(r1, 0.0, 0.66, 0.33, &o));
+        let s = g.to_schema(&o, "opt");
+        let dfi = s.vertex("DrugFoodInteraction").unwrap();
+        assert_eq!(dfi.property_of("DrugFoodInteraction", "summary").unwrap().name, "summary");
+        let pushed = dfi.property_of("DrugInteraction", "summary").unwrap();
+        assert_eq!(pushed.name, "DrugInteraction.summary");
     }
 
     #[test]

@@ -13,9 +13,12 @@
 //!   values and LIST properties are filled from the related entities' values
 //!   (Figure 1(c)).
 //!
-//! The loader is driven entirely by the schema's `merged_from` lists and
-//! property origins, so any schema produced by the optimizer (under any space
-//! budget) loads correctly.
+//! The loader reads the schema the way every reader does: a concept's vertex
+//! type is `PropertyGraphSchema::vertex_for_concept`, a scalar's value comes
+//! from the concept property it holds (`VertexSchema::origin_of`), and a LIST
+//! is filled where it is the `VertexSchema::replica_of` a related concept's
+//! property. Names are never parsed, so any schema produced by the optimizer
+//! (under any space budget) loads correctly.
 //!
 //! **Cost.** Each call first compiles one load plan from `(ontology, schema)`
 //! in O(concepts² + schema): per concept its vertex type, 1:1 anchor,
@@ -107,12 +110,11 @@ struct Level<'a> {
 impl<'a> Plan<'a> {
     fn compile(ontology: &'a Ontology, schema: &'a PropertyGraphSchema) -> Self {
         let types: Vec<&VertexSchema> = schema.vertices().collect();
-        // As `vertex_for_concept`: the first type in label order merging it.
+        let type_of = |label: &str| types.binary_search_by(|v| v.label.as_str().cmp(label)).ok();
         let vertex_of: Vec<Option<usize>> = ontology
             .concept_ids()
-            .map(|c| types.iter().position(|v| v.merged_from.contains(&ontology.concept(c).name)))
+            .map(|c| type_of(&schema.vertex_for_concept(&ontology.concept(c).name)?.label))
             .collect();
-        let type_of = |label: &str| types.iter().position(|v| v.label == label);
         let edges = schema
             .edges()
             .filter_map(|e| Some((type_of(&e.src)?, e.label.as_str(), type_of(&e.dst)?)))
@@ -180,10 +182,7 @@ impl<'a> Plan<'a> {
         let scalars = vertex.properties.iter().filter(|p| !p.is_list);
         scalars
             .filter_map(|p| {
-                let (concept, property) = match &p.origin {
-                    Some(o) => (&o.concept, &o.property),
-                    None => (&vertex.label, &p.name),
-                };
+                let (concept, property) = vertex.origin_of(p);
                 let concept =
                     self.ontology.concept_by_name(concept).filter(|c| origins.contains(c))?;
                 Some((p.name.as_str(), self.ontology.property_by_name(concept, property)?))
@@ -191,21 +190,15 @@ impl<'a> Plan<'a> {
             .collect()
     }
 
-    /// LIST properties `"{provider}.{property}"` of vertex type `t` that the
-    /// provider concept's properties fill: those whose name's first property
-    /// schema on the vertex type is a LIST.
+    /// LIST properties of vertex type `t` that the provider concept's
+    /// properties fill: their replicas on the type.
     fn list_plan(&self, t: usize, provider: ConceptId) -> PropertyPlan<'a> {
-        let provider_name = self.ontology.concept(provider).name.as_str();
-        let dotted = |name: &str, property: &str| {
-            name.strip_prefix(provider_name).and_then(|rest| rest.strip_prefix('.'))
-                == Some(property)
-        };
+        let provider_name = &self.ontology.concept(provider).name;
         let properties = self.ontology.concept_properties(provider).iter();
         properties
             .filter_map(|&pid| {
-                let property = self.ontology.property(pid).name.as_str();
-                let prop = self.types[t].properties.iter().find(|p| dotted(&p.name, property))?;
-                prop.is_list.then_some((prop.name.as_str(), pid))
+                let property = &self.ontology.property(pid).name;
+                Some((self.types[t].replica_of(provider_name, property)?.name.as_str(), pid))
             })
             .collect()
     }
@@ -254,10 +247,7 @@ fn own_scalars<'a>(
     all: &[(&str, PropertyId)],
 ) -> PropertyPlan<'a> {
     let name = &ontology.concept(ancestor).name;
-    let own = vertex
-        .properties
-        .iter()
-        .filter(|p| !p.is_list && p.origin.as_ref().map_or(&vertex.label, |o| &o.concept) == name);
+    let own = vertex.properties.iter().filter(|p| !p.is_list && vertex.origin_of(p).0 == name);
     own.filter_map(|p| {
         let planned = all.iter().rev().find(|(n, _)| *n == p.name).map(|&(_, pid)| pid);
         Some((p.name.as_str(), planned.or_else(|| ontology.property_by_name(ancestor, &p.name))?))
@@ -563,7 +553,7 @@ mod tests {
                 catalog::financial(),
                 [
                     (286, 699, 15_368, report(286, 699, 0), 4_085_653_190_658_731_614),
-                    (68, 156, 36_028, report(68, 156, 316), 1_594_097_438_031_047_631),
+                    (68, 156, 36_246, report(68, 156, 316), 4_951_486_899_258_875_364),
                 ],
             ),
         ];

@@ -85,16 +85,9 @@ pub fn streaming_updates(
             schema.vertex_for_concept(&ontology.concept(*concept).name).expect("filtered above");
         let mut properties = PropertyMap::new();
         for prop in vertex_schema.properties.iter().filter(|p| !p.is_list) {
-            let origin_concept_name =
-                prop.origin.as_ref().map(|o| o.concept.as_str()).unwrap_or(&vertex_schema.label);
-            let origin_property_name =
-                prop.origin.as_ref().map(|o| o.property.as_str()).unwrap_or(&prop.name);
-            let Some(origin_concept) = ontology.concept_by_name(origin_concept_name) else {
-                continue;
-            };
-            let Some(pid) = ontology.property_by_name(origin_concept, origin_property_name) else {
-                continue;
-            };
+            let (concept, property) = vertex_schema.origin_of(prop);
+            let Some(concept) = ontology.concept_by_name(concept) else { continue };
+            let Some(pid) = ontology.property_by_name(concept, property) else { continue };
             properties.insert(prop.name.clone(), property_value_for(ontology, entity, pid));
         }
         let new_vertex = VertexId(next_id);

@@ -229,11 +229,6 @@ impl Ontology {
         (0..self.concepts.len() as u32).map(ConceptId::new)
     }
 
-    /// Iterates over all property ids.
-    pub fn property_ids(&self) -> impl Iterator<Item = PropertyId> + '_ {
-        (0..self.properties.len() as u32).map(PropertyId::new)
-    }
-
     /// Iterates over all relationship ids.
     pub fn relationship_ids(&self) -> impl Iterator<Item = RelationshipId> + '_ {
         (0..self.relationships.len() as u32).map(RelationshipId::new)

@@ -13,6 +13,16 @@
 //! * [`space`] — instance-size estimation given data statistics;
 //! * [`diff()`] — structural schema diffs for inspecting optimizer decisions.
 //!
+//! **Where a concept property lives** is decided here and nowhere else. A
+//! property records the concept property it holds as its origin
+//! ([`VertexSchema::origin_of`]); [`VertexSchema::property_of`] finds the
+//! property of a vertex type that holds a given concept's property, and
+//! [`VertexSchema::replica_of`] the LIST replicating it from related
+//! vertices. The loader, the update stream and the DIR→OPT rewriter all
+//! resolve properties this way; none of them parses or builds a property
+//! name, so whatever the optimizer called a property (`route`, or
+//! `Condition.route` after a name clash) is read back correctly.
+//!
 //! ```
 //! use pgso_ontology::catalog;
 //! use pgso_pgschema::{ddl, PropertyGraphSchema};

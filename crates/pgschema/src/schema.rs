@@ -11,6 +11,9 @@
 //! optimizer's rewrites reversible enough for the DIR→OPT query rewriter: a
 //! replicated LIST property such as `Indication.desc` on the `Drug` vertex
 //! records that it came from the `Indication` concept's `desc` property.
+//! Every reader looks a concept property up by origin
+//! ([`VertexSchema::property_of`], [`VertexSchema::replica_of`]), never by
+//! name.
 
 use pgso_ontology::{DataType, Ontology, RelationshipKind};
 use serde::{Deserialize, Serialize};
@@ -50,8 +53,9 @@ pub struct PropertySchema {
     /// True if the property holds a LIST of values (the 1:M / M:N rules
     /// propagate properties as LISTs).
     pub is_list: bool,
-    /// Ontology provenance, if the property was derived from a concept other
-    /// than the vertex type's primary concept.
+    /// The concept property this property holds. `None` means the vertex
+    /// type's own concept (its label) and the property's name; see
+    /// [`VertexSchema::origin_of`].
     pub origin: Option<PropertyOrigin>,
 }
 
@@ -118,6 +122,33 @@ impl VertexSchema {
     /// Returns true if the vertex type has a property with this name.
     pub fn has_property(&self, name: &str) -> bool {
         self.property(name).is_some()
+    }
+
+    /// The `(concept, property)` a property of this type holds: its origin,
+    /// or `(label, name)` for a property without one (a direct mapping's).
+    pub fn origin_of<'s>(&'s self, property: &'s PropertySchema) -> (&'s str, &'s str) {
+        match &property.origin {
+            Some(origin) => (&origin.concept, &origin.property),
+            None => (&self.label, &property.name),
+        }
+    }
+
+    /// The property of this type that holds `concept`'s `property`: the
+    /// scalar whose [`origin_of`](Self::origin_of) is that pair, or else its
+    /// [`replica_of`](Self::replica_of). A type can hold both, e.g. a
+    /// pushed-down `underlying` beside the LIST `Derivative.underlying` of
+    /// its neighbours' values; a vertex's own value is the scalar. Readers
+    /// find concept properties this way; names are never parsed or built.
+    pub fn property_of(&self, concept: &str, property: &str) -> Option<&PropertySchema> {
+        let origin = (concept, property);
+        let scalar = self.properties.iter().find(|p| !p.is_list && self.origin_of(p) == origin);
+        scalar.or_else(|| self.replica_of(concept, property))
+    }
+
+    /// The LIST property of this type that replicates `concept`'s `property`
+    /// from related vertices (the 1:M / M:N rules), if there is one.
+    pub fn replica_of(&self, concept: &str, property: &str) -> Option<&PropertySchema> {
+        self.properties.iter().find(|p| p.is_list && self.origin_of(p) == (concept, property))
     }
 
     /// Adds a property, replacing any existing property of the same name.
@@ -239,11 +270,6 @@ impl PropertyGraphSchema {
         }
     }
 
-    /// Removes every edge type matching the predicate.
-    pub fn remove_edges_where(&mut self, mut predicate: impl FnMut(&EdgeSchema) -> bool) {
-        self.edges.retain(|e| !predicate(e));
-    }
-
     /// Looks a vertex type up by label.
     pub fn vertex(&self, label: &str) -> Option<&VertexSchema> {
         self.vertices.get(label)
@@ -267,11 +293,6 @@ impl PropertyGraphSchema {
     /// Edge types whose source is the given label.
     pub fn edges_from<'a>(&'a self, label: &'a str) -> impl Iterator<Item = &'a EdgeSchema> + 'a {
         self.edges.iter().filter(move |e| e.src == label)
-    }
-
-    /// Edge types whose destination is the given label.
-    pub fn edges_to<'a>(&'a self, label: &'a str) -> impl Iterator<Item = &'a EdgeSchema> + 'a {
-        self.edges.iter().filter(move |e| e.dst == label)
     }
 
     /// Finds the vertex type whose `merged_from` list contains the concept.
@@ -336,6 +357,37 @@ mod tests {
         v.upsert_property(PropertySchema::list("name", DataType::Str));
         assert_eq!(v.properties.len(), 1);
         assert!(v.property("name").unwrap().is_list);
+    }
+
+    #[test]
+    fn property_of_matches_on_origin() {
+        let s = PropertyGraphSchema::direct_from_ontology(&catalog::med_mini());
+        // A direct mapping's properties have no origin: `(label, name)`.
+        let drug = s.vertex("Drug").unwrap();
+        assert_eq!(drug.origin_of(drug.property("brand").unwrap()), ("Drug", "brand"));
+        assert_eq!(drug.property_of("Drug", "brand").unwrap().name, "brand");
+        assert!(drug.property_of("Indication", "brand").is_none());
+
+        // The bare name can belong to another concept, and a LIST replica of
+        // a neighbour's values can share the concept's origin: the scalar
+        // holding the concept's own value is the one found.
+        let origin = |concept: &str| PropertyOrigin::new(concept, "currency");
+        let mut bond = VertexSchema::new("Bond");
+        bond.properties = vec![
+            PropertySchema::list("Instrument.currency", DataType::Str)
+                .with_origin(origin("Instrument")),
+            PropertySchema::scalar("currency", DataType::Str).with_origin(origin("Account")),
+        ];
+        assert_eq!(bond.property_of("Account", "currency").unwrap().name, "currency");
+        assert!(bond.property_of("Instrument", "currency").unwrap().is_list);
+        bond.properties.push(
+            PropertySchema::scalar("Instrument.currency.own", DataType::Str)
+                .with_origin(origin("Instrument")),
+        );
+        assert!(!bond.property_of("Instrument", "currency").unwrap().is_list);
+        assert_eq!(bond.replica_of("Instrument", "currency").unwrap().name, "Instrument.currency");
+        assert!(bond.replica_of("Account", "currency").is_none());
+        assert!(bond.property_of("Bond", "currency").is_none());
     }
 
     #[test]

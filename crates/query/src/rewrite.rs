@@ -16,13 +16,13 @@
 //!    pattern variable;
 //! 3. `COLLECT`-style aggregations over a 1:M neighbour are answered from the
 //!    replicated LIST property when one exists, removing the edge traversal;
-//! 4. property references are renamed to the replicated property names where
-//!    needed.
+//! 4. property references resolve by origin (`VertexSchema::property_of`):
+//!    `v.p` reads the key that holds `v`'s concept's `p`, whatever its name.
 
 use crate::ast::{Aggregate, EdgePattern, NodePattern, ReturnItem};
 use crate::explain::AppliedRule;
 use crate::stmt::{HavingPredicate, OrderKey, Predicate, Statement};
-use pgso_pgschema::PropertyGraphSchema;
+use pgso_pgschema::{PropertyGraphSchema, VertexSchema};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 
@@ -31,9 +31,9 @@ use std::collections::{HashMap, HashSet};
 /// `edges`, `returns`) goes through the paper's DIR→OPT rules, and every
 /// other clause is remapped over the result — predicate, `ORDER BY`,
 /// `GROUP BY` and `HAVING` variables follow the variable unification,
-/// predicate and sort properties follow the replicated-property renaming
-/// (`desc` → `Indication.desc` when the property moved under the 1:M/M:N
-/// rules), and optional edges are re-targeted like mandatory ones.
+/// predicate and sort properties resolve by origin (`c.route` reads
+/// `Condition.route` where a merge renamed a clash), and optional edges are
+/// re-targeted like mandatory ones.
 /// Predicate `$parameters` pass through untouched, so one rewritten plan
 /// serves every binding of a prepared statement.
 ///
@@ -374,33 +374,28 @@ impl<'a> Rewriter<'a> {
         target.or_else(|| self.concept_of.get(&root).cloned()).unwrap_or_default()
     }
 
-    /// Finds the property name to use for `var.property` on the optimized
-    /// schema, following the replicated-property naming convention.
+    /// The property `var.property` reads on the optimized schema: the one
+    /// holding the variable's concept's property (`VertexSchema::property_of`),
+    /// or the name unchanged when the vertex type holds no property of that
+    /// origin.
     fn property_name(&self, var: &str, property: &str) -> String {
-        let root = self.resolve(var);
-        let label = self.label_of(&root);
-        let original_concept = self.concept_of.get(var).cloned().unwrap_or_default();
-        if let Some(vertex) = self.schema.vertex(&label) {
-            if vertex.has_property(property) {
-                return property.to_string();
-            }
-            let qualified = format!("{original_concept}.{property}");
-            if vertex.has_property(&qualified) {
-                let is_list = vertex.property(&qualified).map(|p| p.is_list).unwrap_or(false);
-                if is_list {
-                    self.record(
-                        "one-to-many",
-                        format!(
-                            "property {original_concept}.{property} read from the \
-                             replicated LIST `{qualified}` on {label}"
-                        ),
-                        None,
-                    );
-                }
-                return qualified;
-            }
+        let label = self.label_of(var);
+        let concept = self.concept_of.get(var).map_or("", String::as_str);
+        let vertex = self.schema.vertex(&label);
+        let Some(held) = vertex.and_then(|v| v.property_of(concept, property)) else {
+            return property.to_string();
+        };
+        if held.is_list {
+            self.record(
+                "one-to-many",
+                format!(
+                    "property {concept}.{property} read from the replicated LIST `{}` on {label}",
+                    held.name
+                ),
+                None,
+            );
         }
-        property.to_string()
+        held.name.clone()
     }
 
     /// Rewrites the pattern: the returned statement carries the rewritten
@@ -449,9 +444,9 @@ impl<'a> Rewriter<'a> {
                 }
             }
         }
-        // var_root → (holder_root, provider concept): per-item replicated
-        // property names are derived as `{provider_concept}.{property}`.
-        let mut replaced_vars: HashMap<String, (String, String)> = HashMap::new();
+        // var_root → (holder_root, holder type, provider concept): each
+        // aggregated property is read from its replica on the holder.
+        let mut replaced_vars: HashMap<String, (String, &VertexSchema, String)> = HashMap::new();
         'candidates: for item in &self.stmt.returns {
             let ReturnItem::Aggregate { agg, var, property: Some(_) } = item else {
                 continue;
@@ -484,19 +479,14 @@ impl<'a> Rewriter<'a> {
                 (&edge.dst, &edge.src)
             };
             let holder_label = self.label_of(holder_var);
+            let Some(holder_type) = self.schema.vertex(&holder_label) else { continue };
             let provider_concept = self.concept_of.get(provider_var).cloned().unwrap_or_default();
             // Every aggregated property must be replicated as a LIST on the
             // holder — one unreplicated property and the traversal stays
             // (replacing only some aggregates would dangle the others).
             for other in &self.stmt.returns {
                 if let ReturnItem::Aggregate { property: Some(property), .. } = other {
-                    let replicated = format!("{provider_concept}.{property}");
-                    let available = self
-                        .schema
-                        .vertex(&holder_label)
-                        .map(|v| v.property(&replicated).map(|p| p.is_list).unwrap_or(false))
-                        .unwrap_or(false);
-                    if !available {
+                    if holder_type.replica_of(&provider_concept, property).is_none() {
                         continue 'candidates;
                     }
                 }
@@ -510,7 +500,8 @@ impl<'a> Rewriter<'a> {
                 ),
                 Some(edge.label.clone()),
             );
-            replaced_vars.insert(var_root.clone(), (self.resolve(holder_var), provider_concept));
+            let replaced = (self.resolve(holder_var), holder_type, provider_concept);
+            replaced_vars.insert(var_root.clone(), replaced);
         }
 
         // Node patterns: one per surviving variable root that is still needed.
@@ -561,11 +552,13 @@ impl<'a> Rewriter<'a> {
                 ReturnItem::Aggregate { agg, var, property } => {
                     let root = self.resolve(var);
                     match (replaced_vars.get(&root), property) {
-                        (Some((holder, provider_concept)), Some(property)) => {
+                        (Some((holder, holder_type, concept)), Some(property)) => {
                             ReturnItem::Aggregate {
                                 agg: *agg,
                                 var: holder.clone(),
-                                property: Some(format!("{provider_concept}.{property}")),
+                                property: holder_type
+                                    .replica_of(concept, property)
+                                    .map(|p| p.name.clone()),
                             }
                         }
                         _ => ReturnItem::Aggregate {
@@ -658,6 +651,33 @@ mod tests {
             ReturnItem::Property { property, .. } => assert_eq!(property, "name"),
             other => panic!("unexpected return item {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_clash_renamed_property_is_read_by_origin() {
+        // A 1:1 merge of Condition into BlackBoxWarning: both have `route`,
+        // so the merged type holds Condition's under `Condition.route`. The
+        // bare name is the other concept's value.
+        use pgso_ontology::DataType;
+        use pgso_pgschema::{PropertyOrigin, PropertySchema, VertexSchema};
+        let route = |name: &str, concept: &str| {
+            PropertySchema::scalar(name, DataType::Str)
+                .with_origin(PropertyOrigin::new(concept, "route"))
+        };
+        let mut merged = VertexSchema::new("ConditionBlackBoxWarning");
+        merged.merged_from = vec!["Condition".into(), "BlackBoxWarning".into()];
+        merged.properties =
+            vec![route("route", "BlackBoxWarning"), route("Condition.route", "Condition")];
+        let mut schema = PropertyGraphSchema::new("clash");
+        schema.insert_vertex(merged);
+        let stmt =
+            Statement::builder("q").node("c", "Condition").ret_property("c", "route").build();
+        let rewritten = rewrite_statement(&stmt, &schema);
+        assert_eq!(rewritten.nodes[0].label, "ConditionBlackBoxWarning");
+        assert_eq!(
+            rewritten.returns[0],
+            ReturnItem::Property { var: "c".into(), property: "Condition.route".into() }
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use pgso::ontology::catalog;
 use pgso::prelude::*;
-use pgso::query::ReturnItem;
+use pgso::query::{ReturnItem, Row};
 use pgso_bench::{microbenchmark, DatasetId};
 
 const FIN_GROUP_BY: [&str; 2] = [
@@ -43,6 +43,15 @@ const FIN_KNOWN_DIFFERENCES: [&str; 8] = [
     FIN_GROUP_BY[0],
     FIN_GROUP_BY[1],
     FIN_HAVING[0],
+];
+
+/// The plain Q1–Q12 whose OPT rows differ from DIR today. Every other plain
+/// query is held to DIR-vs-OPT equality by value.
+const PLAIN_KNOWN_DIFFERENCES: [(DatasetId, &str); 4] = [
+    (DatasetId::Med, "Q2"),
+    (DatasetId::Fin, "Q4"),
+    (DatasetId::Fin, "Q7"),
+    (DatasetId::Fin, "Q11"),
 ];
 
 struct Setup {
@@ -89,6 +98,38 @@ fn assert_equivalent(setup: &Setup, stmt: &Statement, label: &str) {
             dir, opt,
             "{label}: DIR vs OPT rows must be identical\n  DIR: {stmt}\n  OPT: {rewritten}"
         );
+    }
+}
+
+/// Q1–Q12 as written return the same rows on DIR and on OPT, compared by
+/// value in sorted order (a rewrite may enumerate matches in another order),
+/// except the cases in [`PLAIN_KNOWN_DIFFERENCES`], which must still differ.
+#[test]
+fn plain_q1_q12_are_equivalent_by_value() {
+    let sorted = |mut rows: Vec<Row>| {
+        rows.sort_by_cached_key(|row| format!("{row:?}"));
+        rows
+    };
+    for dataset in [DatasetId::Med, DatasetId::Fin] {
+        let setup = setup(dataset);
+        for bq in microbenchmark().into_iter().filter(|q| q.dataset == dataset) {
+            let (stmt, label) = (&bq.query, format!("{} {}", dataset.label(), bq.query.name));
+            let rewritten = rewrite_statement(stmt, &setup.opt_schema);
+            let dir = sorted(execute_statement(stmt, &setup.dir_graph).rows);
+            let opt = sorted(execute_statement(&rewritten, &setup.opt_graph).rows);
+            if PLAIN_KNOWN_DIFFERENCES.contains(&(dataset, stmt.name.as_str())) {
+                assert_ne!(
+                    dir, opt,
+                    "{label} now agrees across schemas: take it off PLAIN_KNOWN_DIFFERENCES\n  \
+                     DIR: {stmt}\n  OPT: {rewritten}"
+                );
+            } else {
+                assert_eq!(
+                    dir, opt,
+                    "{label}: DIR vs OPT rows must be identical\n  DIR: {stmt}\n  OPT: {rewritten}"
+                );
+            }
+        }
     }
 }
 
