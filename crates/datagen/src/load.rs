@@ -34,6 +34,54 @@ use pgso_graphstore::{GraphBackend, PropertyMap, PropertyValue, VertexId};
 use pgso_ontology::{ConceptId, Ontology, PropertyId, RelationshipKind};
 use pgso_pgschema::{PropertyGraphSchema, VertexSchema};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Multiply-rotate hashing (FxHash) for the loader's own tables. Their keys
+/// are ids and schema labels the loader computes itself, so SipHash's
+/// resistance to chosen keys buys nothing, and it hashes a few times per
+/// entity and relationship instance.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        let mut tail = [0u8; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        self.add(u64::from_le_bytes(tail));
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+}
+
+type FxBuild = BuildHasherDefault<FxHasher>;
 
 /// Summary of a load operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -57,7 +105,7 @@ pub fn load_into(
 ) -> LoadReport {
     let plan = Plan::compile(ontology, schema);
     let first = backend.vertex_count() as u64;
-    let (created, map, report) = (Vec::new(), HashMap::new(), LoadReport::default());
+    let (created, map, report) = (Vec::new(), HashMap::default(), LoadReport::default());
     let mut loader = Loader { backend, plan: &plan, instance, first, created, map, report };
     let mains = loader.create_main_vertices();
     loader.create_ancestor_vertices(&mains);
@@ -80,7 +128,7 @@ struct Plan<'a> {
     /// `vertex type * concept count + provider`.
     lists: Vec<PropertyPlan<'a>>,
     /// Edge types as `(src vertex type, label, dst vertex type)`.
-    edges: HashSet<(usize, &'a str, usize)>,
+    edges: HashSet<(usize, &'a str, usize), FxBuild>,
 }
 
 /// What the schema makes of every entity of one concept.
@@ -276,7 +324,7 @@ struct Loader<'a> {
     created: Vec<u32>,
     /// (role concept, entity) -> vertex representing that concept level for
     /// that entity.
-    map: HashMap<(ConceptId, Entity), VertexId>,
+    map: HashMap<(ConceptId, Entity), VertexId, FxBuild>,
     report: LoadReport,
 }
 
@@ -295,7 +343,7 @@ impl Loader<'_> {
         // Accumulate property maps per main-vertex key so that 1:1-paired
         // entities contribute to the same vertex before it is created.
         let mut pending: Vec<(usize, PropertyMap)> = Vec::new();
-        let mut index_of: HashMap<(usize, ConceptId, u32), usize> = HashMap::new();
+        let mut index_of: HashMap<(usize, ConceptId, u32), usize, FxBuild> = HashMap::default();
         let mut members: Vec<(Entity, usize)> = Vec::new();
         for entity in instance.entities() {
             let Some(concept) = &plan.concepts[entity.concept.index()] else { continue };

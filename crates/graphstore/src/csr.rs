@@ -33,6 +33,7 @@ use crate::backend::{
     apply_updates, AccessStats, EdgeId, GraphBackend, GraphUpdate, StatsCounters, VertexData,
     VertexId,
 };
+use crate::memory::Interner;
 use crate::value::{PropertyMap, PropertyValue};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -326,30 +327,7 @@ impl Compiled {
     }
 }
 
-// ---- interners + mutable state ----------------------------------------------
-
-/// String → dense u32 interner for vertex and edge labels.
-#[derive(Debug, Default)]
-struct Interner {
-    names: Vec<String>,
-    ids: HashMap<String, u32>,
-}
-
-impl Interner {
-    fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.ids.get(name) {
-            return id;
-        }
-        let id = self.names.len() as u32;
-        self.names.push(name.to_string());
-        self.ids.insert(name.to_string(), id);
-        id
-    }
-
-    fn get(&self, name: &str) -> Option<u32> {
-        self.ids.get(name).copied()
-    }
-}
+// ---- mutable state ----------------------------------------------------------
 
 /// A vertex is its type plus its dense row within that type.
 #[derive(Debug, Clone, Copy)]

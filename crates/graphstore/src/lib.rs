@@ -6,8 +6,9 @@
 //! JanusGraph; this crate provides architecturally distinct stand-ins
 //! behind one [`GraphBackend`] trait:
 //!
-//! * [`MemoryGraph`] — adjacency lists and property maps in memory (what
-//!   the serving layer's epochs hold);
+//! * [`MemoryGraph`] — interned labels, inline adjacency lists and
+//!   shape-keyed property rows in memory (what the serving layer's epochs
+//!   hold);
 //! * [`DiskGraph`] — vertex records in fixed-size pages of a store file with
 //!   an LRU buffer pool, so traversals cost page I/O when the working set
 //!   exceeds the pool;

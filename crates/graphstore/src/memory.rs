@@ -1,37 +1,168 @@
 //! In-memory property graph backend (the JanusGraph stand-in).
 //!
-//! Vertices, edges and adjacency lists live in plain vectors; a label index
-//! accelerates label scans. All reads still update the access
-//! counters so experiments can compare edge-traversal counts across backends
-//! and schemas.
+//! The layout is chosen so that one counted read costs about one cache miss:
+//!
+//! * **Labels** are interned: vertex labels and edge labels are `u32` ids
+//!   into one name table each, so no string is stored per vertex or edge. A
+//!   label test compares the vertex's interned name in place; an adjacency
+//!   walk resolves its edge label lazily against the ids it meets (no hash
+//!   per call) and from then on compares integers.
+//! * **Adjacency** lists hold `(edge-label id, far end)` pairs inline, so a
+//!   walk reads one contiguous list and never visits an edge record. The
+//!   edge records are kept only for [`MemoryGraph::edge`] and the
+//!   [`GraphBackend::export_updates`] order.
+//! * **Properties** are stored by *shape*: each distinct sorted key set is
+//!   kept once (its keys moved out of the first [`PropertyMap`] that has
+//!   it), and a vertex holds its label id, its shape id and one row of
+//!   values in key order. [`GraphBackend::with_property`] finds the key's
+//!   slot in the small, shared shape (scanning a per-key integer tag, then
+//!   comparing one string) and reads that one value.
+//!
+//! A per-label member list accelerates label scans. All reads still update
+//! the access counters so experiments can compare edge-traversal counts
+//! across backends and schemas.
 
 use crate::backend::{
     AccessStats, EdgeData, EdgeId, GraphBackend, GraphUpdate, StatsCounters, VertexData, VertexId,
 };
 use crate::value::{PropertyMap, PropertyValue};
 use std::collections::HashMap;
+use std::mem::size_of;
 
-#[derive(Debug, Clone)]
-struct StoredVertex {
-    label: String,
-    properties: PropertyMap,
+/// String → dense `u32` interner for vertex and edge labels.
+#[derive(Debug, Default)]
+pub(crate) struct Interner {
+    pub(crate) names: Vec<String>,
+    ids: HashMap<String, u32>,
 }
 
-#[derive(Debug, Clone)]
+impl Interner {
+    pub(crate) fn intern(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = self.names.len() as u32;
+        self.names.push(name.to_string());
+        self.ids.insert(name.to_string(), id);
+        id
+    }
+
+    pub(crate) fn get(&self, name: &str) -> Option<u32> {
+        self.ids.get(name).copied()
+    }
+
+    /// Bytes held: every name twice (table and map key) plus its id.
+    fn resident_bytes(&self) -> usize {
+        self.names.iter().map(|n| 2 * (size_of::<String>() + n.len()) + size_of::<u32>()).sum()
+    }
+}
+
+/// A sorted key set, stored once for every vertex that has exactly these
+/// keys, with a [`tag`] per key: a lookup scans the tags and compares one
+/// string, where a search over the keys would compare several.
+#[derive(Debug)]
+struct Shape {
+    keys: Box<[String]>,
+    tags: Box<[u32]>,
+}
+
+impl Shape {
+    fn new(keys: Vec<String>) -> Self {
+        let tags = keys.iter().map(|key| tag(key)).collect();
+        Shape { keys: keys.into_boxed_slice(), tags }
+    }
+
+    /// The position of `name` among the keys.
+    fn slot(&self, name: &str) -> Option<usize> {
+        let wanted = tag(name);
+        self.tags.iter().zip(self.keys.iter()).position(|(&t, key)| t == wanted && key == name)
+    }
+}
+
+/// A key's length, first byte and last byte: read without a loop, and
+/// distinct for most keys of one shape (equal tags only cost a comparison).
+fn tag(key: &str) -> u32 {
+    let bytes = key.as_bytes();
+    match (bytes.first(), bytes.last()) {
+        (Some(&first), Some(&last)) => {
+            (bytes.len() as u32) << 16 | u32::from(first) << 8 | u32::from(last)
+        }
+        _ => 0,
+    }
+}
+
+/// One vertex: its label, its shape and one value per key of that shape,
+/// in key order.
+#[derive(Debug)]
+struct StoredVertex {
+    label: u32,
+    shape: u32,
+    values: Box<[PropertyValue]>,
+}
+
+/// An edge record; reads never visit it (adjacency holds what they need).
+#[derive(Debug)]
 struct StoredEdge {
-    label: String,
-    src: VertexId,
-    dst: VertexId,
+    label: u32,
+    src: u32,
+    dst: u32,
+}
+
+/// One adjacency entry: the edge's label and the vertex at its far end.
+#[derive(Debug, Clone, Copy)]
+struct Adjacent {
+    label: u32,
+    far: u32,
+}
+
+/// Matches adjacency entries against a read's edge label without hashing
+/// it: the label is resolved against the names of the ids the walk meets,
+/// and once one matches every later entry is one integer comparison (names
+/// are unique, so no other id can match).
+struct EdgeLabel<'a> {
+    names: &'a [String],
+    wanted: &'a str,
+    hit: Option<u32>,
+    miss: Option<u32>,
+}
+
+impl<'a> EdgeLabel<'a> {
+    fn new(names: &'a [String], wanted: &'a str) -> Self {
+        EdgeLabel { names, wanted, hit: None, miss: None }
+    }
+
+    fn matches(&mut self, label: u32) -> bool {
+        if let Some(hit) = self.hit {
+            return label == hit;
+        }
+        if self.miss == Some(label) {
+            return false;
+        }
+        if self.names[label as usize] == self.wanted {
+            self.hit = Some(label);
+            true
+        } else {
+            self.miss = Some(label);
+            false
+        }
+    }
 }
 
 /// In-memory adjacency-list backend.
 #[derive(Debug, Default)]
 pub struct MemoryGraph {
+    vertex_labels: Interner,
+    edge_labels: Interner,
+    /// Every distinct key set; a vertex names one by index.
+    shapes: Vec<Shape>,
+    /// Per vertex label, the ids of the shapes its vertices use.
+    label_shapes: Vec<Vec<u32>>,
+    /// Per vertex label, its vertices in insertion order.
+    members: Vec<Vec<VertexId>>,
     vertices: Vec<StoredVertex>,
     edges: Vec<StoredEdge>,
-    outgoing: Vec<Vec<EdgeId>>,
-    incoming: Vec<Vec<EdgeId>>,
-    label_index: HashMap<String, Vec<VertexId>>,
+    outgoing: Vec<Vec<Adjacent>>,
+    incoming: Vec<Vec<Adjacent>>,
     payload_bytes: u64,
     counters: StatsCounters,
 }
@@ -46,97 +177,151 @@ impl MemoryGraph {
     pub fn edge(&self, id: EdgeId) -> Option<EdgeData> {
         self.edges.get(id.0 as usize).map(|e| EdgeData {
             id,
-            label: e.label.clone(),
-            src: e.src,
-            dst: e.dst,
+            label: self.edge_labels.names[e.label as usize].clone(),
+            src: VertexId(e.src.into()),
+            dst: VertexId(e.dst.into()),
         })
+    }
+
+    /// The stored property map of a vertex, rebuilt from its shape and row.
+    fn properties(&self, v: &StoredVertex) -> PropertyMap {
+        let keys = self.shapes[v.shape as usize].keys.iter().cloned();
+        keys.zip(v.values.iter().cloned()).collect()
+    }
+
+    /// The id of `label`'s shape with exactly `properties`' keys, created
+    /// (with the keys moved out of the map) when the label has none yet.
+    /// Returns the values in key order.
+    fn shape_of(&mut self, label: u32, properties: PropertyMap) -> (u32, Box<[PropertyValue]>) {
+        let shapes = &self.label_shapes[label as usize];
+        let known = shapes.iter().copied().find(|&s| {
+            let keys = &self.shapes[s as usize].keys;
+            keys.len() == properties.len() && keys.iter().eq(properties.keys())
+        });
+        if let Some(shape) = known {
+            return (shape, properties.into_values().collect());
+        }
+        let shape = self.shapes.len() as u32;
+        let (keys, values): (Vec<String>, Vec<PropertyValue>) = properties.into_iter().unzip();
+        self.shapes.push(Shape::new(keys));
+        self.label_shapes[label as usize].push(shape);
+        (shape, values.into_boxed_slice())
     }
 
     /// Visits the far ends of `vertex`'s edges labelled `edge_label` in one
     /// adjacency direction, charging one traversal per neighbour visited.
     fn walk(
         &self,
-        adjacency: &[Vec<EdgeId>],
+        adjacency: &[Vec<Adjacent>],
         vertex: VertexId,
         edge_label: &str,
-        far_end: impl Fn(&StoredEdge) -> VertexId,
         f: &mut dyn FnMut(VertexId),
     ) {
-        let Some(edge_ids) = adjacency.get(vertex.0 as usize) else { return };
+        let Some(list) = adjacency.get(vertex.0 as usize) else { return };
+        let mut wanted = EdgeLabel::new(&self.edge_labels.names, edge_label);
         let mut visited = 0;
-        for e in edge_ids.iter().map(|eid| &self.edges[eid.0 as usize]) {
-            if e.label == edge_label {
+        for adjacent in list {
+            if wanted.matches(adjacent.label) {
                 visited += 1;
-                f(far_end(e));
+                f(VertexId(adjacent.far.into()));
             }
         }
         self.counters.count_edge_traversals(visited);
     }
 }
 
+/// Heap bytes a stored value owns beyond its slot.
+fn heap_bytes(value: &PropertyValue) -> usize {
+    match value {
+        PropertyValue::Str(s) => s.capacity(),
+        PropertyValue::List(items) => {
+            items.capacity() * size_of::<PropertyValue>()
+                + items.iter().map(heap_bytes).sum::<usize>()
+        }
+        _ => 0,
+    }
+}
+
 impl GraphBackend for MemoryGraph {
     fn add_vertex(&mut self, label: &str, properties: PropertyMap) -> VertexId {
-        let id = VertexId(self.vertices.len() as u64);
+        let id = u32::try_from(self.vertices.len()).expect("a MemoryGraph holds < 2^32 vertices");
         self.payload_bytes += properties.values().map(|v| v.approximate_size() as u64).sum::<u64>();
-        self.vertices.push(StoredVertex { label: label.to_string(), properties });
+        let label = self.vertex_labels.intern(label);
+        if label as usize == self.members.len() {
+            self.members.push(Vec::new());
+            self.label_shapes.push(Vec::new());
+        }
+        let (shape, values) = self.shape_of(label, properties);
+        self.vertices.push(StoredVertex { label, shape, values });
         self.outgoing.push(Vec::new());
         self.incoming.push(Vec::new());
-        self.label_index.entry(label.to_string()).or_default().push(id);
+        let id = VertexId(id.into());
+        self.members[label as usize].push(id);
         id
     }
 
     fn add_edge(&mut self, label: &str, src: VertexId, dst: VertexId) -> EdgeId {
         assert!((src.0 as usize) < self.vertices.len(), "unknown source vertex {src:?}");
         assert!((dst.0 as usize) < self.vertices.len(), "unknown destination vertex {dst:?}");
+        // Both fit: vertex ids are below the vertex count, which add_vertex
+        // keeps under 2^32.
+        let (src, dst) = (src.0 as u32, dst.0 as u32);
         let id = EdgeId(self.edges.len() as u64);
-        self.edges.push(StoredEdge { label: label.to_string(), src, dst });
-        self.outgoing[src.0 as usize].push(id);
-        self.incoming[dst.0 as usize].push(id);
+        let label = self.edge_labels.intern(label);
+        self.edges.push(StoredEdge { label, src, dst });
+        self.outgoing[src as usize].push(Adjacent { label, far: dst });
+        self.incoming[dst as usize].push(Adjacent { label, far: src });
         id
     }
 
     fn vertex(&self, id: VertexId) -> Option<VertexData> {
         let v = self.vertices.get(id.0 as usize)?;
         self.counters.count_vertex_read();
-        Some(VertexData { id, label: v.label.clone(), properties: v.properties.clone() })
+        Some(VertexData {
+            id,
+            label: self.vertex_labels.names[v.label as usize].clone(),
+            properties: self.properties(v),
+        })
     }
 
     fn has_label(&self, id: VertexId, label: &str) -> bool {
         let Some(v) = self.vertices.get(id.0 as usize) else { return false };
         self.counters.count_vertex_read();
-        v.label == label
+        self.vertex_labels.names[v.label as usize] == label
     }
 
     fn with_property(&self, id: VertexId, name: &str, f: &mut dyn FnMut(Option<&PropertyValue>)) {
         let Some(v) = self.vertices.get(id.0 as usize) else { return f(None) };
         self.counters.count_vertex_read();
-        f(v.properties.get(name))
+        f(self.shapes[v.shape as usize].slot(name).map(|slot| &v.values[slot]))
     }
 
     fn for_each_with_label(&self, label: &str, f: &mut dyn FnMut(VertexId)) {
-        self.label_index.get(label).into_iter().flatten().for_each(|&id| f(id));
+        let Some(label) = self.vertex_labels.get(label) else { return };
+        self.members[label as usize].iter().for_each(|&id| f(id));
     }
 
     fn labels(&self) -> Vec<String> {
-        let mut labels: Vec<String> = self.label_index.keys().cloned().collect();
+        let mut labels = self.vertex_labels.names.clone();
         labels.sort();
         labels
     }
 
     fn for_each_out(&self, vertex: VertexId, edge_label: &str, f: &mut dyn FnMut(VertexId)) {
-        self.walk(&self.outgoing, vertex, edge_label, |e| e.dst, f)
+        self.walk(&self.outgoing, vertex, edge_label, f)
     }
 
     fn for_each_in(&self, vertex: VertexId, edge_label: &str, f: &mut dyn FnMut(VertexId)) {
-        self.walk(&self.incoming, vertex, edge_label, |e| e.src, f)
+        self.walk(&self.incoming, vertex, edge_label, f)
     }
 
     fn out_degree(&self, vertex: VertexId, edge_label: &str) -> usize {
         // Pure adjacency-metadata scan: no neighbour list is materialised and
         // nothing is charged to the access counters (this is cardinality
         // estimation, not query work).
-        let Some(edge_ids) = self.outgoing.get(vertex.0 as usize) else { return 0 };
-        edge_ids.iter().filter(|&&eid| self.edges[eid.0 as usize].label == edge_label).count()
+        let Some(list) = self.outgoing.get(vertex.0 as usize) else { return 0 };
+        let mut wanted = EdgeLabel::new(&self.edge_labels.names, edge_label);
+        list.iter().filter(|adjacent| wanted.matches(adjacent.label)).count()
     }
 
     fn vertex_count(&self) -> usize {
@@ -172,14 +357,53 @@ impl GraphBackend for MemoryGraph {
         let mut updates = Vec::with_capacity(self.vertices.len() + self.edges.len());
         for v in &self.vertices {
             updates.push(GraphUpdate::AddVertex {
-                label: v.label.clone(),
-                properties: v.properties.clone(),
+                label: self.vertex_labels.names[v.label as usize].clone(),
+                properties: self.properties(v),
             });
         }
         for e in &self.edges {
-            updates.push(GraphUpdate::AddEdge { label: e.label.clone(), src: e.src, dst: e.dst });
+            updates.push(GraphUpdate::AddEdge {
+                label: self.edge_labels.names[e.label as usize].clone(),
+                src: VertexId(e.src.into()),
+                dst: VertexId(e.dst.into()),
+            });
         }
         Some(updates)
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        // Every structure the graph owns, by its allocated capacity: name
+        // tables, shapes, vertex records and their value rows (slots plus
+        // the strings and lists they own), edge records, both adjacency
+        // directions and the per-label member lists.
+        let vec = |len: usize, item: usize| size_of::<Vec<u8>>() + len * item;
+        let names = self.vertex_labels.resident_bytes() + self.edge_labels.resident_bytes();
+        let shapes: usize = self
+            .shapes
+            .iter()
+            .map(|shape| {
+                let keys = shape.keys.iter().map(|key| size_of::<String>() + key.capacity());
+                size_of::<Shape>() + keys.sum::<usize>() + shape.tags.len() * size_of::<u32>()
+            })
+            .sum::<usize>()
+            + self.label_shapes.iter().map(|s| vec(s.capacity(), size_of::<u32>())).sum::<usize>();
+        let rows = self.vertices.capacity() * size_of::<StoredVertex>()
+            + self
+                .vertices
+                .iter()
+                .flat_map(|v| v.values.iter())
+                .map(|value| size_of::<PropertyValue>() + heap_bytes(value))
+                .sum::<usize>();
+        let edges = self.edges.capacity() * size_of::<StoredEdge>();
+        let adjacency: usize = self
+            .outgoing
+            .iter()
+            .chain(&self.incoming)
+            .map(|list| vec(list.capacity(), size_of::<Adjacent>()))
+            .sum();
+        let members: usize =
+            self.members.iter().map(|ids| vec(ids.capacity(), size_of::<VertexId>())).sum();
+        (names + shapes + rows + edges + adjacency + members) as u64
     }
 }
 
@@ -254,6 +478,17 @@ mod tests {
         assert!(after_one > 0);
         g.add_vertex("A", props([("x", PropertyValue::str_list(["a", "b", "c"]))]));
         assert!(g.payload_bytes() > after_one);
+    }
+
+    #[test]
+    fn resident_bytes_count_the_layout_not_the_payload() {
+        assert_eq!(MemoryGraph::new().resident_bytes(), 0);
+        let (mut g, drug, ind1, _) = sample();
+        let before = g.resident_bytes();
+        assert!(before > g.payload_bytes(), "slots, records and lists cost more than payload");
+        g.add_vertex("Indication", props([("desc", "Cough".into())]));
+        g.add_edge("treat", drug, ind1);
+        assert!(g.resident_bytes() > before);
     }
 
     #[test]

@@ -71,6 +71,9 @@ impl KgServer {
     /// The slow path: re-run PGSG under the observed frequencies, diff, and
     /// (if the schema changed) load + swap. Serving threads keep executing on
     /// the old epoch for the whole duration except the final pointer store.
+    /// A swap declines, leaving the epoch and the ingest state untouched,
+    /// when updates have been ingested and the new base would not give every
+    /// vertex id the label it has now.
     fn reoptimize_and_swap(&self, drift: f64) -> ReoptimizationEvent {
         let total_queries = self.baseline.lock().total_queries();
         let snapshot = self.tracker.snapshot();
@@ -90,37 +93,47 @@ impl KgServer {
             let mut ing = self.ingest.lock();
             let (graph, base_journal) =
                 build_graph(&self.ontology, &re.outcome.schema, &self.instance);
-            ing.base_journal = base_journal;
-            // Replaying the whole ingested stream onto the new base also
-            // publishes anything still pending (with persistence, those
-            // updates are already in the WAL).
-            let next = self.install_epoch(
-                &mut ing,
-                graph,
-                0,
-                Some(re.outcome.schema),
-                vec![
-                    ("drift", FieldValue::from(drift)),
-                    ("changes", FieldValue::from(event.changes)),
-                ],
-            );
-            self.plan_cache.invalidate_stale(next.schema_generation);
-            event.swapped = true;
-            // A schema change obsoletes the previous snapshot's base journal,
-            // so persist the new world immediately (recovery from the old
-            // generation would resurrect the pre-swap schema: correct but
-            // stale, and it would lose this optimization).
-            if self.persist.is_some() {
-                if let Err(err) = self.rotate_and_snapshot(&ing, true) {
-                    // Re-optimization is best-effort; durability of *data* is
-                    // unaffected (the WAL still holds every update).
-                    eprintln!("pgso-server: snapshot after re-optimization failed: {err}");
+            // Ingested updates name vertices by their ids in the old base. A
+            // new base that numbers its vertices differently would give those
+            // updates other endpoints (or none), so the swap declines while
+            // any exist.
+            let ingested = !(ing.ingested.is_empty() && ing.pending.is_empty());
+            event.swapped = !ingested || same_vertex_ids(&ing.base_journal, &base_journal);
+            if event.swapped {
+                ing.base_journal = base_journal;
+                // Replaying the whole ingested stream onto the new base also
+                // publishes anything still pending (with persistence, those
+                // updates are already in the WAL).
+                let next = self.install_epoch(
+                    &mut ing,
+                    graph,
+                    0,
+                    Some(re.outcome.schema),
+                    vec![
+                        ("drift", FieldValue::from(drift)),
+                        ("changes", FieldValue::from(event.changes)),
+                    ],
+                );
+                self.plan_cache.invalidate_stale(next.schema_generation);
+                // A schema change obsoletes the previous snapshot's base
+                // journal, so persist the new world immediately (recovery
+                // from the old generation would resurrect the pre-swap
+                // schema: correct but stale, and it would lose this
+                // optimization).
+                if self.persist.is_some() {
+                    if let Err(err) = self.rotate_and_snapshot(&ing, true) {
+                        // Re-optimization is best-effort; durability of
+                        // *data* is unaffected (the WAL still holds every
+                        // update).
+                        eprintln!("pgso-server: snapshot after re-optimization failed: {err}");
+                    }
                 }
             }
         }
-        // Either way the observed workload is the new baseline: a swap made
-        // it the optimized-for mix, and a no-change outcome means the current
-        // schema is already optimal for it.
+        // Whatever the outcome, the observed workload is the new baseline: a
+        // swap made it the optimized-for mix, a no-change outcome means the
+        // current schema is already optimal for it, and a declined swap would
+        // only decline again on every check.
         *self.baseline.lock() = observed;
         self.tracker.rebase(&snapshot);
         event
@@ -319,4 +332,17 @@ impl KgServer {
         }
         next
     }
+}
+
+/// Whether two base journals hold the same vertex count and give every
+/// vertex id the same label: the condition under which updates ingested
+/// against one base mean the same vertices on the other.
+fn same_vertex_ids(old: &[GraphUpdate], new: &[GraphUpdate]) -> bool {
+    fn labels(journal: &[GraphUpdate]) -> impl Iterator<Item = &str> {
+        journal.iter().filter_map(|update| match update {
+            GraphUpdate::AddVertex { label, .. } => Some(label.as_str()),
+            GraphUpdate::AddEdge { .. } => None,
+        })
+    }
+    labels(old).eq(labels(new))
 }

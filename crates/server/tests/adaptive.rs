@@ -2,10 +2,12 @@
 //! for a patient-centric workload observes a shift to a drug-centric
 //! workload, re-optimizes off the hot path, swaps the schema atomically, and
 //! afterwards answers the shifted workload with fewer edge traversals. Also
-//! covers plan-cache invalidation across the swap.
+//! covers plan-cache invalidation across the swap, and a swap declined
+//! because ingested updates pin the old base's vertex ids.
 
 use pgso_core::{optimize_nsc, OptimizerConfig, OptimizerInput};
 use pgso_datagen::InstanceKg;
+use pgso_graphstore::{props, GraphUpdate, VertexId};
 use pgso_ontology::{catalog, DataStatistics, Ontology, StatisticsConfig};
 use pgso_query::{Aggregate, QueryResult, Statement};
 use pgso_server::{KgServer, ServerConfig, WorkloadTracker};
@@ -228,4 +230,59 @@ fn stable_workload_never_swaps() {
         "events: {:?}",
         server.reoptimization_events()
     );
+}
+
+#[test]
+fn swap_after_ingest_declines_instead_of_remapping_ids() {
+    let server = adaptive_server();
+    let phase_b = phase_b_queries();
+    let indications = &phase_b[1]; // Drug -[treat]-> Indication
+    let before = serve(&server, indications).scalar().expect("a count");
+
+    // One new Indication and a treat edge from the first Drug to it. Ingest
+    // names vertices by id in the served base.
+    let epoch = server.current_epoch();
+    let drug = epoch.graph().vertices_with_label("Drug")[0];
+    let indication = VertexId(epoch.graph().vertex_count() as u64);
+    drop(epoch);
+    server
+        .ingest(vec![
+            GraphUpdate::AddVertex {
+                label: "Indication".into(),
+                properties: props([("desc", "Ingested".into())]),
+            },
+            GraphUpdate::AddEdge { label: "treat".into(), src: drug, dst: indication },
+        ])
+        .expect("both endpoints exist");
+    assert!(server.flush_ingest());
+    let published = server.current_epoch().number;
+    assert_eq!(serve(&server, indications).scalar(), Some(before + 1));
+
+    // Drive the drug-centric shift until a drift check fires. Its schema
+    // renumbers the base's vertices, so the swap must decline rather than
+    // replay the ingested edge onto other (or missing) vertices.
+    for _ in 0..50 {
+        for q in &phase_b {
+            let _ = serve(&server, q);
+        }
+        if !server.reoptimization_events().is_empty() {
+            break;
+        }
+    }
+    let events = server.reoptimization_events();
+    assert!(!events.is_empty(), "drift {:.3} never triggered a check", server.drift());
+    assert!(events.iter().all(|e| !e.swapped && e.changes > 0), "events: {events:?}");
+    assert_eq!(server.current_epoch().number, published, "a declined swap keeps the epoch");
+    assert_eq!(
+        serve(&server, indications).scalar(),
+        Some(before + 1),
+        "the ingested edge is still served"
+    );
+    // The baseline moved on, so the declined swap is not retried per check.
+    for _ in 0..50 {
+        for q in &phase_b {
+            let _ = serve(&server, q);
+        }
+    }
+    assert_eq!(server.reoptimization_events().len(), events.len());
 }
