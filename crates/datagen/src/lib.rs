@@ -20,7 +20,10 @@
 //!   ingest-while-serving benchmarks;
 //! * [`ScaleLadder`] — pre-generated instance chunks whose rungs (1×, 10×,
 //!   100×, …) load into bit-identical induced prefixes of each other, the
-//!   substrate for the storage-tier scale benchmarks.
+//!   substrate for the storage-tier scale benchmarks;
+//! * [`validate()`] — the graph checked against its schema: every vertex
+//!   label a vertex type, every edge an edge type, every key declared with
+//!   its declared shape (a test-time check, never on the serving path).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -29,8 +32,10 @@ pub mod instance;
 pub mod ladder;
 pub mod load;
 pub mod updates;
+pub mod validate;
 
 pub use instance::{property_value_for, Entity, InstanceKg, RelationshipInstance};
 pub use ladder::ScaleLadder;
 pub use load::{load_into, LoadReport};
 pub use updates::{streaming_updates, UpdateStreamConfig};
+pub use validate::{validate, Violation};

@@ -208,6 +208,9 @@ pub fn apply_updates(backend: &mut dyn GraphBackend, updates: &[GraphUpdate]) {
 /// [`in_neighbours`](GraphBackend::in_neighbours)) are conveniences defined
 /// once, here, over the borrowed ones; no backend overrides them, so there
 /// is one read path per backend and both forms charge the same counters.
+/// One borrowed read, [`for_each_candidate`](GraphBackend::for_each_candidate),
+/// has a default — the label scan — that only a backend with an equality
+/// index overrides.
 ///
 /// Accounting, identical for every backend and both forms:
 ///
@@ -217,7 +220,9 @@ pub fn apply_updates(backend: &mut dyn GraphBackend, updates: &[GraphUpdate]) {
 ///   nothing and is charged nothing;
 /// * an adjacency walk charges one edge traversal per neighbour visited. A
 ///   visitor cannot stop early, so a walk always charges the whole list;
-/// * label scans are index reads and are not charged.
+/// * label scans are index reads and are not charged;
+/// * a candidate seek is an index read and is not charged, whether it
+///   probes an index (building it on first use) or scans the label.
 ///
 /// Callbacks run with no backend lock held: they may re-enter the backend
 /// (the executor reads every neighbour's label and properties from inside
@@ -243,6 +248,22 @@ pub trait GraphBackend: Send + Sync {
 
     /// Visits the ids of all vertices with a label, in insertion order.
     fn for_each_with_label(&self, label: &str, f: &mut dyn FnMut(VertexId));
+
+    /// Visits, in id order, the vertices of `label` that may hold `value`
+    /// under `key`: every vertex that does, and possibly others, so a caller
+    /// still checks each candidate. Not charged, like a label scan. The
+    /// default visits the whole label; a backend with an equality index
+    /// narrows it to the vertices whose stored value equals `value`.
+    fn for_each_candidate(
+        &self,
+        label: &str,
+        key: &str,
+        value: &PropertyValue,
+        f: &mut dyn FnMut(VertexId),
+    ) {
+        let _ = (key, value);
+        self.for_each_with_label(label, f)
+    }
 
     /// Visits the out-neighbours of a vertex along edges with the given
     /// label, in edge-insertion order (counted as edge traversals).
@@ -373,6 +394,16 @@ impl<B: GraphBackend + ?Sized> GraphBackend for Box<B> {
 
     fn for_each_with_label(&self, label: &str, f: &mut dyn FnMut(VertexId)) {
         (**self).for_each_with_label(label, f)
+    }
+
+    fn for_each_candidate(
+        &self,
+        label: &str,
+        key: &str,
+        value: &PropertyValue,
+        f: &mut dyn FnMut(VertexId),
+    ) {
+        (**self).for_each_candidate(label, key, value, f)
     }
 
     fn for_each_out(&self, vertex: VertexId, edge_label: &str, f: &mut dyn FnMut(VertexId)) {

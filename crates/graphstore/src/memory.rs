@@ -17,17 +17,33 @@
 //!   values in key order. [`GraphBackend::with_property`] finds the key's
 //!   slot in the small, shared shape (scanning a per-key integer tag, then
 //!   comparing one string) and reads that one value.
+//! * **Equality indexes** answer [`GraphBackend::for_each_candidate`] for a
+//!   `Str` value: per (label, key) pair, the label's vertices that hold a
+//!   text under the key, chained by the text's hash in ascending id order;
+//!   a seek walks one chain and keeps the vertices whose text is the one
+//!   sought. One is built the first time a seek names its pair — there is
+//!   no knob — and [`GraphBackend::add_vertex`] keeps every built index
+//!   current, so a graph that is extended keeps its indexes; a graph built
+//!   afresh starts without any. Only `Str` values are indexed: the
+//!   executor's `=` never equates a string with another kind, so a string
+//!   seek is exact, while numbers compare across `Int` and `Float` and keep
+//!   the label scan.
 //!
 //! A per-label member list accelerates label scans. All reads still update
 //! the access counters so experiments can compare edge-traversal counts
-//! across backends and schemas.
+//! across backends and schemas; a seek, like a label scan, is an index read
+//! and is not charged.
 
 use crate::backend::{
     AccessStats, EdgeData, EdgeId, GraphBackend, GraphUpdate, StatsCounters, VertexData, VertexId,
 };
 use crate::value::{PropertyMap, PropertyValue};
+use parking_lot::RwLock;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::mem::size_of;
+use std::sync::Arc;
 
 /// String → dense `u32` interner for vertex and edge labels.
 #[derive(Debug, Default)]
@@ -148,6 +164,81 @@ impl<'a> EdgeLabel<'a> {
     }
 }
 
+/// An equality index over one (label, key) pair: the label's vertices that
+/// store a `Str` under `key`, one entry each, chained per hash of the text in
+/// ascending id order. Texts are hashed, not stored, so a build allocates
+/// the same whatever the label's size; a probe compares the stored text of
+/// each vertex on its chain, which makes it exact.
+#[derive(Debug, Clone)]
+struct EqIndex {
+    label: u32,
+    key: Box<str>,
+    /// Keyed per index, so texts cannot be chosen to share one chain.
+    hasher: RandomState,
+    /// Per text hash, the first and the last entry of its chain.
+    chains: HashMap<u64, (u32, u32)>,
+    /// Per indexed vertex, its id and the next entry of its chain ([`END`]
+    /// after the last).
+    entries: Vec<(u32, u32)>,
+}
+
+/// The end of an [`EqIndex`] chain.
+const END: u32 = u32::MAX;
+
+impl EqIndex {
+    /// An empty index with room for `vertices` entries.
+    fn new(label: u32, key: &str, vertices: usize) -> Self {
+        EqIndex {
+            label,
+            key: key.into(),
+            hasher: RandomState::new(),
+            chains: HashMap::with_capacity(vertices),
+            entries: Vec::with_capacity(vertices),
+        }
+    }
+
+    /// Appends `id` to the chain of the text `value` holds, when it holds
+    /// one. Ids arrive in ascending order, so every chain stays sorted.
+    fn insert(&mut self, value: &PropertyValue, id: u32) {
+        let PropertyValue::Str(text) = value else { return };
+        // Below END: there are fewer entries than vertices, and fewer
+        // vertices than 2^32.
+        let entry = self.entries.len() as u32;
+        self.entries.push((id, END));
+        match self.chains.entry(self.hasher.hash_one(text.as_str())) {
+            Entry::Occupied(mut chain) => {
+                let last = &mut chain.get_mut().1;
+                self.entries[*last as usize].1 = entry;
+                *last = entry;
+            }
+            Entry::Vacant(chain) => {
+                chain.insert((entry, entry));
+            }
+        }
+    }
+
+    /// The ids on the chain of `text`'s hash, ascending: every vertex that
+    /// holds `text`, and any whose text shares the hash.
+    fn chain(&self, text: &str) -> impl Iterator<Item = u32> + '_ {
+        let mut next = self.chains.get(&self.hasher.hash_one(text)).map_or(END, |chain| chain.0);
+        std::iter::from_fn(move || {
+            let &(id, after) = self.entries.get(next as usize)?;
+            next = after;
+            Some(id)
+        })
+    }
+
+    /// Bytes held: the key, the chain table and the entries.
+    fn resident_bytes(&self) -> usize {
+        // A table slot is its key, its value and one control byte.
+        let slot = size_of::<(u64, (u32, u32))>() + 1;
+        size_of::<EqIndex>()
+            + self.key.len()
+            + self.chains.capacity() * slot
+            + self.entries.capacity() * size_of::<(u32, u32)>()
+    }
+}
+
 /// In-memory adjacency-list backend.
 #[derive(Debug, Default)]
 pub struct MemoryGraph {
@@ -164,6 +255,9 @@ pub struct MemoryGraph {
     outgoing: Vec<Vec<Adjacent>>,
     incoming: Vec<Vec<Adjacent>>,
     payload_bytes: u64,
+    /// The equality indexes built so far. A seek clones the one it probes
+    /// out from under the lock, so no lock is held while its callback runs.
+    eq_indexes: RwLock<Vec<Arc<EqIndex>>>,
     counters: StatsCounters,
 }
 
@@ -206,6 +300,40 @@ impl MemoryGraph {
         self.shapes.push(Shape::new(keys));
         self.label_shapes[label as usize].push(shape);
         (shape, values.into_boxed_slice())
+    }
+
+    /// The equality index of `label`'s vertices under `key`, built now if
+    /// no seek has named the pair before; `None` when no vertex of the
+    /// label has the key (nothing is built for it). Two first seeks may
+    /// both build it; the first to publish wins, and both use that one.
+    fn eq_index(&self, label: u32, key: &str) -> Option<Arc<EqIndex>> {
+        let find = |indexes: &[Arc<EqIndex>]| {
+            indexes.iter().find(|index| index.label == label && *index.key == *key).cloned()
+        };
+        if let Some(index) = find(&self.eq_indexes.read()) {
+            return Some(index);
+        }
+        let slots: Vec<(u32, usize)> = self.label_shapes[label as usize]
+            .iter()
+            .filter_map(|&shape| Some((shape, self.shapes[shape as usize].slot(key)?)))
+            .collect();
+        if slots.is_empty() {
+            return None;
+        }
+        let members = &self.members[label as usize];
+        let mut built = EqIndex::new(label, key, members.len());
+        for &id in members {
+            let v = &self.vertices[id.0 as usize];
+            if let Some(&(_, slot)) = slots.iter().find(|&&(shape, _)| shape == v.shape) {
+                built.insert(&v.values[slot], id.0 as u32);
+            }
+        }
+        let mut indexes = self.eq_indexes.write();
+        Some(find(&indexes).unwrap_or_else(|| {
+            let built = Arc::new(built);
+            indexes.push(built.clone());
+            built
+        }))
     }
 
     /// Visits the far ends of `vertex`'s edges labelled `edge_label` in one
@@ -252,6 +380,12 @@ impl GraphBackend for MemoryGraph {
             self.label_shapes.push(Vec::new());
         }
         let (shape, values) = self.shape_of(label, properties);
+        // `&mut self`: no seek holds an index, so each is updated in place.
+        for index in self.eq_indexes.get_mut().iter_mut().filter(|index| index.label == label) {
+            if let Some(slot) = self.shapes[shape as usize].slot(&index.key) {
+                Arc::make_mut(index).insert(&values[slot], id);
+            }
+        }
         self.vertices.push(StoredVertex { label, shape, values });
         self.outgoing.push(Vec::new());
         self.incoming.push(Vec::new());
@@ -299,6 +433,27 @@ impl GraphBackend for MemoryGraph {
     fn for_each_with_label(&self, label: &str, f: &mut dyn FnMut(VertexId)) {
         let Some(label) = self.vertex_labels.get(label) else { return };
         self.members[label as usize].iter().for_each(|&id| f(id));
+    }
+
+    fn for_each_candidate(
+        &self,
+        label: &str,
+        key: &str,
+        value: &PropertyValue,
+        f: &mut dyn FnMut(VertexId),
+    ) {
+        let PropertyValue::Str(text) = value else { return self.for_each_with_label(label, f) };
+        let Some(label) = self.vertex_labels.get(label) else { return };
+        let Some(index) = self.eq_index(label, key) else { return };
+        for id in index.chain(text) {
+            // Uncharged, like the index itself: it drops the vertices whose
+            // text only shares the hash.
+            let v = &self.vertices[id as usize];
+            let slot = self.shapes[v.shape as usize].slot(key);
+            if slot.is_some_and(|slot| v.values[slot].as_str() == Some(text)) {
+                f(VertexId(id.into()));
+            }
+        }
     }
 
     fn labels(&self) -> Vec<String> {
@@ -375,7 +530,7 @@ impl GraphBackend for MemoryGraph {
         // Every structure the graph owns, by its allocated capacity: name
         // tables, shapes, vertex records and their value rows (slots plus
         // the strings and lists they own), edge records, both adjacency
-        // directions and the per-label member lists.
+        // directions, the per-label member lists and the equality indexes.
         let vec = |len: usize, item: usize| size_of::<Vec<u8>>() + len * item;
         let names = self.vertex_labels.resident_bytes() + self.edge_labels.resident_bytes();
         let shapes: usize = self
@@ -403,7 +558,9 @@ impl GraphBackend for MemoryGraph {
             .sum();
         let members: usize =
             self.members.iter().map(|ids| vec(ids.capacity(), size_of::<VertexId>())).sum();
-        (names + shapes + rows + edges + adjacency + members) as u64
+        let indexes: usize =
+            self.eq_indexes.read().iter().map(|index| index.resident_bytes()).sum();
+        (names + shapes + rows + edges + adjacency + members + indexes) as u64
     }
 }
 
@@ -489,6 +646,47 @@ mod tests {
         g.add_vertex("Indication", props([("desc", "Cough".into())]));
         g.add_edge("treat", drug, ind1);
         assert!(g.resident_bytes() > before);
+    }
+
+    fn seek(g: &MemoryGraph, label: &str, key: &str, value: PropertyValue) -> Vec<VertexId> {
+        let mut ids = Vec::new();
+        g.for_each_candidate(label, key, &value, &mut |id| ids.push(id));
+        ids
+    }
+
+    #[test]
+    fn string_seeks_visit_the_matches_and_stay_current() {
+        let (mut g, drug, ..) = sample();
+        g.reset_stats();
+        assert_eq!(seek(&g, "Drug", "name", "Aspirin".into()), vec![drug]);
+        assert!(seek(&g, "Drug", "name", "Ibuprofen".into()).is_empty());
+        assert!(seek(&g, "Drug", "desc", "Fever".into()).is_empty(), "no Drug has the key");
+        assert!(seek(&g, "Missing", "name", "Aspirin".into()).is_empty());
+        // Not a string: the whole label, as a scan would visit it.
+        assert_eq!(
+            seek(&g, "Indication", "desc", 1i64.into()),
+            g.vertices_with_label("Indication")
+        );
+        assert_eq!(g.stats(), AccessStats::default(), "seeks are not charged");
+        // The built index follows later vertices, in id order.
+        let twin = g.add_vertex("Drug", props([("name", "Aspirin".into()), ("x", 1i64.into())]));
+        let other = g.add_vertex("Drug", props([("name", "Ibuprofen".into())]));
+        g.add_vertex("Drug", props([("name", PropertyValue::str_list(["Aspirin"]))]));
+        assert_eq!(seek(&g, "Drug", "name", "Aspirin".into()), vec![drug, twin]);
+        assert_eq!(seek(&g, "Drug", "name", "Ibuprofen".into()), vec![other]);
+    }
+
+    #[test]
+    fn equality_indexes_count_in_resident_bytes_not_payload() {
+        let (g, ..) = sample();
+        let (resident, payload) = (g.resident_bytes(), g.payload_bytes());
+        seek(&g, "Indication", "desc", "Fever".into());
+        assert!(g.resident_bytes() > resident, "the built index is resident");
+        assert_eq!(g.payload_bytes(), payload, "an index is not payload");
+        // Probing a built index builds nothing more.
+        let built = g.resident_bytes();
+        seek(&g, "Indication", "desc", "Headache".into());
+        assert_eq!(g.resident_bytes(), built);
     }
 
     #[test]

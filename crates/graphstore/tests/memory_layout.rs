@@ -8,6 +8,13 @@
 //! the model holds, in the model's order, and charge the same
 //! `AccessStats`; `export_updates` replayed into an empty graph must
 //! reproduce the graph exactly.
+//!
+//! Equality seeks are held to the model the same way, interleaved with the
+//! updates so that an index is built part-way through a sequence and then
+//! appended to: a string probe visits exactly the vertices the model's `=`
+//! matches, in id order, and any other probe the whole label; neither is
+//! charged. One key holds texts, the same text in a LIST, numbers, `Null`,
+//! or nothing at all.
 
 use pgso_graphstore::{
     AccessStats, EdgeData, EdgeId, GraphBackend, GraphUpdate, MemoryGraph, PropertyMap,
@@ -63,7 +70,7 @@ fn value(bits: u64) -> PropertyValue {
 
 /// Turns generated numbers into a valid update sequence: edges name only
 /// vertices that already exist.
-fn updates(ops: &[(u32, u64, u32, u64)]) -> Vec<GraphUpdate> {
+fn updates(ops: &[(u32, u64, u32, u64)], value: fn(u64) -> PropertyValue) -> Vec<GraphUpdate> {
     let mut vertices = 0u64;
     let mut updates = Vec::new();
     for (i, &(kind, mask, label, bits)) in ops.iter().enumerate() {
@@ -176,14 +183,108 @@ fn assert_reads_match(graph: &MemoryGraph, model: &Model) {
     }
 }
 
+/// A value from a small pool, so that texts repeat across vertices and sit
+/// beside the same text in a LIST and beside numbers under one key.
+fn seek_value(bits: u64) -> PropertyValue {
+    match bits % 8 {
+        0 => PropertyValue::str("t0"),
+        1 => PropertyValue::str("t1"),
+        2 => PropertyValue::Int(1),
+        3 => PropertyValue::Float(1.0),
+        4 => PropertyValue::str_list(["t0"]),
+        5 => PropertyValue::Null,
+        6 => PropertyValue::str(""),
+        _ => PropertyValue::Bool(true),
+    }
+}
+
+/// What the seeks probe: stored texts, an absent text, and one value of
+/// every other kind.
+fn probes() -> Vec<PropertyValue> {
+    vec![
+        PropertyValue::str("t0"),
+        PropertyValue::str("t1"),
+        PropertyValue::str(""),
+        PropertyValue::str("absent"),
+        PropertyValue::Int(1),
+        PropertyValue::Float(1.0),
+        PropertyValue::str_list(["t0"]),
+        PropertyValue::Null,
+        PropertyValue::Bool(true),
+    ]
+}
+
+/// The query layer's `=`: never true with `Null`; `Int` and `Float` are one
+/// numeric domain; anything else compares by value, kind included.
+fn equal(stored: &PropertyValue, probe: &PropertyValue) -> bool {
+    match (stored, probe) {
+        (PropertyValue::Null, _) | (_, PropertyValue::Null) => false,
+        (PropertyValue::Int(x), PropertyValue::Int(y)) => x == y,
+        _ => match (stored.as_float(), probe.as_float()) {
+            (Some(x), Some(y)) => x == y,
+            _ => stored == probe,
+        },
+    }
+}
+
+/// Every seek of the `(label, key)` pairs whose key `wanted` admits, with
+/// every probe, against `model`.
+fn assert_seeks_match(graph: &MemoryGraph, model: &Model, wanted: impl Fn(usize) -> bool) {
+    let keys = KEYS.iter().chain(&["unknown"]).enumerate().filter(|&(k, _)| wanted(k));
+    for (_, key) in keys {
+        for label in LABELS {
+            for probe in probes() {
+                let members = model.vertices.iter().enumerate().filter(|(_, (l, _))| l == label);
+                let expected: Vec<VertexId> = members
+                    .filter(|(_, (_, properties))| match probe {
+                        PropertyValue::Str(_) => {
+                            properties.get(*key).is_some_and(|v| equal(v, &probe))
+                        }
+                        _ => true,
+                    })
+                    .map(|(id, _)| VertexId(id as u64))
+                    .collect();
+                let mut visited = Vec::new();
+                let ((), stats) = charged(graph, || {
+                    graph.for_each_candidate(label, key, &probe, &mut |id| visited.push(id))
+                });
+                let seek = format!("seek {label}.{key} = {probe:?}");
+                assert_eq!((visited, stats), (expected, AccessStats::default()), "{seek}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn seeks_match_a_naive_model_while_the_graph_grows(
+        ops in proptest::collection::vec((0u32..5, 0u64..u64::MAX, 0u32..3, 0u64..u64::MAX), 1..48),
+    ) {
+        let mut graph = MemoryGraph::new();
+        let mut model = Model::default();
+        // A fifth of the ops seek instead of adding: each seeks the keys its
+        // mask picks, building those indexes; later vertices append to them.
+        let seeks = ops.iter().map(|&(kind, mask, ..)| (kind == 4).then_some(mask));
+        for (update, seek) in updates(&ops, seek_value).iter().zip(seeks) {
+            if let Some(mask) = seek {
+                assert_seeks_match(&graph, &model, |k| mask >> k & 1 == 1);
+            }
+            update.apply(&mut graph);
+            model.apply(update);
+        }
+        assert_seeks_match(&graph, &model, |_| true);
+        let resident = graph.resident_bytes();
+        assert_seeks_match(&graph, &model, |_| true);
+        prop_assert_eq!(graph.resident_bytes(), resident, "a built index is built once");
+    }
 
     #[test]
     fn reads_match_a_naive_model_and_replay_is_exact(
         ops in proptest::collection::vec((0u32..4, 0u64..u64::MAX, 0u32..3, 0u64..u64::MAX), 1..48),
     ) {
-        let updates = updates(&ops);
+        let updates = updates(&ops, value);
         let mut graph = MemoryGraph::new();
         let mut model = Model::default();
         for update in &updates {

@@ -10,7 +10,9 @@
 //! runtime, no readiness polling, no hand-off between threads:
 //!
 //! * **one accept thread** blocks in [`TcpListener::accept`] and spawns a
-//!   thread for every fresh connection (`TCP_NODELAY`);
+//!   thread for every fresh connection (`TCP_NODELAY`). After a lasting
+//!   accept error (`EMFILE`, say) it backs off, 1 ms doubling up to
+//!   100 ms, instead of spinning; a healthy accept never sleeps;
 //! * **each connection thread** blocks in `read` into its
 //!   [`FrameReader`], handles every frame that read completed in receive
 //!   order — EXECUTE and RUN included, against the engines, on this same
@@ -421,11 +423,36 @@ fn loopback(addr: SocketAddr) -> SocketAddr {
 
 // ---- accept thread ------------------------------------------------------
 
+/// The longest pause between two failing accepts.
+const MAX_ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
+
+/// How long the accept thread pauses after an accept that returned `error`
+/// (`None`: it succeeded), given the pause after the accept before it. A
+/// success or a transient error — the peer aborted, a signal interrupted —
+/// retries at once; any other error is taken to last (out of descriptors,
+/// say), and the pause starts at 1 ms and doubles up to
+/// [`MAX_ACCEPT_BACKOFF`].
+fn accept_backoff(previous: Duration, error: Option<io::ErrorKind>) -> Duration {
+    match error {
+        None | Some(io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted) => {
+            Duration::ZERO
+        }
+        Some(_) => (previous * 2).clamp(Duration::from_millis(1), MAX_ACCEPT_BACKOFF),
+    }
+}
+
 fn accept_loop(inner: &Arc<Inner>) {
+    let mut backoff = Duration::ZERO;
     loop {
         let accepted = inner.listener.accept();
         if inner.shutdown.load(Ordering::Acquire) {
             return;
+        }
+        backoff = accept_backoff(backoff, accepted.as_ref().err().map(io::Error::kind));
+        if !backoff.is_zero() {
+            // Shutdown's wake-up connection waits in the backlog: the next
+            // accept returns it, or fails again and sees the flag.
+            std::thread::sleep(backoff);
         }
         let Ok((stream, _peer)) = accepted else { continue };
         let Ok(socket) = stream.try_clone() else { continue };
@@ -804,4 +831,32 @@ fn push_response(out: &mut Vec<u8>, response: &Response) {
 
 fn push_error(out: &mut Vec<u8>, code: ErrorCode, message: &str) {
     push_response(out, &Response::Error { code, message: message.to_string() });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accept_backs_off_only_after_lasting_errors() {
+        let ms = Duration::from_millis;
+        let lasting = Some(io::ErrorKind::Other);
+        // A healthy accept never sleeps, whatever came before it.
+        assert_eq!(accept_backoff(Duration::ZERO, None), Duration::ZERO);
+        assert_eq!(accept_backoff(ms(64), None), Duration::ZERO, "a success resets");
+        // Transient errors retry at once.
+        for kind in [io::ErrorKind::ConnectionAborted, io::ErrorKind::Interrupted] {
+            assert_eq!(accept_backoff(ms(8), Some(kind)), Duration::ZERO, "{kind:?}");
+        }
+        // A lasting error: 1 ms, doubling, capped.
+        let mut pause = Duration::ZERO;
+        let pauses: Vec<Duration> = (0..9)
+            .map(|_| {
+                pause = accept_backoff(pause, lasting);
+                pause
+            })
+            .collect();
+        let expected = [1, 2, 4, 8, 16, 32, 64, 100, 100].map(ms);
+        assert_eq!(pauses, expected);
+    }
 }

@@ -108,6 +108,16 @@ impl<B: GraphBackend> GraphBackend for JournaledGraph<B> {
         self.inner.for_each_with_label(label, f)
     }
 
+    fn for_each_candidate(
+        &self,
+        label: &str,
+        key: &str,
+        value: &PropertyValue,
+        f: &mut dyn FnMut(VertexId),
+    ) {
+        self.inner.for_each_candidate(label, key, value, f)
+    }
+
     fn labels(&self) -> Vec<String> {
         self.inner.labels()
     }

@@ -1,17 +1,28 @@
 //! Statement executor.
 //!
 //! A straightforward backtracking pattern matcher: the first node pattern is
-//! the root; candidate vertices are found through the backend's label index
-//! and the remaining pattern is expanded edge by edge (forward along
-//! out-edges, backward along in-edges). Every neighbour expansion — and
-//! every `WHERE` predicate evaluation, which reads a property through
-//! [`GraphBackend::with_property`] — goes through the backend and is
-//! therefore counted in its [`AccessStats`]; the executor adds no caching
-//! and, reading through the backend's borrowed forms only, no allocation per
-//! candidate or neighbour (only per projected row and value), so
-//! latency differences between schemas reflect the storage work, as in the
-//! paper's evaluation. That makes the counters a contract: what a statement
-//! costs may only change when the storage work it does changes.
+//! the root, and the remaining pattern is expanded edge by edge (forward
+//! along out-edges, backward along in-edges).
+//!
+//! **Candidate selection.** A variable's candidates — the root's, a
+//! disconnected edge's source, an isolated node's and an unanchored
+//! `OPTIONAL` part's — come from one helper. With an `=` predicate on a
+//! bound value it asks the backend for a seek
+//! ([`GraphBackend::for_each_candidate`]); otherwise it scans the label. A
+//! seek visits every match, in id order like the scan, and possibly more.
+//! Every candidate is still checked against every predicate, so the rows
+//! and their order are the same either way; only the reads and checks spent
+//! on vertices that cannot match fall away.
+//!
+//! Every neighbour expansion — and every `WHERE` predicate evaluation, which
+//! reads a property through [`GraphBackend::with_property`] — goes through
+//! the backend and is therefore counted in its [`AccessStats`]; the executor
+//! keeps no cache of its own (a seek's index belongs to the backend) and,
+//! reading through the backend's borrowed forms only, no allocation per
+//! candidate or neighbour (only per projected row and value), so latency
+//! differences between schemas reflect the storage work, as in the paper's
+//! evaluation. That makes the counters a contract: what a statement costs
+//! may only change when the storage work it does changes.
 //!
 //! # Slots and steps
 //!
@@ -48,7 +59,7 @@
 //! root visits do nothing. Any other statement matches everything first.
 
 use crate::ast::{Aggregate, EdgePattern, ReturnItem};
-use crate::stmt::{order_values, CountTerm, Predicate, Statement, Term};
+use crate::stmt::{order_values, CmpOp, CountTerm, Predicate, Statement, Term};
 use pgso_graphstore::{AccessStats, GraphBackend, PropertyValue, VertexId};
 use pgso_telemetry::{FieldValue, StageTimings, TraceBuffer};
 use std::collections::{HashMap, HashSet};
@@ -104,10 +115,10 @@ pub fn execute_statement(stmt: &Statement, backend: &dyn GraphBackend) -> QueryR
     if !ctx.unsatisfiable && !stmt.nodes.is_empty() {
         let mut row = vec![None; ctx.slots.len()];
         let stage = Instant::now();
-        backend.for_each_with_label(ctx.slots[ROOT].label, &mut |root| {
+        ctx.for_each_candidate(ROOT, ctx.slots[ROOT].label, &mut |root| {
             // Predicate pushdown: a root failing a WHERE predicate is not
             // expanded. Once the table is full the remaining visits are
-            // no-ops: the backend's scan cannot be broken off.
+            // no-ops: the backend's seek or scan cannot be broken off.
             if !ctx.full(&bindings) && ctx.passes(ROOT, root) {
                 row[ROOT] = Some(root);
                 expand(&ctx, 0, &mut row, &mut bindings);
@@ -339,6 +350,23 @@ impl<'a> Ctx<'a> {
         result.expect("with_property calls back exactly once")
     }
 
+    /// Visits the vertices of `label` that `slot` may bind, in id order:
+    /// those a seek on the slot's first `=` predicate with a bound value
+    /// finds, or the whole label when it has none. The visitor still checks
+    /// [`Ctx::passes`]: a seek may visit vertices that fail it.
+    fn for_each_candidate(&self, slot: usize, label: &str, f: &mut dyn FnMut(VertexId)) {
+        let seek = self.slots[slot].predicates.iter().find_map(|predicate| {
+            match (predicate.op, &predicate.value) {
+                (CmpOp::Eq, Term::Literal(value)) => Some((&predicate.property, value)),
+                _ => None,
+            }
+        });
+        match seek {
+            Some((key, value)) => self.backend.for_each_candidate(label, key, value, f),
+            None => self.backend.for_each_with_label(label, f),
+        }
+    }
+
     /// Evaluates every predicate on `slot` against `vertex`. A missing
     /// property fails the predicate, as does an unbound `$parameter` (no
     /// property is fetched for one, so it is not counted as a check).
@@ -417,9 +445,9 @@ fn expand(ctx: &Ctx<'_>, edge_index: usize, row: &mut [Cell], out: &mut Vec<Cell
             expand(ctx, edge_index + 1, row, out);
         }
     } else if !walked {
-        // Disconnected edge pattern: enumerate source candidates by label,
-        // then match the same edge again with its source bound.
-        ctx.backend.for_each_with_label(ctx.slots[edge.src].label, &mut |candidate| {
+        // Disconnected edge pattern: enumerate source candidates, then
+        // match the same edge again with its source bound.
+        ctx.for_each_candidate(edge.src, ctx.slots[edge.src].label, &mut |candidate| {
             if !ctx.full(out) && ctx.passes(edge.src, candidate) {
                 row[edge.src] = Some(candidate);
                 expand(ctx, edge_index, row, out);
@@ -442,7 +470,7 @@ fn bind_isolated(ctx: &Ctx<'_>, row: &[Cell], out: &mut Vec<Cell>) {
         // With no row left nothing can match, and nothing more is read.
         if node.mandatory && row[slot].is_none() && !rows.is_empty() {
             let mut candidates = Vec::new();
-            ctx.backend.for_each_with_label(node.label, &mut |candidate| {
+            ctx.for_each_candidate(slot, node.label, &mut |candidate| {
                 if ctx.passes(slot, candidate) {
                     candidates.push(candidate);
                 }
@@ -482,7 +510,7 @@ fn apply_optional(ctx: &Ctx<'_>, mut current: Vec<Cell>) -> Vec<Cell> {
         // the edge, so compute them once, not per row.
         let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
         if !introduced[edge.src] && !introduced[edge.dst] {
-            ctx.backend.for_each_with_label(ctx.slots[edge.src].any_label, &mut |s| {
+            ctx.for_each_candidate(edge.src, ctx.slots[edge.src].any_label, &mut |s| {
                 if ctx.passes(edge.src, s) {
                     ctx.across(edge, Some(s), None, true, &mut |_, n| pairs.push((s, n)));
                 }
@@ -929,8 +957,14 @@ mod tests {
         let result = execute_statement(&stmt, &g);
         assert_eq!(result.matches, 1);
         assert_eq!(result.rows[0][0].as_str(), Some("Fever"));
-        // Pushdown: both Indication candidates were checked at the root.
-        assert_eq!(result.predicate_checks, 2);
+        // Pushdown: the root's equality seek hands out the one Indication
+        // with that text, and it is still checked.
+        assert_eq!(result.predicate_checks, 1);
+        // A backend without an equality index scans the label: both
+        // Indication candidates are checked at the root, same row.
+        let scanned = execute_statement(&stmt, &pgso_graphstore::CsrGraph::freeze(&g));
+        assert_eq!(scanned.rows, result.rows);
+        assert_eq!(scanned.predicate_checks, 2);
     }
 
     #[test]
@@ -1452,11 +1486,14 @@ mod tests {
     /// executor this one replaced; a refactor must reproduce them. The
     /// windowed rows at the end pin the early stop of plain windows, and
     /// that `ORDER BY`, `DISTINCT` and aggregates still match everything.
+    /// The root `=` predicate is pinned twice: seeking the memory graph's
+    /// equality index, and scanning its label on a CSR copy without one.
     #[test]
     fn golden_counters_per_statement_shape() {
         let direct = figure_1_direct();
         let mut placebo = figure_1_direct();
         placebo.add_vertex("Drug", props([("name", "Placebo".into())]));
+        let placebo_csr = pgso_graphstore::CsrGraph::freeze(&placebo);
         let mut doses = MemoryGraph::new();
         let a = doses.add_vertex("Drug", props([("name", "A".into())]));
         let b = doses.add_vertex("Drug", props([("name", "B".into())]));
@@ -1465,6 +1502,14 @@ mod tests {
             doses.add_edge("hasRoute", drug, route);
         }
         let treats = || Statement::builder("g").node("d", "Drug").node("i", "Indication");
+        let pushdown = || {
+            treats()
+                .edge("d", "treat", "i")
+                .ret_property("i", "desc")
+                .filter("d", "name", CmpOp::Eq, "Aspirin")
+                .filter("i", "desc", CmpOp::Contains, "Head")
+                .build()
+        };
 
         // (shape, statement, backend, rows,
         //  [matches, vertex reads, edge traversals, predicate checks])
@@ -1560,13 +1605,15 @@ mod tests {
             ),
             (
                 "WHERE pushdown on root and mid-pattern",
-                treats()
-                    .edge("d", "treat", "i")
-                    .ret_property("i", "desc")
-                    .filter("d", "name", CmpOp::Eq, "Aspirin")
-                    .filter("i", "desc", CmpOp::Contains, "Head")
-                    .build(),
+                pushdown(),
                 &placebo,
+                &["Headache"],
+                [1, 6, 2, 3],
+            ),
+            (
+                "WHERE pushdown, root label scanned",
+                pushdown(),
+                &placebo_csr,
                 &["Headache"],
                 [1, 7, 2, 4],
             ),

@@ -1115,6 +1115,35 @@ mod tests {
         assert_eq!(result.rows.len(), 1, "the ingested vertex must be queryable");
     }
 
+    /// What the structural validator finds in a published epoch today:
+    /// ingest applies physical updates unchecked, so a `treat` edge between
+    /// two ingested drugs lands although the optimized schema has only
+    /// `(Drug)-[treat]->(IndicationCondition)`. Direction 11 (ingest in
+    /// the ontology's vocabulary) must empty this list; a listed violation
+    /// that stops being reported fails the test until it is taken off.
+    const INGEST_KNOWN_VIOLATIONS: [&str; 1] =
+        ["edge {a} -> {b} is (Drug)-[treat]->(Drug), which is no edge type"];
+
+    #[test]
+    fn validator_reports_an_ingested_edge_the_schema_lacks() {
+        let server = mini_server(ServerConfig { auto_reoptimize: false, ..Default::default() });
+        let epoch = server.current_epoch();
+        assert_eq!(pgso_datagen::validate(epoch.graph(), &epoch.schema), [], "the loaded base");
+        let a = epoch.graph().vertex_count() as u64;
+        let (src, dst) = (pgso_graphstore::VertexId(a), pgso_graphstore::VertexId(a + 1));
+        let edge = GraphUpdate::AddEdge { label: "treat".into(), src, dst };
+        server.ingest(vec![new_drug(0), new_drug(1), edge]).unwrap();
+        assert!(server.flush_ingest());
+        let published = server.current_epoch();
+        let found: Vec<String> = pgso_datagen::validate(published.graph(), &published.schema)
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        let known = INGEST_KNOWN_VIOLATIONS
+            .map(|v| v.replace("{a}", &a.to_string()).replace("{b}", &(a + 1).to_string()));
+        assert_eq!(found, known);
+    }
+
     #[test]
     fn ingest_refuses_names_the_record_format_cannot_hold() {
         let dir = tempfile::tempdir().unwrap();

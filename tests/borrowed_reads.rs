@@ -4,6 +4,8 @@
 //! values in the same order, and the same `AccessStats` delta. The query
 //! executor reads through the borrowed forms only, so this is what keeps
 //! "same answers, same counters" true whichever storage serves the graph.
+//! The candidate seek, `for_each_candidate`, has no owned twin: it is held
+//! to the label scan and to the matches it must not miss.
 
 use pgso_graphstore::{
     apply_updates, props, AccessStats, CsrGraph, DiskGraph, DiskGraphConfig, GraphBackend,
@@ -67,6 +69,10 @@ fn backends(dir: &std::path::Path) -> Vec<(&'static str, Box<dyn GraphBackend>)>
         // `Box<dyn GraphBackend>`, so every call crosses `Box`'s forwarding.
         ("boxed", Box::new(boxed)),
         ("journaled", Box::new(JournaledGraph::new(CsrGraph::new()))),
+        // The same wrappers around the one backend with an equality index,
+        // so that the seek crosses them to reach its override.
+        ("boxed memory", Box::new(Box::new(MemoryGraph::new()) as Box<dyn GraphBackend>)),
+        ("journaled memory", Box::new(JournaledGraph::new(MemoryGraph::new()))),
     ];
     for (_, backend) in &mut all {
         apply_updates(backend.as_mut(), &updates());
@@ -197,5 +203,63 @@ fn callbacks_may_re_enter_the_backend() {
         assert_eq!(borrowed_charge, owned_charge, "{name}: same reads, same order, same pages");
         // Two reads per edge; the five edges walked out, then thirteen back in.
         assert_eq!(logical(owned_charge), (10, 5 + 13), "{name}");
+    }
+}
+
+/// The query layer's `=`: never true with `Null`; `Int` and `Float` are one
+/// numeric domain; anything else compares by value, kind included.
+fn equal(stored: &PropertyValue, probe: &PropertyValue) -> bool {
+    match (stored, probe) {
+        (PropertyValue::Null, _) | (_, PropertyValue::Null) => false,
+        (PropertyValue::Int(x), PropertyValue::Int(y)) => x == y,
+        _ => match (stored.as_float(), probe.as_float()) {
+            (Some(x), Some(y)) => x == y,
+            _ => stored == probe,
+        },
+    }
+}
+
+/// A seek visits, in id order, every vertex of the label holding the value
+/// under the key and nothing outside the label scan, and is not charged.
+/// On the memory graph and its wrappers a text probe visits exactly the
+/// matches.
+#[test]
+fn candidate_seeks_visit_the_matches_within_the_label_scan_for_free() {
+    let probes = [
+        PropertyValue::str("Aspirin"),
+        PropertyValue::str("Headache"),
+        PropertyValue::str("two"),
+        PropertyValue::str("nsaid"),
+        PropertyValue::str("absent"),
+        PropertyValue::Int(3),
+        PropertyValue::Float(2.0),
+        PropertyValue::Bool(true),
+        PropertyValue::str_list(["nsaid", "salicylate"]),
+        PropertyValue::Null,
+    ];
+    let dir = tempfile::tempdir().unwrap();
+    for (name, backend) in &backends(dir.path()) {
+        let g = backend.as_ref();
+        for label in LABELS {
+            let scan = g.vertices_with_label(label);
+            for key in PROPERTIES {
+                for probe in &probes {
+                    let holds = |id: &&VertexId| {
+                        g.property_of(**id, key).is_some_and(|value| equal(&value, probe))
+                    };
+                    let matches: Vec<VertexId> = scan.iter().filter(holds).copied().collect();
+                    let (sought, charge) =
+                        charged(g, || visited(|f| g.for_each_candidate(label, key, probe, f)));
+                    let seek = format!("{name}: seek {label:?}.{key} = {probe:?}");
+                    assert_eq!(charge, AccessStats::default(), "{seek}: seeks are free");
+                    assert!(sought.windows(2).all(|w| w[0] < w[1]), "{seek}: id order");
+                    assert!(sought.iter().all(|id| scan.contains(id)), "{seek}: within the scan");
+                    assert!(matches.iter().all(|id| sought.contains(id)), "{seek}: every match");
+                    if name.contains("memory") && probe.as_str().is_some() {
+                        assert_eq!(sought, matches, "{seek}: a text seek is exact");
+                    }
+                }
+            }
+        }
     }
 }
