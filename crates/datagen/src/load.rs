@@ -30,58 +30,10 @@
 //! vertices it created.
 
 use crate::instance::{property_value_for, Entity, InstanceKg};
-use pgso_graphstore::{GraphBackend, PropertyMap, PropertyValue, VertexId};
+use pgso_graphstore::{FxBuild, GraphBackend, PropertyMap, PropertyValue, VertexId};
 use pgso_ontology::{ConceptId, Ontology, PropertyId, RelationshipKind};
 use pgso_pgschema::{PropertyGraphSchema, VertexSchema};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Multiply-rotate hashing (FxHash) for the loader's own tables. Their keys
-/// are ids and schema labels the loader computes itself, so SipHash's
-/// resistance to chosen keys buys nothing, and it hashes a few times per
-/// entity and relationship instance.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl FxHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            self.add(u64::from_le_bytes(word.try_into().expect("eight bytes")));
-        }
-        let mut tail = [0u8; 8];
-        tail[..words.remainder().len()].copy_from_slice(words.remainder());
-        self.add(u64::from_le_bytes(tail));
-    }
-
-    fn write_u8(&mut self, n: u8) {
-        self.add(n.into());
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.add(n.into());
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-}
-
-type FxBuild = BuildHasherDefault<FxHasher>;
 
 /// Summary of a load operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -39,6 +39,7 @@ pub mod backend;
 pub mod codec;
 pub mod csr;
 pub mod disk;
+pub mod fx;
 pub mod memory;
 pub mod value;
 
@@ -48,6 +49,7 @@ pub use backend::{
 };
 pub use csr::{CsrBuildStats, CsrGraph};
 pub use disk::{DiskGraph, DiskGraphConfig, PAGE_SIZE};
+pub use fx::{FxBuild, FxHasher};
 pub use memory::MemoryGraph;
 pub use value::{props, PropertyMap, PropertyValue};
 

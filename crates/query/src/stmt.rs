@@ -108,8 +108,12 @@ fn partial_order(a: &PropertyValue, b: &PropertyValue) -> Option<Ordering> {
     }
 }
 
-/// Total order over property values, used by `ORDER BY`: `Null` sorts first,
-/// then booleans, numbers, strings and lists; incomparable floats (NaN) tie.
+/// Total order over property values, used by `ORDER BY`, `min` and `max`:
+/// `Null` sorts first, then booleans, numbers, strings and lists (element by
+/// element, then by length). Numbers compare exactly across `Int` and
+/// `Float` (no f64 round-trip), `-0.0` ties with `0.0`, and NaN sorts after
+/// every number, all NaNs tying. `WHERE` comparisons keep their own partial
+/// order ([`CmpOp::eval`]), under which NaN compares with nothing.
 pub fn order_values(a: &PropertyValue, b: &PropertyValue) -> Ordering {
     fn rank(v: &PropertyValue) -> u8 {
         match v {
@@ -120,27 +124,41 @@ pub fn order_values(a: &PropertyValue, b: &PropertyValue) -> Ordering {
             PropertyValue::List(_) => 4,
         }
     }
-    match rank(a).cmp(&rank(b)) {
-        Ordering::Equal => match (a, b) {
-            (PropertyValue::Bool(x), PropertyValue::Bool(y)) => x.cmp(y),
-            (PropertyValue::Str(x), PropertyValue::Str(y)) => x.cmp(y),
-            (PropertyValue::Int(x), PropertyValue::Int(y)) => x.cmp(y),
-            (PropertyValue::List(x), PropertyValue::List(y)) => {
-                for (i, j) in x.iter().zip(y.iter()) {
-                    let ord = order_values(i, j);
-                    if ord != Ordering::Equal {
-                        return ord;
-                    }
+    match (a, b) {
+        (PropertyValue::Bool(x), PropertyValue::Bool(y)) => x.cmp(y),
+        (PropertyValue::Str(x), PropertyValue::Str(y)) => x.cmp(y),
+        (PropertyValue::Int(x), PropertyValue::Int(y)) => x.cmp(y),
+        (PropertyValue::Int(x), PropertyValue::Float(y)) => int_float_order(*x, *y),
+        (PropertyValue::Float(x), PropertyValue::Int(y)) => int_float_order(*y, *x).reverse(),
+        (PropertyValue::Float(x), PropertyValue::Float(y)) => {
+            x.partial_cmp(y).unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
+        }
+        (PropertyValue::List(x), PropertyValue::List(y)) => {
+            for (i, j) in x.iter().zip(y.iter()) {
+                let ord = order_values(i, j);
+                if ord != Ordering::Equal {
+                    return ord;
                 }
-                x.len().cmp(&y.len())
             }
-            _ => match (a.as_float(), b.as_float()) {
-                (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(Ordering::Equal),
-                _ => Ordering::Equal,
-            },
-        },
-        other => other,
+            x.len().cmp(&y.len())
+        }
+        _ => rank(a).cmp(&rank(b)),
     }
+}
+
+/// `int` against `float` as exact numbers, NaN after every number.
+fn int_float_order(int: i64, float: f64) -> Ordering {
+    // 2^63, exact as an f64: every float in [-2^63, 2^63) truncates to an
+    // i64 without rounding.
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if float.is_nan() || float >= TWO_63 {
+        return Ordering::Less;
+    }
+    if float < -TWO_63 {
+        return Ordering::Greater;
+    }
+    let whole = float.trunc();
+    int.cmp(&(whole as i64)).then(whole.partial_cmp(&float).expect("neither is NaN"))
 }
 
 /// A value position that is either a literal constant or a named `$parameter`
@@ -1121,6 +1139,72 @@ mod tests {
         assert_eq!(order_values(&V::str("a"), &V::str("b")), Ordering::Less);
         assert_eq!(order_values(&V::Int(9), &V::str("a")), Ordering::Less);
         assert_eq!(order_values(&V::str_list(["a"]), &V::str_list(["a", "b"])), Ordering::Less);
+    }
+
+    #[test]
+    fn order_values_orders_nan_and_mixed_numbers() {
+        use PropertyValue as V;
+        let nan = V::Float(f64::NAN);
+        assert_eq!(order_values(&nan, &V::Float(f64::INFINITY)), Ordering::Greater);
+        assert_eq!(order_values(&V::Int(i64::MAX), &nan), Ordering::Less);
+        assert_eq!(order_values(&nan, &V::Float(-f64::NAN)), Ordering::Equal);
+        assert_eq!(order_values(&nan, &V::str("a")), Ordering::Less, "NaN is still a number");
+        assert_eq!(order_values(&V::Float(-0.0), &V::Float(0.0)), Ordering::Equal);
+        assert_eq!(order_values(&V::Int(0), &V::Float(-0.0)), Ordering::Equal);
+        // 2^53 + 1 is no f64: it sorts strictly between its neighbours.
+        let above = V::Int((1 << 53) + 1);
+        assert_eq!(order_values(&above, &V::Float(9_007_199_254_740_992.0)), Ordering::Greater);
+        assert_eq!(order_values(&above, &V::Float(9_007_199_254_740_994.0)), Ordering::Less);
+        assert_eq!(order_values(&V::Int(i64::MAX), &V::Float(i64::MAX as f64)), Ordering::Less);
+        assert_eq!(order_values(&V::Int(i64::MIN), &V::Float(i64::MIN as f64)), Ordering::Equal);
+        assert_eq!(order_values(&V::Int(-2), &V::Float(-1.5)), Ordering::Less);
+        assert_eq!(order_values(&V::Int(-1), &V::Float(-1.5)), Ordering::Greater);
+        // `WHERE` keeps its partial order: NaN compares with nothing.
+        assert!(!CmpOp::Lt.eval(&V::Int(1), &nan) && !CmpOp::Gt.eval(&V::Int(1), &nan));
+    }
+
+    /// A value of one of several kinds from `bits`: NaN, ±0.0, ints and
+    /// floats around 2^53 and ±2^63, strings, and LISTs of such values.
+    fn any_value(bits: u64, depth: u32) -> PropertyValue {
+        use PropertyValue as V;
+        let n = (bits >> 5) as i64 % 4 - 2;
+        match bits % 12 {
+            0 => V::Null,
+            1 => V::Bool(bits & 32 == 0),
+            2 => V::Float(if bits & 32 == 0 { f64::NAN } else { -f64::NAN }),
+            3 => V::Float(if bits & 32 == 0 { 0.0 } else { -0.0 }),
+            4 => V::Int((1 << 53) + n),
+            5 => V::Float(9_007_199_254_740_992.0 + 2.0 * n as f64),
+            6 => V::Int(if n < 0 { i64::MIN + (n + 2) } else { i64::MAX - n }),
+            7 => V::Float(n as f64 * 9.2e18 + n as f64 * 0.5),
+            8 => V::Int(n),
+            9 => V::Float(n as f64 / 2.0),
+            10 => V::str(["", "a", "b"][(bits >> 5) as usize % 3]),
+            _ if depth == 0 => V::Int(n),
+            _ => {
+                let len = (bits >> 5) as usize % 3;
+                let items = (0..len).map(|i| any_value(bits.rotate_right(7 * i as u32 + 9), 0));
+                V::List(items.collect())
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn order_values_is_a_total_order(bits in proptest::collection::vec(0u64..u64::MAX, 3..4)) {
+            let [a, b, c] = [0, 1, 2].map(|i| any_value(bits[i], 1));
+            for (x, y) in [(&a, &b), (&b, &c), (&a, &c), (&a, &a)] {
+                assert_eq!(order_values(x, y), order_values(y, x).reverse(), "{x:?} {y:?}");
+            }
+            let (ab, bc, ac) = (order_values(&a, &b), order_values(&b, &c), order_values(&a, &c));
+            if ab == bc || bc == Ordering::Equal {
+                assert_eq!(ac, ab, "{a:?} {b:?} {c:?}");
+            } else if ab == Ordering::Equal {
+                assert_eq!(ac, bc, "{a:?} {b:?} {c:?}");
+            }
+        }
     }
 
     #[test]

@@ -5,12 +5,15 @@
 //! matches in one flat table, so a query allocates per projected row and
 //! value, and per aggregation group — never per candidate, per neighbour or
 //! per match. A plain window (no aggregate, `DISTINCT` or `ORDER BY`) stops
-//! matching at `SKIP + LIMIT`, so it allocates the same at any size. Every
-//! other case below runs at two sizes and bounds the *slope* between them; a
-//! fixed cost (the resolved statement, the scratch row, a vector doubling a
-//! few more times) does not count against it.
+//! matching at `SKIP + LIMIT`, so it allocates the same at any size. An
+//! aggregate folds the values it reads in place: a group costs its row, and
+//! the elements of a LIST property cost nothing however many there are. The
+//! group index keys on the bindings themselves, so a group builds no key.
+//! Every other case below runs at two sizes and bounds the *slope* between
+//! them; a fixed cost (the resolved statement, the scratch row, a vector
+//! doubling a few more times) does not count against it.
 
-use pgso_graphstore::{props, GraphBackend, MemoryGraph, VertexId};
+use pgso_graphstore::{props, GraphBackend, MemoryGraph, PropertyValue, VertexId};
 use pgso_query::{execute_statement, Aggregate, CmpOp, Statement, StatementBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -160,10 +163,35 @@ fn grouped_counts_allocate_per_group_not_per_binding() {
     );
     let (more_groups, matches, rows) = execution(&stmt, &tree(40, 5));
     assert_eq!((matches, rows), (200, 40));
-    // A group costs its key, its row and the value in it, plus its share of
-    // the group index growing.
+    // A group costs its row and the value in it, plus its share of the
+    // group index growing: the index keys on the bindings in place.
     let slope = (more_groups - base) as f64 / 20.0;
-    assert!(slope <= 4.0, "{slope} allocations per further group ({base} → {more_groups})");
+    assert!(slope <= 2.5, "{slope} allocations per further group ({base} → {more_groups})");
+}
+
+#[test]
+fn a_list_aggregate_allocates_the_same_at_any_list_length() {
+    // The 1:M rules replicate a neighbour's property onto the vertex as a
+    // LIST, so `size(collect(d.p))` answers with no traversal; folding the
+    // elements in place makes the list's length cost reads, not copies.
+    let stmt = Statement::builder("list-count")
+        .node("d", "Drug")
+        .ret_aggregate(Aggregate::CollectCount, "d", Some("Indication.desc"))
+        .build();
+    let graph = |length: usize| {
+        let mut graph = MemoryGraph::new();
+        for d in 0..50 {
+            let descs = (0..length).map(|i| format!("indication-{d}-{i}"));
+            graph.add_vertex("Drug", props([("Indication.desc", PropertyValue::str_list(descs))]));
+        }
+        graph
+    };
+    let (short, matches, rows) = execution(&stmt, &graph(2));
+    assert_eq!((matches, rows), (50, 1));
+    let (long, ..) = execution(&stmt, &graph(40));
+    assert_eq!(short, long, "allocations must not depend on the LIST length");
+    let result = execute_statement(&stmt, &graph(40));
+    assert_eq!(result.scalar(), Some(2_000));
 }
 
 /// The counter itself: a test that could not fail proves nothing.

@@ -1701,7 +1701,8 @@ mod tests {
     }
 
     /// Asserts that the served epoch is `base_journal ++ ingested` replayed
-    /// into a fresh graph: the same update sequence, the same rows.
+    /// into a fresh graph — the same update sequence, the same rows — and
+    /// that it conforms to the schema it serves.
     fn assert_serves_a_fresh_replay(server: &KgServer, step: &str) {
         let (epoch, fresh) = {
             let ing = server.ingest.lock();
@@ -1714,6 +1715,7 @@ mod tests {
             epoch.graph().export_updates() == fresh.export_updates(),
             "{step}: the served graph is not the journal"
         );
+        assert_eq!(pgso_datagen::validate(epoch.graph(), &epoch.schema), [], "{step}");
         for text in PUBLISHED_TEXTS {
             let expected = rows_on(&fresh, &epoch.schema, text);
             assert!(!expected.is_empty(), "{text} must exercise real data");
@@ -1732,17 +1734,29 @@ mod tests {
             .collect()
     }
 
-    /// Four new drugs and two edges between base vertices, which exist under
-    /// any schema (a schema swap that would renumber the base declines while
+    /// Four new drugs and two `treat` edges between base vertices, looked
+    /// up on the current epoch: each runs from a vertex of the label its
+    /// schema's `treat` edge type starts at to one of the label it ends at,
+    /// so the published graph keeps conforming. Base ids exist under any
+    /// schema (a schema swap that would renumber the base declines while
     /// ingested updates name its ids).
-    fn publication_batch(first: u32) -> Vec<GraphUpdate> {
-        let edge = |src: u64| GraphUpdate::AddEdge {
-            label: "treat".into(),
-            src: pgso_graphstore::VertexId(src),
-            dst: pgso_graphstore::VertexId(src + 1),
+    fn publication_batch(server: &KgServer, first: u32) -> Vec<GraphUpdate> {
+        let epoch = server.current_epoch();
+        let treat = epoch.schema.edges().find(|edge| edge.label == "treat").expect("treat edges");
+        let with_label = |label: &str| {
+            let mut ids = Vec::new();
+            epoch.graph().for_each_with_label(label, &mut |id| ids.push(id));
+            ids
         };
+        let (sources, targets) = (with_label(&treat.src), with_label(&treat.dst));
+        let edge = |at: usize| GraphUpdate::AddEdge {
+            label: "treat".into(),
+            src: sources[at % sources.len()],
+            dst: targets[at % targets.len()],
+        };
+        let at = first as usize % 8;
         let mut batch: Vec<GraphUpdate> = (first..first + 4).map(new_drug).collect();
-        batch.extend([edge(u64::from(first % 8)), edge(u64::from(first % 8) + 2)]);
+        batch.extend([edge(at), edge(at + 2)]);
         batch
     }
 
@@ -1787,7 +1801,7 @@ mod tests {
             ..ServerConfig::default()
         };
         let cycle = |server: &KgServer, first: u32| {
-            server.ingest(publication_batch(first)).unwrap();
+            server.ingest(publication_batch(server, first)).unwrap();
             assert!(server.flush_ingest());
             assert_serves_a_fresh_replay(server, &format!("publication {first}"));
         };
@@ -1818,11 +1832,11 @@ mod tests {
             let graphs = ["rebuilt", "reused", "reused", "rebuilt", "reused"];
             assert_eq!(publication_graphs(&server), graphs);
             // Staged (WAL-only) at the kill.
-            server.ingest(publication_batch(20)).unwrap();
+            server.ingest(publication_batch(&server, 20)).unwrap();
         }
         let (o, s, i) = make();
         let recovered = KgServer::recover(o, s, i, cfg, persist()).unwrap();
-        assert_eq!(recovered.published_updates(), 6 * publication_batch(0).len());
+        assert_eq!(recovered.published_updates(), 6 * publication_batch(&recovered, 0).len());
         assert_eq!(recovered.current_epoch().schema_generation, 2);
         assert_serves_a_fresh_replay(&recovered, "after recovery");
         for first in [24, 28] {
@@ -1842,7 +1856,7 @@ mod tests {
             ..ServerConfig::default()
         });
         let publish = |first: u32| {
-            server.ingest(publication_batch(first)).unwrap();
+            server.ingest(publication_batch(&server, first)).unwrap();
             assert!(server.flush_ingest());
             publication_graphs(&server).pop().unwrap()
         };

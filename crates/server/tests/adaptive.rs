@@ -6,7 +6,7 @@
 //! because ingested updates pin the old base's vertex ids.
 
 use pgso_core::{optimize_nsc, OptimizerConfig, OptimizerInput};
-use pgso_datagen::InstanceKg;
+use pgso_datagen::{validate, InstanceKg};
 use pgso_graphstore::{props, GraphUpdate, VertexId};
 use pgso_ontology::{catalog, DataStatistics, Ontology, StatisticsConfig};
 use pgso_query::{Aggregate, QueryResult, Statement};
@@ -147,6 +147,8 @@ fn workload_shift_triggers_reoptimization_and_cuts_traversals() {
     assert!(event.changes > 0, "swap must correspond to structural changes");
     assert_eq!(event.from_epoch, 0);
     assert_eq!(server.current_epoch().number, 1, "epoch bumped exactly once");
+    let epoch = server.current_epoch();
+    assert_eq!(validate(epoch.graph(), &epoch.schema), [], "the swapped-in graph conforms");
 
     // Post-shift: the re-optimized schema answers the same probe with fewer
     // traversals (the 1:M aggregation now reads a replicated LIST property),

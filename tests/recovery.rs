@@ -5,7 +5,7 @@
 //! frequencies must equal the pre-kill state (last durable checkpoint:
 //! snapshot + replayed WAL tail).
 
-use pgso::datagen::{streaming_updates, UpdateStreamConfig};
+use pgso::datagen::{streaming_updates, validate, UpdateStreamConfig};
 use pgso::ontology::catalog;
 use pgso::persist::{PersistConfig, Snapshot};
 use pgso::prelude::*;
@@ -191,6 +191,13 @@ fn killed_server_recovers_to_bit_identical_q1_q12_rows() {
                 b.concept(cid).to_bits(),
                 "learned frequencies must match the uninterrupted server"
             );
+        }
+
+        // Both graphs conform to the schema they serve: every update the
+        // stream generated lands on a vertex and an edge type it has.
+        for server in [&recovered, &uninterrupted] {
+            let epoch = server.current_epoch();
+            assert_eq!(validate(epoch.graph(), &epoch.schema), [], "{dataset:?}");
         }
 
         // Q1–Q12: bit-identical row sets.
