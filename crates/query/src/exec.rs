@@ -50,11 +50,12 @@
 //!
 //! # Aggregation and windowing
 //!
-//! These stages copy only what they return. Bindings are bucketed by group
-//! in one counting pass: the group index hashes each binding's `GROUP BY`
-//! cells in place (FxHash — vertex ids are the process's own), so no key is
-//! built per group; groups keep their first-appearance order and their
-//! members binding order. Per group, each `(slot, property)` a property
+//! These stages copy what they return and, beyond it, only a sort key no
+//! returned column holds and what a distinct set keeps. Bindings are
+//! bucketed by group in one counting pass: the group index hashes each
+//! binding's `GROUP BY` cells in place (FxHash — vertex ids are the
+//! process's own), so no key is built per group; groups keep their
+//! first-appearance order and their members binding order. Per group, each `(slot, property)` a property
 //! aggregate names is read once, in one pass over the bound vertices that
 //! folds every element — LIST values flattened — into one accumulator:
 //! count, exact `Int` sum, `Float` sum and count, and, only where a call
