@@ -120,6 +120,26 @@ pub enum ReturnItem {
     },
 }
 
+impl ReturnItem {
+    /// The node variable the item reads.
+    pub fn var(&self) -> &str {
+        match self {
+            ReturnItem::Property { var, .. }
+            | ReturnItem::Vertex { var }
+            | ReturnItem::Aggregate { var, .. } => var,
+        }
+    }
+
+    /// The property the item reads, if it reads one.
+    pub fn property(&self) -> Option<&str> {
+        match self {
+            ReturnItem::Property { property, .. } => Some(property),
+            ReturnItem::Vertex { .. } => None,
+            ReturnItem::Aggregate { property, .. } => property.as_deref(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

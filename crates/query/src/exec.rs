@@ -26,16 +26,18 @@
 //!
 //! # Slots and steps
 //!
-//! Before matching, every pattern variable is resolved once to a *slot* —
-//! its name, the labels its node patterns declare and the `WHERE` predicates
-//! on it — every mandatory or optional edge pattern to a *step* `(label, src
+//! A statement is resolved once per plan ([`PhysicalPlan::compile`]): every
+//! pattern variable to a *slot* — the node patterns declaring it and the
+//! `WHERE` predicates on it — every edge pattern to a *step* `(pattern, src
 //! slot, dst slot)`, and every variable an output clause names to its slot.
-//! Matching backtracks on one scratch row with an `Option<VertexId>` cell
-//! per slot — bind a cell, recurse, unbind it — and appends each complete
-//! match to one flat table of such rows: no variable name is hashed and
-//! nothing is allocated per match. A cell still `None` after matching
-//! belongs to an unmatched `OPTIONAL` variable and surfaces as
-//! [`PropertyValue::Null`].
+//! An execution resolves only its operands — each predicate's literal, or
+//! its `$parameter`'s value, borrowed from the request's [`Params`] — and
+//! `SKIP`/`LIMIT`. Matching backtracks on one scratch row with an
+//! `Option<VertexId>` cell per slot — bind a cell, recurse, unbind it — and
+//! appends each complete match to one flat table of such rows: no variable
+//! name is hashed and nothing is allocated per match. A cell still `None`
+//! after matching belongs to an unmatched `OPTIONAL` variable and surfaces
+//! as [`PropertyValue::Null`].
 //!
 //! [`execute_statement`] adds the statement-level clauses on top of the same
 //! core: **predicate pushdown** (a `WHERE` predicate is applied the moment
@@ -84,10 +86,12 @@
 //! current adjacency list is still walked (and charged) and the remaining
 //! root visits do nothing. Any other statement matches everything first.
 
-use crate::ast::{Aggregate, EdgePattern, ReturnItem};
-use crate::stmt::{order_values, CmpOp, CountTerm, Predicate, Statement, Term};
+use crate::ast::{Aggregate, ReturnItem};
+use crate::params::{BindError, ParamSignature, Params};
+use crate::stmt::{order_values, CmpOp, CountTerm, Statement, Term};
 use pgso_graphstore::{AccessStats, FxBuild, GraphBackend, PropertyValue, VertexId};
 use pgso_telemetry::{FieldValue, StageTimings, TraceBuffer};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -127,61 +131,294 @@ impl QueryResult {
 }
 
 /// Executes a full statement (predicates, optional edges, aggregation with
-/// `GROUP BY`, `DISTINCT`, `ORDER BY`, `SKIP`/`LIMIT`) against a backend.
+/// `GROUP BY`, `DISTINCT`, `ORDER BY`, `SKIP`/`LIMIT`) against a backend:
+/// [`PhysicalPlan::compile`], then run with the statement's own literals.
 ///
 /// Statements should be fully bound ([`Statement::bind`]) before execution.
 /// An *unbound* `$parameter` degrades gracefully rather than panicking: a
 /// predicate comparing against it matches nothing (like a `Null` literal),
 /// an unbound `SKIP` skips nothing, and an unbound `LIMIT` does not limit.
 pub fn execute_statement(stmt: &Statement, backend: &dyn GraphBackend) -> QueryResult {
-    let before = backend.stats();
-    let start = Instant::now();
-    let ctx = Ctx::new(stmt, backend);
-    let mut timings = StageTimings::default();
-    let mut bindings: Vec<Cell> = Vec::new();
-    // A statement that cannot match skips root selection and expansion.
-    if !ctx.unsatisfiable && !stmt.nodes.is_empty() {
-        let mut row = vec![None; ctx.slots.len()];
-        let stage = Instant::now();
-        ctx.for_each_candidate(ROOT, ctx.slots[ROOT].label, &mut |root| {
-            // Predicate pushdown: a root failing a WHERE predicate is not
-            // expanded. Once the table is full the remaining visits are
-            // no-ops: the backend's seek or scan cannot be broken off.
-            if !ctx.full(&bindings) && ctx.passes(ROOT, root) {
-                row[ROOT] = Some(root);
-                expand(&ctx, 0, &mut row, &mut bindings);
-                row[ROOT] = None;
-            }
-        });
-        timings.expansion = stage.elapsed();
+    PhysicalPlan::compile(stmt).run(None, backend)
+}
+
+/// A statement compiled for execution: its slots, steps, output columns,
+/// folds and parameter signature, as indices into the statement it keeps.
+/// Immutable; one plan serves any number of executions.
+pub struct PhysicalPlan<'s> {
+    stmt: Cow<'s, Statement>,
+    signature: ParamSignature,
+    slots: Vec<Slot>,
+    edges: Vec<Step>,
+    opt_edges: Vec<Step>,
+    /// Slots of the variables the output clauses name, item by item; `None`
+    /// for a variable no pattern part mentions.
+    returns: Vec<Option<usize>>,
+    group_by: Vec<Option<usize>>,
+    having: Vec<Option<usize>>,
+    order_by: Vec<Option<usize>>,
+    /// Per `ORDER BY` key, the `RETURN` column that projects the same
+    /// `var.property`: a row holds that key already, so it is not copied.
+    order_columns: Vec<Option<usize>>,
+    /// The `(slot, property)` pairs the property aggregates other than
+    /// `count(v.p)` fold over, each once, with the parts their calls read.
+    folds: Vec<FoldSpec>,
+    /// Cells per binding-table row: one per slot, floored at one so that a
+    /// pattern-less statement's empty table still reads as zero rows.
+    stride: usize,
+    /// A predicate on a variable no node pattern declares can never hold.
+    unsatisfiable: bool,
+    /// No aggregate, no `DISTINCT`, no `ORDER BY`: each match yields one
+    /// row, in match order, so the window is the first matches' rows.
+    plain: bool,
+}
+
+impl<'s> PhysicalPlan<'s> {
+    /// Compiles `stmt`, borrowing it.
+    pub fn compile(stmt: &'s Statement) -> Self {
+        Self::resolve(Cow::Borrowed(stmt))
     }
-    let stage = Instant::now();
-    let bindings = apply_optional(&ctx, bindings);
-    let matches = bindings.len() / ctx.stride;
-    timings.optional = stage.elapsed();
-    let stage = Instant::now();
-    let (rows, reps) = if stmt.is_aggregation() {
-        aggregate_rows(&ctx, &bindings)
+
+    /// Compiles `stmt` into a plan that owns it, for a plan cache.
+    pub fn compile_owned(stmt: Statement) -> PhysicalPlan<'static> {
+        PhysicalPlan::resolve(Cow::Owned(stmt))
+    }
+
+    /// Executes the plan with `params` read by name, in place: the result
+    /// [`execute_statement`] gives [`Statement::bind`]'s copy, without it.
+    ///
+    /// # Errors
+    /// The [`BindError`]s [`Statement::bind`] returns for the same `params`.
+    pub fn execute(
+        &self,
+        params: &Params,
+        backend: &dyn GraphBackend,
+    ) -> Result<QueryResult, BindError> {
+        self.signature.validate(params)?;
+        Ok(self.run(Some(params), backend))
+    }
+
+    fn resolve(stmt: Cow<'s, Statement>) -> Self {
+        let mut slots = Vec::new();
+        // Variable names, slot by slot, room for every occurrence: only
+        // compiling looks a slot up by name.
+        let occurrences =
+            stmt.nodes.len() + stmt.opt_nodes.len() + 2 * (stmt.edges.len() + stmt.opt_edges.len());
+        let (mut inline, mut heap) = ([""; 2 * INLINE], Vec::new());
+        let names = scratch(&mut inline, &mut heap, occurrences);
+        // The first pattern declaring a variable decides its label, and a
+        // mandatory declaration outranks an optional one.
+        for (at, node) in stmt.nodes.iter().enumerate() {
+            let slot = slot_of(&mut slots, names, &node.var);
+            let slot = &mut slots[slot];
+            if !slot.mandatory {
+                (slot.label, slot.any_label, slot.mandatory) = (1 + at, 1 + at, true);
+            }
+        }
+        for (at, node) in stmt.opt_nodes.iter().enumerate() {
+            let slot = slot_of(&mut slots, names, &node.var);
+            let slot = &mut slots[slot];
+            if !slot.mandatory && !slot.optional {
+                slot.any_label = 1 + stmt.nodes.len() + at;
+            }
+            slot.optional = true;
+        }
+        // Edge endpoints that no node pattern declares get label-less slots.
+        let mut edges = Vec::with_capacity(stmt.edges.len());
+        let mut opt_edges = Vec::with_capacity(stmt.opt_edges.len());
+        let first = 1 + stmt.nodes.len() + stmt.opt_nodes.len();
+        let opt_first = first + stmt.edges.len();
+        let lists =
+            [(&mut edges, &stmt.edges, first), (&mut opt_edges, &stmt.opt_edges, opt_first)];
+        for (steps, patterns, first) in lists {
+            for (at, edge) in patterns.iter().enumerate() {
+                let src = slot_of(&mut slots, names, &edge.src);
+                steps.push(Step {
+                    label: first + at,
+                    src,
+                    dst: slot_of(&mut slots, names, &edge.dst),
+                });
+            }
+        }
+        // Undeclared endpoints keep their predicates too: unanchored OPTIONAL
+        // pairs are enumerated, and counted, even when nothing can match.
+        let names = &names[..slots.len()];
+        let mut unsatisfiable = false;
+        for (at, predicate) in stmt.predicates.iter().enumerate() {
+            let slot = names.iter().position(|name| *name == predicate.var);
+            let slot = slot.map(|slot| &mut slots[slot]);
+            unsatisfiable |= !slot.as_ref().is_some_and(|slot| slot.mandatory || slot.optional);
+            if let Some(slot) = slot {
+                slot.predicates.push(at);
+            }
+        }
+        // Output clauses name variables too: looked up once here, not per row.
+        let slot = |var: &str| names.iter().position(|name| *name == var);
+        let order_columns = stmt.order_by.iter().map(|key| {
+            stmt.returns.iter().position(|item| {
+                matches!(item, ReturnItem::Property { var, property }
+                    if *var == key.var && *property == key.property)
+            })
+        });
+        // RETURN and HAVING calls on one `(slot, property)` share one fold.
+        let mut folds: Vec<FoldSpec> = Vec::new();
+        let returns = stmt.returns.iter().map(|item| match item {
+            ReturnItem::Aggregate { agg, var, .. } => Some((*agg, var)),
+            _ => None,
+        });
+        let having = stmt.having.iter().map(|pred| Some((pred.agg, &pred.var)));
+        let calls = returns.chain(having).enumerate().filter_map(|(call, agg)| {
+            let (agg, var) = agg.filter(|(agg, _)| *agg != Aggregate::Count)?;
+            Some((call, agg, var, call_property(&stmt, call)?))
+        });
+        for (call, agg, var, property) in calls {
+            let slot = slot(var);
+            let at = folds.iter().position(|fold| {
+                fold.slot == slot && call_property(&stmt, fold.call) == Some(property)
+            });
+            let at = at.unwrap_or_else(|| {
+                folds.push(FoldSpec { slot, call, min: false, max: false, distinct: false });
+                folds.len() - 1
+            });
+            folds[at].min |= agg == Aggregate::Min;
+            folds[at].max |= agg == Aggregate::Max;
+            folds[at].distinct |= agg == Aggregate::CountDistinct;
+        }
+        PhysicalPlan {
+            signature: stmt.signature(),
+            returns: stmt.returns.iter().map(|item| slot(item.var())).collect(),
+            group_by: stmt.group_by.iter().map(|var| slot(var)).collect(),
+            having: stmt.having.iter().map(|pred| slot(&pred.var)).collect(),
+            order_by: stmt.order_by.iter().map(|key| slot(&key.var)).collect(),
+            order_columns: order_columns.collect(),
+            folds,
+            stride: slots.len().max(1),
+            slots,
+            edges,
+            opt_edges,
+            unsatisfiable,
+            plain: !stmt.is_aggregation() && !stmt.distinct && stmt.order_by.is_empty(),
+            stmt,
+        }
+    }
+
+    /// One execution with validated `params`, or none (unbound).
+    fn run(&self, params: Option<&Params>, backend: &dyn GraphBackend) -> QueryResult {
+        let before = backend.stats();
+        let start = Instant::now();
+        let stmt = &*self.stmt;
+        let (mut inline, mut heap) = ([None; INLINE], Vec::new());
+        let operands = scratch(&mut inline, &mut heap, stmt.predicates.len() + stmt.having.len());
+        let terms =
+            stmt.predicates.iter().map(|p| &p.value).chain(stmt.having.iter().map(|h| &h.value));
+        for (operand, term) in operands.iter_mut().zip(terms) {
+            *operand = match term {
+                Term::Literal(value) => Some(value),
+                Term::Parameter(name) => params.and_then(|params| params.get(name)),
+            };
+        }
+        // Entry 0 is the empty label, then every node and edge pattern's.
+        let (mut inline, mut heap) = ([""; 2 * INLINE], Vec::new());
+        let nodes = stmt.nodes.len() + stmt.opt_nodes.len();
+        let labels =
+            scratch(&mut inline, &mut heap, 1 + nodes + self.edges.len() + self.opt_edges.len());
+        let node_labels = stmt.nodes.iter().chain(&stmt.opt_nodes).map(|node| &node.label);
+        let edge_labels = stmt.edges.iter().chain(&stmt.opt_edges).map(|edge| &edge.label);
+        for (cell, label) in labels[1..].iter_mut().zip(node_labels.chain(edge_labels)) {
+            *cell = label;
+        }
+        let count = |term: &Option<CountTerm>| match term.as_ref()? {
+            CountTerm::Count(n) => Some(*n),
+            CountTerm::Parameter(name) => params?.get(name)?.as_int().map(|n| n as usize),
+        };
+        let (skip, limit) =
+            (count(&stmt.skip).unwrap_or(0), count(&stmt.limit).unwrap_or(usize::MAX));
+        let ctx = Ctx {
+            plan: self,
+            stmt,
+            backend,
+            labels,
+            operands,
+            skip,
+            limit,
+            budget: if self.plain { skip.saturating_add(limit) } else { usize::MAX },
+            predicate_checks: std::cell::Cell::new(0),
+        };
+        let mut timings = StageTimings::default();
+        // Room for the first rows, taken at once rather than doubled up to.
+        let mut bindings: Vec<Cell> = Vec::with_capacity(ctx.budget.min(16) * ctx.stride);
+        // A statement that cannot match skips root selection and expansion.
+        if !ctx.unsatisfiable && !stmt.nodes.is_empty() {
+            let (mut inline, mut heap) = ([None; INLINE], Vec::new());
+            let row = scratch(&mut inline, &mut heap, ctx.slots.len());
+            let stage = Instant::now();
+            ctx.for_each_candidate(ROOT, ctx.labels[ctx.slots[ROOT].label], &mut |root| {
+                // Predicate pushdown: a root failing a WHERE predicate is not
+                // expanded. Once the table is full the remaining visits are
+                // no-ops: the backend's seek or scan cannot be broken off.
+                if !ctx.full(&bindings) && ctx.passes(ROOT, root) {
+                    row[ROOT] = Some(root);
+                    expand(&ctx, 0, row, &mut bindings);
+                    row[ROOT] = None;
+                }
+            });
+            timings.expansion = stage.elapsed();
+        }
+        let stage = Instant::now();
+        let bindings = apply_optional(&ctx, bindings);
+        let matches = bindings.len() / ctx.stride;
+        timings.optional = stage.elapsed();
+        let stage = Instant::now();
+        let (rows, reps) = if stmt.is_aggregation() {
+            aggregate_rows(&ctx, &bindings)
+        } else {
+            // A plain statement projects only the window; any other projects
+            // every match, and only ORDER BY reads the representatives.
+            let (skip, limit) = if ctx.plain { (ctx.skip, ctx.limit) } else { (0, usize::MAX) };
+            let rows = bindings.chunks_exact(ctx.stride).skip(skip).take(limit);
+            let rows = rows.map(|row| {
+                (0..ctx.returns.len()).map(|item| project(&ctx, ctx.output(item), Some(row)))
+            });
+            let reps = if stmt.order_by.is_empty() { Vec::new() } else { (0..matches).collect() };
+            (rows.map(Iterator::collect).collect(), reps)
+        };
+        timings.aggregate = stage.elapsed();
+        let stage = Instant::now();
+        let rows = if ctx.plain { rows } else { finalize_rows(&ctx, rows, &reps, &bindings) };
+        timings.windowing = stage.elapsed();
+        QueryResult {
+            rows,
+            matches,
+            elapsed: start.elapsed(),
+            stats: backend.stats().delta_since(&before),
+            predicate_checks: ctx.predicate_checks.get(),
+            stage_timings: timings,
+        }
+    }
+}
+
+/// The property aggregate call `call` reads — `RETURN` items first, then
+/// `HAVING` predicates — if it reads one.
+fn call_property(stmt: &Statement, call: usize) -> Option<&str> {
+    let having = || stmt.having[call - stmt.returns.len()].property.as_deref();
+    stmt.returns.get(call).map_or_else(having, ReturnItem::property)
+}
+
+/// Operands and scratch-row cells an execution keeps on the stack; twice as
+/// many labels, and variable names while compiling.
+const INLINE: usize = 8;
+
+/// `n` cells of `inline`, or of `heap` when there are more.
+fn scratch<'b, T: Copy + Default, const N: usize>(
+    inline: &'b mut [T; N],
+    heap: &'b mut Vec<T>,
+    n: usize,
+) -> &'b mut [T] {
+    if n <= N {
+        &mut inline[..n]
     } else {
-        // A plain statement projects only the window; any other projects
-        // every match, and only ORDER BY reads the representatives.
-        let (skip, limit) = if ctx.plain { (ctx.skip, ctx.limit) } else { (0, usize::MAX) };
-        let rows = bindings.chunks_exact(ctx.stride).skip(skip).take(limit);
-        let rows = rows.map(|row| ctx.returns.iter().map(|&item| project(&ctx, item, Some(row))));
-        let reps = if stmt.order_by.is_empty() { Vec::new() } else { (0..matches).collect() };
-        (rows.map(Iterator::collect).collect(), reps)
-    };
-    timings.aggregate = stage.elapsed();
-    let stage = Instant::now();
-    let rows = if ctx.plain { rows } else { finalize_rows(&ctx, rows, &reps, &bindings) };
-    timings.windowing = stage.elapsed();
-    QueryResult {
-        rows,
-        matches,
-        elapsed: start.elapsed(),
-        stats: backend.stats().delta_since(&before),
-        predicate_checks: ctx.predicate_checks.get(),
-        stage_timings: timings,
+        heap.resize(n, T::default());
+        heap
     }
 }
 
@@ -217,7 +454,8 @@ pub fn emit_exec_trace(result: &QueryResult, trace: &TraceBuffer, span: u64) {
 
 /// One cell of a binding row: the vertex bound to a slot, `None` while the
 /// slot is unbound (after matching: an unmatched `OPTIONAL` variable). The
-/// matches of an execution are one flat table, `Ctx::stride` cells to a row.
+/// matches of an execution are one flat table, `PhysicalPlan::stride` cells
+/// to a row.
 type Cell = Option<VertexId>;
 
 /// What a property read lends: the stored value, `None` when it is missing.
@@ -226,60 +464,45 @@ type Read<'v> = Option<&'v PropertyValue>;
 /// Slot of the root variable: the first node pattern is resolved first.
 const ROOT: usize = 0;
 
-/// A pattern variable, resolved once per execution.
+/// A pattern variable, resolved once per plan.
 #[derive(Default)]
-struct Slot<'a> {
-    name: &'a str,
-    /// Label of the variable's mandatory node pattern, the only label a
-    /// mandatory edge checks; empty (anything matches) without one.
-    label: &'a str,
-    /// Label of its mandatory — failing that, its `OPTIONAL` — node pattern:
-    /// what an optional edge checks.
-    any_label: &'a str,
+struct Slot {
+    /// Label (an entry of [`Ctx::labels`]) of the variable's mandatory node
+    /// pattern, the only label a mandatory edge checks; entry 0, the empty
+    /// label that anything matches, without one.
+    label: usize,
+    /// Label of its mandatory — failing that, its `OPTIONAL` — node
+    /// pattern: what an optional edge checks.
+    any_label: usize,
     /// Declared by a mandatory node pattern, so bound in every match.
     mandatory: bool,
     /// Declared by an `OPTIONAL` node pattern: pads with `Null` when unbound.
     optional: bool,
-    /// The `WHERE` predicates on the variable, for bind-time filtering.
-    predicates: Vec<&'a Predicate>,
+    /// The `WHERE` predicates on the variable, by index, for bind-time
+    /// filtering.
+    predicates: Vec<usize>,
 }
 
-/// An edge pattern with its endpoints resolved to slots.
-struct Step<'a> {
-    label: &'a str,
+/// An edge pattern: its label (an entry of [`Ctx::labels`]) and its
+/// endpoints resolved to slots.
+struct Step {
+    label: usize,
     src: usize,
     dst: usize,
 }
 
-/// Execution context of the backtracking expansion: the statement resolved
-/// to slots and steps, the backend every read goes through, and the
+/// One execution of a plan: the plan, the backend every read goes through,
+/// the operands this execution compares against, the window and the
 /// predicate-evaluation counter.
 struct Ctx<'a> {
+    plan: &'a PhysicalPlan<'a>,
     stmt: &'a Statement,
     backend: &'a dyn GraphBackend,
-    slots: Vec<Slot<'a>>,
-    edges: Vec<Step<'a>>,
-    opt_edges: Vec<Step<'a>>,
-    /// Slots of the variables the output clauses name, item by item; `None`
-    /// for a variable no pattern part mentions.
-    returns: Vec<Output<'a>>,
-    group_by: Vec<Option<usize>>,
-    having: Vec<Option<usize>>,
-    order_by: Vec<Option<usize>>,
-    /// Per `ORDER BY` key, the `RETURN` column that projects the same
-    /// `var.property`: a row holds that key already, so it is not copied.
-    order_columns: Vec<Option<usize>>,
-    /// The `(slot, property)` pairs the property aggregates other than
-    /// `count(v.p)` fold over, each once, with the parts their calls read.
-    folds: Vec<FoldSpec<'a>>,
-    /// Cells per binding-table row: one per slot, floored at one so that a
-    /// pattern-less statement's empty table still reads as zero rows.
-    stride: usize,
-    /// A predicate on a variable no node pattern declares can never hold.
-    unsatisfiable: bool,
-    /// No aggregate, no `DISTINCT`, no `ORDER BY`: each match yields one
-    /// row, in match order, so the window is the first matches' rows.
-    plain: bool,
+    /// The statement's labels, read by index in the matching loops.
+    labels: &'a [&'a str],
+    /// The right-hand side of every `WHERE`, then every `HAVING` predicate:
+    /// its literal or its parameter's value, `None` while unbound.
+    operands: &'a [Read<'a>],
     /// `SKIP` and `LIMIT`; an unbound `$parameter` skips nothing and does
     /// not limit.
     skip: usize,
@@ -290,113 +513,34 @@ struct Ctx<'a> {
     predicate_checks: std::cell::Cell<u64>,
 }
 
+impl<'a> std::ops::Deref for Ctx<'a> {
+    type Target = PhysicalPlan<'a>;
+
+    fn deref(&self) -> &PhysicalPlan<'a> {
+        self.plan
+    }
+}
+
 /// A `RETURN` item resolved to `(variable slot, property)`.
 type Output<'a> = (Option<usize>, Option<&'a str>);
 
 /// Index of `var`'s slot, appended undeclared (label-less) if `var` is new.
-fn slot_of<'a>(slots: &mut Vec<Slot<'a>>, var: &'a str) -> usize {
-    slots.iter().position(|slot| slot.name == var).unwrap_or_else(|| {
-        slots.push(Slot { name: var, ..Slot::default() });
-        slots.len() - 1
-    })
+/// `names` holds the name of every slot in `slots`, and room for one more.
+fn slot_of<'a>(slots: &mut Vec<Slot>, names: &mut [&'a str], var: &'a str) -> usize {
+    match names[..slots.len()].iter().position(|name| *name == var) {
+        Some(slot) => slot,
+        None => {
+            names[slots.len()] = var;
+            slots.push(Slot::default());
+            slots.len() - 1
+        }
+    }
 }
 
 impl<'a> Ctx<'a> {
-    fn new(stmt: &'a Statement, backend: &'a dyn GraphBackend) -> Self {
-        let mut slots = Vec::new();
-        // The first pattern declaring a variable decides its label, and a
-        // mandatory declaration outranks an optional one.
-        for node in &stmt.nodes {
-            let slot = slot_of(&mut slots, &node.var);
-            if !slots[slot].mandatory {
-                slots[slot].label = &node.label;
-                slots[slot].any_label = &node.label;
-                slots[slot].mandatory = true;
-            }
-        }
-        for node in &stmt.opt_nodes {
-            let slot = slot_of(&mut slots, &node.var);
-            if !slots[slot].mandatory && !slots[slot].optional {
-                slots[slot].any_label = &node.label;
-            }
-            slots[slot].optional = true;
-        }
-        // Edge endpoints that no node pattern declares get label-less slots.
-        let mut step = |edge: &'a EdgePattern| Step {
-            label: &edge.label,
-            src: slot_of(&mut slots, &edge.src),
-            dst: slot_of(&mut slots, &edge.dst),
-        };
-        let edges = stmt.edges.iter().map(&mut step).collect();
-        let opt_edges = stmt.opt_edges.iter().map(&mut step).collect();
-        // Undeclared endpoints keep their predicates too: unanchored OPTIONAL
-        // pairs are enumerated, and counted, even when nothing can match.
-        let mut unsatisfiable = false;
-        for predicate in &stmt.predicates {
-            let slot = slots.iter_mut().find(|slot| slot.name == predicate.var);
-            unsatisfiable |= !slot.as_ref().is_some_and(|slot| slot.mandatory || slot.optional);
-            if let Some(slot) = slot {
-                slot.predicates.push(predicate);
-            }
-        }
-        // Output clauses name variables too: looked up once here, not per row.
-        let slot = |var: &String| slots.iter().position(|slot| slot.name == *var);
-        let returns = stmt.returns.iter().map(|item| match item {
-            ReturnItem::Property { var, property } => (slot(var), Some(property.as_str())),
-            ReturnItem::Vertex { var } => (slot(var), None),
-            ReturnItem::Aggregate { var, property, .. } => (slot(var), property.as_deref()),
-        });
-        let order_columns = stmt.order_by.iter().map(|key| {
-            stmt.returns.iter().position(|item| {
-                matches!(item, ReturnItem::Property { var, property }
-                    if *var == key.var && *property == key.property)
-            })
-        });
-        // RETURN and HAVING calls on one `(slot, property)` share one fold.
-        let mut folds: Vec<FoldSpec<'a>> = Vec::new();
-        let having = stmt.having.iter().map(|pred| (pred.agg, &pred.var, pred.property.as_deref()));
-        let calls = stmt.returns.iter().filter_map(|item| match item {
-            ReturnItem::Aggregate { agg, var, property } => Some((*agg, var, property.as_deref())),
-            _ => None,
-        });
-        let folded = calls.chain(having).filter_map(|(agg, var, property)| {
-            Some((agg, var, property.filter(|_| agg != Aggregate::Count)?))
-        });
-        for (agg, var, property) in folded {
-            let slot = slot(var);
-            let at = folds.iter().position(|fold| fold.slot == slot && fold.property == property);
-            let at = at.unwrap_or_else(|| {
-                folds.push(FoldSpec { slot, property, min: false, max: false, distinct: false });
-                folds.len() - 1
-            });
-            folds[at].min |= agg == Aggregate::Min;
-            folds[at].max |= agg == Aggregate::Max;
-            folds[at].distinct |= agg == Aggregate::CountDistinct;
-        }
-        let count = |term: &Option<CountTerm>| term.as_ref().and_then(CountTerm::count);
-        let (skip, limit) =
-            (count(&stmt.skip).unwrap_or(0), count(&stmt.limit).unwrap_or(usize::MAX));
-        let plain = !stmt.is_aggregation() && !stmt.distinct && stmt.order_by.is_empty();
-        Self {
-            stmt,
-            backend,
-            returns: returns.collect(),
-            group_by: stmt.group_by.iter().map(slot).collect(),
-            having: stmt.having.iter().map(|pred| slot(&pred.var)).collect(),
-            order_by: stmt.order_by.iter().map(|key| slot(&key.var)).collect(),
-            order_columns: order_columns.collect(),
-            folds,
-            stride: slots.len().max(1),
-            slots,
-            edges,
-            opt_edges,
-            unsatisfiable,
-            plain,
-            skip,
-            limit,
-            budget: if plain { skip.saturating_add(limit) } else { usize::MAX },
-            predicate_checks: std::cell::Cell::new(0),
-        }
+    /// `RETURN` item `item` resolved to `(variable slot, property)`.
+    fn output(&self, item: usize) -> Output<'a> {
+        (self.returns[item], self.stmt.returns[item].property())
     }
 
     /// Whether `table` holds every row the statement can return, so that
@@ -414,15 +558,14 @@ impl<'a> Ctx<'a> {
     }
 
     /// Visits the vertices of `label` that `slot` may bind, in id order:
-    /// those a seek on the slot's first `=` predicate with a bound value
-    /// finds, or the whole label when it has none. The visitor still checks
-    /// [`Ctx::passes`]: a seek may visit vertices that fail it.
+    /// those a seek on the slot's first `=` predicate with a bound value —
+    /// literal or parameter — finds, or the whole label when it has none.
+    /// The visitor still checks [`Ctx::passes`]: a seek may visit vertices
+    /// that fail it.
     fn for_each_candidate(&self, slot: usize, label: &str, f: &mut dyn FnMut(VertexId)) {
-        let seek = self.slots[slot].predicates.iter().find_map(|predicate| {
-            match (predicate.op, &predicate.value) {
-                (CmpOp::Eq, Term::Literal(value)) => Some((&predicate.property, value)),
-                _ => None,
-            }
+        let seek = self.slots[slot].predicates.iter().find_map(|&at| {
+            let predicate = &self.stmt.predicates[at];
+            Some((&predicate.property, self.operands[at].filter(|_| predicate.op == CmpOp::Eq)?))
         });
         match seek {
             Some((key, value)) => self.backend.for_each_candidate(label, key, value, f),
@@ -434,8 +577,8 @@ impl<'a> Ctx<'a> {
     /// property fails the predicate, as does an unbound `$parameter` (no
     /// property is fetched for one, so it is not counted as a check).
     fn passes(&self, slot: usize, vertex: VertexId) -> bool {
-        self.slots[slot].predicates.iter().all(|predicate| {
-            let Term::Literal(rhs) = &predicate.value else {
+        self.slots[slot].predicates.iter().all(|&at| {
+            let (predicate, Some(rhs)) = (&self.stmt.predicates[at], self.operands[at]) else {
                 return false;
             };
             self.predicate_checks.set(self.predicate_checks.get() + 1);
@@ -454,7 +597,7 @@ impl<'a> Ctx<'a> {
     /// having read nothing, when both endpoints or neither are bound.
     fn across(
         &self,
-        edge: &Step<'_>,
+        edge: &Step,
         src: Cell,
         dst: Cell,
         optional: bool,
@@ -466,16 +609,16 @@ impl<'a> Ctx<'a> {
             _ => return false,
         };
         let slot = &self.slots[free];
-        let label = if optional { slot.any_label } else { slot.label };
+        let label = self.labels[if optional { slot.any_label } else { slot.label }];
         let mut step = |n| {
             if (label.is_empty() || self.backend.has_label(n, label)) && self.passes(free, n) {
                 visit(free, n);
             }
         };
         if src.is_some() {
-            self.backend.for_each_out(from, edge.label, &mut step);
+            self.backend.for_each_out(from, self.labels[edge.label], &mut step);
         } else {
-            self.backend.for_each_in(from, edge.label, &mut step);
+            self.backend.for_each_in(from, self.labels[edge.label], &mut step);
         }
         true
     }
@@ -503,14 +646,14 @@ fn expand(ctx: &Ctx<'_>, edge_index: usize, row: &mut [Cell], out: &mut Vec<Cell
     });
     if let (false, Some(src), Some(dst)) = (walked, src, dst) {
         let mut connected = false;
-        ctx.backend.for_each_out(src, edge.label, &mut |n| connected |= n == dst);
+        ctx.backend.for_each_out(src, ctx.labels[edge.label], &mut |n| connected |= n == dst);
         if connected {
             expand(ctx, edge_index + 1, row, out);
         }
     } else if !walked {
         // Disconnected edge pattern: enumerate source candidates, then
         // match the same edge again with its source bound.
-        ctx.for_each_candidate(edge.src, ctx.slots[edge.src].label, &mut |candidate| {
+        ctx.for_each_candidate(edge.src, ctx.labels[ctx.slots[edge.src].label], &mut |candidate| {
             if !ctx.full(out) && ctx.passes(edge.src, candidate) {
                 row[edge.src] = Some(candidate);
                 expand(ctx, edge_index, row, out);
@@ -533,7 +676,7 @@ fn bind_isolated(ctx: &Ctx<'_>, row: &[Cell], out: &mut Vec<Cell>) {
         // With no row left nothing can match, and nothing more is read.
         if node.mandatory && row[slot].is_none() && !rows.is_empty() {
             let mut candidates = Vec::new();
-            ctx.for_each_candidate(slot, node.label, &mut |candidate| {
+            ctx.for_each_candidate(slot, ctx.labels[node.label], &mut |candidate| {
                 if ctx.passes(slot, candidate) {
                     candidates.push(candidate);
                 }
@@ -558,6 +701,9 @@ fn bind_isolated(ctx: &Ctx<'_>, row: &[Cell], out: &mut Vec<Cell>) {
 /// without a match keep the optional variable unbound. Since each input row
 /// yields at least one output row, in order, a full output stops the pass.
 fn apply_optional(ctx: &Ctx<'_>, mut current: Vec<Cell>) -> Vec<Cell> {
+    if ctx.opt_edges.is_empty() {
+        return current;
+    }
     let push_bound = |next: &mut Vec<Cell>, row: &[Cell], bound: &[(usize, VertexId)]| {
         let at = next.len();
         next.extend_from_slice(row);
@@ -573,7 +719,7 @@ fn apply_optional(ctx: &Ctx<'_>, mut current: Vec<Cell>) -> Vec<Cell> {
         // the edge, so compute them once, not per row.
         let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
         if !introduced[edge.src] && !introduced[edge.dst] {
-            ctx.for_each_candidate(edge.src, ctx.slots[edge.src].any_label, &mut |s| {
+            ctx.for_each_candidate(edge.src, ctx.labels[ctx.slots[edge.src].any_label], &mut |s| {
                 if ctx.passes(edge.src, s) {
                     ctx.across(edge, Some(s), None, true, &mut |_, n| pairs.push((s, n)));
                 }
@@ -654,22 +800,26 @@ fn aggregate_rows(ctx: &Ctx<'_>, bindings: &[Cell]) -> (Vec<Row>, Vec<usize>) {
         // DISTINCT / ORDER BY / SKIP / LIMIT), sharing the folds with the
         // RETURN aggregates below. An unbound `$parameter` fails the group,
         // mirroring WHERE semantics.
-        let passes = stmt.having.iter().zip(&ctx.having).all(|(pred, &slot)| {
-            let Term::Literal(rhs) = &pred.value else {
+        let mut having =
+            stmt.having.iter().zip(&ctx.having).zip(&ctx.operands[stmt.predicates.len()..]);
+        let passes = having.all(|((pred, &slot), &rhs)| {
+            let Some(rhs) = rhs else {
                 return false;
             };
             pred.op.eval(&aggregate(pred.agg, slot, pred.property.as_deref()), rhs)
         });
         if passes {
             let rep = members.first().and_then(|&i| bindings.chunks_exact(ctx.stride).nth(i));
-            let items = stmt.returns.iter().zip(&ctx.returns);
-            let row = items.map(|(item, &output)| match item {
-                ReturnItem::Aggregate { agg, .. } => aggregate(*agg, output.0, output.1),
-                // A non-aggregated item next to aggregates reads from the
-                // group's first binding — well-defined when the item's
-                // variable is a GROUP BY key, an implicit sample otherwise.
-                _ => project(ctx, output, rep),
-            });
+            let row =
+                stmt.returns.iter().enumerate().map(|(item, agg)| match (agg, ctx.output(item)) {
+                    (ReturnItem::Aggregate { agg, .. }, output) => {
+                        aggregate(*agg, output.0, output.1)
+                    }
+                    // A non-aggregated item next to aggregates reads from the
+                    // group's first binding — well-defined when the item's
+                    // variable is a GROUP BY key, an implicit sample otherwise.
+                    (_, output) => project(ctx, output, rep),
+                });
             rows.push(row.collect());
             reps.push(members.first().copied().unwrap_or(usize::MAX));
         }
@@ -748,9 +898,10 @@ impl Hash for GroupKey<'_> {
 /// A `(variable slot, property)` that property aggregates other than
 /// `count(v.p)` range over, and which optional parts of its [`Fold`] they
 /// read.
-struct FoldSpec<'a> {
+struct FoldSpec {
     slot: Option<usize>,
-    property: &'a str,
+    /// The first aggregate call on the pair (see [`call_property`]).
+    call: usize,
     min: bool,
     max: bool,
     distinct: bool,
@@ -783,7 +934,7 @@ struct Fold {
 }
 
 impl Fold {
-    fn new(spec: &FoldSpec<'_>) -> Self {
+    fn new(spec: &FoldSpec) -> Self {
         Fold {
             count: 0,
             int_sum: Some(0),
@@ -798,7 +949,7 @@ impl Fold {
     /// Folds one element in. A minimum or maximum is copied only when the
     /// element improves on it; the distinct set keeps a copy of each
     /// element it has not seen (and drops that of one it has).
-    fn add(&mut self, spec: &FoldSpec<'_>, value: &PropertyValue) {
+    fn add(&mut self, spec: &FoldSpec, value: &PropertyValue) {
         self.count += 1;
         self.int_sum = match value {
             PropertyValue::Int(n) => self.int_sum.and_then(|sum| sum.checked_add(*n)),
@@ -851,8 +1002,11 @@ fn group_aggregate(
     if agg == Aggregate::Count {
         return int(bound().filter(|&v| ctx.read(v, property, |value| value.is_some())).count());
     }
-    let at = ctx.folds.iter().position(|fold| fold.slot == slot && fold.property == property);
-    let at = at.expect("Ctx::new resolves a fold for every property aggregate");
+    let at = ctx
+        .folds
+        .iter()
+        .position(|fold| fold.slot == slot && call_property(ctx.stmt, fold.call) == Some(property));
+    let at = at.expect("compiling resolves a fold for every property aggregate");
     let spec = &ctx.folds[at];
     let fold = folds[at].get_or_insert_with(|| {
         let mut fold = Fold::new(spec);
@@ -2139,13 +2293,15 @@ mod tests {
                 if passes {
                     let rep =
                         members.first().and_then(|&i| bindings.chunks_exact(ctx.stride).nth(i));
-                    let items = stmt.returns.iter().zip(&ctx.returns);
-                    let row = items.map(|(item, &output)| match item {
-                        ReturnItem::Aggregate { agg, .. } => aggregate(*agg, output.0, output.1),
+                    let items = stmt.returns.iter().enumerate();
+                    let row = items.map(|(item, agg)| match (agg, ctx.output(item)) {
+                        (ReturnItem::Aggregate { agg, .. }, output) => {
+                            aggregate(*agg, output.0, output.1)
+                        }
                         // A non-aggregated item next to aggregates reads from the
                         // group's first binding — well-defined when the item's
                         // variable is a GROUP BY key, an implicit sample otherwise.
-                        _ => project(ctx, output, rep),
+                        (_, output) => project(ctx, output, rep),
                     });
                     rows.push(row.collect());
                     reps.push(members.first().copied().unwrap_or(usize::MAX));
@@ -2298,11 +2454,29 @@ mod tests {
     /// [`execute_statement`] with the reference finalization stage.
     fn reference_execute(stmt: &Statement, backend: &dyn GraphBackend) -> QueryResult {
         let before = backend.stats();
-        let ctx = Ctx::new(stmt, backend);
+        let plan = PhysicalPlan::compile(stmt);
+        let count = |term: &Option<CountTerm>| term.as_ref().and_then(CountTerm::count);
+        let (skip, limit) =
+            (count(&stmt.skip).unwrap_or(0), count(&stmt.limit).unwrap_or(usize::MAX));
+        let operands: Vec<_> = stmt.predicates.iter().map(|p| p.value.as_literal()).collect();
+        let nodes = stmt.nodes.iter().chain(&stmt.opt_nodes).map(|node| node.label.as_str());
+        let edges = stmt.edges.iter().chain(&stmt.opt_edges).map(|edge| edge.label.as_str());
+        let labels: Vec<&str> = std::iter::once("").chain(nodes).chain(edges).collect();
+        let ctx = Ctx {
+            plan: &plan,
+            stmt,
+            backend,
+            labels: &labels,
+            operands: &operands,
+            skip,
+            limit,
+            budget: if plan.plain { skip.saturating_add(limit) } else { usize::MAX },
+            predicate_checks: std::cell::Cell::new(0),
+        };
         let mut bindings: Vec<Cell> = Vec::new();
         if !ctx.unsatisfiable && !stmt.nodes.is_empty() {
             let mut row = vec![None; ctx.slots.len()];
-            ctx.for_each_candidate(ROOT, ctx.slots[ROOT].label, &mut |root| {
+            ctx.for_each_candidate(ROOT, ctx.labels[ctx.slots[ROOT].label], &mut |root| {
                 if !ctx.full(&bindings) && ctx.passes(ROOT, root) {
                     row[ROOT] = Some(root);
                     expand(&ctx, 0, &mut row, &mut bindings);
@@ -2317,8 +2491,9 @@ mod tests {
         } else {
             let (skip, limit) = if ctx.plain { (ctx.skip, ctx.limit) } else { (0, usize::MAX) };
             let rows = bindings.chunks_exact(ctx.stride).skip(skip).take(limit);
-            let rows =
-                rows.map(|row| ctx.returns.iter().map(|&item| project(&ctx, item, Some(row))));
+            let rows = rows.map(|row| {
+                (0..ctx.returns.len()).map(|item| project(&ctx, ctx.output(item), Some(row)))
+            });
             let reps = if stmt.order_by.is_empty() { Vec::new() } else { (0..matches).collect() };
             (rows.map(Iterator::collect).collect(), reps)
         };
@@ -2449,6 +2624,7 @@ mod tests {
             let mut rng = proptest::TestRng::new(seed);
             let g = random_graph(&mut rng);
             let text = random_statement(&mut rng);
+            let text = random_where(&mut rng, &text);
             let stmt = crate::parse(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
             let (new, old) = (execute_statement(&stmt, &g), reference_execute(&stmt, &g));
             // Debug text tells -0.0 from 0.0, which `==` does not.
@@ -2456,6 +2632,64 @@ mod tests {
             assert_eq!(new.matches, old.matches, "{text}");
             assert_eq!(new.stats, old.stats, "{text}");
             assert_eq!(new.predicate_checks, old.predicate_checks, "{text}");
+        }
+    }
+
+    /// `WHERE` clauses for `random_statement`'s texts over `random_graph`'s
+    /// vocabulary — `=` among them, so parameterized seeks are exercised —
+    /// or none.
+    fn random_where(rng: &mut proptest::TestRng, text: &str) -> String {
+        let mut pick = |n: u64| (rng.next_u64() % n) as usize;
+        let vars: &[&str] = if text.contains("(b:B)") { &["a", "b"] } else { &["a"] };
+        let conditions: Vec<String> = (0..pick(3))
+            .map(|_| {
+                let (v, p) = (vars[pick(vars.len() as u64)], ["x", "y", "l"][pick(3)]);
+                let op = ["=", "=", "<>", "<", ">=", "CONTAINS"][pick(6)];
+                let value = ["'a'", "'b'", "''", "2", "2.0", "-1", "1.5", "true"][pick(8)];
+                format!("{v}.{p} {op} {value}")
+            })
+            .collect();
+        match conditions.is_empty() {
+            true => text.to_string(),
+            false => {
+                text.replacen(" RETURN", &format!(" WHERE {} RETURN", conditions.join(" AND ")), 1)
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4_000))]
+
+        /// A compiled plan executed with `Params` answers exactly what the
+        /// bound copy answers, and refuses exactly what `bind` refuses.
+        #[test]
+        fn plans_execute_parameters_in_place_as_bind_does(seed in 0u64..u64::MAX) {
+            let mut rng = proptest::TestRng::new(seed);
+            let g = random_graph(&mut rng);
+            let text = random_statement(&mut rng);
+            let text = random_where(&mut rng, &text);
+            let stmt = crate::parse(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            let (p, params) = stmt.parameterize();
+            let plan = PhysicalPlan::compile(&p);
+            let new = plan.execute(&params, &g).unwrap();
+            let old = execute_statement(&p.bind(&params).unwrap(), &g);
+            assert_eq!(format!("{:?}", new.rows), format!("{:?}", old.rows), "{text}");
+            assert_eq!(new.matches, old.matches, "{text}");
+            assert_eq!(new.stats, old.stats, "{text}");
+            assert_eq!(new.predicate_checks, old.predicate_checks, "{text}");
+            // Missing, unknown and mismatched window parameters.
+            let mut wrong: Vec<Params> = vec![
+                params.iter().skip(1).map(|(n, v)| (n, v.clone())).collect(),
+                params.iter().map(|(n, v)| (n, v.clone())).chain([("zz", 1i64.into())]).collect(),
+            ];
+            for count in ["skip", "limit"].into_iter().filter(|n| params.get(n).is_some()) {
+                for bad in [PropertyValue::Int(-1), PropertyValue::str("3"), PropertyValue::Float(3.0)] {
+                    wrong.push(params.iter().map(|(n, v)| (n, if n == count { bad.clone() } else { v.clone() })).collect());
+                }
+            }
+            for params in wrong.iter().filter(|params| p.bind(params).is_err()) {
+                assert_eq!(plan.execute(params, &g).unwrap_err(), p.bind(params).unwrap_err(), "{text}");
+            }
         }
     }
 

@@ -57,7 +57,7 @@ pub mod rewrite;
 pub mod stmt;
 
 pub use ast::{Aggregate, EdgePattern, NodePattern, ReturnItem};
-pub use exec::{emit_exec_trace, execute_statement, QueryResult, Row};
+pub use exec::{emit_exec_trace, execute_statement, PhysicalPlan, QueryResult, Row};
 pub use explain::{AppliedRule, PlanActuals, QueryMode, QueryPlan};
 pub use fingerprint::fingerprint_statement;
 pub use params::{BindError, ParamKind, ParamSignature, ParamSpec, Params};

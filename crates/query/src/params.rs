@@ -10,7 +10,8 @@
 //! * [`Params`] — one execution's name → [`PropertyValue`] bindings;
 //! * [`Statement::bind`] — substitutes the values into a copy of the
 //!   statement, failing with a [`BindError`] on a missing, mismatched or
-//!   unknown parameter;
+//!   unknown parameter; [`crate::PhysicalPlan::execute`] checks them the
+//!   same way and reads them in place instead, without the copy;
 //! * [`Statement::parameterize`] — the reverse direction: extracts every
 //!   literal constant into a fresh parameter, which is how the serving layer
 //!   canonicalizes ad-hoc statements so value-varying requests share one
@@ -294,20 +295,7 @@ impl Statement {
     /// anything but a non-negative integer, and [`BindError::Unknown`] when
     /// `params` binds a name the statement does not declare.
     pub fn bind(&self, params: &Params) -> Result<Statement, BindError> {
-        self.bind_against(&self.signature(), params)
-    }
-
-    /// [`Statement::bind`] with a pre-computed [`ParamSignature`] — the
-    /// serving layer caches the signature per prepared statement, so the
-    /// per-execution hot path skips re-deriving it. `signature` must be this
-    /// statement's own signature (a rewritten plan shares its source's: the
-    /// DIR→OPT rules never add, drop or reorder parameters).
-    pub fn bind_against(
-        &self,
-        signature: &ParamSignature,
-        params: &Params,
-    ) -> Result<Statement, BindError> {
-        signature.validate(params)?;
+        self.signature().validate(params)?;
         let mut bound = self.clone();
         for predicate in &mut bound.predicates {
             if let Term::Parameter(name) = &predicate.value {

@@ -545,16 +545,12 @@ impl Statement {
                 ));
             }
         }
-        let returns = self.returns.iter().map(|item| match item {
-            ReturnItem::Property { var, .. }
-            | ReturnItem::Vertex { var }
-            | ReturnItem::Aggregate { var, .. } => ("RETURN", var),
-        });
+        let returns = self.returns.iter().map(|item| ("RETURN", item.var()));
         let references = returns
-            .chain(self.predicates.iter().map(|p| ("WHERE", &p.var)))
-            .chain(self.order_by.iter().map(|k| ("ORDER BY", &k.var)))
-            .chain(self.group_by.iter().map(|var| ("GROUP BY", var)))
-            .chain(self.having.iter().map(|h| ("HAVING", &h.var)));
+            .chain(self.predicates.iter().map(|p| ("WHERE", p.var.as_str())))
+            .chain(self.order_by.iter().map(|k| ("ORDER BY", k.var.as_str())))
+            .chain(self.group_by.iter().map(|var| ("GROUP BY", var.as_str())))
+            .chain(self.having.iter().map(|h| ("HAVING", h.var.as_str())));
         for (clause, var) in references {
             if self.any_node(var).is_none() {
                 return Err(format!("{clause} references unbound variable {var}"));

@@ -1,23 +1,24 @@
 //! Fingerprint-keyed DIR→OPT plan cache.
 //!
 //! Rewriting a DIR statement onto the optimized schema walks the whole
-//! pattern and the schema's provenance maps; on the serving hot path that
-//! work is pure overhead after the first request of a given statement. The
-//! cache maps a [`pgso_query::fingerprint_statement`] to the rewritten plan
-//! (a [`Statement`]), tagged with the schema **generation** it was rewritten
-//! against. A schema swap bumps the generation, which implicitly invalidates
+//! pattern and the schema's provenance maps, and compiling the rewrite
+//! resolves its slots, steps and output columns; on the serving hot path
+//! that work is pure overhead after the first request of a given statement.
+//! The cache maps a [`pgso_query::fingerprint_statement`] to the plan — the
+//! server caches the compiled rewrite ([`pgso_query::PhysicalPlan`]) with
+//! the workload tracker's resolved counters — tagged with the schema
+//! **generation** it was rewritten against. A schema swap bumps the generation, which implicitly invalidates
 //! every cached plan: a lookup whose entry carries a stale generation is a
 //! miss (and the entry is dropped), so no serving thread can ever execute a
 //! plan rewritten for a schema that is no longer loaded.
 //!
 //! Cached plans are **parameterized statements**: `$name` placeholders are
-//! part of the plan, and each execution binds its values into a copy by
-//! name. Value-varying workloads therefore share plans by construction —
+//! part of the plan, and each execution executes the compiled plan with the
+//! request's values, read by name. Value-varying workloads therefore share plans by construction —
 //! one prepared statement (or one auto-parameterized ad-hoc shape) is one
 //! entry, with no literal splicing at lookup time.
 
 use parking_lot::RwLock;
-use pgso_query::Statement;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -49,17 +50,18 @@ impl CacheStats {
     }
 }
 
-struct CachedPlan {
+struct CachedPlan<P> {
     epoch: u64,
-    plan: Arc<Statement>,
+    plan: Arc<P>,
     /// Logical insertion/access stamp for eviction.
     stamp: u64,
 }
 
-/// Concurrent plan cache keyed by query fingerprint.
-pub struct PlanCache {
+/// Concurrent plan cache keyed by query fingerprint, holding plans of type
+/// `P`.
+pub struct PlanCache<P> {
     capacity: usize,
-    map: RwLock<HashMap<u64, CachedPlan>>,
+    map: RwLock<HashMap<u64, CachedPlan<P>>>,
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -67,7 +69,7 @@ pub struct PlanCache {
     evictions: AtomicU64,
 }
 
-impl PlanCache {
+impl<P> PlanCache<P> {
     /// Creates a cache holding at most `capacity` plans.
     pub fn new(capacity: usize) -> Self {
         Self {
@@ -85,7 +87,7 @@ impl PlanCache {
     ///
     /// An entry from an older epoch counts as a miss and is removed so the
     /// caller re-rewrites against the current schema.
-    pub fn get(&self, fingerprint: u64, epoch: u64) -> Option<Arc<Statement>> {
+    pub fn get(&self, fingerprint: u64, epoch: u64) -> Option<Arc<P>> {
         {
             let map = self.map.read();
             if let Some(cached) = map.get(&fingerprint) {
@@ -116,7 +118,7 @@ impl PlanCache {
     }
 
     /// Inserts a freshly rewritten plan.
-    pub fn insert(&self, fingerprint: u64, epoch: u64, plan: Arc<Statement>) {
+    pub fn insert(&self, fingerprint: u64, epoch: u64, plan: Arc<P>) {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut map = self.map.write();
         if map.len() >= self.capacity && !map.contains_key(&fingerprint) {
@@ -153,7 +155,7 @@ impl PlanCache {
     }
 }
 
-impl std::fmt::Debug for PlanCache {
+impl<P> std::fmt::Debug for PlanCache<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlanCache")
             .field("capacity", &self.capacity)
@@ -165,6 +167,7 @@ impl std::fmt::Debug for PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgso_query::Statement;
 
     fn plan(name: &str) -> Arc<Statement> {
         Arc::new(Statement::builder(name).node("a", "A").ret_vertex("a").build())
@@ -220,6 +223,6 @@ mod tests {
 
     #[test]
     fn empty_cache_reports_perfect_ratio() {
-        assert_eq!(PlanCache::new(4).stats().hit_ratio(), 1.0);
+        assert_eq!(PlanCache::<Statement>::new(4).stats().hit_ratio(), 1.0);
     }
 }

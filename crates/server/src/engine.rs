@@ -58,6 +58,7 @@ use crate::cache::{CacheStats, PlanCache};
 use crate::durable::{claim_fresh_dir, recover_start, PersistHandle};
 use crate::publish::IngestState;
 use crate::serve::PreparedEntry;
+use crate::serve::ServedPlan;
 use crate::telemetry::ServerTelemetry;
 use crate::tracker::WorkloadTracker;
 use parking_lot::{Mutex, RwLock};
@@ -278,7 +279,7 @@ pub struct KgServer {
     pub(crate) instance: InstanceKg,
     pub(crate) config: ServerConfig,
     pub(crate) epoch: RwLock<Arc<Epoch>>,
-    pub(crate) plan_cache: PlanCache,
+    pub(crate) plan_cache: PlanCache<ServedPlan>,
     pub(crate) prepared: RwLock<Vec<PreparedEntry>>,
     pub(crate) tracker: WorkloadTracker,
     /// Frequencies the current schema was optimized for.

@@ -124,6 +124,6 @@ pub use pgso_telemetry::{
     HistogramSnapshot, MetricsSnapshot, StageTimings, TraceEvent, WindowRates, WINDOW_SECS,
 };
 pub use tracker::{
-    frequencies_from_bytes, frequencies_to_bytes, WorkloadSnapshot, WorkloadTracker,
+    frequencies_from_bytes, frequencies_to_bytes, TrackedAccess, WorkloadSnapshot, WorkloadTracker,
     WORKLOAD_SNAPSHOT_VERSION,
 };

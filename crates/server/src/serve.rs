@@ -4,12 +4,13 @@
 //! them, and the serve hot path with its telemetry.
 
 use crate::engine::KgServer;
+use crate::tracker::TrackedAccess;
 use pgso_graphstore::{AccessStats, GraphBackend};
 use pgso_persist::WalRecord;
 use pgso_query::{
     emit_exec_trace, execute_statement, fingerprint_statement, parse_named, rewrite_statement,
     rewrite_statement_traced, strip_directive, AppliedRule, BindError, ParamSignature, Params,
-    ParseError, PlanActuals, QueryMode, QueryPlan, QueryResult, Statement,
+    ParseError, PhysicalPlan, PlanActuals, QueryMode, QueryPlan, QueryResult, Statement,
 };
 use pgso_telemetry::{current_trace_id, FieldValue, StageTimings};
 use std::sync::atomic::Ordering;
@@ -63,6 +64,13 @@ pub(crate) struct PreparedEntry {
     /// themselves, or identifiers outside the grammar); such entries are
     /// excluded from persistence rather than bricking recovery.
     pub(crate) persistable: bool,
+}
+
+/// What the plan cache holds per DIR statement and schema generation: its
+/// rewrite, compiled, and what the workload tracker counts per serve of it.
+pub(crate) struct ServedPlan {
+    plan: PhysicalPlan<'static>,
+    access: TrackedAccess,
 }
 
 /// Renders a [`QueryPlan`] as a [`QueryResult`] so EXPLAIN/PROFILE flow
@@ -208,9 +216,9 @@ impl KgServer {
     }
 
     /// Executes a prepared statement with `params` bound **by name** against
-    /// its signature. The DIR→OPT plan is cached per prepared statement
-    /// (parameters and all), so value-varying executions rewrite once and
-    /// bind per call.
+    /// its signature. The compiled DIR→OPT plan is cached per prepared
+    /// statement (parameters and all), so value-varying executions rewrite
+    /// and compile once, and each reads its values in place.
     ///
     /// # Errors
     /// [`BindError`] when a declared parameter is missing, a `SKIP`/`LIMIT`
@@ -237,7 +245,7 @@ impl KgServer {
             }
         };
         let detailed = self.telemetry.as_deref().is_some_and(|t| t.sample_detail());
-        self.serve_inner(fp, &stmt, params, Some(&prepared.signature), Some(prepared.id), detailed)
+        self.serve_inner(fp, &stmt, params, Some(prepared.id), detailed)
     }
 
     /// Serves one parsed, parameterless DIR statement — the step behind
@@ -260,7 +268,7 @@ impl KgServer {
         // The generated parameters bind by construction; only a `$parameter`
         // of the statement's own could fail here, and `serve_text` has
         // already refused those.
-        self.serve_inner(fp, &canonical, &params, None, None, detailed)
+        self.serve_inner(fp, &canonical, &params, None, detailed)
             .map_err(|err| ParseError { message: err.to_string(), offset: 0 })
     }
 
@@ -403,7 +411,6 @@ impl KgServer {
         fp: u64,
         stmt: &Statement,
         params: &Params,
-        signature: Option<&ParamSignature>,
         prepared: Option<PreparedId>,
         detailed: bool,
     ) -> Result<QueryResult, BindError> {
@@ -419,48 +426,36 @@ impl KgServer {
         // Plans are keyed on the schema lineage, not the epoch number: an
         // ingest publication swaps the epoch but rewrites stay valid.
         let cached = self.plan_cache.get(fp, epoch.schema_generation);
-        let mut after_lookup = if detailed { Some(Instant::now()) } else { None };
-        if let (Some(t), Some(s), Some(l)) = (telemetry, serve_started, after_lookup) {
+        let mut exec_started = if detailed { Some(Instant::now()) } else { None };
+        if let (Some(t), Some(s), Some(l)) = (telemetry, serve_started, exec_started) {
             t.cache_lookup.record_duration(l.duration_since(s));
         }
-        let plan = match cached {
-            Some(plan) => plan,
+        let entry = match cached {
+            Some(entry) => entry,
             None => {
                 // Misses are rare and already expensive: the rewrite is
                 // always timed, whatever the sampling ticket said.
                 let rewrite_started = telemetry.map(|_| Instant::now());
-                let plan = Arc::new(rewrite_statement(stmt, &epoch.schema));
+                let plan = PhysicalPlan::compile_owned(rewrite_statement(stmt, &epoch.schema));
+                let entry = Arc::new(ServedPlan { plan, access: self.tracker.resolve(stmt) });
                 if let (Some(t), Some(s)) = (telemetry, rewrite_started) {
                     let done = Instant::now();
                     t.rewrite.record_duration(done.duration_since(s));
-                    // Keep a detail serve's bind phase from absorbing the
-                    // rewrite.
+                    // Keep a detail serve's execute phase from absorbing
+                    // the rewrite.
                     if detailed {
-                        after_lookup = Some(done);
+                        exec_started = Some(done);
                     }
                 }
-                self.plan_cache.insert(fp, epoch.schema_generation, plan.clone());
-                plan
+                self.plan_cache.insert(fp, epoch.schema_generation, entry.clone());
+                entry
             }
         };
-        // The cached plan is the rewritten *parameterized* statement; bind
-        // this execution's values by name before running it. The prepared
-        // path supplies the registry's cached signature (valid for the plan
-        // too — the rewrite never touches parameters) so the hot path skips
-        // re-deriving it.
-        let (result, exec_started) = if plan.has_parameters() || !params.is_empty() {
-            let bound = match signature {
-                Some(signature) => plan.bind_against(signature, params)?,
-                None => plan.bind(params)?,
-            };
-            let after_bind = if detailed { Some(Instant::now()) } else { None };
-            if let (Some(t), Some(l), Some(b)) = (telemetry, after_lookup, after_bind) {
-                t.bind.record_duration(b.duration_since(l));
-            }
-            (execute_statement(&bound, epoch.graph()), after_bind)
-        } else {
-            (execute_statement(&plan, epoch.graph()), after_lookup)
-        };
+        // The cached plan is the compiled rewrite of the *parameterized*
+        // statement; it reads this execution's values by name, in place.
+        // Its signature is the DIR statement's: the rewrite keeps every
+        // predicate, HAVING and window term in place.
+        let result = entry.plan.execute(params, epoch.graph())?;
         if let (Some(t), Some(s)) = (telemetry, serve_started) {
             // One final clock read closes both the execute phase (detail
             // serves only) and the end-to-end serve.
@@ -490,7 +485,7 @@ impl KgServer {
                 emit_exec_trace(&result, t.trace(), trace_id);
             }
         }
-        self.tracker.record_statement(stmt);
+        self.tracker.record(&entry.access);
         let served = self.served.fetch_add(1, Ordering::Relaxed) + 1;
         if self.config.auto_reoptimize && served.is_multiple_of(self.config.check_interval) {
             self.try_reoptimize();

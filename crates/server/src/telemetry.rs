@@ -14,7 +14,7 @@
 //! | `query.latency` | histogram | end-to-end serve time, ns |
 //! | `query.stage.root_selection` … `query.stage.windowing` | histogram | executor stage time, ns (sampled) |
 //! | `server.parse` / `server.parameterize` | histogram | text-path front-end time, ns |
-//! | `server.cache_lookup` / `server.rewrite` / `server.bind` / `server.execute` | histogram | serve pipeline phases, ns (sampled; `rewrite` always) |
+//! | `server.cache_lookup` / `server.rewrite` / `server.execute` | histogram | serve pipeline phases, ns (sampled; `rewrite` always); `execute` includes checking the parameters |
 //! | `prepared.<id>.latency` | histogram | per-prepared-statement serve time, ns (first [`DEFAULT_PREPARED_SERIES_LIMIT`] ids) |
 //! | `prepared.other.latency` | histogram | shared overflow series for prepared ids past the limit |
 //! | `server.slow_queries` | counter | serves past the slow-query threshold |
@@ -51,7 +51,7 @@
 //!
 //! The end-to-end series (`query.latency`, `prepared.<id>.latency`, the
 //! slow-query log) record **every** serve. The detail series — per-stage
-//! executor timings and the cache-lookup/bind/execute pipeline phases — are
+//! executor timings and the cache-lookup/execute pipeline phases — are
 //! recorded for one serve in [`DETAIL_SAMPLE_EVERY`], chosen round-robin by
 //! a shared counter. The phase breakdown of serves that all take a few
 //! microseconds is statistically identical at 1-in-8 resolution, and
@@ -97,8 +97,6 @@ pub struct ServerTelemetry {
     pub cache_lookup: Arc<Histogram>,
     /// `server.rewrite`.
     pub rewrite: Arc<Histogram>,
-    /// `server.bind`.
-    pub bind: Arc<Histogram>,
     /// `server.execute`.
     pub execute: Arc<Histogram>,
     /// `server.slow_queries`.
@@ -172,7 +170,6 @@ impl ServerTelemetry {
             parameterize: registry.histogram(&name("server.parameterize")),
             cache_lookup: registry.histogram(&name("server.cache_lookup")),
             rewrite: registry.histogram(&name("server.rewrite")),
-            bind: registry.histogram(&name("server.bind")),
             execute: registry.histogram(&name("server.execute")),
             slow_queries: registry.counter(&name("server.slow_queries")),
             ingest_swaps: registry.counter(&name("epoch.ingest_swaps")),
