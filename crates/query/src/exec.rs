@@ -576,6 +576,8 @@ impl<'a> Ctx<'a> {
     /// Evaluates every predicate on `slot` against `vertex`. A missing
     /// property fails the predicate, as does an unbound `$parameter` (no
     /// property is fetched for one, so it is not counted as a check).
+    /// Called per candidate and neighbour, so kept inline in those loops.
+    #[inline(always)]
     fn passes(&self, slot: usize, vertex: VertexId) -> bool {
         self.slots[slot].predicates.iter().all(|&at| {
             let (predicate, Some(rhs)) = (&self.stmt.predicates[at], self.operands[at]) else {
@@ -595,6 +597,8 @@ impl<'a> Ctx<'a> {
     /// an `optional` edge any declaration's — and passing its predicates,
     /// checked in that order, one neighbour at a time. Returns `false`,
     /// having read nothing, when both endpoints or neither are bound.
+    /// Kept inline in the expansion, which calls it per partial match.
+    #[inline(always)]
     fn across(
         &self,
         edge: &Step,
