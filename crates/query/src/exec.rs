@@ -2682,17 +2682,21 @@ mod tests {
             assert_eq!(new.stats, old.stats, "{text}");
             assert_eq!(new.predicate_checks, old.predicate_checks, "{text}");
             // Missing, unknown and mismatched window parameters.
+            let entries = || params.iter().map(|(n, v)| (n, v.clone()));
             let mut wrong: Vec<Params> = vec![
-                params.iter().skip(1).map(|(n, v)| (n, v.clone())).collect(),
-                params.iter().map(|(n, v)| (n, v.clone())).chain([("zz", 1i64.into())]).collect(),
+                entries().skip(1).collect(),
+                entries().chain([("zz", 1i64.into())]).collect(),
             ];
+            let bad = [PropertyValue::Int(-1), PropertyValue::str("3"), PropertyValue::Float(3.0)];
             for count in ["skip", "limit"].into_iter().filter(|n| params.get(n).is_some()) {
-                for bad in [PropertyValue::Int(-1), PropertyValue::str("3"), PropertyValue::Float(3.0)] {
-                    wrong.push(params.iter().map(|(n, v)| (n, if n == count { bad.clone() } else { v.clone() })).collect());
+                for bad in &bad {
+                    let swap = |(n, v)| (n, if n == count { bad.clone() } else { v });
+                    wrong.push(entries().map(swap).collect());
                 }
             }
             for params in wrong.iter().filter(|params| p.bind(params).is_err()) {
-                assert_eq!(plan.execute(params, &g).unwrap_err(), p.bind(params).unwrap_err(), "{text}");
+                let (new, old) = (plan.execute(params, &g), p.bind(params));
+                assert_eq!(new.unwrap_err(), old.unwrap_err(), "{text}");
             }
         }
     }

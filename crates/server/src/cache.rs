@@ -7,16 +7,18 @@
 //! The cache maps a [`pgso_query::fingerprint_statement`] to the plan — the
 //! server caches the compiled rewrite ([`pgso_query::PhysicalPlan`]) with
 //! the workload tracker's resolved counters — tagged with the schema
-//! **generation** it was rewritten against. A schema swap bumps the generation, which implicitly invalidates
-//! every cached plan: a lookup whose entry carries a stale generation is a
-//! miss (and the entry is dropped), so no serving thread can ever execute a
-//! plan rewritten for a schema that is no longer loaded.
+//! **generation** it was rewritten against. A schema swap bumps the
+//! generation, which implicitly invalidates every cached plan: a lookup
+//! whose entry carries a stale generation is a miss (and the entry is
+//! dropped), so no serving thread can ever execute a plan rewritten for a
+//! schema that is no longer loaded.
 //!
 //! Cached plans are **parameterized statements**: `$name` placeholders are
 //! part of the plan, and each execution executes the compiled plan with the
-//! request's values, read by name. Value-varying workloads therefore share plans by construction —
-//! one prepared statement (or one auto-parameterized ad-hoc shape) is one
-//! entry, with no literal splicing at lookup time.
+//! request's values, read by name. Value-varying workloads therefore share
+//! plans by construction — one prepared statement (or one
+//! auto-parameterized ad-hoc shape) is one entry, with no literal splicing
+//! at lookup time.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;

@@ -206,12 +206,11 @@ impl WorkloadTracker {
         };
         let nodes = stmt.nodes.iter().chain(&stmt.opt_nodes);
         let concepts = nodes.filter_map(|node| self.concept_by_label.get(&node.label).copied());
-        let edges: Vec<(&EdgePattern, Option<RelationshipId>)> = (stmt.edges.iter())
-            .chain(&stmt.opt_edges)
-            .map(|e| {
-                (e, self.resolve_relationship(&e.label, concept_of(&e.src), concept_of(&e.dst)))
-            })
-            .collect();
+        let relationship_of = |e: &EdgePattern| {
+            self.resolve_relationship(&e.label, concept_of(&e.src), concept_of(&e.dst))
+        };
+        let edges: Vec<(&EdgePattern, Option<RelationshipId>)> =
+            stmt.edges.iter().chain(&stmt.opt_edges).map(|e| (e, relationship_of(e))).collect();
         // Property accesses reached through a relationship: `var.property`
         // (from the RETURN clause or a WHERE predicate) where some pattern
         // edge ends in `var`.
