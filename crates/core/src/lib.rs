@@ -57,7 +57,7 @@ pub use jaccard::{jaccard_similarity, InheritanceSimilarities};
 pub use knapsack::{solve_exact, solve_fptas, solve_greedy, KnapsackItem, KnapsackSolution};
 pub use optimize::{apply_plan, optimize_nsc, Algorithm, OptimizationOutcome, OptimizerInput};
 pub use pagerank::{ontology_pagerank, CentralityScores};
-pub use pgsg::{benefit_ratios_at_fraction, optimize_pgsg, BenefitRatios, PgsgResult};
+pub use pgsg::{optimize_pgsg, PgsgResult};
 pub use relation_centric::{
     optimize_relation_centric, optimize_relation_centric_with, SelectionStrategy,
 };

@@ -2,12 +2,11 @@
 //!
 //! Section 5.1: *"PGSG chooses the property graph schema with a higher total
 //! benefit score from relation-centric (RC) and concept-centric (CC)
-//! algorithms."* This module wraps the two algorithms behind one entry point
-//! and also exposes the benefit-ratio helper used throughout Figures 8–10.
+//! algorithms."* This module wraps the two algorithms behind one entry point.
 
 use crate::concept_centric::optimize_concept_centric;
 use crate::config::OptimizerConfig;
-use crate::optimize::{optimize_nsc, Algorithm, OptimizationOutcome, OptimizerInput};
+use crate::optimize::{Algorithm, OptimizationOutcome, OptimizerInput};
 use crate::relation_centric::optimize_relation_centric;
 
 /// Runs both space-constrained algorithms and returns the outcome with the
@@ -38,37 +37,10 @@ pub fn optimize_pgsg(input: OptimizerInput<'_>, config: &OptimizerConfig) -> Pgs
     PgsgResult { chosen, concept_centric, relation_centric }
 }
 
-/// Convenience wrapper computing the benefit ratios of CC and RC against the
-/// unconstrained NSC schema for a given space budget, as plotted in
-/// Figures 8–10.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BenefitRatios {
-    /// Benefit ratio of the concept-centric schema.
-    pub concept_centric: f64,
-    /// Benefit ratio of the relation-centric schema.
-    pub relation_centric: f64,
-}
-
-/// Computes CC and RC benefit ratios for one space budget expressed as a
-/// fraction of the NSC cost (`space_fraction` in `[0, 1]`).
-pub fn benefit_ratios_at_fraction(
-    input: OptimizerInput<'_>,
-    base_config: &OptimizerConfig,
-    space_fraction: f64,
-) -> BenefitRatios {
-    let nsc = optimize_nsc(input, base_config);
-    let budget = (nsc.total_cost as f64 * space_fraction.clamp(0.0, 1.0)).round() as u64;
-    let config = OptimizerConfig { space_limit: Some(budget), ..*base_config };
-    let result = optimize_pgsg(input, &config);
-    BenefitRatios {
-        concept_centric: result.concept_centric.benefit_ratio(&nsc),
-        relation_centric: result.relation_centric.benefit_ratio(&nsc),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimize::optimize_nsc;
     use pgso_ontology::{
         catalog, AccessFrequencies, DataStatistics, StatisticsConfig, WorkloadDistribution,
     };
@@ -105,17 +77,24 @@ mod tests {
         let o = catalog::medical();
         let (stats, af) = fixture(&o);
         let input = OptimizerInput::new(&o, &stats, &af);
-        let config = OptimizerConfig::default();
-        let low = benefit_ratios_at_fraction(input, &config, 0.05);
-        let high = benefit_ratios_at_fraction(input, &config, 1.0);
-        assert!(low.relation_centric <= high.relation_centric + 1e-9);
-        assert!(low.concept_centric <= high.concept_centric + 1e-9);
-        // At 100% both reach BR = 1 (Figures 8 and 9).
-        assert!((high.relation_centric - 1.0).abs() < 1e-6);
-        assert!((high.concept_centric - 1.0).abs() < 1e-6);
-        // Ratios are valid fractions.
-        for r in [low.concept_centric, low.relation_centric] {
-            assert!((0.0..=1.0).contains(&r));
+        let nsc = optimize_nsc(input, &OptimizerConfig::default());
+        // CC's and RC's benefit ratios against NSC under a budget of
+        // `fraction` of NSC's cost.
+        let ratios = |fraction: f64| {
+            let budget = (nsc.total_cost as f64 * fraction).round() as u64;
+            let result = optimize_pgsg(input, &OptimizerConfig::with_space_limit(budget));
+            [
+                result.concept_centric.benefit_ratio(&nsc),
+                result.relation_centric.benefit_ratio(&nsc),
+            ]
+        };
+        let (low, high) = (ratios(0.05), ratios(1.0));
+        for (low, high) in low.into_iter().zip(high) {
+            assert!(low <= high + 1e-9);
+            // At 100% both reach BR = 1 (Figures 8 and 9).
+            assert!((high - 1.0).abs() < 1e-6);
+            // Ratios are valid fractions.
+            assert!((0.0..=1.0).contains(&low));
         }
     }
 }

@@ -364,97 +364,6 @@ pub trait GraphBackend: Send + Sync {
     }
 }
 
-// A boxed backend is itself a backend, so wrappers that need to own an
-// arbitrary backend — `pgso_persist::JournaledGraph` — can be generic over
-// `GraphBackend` and still hold a `Box<dyn GraphBackend>`. Every method a
-// backend implements or overrides delegates explicitly (rather than relying
-// on the defaults) so inner
-// overrides like `CsrGraph::out_degree` survive the indirection; the owned
-// read conveniences are overridden by nobody and stay at their definitions.
-impl<B: GraphBackend + ?Sized> GraphBackend for Box<B> {
-    fn add_vertex(&mut self, label: &str, properties: PropertyMap) -> VertexId {
-        (**self).add_vertex(label, properties)
-    }
-
-    fn add_edge(&mut self, label: &str, src: VertexId, dst: VertexId) -> EdgeId {
-        (**self).add_edge(label, src, dst)
-    }
-
-    fn vertex(&self, id: VertexId) -> Option<VertexData> {
-        (**self).vertex(id)
-    }
-
-    fn has_label(&self, id: VertexId, label: &str) -> bool {
-        (**self).has_label(id, label)
-    }
-
-    fn with_property(&self, id: VertexId, name: &str, f: &mut dyn FnMut(Option<&PropertyValue>)) {
-        (**self).with_property(id, name, f)
-    }
-
-    fn for_each_with_label(&self, label: &str, f: &mut dyn FnMut(VertexId)) {
-        (**self).for_each_with_label(label, f)
-    }
-
-    fn for_each_candidate(
-        &self,
-        label: &str,
-        key: &str,
-        value: &PropertyValue,
-        f: &mut dyn FnMut(VertexId),
-    ) {
-        (**self).for_each_candidate(label, key, value, f)
-    }
-
-    fn for_each_out(&self, vertex: VertexId, edge_label: &str, f: &mut dyn FnMut(VertexId)) {
-        (**self).for_each_out(vertex, edge_label, f)
-    }
-
-    fn for_each_in(&self, vertex: VertexId, edge_label: &str, f: &mut dyn FnMut(VertexId)) {
-        (**self).for_each_in(vertex, edge_label, f)
-    }
-
-    fn labels(&self) -> Vec<String> {
-        (**self).labels()
-    }
-
-    fn out_degree(&self, vertex: VertexId, edge_label: &str) -> usize {
-        (**self).out_degree(vertex, edge_label)
-    }
-
-    fn vertex_count(&self) -> usize {
-        (**self).vertex_count()
-    }
-
-    fn edge_count(&self) -> usize {
-        (**self).edge_count()
-    }
-
-    fn payload_bytes(&self) -> u64 {
-        (**self).payload_bytes()
-    }
-
-    fn stats(&self) -> AccessStats {
-        (**self).stats()
-    }
-
-    fn reset_stats(&self) {
-        (**self).reset_stats()
-    }
-
-    fn backend_name(&self) -> &'static str {
-        (**self).backend_name()
-    }
-
-    fn export_updates(&self) -> Option<Vec<GraphUpdate>> {
-        (**self).export_updates()
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        (**self).resident_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -513,19 +422,5 @@ mod tests {
         assert_eq!(updates[0].apply(&mut h), Some(VertexId(0)));
         assert_eq!(updates[1].apply(&mut h), Some(VertexId(1)));
         assert_eq!(updates[2].apply(&mut h), None);
-    }
-
-    #[test]
-    fn boxed_backends_delegate() {
-        use crate::memory::MemoryGraph;
-        use crate::value::props;
-        let mut boxed: Box<dyn GraphBackend> = Box::new(MemoryGraph::new());
-        let v = boxed.add_vertex("Drug", props([("name", "Aspirin".into())]));
-        assert_eq!(boxed.vertex_count(), 1);
-        assert_eq!(boxed.label_of(v).as_deref(), Some("Drug"));
-        assert_eq!(boxed.backend_name(), "memory");
-        // Double boxing also works (Box<B: ?Sized> blanket impl).
-        let doubly: Box<Box<dyn GraphBackend>> = Box::new(boxed);
-        assert_eq!(doubly.vertex_count(), 1);
     }
 }

@@ -51,6 +51,6 @@ pub use catalog::Dataset;
 pub use error::{OntologyError, Result};
 pub use ids::{ConceptId, PropertyId, RelationshipId};
 pub use model::{Concept, DataProperty, DataType, Ontology, Relationship, RelationshipKind};
-pub use stats::{DataStatistics, StatisticsConfig, EDGE_OVERHEAD_BYTES};
+pub use stats::{DataStatistics, StatisticsConfig};
 pub use validate::{lint, LintWarning};
 pub use workload::{AccessFrequencies, WorkloadDistribution, ZipfSampler};

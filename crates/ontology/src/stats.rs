@@ -123,19 +123,6 @@ impl DataStatistics {
         self.concept_cardinality(id) * ontology.concept_row_size(id).max(1)
     }
 
-    /// Estimated byte size of the whole property graph under a direct
-    /// (one concept per node type) mapping: vertex property payloads plus a
-    /// fixed per-edge overhead.
-    pub fn direct_graph_size_bytes(&self, ontology: &Ontology) -> u64 {
-        let vertex_bytes: u64 =
-            ontology.concept_ids().map(|c| self.concept_size_bytes(ontology, c)).sum();
-        let edge_bytes: u64 = ontology
-            .relationship_ids()
-            .map(|r| self.relationship_cardinality(r) * EDGE_OVERHEAD_BYTES)
-            .sum();
-        vertex_bytes + edge_bytes
-    }
-
     /// Total number of instance vertices across all concepts.
     pub fn total_vertices(&self) -> u64 {
         self.concept_cardinality.iter().sum()
@@ -146,10 +133,6 @@ impl DataStatistics {
         self.relationship_cardinality.iter().sum()
     }
 }
-
-/// Per-edge bookkeeping overhead (ids + adjacency entries) charged by the
-/// space model, in bytes.
-pub const EDGE_OVERHEAD_BYTES: u64 = 16;
 
 /// Knobs for [`DataStatistics::synthesize`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -253,16 +236,6 @@ mod tests {
         let ind = o.concept_by_name("Indication").unwrap();
         s.set_concept_cardinality(ind, 5);
         assert_eq!(s.concept_size_bytes(&o, ind), 5 * 256);
-    }
-
-    #[test]
-    fn direct_graph_size_counts_vertices_and_edges() {
-        let o = sample();
-        let s = DataStatistics::uniform(&o, 2, 3);
-        let expected_vertices: u64 =
-            o.concept_ids().map(|c| 2 * o.concept_row_size(c).max(1)).sum();
-        let expected_edges = 4 * 3 * EDGE_OVERHEAD_BYTES;
-        assert_eq!(s.direct_graph_size_bytes(&o), expected_vertices + expected_edges);
     }
 
     #[test]

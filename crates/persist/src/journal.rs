@@ -9,10 +9,9 @@
 //! log falls out of the normal build for free, and uses
 //! [`JournaledGraph::replay_into`] to clone epochs for staging.
 //!
-//! The wrapper is generic over the backend (`MemoryGraph`, `DiskGraph`,
-//! `CsrGraph`, or a `Box<dyn GraphBackend>` holding any of them) and is
-//! transparent on every read path — all reads and statistics delegate to the
-//! inner backend unchanged.
+//! The wrapper is generic over the backend (`MemoryGraph`, `DiskGraph` or
+//! `CsrGraph`) and is transparent on every read path — all reads and
+//! statistics delegate to the inner backend unchanged.
 
 use pgso_graphstore::{
     AccessStats, EdgeId, GraphBackend, GraphUpdate, PropertyMap, PropertyValue, VertexData,
@@ -202,7 +201,7 @@ mod tests {
         let copies: [Box<dyn GraphBackend>; 2] =
             [Box::new(MemoryGraph::new()), Box::new(CsrGraph::new())];
         for mut copy in copies {
-            g.replay_into(&mut copy);
+            g.replay_into(copy.as_mut());
             assert_eq!(copy.vertex_count(), g.vertex_count());
             assert_eq!(copy.edge_count(), g.edge_count());
             assert_eq!(copy.out_neighbours(VertexId(0), "treat"), vec![VertexId(1)]);

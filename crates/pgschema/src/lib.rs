@@ -10,7 +10,6 @@
 //!   **DIR** schema (one vertex type per concept, one edge type per
 //!   relationship);
 //! * [`ddl`] — Cypher-flavoured DDL and GraphQL SDL emission;
-//! * [`space`] — instance-size estimation given data statistics;
 //! * [`diff()`] — structural schema diffs for inspecting optimizer decisions.
 //!
 //! **Where a concept property lives** is decided here and nowhere else. A
@@ -38,8 +37,6 @@
 pub mod ddl;
 pub mod diff;
 pub mod schema;
-pub mod space;
 
 pub use diff::{diff, SchemaDiff, VertexChange};
 pub use schema::{EdgeSchema, PropertyGraphSchema, PropertyOrigin, PropertySchema, VertexSchema};
-pub use space::{estimate_space, SpaceEstimate};

@@ -18,13 +18,20 @@
 //!    replicated LIST property when one exists, removing the edge traversal;
 //! 4. property references resolve by origin (`VertexSchema::property_of`):
 //!    `v.p` reads the key that holds `v`'s concept's `p`, whatever its name.
+//!
+//! Every rewrite reads one variable table, built once per statement: per
+//! declared variable its concept, the vertex type holding that concept on
+//! the optimized schema, whether a clause pins it, and the variable it was
+//! unified into. Variables are numbered in order of first declaration,
+//! mandatory patterns first, so the lower number survives a unification.
 
 use crate::ast::{Aggregate, EdgePattern, NodePattern, ReturnItem};
 use crate::explain::AppliedRule;
 use crate::stmt::{HavingPredicate, OrderKey, Predicate, Statement};
 use pgso_pgschema::{PropertyGraphSchema, VertexSchema};
-use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+
+#[cfg(test)]
+mod reference;
 
 /// Rewrites a statement expressed against the direct schema into an
 /// equivalent statement against the optimized schema: the pattern (`nodes`,
@@ -57,35 +64,56 @@ pub fn rewrite_statement_traced(
 ) -> (Statement, Vec<AppliedRule>) {
     let mut rewriter = Rewriter::new(stmt, optimized);
     rewriter.unify_variables();
-    let pattern = rewriter.rebuild();
+    let shortcut = rewriter.list_shortcut();
+    let replaced = shortcut.as_ref().map(|(var, _)| *var);
 
-    let mut opt_nodes = Vec::new();
+    // Node patterns: one per surviving variable root that is still needed —
+    // not unified away, not answered from a LIST property.
+    let mut nodes: Vec<NodePattern> = Vec::new();
+    for node in &stmt.nodes {
+        let root = rewriter.resolve(&node.var);
+        if root != node.var || replaced == Some(root) || nodes.iter().any(|n| n.var == root) {
+            continue;
+        }
+        nodes.push(NodePattern { var: root.into(), label: rewriter.label_of(root).into() });
+    }
+    let edges = rewriter.retarget(&stmt.edges, replaced);
+    let returns = match shortcut {
+        Some((_, returns)) => returns,
+        None => (stmt.returns.iter())
+            .map(|item| match item {
+                ReturnItem::Property { var, property } => {
+                    let property = rewriter.property_name(var, property);
+                    ReturnItem::Property { property, var: rewriter.resolve(var).into() }
+                }
+                ReturnItem::Vertex { var } => {
+                    ReturnItem::Vertex { var: rewriter.resolve(var).into() }
+                }
+                ReturnItem::Aggregate { agg, var, property } => ReturnItem::Aggregate {
+                    agg: *agg,
+                    var: rewriter.resolve(var).into(),
+                    property: property.as_ref().map(|p| rewriter.property_name(var, p)),
+                },
+            })
+            .collect(),
+    };
+
+    let mut opt_nodes: Vec<NodePattern> = Vec::new();
     for node in &stmt.opt_nodes {
         let root = rewriter.resolve(&node.var);
-        if pattern.node(&root).is_some() || opt_nodes.iter().any(|n: &NodePattern| n.var == root) {
+        if nodes.iter().chain(&opt_nodes).any(|n| n.var == root) {
             continue;
         }
-        opt_nodes.push(NodePattern { var: root.clone(), label: rewriter.label_of(&root) });
+        opt_nodes.push(NodePattern { var: root.into(), label: rewriter.label_of(root).into() });
     }
-    let mut opt_edges = Vec::new();
-    for edge in &stmt.opt_edges {
-        let src = rewriter.resolve(&edge.src);
-        let dst = rewriter.resolve(&edge.dst);
-        if src == dst {
-            continue;
-        }
-        let rewritten = EdgePattern { label: edge.label.clone(), src, dst };
-        if !opt_edges.contains(&rewritten) {
-            opt_edges.push(rewritten);
-        }
-    }
+    let opt_edges = rewriter.retarget(&stmt.opt_edges, None);
 
     let predicates = stmt
         .predicates
         .iter()
         .map(|p| Predicate {
             property: rewriter.property_name(&p.var, &p.property),
-            var: rewriter.resolve(&p.var),
+            var: rewriter.resolve(&p.var).into(),
             op: p.op,
             value: p.value.clone(),
         })
@@ -95,7 +123,7 @@ pub fn rewrite_statement_traced(
         .iter()
         .map(|k| OrderKey {
             property: rewriter.property_name(&k.var, &k.property),
-            var: rewriter.resolve(&k.var),
+            var: rewriter.resolve(&k.var).into(),
             descending: k.descending,
         })
         .collect();
@@ -104,8 +132,8 @@ pub fn rewrite_statement_traced(
         let root = rewriter.resolve(var);
         // Unified variables collapse to one group key (grouping by both
         // sides of a 1:1 merge is grouping by the merged vertex).
-        if !group_by.contains(&root) {
-            group_by.push(root);
+        if !group_by.iter().any(|g| g == root) {
+            group_by.push(root.into());
         }
     }
     let having = stmt
@@ -114,13 +142,17 @@ pub fn rewrite_statement_traced(
         .map(|h| HavingPredicate {
             agg: h.agg,
             property: h.property.as_ref().map(|p| rewriter.property_name(&h.var, p)),
-            var: rewriter.resolve(&h.var),
+            var: rewriter.resolve(&h.var).into(),
             op: h.op,
             value: h.value.clone(),
         })
         .collect();
 
     let rewritten = Statement {
+        name: format!("{}-opt", stmt.name),
+        nodes,
+        edges,
+        returns,
         opt_nodes,
         opt_edges,
         predicates,
@@ -130,9 +162,26 @@ pub fn rewrite_statement_traced(
         order_by,
         skip: stmt.skip.clone(),
         limit: stmt.limit.clone(),
-        ..pattern
     };
-    (rewritten, rewriter.applied.into_inner())
+    (rewritten, rewriter.applied)
+}
+
+/// One variable of the DIR statement, with everything the rewrite asks
+/// about it.
+struct Var<'a> {
+    name: &'a str,
+    /// The concept its last node pattern names (`None`: only a clause names
+    /// the variable).
+    concept: Option<&'a str>,
+    /// The vertex type holding that concept on the optimized schema (`None`
+    /// when the concept was dropped).
+    target: Option<&'a VertexSchema>,
+    /// A predicate, `ORDER BY` key, `GROUP BY` or `HAVING` references the
+    /// variable, so it must stay bound per vertex.
+    pinned: bool,
+    /// Index of the variable this one was unified into; its own index while
+    /// it survives.
+    into: usize,
 }
 
 struct Rewriter<'a> {
@@ -141,67 +190,86 @@ struct Rewriter<'a> {
     /// a mandatory one) but never in the COLLECT-to-LIST replacement.
     stmt: &'a Statement,
     schema: &'a PropertyGraphSchema,
-    /// Variables that must stay bound (predicate / ORDER BY / GROUP BY
-    /// references): the aggregation-to-LIST-property replacement is disabled
-    /// for them.
-    pinned: HashSet<String>,
-    /// True when the statement carries a `GROUP BY`; the LIST-property
-    /// shortcut is disabled wholesale then (see `rebuild`).
-    grouped: bool,
-    /// Original concept label per variable.
-    concept_of: HashMap<String, String>,
-    /// Target vertex label per variable (None when the concept was dropped).
-    target_of: HashMap<String, Option<String>>,
-    /// Variable substitution map (var -> surviving var).
-    subst: HashMap<String, String>,
+    /// The variable table: declared variables in order of first declaration
+    /// (mandatory patterns first), then pinned names no pattern declares, so
+    /// that `is_pinned` sees them. A name missing here resolves to itself
+    /// and has no concept or target.
+    vars: Vec<Var<'a>>,
     /// Rule provenance collected while rewriting, deduplicated by
-    /// (rule, detail). `RefCell` because several recording sites (`label_of`,
-    /// `property_name`) are reached through `&self` helpers.
-    applied: RefCell<Vec<AppliedRule>>,
+    /// (rule, detail).
+    applied: Vec<AppliedRule>,
 }
 
 impl<'a> Rewriter<'a> {
     fn new(stmt: &'a Statement, schema: &'a PropertyGraphSchema) -> Self {
-        let pinned = stmt
-            .predicates
-            .iter()
-            .map(|p| p.var.clone())
-            .chain(stmt.order_by.iter().map(|k| k.var.clone()))
-            .chain(stmt.group_by.iter().cloned())
-            .chain(stmt.having.iter().map(|h| h.var.clone()))
-            .collect();
-        let mut concept_of = HashMap::new();
-        let mut target_of = HashMap::new();
-        let mut subst = HashMap::new();
+        let mut rewriter = Self { stmt, schema, vars: Vec::new(), applied: Vec::new() };
+        // A re-declared variable keeps the position of its first declaration
+        // and the concept of its last.
         for node in stmt.nodes.iter().chain(&stmt.opt_nodes) {
-            concept_of.insert(node.var.clone(), node.label.clone());
-            target_of.insert(
-                node.var.clone(),
-                schema.vertex_for_concept(&node.label).map(|v| v.label.clone()),
-            );
-            subst.insert(node.var.clone(), node.var.clone());
+            let var = rewriter.entry(&node.var);
+            var.concept = Some(&node.label);
+            var.target = schema.vertex_for_concept(&node.label);
         }
-        Self {
-            stmt,
-            schema,
-            pinned,
-            grouped: !stmt.group_by.is_empty(),
-            concept_of,
-            target_of,
-            subst,
-            applied: RefCell::new(Vec::new()),
+        let pinned = (stmt.predicates.iter().map(|p| &p.var))
+            .chain(stmt.order_by.iter().map(|k| &k.var))
+            .chain(&stmt.group_by)
+            .chain(stmt.having.iter().map(|h| &h.var));
+        for name in pinned {
+            rewriter.entry(name).pinned = true;
         }
+        rewriter
+    }
+
+    /// The table entry of `name`, appended when there is none.
+    fn entry(&mut self, name: &'a str) -> &mut Var<'a> {
+        let index = self.index(name).unwrap_or_else(|| {
+            let into = self.vars.len();
+            self.vars.push(Var { name, concept: None, target: None, pinned: false, into });
+            into
+        });
+        &mut self.vars[index]
+    }
+
+    fn index(&self, name: &str) -> Option<usize> {
+        self.vars.iter().position(|v| v.name == name)
+    }
+
+    /// The index the variable at `index` was unified into, transitively.
+    fn survivor(&self, mut index: usize) -> usize {
+        while self.vars[index].into != index {
+            index = self.vars[index].into;
+        }
+        index
+    }
+
+    /// The entry `name` was unified into, if the table has one.
+    fn root(&self, name: &str) -> Option<&Var<'a>> {
+        self.index(name).map(|i| &self.vars[self.survivor(i)])
+    }
+
+    /// The name of the variable `name` was unified into (itself when none).
+    fn resolve(&self, name: &'a str) -> &'a str {
+        self.root(name).map_or(name, |v| v.name)
+    }
+
+    /// The concept `name` itself was declared with (not its root's).
+    fn concept(&self, name: &str) -> &'a str {
+        self.index(name).and_then(|i| self.vars[i].concept).unwrap_or_default()
+    }
+
+    /// True if a pinned variable resolves to `root`, which forbids folding
+    /// that variable away.
+    fn is_pinned(&self, root: &str) -> bool {
+        self.vars.iter().any(|v| v.pinned && self.resolve(v.name) == root)
     }
 
     /// Records one applied rule, skipping exact (rule, detail) duplicates —
     /// helpers like [`Rewriter::property_name`] run once per referencing
     /// clause, not once per rule application.
-    fn record(&self, rule: &str, detail: String, edge_label: Option<String>) {
-        let mut applied = self.applied.borrow_mut();
-        if applied.iter().any(|r| r.rule == rule && r.detail == detail) {
-            return;
+    fn record(&mut self, rule: &str, detail: String, edge_label: Option<&str>) {
+        if !self.applied.iter().any(|r| r.rule == rule && r.detail == detail) {
+            self.applied.push(AppliedRule::new(rule, detail, edge_label.map(str::to_string)));
         }
-        applied.push(AppliedRule::new(rule, detail, edge_label));
     }
 
     /// Classifies the rule that eliminated a pattern hop, by the hop's edge
@@ -217,76 +285,34 @@ impl<'a> Rewriter<'a> {
         }
     }
 
-    /// Position of a variable across mandatory then optional node patterns,
-    /// used to decide which variable survives a unification (mandatory and
-    /// earlier patterns win).
-    fn position_of(&self, var: &str) -> usize {
-        self.stmt
-            .nodes
-            .iter()
-            .chain(&self.stmt.opt_nodes)
-            .position(|n| n.var == var)
-            .unwrap_or(usize::MAX)
-    }
-
-    /// True if a predicate or ORDER BY key references a variable resolving
-    /// to `root`, which forbids folding that variable away.
-    fn is_pinned(&self, root: &str) -> bool {
-        self.pinned.iter().any(|p| self.resolve(p) == root)
-    }
-
-    fn resolve(&self, var: &str) -> String {
-        let mut current = var.to_string();
-        while let Some(next) = self.subst.get(&current) {
-            if *next == current {
-                break;
-            }
-            current = next.clone();
-        }
-        current
-    }
-
-    fn unify(&mut self, from: &str, into: &str) {
-        let from_root = self.resolve(from);
-        let into_root = self.resolve(into);
-        if from_root != into_root {
-            self.subst.insert(from_root, into_root);
-        }
-    }
-
     fn unify_variables(&mut self) {
+        let stmt = self.stmt;
+        // Pairs (from, into) of table indices, applied after both passes.
+        let mut unifications = Vec::new();
         // (a) Endpoints of an edge that now live in the same vertex type
         //     (1:1 merges, inheritance folds) collapse into one variable.
         //     Optional edges participate: a folded optional hop is always
         //     satisfied on the optimized schema (the two vertices are one),
         //     so the variable unifies and the edge disappears.
-        let all_edges = || self.stmt.edges.iter().chain(&self.stmt.opt_edges);
-        let mut unifications: Vec<(String, String)> = Vec::new();
-        for edge in all_edges() {
-            let src_target = self.target_of.get(&edge.src).cloned().flatten();
-            let dst_target = self.target_of.get(&edge.dst).cloned().flatten();
-            if let (Some(s), Some(d)) = (src_target, dst_target) {
-                if s == d {
-                    // Keep the variable that appears first (mandatory
-                    // patterns come before optional ones).
-                    if self.position_of(&edge.src) <= self.position_of(&edge.dst) {
-                        unifications.push((edge.dst.clone(), edge.src.clone()));
-                    } else {
-                        unifications.push((edge.src.clone(), edge.dst.clone()));
-                    }
-                    let src_concept = self.concept_of.get(&edge.src).cloned().unwrap_or_default();
-                    let dst_concept = self.concept_of.get(&edge.dst).cloned().unwrap_or_default();
-                    self.record(
-                        Self::rule_for_edge(&edge.label, false),
-                        format!(
-                            "({}:{src_concept}) and ({}:{dst_concept}) bind the same {s} \
-                             vertex; `{}` hop eliminated",
-                            edge.src, edge.dst, edge.label
-                        ),
-                        Some(edge.label.clone()),
-                    );
-                }
-            }
+        for edge in stmt.edges.iter().chain(&stmt.opt_edges) {
+            let (Some(s), Some(d)) = (self.index(&edge.src), self.index(&edge.dst)) else {
+                continue;
+            };
+            let (src, dst) = (&self.vars[s], &self.vars[d]);
+            let same = |t: &&VertexSchema| dst.target.is_some_and(|d| d.label == t.label);
+            let Some(target) = src.target.filter(same) else { continue };
+            // Keep the variable declared first.
+            unifications.push(if s <= d { (d, s) } else { (s, d) });
+            let detail = format!(
+                "({}:{}) and ({}:{}) bind the same {} vertex; `{}` hop eliminated",
+                src.name,
+                src.concept.unwrap_or_default(),
+                dst.name,
+                dst.concept.unwrap_or_default(),
+                target.label,
+                edge.label
+            );
+            self.record(Self::rule_for_edge(&edge.label, false), detail, Some(&edge.label));
         }
         // (b) Variables whose concept disappeared (union concepts, pushed-down
         //     parents) fold into an adjacent variable — preferring one reached
@@ -294,94 +320,86 @@ impl<'a> Rewriter<'a> {
         //     dropped concept's properties after the rewrite rules. A
         //     mandatory variable only folds along mandatory edges (folding it
         //     into an optional variable would leave the mandatory pattern
-        //     empty); optional variables may fold along either kind.
-        let mandatory_count = self.stmt.nodes.len();
-        for (index, node) in self.stmt.nodes.iter().chain(&self.stmt.opt_nodes).enumerate() {
-            if self.target_of.get(&node.var).cloned().flatten().is_some() {
-                continue;
-            }
-            let adjacent: &mut dyn Iterator<Item = &EdgePattern> = if index < mandatory_count {
-                &mut self.stmt.edges.iter()
-            } else {
-                &mut self.stmt.edges.iter().chain(&self.stmt.opt_edges)
-            };
-            let mut candidate: Option<(String, String)> = None;
-            for edge in adjacent {
-                let (other, structural) = if edge.src == node.var {
-                    (&edge.dst, matches!(edge.label.as_str(), "isA" | "unionOf"))
+        //     empty); optional variables may fold along either kind. A
+        //     re-declared variable is considered once per node pattern.
+        let mandatory_count = stmt.nodes.len();
+        for (index, node) in stmt.nodes.iter().chain(&stmt.opt_nodes).enumerate() {
+            let dropped = self.index(&node.var).filter(|&v| self.vars[v].target.is_none());
+            let Some(var) = dropped else { continue };
+            let optional: &[EdgePattern] =
+                if index < mandatory_count { &[] } else { &stmt.opt_edges };
+            let mut candidate = None;
+            for edge in stmt.edges.iter().chain(optional) {
+                let other = if edge.src == node.var {
+                    &edge.dst
                 } else if edge.dst == node.var {
-                    (&edge.src, matches!(edge.label.as_str(), "isA" | "unionOf"))
+                    &edge.src
                 } else {
                     continue;
                 };
-                if self.target_of.get(other).cloned().flatten().is_none() {
+                let Some(other) = self.index(other).filter(|&o| self.vars[o].target.is_some())
+                else {
                     continue;
+                };
+                let structural = matches!(edge.label.as_str(), "isA" | "unionOf");
+                if structural || candidate.is_none() {
+                    candidate = Some((other, edge.label.as_str()));
                 }
                 if structural {
-                    candidate = Some((other.clone(), edge.label.clone()));
                     break;
                 }
-                if candidate.is_none() {
-                    candidate = Some((other.clone(), edge.label.clone()));
-                }
             }
-            if let Some((other, label)) = candidate {
-                let concept = self.concept_of.get(&node.var).cloned().unwrap_or_default();
-                let into = self.target_of.get(&other).cloned().flatten().unwrap_or_default();
-                self.record(
-                    Self::rule_for_edge(&label, true),
-                    format!(
-                        "concept {concept} is not materialized in the optimized schema; \
-                         ({}) folded into ({other}:{into}) along `{label}`",
-                        node.var
-                    ),
-                    Some(label),
+            if let Some((into, label)) = candidate {
+                let (from, to) = (&self.vars[var], &self.vars[into]);
+                let detail = format!(
+                    "concept {} is not materialized in the optimized schema; ({}) folded into \
+                     ({}:{}) along `{label}`",
+                    from.concept.unwrap_or_default(),
+                    from.name,
+                    to.name,
+                    to.target.map_or("", |t| t.label.as_str()),
                 );
-                unifications.push((node.var.clone(), other));
+                self.record(Self::rule_for_edge(label, true), detail, Some(label));
+                unifications.push((var, into));
             }
         }
         for (from, into) in unifications {
-            self.unify(&from, &into);
+            let (from, into) = (self.survivor(from), self.survivor(into));
+            if from != into {
+                self.vars[from].into = into;
+            }
         }
     }
 
     /// Label the surviving variable maps to in the optimized schema.
-    fn label_of(&self, var: &str) -> String {
-        let root = self.resolve(var);
-        let target = self.target_of.get(&root).cloned().flatten();
-        if let (Some(target), Some(concept)) = (&target, self.concept_of.get(&root)) {
+    fn label_of(&mut self, var: &str) -> &'a str {
+        let (concept, target) = self.root(var).map_or((None, None), |v| (v.concept, v.target));
+        if let (Some(concept), Some(target)) = (concept, target) {
             // A label retarget without any unification in *this* pattern
             // still means a merge rule fired when the schema was optimized:
             // the concept is now served by a vertex type that absorbed it.
             // (Only the 1:1 merge keeps absorbed concepts in `merged_from`;
             // union/inheritance drop theirs, which the fold path reports.)
-            if target != concept {
-                let merged_from = self
-                    .schema
-                    .vertex(target)
-                    .map(|v| v.merged_from.join(", "))
-                    .unwrap_or_default();
-                self.record(
-                    "one-to-one",
-                    format!(
-                        "concept {concept} is served by merged vertex {target} \
-                         (merged from: {merged_from})"
-                    ),
-                    None,
+            if target.label != concept {
+                let detail = format!(
+                    "concept {concept} is served by merged vertex {} (merged from: {})",
+                    target.label,
+                    target.merged_from.join(", ")
                 );
+                self.record("one-to-one", detail, None);
             }
         }
-        target.or_else(|| self.concept_of.get(&root).cloned()).unwrap_or_default()
+        target.map(|t| t.label.as_str()).or(concept).unwrap_or_default()
     }
 
     /// The property `var.property` reads on the optimized schema: the one
     /// holding the variable's concept's property (`VertexSchema::property_of`),
     /// or the name unchanged when the vertex type holds no property of that
     /// origin.
-    fn property_name(&self, var: &str, property: &str) -> String {
+    fn property_name(&mut self, var: &str, property: &str) -> String {
         let label = self.label_of(var);
-        let concept = self.concept_of.get(var).map_or("", String::as_str);
-        let vertex = self.schema.vertex(&label);
+        let concept = self.concept(var);
+        let vertex = self.schema.vertex(label);
         let Some(held) = vertex.and_then(|v| v.property_of(concept, property)) else {
             return property.to_string();
         };
@@ -398,181 +416,103 @@ impl<'a> Rewriter<'a> {
         held.name.clone()
     }
 
-    /// Rewrites the pattern: the returned statement carries the rewritten
-    /// `nodes`, `edges` and `returns` and no other clause.
-    fn rebuild(&mut self) -> Statement {
-        // Decide which aggregations can be answered from a replicated LIST
-        // property, eliminating their edge and node pattern. Per-element
-        // aggregates qualify (`size(COLLECT)`, `SUM`/`MIN`/`MAX`/`AVG`,
-        // `COUNT(DISTINCT v.p)`): the list holds one element per original
-        // edge, so the flattened element multiset the executor aggregates
-        // over equals the per-binding multiset on DIR. Plain `COUNT` does
-        // not (it counts bindings, not elements).
-        let per_element = |agg: Aggregate| {
-            matches!(
-                agg,
-                Aggregate::CollectCount
+    /// Decides whether the aggregations can be answered from replicated LIST
+    /// properties, eliminating their edge and node pattern. Per-element
+    /// aggregates qualify (`size(COLLECT)`, `SUM`/`MIN`/`MAX`/`AVG`,
+    /// `COUNT(DISTINCT v.p)`): the list holds one element per original edge,
+    /// so the flattened element multiset the executor aggregates over equals
+    /// the per-binding multiset on DIR. Plain `COUNT` does not (it counts
+    /// bindings, not elements).
+    ///
+    /// Dropping a variable's edge changes both the binding multiplicity and
+    /// the *existence constraint* every other return item sees (a drug with
+    /// zero routes binds the pattern once the edge is gone), so the shortcut
+    /// only fires when the whole RETURN clause is per-element aggregates over
+    /// one variable: a vertex contributing an empty list then contributes
+    /// nothing, exactly like the DIR join. Plain projections (which sample a
+    /// representative binding), binding-counting aggregates and `GROUP BY`
+    /// (which would fabricate groups for providerless anchors) all disable
+    /// it — an existence-aware variant is a ROADMAP follow-on. So at most one
+    /// variable is ever replaced: returns it with the rewritten RETURN items,
+    /// which read the holder's LISTs.
+    fn list_shortcut(&mut self) -> Option<(&'a str, Vec<ReturnItem>)> {
+        let stmt = self.stmt;
+        let per_element = |item: &'a ReturnItem| match item {
+            ReturnItem::Aggregate {
+                agg:
+                    Aggregate::CollectCount
                     | Aggregate::CountDistinct
                     | Aggregate::Sum
                     | Aggregate::Min
                     | Aggregate::Max
-                    | Aggregate::Avg
-            )
+                    | Aggregate::Avg,
+                var,
+                property: Some(_),
+            } => Some(var.as_str()),
+            _ => None,
         };
-        // Dropping a variable's edge changes both the binding multiplicity
-        // and the *existence constraint* every other return item sees (a
-        // drug with zero routes binds the pattern once the edge is gone),
-        // so the shortcut only fires when the whole RETURN clause is
-        // per-element aggregates over the variable: a vertex contributing
-        // an empty list then contributes nothing, exactly like the DIR
-        // join. Plain projections (which sample a representative binding),
-        // binding-counting aggregates and `GROUP BY` (which would fabricate
-        // groups for providerless anchors) all disable it — an
-        // existence-aware variant is a ROADMAP follow-on.
-        let mut agg_roots: HashSet<String> = HashSet::new();
-        let mut all_replaceable = !self.grouped;
-        for item in &self.stmt.returns {
-            match item {
-                ReturnItem::Aggregate { agg, var, property } => {
-                    agg_roots.insert(self.resolve(var));
-                    if !(per_element(*agg) && property.is_some()) {
-                        all_replaceable = false;
-                    }
-                }
-                ReturnItem::Property { .. } | ReturnItem::Vertex { .. } => {
-                    all_replaceable = false;
-                }
-            }
+        let first = per_element(stmt.returns.first()?)?;
+        let var = self.resolve(first);
+        let one_root =
+            stmt.returns.iter().all(|i| per_element(i).is_some_and(|v| self.resolve(v) == var));
+        if !stmt.group_by.is_empty() || !one_root || self.is_pinned(var) {
+            return None;
         }
-        // var_root → (holder_root, holder type, provider concept): each
-        // aggregated property is read from its replica on the holder.
-        let mut replaced_vars: HashMap<String, (String, &VertexSchema, String)> = HashMap::new();
-        'candidates: for item in &self.stmt.returns {
-            let ReturnItem::Aggregate { agg, var, property: Some(_) } = item else {
-                continue;
-            };
-            if !per_element(*agg) {
-                continue;
-            }
-            let var_root = self.resolve(var);
-            if !all_replaceable
-                || agg_roots.len() != 1
-                || self.is_pinned(&var_root)
-                || replaced_vars.contains_key(&var_root)
-            {
-                continue;
-            }
-            // The variable must be reached by exactly one pattern edge.
-            let incident: Vec<&EdgePattern> = self
-                .stmt
-                .edges
-                .iter()
-                .filter(|e| self.resolve(&e.src) == var_root || self.resolve(&e.dst) == var_root)
-                .collect();
-            if incident.len() != 1 {
-                continue;
-            }
-            let edge = incident[0];
-            let (holder_var, provider_var) = if self.resolve(&edge.dst) == var_root {
-                (&edge.src, &edge.dst)
-            } else {
-                (&edge.dst, &edge.src)
-            };
-            let holder_label = self.label_of(holder_var);
-            let Some(holder_type) = self.schema.vertex(&holder_label) else { continue };
-            let provider_concept = self.concept_of.get(provider_var).cloned().unwrap_or_default();
-            // Every aggregated property must be replicated as a LIST on the
-            // holder — one unreplicated property and the traversal stays
-            // (replacing only some aggregates would dangle the others).
-            for other in &self.stmt.returns {
-                if let ReturnItem::Aggregate { property: Some(property), .. } = other {
-                    if holder_type.replica_of(&provider_concept, property).is_none() {
-                        continue 'candidates;
-                    }
-                }
-            }
-            self.record(
-                "one-to-many",
-                format!(
-                    "aggregate over ({var}:{provider_concept}) answered from replicated \
-                     LIST properties on {holder_label}; `{}` traversal eliminated",
-                    edge.label
-                ),
-                Some(edge.label.clone()),
-            );
-            let replaced = (self.resolve(holder_var), holder_type, provider_concept);
-            replaced_vars.insert(var_root.clone(), replaced);
+        // The variable must be reached by exactly one pattern edge.
+        let mut incident = (stmt.edges.iter())
+            .filter(|e| self.resolve(&e.src) == var || self.resolve(&e.dst) == var);
+        let edge = incident.next()?;
+        if incident.next().is_some() {
+            return None;
         }
-
-        // Node patterns: one per surviving variable root that is still needed.
-        let mut nodes: Vec<NodePattern> = Vec::new();
-        for node in &self.stmt.nodes {
-            let root = self.resolve(&node.var);
-            if root != node.var {
-                continue; // substituted away
-            }
-            if replaced_vars.contains_key(&root) {
-                continue; // answered from a LIST property
-            }
-            if nodes.iter().any(|n| n.var == root) {
-                continue;
-            }
-            nodes.push(NodePattern { var: root.clone(), label: self.label_of(&root) });
-        }
-
-        // Edge patterns: substitute endpoints, drop self-loops and edges whose
-        // provider side was replaced by a LIST property.
-        let mut edges: Vec<EdgePattern> = Vec::new();
-        for edge in &self.stmt.edges {
-            let src = self.resolve(&edge.src);
-            let dst = self.resolve(&edge.dst);
-            if src == dst {
-                continue;
-            }
-            if replaced_vars.contains_key(&src) || replaced_vars.contains_key(&dst) {
-                continue;
-            }
-            let rewritten = EdgePattern { label: edge.label.clone(), src, dst };
-            if !edges.contains(&rewritten) {
-                edges.push(rewritten);
-            }
-        }
-
-        // Return clause.
-        let returns = self
-            .stmt
-            .returns
-            .iter()
+        let (holder, provider) = if self.resolve(&edge.dst) == var {
+            (&edge.src, &edge.dst)
+        } else {
+            (&edge.dst, &edge.src)
+        };
+        let holder_label = self.label_of(holder);
+        let holder_type = self.schema.vertex(holder_label)?;
+        let (concept, holder) = (self.concept(provider), self.resolve(holder));
+        // Every aggregated property must be replicated as a LIST on the
+        // holder — one unreplicated property and the traversal stays
+        // (replacing only some aggregates would dangle the others).
+        let returns = (stmt.returns.iter())
             .map(|item| match item {
-                ReturnItem::Property { var, property } => {
-                    let root = self.resolve(var);
-                    ReturnItem::Property { property: self.property_name(var, property), var: root }
+                ReturnItem::Aggregate { agg, property: Some(p), .. } => {
+                    let list = holder_type.replica_of(concept, p)?;
+                    let property = Some(list.name.clone());
+                    Some(ReturnItem::Aggregate { agg: *agg, var: holder.into(), property })
                 }
-                ReturnItem::Vertex { var } => ReturnItem::Vertex { var: self.resolve(var) },
-                ReturnItem::Aggregate { agg, var, property } => {
-                    let root = self.resolve(var);
-                    match (replaced_vars.get(&root), property) {
-                        (Some((holder, holder_type, concept)), Some(property)) => {
-                            ReturnItem::Aggregate {
-                                agg: *agg,
-                                var: holder.clone(),
-                                property: holder_type
-                                    .replica_of(concept, property)
-                                    .map(|p| p.name.clone()),
-                            }
-                        }
-                        _ => ReturnItem::Aggregate {
-                            agg: *agg,
-                            var: root.clone(),
-                            property: property.as_ref().map(|p| self.property_name(var, p)),
-                        },
-                    }
-                }
+                _ => None,
             })
-            .collect();
+            .collect::<Option<_>>()?;
+        self.record(
+            "one-to-many",
+            format!(
+                "aggregate over ({first}:{concept}) answered from replicated LIST properties \
+                 on {holder_label}; `{}` traversal eliminated",
+                edge.label
+            ),
+            Some(&edge.label),
+        );
+        Some((var, returns))
+    }
 
-        let name = format!("{}-opt", self.stmt.name);
-        Statement { name, nodes, edges, returns, ..Statement::default() }
+    /// `edges` with their endpoints resolved, less self-loops, duplicates
+    /// and the edges of the variable `replaced` by a LIST property.
+    fn retarget(&self, edges: &'a [EdgePattern], replaced: Option<&str>) -> Vec<EdgePattern> {
+        let mut retargeted: Vec<EdgePattern> = Vec::new();
+        for edge in edges {
+            let (src, dst) = (self.resolve(&edge.src), self.resolve(&edge.dst));
+            if src == dst || replaced.is_some_and(|r| r == src || r == dst) {
+                continue;
+            }
+            let edge = EdgePattern { label: edge.label.clone(), src: src.into(), dst: dst.into() };
+            if !retargeted.contains(&edge) {
+                retargeted.push(edge);
+            }
+        }
+        retargeted
     }
 }
 
@@ -580,7 +520,9 @@ impl<'a> Rewriter<'a> {
 mod tests {
     use super::*;
     use pgso_core::{optimize_nsc, OptimizerConfig, OptimizerInput};
-    use pgso_ontology::{catalog, AccessFrequencies, DataStatistics, StatisticsConfig};
+    use pgso_ontology::{
+        catalog, AccessFrequencies, ConceptId, DataStatistics, Ontology, StatisticsConfig,
+    };
 
     fn optimized_mini() -> PropertyGraphSchema {
         let o = catalog::med_mini();
@@ -1119,6 +1061,248 @@ mod tests {
                 assert_eq!(p, "DrugRoute.drugRouteId")
             }
             other => panic!("unexpected return item {other:?}"),
+        }
+    }
+
+    /// A generator of DIR statements over one ontology.
+    use crate::stmt::Term;
+
+    struct Generator<'o> {
+        ontology: &'o Ontology,
+        rng: proptest::TestRng,
+    }
+
+    impl Generator<'_> {
+        fn pick(&mut self, n: usize) -> usize {
+            (self.rng.next_u64() % n as u64) as usize
+        }
+
+        fn one_of<'s, T>(&mut self, items: &'s [T]) -> &'s T {
+            &items[self.pick(items.len())]
+        }
+
+        /// A property to read on a variable of `concept`: mostly its own,
+        /// sometimes an `isA` parent's (pushed down by the inheritance
+        /// rule), now and then one no concept has.
+        fn property(&mut self, concept: ConceptId) -> String {
+            let parents = self.ontology.parents(concept);
+            let owner = if !parents.is_empty() && self.pick(4) == 0 {
+                *self.one_of(&parents)
+            } else {
+                concept
+            };
+            let names = self.ontology.concept_property_names(owner);
+            if names.is_empty() || self.pick(12) == 0 {
+                return "unknown".into();
+            }
+            self.one_of(&names).to_string()
+        }
+
+        fn term(&mut self, parameter: &str) -> Term {
+            match self.pick(4) {
+                0 => Term::Parameter(parameter.into()),
+                1 => Term::literal(self.pick(5) as i64),
+                2 => Term::literal(2.5),
+                _ => Term::literal("x"),
+            }
+        }
+
+        /// A random statement: a walk of up to four hops along the
+        /// ontology's relationships (`isA` and `unionOf` among them) that
+        /// sometimes closes a cycle, up to two `OPTIONAL` hops, sometimes a
+        /// re-declared variable or an edge to an undeclared one, and every
+        /// clause the rewrite remaps — per-element aggregates over one
+        /// variable among the returns.
+        fn statement(&mut self, name: String) -> Statement {
+            use crate::stmt::{CmpOp, CountTerm};
+            let o = self.ontology;
+            let concepts: Vec<ConceptId> = o.concept_ids().collect();
+            let mut stmt = Statement { name, ..Statement::default() };
+            let start = *self.one_of(&concepts);
+            stmt.nodes.push(NodePattern { var: "v0".into(), label: o.concept(start).name.clone() });
+            // Every declared variable with the concept it was declared with.
+            let mut vars = vec![("v0".to_string(), start)];
+            for optional in [false, true] {
+                let hops = if optional { [0, 0, 1, 2][self.pick(4)] } else { self.pick(5) };
+                for _ in 0..hops {
+                    let (from, concept) = self.one_of(&vars).clone();
+                    let relationships = o.relationships_of(concept);
+                    if relationships.is_empty() {
+                        continue;
+                    }
+                    let rel = o.relationship(*self.one_of(&relationships));
+                    let far = if rel.src == concept { rel.dst } else { rel.src };
+                    let cycle = (self.pick(4) == 0)
+                        .then(|| vars.iter().find(|(_, c)| *c == far).map(|(v, _)| v.clone()))
+                        .flatten();
+                    let other = cycle.unwrap_or_else(|| {
+                        let var = format!("v{}", vars.len());
+                        let node =
+                            NodePattern { var: var.clone(), label: o.concept(far).name.clone() };
+                        if optional { &mut stmt.opt_nodes } else { &mut stmt.nodes }.push(node);
+                        vars.push((var.clone(), far));
+                        var
+                    });
+                    let (src, dst) = if rel.src == concept { (from, other) } else { (other, from) };
+                    let edge = EdgePattern { label: rel.name.clone(), src, dst };
+                    if optional { &mut stmt.opt_edges } else { &mut stmt.edges }.push(edge);
+                }
+            }
+            if self.pick(6) == 0 {
+                // The last declaration's concept wins; the first's position.
+                let (var, concept) = self.one_of(&vars).clone();
+                let concept = if self.pick(2) == 0 { concept } else { *self.one_of(&concepts) };
+                let node = NodePattern { var, label: o.concept(concept).name.clone() };
+                if self.pick(2) == 0 { &mut stmt.nodes } else { &mut stmt.opt_nodes }.push(node);
+            }
+            let ghosted = self.pick(8) == 0;
+            if ghosted {
+                let (var, concept) = self.one_of(&vars).clone();
+                let label = match o.relationships_of(concept).as_slice() {
+                    [] => "unknown".to_string(),
+                    all => o.relationship(*self.one_of(all)).name.clone(),
+                };
+                let (src, dst) =
+                    if self.pick(2) == 0 { (var, "ghost".into()) } else { ("ghost".into(), var) };
+                let edge = EdgePattern { label, src, dst };
+                if self.pick(2) == 0 { &mut stmt.edges } else { &mut stmt.opt_edges }.push(edge);
+            }
+            // Clauses name a declared variable, or now and then one that no
+            // pattern declares — more often when an edge reaches it.
+            let ghost = (String::from("ghost"), start);
+            let var = |g: &mut Self| {
+                if g.pick(if ghosted { 3 } else { 16 }) == 0 {
+                    ghost.clone()
+                } else {
+                    g.one_of(&vars).clone()
+                }
+            };
+            let per_element = [
+                Aggregate::CollectCount,
+                Aggregate::CountDistinct,
+                Aggregate::Sum,
+                Aggregate::Min,
+                Aggregate::Max,
+                Aggregate::Avg,
+            ];
+            if self.pick(3) == 0 {
+                let (v, concept) = var(self);
+                for _ in 0..1 + self.pick(2) {
+                    let agg = *self.one_of(&per_element);
+                    let property = Some(self.property(concept));
+                    stmt.returns.push(ReturnItem::Aggregate { agg, var: v.clone(), property });
+                }
+            } else {
+                for _ in 0..1 + self.pick(3) {
+                    let (v, concept) = var(self);
+                    stmt.returns.push(match self.pick(4) {
+                        0 => ReturnItem::Vertex { var: v },
+                        1 => {
+                            ReturnItem::Aggregate { agg: Aggregate::Count, var: v, property: None }
+                        }
+                        2 => ReturnItem::Aggregate {
+                            agg: *self.one_of(&per_element),
+                            var: v,
+                            property: Some(self.property(concept)),
+                        },
+                        _ => ReturnItem::Property { property: self.property(concept), var: v },
+                    });
+                }
+            }
+            let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Ge, CmpOp::Contains];
+            for i in 0..[0, 0, 1, 2][self.pick(4)] {
+                let (v, concept) = var(self);
+                let property = self.property(concept);
+                let (op, value) = (*self.one_of(&ops), self.term(&format!("p{i}")));
+                stmt.predicates.push(Predicate { var: v, property, op, value });
+            }
+            if stmt.is_aggregation() {
+                for _ in 0..[0, 0, 1, 2][self.pick(4)] {
+                    stmt.group_by.push(var(self).0);
+                }
+                if self.pick(4) == 0 {
+                    let (v, concept) = var(self);
+                    let agg = *self.one_of(&per_element);
+                    let property = (agg != Aggregate::CollectCount || self.pick(2) == 0)
+                        .then(|| self.property(concept));
+                    let (op, value) = (*self.one_of(&ops), self.term("h"));
+                    stmt.having.push(HavingPredicate { agg, var: v, property, op, value });
+                }
+            }
+            for _ in 0..[0, 0, 1, 2][self.pick(4)] {
+                let (v, concept) = var(self);
+                let property = self.property(concept);
+                stmt.order_by.push(OrderKey { var: v, property, descending: self.pick(2) == 0 });
+            }
+            stmt.distinct = self.pick(4) == 0;
+            let count = |g: &mut Self, name: &str| match g.pick(3) {
+                0 => None,
+                1 => Some(CountTerm::Count(g.pick(10))),
+                _ => Some(CountTerm::Parameter(name.into())),
+            };
+            stmt.skip = count(self, "skip");
+            stmt.limit = count(self, "limit");
+            stmt
+        }
+    }
+
+    /// The schemas a DIR statement is rewritten onto: DIR itself, NSC, and
+    /// RC and CC at a quarter, half and three quarters of NSC's cost.
+    fn schema_grid(o: &Ontology) -> Vec<PropertyGraphSchema> {
+        use pgso_core::{optimize_concept_centric, optimize_relation_centric};
+        use pgso_ontology::WorkloadDistribution;
+        let stats = DataStatistics::synthesize(o, &StatisticsConfig::small(), 3);
+        let af = AccessFrequencies::generate(o, WorkloadDistribution::default_zipf(), 1_000.0, 3);
+        let input = OptimizerInput::new(o, &stats, &af);
+        let nsc = optimize_nsc(input, &OptimizerConfig::default());
+        let mut grid = vec![PropertyGraphSchema::direct_from_ontology(o)];
+        for fraction in [0.25, 0.5, 0.75] {
+            let config =
+                OptimizerConfig::with_space_limit((nsc.total_cost as f64 * fraction) as u64);
+            grid.push(optimize_relation_centric(input, &config).schema);
+            grid.push(optimize_concept_centric(input, &config).schema);
+        }
+        grid.push(nsc.schema);
+        grid
+    }
+
+    #[test]
+    fn rewrites_what_the_reference_rewrites() {
+        let mut rules: std::collections::BTreeMap<String, usize> = Default::default();
+        for (seed, o) in
+            [catalog::med_mini(), catalog::medical(), catalog::financial()].iter().enumerate()
+        {
+            let grid = schema_grid(o);
+            let mut generator = Generator { ontology: o, rng: proptest::TestRng::new(seed as u64) };
+            for n in 0..1_500 {
+                let stmt = generator.statement(format!("{}-{n}", o.name()));
+                for schema in &grid {
+                    let new = rewrite_statement_traced(&stmt, schema);
+                    let old = reference::rewrite_statement_traced(&stmt, schema);
+                    // Debug text covers every field, the rule list included.
+                    assert_eq!(
+                        format!("{new:?}"),
+                        format!("{old:?}"),
+                        "{stmt:?} onto {}",
+                        schema.name
+                    );
+                    let plain = reference::rewrite_statement(&stmt, schema);
+                    assert_eq!(format!("{:?}", new.0), format!("{plain:?}"));
+                    for rule in &new.1 {
+                        let shortcut = rule.detail.starts_with("aggregate over");
+                        *rules
+                            .entry(if shortcut {
+                                "LIST shortcut".into()
+                            } else {
+                                rule.rule.clone()
+                            })
+                            .or_default() += 1;
+                    }
+                }
+            }
+        }
+        for rule in ["one-to-one", "union", "inheritance", "one-to-many", "LIST shortcut"] {
+            assert!(rules.get(rule).is_some_and(|&n| n > 0), "no {rule} rewrite in {rules:?}");
         }
     }
 }

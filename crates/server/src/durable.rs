@@ -171,13 +171,7 @@ impl KgServer {
             ingested: ing.ingested.clone(),
             tracker: self.tracker.snapshot().to_bytes(),
             baseline: frequencies_to_bytes(&self.ontology, &self.baseline.lock()),
-            prepared: self
-                .prepared
-                .read()
-                .iter()
-                .filter(|e| e.persistable)
-                .map(|e| e.text.clone())
-                .collect(),
+            prepared: self.prepared.read().iter().map(|e| e.text.clone()).collect(),
         }
     }
 

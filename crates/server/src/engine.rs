@@ -453,9 +453,7 @@ impl KgServerBuilder {
                     format!("persisted prepared statement does not parse: {err} in `{text}`"),
                 )
             })?;
-            // It parsed from this very text, so it round-trips by the
-            // grammar's Display→parse contract: persistable as-is.
-            server.register_prepared(stmt, text, true);
+            server.register_prepared(stmt, text);
         }
         if server.persist.is_some() {
             // The anchoring snapshot for this generation's WAL, written
@@ -962,17 +960,13 @@ mod tests {
                 pgso_persist::PersistConfig::new_unsynced(dir.path()),
             )
             .unwrap();
-            // NaN is never equal to itself, so this statement cannot
-            // round-trip through text; it must still prepare and serve …
-            let nan = server.prepare_statement(
-                pgso_query::Statement::builder("nan")
-                    .node("d", "Drug")
-                    .ret_property("d", "name")
-                    .filter("d", "name", pgso_query::CmpOp::Eq, f64::NAN)
-                    .build(),
-            );
+            // NaN is never equal to itself, so this statement does not
+            // re-parse to an equal one; it is persisted as the text it was
+            // prepared from, and must prepare and serve …
+            let nan =
+                server.prepare_text("MATCH (d:Drug) WHERE d.name = NaN RETURN d.name").unwrap();
             assert!(run(&server, &nan).rows.is_empty(), "NaN never compares");
-            // … while null/list literals round-trip fine and persist.
+            // … beside null/list literals.
             let listy = server
                 .prepare_text("MATCH (d:Drug) WHERE d.name CONTAINS ['a', null] RETURN d.name")
                 .unwrap();
@@ -983,8 +977,54 @@ mod tests {
         let recovered =
             KgServer::recover(o, s, i, cfg, pgso_persist::PersistConfig::new_unsynced(dir.path()))
                 .expect("an exotic prepared statement must not brick recovery");
-        // Only the round-trippable registration survives.
-        assert_eq!(recovered.prepared_statements().len(), 1);
+        // Both registrations survive.
+        assert_eq!(recovered.prepared_statements().len(), 2);
+    }
+
+    #[test]
+    fn prepared_statements_recover_from_the_text_they_were_prepared_from() {
+        let dir = tempfile::tempdir().unwrap();
+        let make = || {
+            let ontology = catalog::med_mini();
+            let statistics = DataStatistics::synthesize(&ontology, &StatisticsConfig::small(), 7);
+            let instance = InstanceKg::generate(&ontology, &statistics, 0.5, 7);
+            (ontology, statistics, instance)
+        };
+        let cfg = ServerConfig { auto_reoptimize: false, ..ServerConfig::default() };
+        let persist = || pgso_persist::PersistConfig::new_unsynced(dir.path());
+        let statements = [
+            ("MATCH (d:Drug) WHERE d.name = NaN RETURN d.name", Params::new()),
+            (
+                "MATCH (d:Drug) WHERE d.name CONTAINS $needle RETURN d.name LIMIT $n",
+                Params::new().set("needle", "Drug").set("n", 3i64),
+            ),
+        ];
+        let before: Vec<_> = {
+            let (o, s, i) = make();
+            let f = AccessFrequencies::uniform(&o, 10_000.0);
+            let server = KgServer::new_persistent(o, s, i, f, cfg, persist()).unwrap();
+            let before = (statements.iter())
+                .map(|(text, params)| {
+                    let prepared = server.prepare_text(text).unwrap();
+                    let rows = server.execute(&prepared, params).unwrap().rows;
+                    (prepared.id(), prepared.signature().clone(), rows)
+                })
+                .collect();
+            // kill without checkpoint
+            before
+        };
+        assert!(!before[1].2.is_empty(), "the plain statement answers something");
+        let (o, s, i) = make();
+        let recovered = KgServer::recover(o, s, i, cfg, persist()).unwrap();
+        let handles = recovered.prepared_statements();
+        assert_eq!(handles.len(), statements.len(), "every registration survives");
+        for ((id, signature, rows), (handle, (text, params))) in
+            before.iter().zip(handles.iter().zip(&statements))
+        {
+            assert_eq!(handle.id(), *id, "{text}");
+            assert_eq!(handle.signature(), signature, "{text}");
+            assert_eq!(&recovered.execute(handle, params).unwrap().rows, rows, "{text}");
+        }
     }
 
     #[test]

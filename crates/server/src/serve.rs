@@ -55,15 +55,10 @@ pub(crate) struct PreparedEntry {
     fingerprint: u64,
     stmt: Arc<Statement>,
     signature: Arc<ParamSignature>,
-    /// Text form persisted in snapshots / the WAL so the registry survives
-    /// recovery (statements round-trip through the parser).
+    /// The text the statement was parsed from, persisted in snapshots and
+    /// the WAL: the parser is deterministic, so recovery parses it back to
+    /// this very statement.
     pub(crate) text: String,
-    /// True when `text` re-parses to a structurally equal statement. The
-    /// literal grammar is total over [`pgso_graphstore::PropertyValue`], so
-    /// this only fails for exotica (`NaN` literals, which are never equal to
-    /// themselves, or identifiers outside the grammar); such entries are
-    /// excluded from persistence rather than bricking recovery.
-    pub(crate) persistable: bool,
 }
 
 /// What the plan cache holds per DIR statement and schema generation: its
@@ -99,84 +94,15 @@ fn plan_query_result(plan: &QueryPlan) -> QueryResult {
 }
 
 impl KgServer {
-    /// Registers a parsed statement and returns its handle — the step behind
-    /// [`KgServer::prepare_text`].
-    ///
-    /// On a persistent server the registration is also appended to the
-    /// write-ahead log (best effort — a logging failure is reported on
-    /// stderr but does not fail the prepare), so [`KgServer::recover`]
-    /// restores the registry with identical ids and signatures. A statement
-    /// whose text form does not re-parse to an equal statement (e.g. a
-    /// `NaN` literal, which is never equal to itself) is registered but not
-    /// persisted — it is reported on stderr and will be missing after
-    /// recovery, shifting the ids of later registrations.
-    pub(crate) fn prepare_statement(&self, stmt: Statement) -> PreparedStatement {
-        let Some(persist) = &self.persist else {
-            // In-memory servers never persist the registry, so the text
-            // rendering and round-trip check are skipped entirely.
-            return self.register_prepared(stmt, String::new(), false);
-        };
-        // Rendering and the round-trip re-parse depend only on the immutable
-        // statement, so they run before the lock — only the registry push +
-        // WAL append need to be one unit.
-        let text = stmt.to_string();
-        let persistable =
-            parse_named(&text, "prepared").map(|p| p.structurally_eq(&stmt)).unwrap_or(false);
-        if !persistable {
-            eprintln!(
-                "pgso-server: prepared statement does not round-trip through the text \
-                 grammar and will not survive recovery: {text}"
-            );
-        }
-        // The WAL lock is held across the registry insertion so the log
-        // order matches the dense registration ids, and so a concurrent
-        // snapshot rotation (which assembles its image under this lock)
-        // sees the registration and the WAL record as one unit — never a
-        // record that a freshly rotated snapshot already subsumes, never a
-        // registration the image missed and the pruned WAL lost.
-        let mut inner = persist.inner.lock();
-        let prepared = self.register_prepared(stmt, text.clone(), persistable);
-        if persistable {
-            let append_started = Instant::now();
-            if let Err(err) = inner.wal.append(&[WalRecord::Prepared(text)]) {
-                eprintln!("pgso-server: logging prepared statement failed: {err}");
-            } else if let Some(t) = &self.telemetry {
-                // Close the durable tail of a wire-propagated trace: the
-                // group commit (append + fsync) that made this registration
-                // recoverable, under the request's trace id.
-                let trace_id = current_trace_id();
-                if trace_id != 0 {
-                    t.trace().emit_with_duration(
-                        "wal.group_commit",
-                        trace_id,
-                        append_started.elapsed(),
-                        vec![
-                            ("kind", FieldValue::Str("prepared".into())),
-                            ("records", FieldValue::U64(1)),
-                        ],
-                    );
-                }
-            }
-        }
-        prepared
-    }
-
-    /// Registry insertion without WAL logging (construction + recovery).
-    /// `text`/`persistable` are the pre-computed persistence metadata (empty
-    /// and false on in-memory servers, which never read them).
-    pub(crate) fn register_prepared(
-        &self,
-        stmt: Statement,
-        text: String,
-        persistable: bool,
-    ) -> PreparedStatement {
+    /// Registry insertion without WAL logging (construction + recovery):
+    /// `stmt` parsed from `text`.
+    pub(crate) fn register_prepared(&self, stmt: Statement, text: String) -> PreparedStatement {
         let signature = Arc::new(stmt.signature());
         let entry = PreparedEntry {
             fingerprint: fingerprint_statement(&stmt),
             text,
             stmt: Arc::new(stmt),
             signature: signature.clone(),
-            persistable,
         };
         let mut prepared = self.prepared.write();
         prepared.push(entry);
@@ -211,8 +137,46 @@ impl KgServer {
     /// )?;
     /// let result = server.execute(&ps, &Params::new().set("needle", "aspirin").set("n", 5i64))?;
     /// ```
+    ///
+    /// On a persistent server the registration is also appended to the
+    /// write-ahead log as `text` (best effort — a logging failure is reported
+    /// on stderr but does not fail the prepare), so [`KgServer::recover`]
+    /// parses the same text back to the same statement and restores the
+    /// registry with identical ids and signatures.
     pub fn prepare_text(&self, text: &str) -> Result<PreparedStatement, ParseError> {
-        Ok(self.prepare_statement(parse_named(text, "prepared")?))
+        let stmt = parse_named(text, "prepared")?;
+        let Some(persist) = &self.persist else {
+            return Ok(self.register_prepared(stmt, text.to_string()));
+        };
+        // The WAL lock is held across the registry insertion so the log
+        // order matches the dense registration ids, and so a concurrent
+        // snapshot rotation (which assembles its image under this lock)
+        // sees the registration and the WAL record as one unit — never a
+        // record that a freshly rotated snapshot already subsumes, never a
+        // registration the image missed and the pruned WAL lost.
+        let mut inner = persist.inner.lock();
+        let prepared = self.register_prepared(stmt, text.to_string());
+        let append_started = Instant::now();
+        if let Err(err) = inner.wal.append(&[WalRecord::Prepared(text.to_string())]) {
+            eprintln!("pgso-server: logging prepared statement failed: {err}");
+        } else if let Some(t) = &self.telemetry {
+            // Close the durable tail of a wire-propagated trace: the group
+            // commit (append + fsync) that made this registration
+            // recoverable, under the request's trace id.
+            let trace_id = current_trace_id();
+            if trace_id != 0 {
+                t.trace().emit_with_duration(
+                    "wal.group_commit",
+                    trace_id,
+                    append_started.elapsed(),
+                    vec![
+                        ("kind", FieldValue::Str("prepared".into())),
+                        ("records", FieldValue::U64(1)),
+                    ],
+                );
+            }
+        }
+        Ok(prepared)
     }
 
     /// Executes a prepared statement with `params` bound **by name** against

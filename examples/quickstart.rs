@@ -9,7 +9,6 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use pgso::pgschema::estimate_space;
 use pgso::prelude::*;
 
 /// A custom ontology in the textual DSL: 1:M, M:N, 1:1 and inheritance
@@ -75,16 +74,8 @@ fn explore_schema() {
         "-- changes vs the direct mapping --\n{}",
         pgso::pgschema::diff(&direct, &outcome.schema)
     );
-    let (dir_space, opt_space) = (
-        estimate_space(&direct, &ontology, &stats),
-        estimate_space(&outcome.schema, &ontology, &stats),
-    );
-    println!(
-        "estimated space: direct {} bytes, optimized {} bytes ({} bytes of replicated LISTs)\n",
-        dir_space.total(),
-        opt_space.total(),
-        opt_space.list_property_bytes
-    );
+    // The space a budget constrains: what the chosen rules add over DIR.
+    println!("space cost of the optimized schema: {} bytes\n", outcome.total_cost);
 }
 
 /// The paper's evaluation loop on one catalog ontology: optimize under a

@@ -8,7 +8,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`ontology`] | `pgso-ontology` | ontology model, DSL, MED/FIN catalog, statistics, workload summaries |
-//! | [`pgschema`] | `pgso-pgschema` | property graph schema model, DDL emission, space estimation, diffs |
+//! | [`pgschema`] | `pgso-pgschema` | property graph schema model, DDL emission, diffs |
 //! | [`optimizer`] | `pgso-core` | relationship rules, OntologyPR, cost-benefit model, NSC / CC / RC / PGSG |
 //! | [`graphstore`] | `pgso-graphstore` | in-memory, disk-backed (paged, buffer pool) and CSR read-optimized property graph storage |
 //! | [`query`] | `pgso-query` | one statement type (pattern plus WHERE/OPTIONAL/ORDER BY/LIMIT, `$name` parameters, aggregation + GROUP BY), Cypher-like text parser, executor, DIR→OPT rewriter, plan fingerprints |

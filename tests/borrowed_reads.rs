@@ -60,18 +60,13 @@ const PROPERTIES: [&str; 7] = ["name", "doses", "otc", "ratio", "tags", "severit
 /// the `MemoryGraph` reference the others are also compared with.
 fn backends(dir: &std::path::Path) -> Vec<(&'static str, Box<dyn GraphBackend>)> {
     let disk = DiskGraph::create(dir.join("graph.store"), DiskGraphConfig::with_pool_pages(2));
-    let boxed: Box<dyn GraphBackend> = Box::new(CsrGraph::new());
     let mut all: Vec<(&'static str, Box<dyn GraphBackend>)> = vec![
         ("memory", Box::new(MemoryGraph::new())),
         ("csr", Box::new(CsrGraph::new())),
         ("disk", Box::new(disk.expect("create the store file"))),
-        // The outer box is the trait object; the backend behind it is
-        // `Box<dyn GraphBackend>`, so every call crosses `Box`'s forwarding.
-        ("boxed", Box::new(boxed)),
         ("journaled", Box::new(JournaledGraph::new(CsrGraph::new()))),
-        // The same wrappers around the one backend with an equality index,
-        // so that the seek crosses them to reach its override.
-        ("boxed memory", Box::new(Box::new(MemoryGraph::new()) as Box<dyn GraphBackend>)),
+        // The wrapper around the one backend with an equality index, so
+        // that the seek crosses it to reach its override.
         ("journaled memory", Box::new(JournaledGraph::new(MemoryGraph::new()))),
     ];
     for (_, backend) in &mut all {
