@@ -1894,7 +1894,6 @@ mod tests {
             .edge("d", "treat", "i")
             .ret_property("i", "desc")
             .build();
-        assert!(!q.has_clauses());
         let stmt = execute_statement(&q, &g);
         let descs: Vec<Option<&str>> = stmt.rows.iter().map(|r| r[0].as_str()).collect();
         assert_eq!(descs, [Some("Fever"), Some("Headache")]);

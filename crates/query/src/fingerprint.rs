@@ -1,259 +1,47 @@
-//! Stable structural fingerprints for statements.
+//! The plan-cache key of a statement.
 //!
-//! The serving layer caches DIR→OPT rewrites per statement: two statements
-//! that are structurally equal share one plan regardless of their display
-//! name. [`fingerprint_statement`] hashes that structure with FNV-1a, giving a stable 64-bit key that does not depend on
-//! `std::collections` hash seeds or on the process — so cache keys are
-//! reproducible across runs and across serving threads.
+//! [`fingerprint_statement`] is FNV-1a over the statement's canonical text,
+//! its `Display` form, which the parser reads and prepared statements
+//! persist. Equal text means equal statement: `parse(s.to_string())` is
+//! structurally equal to `s` for every statement, parsed or built (the
+//! builder returns what the parser makes of its text). The presentation
+//! name is not part of the text, so it does not key.
 //!
-//! Unlike the positional-rebinding design this replaces, the fingerprint
-//! hashes the statement **verbatim**: literal values, `SKIP`/`LIMIT` counts
-//! and `$parameter` names all key. Value-independent plan sharing is the job
-//! of *parameterization* instead — `$name` placeholders hash by name, so a
-//! prepared statement has one fingerprint across every execution, and the
-//! serving layer canonicalizes ad-hoc statements through
-//! [`crate::Statement::parameterize`] before keying the cache. Sharing is
-//! then visible in the statement itself rather than silently spliced in by
-//! position.
+//! The key is verbatim: literal values, `SKIP`/`LIMIT` counts and
+//! `$parameter` names all key. Value-independent plan sharing is the job of
+//! [`crate::Statement::parameterize`], which the serving layer applies to
+//! ad-hoc statements before keying the cache. FNV-1a is unseeded: a key is
+//! the same in every process.
 
-use crate::ast::{Aggregate, ReturnItem};
-use crate::stmt::{CmpOp, CountTerm, Statement, Term};
-use pgso_graphstore::PropertyValue;
+use crate::stmt::Statement;
+use std::fmt::{self, Write};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Incremental FNV-1a hasher over the query structure.
+/// A [`fmt::Write`] sink folding every byte written into an FNV-1a hash.
 struct Fnv(u64);
 
-impl Fnv {
-    fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
+impl Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for &byte in s.as_bytes() {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
         }
-    }
-
-    /// Hashes a string with a length prefix so `("ab","c")` and `("a","bc")`
-    /// cannot collide.
-    fn write_str(&mut self, s: &str) {
-        self.write(&(s.len() as u32).to_le_bytes());
-        self.write(s.as_bytes());
-    }
-
-    fn write_tag(&mut self, tag: u8) {
-        self.write(&[tag]);
+        Ok(())
     }
 }
 
-/// Computes the structural fingerprint of a statement.
-///
-/// The pattern (node and edge patterns, `RETURN` items) always keys; the
-/// other clauses are hashed only when [`Statement::has_clauses`], so a
-/// clause-free statement hashes its pattern alone (the bytes every pinned
-/// key was recorded with). Everything else keys: predicate terms (literal
-/// values by content, `$parameters` by name), `SKIP`/`LIMIT` terms,
-/// `GROUP BY`, `HAVING`, `DISTINCT` and the sort keys. Only the presentation
-/// name is excluded: it is metadata, and keying it would make semantically
-/// identical prepared statements miss each other in the plan cache.
+/// FNV-1a of `stmt.to_string()`, streamed without building the `String`.
 pub fn fingerprint_statement(stmt: &Statement) -> u64 {
-    let mut h = Fnv::new();
-    hash_pattern(&mut h, stmt);
-    if stmt.has_clauses() {
-        h.write_tag(4);
-        h.write(&(stmt.opt_nodes.len() as u32).to_le_bytes());
-        for node in &stmt.opt_nodes {
-            h.write_str(&node.var);
-            h.write_str(&node.label);
-        }
-        h.write_tag(5);
-        h.write(&(stmt.opt_edges.len() as u32).to_le_bytes());
-        for edge in &stmt.opt_edges {
-            h.write_str(&edge.label);
-            h.write_str(&edge.src);
-            h.write_str(&edge.dst);
-        }
-        h.write_tag(6);
-        h.write(&(stmt.predicates.len() as u32).to_le_bytes());
-        for predicate in &stmt.predicates {
-            h.write_str(&predicate.var);
-            h.write_str(&predicate.property);
-            h.write_tag(match predicate.op {
-                CmpOp::Eq => 20,
-                CmpOp::Ne => 21,
-                CmpOp::Lt => 22,
-                CmpOp::Le => 23,
-                CmpOp::Gt => 24,
-                CmpOp::Ge => 25,
-                CmpOp::Contains => 26,
-            });
-            hash_term(&mut h, &predicate.value);
-        }
-        h.write_tag(7);
-        h.write_tag(stmt.distinct as u8);
-        h.write_tag(8);
-        h.write(&(stmt.order_by.len() as u32).to_le_bytes());
-        for key in &stmt.order_by {
-            h.write_str(&key.var);
-            h.write_str(&key.property);
-            h.write_tag(key.descending as u8);
-        }
-        h.write_tag(9);
-        hash_count_term(&mut h, stmt.skip.as_ref());
-        hash_count_term(&mut h, stmt.limit.as_ref());
-        h.write_tag(30);
-        h.write(&(stmt.group_by.len() as u32).to_le_bytes());
-        for var in &stmt.group_by {
-            h.write_str(var);
-        }
-        h.write_tag(31);
-        h.write(&(stmt.having.len() as u32).to_le_bytes());
-        for pred in &stmt.having {
-            h.write_tag(match pred.agg {
-                Aggregate::Count => 12,
-                Aggregate::CollectCount => 13,
-                Aggregate::CountDistinct => 14,
-                Aggregate::Sum => 15,
-                Aggregate::Min => 16,
-                Aggregate::Max => 17,
-                Aggregate::Avg => 18,
-            });
-            h.write_str(&pred.var);
-            match &pred.property {
-                Some(p) => {
-                    h.write_tag(1);
-                    h.write_str(p);
-                }
-                None => h.write_tag(0),
-            }
-            h.write_tag(match pred.op {
-                CmpOp::Eq => 20,
-                CmpOp::Ne => 21,
-                CmpOp::Lt => 22,
-                CmpOp::Le => 23,
-                CmpOp::Gt => 24,
-                CmpOp::Ge => 25,
-                CmpOp::Contains => 26,
-            });
-            hash_term(&mut h, &pred.value);
-        }
-    }
-    h.0
-}
-
-fn hash_term(h: &mut Fnv, term: &Term) {
-    match term {
-        Term::Literal(value) => {
-            h.write_tag(40);
-            hash_value(h, value);
-        }
-        Term::Parameter(name) => {
-            h.write_tag(41);
-            h.write_str(name);
-        }
-    }
-}
-
-fn hash_count_term(h: &mut Fnv, term: Option<&CountTerm>) {
-    match term {
-        None => h.write_tag(0),
-        Some(CountTerm::Count(n)) => {
-            h.write_tag(1);
-            h.write(&(*n as u64).to_le_bytes());
-        }
-        Some(CountTerm::Parameter(name)) => {
-            h.write_tag(2);
-            h.write_str(name);
-        }
-    }
-}
-
-fn hash_value(h: &mut Fnv, value: &PropertyValue) {
-    match value {
-        PropertyValue::Null => h.write_tag(50),
-        PropertyValue::Bool(b) => {
-            h.write_tag(51);
-            h.write_tag(*b as u8);
-        }
-        PropertyValue::Int(n) => {
-            h.write_tag(52);
-            h.write(&n.to_le_bytes());
-        }
-        PropertyValue::Float(x) => {
-            h.write_tag(53);
-            h.write(&x.to_bits().to_le_bytes());
-        }
-        PropertyValue::Str(s) => {
-            h.write_tag(54);
-            h.write_str(s);
-        }
-        PropertyValue::List(items) => {
-            h.write_tag(55);
-            h.write(&(items.len() as u32).to_le_bytes());
-            for item in items {
-                hash_value(h, item);
-            }
-        }
-    }
-}
-
-fn hash_pattern(h: &mut Fnv, stmt: &Statement) {
-    h.write_tag(1);
-    h.write(&(stmt.nodes.len() as u32).to_le_bytes());
-    for node in &stmt.nodes {
-        h.write_str(&node.var);
-        h.write_str(&node.label);
-    }
-    h.write_tag(2);
-    h.write(&(stmt.edges.len() as u32).to_le_bytes());
-    for edge in &stmt.edges {
-        h.write_str(&edge.label);
-        h.write_str(&edge.src);
-        h.write_str(&edge.dst);
-    }
-    h.write_tag(3);
-    h.write(&(stmt.returns.len() as u32).to_le_bytes());
-    for item in &stmt.returns {
-        match item {
-            ReturnItem::Property { var, property } => {
-                h.write_tag(10);
-                h.write_str(var);
-                h.write_str(property);
-            }
-            ReturnItem::Vertex { var } => {
-                h.write_tag(11);
-                h.write_str(var);
-            }
-            ReturnItem::Aggregate { agg, var, property } => {
-                h.write_tag(match agg {
-                    Aggregate::Count => 12,
-                    Aggregate::CollectCount => 13,
-                    Aggregate::CountDistinct => 14,
-                    Aggregate::Sum => 15,
-                    Aggregate::Min => 16,
-                    Aggregate::Max => 17,
-                    Aggregate::Avg => 18,
-                });
-                h.write_str(var);
-                match property {
-                    Some(p) => {
-                        h.write_tag(1);
-                        h.write_str(p);
-                    }
-                    None => h.write_tag(0),
-                }
-            }
-        }
-    }
+    let mut hash = Fnv(FNV_OFFSET);
+    write!(hash, "{stmt}").expect("the FNV sink never fails");
+    hash.0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Aggregate;
 
     fn q1() -> Statement {
         Statement::builder("Q1")
@@ -341,9 +129,11 @@ mod tests {
             .build()
     }
 
-    /// Fingerprints are plan-cache keys and persisted tracker state: the
-    /// hashed bytes of every clause kind are pinned as literals, so a
-    /// refactor of the statement types cannot move a key unnoticed.
+    /// Fingerprints are plan-cache keys, stable across processes: the key
+    /// of every clause kind is pinned as a literal, so a change to the
+    /// statement text cannot move a key unnoticed. Nothing persists a key
+    /// (the WAL and snapshots carry prepared text), so a deliberate change
+    /// re-records these literals.
     #[test]
     fn clause_shapes_have_pinned_fingerprints() {
         use crate::ast::Aggregate as A;
@@ -393,27 +183,18 @@ mod tests {
         let measured: Vec<(&str, u64)> =
             shapes.iter().map(|(shape, stmt)| (*shape, fingerprint_statement(stmt))).collect();
         let pinned: Vec<(&str, u64)> = vec![
-            ("bare", 3201315618241265537),
-            ("OPTIONAL", 12358671714279220914),
-            ("WHERE literal", 1441554627620099205),
-            ("WHERE $param", 1637547330094470998),
-            ("DISTINCT", 6802963444608423891),
-            ("ORDER BY DESC", 7242901779778768256),
-            ("SKIP/LIMIT literal", 6969770550983971957),
-            ("SKIP/LIMIT $param", 14543554316501034552),
-            ("GROUP BY", 11799823303057753179),
-            ("HAVING", 9007525636721378903),
+            ("bare", 10670034615468826841),
+            ("OPTIONAL", 14947568974085332058),
+            ("WHERE literal", 16865061736642166692),
+            ("WHERE $param", 3384153363780410010),
+            ("DISTINCT", 579144088056925660),
+            ("ORDER BY DESC", 18090375139990105037),
+            ("SKIP/LIMIT literal", 9380403784289478258),
+            ("SKIP/LIMIT $param", 1879660598441472376),
+            ("GROUP BY", 10784042115799977395),
+            ("HAVING", 13313426233557490674),
         ];
         assert_eq!(measured, pinned);
-    }
-
-    #[test]
-    fn bare_statement_matches_query_fingerprint() {
-        // A clause-free statement hashes its pattern alone (the `has_clauses`
-        // branch is skipped): the "bare" key pinned above.
-        let bare = q1();
-        assert!(!bare.has_clauses());
-        assert_eq!(fingerprint_statement(&bare), 3201315618241265537);
     }
 
     #[test]

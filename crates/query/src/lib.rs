@@ -41,8 +41,9 @@
 //! ```
 //!
 //! The builder ([`Statement::builder`]) serves tests and embedded use. It
-//! enforces the parser's rules, so every statement, built or parsed,
-//! round-trips through its `Display` form back into [`parse()`].
+//! returns what [`parse()`] makes of the built statement's text, so every
+//! statement, built or parsed, round-trips through its `Display` form, and
+//! that text is its plan-cache key.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

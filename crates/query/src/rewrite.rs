@@ -1305,4 +1305,78 @@ mod tests {
             assert!(rules.get(rule).is_some_and(|&n| n > 0), "no {rule} rewrite in {rules:?}");
         }
     }
+
+    /// A ratchet on rule (a) of `unify_variables`: it collapses every hop
+    /// whose two endpoint concepts share a vertex type, 1:M and M:N hops
+    /// included, and reports a `one-to-one` merge although the hop may
+    /// reach many vertices. Per schema of the grid, the functional non-1:1
+    /// relationships with both ends in one vertex type are listed, each
+    /// such hop is checked to be eliminated under `one-to-one`, and the
+    /// counts are pinned: a change in any count fails until it is
+    /// re-recorded. A correct rewriter keeps these hops, so every count
+    /// should fall to 0.
+    #[test]
+    fn functional_hops_inside_one_vertex_type_collapse_as_one_to_one() {
+        use pgso_ontology::RelationshipKind;
+        const GRID: [&str; 8] =
+            ["DIR", "RC 0.25", "CC 0.25", "RC 0.5", "CC 0.5", "RC 0.75", "CC 0.75", "NSC"];
+        let mut counts = Vec::new();
+        for o in [catalog::medical(), catalog::financial()] {
+            for (schema, grid) in schema_grid(&o).iter().zip(GRID) {
+                let mut collapsed = Vec::new();
+                for (_, rel) in o.relationships() {
+                    if !rel.kind.is_functional() || rel.kind == RelationshipKind::OneToOne {
+                        continue;
+                    }
+                    let (src, dst) = (&o.concept(rel.src).name, &o.concept(rel.dst).name);
+                    let target =
+                        |concept: &str| schema.vertex_for_concept(concept).map(|v| &v.label);
+                    if target(src).is_none() || target(src) != target(dst) {
+                        continue;
+                    }
+                    let hop = Statement::builder("hop")
+                        .node("a", src.as_str())
+                        .node("b", dst.as_str())
+                        .edge("a", rel.name.as_str(), "b")
+                        .ret_vertex("b")
+                        .build();
+                    let (rewritten, rules) = rewrite_statement_traced(&hop, schema);
+                    let merged = |r: &AppliedRule| {
+                        r.rule == "one-to-one" && r.edge_label.as_ref() == Some(&rel.name)
+                    };
+                    assert!(
+                        rewritten.edges.is_empty() && rules.iter().any(merged),
+                        "{hop} onto {grid} of {}: {rewritten} by {rules:?}",
+                        o.name()
+                    );
+                    collapsed.push(rel.name.as_str());
+                }
+                if o.name() == "financial" && grid == "NSC" {
+                    for name in ["employsOfficer", "recordsTransaction", "holdsAccount"] {
+                        assert!(collapsed.contains(&name), "{name} not in {collapsed:?}");
+                    }
+                }
+                counts.push(format!("{} {grid}: {}", o.name(), collapsed.len()));
+            }
+        }
+        let pinned = [
+            "medical DIR: 0",
+            "medical RC 0.25: 0",
+            "medical CC 0.25: 0",
+            "medical RC 0.5: 0",
+            "medical CC 0.5: 0",
+            "medical RC 0.75: 0",
+            "medical CC 0.75: 0",
+            "medical NSC: 0",
+            "financial DIR: 0",
+            "financial RC 0.25: 17",
+            "financial CC 0.25: 4",
+            "financial RC 0.5: 17",
+            "financial CC 0.5: 8",
+            "financial RC 0.75: 17",
+            "financial CC 0.75: 8",
+            "financial NSC: 17",
+        ];
+        assert_eq!(counts, pinned);
+    }
 }

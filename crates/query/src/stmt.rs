@@ -444,19 +444,6 @@ impl Statement {
         self.edges.len()
     }
 
-    /// True if any clause beyond the bare pattern is present.
-    pub fn has_clauses(&self) -> bool {
-        !self.opt_nodes.is_empty()
-            || !self.opt_edges.is_empty()
-            || !self.predicates.is_empty()
-            || self.distinct
-            || !self.group_by.is_empty()
-            || !self.having.is_empty()
-            || !self.order_by.is_empty()
-            || self.skip.is_some()
-            || self.limit.is_some()
-    }
-
     /// True if the statement declares at least one `$parameter` (in a
     /// predicate, `HAVING` clause, `SKIP` or `LIMIT`). Such a statement must
     /// be bound ([`Statement::bind`]) before execution returns meaningful
@@ -588,17 +575,22 @@ impl Statement {
     /// emitted as standalone `(v:Label)` parts — and variables first appear
     /// in `self.nodes` order, so the output re-parses to an equal pattern.
     fn fmt_match(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut parts: Vec<String> = Vec::new();
+        let mut first = true;
+        let mut separate = |f: &mut fmt::Formatter<'_>| {
+            f.write_str(if std::mem::take(&mut first) { "" } else { ", " })
+        };
         if self.display_order_is_node_order() {
             for e in &self.edges {
                 let src = self.node(&e.src).map(|n| n.label.as_str()).unwrap_or("?");
                 let dst = self.node(&e.dst).map(|n| n.label.as_str()).unwrap_or("?");
-                parts.push(format!("({}:{})-[:{}]->({}:{})", e.src, src, e.label, e.dst, dst));
+                separate(f)?;
+                write!(f, "({}:{})-[:{}]->({}:{})", e.src, src, e.label, e.dst, dst)?;
             }
             for n in &self.nodes {
                 let referenced = self.edges.iter().any(|e| e.src == n.var || e.dst == n.var);
                 if !referenced {
-                    parts.push(format!("({}:{})", n.var, n.label));
+                    separate(f)?;
+                    write!(f, "({}:{})", n.var, n.label)?;
                 }
             }
         } else {
@@ -606,29 +598,32 @@ impl Statement {
             // is the destination of the first edge): list the nodes first to
             // pin their order, then the edges over bare variables.
             for n in &self.nodes {
-                parts.push(format!("({}:{})", n.var, n.label));
+                separate(f)?;
+                write!(f, "({}:{})", n.var, n.label)?;
             }
             for e in &self.edges {
-                parts.push(format!("({})-[:{}]->({})", e.src, e.label, e.dst));
+                separate(f)?;
+                write!(f, "({})-[:{}]->({})", e.src, e.label, e.dst)?;
             }
         }
-        write!(f, "{}", parts.join(", "))
+        Ok(())
     }
 
     /// Writes the `RETURN` clause body (without the keyword).
     fn fmt_returns(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let returns: Vec<String> = self
-            .returns
-            .iter()
-            .map(|r| match r {
-                ReturnItem::Property { var, property } => format!("{var}.{property}"),
-                ReturnItem::Vertex { var } => var.clone(),
+        for (i, item) in self.returns.iter().enumerate() {
+            if i > 0 {
+                f.write_str(", ")?;
+            }
+            match item {
+                ReturnItem::Property { var, property } => write!(f, "{var}.{property}")?,
+                ReturnItem::Vertex { var } => f.write_str(var)?,
                 ReturnItem::Aggregate { agg, var, property } => {
-                    agg.render_call(var, property.as_deref())
+                    f.write_str(&agg.render_call(var, property.as_deref()))?
                 }
-            })
-            .collect();
-        write!(f, "{}", returns.join(", "))
+            }
+        }
+        Ok(())
     }
 }
 
@@ -907,20 +902,26 @@ impl StatementBuilder {
         self
     }
 
-    /// Finalises the statement.
+    /// Finalises the statement: what [`crate::parse_named`] makes of its
+    /// `Display` text, so a built statement is a parsed one (in the
+    /// parser's `OPTIONAL MATCH` node order) and round-trips through
+    /// `Display` → `parse`.
     ///
     /// # Panics
     /// Panics when the statement breaks a rule [`crate::parse()`] enforces
     /// on text, with the parser's message: an empty pattern or `RETURN`
     /// clause, a clause or edge naming an undeclared variable, an optional
     /// node no optional edge references, `GROUP BY`/`HAVING` without an
-    /// aggregate, or a numeric aggregate without a property. A built
-    /// statement therefore round-trips through `Display` → `parse`.
+    /// aggregate, or a numeric aggregate without a property. Panics too
+    /// when the text does not parse, e.g. for a variable that is no
+    /// identifier.
     pub fn build(self) -> Statement {
         if let Err(message) = self.stmt.validate() {
             panic!("{message}");
         }
-        self.stmt
+        let text = self.stmt.to_string();
+        crate::parse_named(&text, self.stmt.name)
+            .unwrap_or_else(|err| panic!("built statement `{text}` does not parse: {err}"))
     }
 }
 
@@ -955,7 +956,6 @@ mod tests {
         assert_eq!(s.order_by.len(), 1);
         assert_eq!(s.skip, Some(CountTerm::Count(2)));
         assert_eq!(s.limit, Some(CountTerm::Count(10)));
-        assert!(s.has_clauses());
         assert!(!s.has_parameters());
         assert!(s.is_optional_var("c"));
         assert!(!s.is_optional_var("d"));
@@ -991,7 +991,6 @@ mod tests {
             .ret_aggregate(Aggregate::Count, "i", None)
             .group_by("d")
             .build();
-        assert!(s.has_clauses());
         let text = s.to_string();
         assert!(text.contains("RETURN d.name, count(i) GROUP BY d"), "{text}");
     }
@@ -1010,7 +1009,6 @@ mod tests {
             .having_param(Aggregate::Avg, "i", Some("weight"), CmpOp::Lt, "cap")
             .order_by("d", "name", false)
             .build();
-        assert!(s.has_clauses());
         assert!(s.has_parameters());
         let text = s.to_string();
         assert!(
@@ -1087,7 +1085,6 @@ mod tests {
     #[test]
     fn bare_statement_has_no_clauses() {
         let s = Statement::builder("q").node("a", "A").ret_vertex("a").build();
-        assert!(!s.has_clauses());
         assert!(!s.has_parameters());
     }
 
@@ -1219,6 +1216,29 @@ mod tests {
         // An edge-less optional node has no text form, so it could never
         // round-trip through Display → parse.
         let _ = Statement::builder("bad").node("a", "A").ret_vertex("a").opt_node("o", "O").build();
+    }
+
+    #[test]
+    fn built_statements_are_parsed_statements() {
+        // A variable the parser cannot read has no text form.
+        let spaced = std::panic::catch_unwind(|| {
+            Statement::builder("q").node("a b", "Drug").ret_property("a b", "name").build()
+        })
+        .expect_err("the builder accepted `MATCH (a b:Drug) RETURN a b.name`");
+        let message = spaced.downcast_ref::<String>().map(String::as_str).unwrap_or_default();
+        assert!(message.contains("expected `)`"), "{message}");
+        // Optional nodes take the order in which the text first names them.
+        let built = Statement::builder("q")
+            .node("a", "A")
+            .ret_vertex("a")
+            .opt_node("x", "X")
+            .opt_node("y", "Y")
+            .opt_edge("a", "toY", "y")
+            .opt_edge("a", "toX", "x")
+            .build();
+        let parsed = crate::parse(&built.to_string()).unwrap();
+        assert!(built.structurally_eq(&parsed), "{built:?} re-parses as {parsed:?}");
+        assert_eq!(built.opt_nodes.iter().map(|n| n.var.as_str()).collect::<Vec<_>>(), ["y", "x"]);
     }
 
     #[test]

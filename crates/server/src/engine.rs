@@ -1825,7 +1825,7 @@ mod tests {
         let (o, s, i) = make();
         let tracker = WorkloadTracker::new(&o);
         for text in PATIENT_MIX.iter().cycle().take(20) {
-            tracker.record_statement(&parse_named(text, "mix").unwrap());
+            tracker.record_statement(&o, &parse_named(text, "mix").unwrap());
         }
         let initial = tracker.to_frequencies(&o, 10_000.0);
         let nsc = pgso_core::optimize_nsc(

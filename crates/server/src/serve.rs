@@ -327,7 +327,7 @@ impl KgServer {
                 let result = execute_statement(&opt, epoch.graph());
                 // A profile is a real serve as far as the learned workload
                 // is concerned, and its executor stages join any live trace.
-                self.tracker.record_statement(stmt);
+                self.tracker.record_statement(&self.ontology, stmt);
                 if let Some(t) = self.telemetry.as_deref() {
                     t.windows.record_request();
                     let trace_id = current_trace_id();
@@ -401,7 +401,10 @@ impl KgServer {
                 // always timed, whatever the sampling ticket said.
                 let rewrite_started = telemetry.map(|_| Instant::now());
                 let plan = PhysicalPlan::compile_owned(rewrite_statement(stmt, &epoch.schema));
-                let entry = Arc::new(ServedPlan { plan, access: self.tracker.resolve(stmt) });
+                let entry = Arc::new(ServedPlan {
+                    plan,
+                    access: self.tracker.resolve(&self.ontology, stmt),
+                });
                 if let (Some(t), Some(s)) = (telemetry, rewrite_started) {
                     let done = Instant::now();
                     t.rewrite.record_duration(done.duration_since(s));

@@ -119,95 +119,52 @@ pub struct TrackedAccess {
     properties: Vec<(RelationshipId, PropertyId)>,
 }
 
-/// Accumulates access frequencies from served queries.
+/// Accumulates access frequencies from served queries. Labels and property
+/// names resolve through the [`Ontology`] the tracker was built for, which
+/// every resolving call takes.
 pub struct WorkloadTracker {
     concepts: Vec<AtomicU64>,
     relationships: Vec<AtomicU64>,
     properties: Mutex<HashMap<(RelationshipId, PropertyId), u64>>,
     total: AtomicU64,
-    /// label → concept id.
-    concept_by_label: HashMap<String, ConceptId>,
-    /// edge label → `(src, dst, relationship)` candidates. Keyed by the label
-    /// alone (looked up with a borrowed `&str` — no allocation on the hot
-    /// path); the per-label candidate lists are tiny, so matching endpoints
-    /// is a short linear scan, with the first candidate as the fallback when
-    /// the endpoints don't resolve.
-    relationships_by_label: HashMap<String, Vec<(ConceptId, ConceptId, RelationshipId)>>,
-    /// concept → property name → property id.
-    property_by_name: HashMap<ConceptId, HashMap<String, PropertyId>>,
 }
 
 impl WorkloadTracker {
-    /// Builds a tracker with label-resolution maps for `ontology`.
+    /// Builds a tracker with one counter per concept and relationship of
+    /// `ontology`.
     pub fn new(ontology: &Ontology) -> Self {
-        let mut concept_by_label = HashMap::new();
-        for (cid, concept) in ontology.concepts() {
-            concept_by_label.insert(concept.name.clone(), cid);
-        }
-        let mut relationships_by_label: HashMap<
-            String,
-            Vec<(ConceptId, ConceptId, RelationshipId)>,
-        > = HashMap::new();
-        for (rid, rel) in ontology.relationships() {
-            relationships_by_label
-                .entry(rel.name.clone())
-                .or_default()
-                .push((rel.src, rel.dst, rid));
-        }
-        let mut property_by_name: HashMap<ConceptId, HashMap<String, PropertyId>> = HashMap::new();
-        for (cid, _) in ontology.concepts() {
-            for &pid in ontology.concept_properties(cid) {
-                property_by_name
-                    .entry(cid)
-                    .or_default()
-                    .insert(ontology.property(pid).name.clone(), pid);
-            }
-        }
         Self {
             concepts: (0..ontology.concept_count()).map(|_| AtomicU64::new(0)).collect(),
             relationships: (0..ontology.relationship_count()).map(|_| AtomicU64::new(0)).collect(),
             properties: Mutex::new(HashMap::new()),
             total: AtomicU64::new(0),
-            concept_by_label,
-            relationships_by_label,
-            property_by_name,
         }
-    }
-
-    fn resolve_relationship(
-        &self,
-        label: &str,
-        src: Option<ConceptId>,
-        dst: Option<ConceptId>,
-    ) -> Option<RelationshipId> {
-        let candidates = self.relationships_by_label.get(label)?;
-        if let (Some(s), Some(d)) = (src, dst) {
-            if let Some(&(_, _, rid)) = candidates.iter().find(|&&(cs, cd, _)| cs == s && cd == d) {
-                return Some(rid);
-            }
-        }
-        candidates.first().map(|&(_, _, rid)| rid)
     }
 
     /// Records one served DIR statement: [`WorkloadTracker::record`] of its
     /// [`WorkloadTracker::resolve`].
-    pub fn record_statement(&self, stmt: &Statement) {
-        self.record(&self.resolve(stmt));
+    pub fn record_statement(&self, ontology: &Ontology, stmt: &Statement) {
+        self.record(&self.resolve(ontology, stmt));
     }
 
     /// Resolves what serving `stmt` counts, once per statement rather than
     /// per serve. `OPTIONAL MATCH` nodes and edges count like mandatory ones
     /// (the backend traverses them either way), and `WHERE` predicates count
     /// as property accesses, so the observed frequencies keep reflecting
-    /// what the storage layer actually pays for.
-    pub fn resolve(&self, stmt: &Statement) -> TrackedAccess {
+    /// what the storage layer actually pays for. An edge label resolves to
+    /// the relationship of that name between the endpoints' concepts, or to
+    /// the first of that name when the endpoints do not resolve.
+    pub fn resolve(&self, ontology: &Ontology, stmt: &Statement) -> TrackedAccess {
         let concept_of = |var: &str| -> Option<ConceptId> {
-            stmt.any_node(var).and_then(|n| self.concept_by_label.get(&n.label)).copied()
+            stmt.any_node(var).and_then(|n| ontology.concept_by_name(&n.label))
         };
         let nodes = stmt.nodes.iter().chain(&stmt.opt_nodes);
-        let concepts = nodes.filter_map(|node| self.concept_by_label.get(&node.label).copied());
+        let concepts = nodes.filter_map(|node| ontology.concept_by_name(&node.label));
         let relationship_of = |e: &EdgePattern| {
-            self.resolve_relationship(&e.label, concept_of(&e.src), concept_of(&e.dst))
+            let (src, dst) = (concept_of(&e.src), concept_of(&e.dst));
+            let named = || ontology.relationships().filter(|(_, r)| r.name == e.label);
+            let exact = named().find(|(_, r)| Some(r.src) == src && Some(r.dst) == dst);
+            exact.or_else(|| named().next()).map(|(rid, _)| rid)
         };
         let edges: Vec<(&EdgePattern, Option<RelationshipId>)> =
             stmt.edges.iter().chain(&stmt.opt_edges).map(|e| (e, relationship_of(e))).collect();
@@ -221,10 +178,7 @@ impl WorkloadTracker {
         let mut properties = Vec::new();
         for (var, property) in return_accesses.chain(predicate_accesses) {
             let Some(cid) = concept_of(var) else { continue };
-            let Some(&pid) = self.property_by_name.get(&cid).and_then(|props| props.get(property))
-            else {
-                continue;
-            };
+            let Some(pid) = ontology.property_by_name(cid, property) else { continue };
             let reaching = edges.iter().filter(|(edge, _)| edge.dst == var);
             properties.extend(reaching.filter_map(|&(_, rid)| Some((rid?, pid))));
         }
@@ -543,8 +497,8 @@ mod tests {
     fn records_concepts_relationships_and_properties() {
         let o = catalog::med_mini();
         let tracker = WorkloadTracker::new(&o);
-        tracker.record_statement(&treat_query());
-        tracker.record_statement(&treat_query());
+        tracker.record_statement(&o, &treat_query());
+        tracker.record_statement(&o, &treat_query());
         let snap = tracker.snapshot();
         assert_eq!(snap.total_queries, 2);
         let drug = o.concept_by_name("Drug").unwrap();
@@ -567,7 +521,7 @@ mod tests {
             .edge("d", "treat", "i")
             .ret_aggregate(Aggregate::CollectCount, "i", Some("desc"))
             .build();
-        tracker.record_statement(&q);
+        tracker.record_statement(&o, &q);
         let (treat, rel) = o.relationships().find(|(_, r)| r.name == "treat").unwrap();
         let desc = o.property_by_name(rel.dst, "desc").unwrap();
         assert_eq!(tracker.snapshot().property_counts.get(&(treat, desc)), Some(&1));
@@ -585,7 +539,7 @@ mod tests {
             .opt_edge("d", "treat", "i")
             .filter("i", "desc", CmpOp::Contains, "Fever")
             .build();
-        tracker.record_statement(&stmt);
+        tracker.record_statement(&o, &stmt);
         let snap = tracker.snapshot();
         let drug = o.concept_by_name("Drug").unwrap();
         let indication = o.concept_by_name("Indication").unwrap();
@@ -607,7 +561,7 @@ mod tests {
         let tracker = WorkloadTracker::new(&o);
         let q =
             Statement::builder("q").node("x", "NoSuchConcept").ret_property("x", "nope").build();
-        tracker.record_statement(&q);
+        tracker.record_statement(&o, &q);
         let snap = tracker.snapshot();
         assert_eq!(snap.total_queries, 1);
         assert!(snap.concept_counts.iter().all(|&c| c == 0));
@@ -623,13 +577,13 @@ mod tests {
         // Hit every concept once: perfectly uniform mix.
         for (_, concept) in o.concepts() {
             let q = Statement::builder("q").node("x", concept.name.clone()).ret_vertex("x").build();
-            tracker.record_statement(&q);
+            tracker.record_statement(&o, &q);
         }
         assert!(tracker.drift(&uniform) < 1e-9);
         // Now hammer a single concept; drift must rise.
         for _ in 0..200 {
             let q = Statement::builder("q").node("d", "Drug").ret_vertex("d").build();
-            tracker.record_statement(&q);
+            tracker.record_statement(&o, &q);
         }
         assert!(tracker.drift(&uniform) > 0.5, "drift {}", tracker.drift(&uniform));
     }
@@ -639,7 +593,7 @@ mod tests {
         let o = catalog::med_mini();
         let tracker = WorkloadTracker::new(&o);
         for _ in 0..10 {
-            tracker.record_statement(&treat_query());
+            tracker.record_statement(&o, &treat_query());
         }
         let af = tracker.to_frequencies(&o, 10_000.0);
         let total: f64 = o.concept_ids().map(|c| af.concept(c)).sum();
@@ -658,12 +612,12 @@ mod tests {
         let o = catalog::med_mini();
         let tracker = WorkloadTracker::new(&o);
         for _ in 0..5 {
-            tracker.record_statement(&treat_query());
+            tracker.record_statement(&o, &treat_query());
         }
         let snapshot = tracker.snapshot();
         // Two more queries arrive while "re-optimization" is in flight.
-        tracker.record_statement(&treat_query());
-        tracker.record_statement(&treat_query());
+        tracker.record_statement(&o, &treat_query());
+        tracker.record_statement(&o, &treat_query());
         tracker.rebase(&snapshot);
         let after = tracker.snapshot();
         assert_eq!(after.total_queries, 2, "post-snapshot queries must survive");
@@ -691,7 +645,7 @@ mod tests {
         let _ = d2;
         // Nothing recorded yet: no relationship qualifies.
         assert!(tracker.estimated_fanouts(&o, &g, 8).is_empty());
-        tracker.record_statement(&treat_query());
+        tracker.record_statement(&o, &treat_query());
         g.reset_stats();
         let fanouts = tracker.estimated_fanouts(&o, &g, 8);
         let (treat, _) = o.relationships().find(|(_, r)| r.name == "treat").unwrap();
@@ -705,7 +659,7 @@ mod tests {
         let o = catalog::med_mini();
         let tracker = WorkloadTracker::new(&o);
         for _ in 0..7 {
-            tracker.record_statement(&treat_query());
+            tracker.record_statement(&o, &treat_query());
         }
         let snapshot = tracker.snapshot();
         let bytes = snapshot.to_bytes();
@@ -729,7 +683,7 @@ mod tests {
     fn snapshot_bytes_reject_corruption() {
         let o = catalog::med_mini();
         let tracker = WorkloadTracker::new(&o);
-        tracker.record_statement(&treat_query());
+        tracker.record_statement(&o, &treat_query());
         let bytes = tracker.snapshot().to_bytes();
         assert!(WorkloadSnapshot::from_bytes(&bytes[..bytes.len() - 1]).is_err(), "short");
         let mut extended = bytes.clone();
@@ -757,7 +711,7 @@ mod tests {
         let o = catalog::med_mini();
         let tracker = WorkloadTracker::new(&o);
         for _ in 0..9 {
-            tracker.record_statement(&treat_query());
+            tracker.record_statement(&o, &treat_query());
         }
         let af = tracker.to_frequencies(&o, 10_000.0);
         let bytes = frequencies_to_bytes(&o, &af);
@@ -777,23 +731,80 @@ mod tests {
         assert!(frequencies_from_bytes(&other, &bytes).is_err());
     }
 
+    /// The label-resolution maps the tracker kept before it resolved
+    /// through the ontology, built as it built them.
+    struct LabelMaps {
+        concept_by_label: HashMap<String, ConceptId>,
+        relationships_by_label: HashMap<String, Vec<(ConceptId, ConceptId, RelationshipId)>>,
+        property_by_name: HashMap<ConceptId, HashMap<String, PropertyId>>,
+    }
+
+    impl LabelMaps {
+        fn new(ontology: &Ontology) -> Self {
+            let mut concept_by_label = HashMap::new();
+            for (cid, concept) in ontology.concepts() {
+                concept_by_label.insert(concept.name.clone(), cid);
+            }
+            let mut relationships_by_label: HashMap<
+                String,
+                Vec<(ConceptId, ConceptId, RelationshipId)>,
+            > = HashMap::new();
+            for (rid, rel) in ontology.relationships() {
+                relationships_by_label
+                    .entry(rel.name.clone())
+                    .or_default()
+                    .push((rel.src, rel.dst, rid));
+            }
+            let mut property_by_name: HashMap<ConceptId, HashMap<String, PropertyId>> =
+                HashMap::new();
+            for (cid, _) in ontology.concepts() {
+                for &pid in ontology.concept_properties(cid) {
+                    property_by_name
+                        .entry(cid)
+                        .or_default()
+                        .insert(ontology.property(pid).name.clone(), pid);
+                }
+            }
+            Self { concept_by_label, relationships_by_label, property_by_name }
+        }
+
+        fn resolve_relationship(
+            &self,
+            label: &str,
+            src: Option<ConceptId>,
+            dst: Option<ConceptId>,
+        ) -> Option<RelationshipId> {
+            let candidates = self.relationships_by_label.get(label)?;
+            if let (Some(s), Some(d)) = (src, dst) {
+                if let Some(&(_, _, rid)) =
+                    candidates.iter().find(|&&(cs, cd, _)| cs == s && cd == d)
+                {
+                    return Some(rid);
+                }
+            }
+            candidates.first().map(|&(_, _, rid)| rid)
+        }
+    }
+
     impl WorkloadTracker {
         /// `record_statement` before it was split into `resolve` and
-        /// `record`, verbatim: the oracle the split is held to.
-        fn record_statement_reference(&self, stmt: &Statement) {
+        /// `record`, verbatim but for reading the old label maps from
+        /// `maps`: the oracle the split and the ontology lookups are held to.
+        fn record_statement_reference(&self, ontology: &Ontology, stmt: &Statement) {
+            let maps = LabelMaps::new(ontology);
             self.total.fetch_add(1, Ordering::Relaxed);
             let concept_of = |var: &str| -> Option<ConceptId> {
-                stmt.any_node(var).and_then(|n| self.concept_by_label.get(&n.label)).copied()
+                stmt.any_node(var).and_then(|n| maps.concept_by_label.get(&n.label)).copied()
             };
             for node in stmt.nodes.iter().chain(&stmt.opt_nodes) {
-                if let Some(&cid) = self.concept_by_label.get(&node.label) {
+                if let Some(&cid) = maps.concept_by_label.get(&node.label) {
                     self.concepts[cid.index()].fetch_add(1, Ordering::Relaxed);
                 }
             }
             let all_edges: Vec<&EdgePattern> = stmt.edges.iter().chain(&stmt.opt_edges).collect();
             let mut edge_rel: Vec<Option<RelationshipId>> = Vec::with_capacity(all_edges.len());
             for edge in &all_edges {
-                let rid = self.resolve_relationship(
+                let rid = maps.resolve_relationship(
                     &edge.label,
                     concept_of(&edge.src),
                     concept_of(&edge.dst),
@@ -819,7 +830,7 @@ mod tests {
             for (var, property) in return_accesses.chain(predicate_accesses) {
                 let Some(cid) = concept_of(var) else { continue };
                 let Some(&pid) =
-                    self.property_by_name.get(&cid).and_then(|props| props.get(property))
+                    maps.property_by_name.get(&cid).and_then(|props| props.get(property))
                 else {
                     continue;
                 };
@@ -925,8 +936,8 @@ mod tests {
             let (split, reference) =
                 (WorkloadTracker::new(&ontology), WorkloadTracker::new(&ontology));
             for stmt in &statements {
-                split.record(&split.resolve(stmt));
-                reference.record_statement_reference(stmt);
+                split.record(&split.resolve(&ontology, stmt));
+                reference.record_statement_reference(&ontology, stmt);
                 assert_eq!(split.snapshot(), reference.snapshot(), "{stmt}");
             }
             assert!(!split.snapshot().property_counts.is_empty(), "properties were reached");
@@ -937,7 +948,7 @@ mod tests {
     fn reset_zeroes_counts() {
         let o = catalog::med_mini();
         let tracker = WorkloadTracker::new(&o);
-        tracker.record_statement(&treat_query());
+        tracker.record_statement(&o, &treat_query());
         tracker.reset();
         let snap = tracker.snapshot();
         assert_eq!(snap.total_queries, 0);

@@ -76,7 +76,7 @@ fn frequencies_for(
     let tracker = WorkloadTracker::new(ontology);
     for _ in 0..repeats {
         for q in queries {
-            tracker.record_statement(q);
+            tracker.record_statement(ontology, q);
         }
     }
     tracker.to_frequencies(ontology, 10_000.0)

@@ -43,7 +43,7 @@ fn build_inputs() -> (Ontology, DataStatistics, InstanceKg, AccessFrequencies) {
     // Teach the initial frequencies from the workload itself.
     let tracker = WorkloadTracker::new(&ontology);
     for text in WORKLOAD {
-        tracker.record_statement(&parse(text).expect("workload parses"));
+        tracker.record_statement(&ontology, &parse(text).expect("workload parses"));
     }
     let frequencies = tracker.to_frequencies(&ontology, 10_000.0);
     (ontology, statistics, instance, frequencies)

@@ -80,7 +80,7 @@ fn main() {
     let tracker = WorkloadTracker::new(&ontology);
     for _ in 0..10 {
         for text in phase_a_texts() {
-            tracker.record_statement(&parse_named(text, "phase-a").expect(text));
+            tracker.record_statement(&ontology, &parse_named(text, "phase-a").expect(text));
         }
     }
     let initial = tracker.to_frequencies(&ontology, 10_000.0);
